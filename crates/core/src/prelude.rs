@@ -37,8 +37,8 @@ pub use ecofl_pipeline::runtime::{
     FaultPlan, KillPoint, PipelineTrainer, RuntimeOptions,
 };
 pub use ecofl_pipeline::{
-    data_parallel_epoch, single_device_epoch, ExecutionReport, PipelineExecutor, PipelineSchedule,
-    ScheduleKind, SchedulePolicy,
+    data_parallel_epoch, single_device_epoch, ExecutionReport, PipelineExecutor, ScheduleKind,
+    SchedulePolicy,
 };
 pub use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q, Device, DeviceSpec, Link};
 pub use ecofl_tensor::{Network, Sgd, Tensor};

@@ -32,7 +32,8 @@ pub enum SpikeError {
     /// The Eq. 1 partitioner found no feasible initial partition (e.g.
     /// fewer layers than devices, or memory bounds violated everywhere).
     InfeasibleInitialPartition,
-    /// The initial pipeline admits no executable 1F1B-Sync schedule.
+    /// The initial pipeline admits no executable schedule of the
+    /// configured kind ([`SchedulerConfig::schedule`]).
     InitialPipelineStalled,
     /// After the spike landed, the (unmigrated) pipeline no longer
     /// admits an executable schedule.
@@ -46,16 +47,10 @@ impl std::fmt::Display for SpikeError {
                 write!(f, "no feasible initial partition for the spike scenario")
             }
             SpikeError::InitialPipelineStalled => {
-                write!(
-                    f,
-                    "initial pipeline admits no executable 1F1B-Sync schedule"
-                )
+                write!(f, "initial pipeline admits no executable schedule")
             }
             SpikeError::SpikedPipelineStalled => {
-                write!(
-                    f,
-                    "post-spike pipeline admits no executable 1F1B-Sync schedule"
-                )
+                write!(f, "post-spike pipeline admits no executable schedule")
             }
         }
     }
@@ -644,5 +639,19 @@ mod tests {
         };
         let result = simulate_load_spike(&tiny, &devices, &link, 8, 8, spike, 50.0, true);
         assert_eq!(result.unwrap_err(), SpikeError::InfeasibleInitialPartition);
+    }
+
+    /// `SchedulerConfig::schedule` picks the schedule, so a stall message
+    /// must not claim one.
+    #[test]
+    fn stall_messages_name_no_schedule() {
+        for err in [
+            SpikeError::InitialPipelineStalled,
+            SpikeError::SpikedPipelineStalled,
+        ] {
+            let msg = err.to_string();
+            assert!(msg.contains("no executable schedule"), "{msg}");
+            assert!(!msg.contains("1F1B"), "{msg}");
+        }
     }
 }

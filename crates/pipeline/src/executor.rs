@@ -1,12 +1,13 @@
 //! Discrete-event execution of pipeline-training schedules.
 //!
-//! The executor is schedule-agnostic: it instantiates the
-//! [`PipelineSchedule`] trait object behind a [`SchedulePolicy`] and asks
-//! it admission questions — residency bounds `K_s`, backward gating,
-//! forward/backward preference, weight-version stashing, flush-freedom,
-//! backward splitting — never matching on the policy itself. All five
-//! registered schedules (1F1B-Sync, BAF-Sync, 1F1B-Async, interleaved
-//! 1F1B, zero-bubble) run through the same event loop:
+//! The executor holds a [`SchedulePolicy`] by value and asks it admission
+//! questions — residency bounds `K_s`, backward gating, forward/backward
+//! preference, weight-version stashing, flush-freedom, backward
+//! splitting. It does not walk the policy's nominal `stage_stream`: a
+//! task starts when its data has arrived and the policy admits it, so the
+//! executed order can differ from the nominal one. All five schedules
+//! (1F1B-Sync, BAF-Sync, 1F1B-Async, interleaved 1F1B, zero-bubble) run
+//! through the same event loop:
 //!
 //! - **1F1B-Sync** (Eco-FL, §4.1): every stage prefers the earliest ready
 //!   backward task (the *early backward schedule* that releases activation
@@ -36,7 +37,7 @@
 //! makespan) improve with micro-batch size the way Table 2 reports.
 
 use crate::profiler::PipelineProfile;
-use crate::schedule::{interleave_profile, PipelineSchedule};
+use crate::schedule::interleave_profile;
 use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_obs::{Counter, Domain, Histogram, MetricsHub, SpanKind, TraceView, Tracer};
 use ecofl_simnet::{BusyTracker, Device, EventQueue, ThroughputTracker};
@@ -379,7 +380,7 @@ pub struct PipelineExecutor<'a> {
     /// The chunked profile actually executed under an interleaved
     /// schedule (`None` for single-chunk schedules).
     virtual_profile: Option<PipelineProfile>,
-    schedule: Box<dyn PipelineSchedule>,
+    schedule: SchedulePolicy,
     /// Per-compute-task dispatch overhead, seconds.
     pub task_overhead: f64,
     metrics: Option<ExecMetrics>,
@@ -394,21 +395,14 @@ impl<'a> PipelineExecutor<'a> {
     /// entry is zero, [`ExecError::Schedule`] when the schedule
     /// configuration itself is invalid (e.g. interleave depth 0).
     pub fn new(profile: &'a PipelineProfile, policy: SchedulePolicy) -> Result<Self, ExecError> {
-        let (k, expected) = match &policy {
-            SchedulePolicy::OneFOneBSync { k }
-            | SchedulePolicy::OneFOneBAsync { k }
-            | SchedulePolicy::ZeroBubble { k } => (Some(k), profile.num_stages()),
-            SchedulePolicy::Interleaved { k, v } => {
-                if *v == 0 {
-                    return Err(ExecError::Schedule {
-                        detail: "interleave depth v must be ≥ 1".into(),
-                    });
-                }
-                (Some(k), profile.num_stages() * v)
-            }
-            SchedulePolicy::BafSync => (None, profile.num_stages()),
-        };
-        if let Some(k) = k {
+        if matches!(policy, SchedulePolicy::Interleaved { v: 0, .. }) {
+            return Err(ExecError::Schedule {
+                detail: "interleave depth v must be ≥ 1".into(),
+            });
+        }
+        let v = policy.virtual_per_device();
+        let expected = profile.num_stages() * v;
+        if let Some(k) = policy.k() {
             if k.len() != expected {
                 return Err(ExecError::ResidencyLen {
                     expected,
@@ -419,16 +413,11 @@ impl<'a> PipelineExecutor<'a> {
                 return Err(ExecError::ResidencyZero { stage });
             }
         }
-        let virtual_profile = match &policy {
-            SchedulePolicy::Interleaved { v, .. } if *v > 1 => {
-                Some(interleave_profile(profile, *v))
-            }
-            _ => None,
-        };
+        let virtual_profile = (v > 1).then(|| interleave_profile(profile, v));
         Ok(Self {
             profile,
             virtual_profile,
-            schedule: policy.instantiate(),
+            schedule: policy,
             task_overhead: DEFAULT_TASK_OVERHEAD,
             metrics: None,
         })
@@ -444,8 +433,8 @@ impl<'a> PipelineExecutor<'a> {
 
     /// The schedule this executor runs.
     #[must_use]
-    pub fn schedule(&self) -> &dyn PipelineSchedule {
-        self.schedule.as_ref()
+    pub fn schedule(&self) -> &SchedulePolicy {
+        &self.schedule
     }
 
     /// Overrides the per-task dispatch overhead.
@@ -555,7 +544,7 @@ impl<'a> PipelineExecutor<'a> {
         let mut queue: EventQueue<Event> = EventQueue::new();
         let mut engine = Engine {
             profile,
-            schedule: self.schedule.as_ref(),
+            schedule: &self.schedule,
             task_overhead: self.task_overhead,
             state,
             devices,
@@ -673,7 +662,7 @@ enum Pass {
 /// the event handlers can borrow it wholesale.
 struct Engine<'e> {
     profile: &'e PipelineProfile,
-    schedule: &'e dyn PipelineSchedule,
+    schedule: &'e SchedulePolicy,
     task_overhead: f64,
     state: Vec<StageState>,
     devices: Vec<Device>,

@@ -13,12 +13,13 @@
 //! - [`orchestrator`] — bubble analysis (SSB of Eq. 2, DDB), the in-flight
 //!   forward bounds `P_s` of Eq. 3, memory bounds `Q_s`, `K_s = min(P_s,
 //!   Q_s)`, and the device-order / micro-batch-size search of §4.3,
-//! - [`schedule`] — the pluggable [`schedule::PipelineSchedule`] trait and
-//!   its five implementations (1F1B-Sync, BAF-Sync, 1F1B-Async,
-//!   interleaved 1F1B, zero-bubble), each emitting a deterministic
-//!   per-stage task stream with residency bounds `K_s`,
-//! - [`executor`] — a discrete-event executor that runs any registered
-//!   schedule over simulated devices and links, with per-stage memory
+//! - [`schedule`] — [`SchedulePolicy`], the one value that names a
+//!   schedule (1F1B-Sync, BAF-Sync, 1F1B-Async, interleaved 1F1B,
+//!   zero-bubble) with its residency bounds `K_s`, answers the
+//!   executor's admission queries and generates the deterministic
+//!   per-stage task stream; [`ScheduleKind`] is its data-free tag,
+//! - [`executor`] — a discrete-event executor that runs any of the five
+//!   schedules over simulated devices and links, with per-stage memory
 //!   accounting (OOM detection), busy traces and bubble measurement,
 //! - [`baselines`] — data-parallel and single-device training cost models
 //!   (the Fig. 10/11 comparison points),
@@ -30,7 +31,8 @@
 //!
 //! - [`runtime`] — a real multi-threaded 1F1B-Sync pipeline: each stage is
 //!   an OS thread owning a segment of a genuine `ecofl-tensor` network,
-//!   connected by bounded MPMC channels. Its updates are bit-identical
+//!   connected by bounded MPMC channels, walking the same per-stage task
+//!   stream the schedule layer generates. Its updates are bit-identical
 //!   to single-device gradient-accumulation training, which the tests
 //!   assert — the 1F1B-Sync schedule changes execution order, never
 //!   semantics.
@@ -58,7 +60,5 @@ pub use runtime::{
     load_checkpoint_at_or_before, load_latest_checkpoint, stored_checkpoints, CheckpointRecord,
     FaultPlan, KillPoint, PipelineTrainer, RuntimeOptions,
 };
-pub use schedule::{
-    interleave_profile, PipelineSchedule, RtStep, ScheduleKind, StageTask, DEFAULT_INTERLEAVE,
-};
+pub use schedule::{interleave_profile, ScheduleKind, StageTask, DEFAULT_INTERLEAVE};
 pub use validate::{validate_plan, PlanViolation};

@@ -8,9 +8,12 @@
 //!
 //! # Schedule
 //!
-//! The schedule is the paper's 1F1B-Sync: stage `s` warms up with `K_s`
-//! forwards, then strictly alternates backward/forward, and the sync-round
-//! ends with a pipeline flush that applies the accumulated gradients.
+//! The default schedule is the paper's 1F1B-Sync: stage `s` warms up with
+//! `K_s` forwards, then strictly alternates backward/forward, and the
+//! sync-round ends with a pipeline flush that applies the accumulated
+//! gradients. Each stage thread takes that order — for any
+//! [`RuntimeOptions::schedule`] — from [`ScheduleKind::stage_stream`], the
+//! same generator the legality suite checks.
 //! Because gradient accumulation is order-preserving per layer, the
 //! resulting parameter updates are **bit-identical** to single-device
 //! gradient-accumulation training over the same micro-batches — the
@@ -83,7 +86,7 @@
 //! [`recv_timeout`]: ecofl_compat::sync::channel::Receiver::recv_timeout
 
 use crate::executor::ExecError;
-use crate::schedule::{RtStep, ScheduleKind};
+use crate::schedule::{ScheduleKind, StageTask};
 use ecofl_compat::bytes::{Bytes, BytesMut};
 use ecofl_compat::sync::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use ecofl_compat::sync::Mutex;
@@ -227,11 +230,11 @@ pub struct RuntimeOptions {
     /// store continues its sequence numbering, enabling cross-run
     /// point-in-time recovery and diffing.
     pub store_path: Option<PathBuf>,
-    /// Pipeline schedule the stage threads interpret per round. The
-    /// runtime is round-synchronous, so every schedule collapses to its
-    /// round-synchronous step program (see
-    /// [`ScheduleKind::runtime_stream`]); which gradients accumulate is
-    /// unchanged, so round results are bit-identical across schedules.
+    /// Pipeline schedule whose [`ScheduleKind::stage_stream`] the stage
+    /// threads walk each round. The runtime is round-synchronous with
+    /// one segment per device, so the stream's `BwdWeight` and `Sync`
+    /// tasks are no-ops here; which gradients accumulate is unchanged,
+    /// so round results are bit-identical across schedules.
     pub schedule: ScheduleKind,
     /// Streaming metrics hub. When set, the runtime records *real
     /// wall-clock* observations into `rt_*` metrics: per-stage
@@ -664,6 +667,35 @@ fn do_bwd(
     Ok(())
 }
 
+/// What a stage thread does for one task of the nominal stream.
+///
+/// The runtime is round-synchronous with one physical segment per
+/// device: `Bwd` and `BwdInput` both run the whole backward (the
+/// weight-gradient half has no separate kernel here), and the flush is
+/// the portal's `Ctrl::Apply`, so `BwdWeight` and `Sync` map to nothing.
+/// Flush-freedom, virtual stages and the backward split are
+/// executor-level refinements that do not change which gradients are
+/// accumulated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verb {
+    /// Receive the next activation and run forward `n` — the
+    /// fault-injection point [`KillPoint`] names.
+    Fwd(usize),
+    /// Receive the next gradient (or pop a pending logit) and run a
+    /// backward.
+    Bwd,
+}
+
+impl Verb {
+    fn of(task: StageTask) -> Option<Verb> {
+        match task {
+            StageTask::Fwd(n) => Some(Verb::Fwd(n)),
+            StageTask::Bwd(_) | StageTask::BwdInput(_) => Some(Verb::Bwd),
+            StageTask::BwdWeight(_) | StageTask::Sync => None,
+        }
+    }
+}
+
 /// The stage protocol loop. `Ok(())` is a clean shutdown (explicit
 /// `Ctrl::Shutdown` or the portal dropping the control channel);
 /// `Err(_)` is a death the wrapper reports to the board.
@@ -684,26 +716,21 @@ fn stage_loop(ctx: &mut StageCtx) -> Result<(), StageFail> {
         match ctx.ctrl_rx.recv() {
             Ok(Ctrl::Round { m, k, round, sched }) => {
                 let mut losses = Vec::new();
-                // Interpret the schedule's step program (for 1F1B: warmup
+                // Walk the schedule's nominal stream (for 1F1B: warmup
                 // with K forwards, then alternate BP/FP, drain remaining
                 // backwards). Ordering within the round is ultimately
-                // enforced by channel data availability; the program fixes
+                // enforced by channel data availability; the stream fixes
                 // the verb sequence and the fault-injection points, which
                 // fire before each forward.
-                let mut fp_done = 0usize;
-                for step in sched.runtime_stream(m, k) {
-                    match step {
-                        RtStep::Fwd => {
-                            if ctx.kill_due(round, fp_done) {
-                                return Err(StageFail::Killed {
-                                    round,
-                                    micro: fp_done,
-                                });
+                for verb in sched.stage_stream(k, m).into_iter().filter_map(Verb::of) {
+                    match verb {
+                        Verb::Fwd(micro) => {
+                            if ctx.kill_due(round, micro) {
+                                return Err(StageFail::Killed { round, micro });
                             }
                             do_fwd(ctx, &mut pending_logits)?;
-                            fp_done += 1;
                         }
-                        RtStep::Bwd => {
+                        Verb::Bwd => {
                             do_bwd(ctx, &mut head, &mut pending_logits, &mut losses)?;
                         }
                     }
@@ -1773,6 +1800,52 @@ mod tests {
             assert_eq!(a, b);
             let k = a.kills[0];
             assert!(k.stage < 3 && k.round < 4 && k.micro < 5);
+        }
+    }
+
+    /// The step program the runtime used to generate for itself, with
+    /// each forward numbered by the running count its loop kept for the
+    /// kill point — the reference for what `stage_loop` now reads off
+    /// `stage_stream`.
+    fn reference_program(kind: ScheduleKind, m: usize, k: usize) -> Vec<Verb> {
+        let mut ids = 0..;
+        let mut fwd = move || Verb::Fwd(ids.next().expect("unbounded range"));
+        let mut out = Vec::with_capacity(2 * m);
+        if kind == ScheduleKind::BafSync {
+            out.extend(std::iter::repeat_with(&mut fwd).take(m));
+            out.extend(std::iter::repeat_n(Verb::Bwd, m));
+        } else {
+            let w = k.min(m).max(1);
+            out.extend(std::iter::repeat_with(&mut fwd).take(w));
+            let mut fp = w;
+            for _ in 0..m {
+                out.push(Verb::Bwd);
+                if fp < m {
+                    out.push(fwd());
+                    fp += 1;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn walked_verbs_and_kill_points_match_the_reference_program() {
+        for kind in ScheduleKind::all() {
+            for k in 1..=4 {
+                for m in 1..=8 {
+                    let walked: Vec<Verb> = kind
+                        .stage_stream(k, m)
+                        .into_iter()
+                        .filter_map(Verb::of)
+                        .collect();
+                    assert_eq!(
+                        walked,
+                        reference_program(kind, m, k),
+                        "{kind:?} k={k} m={m}"
+                    );
+                }
+            }
         }
     }
 }

@@ -1,9 +1,8 @@
-//! Pluggable pipeline schedules: the [`PipelineSchedule`] trait and its
-//! five implementations.
+//! Pipeline schedules: one value, [`SchedulePolicy`], says which schedule
+//! a pipeline trains under and with what residency bounds;
+//! [`ScheduleKind`] is its data-free tag for configs, the CLI and sweeps.
 //!
-//! Mirroring the `AggregationStrategy` split on the FL side, the schedule
-//! layer separates *what order a pipeline trains in* from *the engines
-//! that execute that order*. A schedule answers two kinds of questions:
+//! A policy answers two kinds of questions:
 //!
 //! - **Admission queries** consumed by the event-driven
 //!   [`crate::executor::PipelineExecutor`]: per-stage residency bounds
@@ -11,27 +10,26 @@
 //!   (BAF-Sync), whether micro-batches stream across round boundaries
 //!   (flush-free), and whether the backward pass splits into
 //!   activation-gradient and weight-gradient tasks (zero-bubble).
-//! - **A deterministic per-stage task stream** ([`stage_stream`]) — the
-//!   nominal order `Fwd(mb)` / `Bwd(mb)` (optionally
-//!   `BwdInput(mb)`/`BwdWeight(mb)`) ending in `Sync` — consumed by the
-//!   threaded [`crate::runtime`] interpreter and the schedule-legality
-//!   property suite. In the executor the *actual* dispatch order may
-//!   deviate from the nominal stream (a backward becomes ready only when
-//!   its gradient arrives), but it always respects the same data
-//!   dependencies and residency bounds, which the legality checker
-//!   asserts on the executed spans.
+//! - **A deterministic per-stage task stream**
+//!   ([`ScheduleKind::stage_stream`]) — the nominal order `Fwd(mb)` /
+//!   `Bwd(mb)` (optionally `BwdInput(mb)`/`BwdWeight(mb)`) ending in
+//!   `Sync`. It is the program each stage thread of the threaded
+//!   [`crate::runtime`] walks, and the oracle of the schedule-legality
+//!   property suite. The executor does *not* walk it: there a backward
+//!   becomes ready only when its gradient arrives, so the executed order
+//!   may deviate from the nominal stream, but it always respects the
+//!   same data dependencies and residency bounds, which the legality
+//!   checker asserts on the executed spans.
 //!
-//! The five registered schedules:
+//! The five schedules:
 //!
-//! | schedule | bubble per round | memory | new here |
-//! |---|---|---|---|
-//! | 1F1B-Sync (Eco-FL §4.1) | Eq. 2 SSB | `K_s` activations | no |
-//! | BAF-Sync (Gpipe) | Eq. 2 SSB (+DDB) | `M` activations | no |
-//! | 1F1B-Async (PipeDream) | SSB paid once | `K_s` weight copies | no |
-//! | Interleaved 1F1B | SSB / v (per-device warmup) | `K_j` per virtual stage | yes |
-//! | Zero-bubble | SSB − (S−1)·t_b/2 | `K_s` activations | yes |
-//!
-//! [`stage_stream`]: PipelineSchedule::stage_stream
+//! | schedule | bubble per round | memory |
+//! |---|---|---|
+//! | 1F1B-Sync (Eco-FL §4.1) | Eq. 2 SSB | `K_s` activations |
+//! | BAF-Sync (Gpipe) | Eq. 2 SSB (+DDB) | `M` activations |
+//! | 1F1B-Async (PipeDream) | SSB paid once | `K_s` weight copies |
+//! | Interleaved 1F1B | SSB / v (per-device warmup) | `K_j` per virtual stage |
+//! | Zero-bubble | SSB − (S−1)·t_b/2 | `K_s` activations |
 
 use crate::profiler::{PipelineProfile, StageProfile};
 use ecofl_compat::serde::{Deserialize, Serialize};
@@ -59,84 +57,6 @@ pub enum StageTask {
     Sync,
 }
 
-/// One step of the *threaded runtime's* per-stage program. The real
-/// runtime blocks on channel receives, so ordering within a round is
-/// enforced by data availability; only the verb sequence matters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RtStep {
-    /// Receive the next activation and run a forward.
-    Fwd,
-    /// Receive the next gradient (or pop a pending logit) and run a
-    /// backward.
-    Bwd,
-}
-
-/// A pipeline schedule: admission rules for the event-driven executor
-/// plus a deterministic nominal task stream for the threaded runtime.
-///
-/// Implementations must be deterministic pure functions of their
-/// configuration — both engines rely on identical answers across calls
-/// for bit-identical replay.
-pub trait PipelineSchedule {
-    /// Human-readable schedule name (stable; used in benches and CLI).
-    fn name(&self) -> &'static str;
-
-    /// The serializable selector this schedule was built from.
-    fn kind(&self) -> ScheduleKind;
-
-    /// Per-stage residency limit `K_s`, or `None` for unbounded
-    /// (BAF-Sync holds all `M` activations).
-    fn residency(&self, stage: usize) -> Option<usize>;
-
-    /// Weight versions stashed per stage (1 unless weight-stashing
-    /// async).
-    fn weight_versions(&self, _stage: usize) -> u64 {
-        1
-    }
-
-    /// Whether micro-batches stream across round boundaries (no flush).
-    fn flush_free(&self) -> bool {
-        false
-    }
-
-    /// Whether the backward splits into `BwdInput`/`BwdWeight` tasks.
-    fn split_backward(&self) -> bool {
-        false
-    }
-
-    /// Whether a ready backward wins over an admissible forward (the
-    /// early-backward rule of 1F1B; BAF-Sync prefers forwards).
-    fn prefer_backward(&self) -> bool {
-        true
-    }
-
-    /// Whether stage `stage` may start a backward now, given it has
-    /// forwarded `fp_done` of `m` micro-batches this round. BAF-Sync
-    /// gates the last stage until every forward is done.
-    fn backward_allowed(&self, _stage: usize, _s_count: usize, _fp_done: usize, _m: usize) -> bool {
-        true
-    }
-
-    /// Virtual stages per device (1 unless interleaved).
-    fn virtual_per_device(&self) -> usize {
-        1
-    }
-
-    /// The nominal per-stage task stream for one sync-round of `m`
-    /// micro-batches: every forward and backward of the round in the
-    /// order the stage would run them absent timing skew, ending with
-    /// [`StageTask::Sync`] for synchronous schedules.
-    fn stage_stream(&self, stage: usize, s_count: usize, m: usize) -> Vec<StageTask>;
-
-    /// Analytic bubble per sync-round for `profile` *as executed* (the
-    /// interleaved schedule receives the virtual-stage profile). The
-    /// default is Eq. 2's synchronous static bubble — the sum of stage
-    /// widths over all but the last stage.
-    fn bubble_per_round(&self, profile: &PipelineProfile) -> f64 {
-        eq2_ssb(profile)
-    }
-}
-
 /// Eq. 2: the synchronous static bubble — `Σ_{s<S-1} full_width(s)`.
 #[must_use]
 pub fn eq2_ssb(profile: &PipelineProfile) -> f64 {
@@ -147,37 +67,10 @@ pub fn eq2_ssb(profile: &PipelineProfile) -> f64 {
         .sum::<f64>()
 }
 
-/// The 1F1B nominal stream shared by every 1F1B-shaped schedule:
-/// `min(k, m)` warmup forwards, then alternate backward/forward, then
-/// the remaining backwards.
-fn one_f_one_b_stream(k: usize, m: usize, split: bool, sync: bool) -> Vec<StageTask> {
-    let w = k.min(m).max(1);
-    let mut out = Vec::with_capacity(2 * m + 1);
-    for n in 0..w {
-        out.push(StageTask::Fwd(n));
-    }
-    let mut fp = w;
-    for n in 0..m {
-        if split {
-            out.push(StageTask::BwdInput(n));
-            out.push(StageTask::BwdWeight(n));
-        } else {
-            out.push(StageTask::Bwd(n));
-        }
-        if fp < m {
-            out.push(StageTask::Fwd(fp));
-            fp += 1;
-        }
-    }
-    if sync {
-        out.push(StageTask::Sync);
-    }
-    out
-}
-
-/// Serializable schedule selector — the configuration-file / CLI face of
-/// the schedule layer. [`instantiate`](Self::instantiate) turns it into
-/// the trait object both engines consume.
+/// A pipeline schedule: which of the five orderings, plus the residency
+/// bounds it runs with. The executor asks it the admission questions
+/// below; the answers are pure functions of the value, which both
+/// engines rely on for bit-identical replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SchedulePolicy {
     /// Eco-FL's memory-efficient synchronous 1F1B with per-stage
@@ -231,18 +124,119 @@ impl SchedulePolicy {
         }
     }
 
-    /// Builds the schedule trait object both engines consume.
+    /// Human-readable schedule name (stable; used in test diagnostics).
     #[must_use]
-    pub fn instantiate(&self) -> Box<dyn PipelineSchedule> {
+    pub fn name(&self) -> &'static str {
         match self {
-            SchedulePolicy::OneFOneBSync { k } => Box::new(OneFOneBSyncSchedule { k: k.clone() }),
-            SchedulePolicy::BafSync => Box::new(BafSyncSchedule),
-            SchedulePolicy::OneFOneBAsync { k } => Box::new(OneFOneBAsyncSchedule { k: k.clone() }),
-            SchedulePolicy::Interleaved { k, v } => Box::new(InterleavedSchedule {
-                k: k.clone(),
-                v: (*v).max(1),
-            }),
-            SchedulePolicy::ZeroBubble { k } => Box::new(ZeroBubbleSchedule { k: k.clone() }),
+            SchedulePolicy::OneFOneBSync { .. } => "1F1B-Sync",
+            SchedulePolicy::BafSync => "BAF-Sync",
+            SchedulePolicy::OneFOneBAsync { .. } => "1F1B-Async",
+            SchedulePolicy::Interleaved { .. } => "Interleaved-1F1B",
+            SchedulePolicy::ZeroBubble { .. } => "Zero-Bubble",
+        }
+    }
+
+    /// The residency vector, one `K_s` per (virtual) stage, or `None` for
+    /// unbounded (BAF-Sync holds all `M` activations).
+    pub(crate) fn k(&self) -> Option<&[usize]> {
+        match self {
+            SchedulePolicy::BafSync => None,
+            SchedulePolicy::OneFOneBSync { k }
+            | SchedulePolicy::OneFOneBAsync { k }
+            | SchedulePolicy::Interleaved { k, .. }
+            | SchedulePolicy::ZeroBubble { k } => Some(k),
+        }
+    }
+
+    /// Residency limit `K_s` of (virtual) stage `stage`, or `None` for
+    /// unbounded.
+    #[must_use]
+    pub fn residency(&self, stage: usize) -> Option<usize> {
+        self.k().map(|k| k[stage])
+    }
+
+    /// Weight versions stashed per stage (1 unless weight-stashing
+    /// async).
+    #[must_use]
+    pub fn weight_versions(&self, stage: usize) -> u64 {
+        match self {
+            SchedulePolicy::OneFOneBAsync { k } => k[stage] as u64,
+            _ => 1,
+        }
+    }
+
+    /// Whether micro-batches stream across round boundaries (no flush).
+    #[must_use]
+    pub fn flush_free(&self) -> bool {
+        matches!(self, SchedulePolicy::OneFOneBAsync { .. })
+    }
+
+    /// Whether the backward splits into `BwdInput`/`BwdWeight` tasks.
+    #[must_use]
+    pub fn split_backward(&self) -> bool {
+        matches!(self, SchedulePolicy::ZeroBubble { .. })
+    }
+
+    /// Whether a ready backward wins over an admissible forward (the
+    /// early-backward rule of 1F1B; BAF-Sync prefers forwards).
+    #[must_use]
+    pub fn prefer_backward(&self) -> bool {
+        !matches!(self, SchedulePolicy::BafSync)
+    }
+
+    /// Whether stage `stage` of `s_count` may start a backward now, given
+    /// it has forwarded `fp_done` of `m` micro-batches this round.
+    /// BAF-Sync gates the last stage until every forward is done;
+    /// upstream stages receive gradients late enough that the gate only
+    /// matters there.
+    #[must_use]
+    pub fn backward_allowed(&self, stage: usize, s_count: usize, fp_done: usize, m: usize) -> bool {
+        !matches!(self, SchedulePolicy::BafSync) || stage != s_count - 1 || fp_done == m
+    }
+
+    /// Virtual stages per device (1 unless interleaved).
+    #[must_use]
+    pub fn virtual_per_device(&self) -> usize {
+        match self {
+            SchedulePolicy::Interleaved { v, .. } => (*v).max(1),
+            _ => 1,
+        }
+    }
+
+    /// The nominal task stream of (virtual) stage `stage` for one
+    /// sync-round of `m` micro-batches: [`ScheduleKind::stage_stream`] at
+    /// this policy's residency.
+    #[must_use]
+    pub fn stage_stream(&self, stage: usize, m: usize) -> Vec<StageTask> {
+        self.kind()
+            .stage_stream(self.residency(stage).unwrap_or(m), m)
+    }
+
+    /// Analytic bubble per sync-round for `profile` *as executed* (the
+    /// interleaved schedule receives the virtual-stage profile).
+    #[must_use]
+    pub fn bubble_per_round(&self, profile: &PipelineProfile) -> f64 {
+        let stages = profile.stages();
+        match self {
+            // Warmup only has to reach the last *device* once (its first
+            // virtual stage), not traverse the whole virtual chain: the
+            // per-device bubble spans the first S−1 virtual stages, each
+            // 1/v of a physical stage wide.
+            SchedulePolicy::Interleaved { .. } => {
+                let devices = stages.len() / self.virtual_per_device();
+                stages[..devices.saturating_sub(1)]
+                    .iter()
+                    .map(StageProfile::full_width)
+                    .sum::<f64>()
+            }
+            // The upstream gradient leaves after the activation-gradient
+            // half, so each warmup/drain hop shortens by t_b/2 relative
+            // to Eq. 2.
+            SchedulePolicy::ZeroBubble { .. } => stages[..stages.len().saturating_sub(1)]
+                .iter()
+                .map(|sp| sp.full_width() - sp.t_bwd * 0.5)
+                .sum::<f64>(),
+            _ => eq2_ssb(profile),
         }
     }
 }
@@ -314,37 +308,44 @@ impl ScheduleKind {
         }
     }
 
-    /// The per-stage step program the *threaded runtime* interprets for
-    /// one round of `m` micro-batches at residency `k`.
+    /// The nominal per-stage task stream for one sync-round of `m`
+    /// micro-batches at residency `k`: every forward and backward of the
+    /// round in the order the stage would run them absent timing skew —
+    /// `min(k, m)` warmup forwards, then alternate backward/forward, then
+    /// the remaining backwards — ending with [`StageTask::Sync`] unless
+    /// the schedule is flush-free. BAF-Sync is the same shape with the
+    /// whole round as warmup (it ignores `k`); zero-bubble emits each
+    /// backward as its two halves.
     ///
-    /// The runtime is round-synchronous with one physical segment per
-    /// device, so schedules collapse to their round-synchronous core:
-    /// BAF-Sync runs all forwards then all backwards; every other
-    /// schedule runs the 1F1B order (the async schedule's flush-freedom,
-    /// the interleaved schedule's virtual stages and the zero-bubble
-    /// split are executor-level refinements that do not change which
-    /// gradients are accumulated, so round results stay bit-identical
-    /// across all five schedules).
+    /// This is the only place a per-stage order is written down. The
+    /// threaded runtime walks it keyed by kind and its physical stage's
+    /// `k` (so interleaving's virtual stages do not appear there), and
+    /// the legality suite checks it for every policy.
     #[must_use]
-    pub fn runtime_stream(self, m: usize, k: usize) -> Vec<RtStep> {
-        let mut out = Vec::with_capacity(2 * m);
-        match self {
-            ScheduleKind::BafSync => {
-                out.extend(std::iter::repeat_n(RtStep::Fwd, m));
-                out.extend(std::iter::repeat_n(RtStep::Bwd, m));
+    pub fn stage_stream(self, k: usize, m: usize) -> Vec<StageTask> {
+        let warmup = if self == ScheduleKind::BafSync {
+            m
+        } else {
+            k.min(m).max(1)
+        };
+        let split = self == ScheduleKind::ZeroBubble;
+        let mut out = Vec::with_capacity((2 + usize::from(split)) * m + 1);
+        out.extend((0..warmup).map(StageTask::Fwd));
+        let mut fp = warmup;
+        for n in 0..m {
+            if split {
+                out.push(StageTask::BwdInput(n));
+                out.push(StageTask::BwdWeight(n));
+            } else {
+                out.push(StageTask::Bwd(n));
             }
-            _ => {
-                let w = k.min(m).max(1);
-                out.extend(std::iter::repeat_n(RtStep::Fwd, w));
-                let mut fp = w;
-                for _ in 0..m {
-                    out.push(RtStep::Bwd);
-                    if fp < m {
-                        out.push(RtStep::Fwd);
-                        fp += 1;
-                    }
-                }
+            if fp < m {
+                out.push(StageTask::Fwd(fp));
+                fp += 1;
             }
+        }
+        if self != ScheduleKind::OneFOneBAsync {
+            out.push(StageTask::Sync);
         }
         out
     }
@@ -364,171 +365,6 @@ impl std::str::FromStr for ScheduleKind {
                 "unknown schedule {other:?} (1f1b, gpipe, async, interleaved, zb)"
             )),
         }
-    }
-}
-
-struct OneFOneBSyncSchedule {
-    k: Vec<usize>,
-}
-
-impl PipelineSchedule for OneFOneBSyncSchedule {
-    fn name(&self) -> &'static str {
-        "1F1B-Sync"
-    }
-
-    fn kind(&self) -> ScheduleKind {
-        ScheduleKind::OneFOneBSync
-    }
-
-    fn residency(&self, stage: usize) -> Option<usize> {
-        Some(self.k[stage])
-    }
-
-    fn stage_stream(&self, stage: usize, _s_count: usize, m: usize) -> Vec<StageTask> {
-        one_f_one_b_stream(self.k[stage], m, false, true)
-    }
-}
-
-struct BafSyncSchedule;
-
-impl PipelineSchedule for BafSyncSchedule {
-    fn name(&self) -> &'static str {
-        "BAF-Sync"
-    }
-
-    fn kind(&self) -> ScheduleKind {
-        ScheduleKind::BafSync
-    }
-
-    fn residency(&self, _stage: usize) -> Option<usize> {
-        None
-    }
-
-    fn prefer_backward(&self) -> bool {
-        false
-    }
-
-    fn backward_allowed(&self, stage: usize, s_count: usize, fp_done: usize, m: usize) -> bool {
-        // Gpipe: the last stage flips to backwards only after forwarding
-        // everything; upstream stages receive gradients late enough that
-        // this gate only matters at the last stage.
-        stage != s_count - 1 || fp_done == m
-    }
-
-    fn stage_stream(&self, _stage: usize, _s_count: usize, m: usize) -> Vec<StageTask> {
-        let mut out: Vec<StageTask> = (0..m).map(StageTask::Fwd).collect();
-        out.extend((0..m).map(StageTask::Bwd));
-        out.push(StageTask::Sync);
-        out
-    }
-}
-
-struct OneFOneBAsyncSchedule {
-    k: Vec<usize>,
-}
-
-impl PipelineSchedule for OneFOneBAsyncSchedule {
-    fn name(&self) -> &'static str {
-        "1F1B-Async"
-    }
-
-    fn kind(&self) -> ScheduleKind {
-        ScheduleKind::OneFOneBAsync
-    }
-
-    fn residency(&self, stage: usize) -> Option<usize> {
-        Some(self.k[stage])
-    }
-
-    fn weight_versions(&self, stage: usize) -> u64 {
-        self.k[stage] as u64
-    }
-
-    fn flush_free(&self) -> bool {
-        true
-    }
-
-    fn stage_stream(&self, stage: usize, _s_count: usize, m: usize) -> Vec<StageTask> {
-        // Flush-free: no Sync terminator.
-        one_f_one_b_stream(self.k[stage], m, false, false)
-    }
-}
-
-struct InterleavedSchedule {
-    /// Residency per *virtual* stage.
-    k: Vec<usize>,
-    v: usize,
-}
-
-impl PipelineSchedule for InterleavedSchedule {
-    fn name(&self) -> &'static str {
-        "Interleaved-1F1B"
-    }
-
-    fn kind(&self) -> ScheduleKind {
-        ScheduleKind::Interleaved1F1B
-    }
-
-    fn residency(&self, stage: usize) -> Option<usize> {
-        Some(self.k[stage])
-    }
-
-    fn virtual_per_device(&self) -> usize {
-        self.v
-    }
-
-    fn stage_stream(&self, stage: usize, _s_count: usize, m: usize) -> Vec<StageTask> {
-        one_f_one_b_stream(self.k[stage], m, false, true)
-    }
-
-    fn bubble_per_round(&self, profile: &PipelineProfile) -> f64 {
-        // Warmup only has to reach the last *device* once (its first
-        // virtual stage), not traverse the whole virtual chain: the
-        // per-device bubble spans the first S−1 virtual stages, each
-        // 1/v of a physical stage wide.
-        let stages = profile.stages();
-        let devices = stages.len() / self.v.max(1);
-        stages[..devices.saturating_sub(1)]
-            .iter()
-            .map(StageProfile::full_width)
-            .sum::<f64>()
-    }
-}
-
-struct ZeroBubbleSchedule {
-    k: Vec<usize>,
-}
-
-impl PipelineSchedule for ZeroBubbleSchedule {
-    fn name(&self) -> &'static str {
-        "Zero-Bubble"
-    }
-
-    fn kind(&self) -> ScheduleKind {
-        ScheduleKind::ZeroBubble
-    }
-
-    fn residency(&self, stage: usize) -> Option<usize> {
-        Some(self.k[stage])
-    }
-
-    fn split_backward(&self) -> bool {
-        true
-    }
-
-    fn stage_stream(&self, stage: usize, _s_count: usize, m: usize) -> Vec<StageTask> {
-        one_f_one_b_stream(self.k[stage], m, true, true)
-    }
-
-    fn bubble_per_round(&self, profile: &PipelineProfile) -> f64 {
-        // The upstream gradient leaves after the activation-gradient
-        // half, so each warmup/drain hop shortens by t_b/2 relative to
-        // Eq. 2.
-        let stages = profile.stages();
-        stages[..stages.len().saturating_sub(1)]
-            .iter()
-            .map(|sp| sp.full_width() - sp.t_bwd * 0.5)
-            .sum::<f64>()
     }
 }
 
@@ -631,10 +467,9 @@ mod tests {
             } else {
                 p.clone()
             };
-            let policy = kind.policy_for(&p).expect("bounds fit");
-            let sched = policy.instantiate();
+            let sched = kind.policy_for(&p).expect("bounds fit");
             for stage in 0..exec_p.num_stages() {
-                let stream = sched.stage_stream(stage, exec_p.num_stages(), m);
+                let stream = sched.stage_stream(stage, m);
                 let fwds: Vec<usize> = stream
                     .iter()
                     .filter_map(|t| match t {
@@ -666,12 +501,12 @@ mod tests {
             } else {
                 p.clone()
             };
-            let sched = kind.policy_for(&p).expect("bounds fit").instantiate();
+            let sched = kind.policy_for(&p).expect("bounds fit");
             for stage in 0..exec_p.num_stages() {
                 let mut resident = 0usize;
                 let mut fwd_done = [false; 9];
                 let mut bwd_in_done = [false; 9];
-                for t in sched.stage_stream(stage, exec_p.num_stages(), 9) {
+                for t in sched.stage_stream(stage, 9) {
                     match t {
                         StageTask::Fwd(n) => {
                             resident += 1;
@@ -729,39 +564,18 @@ mod tests {
     fn bubble_formulas_ordered() {
         let p = uniform_profile(4);
         let ssb = eq2_ssb(&p);
-        let sync = ScheduleKind::OneFOneBSync
-            .policy_for(&p)
-            .unwrap()
-            .instantiate();
+        let sync = ScheduleKind::OneFOneBSync.policy_for(&p).unwrap();
         assert!((sync.bubble_per_round(&p) - ssb).abs() < 1e-12);
-        let zb = ScheduleKind::ZeroBubble
-            .policy_for(&p)
-            .unwrap()
-            .instantiate();
+        let zb = ScheduleKind::ZeroBubble.policy_for(&p).unwrap();
         assert!(
             zb.bubble_per_round(&p) < ssb,
             "zero-bubble must undercut Eq. 2"
         );
-        let il = ScheduleKind::Interleaved1F1B
-            .policy_for(&p)
-            .unwrap()
-            .instantiate();
+        let il = ScheduleKind::Interleaved1F1B.policy_for(&p).unwrap();
         let vp = interleave_profile(&p, DEFAULT_INTERLEAVE);
         assert!(
             il.bubble_per_round(&vp) < ssb,
             "interleaving must shrink the warmup bubble"
         );
-    }
-
-    #[test]
-    fn runtime_stream_shapes() {
-        let s = ScheduleKind::OneFOneBSync.runtime_stream(5, 3);
-        // 3 warmup forwards, then bwd/fwd alternation, then tail bwds.
-        assert_eq!(s.iter().filter(|x| **x == RtStep::Fwd).count(), 5);
-        assert_eq!(s.iter().filter(|x| **x == RtStep::Bwd).count(), 5);
-        assert_eq!(&s[..3], &[RtStep::Fwd, RtStep::Fwd, RtStep::Fwd]);
-        let g = ScheduleKind::BafSync.runtime_stream(4, 2);
-        assert_eq!(&g[..4], &[RtStep::Fwd; 4]);
-        assert_eq!(&g[4..], &[RtStep::Bwd; 4]);
     }
 }

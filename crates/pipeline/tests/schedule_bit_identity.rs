@@ -1,12 +1,13 @@
-//! Bit-identity goldens for the schedule-trait refactor.
+//! Bit-identity goldens for the executor's schedule handling.
 //!
-//! The three legacy schedules (1F1B-Sync, BAF-Sync, 1F1B-Async) ran
-//! through the pre-refactor `SchedulePolicy` enum paths on two device
-//! mixes; every golden below is the exact bit pattern (`f64::to_bits`)
-//! or FNV-1a checksum captured from those runs. The same policies now
-//! instantiate `PipelineSchedule` trait objects — these tests prove the
-//! trait paths reproduce the enum paths bit for bit: report scalars,
-//! task-span streams, tracer streams, and peak memory.
+//! The three paper schedules (1F1B-Sync, BAF-Sync, 1F1B-Async) ran
+//! through the seed executor's hard-coded `SchedulePolicy` match arms on
+//! two device mixes; every golden below is the exact bit pattern
+//! (`f64::to_bits`) or FNV-1a checksum captured from those runs. The
+//! executor has since asked the policy its admission questions — first
+//! through a trait object, now through inherent methods on the enum —
+//! and these tests prove each form reproduces the seed bit for bit:
+//! report scalars, task-span streams, tracer streams, and peak memory.
 
 use ecofl_models::{efficientnet, efficientnet_at};
 use ecofl_obs::Tracer;

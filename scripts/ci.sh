@@ -222,6 +222,24 @@ echo "    ok (outputs bit-identical across pool widths)"
 echo "==> bench-smoke gate: ECOFL_BENCH_ITERS=1 scripts/bench.sh --smoke"
 ECOFL_BENCH_ITERS=1 scripts/bench.sh --smoke
 
+# Benchmark-probe gate: benchmark/ and benchmark/layers/ are packages
+# outside this workspace, so nothing above compiles them; `layers` links
+# the pipeline/FL crates' public API, and run.sh tolerates it failing to
+# build. Build both here so an API refactor learns it broke the frozen
+# probe now, not when the benchmark runs; then one smoke pass checks
+# the CLI's stdout invariants (no timings). The shared target dir is
+# the one run.sh uses, so nothing builds twice.
+echo "==> benchmark-probe gate: build benchmark/ + benchmark/layers/, then benchmark/run.sh --smoke"
+for manifest in benchmark/Cargo.toml benchmark/layers/Cargo.toml; do
+    CARGO_TARGET_DIR=target/benchmark \
+        cargo build --release --offline --manifest-path "$manifest"
+done
+benchmark/run.sh --smoke --out "$scale_dir/benchmark-smoke.json" >"$scale_dir/benchmark-smoke.txt" || {
+    echo "ERROR: benchmark/run.sh --smoke failed a check:" >&2
+    tail -n 40 "$scale_dir/benchmark-smoke.txt" >&2
+    exit 1
+}
+
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

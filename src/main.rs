@@ -55,6 +55,13 @@ fn parse_model(name: &str) -> Result<ModelProfile, EcoFlError> {
         ),
         None => (name, 224),
     };
+    // The model builders assert this bound; a flag value must not reach
+    // an assert.
+    if res < 32 {
+        return Err(EcoFlError::Config(format!(
+            "--model {name}: resolution must be at least 32, got {res}"
+        )));
+    }
     match base {
         "effnet-b0" => Ok(efficientnet_at(0, res)),
         "effnet-b1" => Ok(efficientnet_at(1, res)),
@@ -230,22 +237,55 @@ fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     Ok(())
 }
 
+/// A strictly positive, finite `--horizon` (virtual seconds). Zero or
+/// NaN would otherwise run an empty simulation and print zeros.
+fn check_horizon(horizon: f64) -> Result<f64, EcoFlError> {
+    if horizon.is_finite() && horizon > 0.0 {
+        Ok(horizon)
+    } else {
+        Err(EcoFlError::Config(format!(
+            "--horizon must be a positive number of seconds, got {horizon}"
+        )))
+    }
+}
+
+/// The load-spike flags shared by `spike` and `trace --scenario spike`
+/// (`--load`, `--at`, `--device`, `--horizon`), validated against the
+/// `devices`-stage pipeline they disturb.
+fn spike_args(
+    args: &HashMap<String, String>,
+    devices: usize,
+) -> Result<(LoadSpike, f64), EcoFlError> {
+    let load = get(args, "load", 0.6f64)?;
+    let at = get(args, "at", 100.0f64)?;
+    let device = get(args, "device", 1usize)?;
+    let horizon = check_horizon(get(args, "horizon", 250.0f64)?)?;
+    if !(0.0..1.0).contains(&load) {
+        return Err(EcoFlError::Config(format!(
+            "--load must be in [0, 1), got {load}"
+        )));
+    }
+    if !(0.0..horizon).contains(&at) {
+        return Err(EcoFlError::Config(format!(
+            "--at must be in [0, --horizon {horizon}), got {at}"
+        )));
+    }
+    if device >= devices {
+        return Err(EcoFlError::Config(format!(
+            "--device {device} out of range"
+        )));
+    }
+    Ok((LoadSpike { device, at, load }, horizon))
+}
+
 fn cmd_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     if args.contains_key("kill-stage") {
         return cmd_spike_kill(args);
     }
     let model = parse_model(require(args, "model")?)?;
     let devices = parse_devices(require(args, "devices")?)?;
-    let load = get(args, "load", 0.6f64)?;
-    let at = get(args, "at", 100.0f64)?;
-    let device = get(args, "device", 1usize)?;
-    let horizon = get(args, "horizon", 250.0f64)?;
-    if device >= devices.len() {
-        return Err(EcoFlError::Config(format!(
-            "--device {device} out of range"
-        )));
-    }
-    let spike = LoadSpike { device, at, load };
+    let (spike, horizon) = spike_args(args, devices.len())?;
+    let LoadSpike { device, at, load } = spike;
     let link = Link::mbps_100();
     let with = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, true)?;
     let without = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, false)?;
@@ -487,6 +527,7 @@ fn fl_setup(
     seed: u64,
     scale: FlScaleOpts,
 ) -> Result<FlSetup, EcoFlError> {
+    let horizon = check_horizon(horizon)?;
     if !comm_latency.is_finite() || comm_latency < 0.0 {
         return Err(EcoFlError::Config(format!(
             "--comm-latency must be a non-negative number of seconds, got {comm_latency}"
@@ -730,16 +771,8 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
 fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let model = parse_model(require(args, "model")?)?;
     let devices = parse_devices(require(args, "devices")?)?;
-    let load = get(args, "load", 0.6f64)?;
-    let at = get(args, "at", 100.0f64)?;
-    let device = get(args, "device", 1usize)?;
-    let horizon = get(args, "horizon", 250.0f64)?;
-    if device >= devices.len() {
-        return Err(EcoFlError::Config(format!(
-            "--device {device} out of range"
-        )));
-    }
-    let spike = LoadSpike { device, at, load };
+    let (spike, horizon) = spike_args(args, devices.len())?;
+    let LoadSpike { device, at, load } = spike;
     let tracer = Tracer::new();
     let trace = simulate_load_spike_traced(
         &model,

@@ -266,6 +266,59 @@ fn bad_model_fails_cleanly() {
     assert!(stderr.contains("unknown model"));
 }
 
+/// A bad flag value must exit non-zero with exactly one `error:` line
+/// that names `flag` — never a panic, never a silent all-zero report.
+fn assert_rejects(args: &[&str], flag: &str) {
+    let (ok, stdout, stderr) = ecofl(args);
+    assert!(!ok, "{args:?} exited 0; stdout:\n{stdout}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{args:?} stderr:\n{stderr}");
+    assert!(
+        lines[0].starts_with("error:") && lines[0].contains(flag),
+        "{args:?} stderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn model_resolution_below_32_is_rejected_not_asserted() {
+    for model in ["effnet-b0@0", "mobilenet-w1@1"] {
+        assert_rejects(&["gantt", "--model", model, "--devices", "tx2q"], "--model");
+    }
+}
+
+#[test]
+fn spike_rejects_degenerate_horizon_at_and_load() {
+    let spike = ["spike", "--model", "effnet-b0", "--devices", "tx2q,nanoh"];
+    let traced = [
+        "trace",
+        "--scenario",
+        "spike",
+        "--model",
+        "effnet-b0",
+        "--devices",
+        "tx2q,nanoh",
+    ];
+    for (flag, value) in [
+        ("--horizon", "0"),
+        ("--horizon", "nan"),
+        ("--at", "-5"),
+        ("--at", "250"),
+        ("--load", "1.5"),
+    ] {
+        for base in [&spike[..], &traced[..]] {
+            let mut args = base.to_vec();
+            args.extend([flag, value]);
+            assert_rejects(&args, flag);
+        }
+    }
+}
+
+#[test]
+fn fl_horizon_zero_names_the_horizon_flag() {
+    assert_rejects(&["fl", "--clients", "10", "--horizon", "0"], "--horizon");
+}
+
 #[test]
 fn missing_required_arg_fails_cleanly() {
     let (ok, _, stderr) = ecofl(&["plan", "--devices", "tx2q"]);

@@ -1,8 +1,8 @@
 //! Schedule-legality property suite (randomized).
 //!
 //! For random device mixes, stage counts, micro-batch counts, and
-//! residency vectors, every registered schedule must obey the
-//! [`PipelineSchedule`] contract twice over:
+//! residency vectors, every schedule must obey the [`SchedulePolicy`]
+//! contract twice over:
 //!
 //! 1. **Nominal stream legality** — the pure [`stage_stream`] respects
 //!    forward/backward data dependencies, covers every micro-batch
@@ -14,7 +14,7 @@
 //!    timing skew) still respects the same dependencies and bounds, and
 //!    its idle/bubble accounting re-derives from the spans to 1e-9.
 //!
-//! [`stage_stream`]: ecofl::pipeline::PipelineSchedule::stage_stream
+//! [`stage_stream`]: ecofl::pipeline::SchedulePolicy::stage_stream
 
 use ecofl::pipeline::executor::{ExecutionReport, TaskPhase};
 use ecofl::pipeline::schedule::StageTask;
@@ -50,11 +50,10 @@ fn even_boundaries(layers: usize, s: usize) -> Vec<usize> {
 
 /// Asserts the nominal per-stage stream of `policy` is legal for `m`
 /// micro-batches.
-fn check_stream(policy: &SchedulePolicy, stages: usize, m: usize) {
-    let sched = policy.instantiate();
+fn check_stream(sched: &SchedulePolicy, stages: usize, m: usize) {
     let name = sched.name();
     for stage in 0..stages {
-        let stream = sched.stage_stream(stage, stages, m);
+        let stream = sched.stage_stream(stage, m);
         let k = sched.residency(stage);
         let mut fwd_seen = vec![false; m];
         let mut bwd_in_seen = vec![false; m];
@@ -123,8 +122,7 @@ fn check_stream(policy: &SchedulePolicy, stages: usize, m: usize) {
 
 /// Asserts the executed spans of `report` are legal under `policy` and
 /// that the report's idle/bubble accounting re-derives from the spans.
-fn check_execution(policy: &SchedulePolicy, report: &ExecutionReport, m: usize, rounds: usize) {
-    let sched = policy.instantiate();
+fn check_execution(sched: &SchedulePolicy, report: &ExecutionReport, m: usize, rounds: usize) {
     let name = sched.name();
     let stages = report.stage_idle_time.len();
     let per_micro = if sched.split_backward() { 3 } else { 2 };
