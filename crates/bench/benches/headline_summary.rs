@@ -27,11 +27,11 @@ use ecofl_fl::engine::{run, FlSetup, Strategy};
 use ecofl_fl::FlConfig;
 use ecofl_models::{efficientnet_at, ModelArch};
 use ecofl_pipeline::executor::{PipelineExecutor, SchedulePolicy};
-use ecofl_pipeline::orchestrator::k_bounds;
+use ecofl_pipeline::orchestrator::{k_bounds, search_configuration, OrchestratorConfig};
 use ecofl_pipeline::partition::partition_dp;
 use ecofl_pipeline::profiler::PipelineProfile;
 use ecofl_pipeline::schedule::ScheduleKind;
-use ecofl_simnet::{nano_h, tx2_n, tx2_q, Device, DeviceSpec, Link};
+use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q, Device, DeviceSpec, Link};
 use std::hint::black_box;
 
 /// End-to-end runs are ~1000x a micro case; default to fewer measured
@@ -139,6 +139,26 @@ fn bench_pipeline_round() {
     });
 }
 
+/// The §4.3 search as `ecofl plan --model effnet-b6 --batch 256` runs it
+/// over the benchmark's six-device home: 180 distinct orders of 720 × 4
+/// micro-batch sizes.
+fn bench_plan_search() {
+    let model = efficientnet_at(6, 224);
+    let devices = [tx2_q(), tx2_n(), tx2_n(), nano_h(), nano_h(), nano_l()].map(Device::new);
+    let link = Link::mbps_100();
+    let config = OrchestratorConfig {
+        global_batch: 256,
+        mbs_candidates: vec![32, 16, 8, 4],
+        eval_rounds: 2,
+        ..OrchestratorConfig::default()
+    };
+    let iters = bench_iters(DEFAULT_ITERS);
+    let warmup = bench_warmup(DEFAULT_WARMUP);
+    time_case("plan_search_b6_6dev", warmup, iters, || {
+        search_configuration(black_box(&model), &devices, &link, &config)
+    });
+}
+
 /// Table-2-style matrix: every registered schedule on two heterogeneous
 /// device mixes. Each cell becomes a `sched_<kind>_<mix>` wall-clock
 /// case in `BENCH_headline.json`; the simulated throughput and analytic
@@ -211,6 +231,7 @@ fn main() {
     bench_fl_runs();
     bench_sched_dispatch_100k();
     bench_pipeline_round();
+    bench_plan_search();
     header("Schedule matrix (Table-2 style: schedule x device mix)");
     bench_schedule_matrix();
     write_bench_snapshot("headline");

@@ -23,7 +23,7 @@ use ecofl_pipeline::executor::{PipelineExecutor, SchedulePolicy};
 use ecofl_pipeline::orchestrator::k_bounds;
 use ecofl_pipeline::partition::partition_dp;
 use ecofl_pipeline::profiler::PipelineProfile;
-use ecofl_simnet::{nano_h, tx2_q, Device, EventQueue, Link};
+use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q, Device, EventQueue, Link};
 use ecofl_tensor::{reference, Conv2d, Layer, Sgd, Tensor};
 use ecofl_util::{js_divergence, Rng};
 use std::hint::black_box;
@@ -52,6 +52,13 @@ fn bench_partition() {
     let link = Link::mbps_100();
     time_case("partition_dp_b6_3dev", warmup(), iters(), || {
         partition_dp(black_box(&model), &devices, &link, 16)
+    });
+    // One candidate of the `ecofl plan` six-device search
+    // (`tx2q,tx2n,tx2n,nanoh,nanoh,nanol`): the recurrence's O(D·L²) at
+    // the deepest model and widest home.
+    let home = [tx2_q(), tx2_n(), tx2_n(), nano_h(), nano_h(), nano_l()].map(Device::new);
+    time_case("partition_dp_b6_6stage", warmup(), iters(), || {
+        partition_dp(black_box(&model), &home, &link, 8)
     });
 }
 

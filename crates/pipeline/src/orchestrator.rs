@@ -93,10 +93,43 @@ pub fn analytic_round_time(profile: &PipelineProfile, micro_batches: usize) -> f
     micro_batches as f64 * bottleneck + ssb
 }
 
+/// An upper bound on the throughput (samples/s) any of the five
+/// schedules can reach on `profile` with `task_overhead` seconds of
+/// dispatch cost per compute task.
+///
+/// Every device runs one compute task at a time, and the device hosting
+/// the bottleneck stage must run that stage's `M` forwards and `M`
+/// backwards each sync-round, so a round lasts at least
+/// `M · max_s(t_fwd + t_bwd + 2 · task_overhead)` and delivers
+/// `M · mbs` samples. Interleaved chunks and zero-bubble backward halves
+/// add up to the same per-stage compute and only pay *more* dispatches;
+/// flush-free streaming removes bubbles, not work. The executor
+/// accumulates its clock by chained `now + duration` additions, so
+/// compare with a relative guard (the search uses
+/// [`BOUND_GUARD`]` = 1e-9`, orders of magnitude above the rounding of a
+/// few thousand additions) rather than exactly.
+#[must_use]
+pub fn throughput_upper_bound(profile: &PipelineProfile, task_overhead: f64) -> f64 {
+    profile.micro_batch() as f64 / (profile.bottleneck_time() + 2.0 * task_overhead)
+}
+
+/// Relative slack granted to [`throughput_upper_bound`] before the search
+/// trusts it to rule a candidate out.
+const BOUND_GUARD: f64 = 1e-9;
+
+/// Most distinct device orders [`search_configuration`] will evaluate —
+/// `8!`, what eight all-different devices need. Lists whose distinct
+/// orders exceed it yield `None`; repeated device models shrink the count
+/// to `n! / Π multiplicity!`, so nine identical devices are one order.
+pub const MAX_DEVICE_ORDERS: usize = 40_320;
+
 /// Search-space configuration for [`search_configuration`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OrchestratorConfig {
-    /// Global mini-batch size per sync-round.
+    /// Global mini-batch size per sync-round. A micro-batch size that
+    /// does not divide it truncates the round to
+    /// `⌊global_batch / mbs⌋ · mbs` samples (100 at micro-batch 16 trains
+    /// 6 × 16 = 96); candidates larger than it are skipped.
     pub global_batch: usize,
     /// Candidate micro-batch sizes, tried largest-first.
     pub mbs_candidates: Vec<usize>,
@@ -139,41 +172,96 @@ pub struct PipelinePlan {
     pub report: ExecutionReport,
 }
 
-/// Generates all permutations of `0..n` (n ≤ 8 kept sane by assertion).
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    assert!(
-        n <= 8,
-        "permutation search is factorial; {n} devices is too many"
-    );
-    let mut result = Vec::new();
-    let mut current: Vec<usize> = (0..n).collect();
-    fn heap_rec(k: usize, arr: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if k == 1 {
-            out.push(arr.clone());
-            return;
-        }
-        for i in 0..k {
-            heap_rec(k - 1, arr, out);
-            if k.is_multiple_of(2) {
-                arr.swap(i, k - 1);
-            } else {
-                arr.swap(0, k - 1);
+/// Rearranges `slots` so that slot `p` holds what slot `perm[p]` held.
+fn apply_permutation(perm: &[usize], slots: &mut [usize]) {
+    let moved: Vec<usize> = perm.iter().map(|&src| slots[src]).collect();
+    slots.copy_from_slice(&moved);
+}
+
+/// The distinct device orders of `devices` as index permutations, in the
+/// order Heap's algorithm first meets each device *sequence* (devices
+/// compare by `PartialEq`: spec, load, allocation). `None` once there are
+/// more than `cap` of them.
+///
+/// Heap's recursion at level `k` tries each of its `k` elements in slot
+/// `k − 1` and permutes the rest below it. When the device now in that
+/// slot equals one tried there earlier at this level, the subtree would
+/// arrange the same device multiset under the same suffix — every
+/// sequence in it was already met — so it is stepped over by applying the
+/// subtree's net slot permutation (`net[k − 1]`, a function of `k` alone).
+/// What remains is exactly the first occurrences, visited in the full
+/// walk's order, at `O(n²)` per order instead of `n!` in total.
+fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
+    fn walk(
+        k: usize,
+        slots: &mut [usize],
+        class: &[usize],
+        net: &[Vec<usize>],
+        cap: usize,
+        out: &mut Vec<Vec<usize>>,
+    ) -> bool {
+        if k <= 1 {
+            if out.len() == cap {
+                return false;
             }
+            out.push(slots.to_vec());
+            return true;
         }
+        let mut tried = Vec::with_capacity(k);
+        for i in 0..k {
+            let c = class[slots[k - 1]];
+            if tried.contains(&c) {
+                apply_permutation(&net[k - 1], &mut slots[..k - 1]);
+            } else {
+                tried.push(c);
+                if !walk(k - 1, slots, class, net, cap, out) {
+                    return false;
+                }
+            }
+            slots.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+        }
+        true
     }
-    heap_rec(n, &mut current, &mut result);
-    result
+
+    let n = devices.len();
+    // class[i]: the first index holding a device equal to devices[i].
+    let class: Vec<usize> = (0..n)
+        .map(|i| (0..i).find(|&j| devices[j] == devices[i]).unwrap_or(i))
+        .collect();
+    let mut net: Vec<Vec<usize>> = vec![Vec::new(), vec![0]];
+    for k in 2..=n {
+        let mut slots: Vec<usize> = (0..k).collect();
+        for i in 0..k {
+            apply_permutation(&net[k - 1], &mut slots[..k - 1]);
+            slots.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+        }
+        net.push(slots);
+    }
+    let mut out = Vec::new();
+    let mut slots: Vec<usize> = (0..n).collect();
+    walk(n, &mut slots, &class, &net, cap, &mut out).then_some(out)
 }
 
 /// Runs the §4.3 configuration search.
 ///
 /// Tries micro-batch sizes largest-first; within one size, evaluates every
-/// device order via the Eq. 1 partitioner and the event-driven executor.
-/// Prefers DDB-free plans (`K_s = P_s` everywhere); if a size admits none,
-/// it falls to the next smaller size, and only if *no* size is DDB-free
-/// does it return the best feasible plan with `K_s = min(P_s, Q_s)`.
+/// distinct device order via the Eq. 1 partitioner and the event-driven
+/// executor. Prefers DDB-free plans (`K_s = P_s` everywhere); if a size
+/// admits none, it falls to the next smaller size, and only if *no* size
+/// is DDB-free does it return the best feasible plan with
+/// `K_s = min(P_s, Q_s)`.
 ///
-/// Returns `None` when no order/size combination is executable at all.
+/// The result is the one the exhaustive walk over all `n!` index
+/// permutations would return. Orders that repeat an earlier device
+/// sequence are not re-evaluated: partition, profile and report are pure
+/// functions of the ordered devices and replacement is strict `>`, so the
+/// first occurrence already wins every tie, `order` included. A candidate
+/// whose [`throughput_upper_bound`] cannot beat the incumbent of its own
+/// class (DDB-free or fallback, known before the run) skips the executor,
+/// and fallback candidates stop running once a DDB-free plan exists.
+///
+/// Returns `None` when no order/size combination is executable at all, or
+/// when the devices have more than [`MAX_DEVICE_ORDERS`] distinct orders.
 #[must_use]
 pub fn search_configuration(
     model: &ModelProfile,
@@ -181,7 +269,13 @@ pub fn search_configuration(
     link: &Link,
     config: &OrchestratorConfig,
 ) -> Option<PipelinePlan> {
-    let orders = permutations(devices.len());
+    let orders: Vec<(Vec<usize>, Vec<Device>)> = distinct_orders(devices, MAX_DEVICE_ORDERS)?
+        .into_iter()
+        .map(|order| {
+            let ordered = order.iter().map(|&i| devices[i].clone()).collect();
+            (order, ordered)
+        })
+        .collect();
     let mut best_fallback: Option<PipelinePlan> = None;
     let mut best_ddb_free: Option<PipelinePlan> = None;
 
@@ -190,50 +284,54 @@ pub fn search_configuration(
             continue;
         }
         let m = config.global_batch / mbs;
-        if m == 0 {
-            continue;
-        }
-        for order in &orders {
-            let ordered: Vec<Device> = order.iter().map(|&i| devices[i].clone()).collect();
-            let Some(partition) = partition_dp(model, &ordered, link, mbs) else {
+        for (order, ordered) in &orders {
+            let Some(partition) = partition_dp(model, ordered, link, mbs) else {
                 continue;
             };
-            let profile = PipelineProfile::new(model, &partition.boundaries, &ordered, link, mbs);
+            let profile = PipelineProfile::new(model, &partition.boundaries, ordered, link, mbs);
             let p = p_bounds(&profile);
             let Some(k) = k_bounds(&profile) else {
                 continue;
             };
             let ddb_free = k == p && m >= *p.iter().max().unwrap_or(&1);
+            if !ddb_free && best_ddb_free.is_some() {
+                continue;
+            }
             let Some(policy) = config.schedule.policy_for(&profile) else {
                 continue;
             };
             let Ok(exec) = PipelineExecutor::new(&profile, policy) else {
                 continue;
             };
+            let incumbent = if ddb_free {
+                &mut best_ddb_free
+            } else {
+                &mut best_fallback
+            };
+            let ceiling =
+                throughput_upper_bound(&profile, exec.task_overhead) * (1.0 + BOUND_GUARD);
+            if incumbent
+                .as_ref()
+                .is_some_and(|b| ceiling <= b.report.throughput)
+            {
+                continue;
+            }
             let Ok(report) = exec.run(m, config.eval_rounds) else {
                 continue;
             };
-            let plan = PipelinePlan {
-                order: order.clone(),
-                partition: partition.clone(),
-                micro_batch: mbs,
-                micro_batches: m,
-                k,
-                ddb_free,
-                report,
-            };
-            if ddb_free {
-                if best_ddb_free
-                    .as_ref()
-                    .is_none_or(|b| plan.report.throughput > b.report.throughput)
-                {
-                    best_ddb_free = Some(plan);
-                }
-            } else if best_fallback
+            if incumbent
                 .as_ref()
-                .is_none_or(|b| plan.report.throughput > b.report.throughput)
+                .is_none_or(|b| report.throughput > b.report.throughput)
             {
-                best_fallback = Some(plan);
+                *incumbent = Some(PipelinePlan {
+                    order: order.clone(),
+                    partition,
+                    micro_batch: mbs,
+                    micro_batches: m,
+                    k,
+                    ddb_free,
+                    report,
+                });
             }
         }
     }
@@ -248,7 +346,9 @@ pub fn search_configuration(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::oracle::{home_gen, model_zoo, partition_dp_reference};
     use crate::schedule::SchedulePolicy;
+    use ecofl_compat::check::{f64_in, forall, pair, quad, triple, usize_in, vec_in};
     use ecofl_models::efficientnet;
     use ecofl_simnet::{nano_h, tx2_q, Device};
 
@@ -407,15 +507,340 @@ mod tests {
         }
     }
 
+    /// All permutations of `0..n` in Heap's-algorithm order — the walk
+    /// the search made before it skipped repeated device sequences.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        fn heap_rec(k: usize, arr: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if k == 1 {
+                out.push(arr.clone());
+                return;
+            }
+            for i in 0..k {
+                heap_rec(k - 1, arr, out);
+                if k.is_multiple_of(2) {
+                    arr.swap(i, k - 1);
+                } else {
+                    arr.swap(0, k - 1);
+                }
+            }
+        }
+        let mut result = Vec::new();
+        heap_rec(n, &mut (0..n).collect(), &mut result);
+        result
+    }
+
+    /// The exhaustive §4.3 search: every index permutation × micro-batch
+    /// size through the reference DP, the profiler and the executor, no
+    /// candidate skipped. The differential oracle of
+    /// [`search_configuration`].
+    fn search_exhaustive(
+        model: &ModelProfile,
+        devices: &[Device],
+        link: &Link,
+        config: &OrchestratorConfig,
+    ) -> Option<PipelinePlan> {
+        let orders = permutations(devices.len());
+        let mut best_fallback: Option<PipelinePlan> = None;
+        let mut best_ddb_free: Option<PipelinePlan> = None;
+        for &mbs in &config.mbs_candidates {
+            if mbs == 0 || mbs > config.global_batch {
+                continue;
+            }
+            let m = config.global_batch / mbs;
+            for order in &orders {
+                let ordered: Vec<Device> = order.iter().map(|&i| devices[i].clone()).collect();
+                let Some(partition) = partition_dp_reference(model, &ordered, link, mbs) else {
+                    continue;
+                };
+                let profile =
+                    PipelineProfile::new(model, &partition.boundaries, &ordered, link, mbs);
+                let p = p_bounds(&profile);
+                let Some(k) = k_bounds(&profile) else {
+                    continue;
+                };
+                let ddb_free = k == p && m >= *p.iter().max().unwrap_or(&1);
+                let Some(policy) = config.schedule.policy_for(&profile) else {
+                    continue;
+                };
+                let Ok(exec) = PipelineExecutor::new(&profile, policy) else {
+                    continue;
+                };
+                let Ok(report) = exec.run(m, config.eval_rounds) else {
+                    continue;
+                };
+                let plan = PipelinePlan {
+                    order: order.clone(),
+                    partition,
+                    micro_batch: mbs,
+                    micro_batches: m,
+                    k,
+                    ddb_free,
+                    report,
+                };
+                let best = if ddb_free {
+                    &mut best_ddb_free
+                } else {
+                    &mut best_fallback
+                };
+                if best
+                    .as_ref()
+                    .is_none_or(|b| plan.report.throughput > b.report.throughput)
+                {
+                    *best = Some(plan);
+                }
+            }
+        }
+        best_ddb_free.or(best_fallback)
+    }
+
+    fn plan_json(plan: &Option<PipelinePlan>) -> String {
+        plan.as_ref().map_or_else(
+            || "none".to_owned(),
+            |p| ecofl_compat::json::to_string(p).expect("plans serialize"),
+        )
+    }
+
     #[test]
-    fn permutations_count() {
-        assert_eq!(permutations(3).len(), 6);
-        assert_eq!(permutations(1).len(), 1);
-        let perms = permutations(4);
-        assert_eq!(perms.len(), 24);
-        let mut unique = perms.clone();
-        unique.sort();
-        unique.dedup();
-        assert_eq!(unique.len(), 24);
+    fn search_returns_the_exhaustive_plan() {
+        // One search pair per case keeps the unoptimized `cargo test`
+        // affordable (six devices walk 720 × 2 candidates); scripts/ci.sh
+        // reruns this in release with ECOFL_CHECK_CASES raised.
+        let zoo = model_zoo();
+        let link = Link::mbps_100();
+        let sizes = [32usize, 16, 8, 4, 2, 1];
+        let input = quad(
+            home_gen(6),
+            usize_in(0, zoo.len()),
+            usize_in(0, 5),
+            // (global batch, first micro-batch candidate); 100 and 50 are
+            // divisible by some candidates and truncated by others.
+            pair(usize_in(0, 4), usize_in(0, sizes.len() - 1)),
+        );
+        forall(
+            "search_returns_the_exhaustive_plan",
+            10,
+            &input,
+            |(home, model, kind, (batch, first))| {
+                let config = OrchestratorConfig {
+                    global_batch: [128, 64, 100, 50][*batch],
+                    mbs_candidates: sizes[*first..*first + 2].to_vec(),
+                    eval_rounds: 2,
+                    schedule: ScheduleKind::all()[*kind],
+                };
+                let fast = search_configuration(&zoo[*model], home, &link, &config);
+                let exhaustive = search_exhaustive(&zoo[*model], home, &link, &config);
+                assert_eq!(
+                    plan_json(&fast),
+                    plan_json(&exhaustive),
+                    "{} under {config:?}",
+                    zoo[*model].name
+                );
+            },
+        );
+    }
+
+    fn factorial(n: usize) -> usize {
+        (1..=n).product()
+    }
+
+    #[test]
+    fn distinct_orders_are_heaps_first_occurrences() {
+        forall(
+            "distinct_orders_are_heaps_first_occurrences",
+            64,
+            &home_gen(7),
+            |home| {
+                // The full walk, keeping an order only when no earlier one
+                // spelled the same device sequence.
+                let mut seen: Vec<Vec<&Device>> = Vec::new();
+                let mut first_occurrences = Vec::new();
+                for order in permutations(home.len()) {
+                    let sequence: Vec<&Device> = order.iter().map(|&i| &home[i]).collect();
+                    if !seen.contains(&sequence) {
+                        seen.push(sequence);
+                        first_occurrences.push(order);
+                    }
+                }
+                let orders = distinct_orders(home, usize::MAX).expect("uncapped");
+                assert_eq!(orders, first_occurrences);
+
+                // n! / Π multiplicity!
+                let mut multiset = factorial(home.len());
+                let mut counted = vec![false; home.len()];
+                for i in 0..home.len() {
+                    if !counted[i] {
+                        let same = (i..home.len()).filter(|&j| home[j] == home[i]);
+                        multiset /= factorial(same.clone().count());
+                        same.for_each(|j| counted[j] = true);
+                    }
+                }
+                assert_eq!(orders.len(), multiset);
+            },
+        );
+    }
+
+    #[test]
+    fn all_distinct_devices_still_walk_every_permutation() {
+        let mut devices: Vec<Device> = ecofl_simnet::table1()
+            .into_iter()
+            .map(Device::new)
+            .collect();
+        // A fifth and sixth that differ from their twins by load only.
+        for (i, load) in [(0, 0.25), (2, 0.5)] {
+            let mut d = devices[i].clone();
+            d.set_external_load(load);
+            devices.push(d);
+        }
+        for n in 1..=devices.len() {
+            let orders = distinct_orders(&devices[..n], usize::MAX).expect("uncapped");
+            assert_eq!(orders, permutations(n));
+        }
+        let twins = vec![Device::new(nano_h()); 9];
+        assert_eq!(
+            distinct_orders(&twins, MAX_DEVICE_ORDERS),
+            Some(vec![(0..9).collect::<Vec<usize>>()]),
+            "nine identical devices are one order"
+        );
+        assert_eq!(distinct_orders(&devices[..4], 23), None, "4! = 24 > 23");
+        assert!(distinct_orders(&devices[..4], 24).is_some());
+    }
+
+    #[test]
+    fn search_never_panics_on_long_device_lists() {
+        let model = efficientnet(0);
+        let link = Link::mbps_100();
+        let cfg = OrchestratorConfig {
+            global_batch: 32,
+            mbs_candidates: vec![8],
+            eval_rounds: 1,
+            ..OrchestratorConfig::default()
+        };
+        // Nine identical devices: one order, and a plan.
+        let twins = vec![Device::new(nano_h()); 9];
+        let plan = search_configuration(&model, &twins, &link, &cfg).expect("one order");
+        assert_eq!(plan.order, (0..9).collect::<Vec<_>>());
+        // Nine devices that all differ (by load): 9! orders, over the cap.
+        let distinct: Vec<Device> = (0..9)
+            .map(|i| {
+                let mut d = Device::new(nano_h());
+                d.set_external_load(0.05 * i as f64);
+                d
+            })
+            .collect();
+        assert!(search_configuration(&model, &distinct, &link, &cfg).is_none());
+        // More devices than layers, and none at all.
+        let crowd = vec![Device::new(nano_h()); model.num_layers() + 1];
+        assert!(search_configuration(&model, &crowd, &link, &cfg).is_none());
+        assert!(search_configuration(&model, &[], &link, &cfg).is_none());
+    }
+
+    #[test]
+    fn non_dividing_micro_batch_truncates_the_round() {
+        let model = efficientnet(0);
+        let devices = vec![Device::new(tx2_q()), Device::new(nano_h())];
+        let cfg = OrchestratorConfig {
+            global_batch: 100,
+            mbs_candidates: vec![16],
+            eval_rounds: 1,
+            ..OrchestratorConfig::default()
+        };
+        let plan = search_configuration(&model, &devices, &Link::mbps_100(), &cfg).expect("plan");
+        assert_eq!((plan.micro_batch, plan.micro_batches), (16, 6));
+        assert_eq!(plan.report.micro_batches * plan.micro_batch, 96);
+        // A global batch below every candidate leaves nothing to search.
+        let cfg = OrchestratorConfig {
+            global_batch: 3,
+            mbs_candidates: vec![32, 16, 8, 4],
+            ..cfg
+        };
+        assert!(search_configuration(&model, &devices, &Link::mbps_100(), &cfg).is_none());
+    }
+
+    #[test]
+    fn throughput_upper_bound_holds_for_every_schedule() {
+        use crate::profiler::StageProfile;
+        // Random stage times (with and without communication), random
+        // overhead including zero, every schedule kind — interleaved runs
+        // at v = 2, async streams flush-free across rounds.
+        let stage = triple(f64_in(1e-3, 0.5), f64_in(1e-3, 1.0), f64_in(0.0, 0.3));
+        let input = quad(
+            vec_in(stage, 1, 6),
+            f64_in(0.0, 0.01),
+            usize_in(1, 24),
+            usize_in(1, 4),
+        );
+        forall(
+            "throughput_upper_bound_holds_for_every_schedule",
+            96,
+            &input,
+            |(times, overhead, m, rounds)| {
+                let last = times.len() - 1;
+                let stages: Vec<StageProfile> = times
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &(t_fwd, t_bwd, c))| StageProfile {
+                        device: s,
+                        layers: 2 * s..2 * s + 2,
+                        t_fwd,
+                        t_bwd,
+                        c_fwd: if s < last { c } else { 0.0 },
+                        c_bwd: if s < last { c } else { 0.0 },
+                        param_bytes: 1000,
+                        activation_bytes_per_mb: 1000,
+                        boundary_bytes: 1000,
+                        memory_budget_bytes: 1 << 30,
+                        efficiency: 0.8,
+                    })
+                    .collect();
+                let profile = PipelineProfile::from_stages(stages, 8);
+                // Zero overhead on every other case.
+                let overhead = if m % 2 == 0 { 0.0 } else { *overhead };
+                let ceiling = throughput_upper_bound(&profile, overhead) * (1.0 + BOUND_GUARD);
+                for kind in ScheduleKind::all() {
+                    let policy = kind.policy_for(&profile).expect("memory is ample");
+                    let report = PipelineExecutor::new(&profile, policy)
+                        .expect("valid")
+                        .with_task_overhead(overhead)
+                        .run(*m, *rounds)
+                        .expect("runs");
+                    assert!(
+                        ceiling >= report.throughput,
+                        "{}: bound {ceiling} < measured {}",
+                        kind.name(),
+                        report.throughput
+                    );
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn throughput_upper_bound_holds_on_partitioned_models() {
+        let zoo = model_zoo();
+        let link = Link::mbps_100();
+        forall(
+            "throughput_upper_bound_holds_on_partitioned_models",
+            24,
+            &triple(home_gen(5), usize_in(0, zoo.len()), usize_in(0, 4)),
+            |(home, model, mbs)| {
+                let mbs = [16usize, 8, 4, 2][*mbs];
+                let Some(partition) = partition_dp(&zoo[*model], home, &link, mbs) else {
+                    return;
+                };
+                let profile =
+                    PipelineProfile::new(&zoo[*model], &partition.boundaries, home, &link, mbs);
+                for kind in ScheduleKind::all() {
+                    let Some(policy) = kind.policy_for(&profile) else {
+                        continue;
+                    };
+                    let exec = PipelineExecutor::new(&profile, policy).expect("valid");
+                    let ceiling =
+                        throughput_upper_bound(&profile, exec.task_overhead) * (1.0 + BOUND_GUARD);
+                    if let Ok(report) = exec.run(64 / mbs, 2) {
+                        assert!(ceiling >= report.throughput, "{}", kind.name());
+                    }
+                }
+            },
+        );
     }
 }

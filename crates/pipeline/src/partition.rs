@@ -69,11 +69,80 @@ fn comm_time(model: &ModelProfile, cut: usize, link: &Link, mbs: usize) -> f64 {
     link.transfer_time(bytes)
 }
 
+/// Per-call lookup tables that make every `(s, j, device)` query of the
+/// Eq. 1 recurrence O(1) while returning exactly what the naive
+/// [`fits`] / [`seg_time`] / [`comm_time`] return.
+struct DpTables {
+    /// `param_prefix[i]` = parameter bytes of layers `0..i` (u64, exact).
+    param_prefix: Vec<u64>,
+    /// `act_prefix[i]` = per-sample training-activation bytes of `0..i`.
+    act_prefix: Vec<u64>,
+    /// `flops[j * (l + 1) + s]` = `model.range_flops(s..j)`, accumulated
+    /// left to right from `s` exactly as `range_flops` adds — a
+    /// prefix-sum *difference* would round differently in the last ulp
+    /// and could flip a `cost < best_cost` tie. Indexed `j`-major so the
+    /// recurrence's inner loop over `s` reads contiguously.
+    flops: Vec<f64>,
+    /// `comm[s]` = `comm_time(model, s, link, mbs)` for cuts `1..l`.
+    comm: Vec<f64>,
+    /// Row stride of `flops` (`l + 1`).
+    stride: usize,
+    mbs: usize,
+}
+
+impl DpTables {
+    fn new(model: &ModelProfile, link: &Link, mbs: usize) -> Self {
+        let l = model.num_layers();
+        let stride = l + 1;
+        let mut param_prefix = vec![0u64; stride];
+        let mut act_prefix = vec![0u64; stride];
+        for (i, layer) in model.layers.iter().enumerate() {
+            param_prefix[i + 1] = param_prefix[i] + layer.param_bytes;
+            act_prefix[i + 1] = act_prefix[i] + layer.train_activation_bytes;
+        }
+        let mut flops = vec![0.0f64; stride * stride];
+        for s in 0..l {
+            let mut acc = 0.0f64;
+            for j in s + 1..=l {
+                acc += model.layers[j - 1].total_flops();
+                flops[j * stride + s] = acc;
+            }
+        }
+        let mut comm = vec![0.0f64; stride];
+        for (s, c) in comm.iter_mut().enumerate().take(l).skip(1) {
+            *c = comm_time(model, s, link, mbs);
+        }
+        Self {
+            param_prefix,
+            act_prefix,
+            flops,
+            comm,
+            stride,
+            mbs,
+        }
+    }
+
+    /// [`fits`] for layers `s..j`.
+    fn fits(&self, s: usize, j: usize, device: &Device) -> bool {
+        let params = self.param_prefix[j] - self.param_prefix[s];
+        let act = (self.act_prefix[j] - self.act_prefix[s]) * self.mbs as u64;
+        params * PARAM_STATE_FACTOR + act <= device.spec().memory_bytes
+    }
+
+    /// [`seg_time`] for layers `s..j` at `rate`.
+    fn seg_time(&self, s: usize, j: usize, rate: f64) -> f64 {
+        self.mbs as f64 * self.flops[j * self.stride + s] / rate
+    }
+}
+
 /// Runs the Eq. 1 dynamic program.
 ///
 /// `devices` is the pipeline order (stage `s` runs on `devices[s]`).
 /// Returns `None` when no feasible partition exists — fewer layers than
 /// devices, or no split satisfies every stage's memory constraint.
+///
+/// `O(D · L²)`: the memory check, segment time and cut transfer time of
+/// the recurrence come from [`DpTables`], built per call in `O(L²)`.
 #[must_use]
 pub fn partition_dp(
     model: &ModelProfile,
@@ -96,20 +165,23 @@ pub fn partition_dp(
     }
 
     const INF: f64 = f64::INFINITY;
+    let tables = DpTables::new(model, link, mbs);
     // best[n][j]: optimal lagger using first n devices for layers 0..j.
     let mut best = vec![vec![INF; l + 1]; d + 1];
     // choice[n][j]: the prefix length s chosen at the optimum.
     let mut choice = vec![vec![usize::MAX; l + 1]; d + 1];
 
+    let rate0 = devices[0].effective_flops();
     #[allow(clippy::needless_range_loop)]
     for j in 1..=l {
-        if fits(model, 0..j, &devices[0], mbs) {
-            best[1][j] = seg_time(model, 0..j, devices[0].effective_flops(), mbs);
+        if tables.fits(0, j, &devices[0]) {
+            best[1][j] = tables.seg_time(0, j, rate0);
         }
     }
 
     for n in 2..=d {
-        let rate = devices[n - 1].effective_flops();
+        let device = &devices[n - 1];
+        let rate = device.effective_flops();
         // Need at least n layers for n non-empty stages, and leave enough
         // layers for the remaining devices.
         for j in n..=l {
@@ -118,18 +190,10 @@ pub fn partition_dp(
             #[allow(clippy::needless_range_loop)]
             for s in (n - 1)..j {
                 let prefix = best[n - 1][s];
-                if !prefix.is_finite() {
+                if !prefix.is_finite() || !tables.fits(s, j, device) {
                     continue;
                 }
-                if !fits(model, s..j, &devices[n - 1], mbs) {
-                    continue;
-                }
-                let cost = prefix.max(comm_time(model, s, link, mbs)).max(seg_time(
-                    model,
-                    s..j,
-                    rate,
-                    mbs,
-                ));
+                let cost = prefix.max(tables.comm[s]).max(tables.seg_time(s, j, rate));
                 if cost < best_cost {
                     best_cost = cost;
                     best_s = s;
@@ -154,6 +218,139 @@ pub fn partition_dp(
         j = s;
     }
     Some(Partition { boundaries })
+}
+
+/// Test oracles shared by this module's and the orchestrator's
+/// differential suites.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{comm_time, fits, seg_time, Partition};
+    use ecofl_compat::check::{CheckRng, Gen};
+    use ecofl_models::{efficientnet, mobilenet_v2, ModelProfile};
+    use ecofl_simnet::{table1, Device, Link};
+
+    /// The `O(D · L³)` Eq. 1 recurrence over the naive [`fits`] /
+    /// [`seg_time`] / [`comm_time`] — the differential oracle that
+    /// [`partition_dp`]'s tables must reproduce boundary for boundary.
+    pub(crate) fn partition_dp_reference(
+        model: &ModelProfile,
+        devices: &[Device],
+        link: &Link,
+        mbs: usize,
+    ) -> Option<Partition> {
+        let l = model.num_layers();
+        let d = devices.len();
+        if d == 0 || l < d {
+            return None;
+        }
+        if d == 1 {
+            if !fits(model, 0..l, &devices[0], mbs) {
+                return None;
+            }
+            return Some(Partition {
+                boundaries: vec![0, l],
+            });
+        }
+
+        const INF: f64 = f64::INFINITY;
+        // best[n][j]: optimal lagger using first n devices for layers 0..j.
+        let mut best = vec![vec![INF; l + 1]; d + 1];
+        // choice[n][j]: the prefix length s chosen at the optimum.
+        let mut choice = vec![vec![usize::MAX; l + 1]; d + 1];
+
+        #[allow(clippy::needless_range_loop)]
+        for j in 1..=l {
+            if fits(model, 0..j, &devices[0], mbs) {
+                best[1][j] = seg_time(model, 0..j, devices[0].effective_flops(), mbs);
+            }
+        }
+
+        for n in 2..=d {
+            let rate = devices[n - 1].effective_flops();
+            // Need at least n layers for n non-empty stages, and leave enough
+            // layers for the remaining devices.
+            for j in n..=l {
+                let mut best_cost = INF;
+                let mut best_s = usize::MAX;
+                #[allow(clippy::needless_range_loop)]
+                for s in (n - 1)..j {
+                    let prefix = best[n - 1][s];
+                    if !prefix.is_finite() {
+                        continue;
+                    }
+                    if !fits(model, s..j, &devices[n - 1], mbs) {
+                        continue;
+                    }
+                    let cost = prefix.max(comm_time(model, s, link, mbs)).max(seg_time(
+                        model,
+                        s..j,
+                        rate,
+                        mbs,
+                    ));
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best_s = s;
+                    }
+                }
+                best[n][j] = best_cost;
+                choice[n][j] = best_s;
+            }
+        }
+
+        if !best[d][l].is_finite() {
+            return None;
+        }
+        // Reconstruct boundaries from the choice table.
+        let mut boundaries = vec![0usize; d + 1];
+        boundaries[d] = l;
+        let mut j = l;
+        for n in (2..=d).rev() {
+            let s = choice[n][j];
+            debug_assert_ne!(s, usize::MAX);
+            boundaries[n - 1] = s;
+            j = s;
+        }
+        Some(Partition { boundaries })
+    }
+
+    /// effnet-b0..b6 and mobilenet-w1..w3 — every model the CLI names.
+    pub(crate) fn model_zoo() -> Vec<ModelProfile> {
+        (0..=6)
+            .map(efficientnet)
+            .chain([1.0, 2.0, 3.0].map(mobilenet_v2))
+            .collect()
+    }
+
+    /// A smart home: `1..=max` devices drawn with repetition from
+    /// Table 1, about one in five carrying an external load (which makes
+    /// it a different device from its unloaded twins).
+    pub(crate) fn home_gen(max: usize) -> Gen<Vec<Device>> {
+        Gen::new(
+            move |rng: &mut CheckRng| {
+                let catalog = table1();
+                (0..=rng.below(max as u64))
+                    .map(|_| {
+                        let mut d = Device::new(catalog[rng.below(4) as usize].clone());
+                        if rng.below(5) == 0 {
+                            d.set_external_load(0.25 * (1 + rng.below(3)) as f64);
+                        }
+                        d
+                    })
+                    .collect()
+            },
+            // Shrink by dropping one device at a time.
+            |home: &Vec<Device>| {
+                (0..home.len())
+                    .filter(|_| home.len() > 1)
+                    .map(|i| {
+                        let mut smaller = home.clone();
+                        smaller.remove(i);
+                        smaller
+                    })
+                    .collect()
+            },
+        )
+    }
 }
 
 /// The lagger value of a given partition under the Eq. 1 objective
@@ -227,9 +424,11 @@ pub fn partition_even(model: &ModelProfile, num_stages: usize) -> Option<Partiti
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{home_gen, model_zoo, partition_dp_reference};
     use super::*;
-    use ecofl_models::{efficientnet, mobilenet_v2};
-    use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q};
+    use ecofl_compat::check::{forall, pair, usize_in};
+    use ecofl_models::{efficientnet, mobilenet_v2, LayerProfile};
+    use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q, DeviceSpec};
 
     fn devices2() -> Vec<Device> {
         vec![Device::new(tx2_n()), Device::new(nano_h())]
@@ -391,5 +590,92 @@ mod tests {
         }
         assert_eq!(p.boundaries[0], 0);
         assert_eq!(*p.boundaries.last().unwrap(), model.num_layers());
+    }
+
+    #[test]
+    fn tables_reproduce_the_reference_dp() {
+        let zoo = model_zoo();
+        let link = Link::mbps_100();
+        forall(
+            "tables_reproduce_the_reference_dp",
+            48,
+            &pair(home_gen(6), usize_in(0, zoo.len())),
+            |(home, model)| {
+                let model = &zoo[*model];
+                for mbs in [32, 16, 8, 4, 2, 1] {
+                    assert_eq!(
+                        partition_dp(model, home, &link, mbs),
+                        partition_dp_reference(model, home, &link, mbs),
+                        "{} at mbs {mbs}",
+                        model.name
+                    );
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn flops_table_keeps_the_addition_order_of_range_flops() {
+        // Layer FLOPs with full 53-bit mantissas at mixed magnitudes: a
+        // prefix-sum difference rounds differently from the left-to-right
+        // sum `range_flops` takes, and Eq. 1 compares those sums with `<`.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let layers: Vec<LayerProfile> = (0..24)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let f = (1 + (x >> 11)) as f64 * if i % 3 == 0 { 1e-3 } else { 1e-7 };
+                LayerProfile {
+                    name: format!("l{i}"),
+                    flops_fwd: f,
+                    flops_bwd: 2.0 * f,
+                    activation_bytes: 1000 + 37 * i as u64,
+                    train_activation_bytes: 4000,
+                    param_bytes: 500,
+                }
+            })
+            .collect();
+        let model = ModelProfile {
+            name: "ulp".into(),
+            layers,
+            input_bytes: 1000,
+        };
+        let l = model.num_layers();
+        let prefix: Vec<f64> = (0..=l).map(|j| model.range_flops(0..j)).collect();
+        let disagreeing = (0..l)
+            .flat_map(|s| (s + 1..=l).map(move |j| (s, j)))
+            .filter(|&(s, j)| prefix[j] - prefix[s] != model.range_flops(s..j))
+            .count();
+        assert!(
+            disagreeing > 0,
+            "the model must separate the two arithmetics"
+        );
+
+        let tables = DpTables::new(&model, &Link::mbps_100(), 8);
+        for s in 0..l {
+            for j in s + 1..=l {
+                assert_eq!(
+                    tables.seg_time(s, j, 3e9).to_bits(),
+                    seg_time(&model, s..j, 3e9, 8).to_bits(),
+                    "segment {s}..{j}"
+                );
+            }
+        }
+        let device = |rate: f64| Device::new(DeviceSpec::new("d", rate, 1 << 32, 1e8));
+        for rates in [
+            vec![1e9, 1e9],
+            vec![1e9, 2e9, 1e9],
+            vec![3e9, 1e9, 2e9, 1e9],
+            vec![1e9; 6],
+        ] {
+            let devices: Vec<Device> = rates.into_iter().map(device).collect();
+            for mbs in [1, 4, 32] {
+                assert_eq!(
+                    partition_dp(&model, &devices, &Link::mbps_100(), mbs),
+                    partition_dp_reference(&model, &devices, &Link::mbps_100(), mbs),
+                );
+            }
+        }
     }
 }

@@ -102,4 +102,16 @@ if ! grep -q "\"sched_dispatch_100k\"" "$out_dir/BENCH_headline.json"; then
     exit 1
 fi
 
+# The §4.3 plan search must stay in the trajectory: the six-stage Eq. 1
+# DP in the micro snapshot, the whole six-device B6 search in the
+# headline snapshot.
+if ! grep -q "\"partition_dp_b6_6stage\"" "$out_dir/BENCH_micro.json"; then
+    echo "ERROR: BENCH_micro.json is missing the partition_dp_b6_6stage case" >&2
+    exit 1
+fi
+if ! grep -q "\"plan_search_b6_6dev\"" "$out_dir/BENCH_headline.json"; then
+    echo "ERROR: BENCH_headline.json is missing the plan_search_b6_6dev case" >&2
+    exit 1
+fi
+
 echo "==> bench snapshots written to $out_dir"

@@ -118,6 +118,42 @@ done
 echo "    schedule-legality property suite"
 cargo test -q --release --offline --test schedule_legality
 
+# Plan-search gates: the §4.3 search skips repeated device orders, reads
+# Eq. 1 from per-call tables and prunes executor runs by an admissible
+# bound, and must still return the exhaustive search's plan bit for bit.
+# (1) The differential suites — fast search vs the exhaustive loop, table
+# DP vs the naive reference DP, bound soundness — rerun optimized with
+# the case count raised (the plain `cargo test` above runs a handful).
+# (2) The stdout of the benchmark's ten `pipeline_plan` invocations (the
+# flags of benchmark/src/workloads.rs, copied here) plus one run per
+# non-default --schedule is diffed against goldens captured from the
+# pre-optimization search (commit 658b7d3), at every pool width.
+echo "==> plan-search differential gate: ecofl-pipeline orchestrator/partition suites, release, ECOFL_CHECK_CASES=300"
+ECOFL_CHECK_CASES=300 cargo test -q --release --offline -p ecofl-pipeline --lib -- \
+    orchestrator::tests partition::tests
+echo "==> plan-golden gate: ecofl plan stdout vs tests/golden/plan at ECOFL_THREADS=1/2/8"
+plan_golden() { # <golden name> <plan flags...>
+    local name=$1 threads
+    shift
+    for threads in 1 2 8; do
+        if ! ECOFL_THREADS=$threads ./target/release/ecofl plan "$@" |
+            diff "tests/golden/plan/$name.txt" - >&2; then
+            echo "ERROR: 'ecofl plan $*' at ECOFL_THREADS=$threads no longer prints tests/golden/plan/$name.txt" >&2
+            exit 1
+        fi
+    done
+}
+for home in "5dev tx2q,tx2n,nanoh,nanoh,nanol" "6dev tx2q,tx2n,tx2n,nanoh,nanoh,nanol"; do
+    for model in effnet-b4 effnet-b6 effnet-b6@380 mobilenet-w3 mobilenet-w3@380; do
+        plan_golden "${home%% *}_$model" --model "$model" --batch 256 --devices "${home#* }"
+    done
+done
+for schedule in gpipe async interleaved zb; do
+    plan_golden "5dev_effnet-b2_$schedule" --model effnet-b2 --batch 256 \
+        --devices tx2q,tx2n,nanoh,nanoh,nanol --schedule "$schedule"
+done
+echo "    ok (14 plans byte-identical at every pool width)"
+
 # Kernel-equivalence gate: the blocked tensor kernels must match the
 # retained naive references — bit-identically where the contract says so,
 # within the documented tolerance elsewhere (DESIGN.md, "Kernel tiling and

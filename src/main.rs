@@ -22,6 +22,7 @@ use ecofl::obs::{trace_dir, Domain};
 use ecofl::prelude::*;
 use ecofl_pipeline::adaptive::{simulate_load_spike_traced, SchedulerConfig};
 use ecofl_pipeline::gantt::{legend, render_round_virtual};
+use ecofl_pipeline::orchestrator::MAX_DEVICE_ORDERS;
 use ecofl_pipeline::schedule::ScheduleKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -152,19 +153,52 @@ fn cmd_devices() -> Result<(), EcoFlError> {
     Ok(())
 }
 
+/// How many different device sequences the orders of `devices` spell:
+/// `n! / Π multiplicity!` (in `f64`: only compared against the cap and
+/// printed).
+fn distinct_device_orders(devices: &[Device]) -> f64 {
+    let factorial = |n: usize| (1..=n).map(|x| x as f64).product::<f64>();
+    let mut orders = factorial(devices.len());
+    for (i, device) in devices.iter().enumerate() {
+        if !devices[..i].contains(device) {
+            orders /= factorial(devices.iter().filter(|d| *d == device).count());
+        }
+    }
+    orders
+}
+
 fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let model = parse_model(require(args, "model")?)?;
     let devices = parse_devices(require(args, "devices")?)?;
     let batch = get(args, "batch", 128usize)?;
+    let schedule = parse_schedule(args.get("schedule").map_or("1f1b", String::as_str))?;
+    let mbs_candidates = vec![32, 16, 8, 4];
+    // Inputs that cannot yield a plan name their flag instead of
+    // reporting "no feasible pipeline configuration".
+    let smallest = mbs_candidates.iter().copied().min().unwrap_or(1);
+    if batch < smallest {
+        return Err(EcoFlError::Config(format!(
+            "--batch {batch}: the global batch must hold at least one micro-batch \
+             of the smallest candidate size, {smallest}"
+        )));
+    }
+    let orders = distinct_device_orders(&devices);
+    if orders > MAX_DEVICE_ORDERS as f64 {
+        return Err(EcoFlError::Config(format!(
+            "--devices: {} devices form {orders:.0} distinct orders, more than the \
+             {MAX_DEVICE_ORDERS} the search walks; use fewer devices or repeat models",
+            devices.len()
+        )));
+    }
     let plan = search_configuration(
         &model,
         &devices,
         &Link::mbps_100(),
         &OrchestratorConfig {
             global_batch: batch,
-            mbs_candidates: vec![32, 16, 8, 4],
+            mbs_candidates,
             eval_rounds: 2,
-            ..OrchestratorConfig::default()
+            schedule,
         },
     )
     .ok_or_else(|| EcoFlError::Plan("no feasible pipeline configuration".into()))?;
@@ -1084,6 +1118,7 @@ fn usage() -> &'static str {
      commands:\n\
        devices                       print the Table 1 device catalog\n\
        plan   --model M --devices D  partition + orchestrate a pipeline\n\
+              [--batch N] [--schedule 1f1b|gpipe|async|interleaved|zb]\n\
        gantt  --model M --devices D  render a schedule Gantt chart\n\
               [--schedule 1f1b|gpipe|async|interleaved|zb]\n\
               [--mbs N] [--micro-batches N]\n\

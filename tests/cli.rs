@@ -288,6 +288,63 @@ fn model_resolution_below_32_is_rejected_not_asserted() {
 }
 
 #[test]
+fn plan_bounds_the_search_by_distinct_device_orders() {
+    // Nine identical devices are one order; the list used to reach the
+    // library's `n ≤ 8` assert.
+    let nine = ["nanoh"; 9].join(",");
+    let (ok, stdout, stderr) = ecofl(&[
+        "plan",
+        "--model",
+        "effnet-b0",
+        "--devices",
+        &nine,
+        "--batch",
+        "32",
+    ]);
+    assert!(ok, "nine twins failed:\n{stderr}");
+    assert!(stdout.contains("stage 8"), "stdout:\n{stdout}");
+    // Table 1 has four models, so no nine-device list has more than
+    // 9!/(3!·2!·2!·2!) = 7 560 orders; the shortest list past the cap is
+    // three of each, 12!/(3!)⁴ = 369 600.
+    let twelve = ["nanol,nanoh,tx2q,tx2n"; 3].join(",");
+    assert_rejects(
+        &["plan", "--model", "effnet-b0", "--devices", &twelve],
+        "--devices",
+    );
+}
+
+#[test]
+fn plan_batch_errors_name_the_flag_and_odd_batches_truncate() {
+    let plan = ["plan", "--model", "effnet-b0", "--devices", "tx2q,nanoh"];
+    for batch in ["0", "3"] {
+        assert_rejects(&[&plan[..], &["--batch", batch]].concat(), "--batch");
+    }
+    // 100 is no multiple of the chosen micro-batch 16: the round trains
+    // 6 × 16 = 96 samples.
+    let (ok, stdout, _) = ecofl(&[&plan[..], &["--batch", "100"]].concat());
+    assert!(ok);
+    assert!(
+        stdout.contains("micro-batch  : 16 (6 per sync-round)"),
+        "stdout:\n{stdout}"
+    );
+}
+
+#[test]
+fn plan_searches_under_the_requested_schedule() {
+    let plan = ["plan", "--model", "effnet-b0", "--devices", "tx2q,nanoh"];
+    let (_, default, _) = ecofl(&plan);
+    let (ok, one_f_one_b, _) = ecofl(&[&plan[..], &["--schedule", "1f1b"]].concat());
+    assert!(ok);
+    assert_eq!(default, one_f_one_b);
+    let (ok, interleaved, _) = ecofl(&[&plan[..], &["--schedule", "interleaved"]].concat());
+    assert!(ok);
+    assert_ne!(default, interleaved, "the schedule must reach the search");
+    let (ok, _, stderr) = ecofl(&[&plan[..], &["--schedule", "rr"]].concat());
+    assert!(!ok);
+    assert!(stderr.contains("unknown schedule"), "stderr:\n{stderr}");
+}
+
+#[test]
 fn spike_rejects_degenerate_horizon_at_and_load() {
     let spike = ["spike", "--model", "effnet-b0", "--devices", "tx2q,nanoh"];
     let traced = [
