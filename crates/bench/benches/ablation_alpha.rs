@@ -46,6 +46,7 @@ fn run_at(alpha: f64, mu: f32, data: &FederatedDataset, seed: u64) -> Row {
             dynamic_grouping: true,
         },
         &setup,
+        None,
     );
     Row {
         alpha,

@@ -52,6 +52,7 @@ fn main() {
             horizon,
             false,
             SchedulerConfig::default(),
+            None,
         )
         .expect("feasible spike scenario");
         let lost = baseline.pre_spike_throughput - baseline.post_spike_throughput;
@@ -74,7 +75,7 @@ fn main() {
                     ..SchedulerConfig::default()
                 };
                 let t = simulate_load_spike_with(
-                    &model, &devices, &link, 8, 16, spike, horizon, true, cfg,
+                    &model, &devices, &link, 8, 16, spike, horizon, true, cfg, None,
                 )
                 .expect("feasible spike scenario");
                 let recovered = if lost > 0.0 {

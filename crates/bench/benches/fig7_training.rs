@@ -54,7 +54,7 @@ fn run_dataset(spec: &SyntheticSpec, horizon: f64, seed: u64, out: &mut Vec<Curv
     };
     println!("\n--- {} (dynamic setting, 2-class non-IID) ---", spec.name);
     for strategy in Strategy::LINEUP {
-        let r = run(strategy, &setup);
+        let r = run(strategy, &setup, None);
         println!(
             "{:<14} best {:5.1}%  final {:5.1}%  drawdown {:4.1}pp  {:>5} updates  {:>3} regroups",
             r.strategy,

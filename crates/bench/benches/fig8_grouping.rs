@@ -88,7 +88,7 @@ fn run_setting(setting: &'static str, scheme: PartitionScheme, seed: u64, out: &
             dynamic_grouping: true,
         },
     ] {
-        let r = run(strategy, &setup);
+        let r = run(strategy, &setup, None);
         let t70 = r.accuracy.time_to_reach(0.60);
         let min_recall = r.final_recall.iter().copied().fold(f64::INFINITY, f64::min);
         println!(

@@ -105,6 +105,7 @@ fn main() {
                 dynamic_grouping: true,
             },
             &setup,
+            None,
         );
         println!(
             "{:>7.0} {:>14.4} {:>18.2} {:>11.1}% {:>11.1}%",

@@ -58,7 +58,7 @@ fn bench_fl_runs() {
     let iters = bench_iters(DEFAULT_ITERS);
     let warmup = bench_warmup(DEFAULT_WARMUP);
     time_case("fl_run_fedavg_tiny", warmup, iters, || {
-        run(Strategy::FedAvg, black_box(&setup))
+        run(Strategy::FedAvg, black_box(&setup), None)
     });
     time_case("fl_run_ecofl_tiny", warmup, iters, || {
         run(
@@ -66,13 +66,14 @@ fn bench_fl_runs() {
                 dynamic_grouping: true,
             },
             black_box(&setup),
+            None,
         )
     });
 }
 
 fn bench_sched_dispatch_100k() {
     // 100k virtual clients round-robined onto 64 data shards: the
-    // census-scale scheduler path (calendar event queue, shared
+    // census-scale scheduler path (event queue, shared
     // start-parameter snapshots, streaming delta folds) end to end.
     let config = FlConfig {
         num_clients: 100_000,
@@ -99,7 +100,7 @@ fn bench_sched_dispatch_100k() {
     let iters = bench_iters(DEFAULT_ITERS);
     let warmup = bench_warmup(DEFAULT_WARMUP);
     time_case("sched_dispatch_100k", warmup, iters, || {
-        run(Strategy::FedAvg, black_box(&setup))
+        run(Strategy::FedAvg, black_box(&setup), None)
     });
 }
 
@@ -134,8 +135,7 @@ fn bench_pipeline_round() {
             SchedulePolicy::OneFOneBSync { k: k.clone() },
         )
         .expect("valid schedule")
-        .with_metrics(&hub)
-        .run(16, 1)
+        .run_traced(16, 1, &hub)
     });
 }
 

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the hot algorithmic kernels, driven by
 //! `ecofl_bench::time_case` (the criterion-free harness):
 //! the Eq. 1 dynamic-programming partitioner, the event-driven pipeline
-//! executor, the calendar event queue at 100k events, k-means latency
+//! executor, the event queue at 100k events, k-means latency
 //! clustering (exact and million-point mini-batch), JS divergence, FedAvg
 //! aggregation, client local training, the blocked tensor kernels
 //! that dominate it — each blocked kernel timed next to its retained
@@ -93,10 +93,10 @@ fn bench_kmeans() {
 }
 
 fn bench_eventqueue() {
-    // 100k events through the calendar-queue backend: schedule with an
-    // xorshift time spread, then drain to empty. This is the per-event
-    // cost the scheduler pays at census scale (O(1) amortized vs the
-    // binary heap's O(log n)).
+    // 100k events through the event queue: schedule with an
+    // xorshift time spread, then drain to empty — far deeper than any
+    // scenario's 1–20 pending events (DESIGN.md §11), so an upper
+    // bound on the per-event cost.
     time_case("eventqueue_schedule_pop", warmup(), iters(), || {
         let mut q: EventQueue<usize> = EventQueue::new();
         let mut x = 0x2545_F491_4F6C_DD1Du64;

@@ -9,6 +9,7 @@
 //!
 //! ```
 //! use ecofl_core::prelude::*;
+//! # fn main() -> Result<(), EcoFlError> {
 //!
 //! // Three smart homes, each a small heterogeneous device cluster.
 //! let homes = vec![
@@ -22,11 +23,12 @@
 //!     .fl_config(FlConfig { horizon: 300.0, clients_per_round: 6,
 //!                           num_groups: 3, ..FlConfig::tiny() })
 //!     .seed(7)
-//!     .build()
-//!     .expect("valid system")
-//!     .run();
+//!     .build()?
+//!     .run(None)?; // `None`: nothing observes the run
 //! assert_eq!(report.pipeline_plans.len(), 3);
 //! assert!(report.fl.best_accuracy > 0.0);
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! The sub-crates remain available for fine-grained use and are re-exported

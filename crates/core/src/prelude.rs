@@ -13,20 +13,18 @@ pub use crate::system::{EcoFlReport, EcoFlSystem, EcoFlSystemBuilder, SmartHome}
 
 pub use ecofl_data::federated::PartitionScheme;
 pub use ecofl_data::{Dataset, FederatedDataset, SyntheticSpec};
-pub use ecofl_fl::engine::{
-    run as run_strategy, run_metered as run_strategy_metered, run_traced as run_strategy_traced,
-    FlSetup, RunResult, Strategy,
-};
+pub use ecofl_fl::engine::{run as run_strategy, FlSetup, RunResult, Strategy};
 pub use ecofl_fl::{
-    strategy_object, summarize_store, summarize_view, AggregationStrategy, ConvergenceSummary,
-    DynamicsConfig, FlConfig, LatencyModel, Scheduler,
+    summarize_store, summarize_view, AggregationStrategy, ConvergenceSummary, DynamicsConfig,
+    FlConfig, LatencyModel, Scheduler,
 };
 pub use ecofl_grouping::{Grouper, GroupingConfig, GroupingStrategy};
 pub use ecofl_models::{
     efficientnet, efficientnet_at, mobilenet_v2, mobilenet_v2_at, ModelArch, ModelProfile,
 };
 pub use ecofl_obs::{
-    MetricsHub, MetricsSnapshot, RecordKind, RunStore, TraceQuery, TraceRecord, TraceView, Tracer,
+    MetricsHub, MetricsSnapshot, Obs, RecordKind, RunStore, TraceQuery, TraceRecord, TraceView,
+    Tracer,
 };
 pub use ecofl_pipeline::adaptive::{simulate_load_spike, LoadSpike, SpikeError};
 pub use ecofl_pipeline::orchestrator::{search_configuration, OrchestratorConfig, PipelinePlan};

@@ -13,10 +13,10 @@
 use crate::error::EcoFlError;
 use ecofl_data::federated::PartitionScheme;
 use ecofl_data::{FederatedDataset, SyntheticSpec};
-use ecofl_fl::engine::{run as run_fl, run_traced as run_fl_traced, FlSetup, RunResult, Strategy};
+use ecofl_fl::engine::{run as run_fl, FlSetup, RunResult, Strategy};
 use ecofl_fl::FlConfig;
 use ecofl_models::{efficientnet, ModelArch, ModelProfile};
-use ecofl_obs::{RunStore, Tracer};
+use ecofl_obs::{Obs, RunStore, Tracer};
 use ecofl_pipeline::orchestrator::{search_configuration, OrchestratorConfig, PipelinePlan};
 use ecofl_pipeline::schedule::ScheduleKind;
 use ecofl_simnet::{Device, DeviceSpec, Link};
@@ -201,8 +201,8 @@ impl EcoFlSystemBuilder {
     /// the store's trace segment after each run, so it can be queried
     /// offline with `TraceQuery` without re-running. [`build`] opens
     /// (or creates) the store to fail bad paths early; a write failure
-    /// during [`run`] panics, since silently losing the trace a caller
-    /// asked to persist would be worse.
+    /// during [`run`] is an [`EcoFlError::Io`], never a silently lost
+    /// trace.
     ///
     /// [`build`]: Self::build
     /// [`run`]: EcoFlSystem::run
@@ -296,26 +296,26 @@ impl EcoFlSystem {
     }
 
     /// Runs the full system: pipeline-derived latencies → hierarchical FL.
-    #[must_use]
-    pub fn run(&self) -> EcoFlReport {
-        self.run_inner(None)
-    }
-
-    /// [`run`](Self::run) with the whole FL phase recorded on `tracer`
-    /// (rounds, local-train windows, aggregations, staleness weights,
-    /// re-grouping events — all at virtual timestamps). The report is
-    /// identical to an untraced run of the same system.
-    #[must_use]
-    pub fn run_traced(&self, tracer: &Tracer) -> EcoFlReport {
-        self.run_inner(Some(tracer))
-    }
-
-    fn run_inner(&self, tracer: Option<&Tracer>) -> EcoFlReport {
+    ///
+    /// `obs` observes the whole FL phase (`None` for nothing): a tracer
+    /// records rounds, local-train windows, aggregations, staleness
+    /// weights and re-grouping events at virtual timestamps, a hub is fed
+    /// the scheduler's `fl_*` series. The report is identical whatever is
+    /// attached.
+    ///
+    /// # Errors
+    /// [`EcoFlError::Io`] when the configured run store cannot be opened
+    /// or written after the run.
+    pub fn run<'a>(&self, obs: impl Into<Obs<'a>>) -> Result<EcoFlReport, EcoFlError> {
+        let obs: Obs<'a> = obs.into();
         let b = &self.builder;
         // With a run store configured but no caller tracer, record on an
         // internal one so the store still captures the full trace.
-        let internal = (tracer.is_none() && b.run_store.is_some()).then(Tracer::new);
-        let tracer = tracer.or(internal.as_ref());
+        let internal = (obs.tracer.is_none() && b.run_store.is_some()).then(Tracer::new);
+        let obs = Obs {
+            tracer: obs.tracer.or(internal.as_ref()),
+            ..obs
+        };
         let n_clients = b.replicate_to.unwrap_or(b.homes.len()).max(b.homes.len());
 
         // One FL round ≈ e local epochs over the client's shard, executed
@@ -353,29 +353,24 @@ impl EcoFlSystem {
             arch: b.arch,
             config: fl_config,
         };
-        let fl = match tracer {
-            Some(tr) => run_fl_traced(b.strategy, &setup, tr),
-            None => run_fl(b.strategy, &setup),
-        };
-        if let (Some(dir), Some(tr)) = (&b.run_store, tracer) {
-            // `build` validated the path; see the `run_store` setter for
-            // why a write failure here is fatal rather than silent.
-            let mut store = RunStore::open_or_create(dir)
-                .unwrap_or_else(|e| panic!("run store {}: {e}", dir.display()));
-            tr.persist(&mut store)
-                .unwrap_or_else(|e| panic!("run store {}: persist failed: {e}", dir.display()));
+        let fl = run_fl(b.strategy, &setup, obs);
+        if let (Some(dir), Some(tr)) = (&b.run_store, obs.tracer) {
+            let store_err =
+                |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
+            let mut store = RunStore::open_or_create(dir).map_err(store_err)?;
+            tr.persist(&mut store).map_err(store_err)?;
         }
-        EcoFlReport {
+        Ok(EcoFlReport {
             pipeline_plans: self.plans.clone(),
             client_delays,
             fl,
-        }
+        })
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecofl_obs::MetricsHub;
     use ecofl_simnet::{nano_h, nano_l, tx2_q};
 
     fn homes() -> Vec<SmartHome> {
@@ -410,7 +405,7 @@ mod tests {
             .build()
             .expect("feasible");
         assert_eq!(system.plans().len(), 2);
-        let report = system.run();
+        let report = system.run(None).expect("runs");
         assert_eq!(report.client_delays.len(), 8);
         assert!(report.fl.global_updates > 0);
         // The multi-device fast home must out-pace the lone Nano-L.
@@ -491,14 +486,24 @@ mod tests {
             .seed(11)
             .build()
             .expect("feasible");
-        let plain = system.run();
-        let tracer = ecofl_obs::Tracer::new();
-        let traced = system.run_traced(&tracer);
+        let plain = system.run(None).expect("runs");
+        let tracer = Tracer::new();
+        let traced = system.run(&tracer).expect("runs");
         assert_eq!(plain.fl.accuracy, traced.fl.accuracy);
         assert_eq!(plain.client_delays, traced.client_delays);
         let view = tracer.view();
         assert!(view.counter_total("global_updates") > 0.0);
         assert!(!view.gauge_series("accuracy").is_empty());
+
+        // Tracer and hub in one `Obs` record what each alone records,
+        // and all three runs report the same.
+        let (tracer2, hub, hub2) = (Tracer::new(), MetricsHub::new(), MetricsHub::new());
+        let both = system.run(Obs::from(&tracer2).with_hub(&hub2));
+        let hub_only = system.run(&hub).expect("runs");
+        assert_eq!(tracer2.records(), tracer.records());
+        assert_eq!(hub2.snapshot(0), hub.snapshot(0));
+        assert_eq!(both.expect("runs").fl.accuracy, plain.fl.accuracy);
+        assert_eq!(hub_only.fl.accuracy, plain.fl.accuracy);
     }
 
     #[test]
@@ -512,7 +517,8 @@ mod tests {
                 .seed(5)
                 .build()
                 .unwrap()
-                .run()
+                .run(None)
+                .expect("runs")
         };
         let cheap = make(0.0);
         let costly = make(60.0);
@@ -528,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn run_store_persists_the_fl_trace() {
+    fn run_store_persists_the_fl_trace_or_reports_an_io_error() {
         let dir = std::env::temp_dir().join(format!("ecofl-system-store-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let system = EcoFlSystem::builder()
@@ -539,14 +545,23 @@ mod tests {
             .seed(13)
             .build()
             .expect("feasible");
-        let report = system.run();
+        let report = system.run(None).expect("runs");
         assert!(report.fl.global_updates > 0);
         let store = RunStore::open(&dir).expect("store was written");
         assert!(store.record_count() > 0, "FL trace must be in the store");
         let summary = ecofl_fl::summarize_store(&store, "eco-fl", &[0.3])
             .expect("summary straight off the store");
         assert!(summary.best_accuracy > 0.0);
-        std::fs::remove_dir_all(&dir).ok();
+        // The store path turns into a regular file behind the system's
+        // back: the next run's write fails typed, not with a panic.
+        drop(store);
+        std::fs::remove_dir_all(&dir).expect("the store directory exists");
+        std::fs::write(&dir, b"not a directory").expect("writes");
+        match system.run(None) {
+            Err(EcoFlError::Io(msg)) => assert!(msg.contains("run store"), "{msg}"),
+            other => panic!("expected Io error, got {other:?}"),
+        }
+        std::fs::remove_file(&dir).ok();
     }
 
     #[test]
@@ -559,7 +574,8 @@ mod tests {
                 .seed(9)
                 .build()
                 .unwrap()
-                .run()
+                .run(None)
+                .expect("runs")
         };
         let a = make();
         let b = make();

@@ -67,7 +67,8 @@ fn dataset_and_partition_options_flow_through() {
         .seed(5)
         .build()
         .expect("builds")
-        .run();
+        .run(None)
+        .expect("runs");
     assert_eq!(report.client_delays.len(), 10);
     assert!(report.fl.global_updates > 0);
 }
@@ -84,14 +85,16 @@ fn strategy_option_switches_algorithm() {
         .strategy(Strategy::FedAvg)
         .build()
         .unwrap()
-        .run();
+        .run(None)
+        .expect("runs");
     let ecofl = base
         .strategy(Strategy::EcoFl {
             dynamic_grouping: true,
         })
         .build()
         .unwrap()
-        .run();
+        .run(None)
+        .expect("runs");
     assert_eq!(fedavg.fl.strategy, "FedAvg");
     assert_eq!(ecofl.fl.strategy, "Eco-FL");
 }
@@ -136,7 +139,8 @@ fn cnn_arch_option_runs() {
         .seed(8)
         .build()
         .expect("builds")
-        .run();
+        .run(None)
+        .expect("runs");
     assert!(report.fl.global_updates > 0);
 }
 
@@ -149,6 +153,6 @@ fn replicate_homes_never_shrinks_below_templates() {
         .seed(4)
         .build()
         .unwrap();
-    let report = system.run();
+    let report = system.run(None).expect("runs");
     assert!(report.client_delays.len() >= 2);
 }

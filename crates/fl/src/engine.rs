@@ -5,7 +5,7 @@
 //! reduction) while the clock advances by simulated response latencies.
 //! Since the scheduler/strategy split, this module only holds the
 //! serializable [`Strategy`] selector, the [`FlSetup`]/[`RunResult`]
-//! types and the [`run`]/[`run_traced`] entry points; the event-driven
+//! types and the [`run`] entry point; the event-driven
 //! round scheduler lives in [`crate::sched`] and the per-strategy
 //! aggregation objects in [`crate::strategies`]:
 //!
@@ -27,7 +27,7 @@ use crate::strategies::strategy_object;
 use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_data::FederatedDataset;
 use ecofl_models::ModelArch;
-use ecofl_obs::{MetricsHub, Tracer};
+use ecofl_obs::Obs;
 use ecofl_util::TimeSeries;
 
 /// Which FL algorithm to run.
@@ -116,55 +116,27 @@ pub struct RunResult {
 
 /// Runs `strategy` on `setup` and returns its accuracy trace.
 ///
+/// `obs` is what the run reports to (`None` for nothing): a tracer
+/// records every round, local-train window, aggregation, staleness
+/// weight and re-grouping decision (domain
+/// [`Domain::Fl`](ecofl_obs::Domain::Fl) /
+/// [`Domain::Grouping`](ecofl_obs::Domain::Grouping), all timestamps
+/// virtual); a hub is fed the scheduler's `fl_*` series as the run
+/// progresses, so a live dashboard can snapshot it from another thread.
+/// Training outcomes are bit-identical whatever is attached.
+///
 /// # Panics
 /// Panics on inconsistent setup (e.g. zero clients).
 #[must_use]
-pub fn run(strategy: Strategy, setup: &FlSetup) -> RunResult {
-    run_inner(strategy, setup, None, None)
-}
-
-/// [`run`] with every round, local-train window, aggregation, staleness
-/// weight, and re-grouping decision recorded on `tracer` (domain
-/// [`Domain::Fl`](ecofl_obs::Domain::Fl) /
-/// [`Domain::Grouping`](ecofl_obs::Domain::Grouping),
-/// all timestamps virtual). Training outcomes are identical to the
-/// untraced run at equal setup.
-#[must_use]
-pub fn run_traced(strategy: Strategy, setup: &FlSetup, tracer: &Tracer) -> RunResult {
-    run_inner(strategy, setup, Some(tracer), None)
-}
-
-/// [`run`] with streaming metrics (and optionally tracing): the
-/// scheduler feeds the hub's `fl_*` counters, round-latency histogram
-/// and staleness/accuracy gauges as the run progresses, so a live
-/// dashboard can snapshot `hub` from another thread mid-run. Training
-/// outcomes are bit-identical to [`run`]/[`run_traced`] at equal setup
-/// — the hub only observes.
-#[must_use]
-pub fn run_metered(
-    strategy: Strategy,
-    setup: &FlSetup,
-    tracer: Option<&Tracer>,
-    hub: &MetricsHub,
-) -> RunResult {
-    run_inner(strategy, setup, tracer, Some(hub))
-}
-
-fn run_inner(
-    strategy: Strategy,
-    setup: &FlSetup,
-    tracer: Option<&Tracer>,
-    hub: Option<&MetricsHub>,
-) -> RunResult {
-    let mut object = strategy_object(strategy);
-    Scheduler::drive_metered(setup, tracer, hub, object.as_mut())
+pub fn run<'a>(strategy: Strategy, setup: &'a FlSetup, obs: impl Into<Obs<'a>>) -> RunResult {
+    Scheduler::drive(setup, obs, strategy_object(strategy).as_mut())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecofl_data::{federated::PartitionScheme, SyntheticSpec};
-    use ecofl_obs::{Domain, EventKind, SpanKind};
+    use ecofl_obs::{Domain, EventKind, SpanKind, Tracer};
 
     fn tiny_setup(scheme: PartitionScheme, seed: u64) -> FlSetup {
         let cfg = FlConfig {
@@ -192,7 +164,7 @@ mod tests {
     #[test]
     fn fedavg_learns() {
         let setup = tiny_setup(PartitionScheme::Iid, 1);
-        let r = run(Strategy::FedAvg, &setup);
+        let r = run(Strategy::FedAvg, &setup, None);
         assert!(r.global_updates > 2);
         assert!(
             r.best_accuracy > 0.3,
@@ -206,8 +178,8 @@ mod tests {
     #[test]
     fn fedasync_makes_many_updates() {
         let setup = tiny_setup(PartitionScheme::Iid, 2);
-        let avg = run(Strategy::FedAvg, &setup);
-        let asynchronous = run(Strategy::FedAsync, &setup);
+        let avg = run(Strategy::FedAvg, &setup, None);
+        let asynchronous = run(Strategy::FedAsync, &setup, None);
         assert!(
             asynchronous.global_updates > avg.global_updates,
             "async {} should update more often than sync {}",
@@ -224,6 +196,7 @@ mod tests {
                 dynamic_grouping: true,
             },
             &setup,
+            None,
         );
         assert_eq!(r.strategy, "Eco-FL");
         assert!(r.global_updates > 3);
@@ -235,12 +208,13 @@ mod tests {
         // Groups aggregate concurrently; wall-clock update rate must beat
         // one global synchronous barrier.
         let setup = tiny_setup(PartitionScheme::ClassesPerClient(2), 4);
-        let avg = run(Strategy::FedAvg, &setup);
+        let avg = run(Strategy::FedAvg, &setup, None);
         let eco = run(
             Strategy::EcoFl {
                 dynamic_grouping: true,
             },
             &setup,
+            None,
         );
         assert!(eco.global_updates > avg.global_updates);
     }
@@ -253,9 +227,10 @@ mod tests {
                 dynamic_grouping: true,
             },
             &setup,
+            None,
         );
         let tracer = Tracer::new();
-        let traced = run_traced(
+        let traced = run(
             Strategy::EcoFl {
                 dynamic_grouping: true,
             },
@@ -303,8 +278,8 @@ mod tests {
     #[test]
     fn deterministic_runs() {
         let setup = tiny_setup(PartitionScheme::ClassesPerClient(2), 5);
-        let a = run(Strategy::FedAvg, &setup);
-        let b = run(Strategy::FedAvg, &setup);
+        let a = run(Strategy::FedAvg, &setup, None);
+        let b = run(Strategy::FedAvg, &setup, None);
         assert_eq!(a.accuracy, b.accuracy);
         assert_eq!(a.global_updates, b.global_updates);
     }
@@ -312,7 +287,7 @@ mod tests {
     #[test]
     fn final_recall_is_well_formed() {
         let setup = tiny_setup(PartitionScheme::Iid, 15);
-        let r = run(Strategy::FedAvg, &setup);
+        let r = run(Strategy::FedAvg, &setup, None);
         assert_eq!(r.final_recall.len(), setup.data.num_classes());
         assert!(r.final_recall.iter().all(|&x| (0.0..=1.0).contains(&x)));
         // Mean recall on a balanced test set equals overall accuracy.
@@ -377,6 +352,7 @@ mod tests {
                 dynamic_grouping: true,
             },
             &setup,
+            None,
         );
         assert!(r.global_updates > 0);
         assert!(
@@ -389,8 +365,8 @@ mod tests {
     #[test]
     fn fedat_and_astraea_run() {
         let setup = tiny_setup(PartitionScheme::ClassesPerClient(2), 6);
-        let fedat = run(Strategy::FedAt, &setup);
-        let astraea = run(Strategy::Astraea, &setup);
+        let fedat = run(Strategy::FedAt, &setup, None);
+        let astraea = run(Strategy::Astraea, &setup, None);
         assert!(fedat.global_updates > 0);
         assert!(astraea.global_updates > 0);
         assert_eq!(fedat.strategy, "FedAT");

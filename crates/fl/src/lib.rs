@@ -30,8 +30,7 @@
 //!   what to aggregate and when: FedAvg, FedAsync, and the hierarchical
 //!   family (FedAT, Astraea, Eco-FL ± Algorithm 1 dynamic re-grouping),
 //! - [`engine`] — the serializable [`Strategy`] selector, run setup and
-//!   result types, and the [`run`]/[`run_traced`]/[`run_metered`]
-//!   entry points,
+//!   result types, and the [`run`] entry point,
 //! - [`metrics`] — convergence summaries from results or traces,
 //! - [`mod@reference`] — centralized accuracy-per-epoch reference curves used
 //!   to compose the Fig. 10 time-to-accuracy plots.
@@ -49,7 +48,7 @@ pub mod strategies;
 pub use aggregate::{fedasync_mix, staleness_alpha, weighted_average};
 pub use client::{local_train, LocalTrainConfig};
 pub use config::{DynamicsConfig, FlConfig};
-pub use engine::{run, run_metered, run_traced, FlSetup, RunResult, Strategy};
+pub use engine::{run, FlSetup, RunResult, Strategy};
 pub use latency::LatencyModel;
 pub use metrics::{summarize, summarize_store, summarize_view, ConvergenceSummary};
 pub use sched::{AggregationStrategy, Cohort, HorizonPolicy, Scheduler};

@@ -22,7 +22,7 @@ use crate::engine::{FlSetup, RunResult};
 use crate::latency::LatencyModel;
 use ecofl_compat::par::par_map;
 use ecofl_compat::sync::Shared;
-use ecofl_obs::{Domain, EventKind, MetricsHub, SpanKind, Tracer};
+use ecofl_obs::{Domain, EventKind, MetricsHub, Obs, SpanKind, Tracer};
 use ecofl_simnet::EventQueue;
 use ecofl_tensor::{Network, Tensor};
 use ecofl_util::{Rng, TimeSeries};
@@ -104,8 +104,8 @@ pub trait AggregationStrategy {
     }
 }
 
-/// The scheduler's metric handles, resolved once at `drive_metered`
-/// time so the per-cohort path records lock-cheap.
+/// The scheduler's metric handles, resolved once at `drive` time so the
+/// per-cohort path records lock-cheap.
 struct SchedMetrics {
     cohorts_dispatched: ecofl_obs::Counter,
     clients_dispatched: ecofl_obs::Counter,
@@ -158,29 +158,20 @@ pub struct Scheduler<'a> {
 pub const TRAIN_FOLD_CHUNK: usize = 64;
 
 impl<'a> Scheduler<'a> {
-    /// Runs `strategy` over `setup`, optionally tracing, and returns the
-    /// finished [`RunResult`].
+    /// Runs `strategy` over `setup` and returns the finished
+    /// [`RunResult`], reporting to `obs` (`None` for nothing): a tracer
+    /// gets every scheduler record; a hub is fed the `fl_*` counters
+    /// (cohorts/clients dispatched, clients dropped, global updates),
+    /// the per-cohort `fl_round_latency_s` histogram and the
+    /// `fl_staleness` / `fl_accuracy` gauges. Both only observe —
+    /// results and traces are bit-identical with or without them
+    /// (enforced by `tests/metrics_perturbation.rs`).
     pub fn drive(
         setup: &'a FlSetup,
-        tracer: Option<&'a Tracer>,
+        obs: impl Into<Obs<'a>>,
         strategy: &mut dyn AggregationStrategy,
     ) -> RunResult {
-        Self::drive_metered(setup, tracer, None, strategy)
-    }
-
-    /// [`Scheduler::drive`] with streaming metrics: when `metrics` is
-    /// set, the scheduler feeds its `fl_*` counters (cohorts/clients
-    /// dispatched, clients dropped, global updates), the per-cohort
-    /// `fl_round_latency_s` histogram, and the `fl_staleness` /
-    /// `fl_accuracy` gauges. Metric recording is observation only —
-    /// results and traces are bit-identical with or without a hub
-    /// (enforced by `tests/metrics_perturbation.rs`).
-    pub fn drive_metered(
-        setup: &'a FlSetup,
-        tracer: Option<&'a Tracer>,
-        metrics: Option<&MetricsHub>,
-        strategy: &mut dyn AggregationStrategy,
-    ) -> RunResult {
+        let obs: Obs<'a> = obs.into();
         let cfg = &setup.config;
         if let Err(msg) = cfg.validate() {
             panic!("invalid FlConfig: {msg}");
@@ -189,8 +180,8 @@ impl<'a> Scheduler<'a> {
         let latency = make_latency(cfg, &mut rng);
         let mut sched = Scheduler {
             setup,
-            tracer,
-            metrics: metrics.map(SchedMetrics::new),
+            tracer: obs.tracer,
+            metrics: obs.hub.map(SchedMetrics::new),
             rng,
             latency,
             evaluator: Evaluator::new(setup),
@@ -202,13 +193,7 @@ impl<'a> Scheduler<'a> {
             last_eval: strategy.initial_eval_mark(),
         };
         let acc0 = sched.evaluator.accuracy(&sched.w);
-        sched.accuracy.push(0.0, acc0);
-        if let Some(tr) = sched.tracer {
-            tr.gauge("accuracy", 0.0, acc0);
-        }
-        if let Some(m) = &sched.metrics {
-            m.accuracy.set(acc0);
-        }
+        sched.record_accuracy(0.0, acc0);
         strategy.begin(&mut sched);
         let discard_late = strategy.horizon_policy() == HorizonPolicy::DiscardLate;
         while let Some((t, cohort)) = sched.queue.pop() {
@@ -450,13 +435,7 @@ impl<'a> Scheduler<'a> {
         let interval = self.setup.config.eval_interval;
         if t - self.last_eval >= interval {
             let acc = self.evaluator.accuracy(&self.w);
-            self.accuracy.push(t, acc);
-            if let Some(tr) = self.tracer {
-                tr.gauge("accuracy", t, acc);
-            }
-            if let Some(m) = &self.metrics {
-                m.accuracy.set(acc);
-            }
+            self.record_accuracy(t, acc);
             if self.last_eval.is_finite() {
                 self.last_eval += ((t - self.last_eval) / interval).floor() * interval;
             } else {
@@ -465,6 +444,15 @@ impl<'a> Scheduler<'a> {
                 // it at the first eval time.
                 self.last_eval = t;
             }
+        }
+    }
+
+    /// Adds one accuracy sample to the result series and to `obs`.
+    fn record_accuracy(&mut self, t: f64, acc: f64) {
+        self.accuracy.push(t, acc);
+        self.trace_gauge("accuracy", t, acc);
+        if let Some(m) = &self.metrics {
+            m.accuracy.set(acc);
         }
     }
 

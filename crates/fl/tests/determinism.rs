@@ -59,7 +59,7 @@ fn parallel_training_is_bit_identical_across_thread_counts() {
         let mut results = Vec::new();
         for s in &setups {
             for strategy in strategies {
-                results.push(run(strategy, s));
+                results.push(run(strategy, s, None));
             }
         }
         per_thread_results.push((threads, results));

@@ -45,7 +45,7 @@ fn all_strategies_survive_moderate_failures() {
             dynamic_grouping: true,
         },
     ] {
-        let r = run(strategy, &s);
+        let r = run(strategy, &s, None);
         assert!(
             r.global_updates > 0,
             "{}: engine must stay live under 30% failures",
@@ -68,6 +68,7 @@ fn extreme_failures_do_not_hang_or_panic() {
             dynamic_grouping: true,
         },
         &s,
+        None,
     );
     // With 95% failures most rounds are empty, but the loop must reach the
     // horizon without deadlocking.
@@ -76,8 +77,8 @@ fn extreme_failures_do_not_hang_or_panic() {
 
 #[test]
 fn failures_cost_accuracy_but_not_correctness() {
-    let clean = run(Strategy::FedAvg, &setup(0.0, 33));
-    let faulty = run(Strategy::FedAvg, &setup(0.5, 33));
+    let clean = run(Strategy::FedAvg, &setup(0.0, 33), None);
+    let faulty = run(Strategy::FedAvg, &setup(0.5, 33), None);
     assert!(
         faulty.global_updates <= clean.global_updates,
         "failures cannot create extra updates"
@@ -94,7 +95,7 @@ fn failures_cost_accuracy_but_not_correctness() {
 
 #[test]
 fn failure_prob_zero_is_bitwise_identical_to_default() {
-    let a = run(Strategy::FedAvg, &setup(0.0, 34));
-    let b = run(Strategy::FedAvg, &setup(0.0, 34));
+    let a = run(Strategy::FedAvg, &setup(0.0, 34), None);
+    let b = run(Strategy::FedAvg, &setup(0.0, 34), None);
     assert_eq!(a.accuracy, b.accuracy);
 }

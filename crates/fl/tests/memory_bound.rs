@@ -47,7 +47,7 @@ fn live_weight_vectors_bounded_by_fold_chunk_not_population() {
     let s = setup(cfg);
 
     reset_peak_live_updates();
-    let r = run(Strategy::FedAvg, &s);
+    let r = run(Strategy::FedAvg, &s, None);
     assert!(r.global_updates >= 2, "need full-size cohorts to exercise");
     assert_eq!(live_update_count(), 0, "updates must not outlive cohorts");
     let peak = peak_live_update_count();
@@ -75,6 +75,7 @@ fn live_weight_vectors_bounded_by_fold_chunk_not_population() {
             dynamic_grouping: true,
         },
         &s,
+        None,
     );
     assert!(r.global_updates >= 2);
     assert_eq!(live_update_count(), 0);

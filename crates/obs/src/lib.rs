@@ -51,6 +51,7 @@
 //! assert!(view.makespan() >= 4.0);
 //! ```
 
+pub mod context;
 pub mod metrics;
 pub mod record;
 pub mod sink;
@@ -58,6 +59,7 @@ pub mod store;
 pub mod tracer;
 pub mod view;
 
+pub use context::Obs;
 pub use metrics::{
     Counter, Gauge, Histogram, LogHistogram, MetricsHub, MetricsSnapshot, METRICS_SNAPSHOT_VERSION,
 };

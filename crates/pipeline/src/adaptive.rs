@@ -18,7 +18,7 @@ use crate::profiler::PipelineProfile;
 use crate::schedule::ScheduleKind;
 use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_models::ModelProfile;
-use ecofl_obs::{Domain, EventKind, Tracer};
+use ecofl_obs::{Domain, EventKind, Obs};
 use ecofl_simnet::{Device, Link};
 use ecofl_util::stats::Ema;
 use ecofl_util::TimeSeries;
@@ -252,52 +252,23 @@ pub fn simulate_load_spike(
         horizon,
         with_scheduler,
         SchedulerConfig::default(),
-    )
-}
-
-/// Runs the Fig. 13 scenario with explicit scheduler tuning (used by the
-/// ablation bench).
-///
-/// # Errors
-/// [`SpikeError`] if the scenario cannot be set up; see
-/// [`simulate_load_spike`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_load_spike_with(
-    model: &ModelProfile,
-    devices: &[Device],
-    link: &Link,
-    mbs: usize,
-    micro_batches: usize,
-    spike: LoadSpike,
-    horizon: f64,
-    with_scheduler: bool,
-    scheduler_cfg: SchedulerConfig,
-) -> Result<SpikeTrace, SpikeError> {
-    simulate_load_spike_inner(
-        model,
-        devices,
-        link,
-        mbs,
-        micro_batches,
-        spike,
-        horizon,
-        with_scheduler,
-        scheduler_cfg,
         None,
     )
 }
 
-/// [`simulate_load_spike_with`], recording the §4.4 re-scheduling
-/// timeline into `tracer`: [`EventKind::LaggerDetected`] per detector
+/// Runs the Fig. 13 scenario with explicit scheduler tuning, recording
+/// the §4.4 re-scheduling timeline into `obs`' tracer when there is one
+/// (`None` for nothing): [`EventKind::LaggerDetected`] per detector
 /// trigger, [`EventKind::Migration`] (value = bytes moved) and
 /// [`EventKind::Restart`] (value = stall seconds) per committed
-/// migration, all under [`Domain::Scheduler`] at virtual timestamps.
+/// migration, all under [`Domain::Scheduler`] at virtual timestamps. The
+/// scenario has no streaming series, so a hub in `obs` is not fed.
 ///
 /// # Errors
 /// [`SpikeError`] if the scenario cannot be set up; see
 /// [`simulate_load_spike`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_load_spike_traced(
+pub fn simulate_load_spike_with<'a>(
     model: &ModelProfile,
     devices: &[Device],
     link: &Link,
@@ -307,49 +278,25 @@ pub fn simulate_load_spike_traced(
     horizon: f64,
     with_scheduler: bool,
     scheduler_cfg: SchedulerConfig,
-    tracer: &Tracer,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<SpikeTrace, SpikeError> {
-    simulate_load_spike_inner(
-        model,
-        devices,
-        link,
-        mbs,
-        micro_batches,
-        spike,
-        horizon,
-        with_scheduler,
-        scheduler_cfg,
-        Some(tracer),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_load_spike_inner(
-    model: &ModelProfile,
-    devices: &[Device],
-    link: &Link,
-    mbs: usize,
-    micro_batches: usize,
-    spike: LoadSpike,
-    horizon: f64,
-    with_scheduler: bool,
-    scheduler_cfg: SchedulerConfig,
-    tracer: Option<&Tracer>,
-) -> Result<SpikeTrace, SpikeError> {
+    let tracer = obs.into().tracer;
     let mut devices: Vec<Device> = devices.to_vec();
     let mut partition =
         partition_dp(model, &devices, link, mbs).ok_or(SpikeError::InfeasibleInitialPartition)?;
     let schedule = scheduler_cfg.schedule;
-    let mut steady = steady_state(
-        model,
-        &partition,
-        &devices,
-        link,
-        mbs,
-        micro_batches,
-        schedule,
-    )
-    .ok_or(SpikeError::InitialPipelineStalled)?;
+    let steady_of = |partition: &Partition, devices: &[Device]| {
+        steady_state(
+            model,
+            partition,
+            devices,
+            link,
+            mbs,
+            micro_batches,
+            schedule,
+        )
+    };
+    let mut steady = steady_of(&partition, &devices).ok_or(SpikeError::InitialPipelineStalled)?;
 
     let mut scheduler = AdaptiveScheduler::new(
         devices.len(),
@@ -371,16 +318,7 @@ fn simulate_load_spike_inner(
         // Apply the spike at its time (quantized to round starts).
         if !spiked && t >= spike.at {
             devices[spike.device].set_external_load(spike.load);
-            steady = steady_state(
-                model,
-                &partition,
-                &devices,
-                link,
-                mbs,
-                micro_batches,
-                schedule,
-            )
-            .ok_or(SpikeError::SpikedPipelineStalled)?;
+            steady = steady_of(&partition, &devices).ok_or(SpikeError::SpikedPipelineStalled)?;
             spiked = true;
         }
         // One sync-round at the current configuration.
@@ -418,10 +356,7 @@ fn simulate_load_spike_inner(
                 // scheduler keeps the current (unmigrated) pipeline.
                 let candidate = partition_dp(model, &devices, link, mbs)
                     .filter(|p| *p != partition)
-                    .and_then(|p| {
-                        steady_state(model, &p, &devices, link, mbs, micro_batches, schedule)
-                            .map(|s| (p, s))
-                    });
+                    .and_then(|p| steady_of(&p, &devices).map(|s| (p, s)));
                 if let Some((new_partition, new_steady)) = candidate {
                     let moved = migration_bytes(model, &partition, &new_partition);
                     let pause = link.transfer_time(moved) + scheduler.restart_overhead;
@@ -488,6 +423,7 @@ fn simulate_load_spike_inner(
 mod tests {
     use super::*;
     use ecofl_models::efficientnet;
+    use ecofl_obs::{MetricsHub, Tracer};
     use ecofl_simnet::{nano_h, tx2_q};
 
     fn setup() -> (ecofl_models::ModelProfile, Vec<Device>, Link) {
@@ -572,20 +508,23 @@ mod tests {
             at: 100.0,
             load: 0.6,
         };
+        let run = |obs: Obs<'_>| {
+            simulate_load_spike_with(
+                &model,
+                &devices,
+                &link,
+                8,
+                8,
+                spike,
+                250.0,
+                true,
+                SchedulerConfig::default(),
+                obs,
+            )
+            .expect("feasible scenario")
+        };
         let tracer = Tracer::new();
-        let trace = simulate_load_spike_traced(
-            &model,
-            &devices,
-            &link,
-            8,
-            8,
-            spike,
-            250.0,
-            true,
-            SchedulerConfig::default(),
-            &tracer,
-        )
-        .expect("feasible scenario");
+        let trace = run((&tracer).into());
         assert!(!trace.events.is_empty(), "scheduler should migrate");
         let view = tracer.view();
         let migrations = view.events_of(EventKind::Migration);
@@ -601,6 +540,15 @@ mod tests {
         for (ev, rec) in trace.events.iter().zip(&restarts) {
             assert!((rec.value - ev.pause).abs() < 1e-12);
         }
+
+        // Tracer and hub in one `Obs`: the same records as the tracer
+        // alone, the same result as either alone.
+        let (both_tracer, hub) = (Tracer::new(), MetricsHub::new());
+        let both = run(Obs::from(&both_tracer).with_hub(&hub));
+        let hub_only = run((&hub).into());
+        assert_eq!(both_tracer.records(), tracer.records());
+        assert_eq!(format!("{both:?}"), format!("{trace:?}"));
+        assert_eq!(format!("{both:?}"), format!("{hub_only:?}"));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::profiler::PipelineProfile;
 use crate::schedule::interleave_profile;
 use ecofl_compat::serde::{Deserialize, Serialize};
-use ecofl_obs::{Counter, Domain, Histogram, MetricsHub, SpanKind, TraceView, Tracer};
+use ecofl_obs::{Counter, Domain, Histogram, Obs, SpanKind, TraceView, Tracer};
 use ecofl_simnet::{BusyTracker, Device, EventQueue, ThroughputTracker};
 use std::collections::VecDeque;
 
@@ -361,10 +361,8 @@ struct StageState {
     bwd_link_free: f64,
 }
 
-/// `exec_*` metric handles, resolved once in
-/// [`PipelineExecutor::with_metrics`] so the event loop's hot path
-/// never touches the hub's registry maps.
-#[derive(Clone)]
+/// `exec_*` metric handles, resolved once per run so the event loop's
+/// hot path never touches the hub's registry maps.
 struct ExecMetrics {
     /// Compute tasks dispatched (forwards, backwards and split halves).
     tasks: Counter,
@@ -383,7 +381,6 @@ pub struct PipelineExecutor<'a> {
     schedule: SchedulePolicy,
     /// Per-compute-task dispatch overhead, seconds.
     pub task_overhead: f64,
-    metrics: Option<ExecMetrics>,
 }
 
 impl<'a> PipelineExecutor<'a> {
@@ -419,7 +416,6 @@ impl<'a> PipelineExecutor<'a> {
             virtual_profile,
             schedule: policy,
             task_overhead: DEFAULT_TASK_OVERHEAD,
-            metrics: None,
         })
     }
 
@@ -445,54 +441,40 @@ impl<'a> PipelineExecutor<'a> {
         self
     }
 
-    /// Attaches a streaming metrics hub: every run then records
-    /// `exec_tasks` (compute tasks dispatched), `exec_task_s` (virtual
-    /// task durations) and `exec_round_s` (virtual round durations).
-    /// The hub only *observes* — reports, traces and virtual timestamps
-    /// are bit-identical with or without it (asserted by
-    /// `tests/metrics_perturbation.rs`).
-    #[must_use]
-    pub fn with_metrics(mut self, hub: &MetricsHub) -> Self {
-        self.metrics = Some(ExecMetrics {
-            tasks: hub.counter("exec_tasks"),
-            task_s: hub.histogram("exec_task_s"),
-            round_s: hub.histogram("exec_round_s"),
-        });
-        self
-    }
-
     /// Runs `rounds` sync-rounds of `micro_batches` micro-batches each.
     ///
     /// # Errors
     /// Returns [`ExecError::Oom`] when a forward's activation allocation
-    /// exceeds a stage device's memory.
+    /// exceeds a stage device's memory, [`ExecError::Schedule`] when
+    /// either count is zero.
     pub fn run(&self, micro_batches: usize, rounds: usize) -> Result<ExecutionReport, ExecError> {
-        self.run_inner(micro_batches, rounds, None)
+        self.run_traced(micro_batches, rounds, Obs::default())
     }
 
-    /// [`run`](Self::run), recording forward/backward compute spans and
-    /// activation/gradient transfer spans per micro-batch into `tracer`
-    /// (domain [`Domain::Pipeline`]) at virtual timestamps.
+    /// [`run`](Self::run), reporting to `obs`: a tracer records
+    /// forward/backward compute spans and activation/gradient transfer
+    /// spans per micro-batch (domain [`Domain::Pipeline`]) at virtual
+    /// timestamps; a hub records `exec_tasks` (compute tasks
+    /// dispatched), `exec_task_s` (virtual task durations) and
+    /// `exec_round_s` (virtual round durations). Both only *observe* —
+    /// reports and virtual timestamps are bit-identical with or without
+    /// them (asserted by `tests/metrics_perturbation.rs`).
     ///
     /// # Errors
-    /// Returns [`ExecError::Oom`] exactly as [`run`](Self::run) does; the
-    /// spans recorded up to the failing allocation stay in the trace.
-    pub fn run_traced(
+    /// Exactly as [`run`](Self::run); the spans recorded up to a failing
+    /// allocation stay in the trace.
+    pub fn run_traced<'o>(
         &self,
         micro_batches: usize,
         rounds: usize,
-        tracer: &Tracer,
+        obs: impl Into<Obs<'o>>,
     ) -> Result<ExecutionReport, ExecError> {
-        self.run_inner(micro_batches, rounds, Some(tracer))
-    }
-
-    fn run_inner(
-        &self,
-        micro_batches: usize,
-        rounds: usize,
-        tracer: Option<&Tracer>,
-    ) -> Result<ExecutionReport, ExecError> {
-        assert!(micro_batches > 0 && rounds > 0);
+        let obs: Obs<'o> = obs.into();
+        if micro_batches == 0 || rounds == 0 {
+            return Err(ExecError::Schedule {
+                detail: format!("zero count: {rounds} round(s) of {micro_batches} micro-batch(es)"),
+            });
+        }
         let profile = self.exec_profile();
         let s_count = profile.num_stages();
         let stages = profile.stages();
@@ -553,7 +535,12 @@ impl<'a> PipelineExecutor<'a> {
             busy_trackers: vec![BusyTracker::new(); s_count],
             completions: ThroughputTracker::new(),
             task_spans: Vec::new(),
-            metrics: self.metrics.as_ref(),
+            tracer: obs.tracer,
+            metrics: obs.hub.map(|hub| ExecMetrics {
+                tasks: hub.counter("exec_tasks"),
+                task_s: hub.histogram("exec_task_s"),
+                round_s: hub.histogram("exec_round_s"),
+            }),
         };
         let mut round_ends = Vec::with_capacity(rounds);
 
@@ -581,12 +568,12 @@ impl<'a> PipelineExecutor<'a> {
             let round_start = queue.now();
             // Kick stage 0's device (only stage 0 can self-start).
             let dev0 = profile.stages()[0].device;
-            engine.dispatch_device(dev0, &mut queue, micro_batches, round, tracer)?;
+            engine.dispatch_device(dev0, &mut queue, micro_batches, round)?;
 
             while let Some((now, ev)) = queue.pop() {
                 match ev {
                     Event::ComputeDone { stage, task } => {
-                        engine.on_compute_done(stage, task, now, &mut queue, round, tracer);
+                        engine.on_compute_done(stage, task, now, &mut queue, round);
                     }
                     Event::FwdArrive { stage, micro } => {
                         engine.state[stage].fp_inbox.push_back(micro);
@@ -600,7 +587,7 @@ impl<'a> PipelineExecutor<'a> {
                     | Event::FwdArrive { stage, .. }
                     | Event::BwdArrive { stage, .. } => profile.stages()[stage].device,
                 };
-                engine.dispatch_device(dev, &mut queue, micro_batches, round, tracer)?;
+                engine.dispatch_device(dev, &mut queue, micro_batches, round)?;
             }
             let round_end = queue.now();
             debug_assert!(
@@ -608,7 +595,7 @@ impl<'a> PipelineExecutor<'a> {
                 "round ended with incomplete backwards"
             );
             debug_assert!(round_end > round_start);
-            if let Some(m) = &self.metrics {
+            if let Some(m) = &engine.metrics {
                 m.round_s.record(round_end - round_start);
             }
             round_ends.push(round_end);
@@ -672,7 +659,8 @@ struct Engine<'e> {
     busy_trackers: Vec<BusyTracker>,
     completions: ThroughputTracker,
     task_spans: Vec<TaskSpan>,
-    metrics: Option<&'e ExecMetrics>,
+    tracer: Option<&'e Tracer>,
+    metrics: Option<ExecMetrics>,
 }
 
 impl Engine<'_> {
@@ -685,7 +673,6 @@ impl Engine<'_> {
         now: f64,
         queue: &mut EventQueue<Event>,
         round: usize,
-        tracer: Option<&Tracer>,
     ) {
         let s_count = self.state.len();
         let sp = &self.profile.stages()[stage];
@@ -698,7 +685,7 @@ impl Engine<'_> {
                     let start = now.max(self.state[stage].fwd_link_free);
                     let done = start + sp.c_fwd;
                     self.state[stage].fwd_link_free = done;
-                    if let Some(tr) = tracer {
+                    if let Some(tr) = self.tracer {
                         tr.span(
                             Domain::Pipeline,
                             SpanKind::CommForward,
@@ -724,13 +711,13 @@ impl Engine<'_> {
             }
             Task::Bp(m) => {
                 self.finish_backward(stage, m, sp.activation_bytes_per_mb, now);
-                self.send_upstream_grad(stage, m, now, queue, round, tracer);
+                self.send_upstream_grad(stage, m, now, queue, round);
             }
             Task::BpIn(m) => {
                 // Upstream gradient leaves now; the weight half is
                 // deferred into bubble time.
                 self.state[stage].bpw_ready.push_back(m);
-                self.send_upstream_grad(stage, m, now, queue, round, tracer);
+                self.send_upstream_grad(stage, m, now, queue, round);
             }
             Task::BpW(m) => {
                 self.finish_backward(stage, m, sp.activation_bytes_per_mb, now);
@@ -760,7 +747,6 @@ impl Engine<'_> {
         now: f64,
         queue: &mut EventQueue<Event>,
         round: usize,
-        tracer: Option<&Tracer>,
     ) {
         if stage == 0 {
             return;
@@ -769,7 +755,7 @@ impl Engine<'_> {
         let start = now.max(self.state[stage].bwd_link_free);
         let done = start + up.c_bwd;
         self.state[stage].bwd_link_free = done;
-        if let Some(tr) = tracer {
+        if let Some(tr) = self.tracer {
             tr.span(
                 Domain::Pipeline,
                 SpanKind::CommBackward,
@@ -799,7 +785,6 @@ impl Engine<'_> {
         queue: &mut EventQueue<Event>,
         micro_batches: usize,
         round: usize,
-        tracer: Option<&Tracer>,
     ) -> Result<(), ExecError> {
         if self.device_busy[dev] {
             return Ok(());
@@ -813,7 +798,7 @@ impl Engine<'_> {
             for i in 0..self.dev_stages[dev].len() {
                 let stage = self.dev_stages[dev][i];
                 if let Some(task) = self.select_task(stage, pass, micro_batches)? {
-                    self.start_task(stage, task, queue, round, tracer);
+                    self.start_task(stage, task, queue, round);
                     return Ok(());
                 }
             }
@@ -892,7 +877,6 @@ impl Engine<'_> {
         task: Task,
         queue: &mut EventQueue<Event>,
         round: usize,
-        tracer: Option<&Tracer>,
     ) {
         let sp = &self.profile.stages()[stage];
         let now = queue.now();
@@ -924,11 +908,11 @@ impl Engine<'_> {
             start: now,
             end: now + duration,
         });
-        if let Some(m) = self.metrics {
+        if let Some(m) = &self.metrics {
             m.tasks.inc(1);
             m.task_s.record(duration);
         }
-        if let Some(tr) = tracer {
+        if let Some(tr) = self.tracer {
             let kind = match phase {
                 TaskPhase::Forward => SpanKind::Forward,
                 TaskPhase::Backward => SpanKind::Backward,
@@ -970,6 +954,7 @@ mod tests {
     use crate::profiler::PipelineProfile;
     use crate::schedule::DEFAULT_INTERLEAVE;
     use ecofl_models::efficientnet;
+    use ecofl_obs::MetricsHub;
     use ecofl_simnet::{nano_h, tx2_n, Device, Link};
 
     fn profile(mbs: usize) -> PipelineProfile {
@@ -1065,6 +1050,24 @@ mod tests {
         let bridged = traced.trace_view();
         assert_eq!(bridged.stage_count(), view.stage_count());
         assert!((bridged.total_idle_time() - view.total_idle_time()).abs() < 1e-9);
+
+        // Tracer and hub in one `Obs` record what each alone records,
+        // and all three runs report the same.
+        let (tracer2, hub, hub2) = (Tracer::new(), MetricsHub::new(), MetricsHub::new());
+        let both = exec.run_traced(8, 2, Obs::from(&tracer2).with_hub(&hub2));
+        let hub_only = exec.run_traced(8, 2, &hub).expect("no OOM");
+        assert_eq!(tracer2.records(), tracer.records());
+        assert_eq!(hub2.snapshot(0), hub.snapshot(0));
+        assert_eq!(both.expect("no OOM").task_spans, plain.task_spans);
+        assert_eq!(hub_only.task_spans, plain.task_spans);
+    }
+
+    #[test]
+    fn zero_counts_are_a_schedule_error() {
+        let p = profile(4);
+        let exec = PipelineExecutor::new(&p, SchedulePolicy::BafSync).unwrap();
+        let rejected = |m, r| matches!(exec.run(m, r), Err(ExecError::Schedule { .. }));
+        assert!(rejected(0, 1) && rejected(1, 0));
     }
 
     #[test]

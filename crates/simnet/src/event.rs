@@ -5,22 +5,11 @@
 //! simulation trace a pure function of its inputs — a property the
 //! integration tests assert and the bench harness relies on.
 //!
-//! Two backends implement the same total order:
-//!
-//! - a **calendar queue** (Brown 1988) — the default behind
-//!   [`EventQueue::new`]. Events hash into time-bucketed "days" of a
-//!   circular "year"; schedule and pop are O(1) amortized on workloads
-//!   whose events spread over time (the FL scheduler's cohort
-//!   completions), because the bucket width is re-estimated from the
-//!   live event span whenever the queue resizes.
-//! - a **binary heap** — the retained reference behind
-//!   [`EventQueue::with_reference_backend`], kept deliberately simple so
-//!   the differential property suite (`tests/eventqueue_diff.rs`) can
-//!   check the calendar queue against it pop for pop.
-//!
-//! Equal timestamps always land in the same calendar bucket (same
-//! `floor(time / width)`), so the FIFO tie-break stays a bucket-local
-//! min-scan and the two backends are indistinguishable from the outside.
+//! The queue is a `BinaryHeap` keyed on `(time, seq)`. Measured pending
+//! depths are 1–20 events in every FL and pipeline scenario the CLI runs
+//! (256 only under `fedasync --clients-per-round 256`), where the heap's
+//! pop + schedule costs 27–55 ns; DESIGN.md §11 has the numbers and why
+//! the calendar queue that used to sit here was removed.
 
 use crate::SimTime;
 use std::cmp::Ordering;
@@ -30,19 +19,6 @@ struct Scheduled<E> {
     time: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> Scheduled<E> {
-    /// `(time, seq)` sort key; `total_cmp` gives a true total order over
-    /// f64 so comparison can never panic (NaN is rejected at `schedule`
-    /// time by the finiteness assert).
-    fn key_before(&self, other: &Self) -> bool {
-        match self.time.total_cmp(&other.time) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.seq < other.seq,
-        }
-    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -55,6 +31,8 @@ impl<E> Eq for Scheduled<E> {}
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first ordering.
+        // `total_cmp` is a true total order over f64, so comparison can
+        // never panic (NaN is rejected at `schedule` time anyway).
         other
             .time
             .total_cmp(&self.time)
@@ -65,152 +43,6 @@ impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Calendar-queue backend: a circular year of `buckets.len()` days, each
-/// `width` virtual seconds wide. An event at time `t` lives in bucket
-/// `floor(t / width) % ndays`; the cursor walks days in virtual-bucket
-/// order and pops the `(time, seq)`-minimum among events belonging to
-/// the current day of the current year.
-struct Calendar<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Bucket width, virtual seconds. Re-estimated on resize.
-    width: f64,
-    /// Virtual bucket number (`floor(t / width)`, monotone across years)
-    /// the pop cursor is currently scanning.
-    cur_vb: u64,
-    len: usize,
-}
-
-const MIN_BUCKETS: usize = 16;
-const MIN_WIDTH: f64 = 1e-9;
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1.0,
-            cur_vb: 0,
-            len: 0,
-        }
-    }
-
-    /// Virtual bucket number of a timestamp. Times are non-negative
-    /// (`schedule` enforces `time >= now >= 0`); the `as` cast saturates
-    /// for astronomically large `t / width`, which only merges far-future
-    /// events into one bucket — the `time < day end` filter keeps the
-    /// pop order exact regardless.
-    fn vb_of(&self, time: SimTime) -> u64 {
-        (time / self.width) as u64
-    }
-
-    fn bucket_of(&self, vb: u64) -> usize {
-        (vb % self.buckets.len() as u64) as usize
-    }
-
-    fn push(&mut self, item: Scheduled<E>) {
-        // An event earlier than the cursor's current day (possible after
-        // the direct-search fallback skipped ahead) must pull the cursor
-        // back, or the next pop would miss it for a whole year.
-        let vb = self.vb_of(item.time);
-        if vb < self.cur_vb || self.len == 0 {
-            self.cur_vb = vb;
-        }
-        let b = self.bucket_of(vb);
-        self.buckets[b].push(item);
-        self.len += 1;
-        if self.len > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// Locates the next event without removing it: walks up to one full
-    /// year of days from the cursor, then falls back to a direct global
-    /// minimum search (sparse queue whose events are more than a year
-    /// ahead). Returns `(bucket, index_in_bucket, virtual_bucket)`.
-    fn locate(&self) -> Option<(usize, usize, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let ndays = self.buckets.len();
-        for vb in self.cur_vb..self.cur_vb + ndays as u64 {
-            let b = self.bucket_of(vb);
-            // Day membership is tested with the same `vb_of` computation
-            // used at placement time — a float boundary comparison like
-            // `time < (vb + 1) * width` can disagree with the placement
-            // rounding and strand an event just past its day's edge.
-            let mut best: Option<usize> = None;
-            for (i, item) in self.buckets[b].iter().enumerate() {
-                if self.vb_of(item.time) == vb
-                    && best.is_none_or(|j| item.key_before(&self.buckets[b][j]))
-                {
-                    best = Some(i);
-                }
-            }
-            if let Some(i) = best {
-                return Some((b, i, vb));
-            }
-        }
-        // Fruitless year: direct search for the global minimum.
-        let mut best: Option<(usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, item) in bucket.iter().enumerate() {
-                if best.is_none_or(|(bb, bi)| item.key_before(&self.buckets[bb][bi])) {
-                    best = Some((b, i));
-                }
-            }
-        }
-        best.map(|(b, i)| (b, i, self.vb_of(self.buckets[b][i].time)))
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        let (b, i, vb) = self.locate()?;
-        self.cur_vb = vb;
-        let item = self.buckets[b].swap_remove(i);
-        self.len -= 1;
-        if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some(item)
-    }
-
-    fn peek(&self) -> Option<&Scheduled<E>> {
-        self.locate().map(|(b, i, _)| &self.buckets[b][i])
-    }
-
-    /// Rebuilds with `ndays` buckets and a width targeting ~one event
-    /// per day over the live event span. Deterministic: the estimate
-    /// uses only the current min/max event times and the length.
-    fn resize(&mut self, ndays: usize) {
-        let items: Vec<Scheduled<E>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let mut t_min = f64::INFINITY;
-        let mut t_max = f64::NEG_INFINITY;
-        for item in &items {
-            t_min = t_min.min(item.time);
-            t_max = t_max.max(item.time);
-        }
-        let span = t_max - t_min;
-        self.width = if span > 0.0 {
-            (span / items.len() as f64).max(MIN_WIDTH)
-        } else {
-            1.0
-        };
-        self.buckets = (0..ndays).map(|_| Vec::new()).collect();
-        self.cur_vb = if items.is_empty() {
-            0
-        } else {
-            self.vb_of(t_min)
-        };
-        for item in items {
-            let b = self.bucket_of(self.vb_of(item.time));
-            self.buckets[b].push(item);
-        }
-    }
-}
-
-enum Backend<E> {
-    Calendar(Calendar<E>),
-    Heap(BinaryHeap<Scheduled<E>>),
 }
 
 /// A time-ordered event queue with deterministic tie-breaking.
@@ -227,7 +59,7 @@ enum Backend<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     now: SimTime,
 }
@@ -239,25 +71,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero, backed by the calendar
-    /// queue (O(1) amortized schedule/pop on spread-out workloads).
+    /// Creates an empty queue at time zero.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            backend: Backend::Calendar(Calendar::new()),
-            seq: 0,
-            now: 0.0,
-        }
-    }
-
-    /// Creates an empty queue backed by the `BinaryHeap` reference
-    /// implementation. Ordering is identical to [`EventQueue::new`];
-    /// this backend exists so the differential property suite can check
-    /// the calendar queue against an independent implementation.
-    #[must_use]
-    pub fn with_reference_backend() -> Self {
-        Self {
-            backend: Backend::Heap(BinaryHeap::new()),
+            heap: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
         }
@@ -281,15 +99,11 @@ impl<E> EventQueue<E> {
             "EventQueue: scheduling into the past ({time} < {})",
             self.now
         );
-        let item = Scheduled {
+        self.heap.push(Scheduled {
             time,
             seq: self.seq,
             event,
-        };
-        match &mut self.backend {
-            Backend::Calendar(c) => c.push(item),
-            Backend::Heap(h) => h.push(item),
-        }
+        });
         self.seq += 1;
     }
 
@@ -307,11 +121,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let item = match &mut self.backend {
-            Backend::Calendar(c) => c.pop(),
-            Backend::Heap(h) => h.pop(),
-        };
-        item.map(|s| {
+        self.heap.pop().map(|s| {
             self.now = s.time;
             (s.time, s.event)
         })
@@ -320,19 +130,13 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next event without popping it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(c) => c.peek().map(|s| s.time),
-            Backend::Heap(h) => h.peek().map(|s| s.time),
-        }
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len,
-            Backend::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -346,33 +150,24 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Every unit test runs against both backends: the queues must be
-    /// behaviorally indistinguishable.
-    fn both(test: impl Fn(EventQueue<i64>)) {
-        test(EventQueue::new());
-        test(EventQueue::with_reference_backend());
-    }
-
     #[test]
     fn orders_by_time() {
-        both(|mut q| {
-            q.schedule(3.0, 3);
-            q.schedule(1.0, 1);
-            q.schedule(2.0, 2);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(3.0, 3);
+        q.schedule(1.0, 1);
+        q.schedule(2.0, 2);
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion() {
-        both(|mut q| {
-            for i in 0..10 {
-                q.schedule(1.0, i);
-            }
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.schedule(1.0, i);
+        }
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -380,36 +175,33 @@ mod tests {
         // Regression for the total_cmp ordering: exact-equal (NaN-free)
         // timestamps must still break ties by insertion sequence, even
         // when scheduling interleaves with popping at the tied instant.
-        both(|mut q| {
-            let t = 123.456_f64;
-            q.schedule(t, 1);
-            q.schedule(t, 2);
-            assert_eq!(q.pop(), Some((t, 1)));
-            q.schedule(t, 3);
-            assert_eq!(q.pop(), Some((t, 2)));
-            assert_eq!(q.pop(), Some((t, 3)));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let t = 123.456_f64;
+        q.schedule(t, 1);
+        q.schedule(t, 2);
+        assert_eq!(q.pop(), Some((t, 1)));
+        q.schedule(t, 3);
+        assert_eq!(q.pop(), Some((t, 2)));
+        assert_eq!(q.pop(), Some((t, 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn clock_advances_on_pop() {
-        both(|mut q| {
-            q.schedule(5.0, 0);
-            assert_eq!(q.now(), 0.0);
-            let _ = q.pop();
-            assert_eq!(q.now(), 5.0);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(5.0, 0);
+        assert_eq!(q.now(), 0.0);
+        let _ = q.pop();
+        assert_eq!(q.now(), 5.0);
     }
 
     #[test]
     fn schedule_after_is_relative() {
-        both(|mut q| {
-            q.schedule(2.0, 1);
-            let _ = q.pop();
-            q.schedule_after(3.0, 2);
-            assert_eq!(q.pop(), Some((5.0, 2)));
-        });
+        let mut q = EventQueue::new();
+        q.schedule(2.0, 1);
+        let _ = q.pop();
+        q.schedule_after(3.0, 2);
+        assert_eq!(q.pop(), Some((5.0, 2)));
     }
 
     #[test]
@@ -422,69 +214,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past")]
-    fn reference_backend_rejects_scheduling_into_past() {
-        let mut q = EventQueue::with_reference_backend();
-        q.schedule(5.0, ());
-        let _ = q.pop();
-        q.schedule(4.0, ());
-    }
-
-    #[test]
     fn peek_does_not_advance() {
-        both(|mut q| {
-            q.schedule(7.0, 0);
-            assert_eq!(q.peek_time(), Some(7.0));
-            assert_eq!(q.now(), 0.0);
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        });
-    }
-
-    #[test]
-    fn calendar_survives_resize_cycles() {
-        // Grow well past the initial 16 buckets, then drain: the resize
-        // paths (width re-estimation, cursor reset) must preserve order.
         let mut q = EventQueue::new();
-        for i in 0..5000u64 {
-            // A deterministic scramble of distinct times.
-            let t = ((i * 2_654_435_761) % 5000) as f64 * 0.25;
-            q.schedule(t, i as i64);
-        }
-        let mut last = f64::NEG_INFINITY;
-        let mut n = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last, "pop order regressed: {t} after {last}");
-            last = t;
-            n += 1;
-        }
-        assert_eq!(n, 5000);
-    }
-
-    #[test]
-    fn calendar_handles_far_future_gap() {
-        // Events more than a year of buckets ahead exercise the
-        // direct-search fallback, and a subsequent near-term schedule
-        // must pull the cursor back.
-        let mut q = EventQueue::new();
-        q.schedule(1.0, 1);
-        q.schedule(1.0e9, 3);
-        assert_eq!(q.pop(), Some((1.0, 1)));
-        q.schedule(2.0, 2);
-        assert_eq!(q.pop(), Some((2.0, 2)));
-        assert_eq!(q.pop(), Some((1.0e9, 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn calendar_all_events_at_one_instant() {
-        // Degenerate span: resize width falls back to 1.0 and every
-        // event shares a bucket; FIFO must still hold at any size.
-        let mut q = EventQueue::new();
-        for i in 0..200 {
-            q.schedule(42.0, i);
-        }
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..200).collect::<Vec<_>>());
+        q.schedule(7.0, 0);
+        assert_eq!(q.peek_time(), Some(7.0));
+        assert_eq!(q.now(), 0.0);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 }

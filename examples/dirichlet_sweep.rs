@@ -51,12 +51,13 @@ fn main() {
             arch: ModelArch::Mlp,
             config,
         };
-        let fedavg = run_strategy(Strategy::FedAvg, &setup);
+        let fedavg = run_strategy(Strategy::FedAvg, &setup, None);
         let ecofl = run_strategy(
             Strategy::EcoFl {
                 dynamic_grouping: true,
             },
             &setup,
+            None,
         );
         println!(
             "{alpha:>8.2} {mean_js:>16.3} {:>13.1}% {:>13.1}%",

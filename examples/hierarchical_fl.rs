@@ -36,7 +36,7 @@ fn main() {
     println!("60 clients, 2-class non-IID shards, dynamic collaborative degrees\n");
     let mut results = Vec::new();
     for s in Strategy::LINEUP {
-        let r = run_strategy(s, &setup);
+        let r = run_strategy(s, &setup, None);
         println!(
             "{:<14} best {:5.1}%  final {:5.1}%  {} updates  {} regroups",
             r.strategy,

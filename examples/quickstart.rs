@@ -7,7 +7,7 @@
 
 use ecofl::prelude::*;
 
-fn main() {
+fn main() -> Result<(), EcoFlError> {
     // 1. Describe the edge fleet: each FL participant is a *smart home*
     //    holding a small cluster of trusted, heterogeneous devices.
     let homes = vec![
@@ -49,7 +49,7 @@ fn main() {
 
     // 3. Run: pipeline throughput → response latency → grouping-based
     //    hierarchical aggregation with dynamic re-grouping.
-    let report = system.run();
+    let report = system.run(None)?;
     println!("\n=== Federated training (Eco-FL) ===");
     for (t, acc) in report.fl.accuracy.points() {
         println!("t = {t:7.1}s   accuracy = {:5.1}%", acc * 100.0);
@@ -60,4 +60,5 @@ fn main() {
         report.fl.global_updates,
         report.fl.regroup_events,
     );
+    Ok(())
 }

@@ -88,7 +88,7 @@ if ! grep -q "\"pipeline_1f1b_round_b2_m16_metered\"" "$out_dir/BENCH_headline.j
 fi
 
 # The census-scale scheduler cases must stay in the trajectory: the
-# calendar event queue and million-point mini-batch k-means in the micro
+# event queue and million-point mini-batch k-means in the micro
 # snapshot, the 100k-virtual-client end-to-end dispatch in the headline
 # snapshot.
 for case in eventqueue_schedule_pop kmeans_minibatch_1m; do

@@ -67,6 +67,22 @@ if [ "$covered_metrics" -ne 1 ]; then
 fi
 echo "    ok"
 
+# Surface ledger: the two numbers the ROADMAP tracks downward, and a
+# guard that the run / run_traced / run_metered twins and the second
+# event-queue backend (folded into `Obs` and deleted by PR 16) stay gone.
+echo "==> surface ledger"
+rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
+prelude_exports=$(sed -e 's://.*::' crates/core/src/prelude.rs | tr -d '\n' |
+    grep -oE 'pub use [^;]+;' | sed -E 's/^pub use ([A-Za-z0-9_:]*\{)?//; s/\}?;$//' |
+    tr ',' '\n' | grep -cE '[A-Za-z0-9_]')
+echo "    $rust_lines Rust lines under crates/ src/ tests/ examples/"
+echo "    $prelude_exports names exported by ecofl_core::prelude"
+twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
+if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
+    echo "ERROR: a folded twin entry point is back — observation goes through ecofl_obs::Obs." >&2
+    exit 1
+fi
+
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
@@ -207,10 +223,10 @@ for threads in 1 2 8; do
 done
 
 # Scale-smoke gate: the CLI must drive a 100k-virtual-client population
-# (64 data shards, calendar event queue, streaming folds) to completion
-# in bounded time, and the grouped Eco-FL run — whose mini-batch
+# (64 data shards, event queue, streaming folds) to completion in
+# bounded time, and the grouped Eco-FL run — whose mini-batch
 # association scores batches in parallel — must print bit-identical
-# output at every pool width. A regression to O(n log n) event handling
+# output at every pool width. A regression to per-client event handling
 # or O(n²) grouping trips the watchdog; a thread-count-dependent
 # reduction order trips the diff.
 echo "==> scale-smoke gate: 100k virtual clients via the CLI (watchdog 300s, ECOFL_THREADS=1/2/8)"

@@ -20,7 +20,7 @@
 use ecofl::obs::metrics::LogHistogram;
 use ecofl::obs::{trace_dir, Domain};
 use ecofl::prelude::*;
-use ecofl_pipeline::adaptive::{simulate_load_spike_traced, SchedulerConfig};
+use ecofl_pipeline::adaptive::{simulate_load_spike_with, SchedulerConfig};
 use ecofl_pipeline::gantt::{legend, render_round_virtual};
 use ecofl_pipeline::orchestrator::MAX_DEVICE_ORDERS;
 use ecofl_pipeline::schedule::ScheduleKind;
@@ -116,16 +116,6 @@ fn parse_schedule(name: &str) -> Result<ScheduleKind, EcoFlError> {
     name.parse::<ScheduleKind>().map_err(EcoFlError::Parse)
 }
 
-/// Instantiates `kind` for `profile` with Eq. 3 residency bounds, mapping
-/// an infeasible profile (no residency fits memory) to a plan error.
-fn schedule_policy(
-    kind: ScheduleKind,
-    profile: &PipelineProfile,
-) -> Result<SchedulePolicy, EcoFlError> {
-    kind.policy_for(profile)
-        .ok_or_else(|| EcoFlError::Plan("memory admits no residency".into()))
-}
-
 fn get<T: std::str::FromStr>(
     args: &HashMap<String, String>,
     key: &str,
@@ -136,6 +126,19 @@ fn get<T: std::str::FromStr>(
         Some(v) => v
             .parse()
             .map_err(|_| EcoFlError::Parse(format!("bad value for --{key}: {v}"))),
+    }
+}
+
+/// A count flag that must be at least 1: zero would reach a library
+/// assert instead of an error.
+fn get_positive(
+    args: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+) -> Result<usize, EcoFlError> {
+    match get(args, key, default)? {
+        0 => Err(EcoFlError::Config(format!("--{key} must be at least 1"))),
+        n => Ok(n),
     }
 }
 
@@ -241,25 +244,55 @@ fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     Ok(())
 }
 
-fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+/// What `gantt` and `trace --scenario pipeline` build from their shared
+/// flags (`--model`, `--devices`, `--mbs`, `--micro-batches`,
+/// `--schedule`): Eq. 1 partition → profile → policy.
+struct PipelineArgs<'a> {
+    model: ModelProfile,
+    /// Micro-batches per sync-round.
+    m: usize,
+    /// The `--schedule` value as typed.
+    schedule: &'a str,
+    profile: PipelineProfile,
+    policy: SchedulePolicy,
+}
+
+fn pipeline_args(args: &HashMap<String, String>) -> Result<PipelineArgs<'_>, EcoFlError> {
     let model = parse_model(require(args, "model")?)?;
     let devices = parse_devices(require(args, "devices")?)?;
-    let mbs = get(args, "mbs", 8usize)?;
-    let m = get(args, "micro-batches", 6usize)?;
-    let width = get(args, "width", 100usize)?;
+    let mbs = get_positive(args, "mbs", 8)?;
+    let m = get_positive(args, "micro-batches", 6)?;
     let link = Link::mbps_100();
     let partition = partition_dp(&model, &devices, &link, mbs)
         .ok_or_else(|| EcoFlError::Plan("no feasible partition".into()))?;
     let profile = PipelineProfile::new(&model, &partition.boundaries, &devices, &link, mbs);
     let schedule = args.get("schedule").map_or("1f1b", String::as_str);
-    let kind = parse_schedule(schedule)?;
-    let policy = schedule_policy(kind, &profile)?;
-    let v = match &policy {
+    // Eq. 3 residency bounds; none may fit the devices' memory.
+    let policy = parse_schedule(schedule)?
+        .policy_for(&profile)
+        .ok_or_else(|| EcoFlError::Plan("memory admits no residency".into()))?;
+    Ok(PipelineArgs {
+        model,
+        m,
+        schedule,
+        profile,
+        policy,
+    })
+}
+
+fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    let width = get_positive(args, "width", 100)?;
+    let p = pipeline_args(args)?;
+    let mbs = p.profile.micro_batch();
+    let v = match &p.policy {
         SchedulePolicy::Interleaved { v, .. } => *v,
         _ => 1,
     };
-    let report = PipelineExecutor::new(&profile, policy)?.run(m, 1)?;
-    println!("{} — {schedule} schedule, mbs {mbs}, M = {m}", model.name);
+    let report = PipelineExecutor::new(&p.profile, p.policy)?.run(p.m, 1)?;
+    println!(
+        "{} — {} schedule, mbs {}, M = {}",
+        p.model.name, p.schedule, mbs, p.m
+    );
     println!("{}", legend());
     for line in render_round_virtual(&report.task_spans, 0, width, v) {
         println!("{line}");
@@ -283,13 +316,14 @@ fn check_horizon(horizon: f64) -> Result<f64, EcoFlError> {
     }
 }
 
-/// The load-spike flags shared by `spike` and `trace --scenario spike`
-/// (`--load`, `--at`, `--device`, `--horizon`), validated against the
-/// `devices`-stage pipeline they disturb.
+/// The flags shared by `spike` and `trace --scenario spike`: the
+/// pipeline (`--model`, `--devices`) and the load spike that disturbs it
+/// (`--load`, `--at`, `--device`, `--horizon`), validated against it.
 fn spike_args(
     args: &HashMap<String, String>,
-    devices: usize,
-) -> Result<(LoadSpike, f64), EcoFlError> {
+) -> Result<(ModelProfile, Vec<Device>, LoadSpike, f64), EcoFlError> {
+    let model = parse_model(require(args, "model")?)?;
+    let devices = parse_devices(require(args, "devices")?)?;
     let load = get(args, "load", 0.6f64)?;
     let at = get(args, "at", 100.0f64)?;
     let device = get(args, "device", 1usize)?;
@@ -304,21 +338,19 @@ fn spike_args(
             "--at must be in [0, --horizon {horizon}), got {at}"
         )));
     }
-    if device >= devices {
+    if device >= devices.len() {
         return Err(EcoFlError::Config(format!(
             "--device {device} out of range"
         )));
     }
-    Ok((LoadSpike { device, at, load }, horizon))
+    Ok((model, devices, LoadSpike { device, at, load }, horizon))
 }
 
 fn cmd_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     if args.contains_key("kill-stage") {
         return cmd_spike_kill(args);
     }
-    let model = parse_model(require(args, "model")?)?;
-    let devices = parse_devices(require(args, "devices")?)?;
-    let (spike, horizon) = spike_args(args, devices.len())?;
+    let (model, devices, spike, horizon) = spike_args(args)?;
     let LoadSpike { device, at, load } = spike;
     let link = Link::mbps_100();
     let with = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, true)?;
@@ -382,6 +414,12 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             "--kill-round {kill_round} out of range (running {rounds} rounds)"
         )));
     }
+    let m = 4usize; // micro-batches per round of the demo run below
+    if kill_micro >= m {
+        return Err(EcoFlError::Config(format!(
+            "--kill-micro {kill_micro} out of range (a round has {m} micro-batches)"
+        )));
+    }
 
     // A small MLP, one hidden block per device.
     let widths: Vec<usize> = std::iter::once(16)
@@ -404,7 +442,6 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
                 .collect()
         })
     };
-    let m = 4usize;
     let bs = 8usize;
     let data: Vec<Vec<(Tensor, Vec<usize>)>> = (0..rounds)
         .map(|r| {
@@ -422,16 +459,12 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let lr = 0.1;
 
     // Uninterrupted twin.
-    let mut twin = PipelineTrainer::launch_supervised(
-        make_factory(seed),
-        k.clone(),
-        RuntimeOptions::default(),
-    )
-    .map_err(EcoFlError::from)?;
+    let opts = RuntimeOptions::default();
+    let mut twin = PipelineTrainer::launch_supervised(make_factory(seed), k.clone(), opts)?;
     for batch in &data {
-        twin.train_round(batch, lr).map_err(EcoFlError::from)?;
+        twin.train_round(batch, lr)?;
     }
-    let twin_params = twin.params().map_err(EcoFlError::from)?;
+    let twin_params = twin.params()?;
     twin.shutdown();
 
     // Faulty run: same seed, one injected kill.
@@ -443,9 +476,9 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         fault_plan: FaultPlan::kill_at(kill_stage, kill_round, kill_micro),
         ..RuntimeOptions::default()
     };
-    let mut trainer = PipelineTrainer::launch_supervised(make_factory(seed), k, opts)
-        .map_err(EcoFlError::from)?;
+    let mut trainer = PipelineTrainer::launch_supervised(make_factory(seed), k, opts)?;
     let mut r = 0u64;
+    let mut faults = 0u32;
     while r < rounds {
         match trainer.train_round(&data[r as usize], lr) {
             Ok(loss) => {
@@ -454,15 +487,19 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             }
             Err(e) => {
                 println!("  round {r}: FAULT — {e}");
-                let back = trainer.recover().map_err(EcoFlError::from)?;
+                faults += 1;
+                let back = trainer.recover()?;
                 println!("  recovered from checkpoint of round {back}; replaying");
                 r = back;
             }
         }
     }
-    let params = trainer.params().map_err(EcoFlError::from)?;
+    let params = trainer.params()?;
     trainer.shutdown();
-    if params == twin_params {
+    if faults == 0 {
+        // Nothing was killed, so equal parameters would prove nothing.
+        Err(EcoFlError::Config("the injected kill never fired".into()))
+    } else if params == twin_params {
         println!("replayed parameters are bit-identical to the uninterrupted run");
         Ok(())
     } else {
@@ -476,24 +513,11 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 }
 
 fn cmd_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
-    let strategy = parse_strategy(args.get("strategy").map_or("ecofl", String::as_str))?;
-    let clients = get(args, "clients", 60usize)?;
-    let horizon = get(args, "horizon", 800.0f64)?;
-    let seed = get(args, "seed", 42u64)?;
-    let comm_latency = get(args, "comm-latency", FlConfig::default().comm_latency)?;
-    let dataset = parse_dataset(args.get("dataset").map_or("cifar", String::as_str))?;
-    let setup = fl_setup(
-        &dataset,
-        clients,
-        horizon,
-        comm_latency,
-        seed,
-        fl_scale_opts(args)?,
-    )?;
-    let r = run_strategy(strategy, &setup);
+    let (strategy, dataset, setup) = fl_args(args, (60, 800.0, "cifar"))?;
+    let r = run_strategy(strategy, &setup, None);
     println!(
-        "{} on {} ({clients} clients, horizon {horizon}s):",
-        r.strategy, dataset.name
+        "{} on {} ({} clients, horizon {}s):",
+        r.strategy, dataset.name, setup.config.num_clients, setup.config.horizon
     );
     for (t, acc) in r.accuracy.resample(15) {
         println!("  t = {t:8.1}s  accuracy {:5.1}%", acc * 100.0);
@@ -519,59 +543,44 @@ fn parse_dataset(name: &str) -> Result<SyntheticSpec, EcoFlError> {
     }
 }
 
-/// Scale knobs shared by `fl`, `trace --scenario fl` and `metrics
-/// --live fl`. Zero / `None` means "auto" everywhere.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlScaleOpts {
-    /// Materialized data shards; 0 = one shard per client (no
-    /// virtualization). Large populations round-robin onto the shards.
-    shards: usize,
-    /// Cohort size; 0 = auto `(clients / 3).clamp(4, 20)`.
-    clients_per_round: usize,
-    /// Latency groups for the hierarchical strategies; 0 = config default.
-    groups: usize,
-    /// Mini-batch association size; `None` = auto (8192 once the
-    /// population reaches 10k, exact greedy below that).
-    grouping_batch: Option<usize>,
-}
-
-fn fl_scale_opts(args: &HashMap<String, String>) -> Result<FlScaleOpts, EcoFlError> {
-    Ok(FlScaleOpts {
-        shards: get(args, "shards", 0usize)?,
-        clients_per_round: get(args, "clients-per-round", 0usize)?,
-        groups: get(args, "groups", 0usize)?,
-        grouping_batch: if args.contains_key("grouping-batch") {
-            Some(get(args, "grouping-batch", 0usize)?)
-        } else {
-            None
-        },
-    })
-}
-
 /// Population threshold past which grouping auto-switches to mini-batch
 /// association (overridable with `--grouping-batch`).
 const AUTO_BATCH_THRESHOLD: usize = 10_000;
 const AUTO_BATCH_SIZE: usize = 8192;
 
-fn fl_setup(
-    dataset: &SyntheticSpec,
-    clients: usize,
-    horizon: f64,
-    comm_latency: f64,
-    seed: u64,
-    scale: FlScaleOpts,
-) -> Result<FlSetup, EcoFlError> {
+/// The flags shared by `fl`, `trace --scenario fl` and `metrics --live
+/// fl`, which differ only in their `(clients, horizon, dataset)`
+/// defaults. The scale knobs read 0 (or absent) as "auto": `--shards`
+/// one data shard per client, larger populations round-robin onto the
+/// shards; `--clients-per-round` `(clients / 3).clamp(4, 20)`; `--groups`
+/// the config default; `--grouping-batch` exact greedy association below
+/// 10k clients and 8192-client mini-batches from there.
+fn fl_args(
+    args: &HashMap<String, String>,
+    (clients, horizon, dataset): (usize, f64, &str),
+) -> Result<(Strategy, SyntheticSpec, FlSetup), EcoFlError> {
+    let or_auto = |n: usize, auto: usize| if n == 0 { auto } else { n };
+    let strategy = parse_strategy(args.get("strategy").map_or("ecofl", String::as_str))?;
+    let clients = get_positive(args, "clients", clients)?;
+    let horizon = get(args, "horizon", horizon)?;
+    let seed = get(args, "seed", 42u64)?;
+    let comm_latency = get(args, "comm-latency", FlConfig::default().comm_latency)?;
+    let dataset = parse_dataset(args.get("dataset").map_or(dataset, String::as_str))?;
+    let shards = or_auto(get(args, "shards", 0usize)?, clients);
+    let clients_per_round = get(args, "clients-per-round", 0usize)?;
+    let groups = get(args, "groups", 0usize)?;
+    let auto_batch = if clients >= AUTO_BATCH_THRESHOLD {
+        AUTO_BATCH_SIZE
+    } else {
+        0
+    };
+    let grouping_batch = get(args, "grouping-batch", auto_batch)?;
     let horizon = check_horizon(horizon)?;
     if !comm_latency.is_finite() || comm_latency < 0.0 {
         return Err(EcoFlError::Config(format!(
             "--comm-latency must be a non-negative number of seconds, got {comm_latency}"
         )));
     }
-    let shards = if scale.shards == 0 {
-        clients
-    } else {
-        scale.shards
-    };
     if shards > clients {
         return Err(EcoFlError::Config(format!(
             "--shards {shards} exceeds --clients {clients}"
@@ -580,23 +589,9 @@ fn fl_setup(
     let defaults = FlConfig::default();
     let config = FlConfig {
         num_clients: clients,
-        clients_per_round: if scale.clients_per_round == 0 {
-            (clients / 3).clamp(4, 20)
-        } else {
-            scale.clients_per_round
-        },
-        num_groups: if scale.groups == 0 {
-            defaults.num_groups
-        } else {
-            scale.groups
-        },
-        grouping_batch: scale
-            .grouping_batch
-            .unwrap_or(if clients >= AUTO_BATCH_THRESHOLD {
-                AUTO_BATCH_SIZE
-            } else {
-                0
-            }),
+        clients_per_round: or_auto(clients_per_round, (clients / 3).clamp(4, 20)),
+        num_groups: or_auto(groups, defaults.num_groups),
+        grouping_batch,
         horizon,
         eval_interval: horizon / 25.0,
         comm_latency,
@@ -605,7 +600,7 @@ fn fl_setup(
     };
     config.validate().map_err(EcoFlError::Config)?;
     let data = FederatedDataset::generate(
-        dataset,
+        &dataset,
         shards,
         60,
         50,
@@ -618,11 +613,12 @@ fn fl_setup(
     } else {
         data
     };
-    Ok(FlSetup {
+    let setup = FlSetup {
         data,
         arch: ModelArch::Mlp,
         config,
-    })
+    };
+    Ok((strategy, dataset, setup))
 }
 
 /// Persists `records` into a segmented run store — at `--store DIR`, or a
@@ -638,12 +634,7 @@ fn persist_trace(
     let dir = args
         .get("store")
         .map_or_else(|| trace_dir().join(name), PathBuf::from);
-    let block_records = get(args, "block-records", 512usize)?;
-    if block_records == 0 {
-        return Err(EcoFlError::Config(
-            "--block-records must be positive".into(),
-        ));
-    }
+    let block_records = get_positive(args, "block-records", 512)?;
     let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
     let mut store = RunStore::open_or_create(dir.as_path())
         .map_err(io_err)?
@@ -753,27 +744,18 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 /// Traced pipeline run: per-round bubble fractions, total idle cross-check
 /// against the executor's own accounting, and the slowest stages.
 fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
-    let model = parse_model(require(args, "model")?)?;
-    let devices = parse_devices(require(args, "devices")?)?;
-    let mbs = get(args, "mbs", 8usize)?;
-    let m = get(args, "micro-batches", 6usize)?;
-    let rounds = get(args, "rounds", 2usize)?;
+    let rounds = get_positive(args, "rounds", 2)?;
     let top = get(args, "top", 3usize)?;
-    let link = Link::mbps_100();
-    let partition = partition_dp(&model, &devices, &link, mbs)
-        .ok_or_else(|| EcoFlError::Plan("no feasible partition".into()))?;
-    let profile = PipelineProfile::new(&model, &partition.boundaries, &devices, &link, mbs);
-    let schedule = args.get("schedule").map_or("1f1b", String::as_str);
-    let kind = parse_schedule(schedule)?;
-    let policy = schedule_policy(kind, &profile)?;
+    let p = pipeline_args(args)?;
+    let mbs = p.profile.micro_batch();
     let tracer = Tracer::new();
-    let report = PipelineExecutor::new(&profile, policy)?.run_traced(m, rounds, &tracer)?;
+    let report = PipelineExecutor::new(&p.profile, p.policy)?.run_traced(p.m, rounds, &tracer)?;
     let view = tracer.view();
 
     let (store_dir, stored, blocks) = persist_trace(args, "pipeline", &tracer.records())?;
     println!(
-        "{} — {schedule} schedule, mbs {mbs}, M = {m}, {rounds} round(s)",
-        model.name
+        "{} — {} schedule, mbs {}, M = {}, {rounds} round(s)",
+        p.model.name, p.schedule, mbs, p.m
     );
     println!(
         "trace: {} ({stored} stored record(s), {blocks} block(s))",
@@ -803,12 +785,10 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
 /// Traced §4.4 load-spike run: the re-scheduling timeline (lagger
 /// detections, migrations, restarts) straight from the trace.
 fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
-    let model = parse_model(require(args, "model")?)?;
-    let devices = parse_devices(require(args, "devices")?)?;
-    let (spike, horizon) = spike_args(args, devices.len())?;
+    let (model, devices, spike, horizon) = spike_args(args)?;
     let LoadSpike { device, at, load } = spike;
     let tracer = Tracer::new();
-    let trace = simulate_load_spike_traced(
+    let trace = simulate_load_spike_with(
         &model,
         &devices,
         &Link::mbps_100(),
@@ -846,22 +826,9 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 
 /// Traced FL run: convergence metrics recomputed from the trace alone.
 fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
-    let strategy = parse_strategy(args.get("strategy").map_or("ecofl", String::as_str))?;
-    let clients = get(args, "clients", 24usize)?;
-    let horizon = get(args, "horizon", 300.0f64)?;
-    let seed = get(args, "seed", 42u64)?;
-    let comm_latency = get(args, "comm-latency", FlConfig::default().comm_latency)?;
-    let dataset = parse_dataset(args.get("dataset").map_or("mnist", String::as_str))?;
-    let setup = fl_setup(
-        &dataset,
-        clients,
-        horizon,
-        comm_latency,
-        seed,
-        fl_scale_opts(args)?,
-    )?;
+    let (strategy, dataset, setup) = fl_args(args, (24, 300.0, "mnist"))?;
     let tracer = Tracer::new();
-    let r = run_strategy_traced(strategy, &setup, &tracer);
+    let r = run_strategy(strategy, &setup, &tracer);
     let view = tracer.view();
     let (store_dir, stored, blocks) = persist_trace(args, "fl", &tracer.records())?;
     // Recompute convergence metrics by reading the store back: the
@@ -871,8 +838,8 @@ fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let summary = summarize_store(&store, &r.strategy, &[0.3, 0.5, 0.7, 0.9])
         .map_err(|e| EcoFlError::Io(format!("run store {}: {e}", store_dir.display())))?;
     println!(
-        "{} on {} ({clients} clients, horizon {horizon}s):",
-        r.strategy, dataset.name
+        "{} on {} ({} clients, horizon {}s):",
+        r.strategy, dataset.name, setup.config.num_clients, setup.config.horizon
     );
     println!(
         "trace: {} ({stored} stored record(s), {blocks} block(s))",
@@ -1025,21 +992,8 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             "unknown live scenario '{scenario}' (fl)"
         )));
     }
-    let strategy = parse_strategy(args.get("strategy").map_or("ecofl", String::as_str))?;
-    let clients = get(args, "clients", 12usize)?;
-    let horizon = get(args, "horizon", 120.0f64)?;
-    let seed = get(args, "seed", 42u64)?;
-    let comm_latency = get(args, "comm-latency", FlConfig::default().comm_latency)?;
-    let dataset = parse_dataset(args.get("dataset").map_or("mnist", String::as_str))?;
     let refresh = get(args, "refresh-ms", 200u64)?;
-    let setup = fl_setup(
-        &dataset,
-        clients,
-        horizon,
-        comm_latency,
-        seed,
-        fl_scale_opts(args)?,
-    )?;
+    let (strategy, _, setup) = fl_args(args, (12, 120.0, "mnist"))?;
 
     let mut store = match args.get("store") {
         Some(dir) => {
@@ -1060,7 +1014,7 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 
     let worker = {
         let hub = hub.clone();
-        std::thread::spawn(move || run_strategy_metered(strategy, &setup, None, &hub))
+        std::thread::spawn(move || run_strategy(strategy, &setup, &hub))
     };
 
     let live_tty = std::io::stdout().is_terminal();
@@ -1242,38 +1196,36 @@ mod tests {
         assert!(parse_rounds("3..").is_err());
     }
 
+    /// The FL flag reader over `--key value` pairs, `fl`'s defaults.
+    fn fl_setup(flags: &[(&str, &str)]) -> Result<FlSetup, EcoFlError> {
+        let args = flags
+            .iter()
+            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+            .collect();
+        fl_args(&args, (12, 100.0, "mnist")).map(|(_, _, setup)| setup)
+    }
+
     #[test]
     fn fl_setup_validates_comm_latency() {
-        let spec = SyntheticSpec::mnist_like();
-        let ok = fl_setup(&spec, 12, 100.0, 2.5, 1, FlScaleOpts::default()).unwrap();
+        let ok = fl_setup(&[("comm-latency", "2.5")]).unwrap();
         assert!((ok.config.comm_latency - 2.5).abs() < 1e-12);
-        assert!(matches!(
-            fl_setup(&spec, 12, 100.0, -1.0, 1, FlScaleOpts::default()),
-            Err(EcoFlError::Config(_))
-        ));
-        assert!(matches!(
-            fl_setup(&spec, 12, 100.0, f64::NAN, 1, FlScaleOpts::default()),
-            Err(EcoFlError::Config(_))
-        ));
+        for bad in ["-1.0", "NaN"] {
+            assert!(matches!(
+                fl_setup(&[("comm-latency", bad)]),
+                Err(EcoFlError::Config(_))
+            ));
+        }
     }
 
     #[test]
     fn fl_setup_scale_opts_virtualize_and_autobatch() {
-        let spec = SyntheticSpec::mnist_like();
         // Sharded: 100 virtual clients on 8 shards, explicit cohort size.
-        let s = fl_setup(
-            &spec,
-            100,
-            100.0,
-            1.0,
-            1,
-            FlScaleOpts {
-                shards: 8,
-                clients_per_round: 40,
-                groups: 3,
-                grouping_batch: None,
-            },
-        )
+        let s = fl_setup(&[
+            ("clients", "100"),
+            ("shards", "8"),
+            ("clients-per-round", "40"),
+            ("groups", "3"),
+        ])
         .unwrap();
         assert_eq!(s.data.num_clients(), 100);
         assert_eq!(s.data.num_shards(), 8);
@@ -1283,34 +1235,16 @@ mod tests {
         assert_eq!(s.config.grouping_batch, 0);
         // Shards cannot exceed the population.
         assert!(matches!(
-            fl_setup(
-                &spec,
-                4,
-                100.0,
-                1.0,
-                1,
-                FlScaleOpts {
-                    shards: 8,
-                    ..FlScaleOpts::default()
-                }
-            ),
+            fl_setup(&[("clients", "4"), ("shards", "8")]),
             Err(EcoFlError::Config(_))
         ));
         // Explicit override wins over the auto rule.
-        let s = fl_setup(
-            &spec,
-            100,
-            100.0,
-            1.0,
-            1,
-            FlScaleOpts {
-                shards: 4,
-                grouping_batch: Some(32),
-                ..FlScaleOpts::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(s.config.grouping_batch, 32);
+        let s = fl_setup(&[
+            ("clients", "100"),
+            ("shards", "4"),
+            ("grouping-batch", "32"),
+        ]);
+        assert_eq!(s.unwrap().config.grouping_batch, 32);
     }
 
     #[test]

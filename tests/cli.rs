@@ -371,6 +371,38 @@ fn spike_rejects_degenerate_horizon_at_and_load() {
     }
 }
 
+/// Zero counts used to reach library asserts (`executor.rs`,
+/// `profiler.rs`, `gantt.rs`, `latency.rs`); each is rejected by flag name.
+#[test]
+fn zero_counts_are_rejected_by_flag_name_not_asserted() {
+    let pipeline = ["--model", "effnet-b0", "--devices", "tx2q,nanoh"];
+    for (command, flag) in [
+        ("trace", "--rounds"),
+        ("trace", "--micro-batches"),
+        ("gantt", "--micro-batches"),
+        ("gantt", "--mbs"),
+        ("gantt", "--width"),
+    ] {
+        assert_rejects(&[&[command], &pipeline[..], &[flag, "0"]].concat(), flag);
+    }
+    assert_rejects(&["fl", "--clients", "0"], "--clients");
+}
+
+#[test]
+fn spike_kill_micro_past_the_round_is_rejected_not_reported_as_success() {
+    // A round of the kill demo has 4 micro-batches: micro-batch 9 is never
+    // reached, nothing dies, and the run used to end "bit-identical".
+    let kill = ["spike", "--devices", "tx2q,nanoh", "--kill-stage", "1"];
+    assert_rejects(
+        &[&kill[..], &["--kill-micro", "9"]].concat(),
+        "--kill-micro",
+    );
+    let (ok, stdout, stderr) = ecofl(&[&kill[..], &["--kill-micro", "3"]].concat());
+    assert!(ok, "stderr:\n{stderr}");
+    assert!(stdout.contains("FAULT"), "stdout:\n{stdout}");
+    assert!(stdout.contains("bit-identical"), "stdout:\n{stdout}");
+}
+
 #[test]
 fn fl_horizon_zero_names_the_horizon_flag() {
     assert_rejects(&["fl", "--clients", "10", "--horizon", "0"], "--horizon");

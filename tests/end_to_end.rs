@@ -38,7 +38,7 @@ fn full_system_pipeline_to_fl() {
         assert!(plan.report.throughput > 0.0);
         assert!(!plan.k.is_empty());
     }
-    let report = system.run();
+    let report = system.run(None).expect("runs");
     assert_eq!(report.client_delays.len(), 24);
     assert!(
         report.client_delays[0] < report.client_delays[2],
@@ -94,12 +94,13 @@ fn strategies_share_initialization_and_data() {
         arch: ModelArch::Mlp,
         config: quick_fl_config(5),
     };
-    let a = run_strategy(Strategy::FedAvg, &setup);
+    let a = run_strategy(Strategy::FedAvg, &setup, None);
     let b = run_strategy(
         Strategy::EcoFl {
             dynamic_grouping: true,
         },
         &setup,
+        None,
     );
     assert_eq!(
         a.accuracy.points()[0].1,
@@ -126,7 +127,8 @@ fn determinism_across_full_runs() {
             .seed(77)
             .build()
             .expect("builds")
-            .run()
+            .run(None)
+            .expect("runs")
     };
     let r1 = make();
     let r2 = make();
@@ -242,12 +244,14 @@ fn grouping_responds_to_latency_drift_in_engine() {
             dynamic_grouping: true,
         },
         &setup,
+        None,
     );
     let static_ = run_strategy(
         Strategy::EcoFl {
             dynamic_grouping: false,
         },
         &setup,
+        None,
     );
     assert!(
         dynamic.regroup_events > 0,

@@ -159,12 +159,13 @@ fn fig8_shape_fedat_collapses_under_rlg_niid() {
         arch: ModelArch::Mlp,
         config,
     };
-    let fedat = run_strategy(Strategy::FedAt, &setup);
+    let fedat = run_strategy(Strategy::FedAt, &setup, None);
     let ecofl = run_strategy(
         Strategy::EcoFl {
             dynamic_grouping: true,
         },
         &setup,
+        None,
     );
     assert!(
         ecofl.best_accuracy > fedat.best_accuracy + 0.02,

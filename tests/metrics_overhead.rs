@@ -41,30 +41,27 @@ fn hub_overhead_on_1f1b_round_is_bounded() {
     let k = k_bounds(&profile).expect("residency");
 
     let hub = MetricsHub::new();
-    let run_once = |hub: Option<&MetricsHub>| -> f64 {
-        let mut exec = PipelineExecutor::new(
+    let run_once = |obs: Obs<'_>| -> f64 {
+        let exec = PipelineExecutor::new(
             black_box(&profile),
             SchedulePolicy::OneFOneBSync { k: k.clone() },
         )
         .expect("valid schedule");
-        if let Some(h) = hub {
-            exec = exec.with_metrics(h);
-        }
         let t0 = Instant::now();
-        black_box(exec.run(16, 1).expect("no OOM"));
+        black_box(exec.run_traced(16, 1, obs).expect("no OOM"));
         t0.elapsed().as_secs_f64()
     };
 
     for _ in 0..3 {
-        run_once(None);
-        run_once(Some(&hub));
+        run_once(Obs::default());
+        run_once((&hub).into());
     }
     // Interleave A/B samples so clock drift hits both sides equally.
     let mut plain = Vec::new();
     let mut metered = Vec::new();
     for _ in 0..15 {
-        plain.push(run_once(None));
-        metered.push(run_once(Some(&hub)));
+        plain.push(run_once(Obs::default()));
+        metered.push(run_once((&hub).into()));
     }
     let (p, m) = (median(plain), median(metered));
     let ratio = m / p;
@@ -75,4 +72,18 @@ fn hub_overhead_on_1f1b_round_is_bounded() {
     );
     // Sanity: the metered side really was recording.
     assert!(hub.snapshot(0).counter("exec_tasks").unwrap_or(0) > 0);
+
+    // On the same hot path, tracer and hub in one `Obs` record what
+    // each alone records, and all three runs report the same.
+    let exec = PipelineExecutor::new(&profile, SchedulePolicy::OneFOneBSync { k })
+        .expect("valid schedule");
+    let (tracer, tracer2) = (Tracer::new(), Tracer::new());
+    let (hub, hub2) = (MetricsHub::new(), MetricsHub::new());
+    let traced = exec.run_traced(16, 1, &tracer).expect("no OOM");
+    let metered = exec.run_traced(16, 1, &hub).expect("no OOM");
+    let both = exec.run_traced(16, 1, Obs::from(&tracer2).with_hub(&hub2));
+    assert_eq!(tracer2.records(), tracer.records());
+    assert_eq!(hub2.snapshot(0), hub.snapshot(0));
+    assert_eq!(both.expect("no OOM").task_spans, traced.task_spans);
+    assert_eq!(metered.task_spans, traced.task_spans);
 }

@@ -46,11 +46,11 @@ fn fl_run_is_bit_identical_with_hub_attached() {
     };
 
     let tracer_a = Tracer::new();
-    let plain = run_strategy_traced(strategy, &setup, &tracer_a);
+    let plain = run_strategy(strategy, &setup, &tracer_a);
 
     let tracer_b = Tracer::new();
     let hub = MetricsHub::new();
-    let metered = run_strategy_metered(strategy, &setup, Some(&tracer_b), &hub);
+    let metered = run_strategy(strategy, &setup, Obs::from(&tracer_b).with_hub(&hub));
 
     // The RunResult is bit-identical...
     assert_eq!(plain.accuracy, metered.accuracy);
@@ -80,6 +80,14 @@ fn fl_run_is_bit_identical_with_hub_attached() {
     assert!(latency.count > 0);
     let acc = snap.gauge("fl_accuracy").expect("accuracy gauge");
     assert_eq!(acc.last.to_bits(), metered.final_accuracy.to_bits());
+
+    // Tracer + hub in one `Obs` also equals the hub-only run: the same
+    // result and the same series, bit for bit.
+    let hub_only = MetricsHub::new();
+    let lone = run_strategy(strategy, &setup, &hub_only);
+    assert_eq!(lone.accuracy, metered.accuracy);
+    assert_eq!(lone.final_recall, metered.final_recall);
+    assert_eq!(hub_only.snapshot(0), snap);
 }
 
 fn uniform_profile(s_count: usize) -> PipelineProfile {
@@ -118,11 +126,11 @@ fn executor_report_and_trace_are_bit_identical_with_hub_attached() {
         let plain = exec_plain.run_traced(6, 2, &tracer_a).expect("runs");
 
         let hub = MetricsHub::new();
-        let exec_metered = PipelineExecutor::new(&profile, policy.clone())
-            .expect("executor")
-            .with_metrics(&hub);
+        let exec_metered = PipelineExecutor::new(&profile, policy.clone()).expect("executor");
         let tracer_b = Tracer::new();
-        let metered = exec_metered.run_traced(6, 2, &tracer_b).expect("runs");
+        let metered = exec_metered
+            .run_traced(6, 2, Obs::from(&tracer_b).with_hub(&hub))
+            .expect("runs");
 
         // Reports serialize identically (f64s compare bitwise through
         // the shortest-round-trip JSON encoding) and traces match.
@@ -143,6 +151,15 @@ fn executor_report_and_trace_are_bit_identical_with_hub_attached() {
         assert_eq!(task_s.count, metered.task_spans.len() as u64);
         let round_s = snap.histogram("exec_round_s").expect("histogram");
         assert_eq!(round_s.count, metered.rounds as u64);
+
+        // Tracer + hub in one `Obs` also equals the hub-only run.
+        let hub_only = MetricsHub::new();
+        let lone = exec_plain.run_traced(6, 2, &hub_only).expect("runs");
+        assert_eq!(
+            json::to_string(&lone).expect("encodes"),
+            json::to_string(&metered).expect("encodes"),
+        );
+        assert_eq!(hub_only.snapshot(0), snap);
     }
 }
 
