@@ -2,7 +2,8 @@
 //! `ecofl_bench::time_case` (the criterion-free harness):
 //! the Eq. 1 dynamic-programming partitioner, the event-driven pipeline
 //! executor, the event queue at 100k events, k-means latency
-//! clustering (exact and million-point mini-batch), JS divergence, FedAvg
+//! clustering (exact and million-point mini-batch), the million-client
+//! Eq. 4 association over 64 shared histograms, JS divergence, FedAvg
 //! aggregation, client local training, the blocked tensor kernels
 //! that dominate it — each blocked kernel timed next to its retained
 //! naive reference so every `BENCH_micro.json` snapshot carries its own
@@ -17,7 +18,7 @@ use ecofl_bench::{bench_iters, bench_warmup, header, time_case, write_bench_snap
 use ecofl_data::SyntheticSpec;
 use ecofl_fl::aggregate::weighted_average;
 use ecofl_fl::client::{local_train, LocalTrainConfig};
-use ecofl_grouping::{kmeans_1d, kmeans_1d_minibatch};
+use ecofl_grouping::{kmeans_1d, kmeans_1d_minibatch, Grouper, GroupingConfig, GroupingStrategy};
 use ecofl_models::{efficientnet_at, ModelArch};
 use ecofl_pipeline::executor::{PipelineExecutor, SchedulePolicy};
 use ecofl_pipeline::orchestrator::k_bounds;
@@ -123,6 +124,42 @@ fn bench_kmeans_minibatch() {
     time_case("kmeans_minibatch_1m", warmup(), iters(), || {
         let mut r = Rng::new(7);
         kmeans_1d_minibatch(black_box(&points), 5, 8192, 30, &mut r)
+    });
+}
+
+fn bench_grouper_initial() {
+    // The census-scale association as `Hierarchical::begin` runs it: a
+    // million latencies over 64 shared 10-class histograms (two classes
+    // per shard), five groups, 8192-client batches, `FlConfig`'s
+    // default thresholds and λ. The grouper takes its inputs by value,
+    // so each iteration also times 12 MB of input copies — standing in
+    // for `all_latencies()` and the shard map `begin` builds.
+    let mut rng = Rng::new(31);
+    let latencies: Vec<f64> = (0..1_000_000).map(|_| rng.range_f64(5.0, 150.0)).collect();
+    let rows: Vec<Vec<f64>> = (0..64)
+        .map(|shard| {
+            let mut row = vec![0.0; 10];
+            row[shard % 10] += 30.0;
+            row[(shard * 7 + 3) % 10] += 30.0;
+            row
+        })
+        .collect();
+    let row_of: Vec<u32> = (0..latencies.len()).map(|i| (i % 64) as u32).collect();
+    let config = GroupingConfig {
+        num_groups: 5,
+        strategy: GroupingStrategy::EcoFl { lambda: 1000.0 },
+        rt_relative: 0.6,
+        rt_min: 5.0,
+        assign_batch: 8192,
+    };
+    time_case("grouper_initial_1m_64rows", warmup(), iters(), || {
+        Grouper::initial_shared(
+            black_box(latencies.clone()),
+            rows.clone(),
+            row_of.clone(),
+            config,
+            &mut Rng::new(7),
+        )
     });
 }
 
@@ -326,6 +363,7 @@ fn main() {
     bench_executor();
     bench_kmeans();
     bench_kmeans_minibatch();
+    bench_grouper_initial();
     bench_eventqueue();
     bench_js();
     bench_aggregate();

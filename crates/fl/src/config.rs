@@ -1,7 +1,7 @@
 //! Experiment configuration mirroring §6.1 of the paper.
 
 use ecofl_compat::serde::{Deserialize, Serialize};
-use ecofl_grouping::GroupingStrategy;
+use ecofl_grouping::{GroupingConfig, GroupingStrategy};
 
 /// Runtime dynamics: clients periodically resample their collaborative
 /// degree, changing their response latency mid-training.
@@ -88,8 +88,8 @@ pub struct FlConfig {
     /// Mini-batch size for the Eq. 4 group-association sweep. `0`
     /// keeps the exact O(n²) greedy assignment (the paper-scale
     /// default); a positive value switches to batched association and
-    /// mini-batch k-means seeding, keeping grouping sub-quadratic at
-    /// 10⁵–10⁶ clients.
+    /// mini-batch k-means seeding, keeping grouping linear at 10⁵–10⁶
+    /// clients.
     pub grouping_batch: usize,
     /// RNG seed for the whole run.
     pub seed: u64,
@@ -147,6 +147,19 @@ impl FlConfig {
         (self.clients_per_round / self.num_groups).max(1)
     }
 
+    /// The grouping knobs as the grouper takes them (a hierarchical
+    /// strategy substitutes its own criterion for `strategy`).
+    #[must_use]
+    pub fn grouping_config(&self) -> GroupingConfig {
+        GroupingConfig {
+            num_groups: self.num_groups,
+            strategy: self.grouping,
+            rt_relative: self.rt_relative,
+            rt_min: self.rt_min,
+            assign_batch: self.grouping_batch,
+        }
+    }
+
     /// Validates the scheduler-facing knobs, returning a description of
     /// the first violation.
     ///
@@ -185,7 +198,9 @@ impl FlConfig {
                 self.probe_backoff
             ));
         }
-        Ok(())
+        // Zero groups would divide by zero in
+        // `clients_per_group_round`; the rest reaches Eq. 4.
+        self.grouping_config().validate(self.num_clients)
     }
 }
 
@@ -256,6 +271,19 @@ mod tests {
             let err = c.validate().unwrap_err();
             assert!(err.contains("probe_backoff"), "got: {err}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_bad_grouping_knobs() {
+        let mut c = FlConfig::tiny();
+        c.num_groups = 0;
+        assert!(c.validate().unwrap_err().contains("num_groups"));
+        let mut c = FlConfig::tiny();
+        c.grouping = GroupingStrategy::EcoFl { lambda: f64::NAN };
+        assert!(c.validate().unwrap_err().contains("lambda"));
+        let mut c = FlConfig::tiny();
+        c.rt_min = -1.0;
+        assert!(c.validate().unwrap_err().contains("rt_min"));
     }
 
     #[test]

@@ -401,29 +401,28 @@ impl AggregationStrategy for Hierarchical {
             _ => 1000.0,
         };
         let grouping_cfg = GroupingConfig {
-            num_groups: cfg.num_groups,
             strategy: self.kind.grouping(lambda),
-            rt_relative: cfg.rt_relative,
-            rt_min: cfg.rt_min,
-            assign_batch: cfg.grouping_batch,
+            ..cfg.grouping_config()
         };
-        // Per-shard histograms are computed once and replicated across
-        // the virtual clients mapped onto each shard, so profiling a
-        // million-virtual-client population costs O(shards·classes)
-        // histogram work, not O(n·classes).
+        // One label histogram per *shard*, shared by the virtual
+        // clients mapped onto it: profiling a million-virtual-client
+        // population costs O(shards·classes) histogram work and one
+        // `u32` per client, and the grouper scores Eq. 4's data term
+        // per shard, not per client.
         let data = &sched.setup().data;
         let shard_hists: Vec<Vec<f64>> = data
             .clients()
             .iter()
             .map(|d| d.label_counts().iter().map(|&c| c as f64).collect())
             .collect();
-        let label_counts: Vec<Vec<f64>> = (0..data.num_clients())
-            .map(|i| shard_hists[data.shard_index(i)].clone())
+        let shard_of: Vec<u32> = (0..data.num_clients())
+            .map(|i| data.shard_index(i) as u32)
             .collect();
         let latencies = sched.all_latencies();
-        self.grouper = Some(Grouper::initial(
-            &latencies,
-            &label_counts,
+        self.grouper = Some(Grouper::initial_shared(
+            latencies,
+            shard_hists,
+            shard_of,
             grouping_cfg,
             sched.rng(),
         ));
@@ -540,6 +539,6 @@ impl AggregationStrategy for Hierarchical {
     }
 
     fn dropped_final(&self) -> usize {
-        self.grouper.as_ref().map_or(0, |g| g.dropped().len())
+        self.grouper.as_ref().map_or(0, Grouper::num_dropped)
     }
 }

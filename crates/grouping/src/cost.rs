@@ -3,6 +3,11 @@
 use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::{js_divergence, normalize_distribution};
 
+/// Left-to-right sum — the order every latency center is defined in.
+fn sum_in_order(xs: &[f64]) -> f64 {
+    xs.iter().sum()
+}
+
 /// Mutable state of one client group.
 ///
 /// Tracks member ids, their latencies (for the group center `L_g`), and
@@ -17,6 +22,11 @@ pub struct GroupState {
     member_latencies: Vec<f64>,
     /// Pooled label counts over members.
     label_counts: Vec<f64>,
+    /// `sum_in_order(member_latencies)`, kept as a running sum: an
+    /// admit appends, so adding the new latency repeats the next step
+    /// of the left-to-right sum bit for bit; `remove` and
+    /// `update_latency` change an interior term and re-sum.
+    latency_sum: f64,
     /// Central response latency `L_g` (mean of member latencies; seeded
     /// from the k-means centroid while empty).
     center: f64,
@@ -31,6 +41,7 @@ impl GroupState {
             members: Vec::new(),
             member_latencies: Vec::new(),
             label_counts: vec![0.0; num_classes],
+            latency_sum: sum_in_order(&[]),
             center: seed_center,
         }
     }
@@ -73,9 +84,7 @@ impl GroupState {
         union_js_from_iid_parts(&self.label_counts, client_counts)
     }
 
-    /// The group's pooled label counts (the raw `π^g` numerator) — a
-    /// batch-association pass snapshots these to score a whole batch
-    /// against frozen group state.
+    /// The group's pooled label counts (the raw `π^g` numerator).
     #[must_use]
     pub fn label_counts(&self) -> &[f64] {
         &self.label_counts
@@ -83,26 +92,35 @@ impl GroupState {
 
     /// Adds a member.
     pub fn admit(&mut self, client: usize, latency: f64, client_counts: &[f64]) {
+        debug_assert!(!self.members.contains(&client), "duplicate admit");
         self.admit_deferred(client, latency, client_counts);
-        self.recompute_center();
+        self.refresh_center();
     }
 
-    /// [`GroupState::admit`] without the center recomputation: the
-    /// batched association path admits a whole batch and then calls
-    /// [`GroupState::refresh_center`] once per touched group, turning
-    /// O(members) per admit into O(members) per batch.
-    pub fn admit_deferred(&mut self, client: usize, latency: f64, client_counts: &[f64]) {
-        debug_assert!(!self.members.contains(&client), "duplicate admit");
+    /// [`GroupState::admit`] without moving the center: the batched
+    /// association path scores a whole batch against frozen centers,
+    /// admits, then calls [`GroupState::refresh_center`] once per
+    /// touched group.
+    pub(crate) fn admit_deferred(&mut self, client: usize, latency: f64, client_counts: &[f64]) {
         self.members.push(client);
         self.member_latencies.push(latency);
+        self.latency_sum += latency;
         for (acc, &c) in self.label_counts.iter_mut().zip(client_counts) {
             *acc += c;
         }
     }
 
-    /// Recomputes the latency center after deferred admits.
-    pub fn refresh_center(&mut self) {
-        self.recompute_center();
+    /// Moves the latency center onto the members admitted so far: O(1),
+    /// the running sum over the member count.
+    pub(crate) fn refresh_center(&mut self) {
+        debug_assert_eq!(
+            self.latency_sum.to_bits(),
+            sum_in_order(&self.member_latencies).to_bits(),
+            "running latency sum left the left-to-right sum"
+        );
+        if !self.member_latencies.is_empty() {
+            self.center = self.latency_sum / self.member_latencies.len() as f64;
+        }
     }
 
     /// Removes a member.
@@ -120,7 +138,7 @@ impl GroupState {
         for (acc, &c) in self.label_counts.iter_mut().zip(client_counts) {
             *acc = (*acc - c).max(0.0);
         }
-        self.recompute_center();
+        self.resum_center();
     }
 
     /// Updates a member's recorded latency (runtime drift).
@@ -134,21 +152,31 @@ impl GroupState {
             .position(|&m| m == client)
             .expect("update_latency: client not in group");
         self.member_latencies[idx] = latency;
-        self.recompute_center();
+        self.resum_center();
     }
 
-    fn recompute_center(&mut self) {
-        if !self.member_latencies.is_empty() {
-            self.center =
-                self.member_latencies.iter().sum::<f64>() / self.member_latencies.len() as f64;
-        }
+    /// Re-sums the member latencies in member order — O(members), the
+    /// price of a center whose bits do not depend on the history of
+    /// removals — and moves the center.
+    fn resum_center(&mut self) {
+        self.latency_sum = sum_in_order(&self.member_latencies);
+        self.refresh_center();
     }
 }
 
 /// [`GroupState::union_js_from_iid`] over raw parts: JS-from-IID of a
-/// group's pooled counts after absorbing `client_counts`. Free function
-/// so batch scoring can run against lightweight `(center, counts)`
-/// snapshots instead of borrowing live [`GroupState`]s.
+/// group's pooled counts after absorbing `client_counts`.
+///
+/// One pass pair, no allocation: the union total first, then per class
+/// the normalised share against `1/n`. That is `normalize_distribution`
+/// then `js_divergence` against a uniform vector with the intermediate
+/// vectors elided — the same additions in the same left-to-right order
+/// and the same per-element arithmetic, so the same bits (the
+/// `fused_union_js_matches_three_vec_version` sweep holds it to that).
+///
+/// # Panics
+/// Panics on a class-count mismatch, zero classes, or a pooled count
+/// that is negative or not finite.
 #[must_use]
 pub fn union_js_from_iid_parts(group_counts: &[f64], client_counts: &[f64]) -> f64 {
     assert_eq!(
@@ -156,13 +184,29 @@ pub fn union_js_from_iid_parts(group_counts: &[f64], client_counts: &[f64]) -> f
         group_counts.len(),
         "union_js: class-count mismatch"
     );
-    let union: Vec<f64> = group_counts
-        .iter()
-        .zip(client_counts)
-        .map(|(a, b)| a + b)
-        .collect();
-    let n = union.len();
-    js_divergence(&normalize_distribution(&union), &vec![1.0 / n as f64; n])
+    assert!(!group_counts.is_empty(), "union_js: no classes");
+    let union = || group_counts.iter().zip(client_counts).map(|(a, b)| a + b);
+    let total: f64 = union()
+        .inspect(|w| {
+            assert!(
+                w.is_finite() && *w >= 0.0,
+                "union_js: counts must be finite and non-negative, got {w}"
+            );
+        })
+        .sum();
+    let iid = 1.0 / group_counts.len() as f64;
+    let mut acc = 0.0;
+    for w in union() {
+        // An all-zero union normalises to uniform.
+        let p = if total <= 0.0 { iid } else { w / total };
+        let m = 0.5 * (p + iid);
+        if p > 0.0 {
+            acc += 0.5 * p * (p / m).log2();
+        }
+        acc += 0.5 * iid * (iid / m).log2();
+    }
+    // Clamp tiny negative rounding noise.
+    acc.max(0.0)
 }
 
 /// The Eq. 4 cost of assigning a client to a group:
@@ -178,29 +222,8 @@ pub fn assignment_cost(
     lambda: f64,
     latency_weight: f64,
 ) -> f64 {
-    assignment_cost_parts(
-        group.center(),
-        group.label_counts(),
-        client_latency,
-        client_counts,
-        lambda,
-        latency_weight,
-    )
-}
-
-/// [`assignment_cost`] over raw `(center, counts)` parts, for scoring
-/// against frozen batch snapshots.
-#[must_use]
-pub fn assignment_cost_parts(
-    center: f64,
-    group_counts: &[f64],
-    client_latency: f64,
-    client_counts: &[f64],
-    lambda: f64,
-    latency_weight: f64,
-) -> f64 {
-    latency_weight * (center - client_latency).abs()
-        + lambda * union_js_from_iid_parts(group_counts, client_counts)
+    latency_weight * (group.center() - client_latency).abs()
+        + lambda * group.union_js_from_iid(client_counts)
 }
 
 #[cfg(test)]
@@ -267,6 +290,86 @@ mod tests {
         assert_eq!(g.center(), 15.0);
         g.update_latency(2, 40.0);
         assert_eq!(g.center(), 25.0);
+    }
+
+    /// The three-`Vec` union-JS the fused pass replaced: union, then
+    /// `normalize_distribution`, then `js_divergence` against a uniform
+    /// vector.
+    fn union_js_three_vec(group_counts: &[f64], client_counts: &[f64]) -> f64 {
+        let union: Vec<f64> = group_counts
+            .iter()
+            .zip(client_counts)
+            .map(|(a, b)| a + b)
+            .collect();
+        let n = union.len();
+        js_divergence(&normalize_distribution(&union), &vec![1.0 / n as f64; n])
+    }
+
+    #[test]
+    fn fused_union_js_matches_three_vec_version() {
+        let mut rng = ecofl_util::Rng::new(17);
+        // Dense, sparse, all-zero and single-class vectors, 1..=12
+        // classes, small and huge counts.
+        let mut draw = |classes: usize, shape: usize| -> Vec<f64> {
+            (0..classes)
+                .map(|c| match shape {
+                    0 => 0.0,
+                    1 => rng.range_f64(0.0, 500.0),
+                    2 if c == classes / 2 => rng.range_f64(1.0, 60.0),
+                    3 if rng.bernoulli(0.3) => rng.range_f64(0.0, 1e9),
+                    4 => rng.range_f64(0.0, 1e-9),
+                    _ => 0.0,
+                })
+                .collect()
+        };
+        for classes in 1..=12 {
+            for group_shape in 0..5 {
+                for client_shape in 0..5 {
+                    for _ in 0..8 {
+                        let group = draw(classes, group_shape);
+                        let client = draw(classes, client_shape);
+                        assert_eq!(
+                            union_js_from_iid_parts(&group, &client).to_bits(),
+                            union_js_three_vec(&group, &client).to_bits(),
+                            "group {group:?} client {client:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Zero total: the uniform fallback, exactly zero divergence.
+        assert_eq!(union_js_from_iid_parts(&[0.0; 4], &[0.0; 4]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn union_js_rejects_negative_counts() {
+        let _ = union_js_from_iid_parts(&[1.0, 2.0], &[0.0, -3.0]);
+    }
+
+    #[test]
+    fn appended_latency_sum_equals_the_resum() {
+        // Admits only append, so the running sum must be the
+        // left-to-right sum to the bit; removals and updates re-sum.
+        let mut rng = ecofl_util::Rng::new(5);
+        let mut g = GroupState::new(0, 1.0, 2);
+        let row = [1.0, 0.0];
+        for client in 0..400 {
+            g.admit(client, rng.range_f64(1e-3, 1e3), &row);
+            if client % 7 == 3 {
+                g.remove(client / 2, &row);
+                g.admit(client / 2, rng.range_f64(1e-3, 1e3), &row);
+            }
+            if client % 11 == 5 {
+                g.update_latency(client, rng.range_f64(1e-3, 1e3));
+            }
+            let resum = sum_in_order(&g.member_latencies) / g.len() as f64;
+            assert_eq!(
+                g.center().to_bits(),
+                resum.to_bits(),
+                "after client {client}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Initial grouping and Algorithm 1's dynamic re-grouping.
 
-use crate::cost::{assignment_cost, assignment_cost_parts, GroupState};
-use crate::kmeans::{kmeans_1d, kmeans_1d_minibatch};
-use ecofl_compat::par::par_map;
+use crate::cost::{assignment_cost, union_js_from_iid_parts, GroupState};
+use crate::kmeans::{kmeans_1d, minibatch_centroids};
 use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::Rng;
+use std::collections::{BTreeSet, HashMap};
 
 /// Which grouping criterion to apply — Eco-FL's Eq. 4 or one of the two
 /// degenerate baselines the paper compares against.
@@ -61,12 +61,55 @@ pub struct GroupingConfig {
     /// Absolute floor for `RT_g`, seconds.
     pub rt_min: f64,
     /// Mini-batch size for initial association. `0` (the default) runs
-    /// the exact O(n²) greedy sweep; a positive value switches to
-    /// mini-batch k-means seeding plus batched greedy association —
-    /// O(n·k·C + n²/B) — which keeps million-client grouping
-    /// sub-quadratic. Batch scoring is sharded over the compat worker
-    /// pool and is bit-identical at any thread count.
+    /// the exact O(n²) greedy sweep; a positive value `B` switches to
+    /// mini-batch k-means seeding plus batched greedy association:
+    /// O(n·k) comparisons, with the data term of Eq. 4 evaluated once
+    /// per (distinct label histogram in the batch, group) —
+    /// O((n/B)·min(B, histograms)·k·C) — which keeps million-client
+    /// grouping linear.
     pub assign_batch: usize,
+}
+
+impl GroupingConfig {
+    /// Checks the knobs that reach grouping arithmetic, for a
+    /// population of `num_clients`, returning a description of the
+    /// first violation.
+    ///
+    /// Unchecked, zero groups divides by zero in the cohort sizing and
+    /// trips k-means' `k > 0` assert; a NaN λ makes every Eq. 4 cost
+    /// NaN, after which `cost < best` is never true and the first
+    /// admissible group silently wins; a NaN threshold knob is
+    /// swallowed by `f64::max`.
+    ///
+    /// # Errors
+    /// Returns `Err(message)` naming the offending field and value.
+    pub fn validate(&self, num_clients: usize) -> Result<(), String> {
+        if self.num_groups == 0 {
+            return Err("num_groups must be at least 1, got 0".into());
+        }
+        // NaN fails `x >= 0.0`, so it lands in the error arm.
+        let non_negative = |name: &str, x: f64| {
+            if x >= 0.0 && x.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("{name} must be non-negative and finite, got {x}"))
+            }
+        };
+        non_negative("rt_relative", self.rt_relative)?;
+        non_negative("rt_min", self.rt_min)?;
+        if let GroupingStrategy::EcoFl { lambda } = self.strategy {
+            non_negative("lambda", lambda)?;
+        }
+        // Client ids and histogram rows are held as `u32`, one value
+        // reserved for "dropped".
+        if num_clients >= NO_GROUP as usize {
+            return Err(format!(
+                "num_clients must be at most {}, got {num_clients}",
+                NO_GROUP - 1
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for GroupingConfig {
@@ -148,28 +191,101 @@ impl RegroupOutcome {
     }
 }
 
+/// `membership` value of a client in the drop-out pool.
+const NO_GROUP: u32 = u32::MAX;
+
 /// The grouping scheduler: owns group states, per-client profiles, and the
 /// drop-out pool.
 #[derive(Debug, Clone)]
 pub struct Grouper {
     config: GroupingConfig,
     groups: Vec<GroupState>,
-    /// Client → group index (None = dropped).
-    membership: Vec<Option<usize>>,
+    /// Client → group index (`NO_GROUP` = dropped).
+    membership: Vec<u32>,
     /// Latest profiled latency per client.
     latencies: Vec<f64>,
-    /// Label counts per client.
-    label_counts: Vec<Vec<f64>>,
+    /// The distinct label histograms of the population; client `i`
+    /// holds `rows[row_of[i]]`. A shard-virtualised population has as
+    /// many rows as shards, not as clients.
+    rows: Vec<Vec<f64>>,
+    row_of: Vec<u32>,
+    /// The drop-out pool: the clients whose `membership` is `NO_GROUP`,
+    /// updated where a membership flips to or from it.
+    pool: BTreeSet<u32>,
+}
+
+/// The data term of Eq. 4, `λ·JS(π_n^g, π_iid)`, memoised for one batch
+/// of the batched association. Against group state frozen for the batch
+/// it depends on a client only through its histogram row, so it is
+/// evaluated the first time a (row, group) pair is asked for and read
+/// back after that: per batch at most `min(batch, distinct rows in the
+/// batch) × groups` divergences, and never one the per-client scoring
+/// would not have computed (a group no client of the row is within
+/// threshold of is never scored).
+struct BatchTerms {
+    groups: usize,
+    /// Row → its slot in this batch (`u32::MAX` = not seen in it yet).
+    /// Only rows of the batch get a slot: a table over all rows would
+    /// have to be cleared per batch, `rows × groups` work that a
+    /// population of all-distinct histograms cannot afford.
+    slot_of_row: Vec<u32>,
+    /// The rows seen in the batch, in first-appearance order.
+    present: Vec<u32>,
+    /// `terms[slot · groups + g]`, NaN until evaluated (a term is a
+    /// finite λ times a divergence in `[0, 1]`, never NaN).
+    terms: Vec<f64>,
+}
+
+impl BatchTerms {
+    fn new(num_rows: usize, groups: usize) -> Self {
+        Self {
+            groups,
+            slot_of_row: vec![u32::MAX; num_rows],
+            present: Vec::new(),
+            terms: Vec::new(),
+        }
+    }
+
+    /// Forgets the previous batch: group state is about to change.
+    fn next_batch(&mut self) {
+        for &row in &self.present {
+            self.slot_of_row[row as usize] = u32::MAX;
+        }
+        self.present.clear();
+        self.terms.clear();
+    }
+
+    /// The term of `(row, g)`, from `eval` the first time this batch
+    /// asks for it.
+    fn term(&mut self, row: u32, g: usize, eval: impl FnOnce() -> f64) -> f64 {
+        let slot = &mut self.slot_of_row[row as usize];
+        if *slot == u32::MAX {
+            *slot = self.present.len() as u32;
+            self.present.push(row);
+            self.terms
+                .extend(std::iter::repeat_n(f64::NAN, self.groups));
+        }
+        let term = &mut self.terms[*slot as usize * self.groups + g];
+        if term.is_nan() {
+            *term = eval();
+        }
+        *term
+    }
 }
 
 impl Grouper {
-    /// Runs profiling + initial grouping (§5.2).
+    /// Runs profiling + initial grouping (§5.2) over one label
+    /// histogram per client.
     ///
     /// `latencies[i]` and `label_counts[i]` are client `i`'s profiled
-    /// response latency and raw label histogram.
+    /// response latency and raw label histogram. Equal histograms
+    /// (compared by bit pattern) are stored once and the rest is
+    /// [`Grouper::initial_shared`], which a caller that already knows
+    /// which clients share a histogram should call directly.
     ///
     /// # Panics
-    /// Panics on empty inputs or length mismatches.
+    /// Panics on empty inputs, length mismatches or a `config` that
+    /// fails [`GroupingConfig::validate`].
     #[must_use]
     pub fn initial(
         latencies: &[f64],
@@ -177,153 +293,208 @@ impl Grouper {
         config: GroupingConfig,
         rng: &mut Rng,
     ) -> Self {
-        assert!(!latencies.is_empty(), "Grouper: no clients");
         assert_eq!(
             latencies.len(),
             label_counts.len(),
             "Grouper: profile length mismatch"
         );
-        let num_classes = label_counts[0].len();
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut row_ids: HashMap<Vec<u64>, u32> = HashMap::new();
+        let mut bits: Vec<u64> = Vec::new();
+        let row_of = label_counts
+            .iter()
+            .map(|counts| {
+                bits.clear();
+                bits.extend(counts.iter().map(|c| c.to_bits()));
+                if let Some(&row) = row_ids.get(bits.as_slice()) {
+                    return row;
+                }
+                let row = u32::try_from(rows.len()).expect("more histograms than u32 clients");
+                row_ids.insert(bits.clone(), row);
+                rows.push(counts.clone());
+                row
+            })
+            .collect();
+        Self::initial_shared(latencies.to_vec(), rows, row_of, config, rng)
+    }
+
+    /// Runs profiling + initial grouping (§5.2) over a shared histogram
+    /// table: client `i` has response latency `latencies[i]` and raw
+    /// label histogram `rows[row_of[i]]`. Nothing per-client is built
+    /// from the histograms, so a million virtual clients on 64 data
+    /// shards cost 64 rows plus 4 bytes each.
+    ///
+    /// # Panics
+    /// Panics on empty inputs, length mismatches, a `row_of` entry
+    /// outside `rows`, rows of unequal or zero length, or a `config`
+    /// that fails [`GroupingConfig::validate`].
+    #[must_use]
+    pub fn initial_shared(
+        latencies: Vec<f64>,
+        rows: Vec<Vec<f64>>,
+        row_of: Vec<u32>,
+        config: GroupingConfig,
+        rng: &mut Rng,
+    ) -> Self {
+        assert!(!latencies.is_empty(), "Grouper: no clients");
+        assert_eq!(
+            latencies.len(),
+            row_of.len(),
+            "Grouper: profile length mismatch"
+        );
+        if let Err(msg) = config.validate(latencies.len()) {
+            panic!("invalid GroupingConfig: {msg}");
+        }
+        assert!(
+            row_of.iter().all(|&r| (r as usize) < rows.len()),
+            "Grouper: histogram row out of range"
+        );
+        let num_classes = rows[0].len();
         assert!(num_classes > 0);
+        assert!(
+            rows.iter().all(|r| r.len() == num_classes),
+            "Grouper: class-count mismatch"
+        );
+        let counts_of = |client: usize| rows[row_of[client] as usize].as_slice();
 
         // Seed group centers with k-means over latencies: exact Lloyd
         // at paper scale, mini-batch at `assign_batch` scale.
-        let km = if config.assign_batch > 0 {
-            kmeans_1d_minibatch(
-                latencies,
+        let centroids = if config.assign_batch > 0 {
+            minibatch_centroids(
+                &latencies,
                 config.num_groups,
                 config.assign_batch.min(1024),
                 30,
                 rng,
             )
         } else {
-            kmeans_1d(latencies, config.num_groups, rng, 100)
+            kmeans_1d(&latencies, config.num_groups, rng, 100).centroids
         };
-        let mut groups: Vec<GroupState> = km
-            .centroids
+        let mut groups: Vec<GroupState> = centroids
             .iter()
             .enumerate()
             .map(|(g, &c)| GroupState::new(g, c, num_classes))
             .collect();
 
-        let mut membership = vec![None; latencies.len()];
+        let mut membership = vec![NO_GROUP; latencies.len()];
         let lambda = config.strategy.lambda();
         let lat_w = config.strategy.latency_weight();
 
         if config.assign_batch > 0 {
-            // Batched greedy association: score each batch of clients
-            // against a frozen snapshot of the group states (in
-            // parallel — pure math against the snapshot, so the result
-            // is thread-count independent), then admit sequentially in
-            // client order with one center refresh per touched group.
-            // O(n·k·C) scoring + O(n²/B) center refreshes, versus the
-            // exact sweep's O(n²·k·C).
-            let ids: Vec<usize> = (0..latencies.len()).collect();
-            for batch in ids.chunks(config.assign_batch) {
-                let snaps: Vec<(f64, Vec<f64>)> = groups
+            // Batched greedy association: choose for each batch of
+            // clients against group state frozen at the start of the
+            // batch (center, threshold, pooled counts), admitting in
+            // client order, then move the center of each touched group
+            // once. O(n·k) comparisons plus `BatchTerms`' divergences,
+            // versus the exact sweep's O(n²·k·C).
+            let mut scored = BatchTerms::new(rows.len(), groups.len());
+            for start in (0..latencies.len()).step_by(config.assign_batch) {
+                let frozen: Vec<(f64, f64, Vec<f64>)> = groups
                     .iter()
-                    .map(|g| (g.center(), g.label_counts().to_vec()))
+                    .map(|g| {
+                        let threshold = rt_threshold(&config, g.center());
+                        (g.center(), threshold, g.label_counts().to_vec())
+                    })
                     .collect();
-                let choices: Vec<Option<usize>> = par_map(batch, |&client| {
+                scored.next_batch();
+                let mut touched = vec![false; groups.len()];
+                for client in start..(start + config.assign_batch).min(latencies.len()) {
                     let mut best: Option<(f64, usize)> = None;
-                    for (g, (center, group_counts)) in snaps.iter().enumerate() {
+                    for (g, (center, threshold, group_counts)) in frozen.iter().enumerate() {
                         let within = !config.strategy.uses_threshold()
-                            || (center - latencies[client]).abs() <= rt_threshold(&config, *center);
+                            || (center - latencies[client]).abs() <= *threshold;
                         if !within {
                             continue;
                         }
-                        let cost = assignment_cost_parts(
-                            *center,
-                            group_counts,
-                            latencies[client],
-                            &label_counts[client],
-                            lambda,
-                            lat_w,
-                        );
+                        // `assignment_cost`'s two operands, added in
+                        // its order.
+                        let cost = lat_w * (center - latencies[client]).abs()
+                            + scored.term(row_of[client], g, || {
+                                lambda * union_js_from_iid_parts(group_counts, counts_of(client))
+                            });
                         if best.is_none_or(|(b, _)| cost < b) {
                             best = Some((cost, g));
                         }
                     }
-                    best.map(|(_, g)| g)
-                });
-                let mut touched = vec![false; groups.len()];
-                for (&client, &choice) in batch.iter().zip(&choices) {
-                    if let Some(g) = choice {
-                        groups[g].admit_deferred(client, latencies[client], &label_counts[client]);
-                        membership[client] = Some(g);
+                    // Clients no group admits start in the drop-out
+                    // pool, same as the exact path.
+                    if let Some((_, g)) = best {
+                        groups[g].admit_deferred(client, latencies[client], counts_of(client));
+                        membership[client] = g as u32;
                         touched[g] = true;
                     }
                 }
-                for (g, hit) in touched.iter().enumerate() {
-                    if *hit {
-                        groups[g].refresh_center();
+                for (group, hit) in groups.iter_mut().zip(touched) {
+                    if hit {
+                        group.refresh_center();
                     }
                 }
             }
-            // Clients no group admits start in the drop-out pool, same
-            // as the exact path.
-            return Self {
-                config,
-                groups,
-                membership,
-                latencies: latencies.to_vec(),
-                label_counts: label_counts.to_vec(),
-            };
+        } else {
+            let mut pool: Vec<usize> = (0..latencies.len()).collect();
+
+            // Greedy association: each group in turn picks its cheapest
+            // admissible client until nothing can be placed.
+            loop {
+                let mut placed_any = false;
+                for (g, group) in groups.iter_mut().enumerate() {
+                    let mut best: Option<(f64, usize)> = None;
+                    for (pi, &client) in pool.iter().enumerate() {
+                        let within = !config.strategy.uses_threshold()
+                            || (group.center() - latencies[client]).abs()
+                                <= rt_threshold(&config, group.center());
+                        if !within {
+                            continue;
+                        }
+                        let cost = assignment_cost(
+                            group,
+                            latencies[client],
+                            counts_of(client),
+                            lambda,
+                            lat_w,
+                        );
+                        if best.is_none_or(|(b, _)| cost < b) {
+                            best = Some((cost, pi));
+                        }
+                    }
+                    if let Some((_, pi)) = best {
+                        let client = pool.swap_remove(pi);
+                        group.admit(client, latencies[client], counts_of(client));
+                        membership[client] = g as u32;
+                        placed_any = true;
+                    }
+                }
+                if !placed_any || pool.is_empty() {
+                    break;
+                }
+            }
+            // Whatever remains is dropped until its latency fits some
+            // group.
         }
 
-        let mut pool: Vec<usize> = (0..latencies.len()).collect();
-
-        // Greedy association: each group in turn picks its cheapest
-        // admissible client until nothing can be placed.
-        loop {
-            let mut placed_any = false;
-            #[allow(clippy::needless_range_loop)]
-            for g in 0..groups.len() {
-                let mut best: Option<(f64, usize)> = None;
-                for (pi, &client) in pool.iter().enumerate() {
-                    let within = !config.strategy.uses_threshold()
-                        || (groups[g].center() - latencies[client]).abs()
-                            <= rt_threshold(&config, groups[g].center());
-                    if !within {
-                        continue;
-                    }
-                    let cost = assignment_cost(
-                        &groups[g],
-                        latencies[client],
-                        &label_counts[client],
-                        lambda,
-                        lat_w,
-                    );
-                    if best.is_none_or(|(b, _)| cost < b) {
-                        best = Some((cost, pi));
-                    }
-                }
-                if let Some((_, pi)) = best {
-                    let client = pool.swap_remove(pi);
-                    groups[g].admit(client, latencies[client], &label_counts[client]);
-                    membership[client] = Some(g);
-                    placed_any = true;
-                }
-            }
-            if !placed_any || pool.is_empty() {
-                break;
-            }
-        }
-        // Whatever remains is dropped until its latency fits some group.
-
+        let pool = (0u32..)
+            .zip(&membership)
+            .filter(|(_, &m)| m == NO_GROUP)
+            .map(|(client, _)| client)
+            .collect();
         Self {
             config,
             groups,
             membership,
-            latencies: latencies.to_vec(),
-            label_counts: label_counts.to_vec(),
+            latencies,
+            rows,
+            row_of,
+            pool,
         }
     }
 
     /// Group index of a client (`None` while dropped).
     #[must_use]
     pub fn group_of(&self, client: usize) -> Option<usize> {
-        self.membership[client]
+        match self.membership[client] {
+            NO_GROUP => None,
+            g => Some(g as usize),
+        }
     }
 
     /// All group states.
@@ -332,15 +503,16 @@ impl Grouper {
         &self.groups
     }
 
-    /// Clients currently in the drop-out pool.
+    /// Clients currently in the drop-out pool, ascending.
     #[must_use]
     pub fn dropped(&self) -> Vec<usize> {
-        self.membership
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_none())
-            .map(|(i, _)| i)
-            .collect()
+        self.pool.iter().map(|&c| c as usize).collect()
+    }
+
+    /// Size of the drop-out pool.
+    #[must_use]
+    pub fn num_dropped(&self) -> usize {
+        self.pool.len()
     }
 
     /// Latest recorded latency of a client.
@@ -402,7 +574,8 @@ impl Grouper {
     /// cheapest admitting group as soon as their latency fits.
     pub fn observe_latency(&mut self, client: usize, latency: f64) -> RegroupOutcome {
         self.latencies[client] = latency;
-        match self.membership[client] {
+        let row = self.row_of[client] as usize;
+        match self.group_of(client) {
             Some(g) => {
                 self.groups[g].update_latency(client, latency);
                 if !self.config.strategy.uses_threshold() {
@@ -414,25 +587,29 @@ impl Grouper {
                 }
                 // Deviated: leave current group, find the cheapest
                 // admitting group.
-                self.groups[g].remove(client, &self.label_counts[client]);
-                self.membership[client] = None;
+                self.groups[g].remove(client, &self.rows[row]);
                 match self.best_admitting_group(client) {
                     Some(t) => {
-                        self.groups[t].admit(client, latency, &self.label_counts[client]);
-                        self.membership[client] = Some(t);
+                        self.groups[t].admit(client, latency, &self.rows[row]);
+                        self.membership[client] = t as u32;
                         if t == g {
                             RegroupOutcome::Stayed
                         } else {
                             RegroupOutcome::Moved { from: g, to: t }
                         }
                     }
-                    None => RegroupOutcome::Dropped { from: g },
+                    None => {
+                        self.membership[client] = NO_GROUP;
+                        self.pool.insert(client as u32);
+                        RegroupOutcome::Dropped { from: g }
+                    }
                 }
             }
             None => match self.best_admitting_group(client) {
                 Some(t) => {
-                    self.groups[t].admit(client, latency, &self.label_counts[client]);
-                    self.membership[client] = Some(t);
+                    self.groups[t].admit(client, latency, &self.rows[row]);
+                    self.membership[client] = t as u32;
+                    self.pool.remove(&(client as u32));
                     RegroupOutcome::Rejoined { to: t }
                 }
                 None => RegroupOutcome::StillDropped,
@@ -445,6 +622,7 @@ impl Grouper {
         let lambda = self.config.strategy.lambda();
         let lat_w = self.config.strategy.latency_weight();
         let latency = self.latencies[client];
+        let counts = &self.rows[self.row_of[client] as usize];
         let mut best: Option<(f64, usize)> = None;
         for (g, group) in self.groups.iter().enumerate() {
             if self.config.strategy.uses_threshold() {
@@ -453,7 +631,7 @@ impl Grouper {
                     continue;
                 }
             }
-            let cost = assignment_cost(group, latency, &self.label_counts[client], lambda, lat_w);
+            let cost = assignment_cost(group, latency, counts, lambda, lat_w);
             if best.is_none_or(|(b, _)| cost < b) {
                 best = Some((cost, g));
             }
@@ -496,6 +674,135 @@ mod tests {
             rt_min: 2.0,
             assign_batch: 0,
         }
+    }
+
+    #[test]
+    fn validate_accepts_defaults_and_boundaries() {
+        assert!(GroupingConfig::default().validate(300).is_ok());
+        let cfg = GroupingConfig {
+            num_groups: 1,
+            strategy: GroupingStrategy::EcoFl { lambda: 0.0 },
+            rt_relative: 0.0,
+            rt_min: 0.0,
+            assign_batch: 0,
+        };
+        assert!(cfg.validate(u32::MAX as usize - 1).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_zero_groups() {
+        let cfg = GroupingConfig {
+            num_groups: 0,
+            ..GroupingConfig::default()
+        };
+        assert!(cfg.validate(300).unwrap_err().contains("num_groups"));
+    }
+
+    #[test]
+    fn validate_rejects_bad_rt_relative() {
+        for bad in [-0.5, f64::NAN, f64::INFINITY] {
+            let cfg = GroupingConfig {
+                rt_relative: bad,
+                ..GroupingConfig::default()
+            };
+            let err = cfg.validate(300).unwrap_err();
+            assert!(err.contains("rt_relative"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_rt_min() {
+        for bad in [-2.0, f64::NAN, f64::INFINITY] {
+            let cfg = GroupingConfig {
+                rt_min: bad,
+                ..GroupingConfig::default()
+            };
+            let err = cfg.validate(300).unwrap_err();
+            assert!(err.contains("rt_min"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_lambda() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let cfg = config(GroupingStrategy::EcoFl { lambda: bad });
+            let err = cfg.validate(300).unwrap_err();
+            assert!(err.contains("lambda"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_more_clients_than_u32_ids() {
+        let err = GroupingConfig::default()
+            .validate(u32::MAX as usize)
+            .unwrap_err();
+        assert!(err.contains("num_clients"), "got: {err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid GroupingConfig: num_groups")]
+    fn initial_panics_on_invalid_config_by_name() {
+        let (lat, counts) = profiles();
+        let cfg = GroupingConfig {
+            num_groups: 0,
+            ..GroupingConfig::default()
+        };
+        let _ = Grouper::initial(&lat, &counts, cfg, &mut Rng::new(1));
+    }
+
+    #[test]
+    fn batch_terms_evaluate_each_asked_pair_once() {
+        // The divergence-evaluation bound, counted at the `eval`
+        // closure: one evaluation per (row seen in the batch, group
+        // asked for) — at most min(batch, distinct rows in batch) ×
+        // groups, whatever the population's row count.
+        let groups = 5;
+        let mut scored = BatchTerms::new(1000, groups);
+        let evals = std::cell::Cell::new(0usize);
+        let ask = |scored: &mut BatchTerms, row: u32, g: usize| {
+            scored.term(row, g, || {
+                evals.set(evals.get() + 1);
+                f64::from(row) * 10.0 + g as f64
+            })
+        };
+
+        // rows ≪ batch: 512 clients over 3 rows, every group asked for.
+        for client in 0..512 {
+            let row = [7, 900, 7, 42][client % 4];
+            for g in 0..groups {
+                assert_eq!(ask(&mut scored, row, g), f64::from(row) * 10.0 + g as f64);
+            }
+        }
+        assert_eq!(scored.present, vec![7, 900, 42]);
+        assert_eq!(evals.get(), 3 * groups);
+
+        // rows = n: every client its own row, within threshold of two
+        // groups each — the per-client count, not rows × groups, and
+        // nothing carried over from (or cleared beyond) the last batch.
+        scored.next_batch();
+        evals.set(0);
+        for row in 100..116u32 {
+            for g in [1, 3] {
+                let _ = ask(&mut scored, row, g);
+                let _ = ask(&mut scored, row, g);
+            }
+        }
+        assert_eq!(evals.get(), 16 * 2);
+        assert_eq!(scored.terms.len(), 16 * groups);
+        assert_eq!(
+            scored
+                .slot_of_row
+                .iter()
+                .filter(|&&s| s != u32::MAX)
+                .count(),
+            16
+        );
+
+        // A new batch re-evaluates: group state has moved.
+        scored.next_batch();
+        evals.set(0);
+        let _ = ask(&mut scored, 100, 1);
+        assert_eq!(evals.get(), 1);
     }
 
     #[test]

@@ -118,6 +118,41 @@ pub fn kmeans_1d_minibatch(
     iters: usize,
     rng: &mut Rng,
 ) -> KmeansResult {
+    let centroids = minibatch_centroids(points, k, batch_size, iters, rng);
+
+    // Exact final assignment over every point.
+    let assignment: Vec<usize> = points
+        .iter()
+        .map(|&p| {
+            centroids
+                .iter()
+                .enumerate()
+                .min_by(|a, b| {
+                    let da = (p - a.1) * (p - a.1);
+                    let db = (p - b.1) * (p - b.1);
+                    da.partial_cmp(&db).expect("finite distances")
+                })
+                .map(|(j, _)| j)
+                .expect("k >= 1")
+        })
+        .collect();
+
+    KmeansResult {
+        assignment,
+        centroids,
+    }
+}
+
+/// The centroids of [`kmeans_1d_minibatch`] without its O(n·k) final
+/// assignment pass — all the grouper's association seeds from. Same
+/// draws from `rng`, same centroid bits.
+pub(crate) fn minibatch_centroids(
+    points: &[f64],
+    k: usize,
+    batch_size: usize,
+    iters: usize,
+    rng: &mut Rng,
+) -> Vec<f64> {
     assert!(k > 0, "kmeans_1d_minibatch: k must be positive");
     assert!(batch_size > 0, "kmeans_1d_minibatch: empty batch");
     assert!(!points.is_empty(), "kmeans_1d_minibatch: empty input");
@@ -170,28 +205,7 @@ pub fn kmeans_1d_minibatch(
             centroids[best] += lr * (p - centroids[best]);
         }
     }
-
-    // Exact final assignment over every point.
-    let assignment: Vec<usize> = points
-        .iter()
-        .map(|&p| {
-            centroids
-                .iter()
-                .enumerate()
-                .min_by(|a, b| {
-                    let da = (p - a.1) * (p - a.1);
-                    let db = (p - b.1) * (p - b.1);
-                    da.partial_cmp(&db).expect("finite distances")
-                })
-                .map(|(j, _)| j)
-                .expect("k >= 1")
-        })
-        .collect();
-
-    KmeansResult {
-        assignment,
-        centroids,
-    }
+    centroids
 }
 
 #[cfg(test)]

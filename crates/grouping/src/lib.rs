@@ -28,7 +28,7 @@ pub mod grouper;
 pub mod kmeans;
 pub mod report;
 
-pub use cost::{assignment_cost, assignment_cost_parts, GroupState};
+pub use cost::{assignment_cost, GroupState};
 pub use grouper::{Grouper, GroupingConfig, GroupingStrategy, RegroupOutcome};
 pub use kmeans::{kmeans_1d, kmeans_1d_minibatch};
 pub use report::{GroupSnapshot, GroupingReport};

@@ -56,7 +56,7 @@ impl GroupingReport {
             .collect();
         Self {
             groups,
-            dropped: grouper.dropped().len(),
+            dropped: grouper.num_dropped(),
         }
     }
 

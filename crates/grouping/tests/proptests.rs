@@ -1,6 +1,9 @@
 //! Property-based tests for grouping invariants: membership consistency
 //! under arbitrary latency-report sequences, k-means assignment
-//! optimality, and the Eq. 4 cost's λ-limits.
+//! optimality, the Eq. 4 cost's λ-limits, and the differential sweep of
+//! the batched association against its per-client reference.
+
+mod oracle;
 
 use ecofl_compat::check::{any_u64, f64_in, forall, pair, triple, usize_in, vec_in};
 use ecofl_grouping::{assignment_cost, kmeans_1d, Grouper, GroupingConfig, GroupingStrategy};
@@ -255,13 +258,13 @@ fn data_only_cost_is_latency_invariant() {
 }
 
 #[test]
-fn batched_association_matches_thread_counts() {
-    // The mini-batch association path must be bit-identical regardless
-    // of how many threads score a batch: admissions happen sequentially
-    // in client order against frozen snapshots.
+fn batched_association_is_deterministic() {
+    // The mini-batch association path must be deterministic under its
+    // seed: admissions happen sequentially in client order against
+    // group state frozen per batch.
     let input = pair(any_u64(), usize_in(16, 80));
     forall(
-        "batched_association_matches_thread_counts",
+        "batched_association_is_deterministic",
         CASES,
         &input,
         |&(seed, n)| {
@@ -299,4 +302,99 @@ fn regression_seeds_from_proptest_era() {
         check_invariants(&g, n);
         algorithm1_postcondition(seed, n);
     }
+}
+
+/// `d` histograms over 6 classes and a random client → histogram map.
+fn shared_profiles(n: usize, d: usize, seed: u64) -> (Vec<f64>, Vec<Vec<f64>>, Vec<u32>) {
+    let mut rng = Rng::new(seed);
+    let latencies = (0..n).map(|_| rng.range_f64(5.0, 160.0)).collect();
+    let rows = (0..d)
+        .map(|_| {
+            let mut c = vec![0.0; 6];
+            c[rng.range_usize(0, 6)] = 20.0;
+            c[rng.range_usize(0, 6)] += 10.0;
+            c
+        })
+        .collect();
+    let row_of = (0..n).map(|_| rng.range_usize(0, d) as u32).collect();
+    (latencies, rows, row_of)
+}
+
+#[test]
+fn batched_association_matches_the_per_client_oracle() {
+    let strategies = [
+        GroupingStrategy::EcoFl { lambda: 500.0 },
+        GroupingStrategy::LatencyOnly,
+        GroupingStrategy::DataOnly,
+    ];
+    // The sweep must not go vacuous: it has to see clients start in the
+    // pool and enter and leave it.
+    let (mut started_dropped, mut pool_flips) = (0, 0);
+    for seed in 0..4u64 {
+        let n = 40 + 23 * seed as usize;
+        for strategy in strategies {
+            for assign_batch in [1, 7, 16, n, 10 * n] {
+                for d in [1, 3, n / 4, n] {
+                    let case = format!("seed {seed} {strategy:?} batch {assign_batch} rows {d}");
+                    let (lat, rows, row_of) = shared_profiles(n, d, seed ^ 0xD1FF);
+                    let per_client: Vec<Vec<f64>> =
+                        row_of.iter().map(|&r| rows[r as usize].clone()).collect();
+                    let cfg = GroupingConfig {
+                        strategy,
+                        assign_batch,
+                        ..config(0.0)
+                    };
+                    let want = oracle::Oracle::initial(&lat, &per_client, cfg, &mut Rng::new(seed));
+                    let adapter = Grouper::initial(&lat, &per_client, cfg, &mut Rng::new(seed));
+                    let mut shared = Grouper::initial_shared(
+                        lat.clone(),
+                        rows,
+                        row_of,
+                        cfg,
+                        &mut Rng::new(seed),
+                    );
+
+                    // Same groups in the same member order, same center
+                    // and pooled-count bits, same drop-out pool.
+                    assert_eq!(shared.groups().len(), want.groups.len(), "{case}");
+                    for (got, want) in shared.groups().iter().zip(&want.groups) {
+                        assert_eq!(got.members, want.members, "{case}");
+                        assert_eq!(got.center().to_bits(), want.center.to_bits(), "{case}");
+                        assert_eq!(got.label_counts(), want.label_counts, "{case}");
+                    }
+                    assert_eq!(shared.dropped(), want.dropped(), "{case}");
+                    started_dropped += shared.num_dropped();
+                    // One histogram per client or a shared table: the
+                    // same grouper.
+                    assert_eq!(adapter.groups(), shared.groups(), "{case}");
+                    assert_eq!(adapter.dropped(), shared.dropped(), "{case}");
+
+                    // Algorithm 1 keeps the maintained pool equal to the
+                    // membership scan, in ascending order, and every
+                    // center equal to the re-sum in member order.
+                    let mut rng = Rng::new(seed ^ 0xA160);
+                    for _ in 0..200 {
+                        let client = rng.range_usize(0, n);
+                        let before = shared.num_dropped();
+                        let _ = shared.observe_latency(client, rng.range_f64(1.0, 400.0));
+                        pool_flips += usize::from(shared.num_dropped() != before);
+                        let scan: Vec<usize> =
+                            (0..n).filter(|&c| shared.group_of(c).is_none()).collect();
+                        assert_eq!(shared.dropped(), scan, "{case}");
+                        assert_eq!(shared.num_dropped(), scan.len(), "{case}");
+                        for group in shared.groups().iter().filter(|g| !g.is_empty()) {
+                            let resum = group
+                                .members
+                                .iter()
+                                .map(|&c| shared.latency_of(c))
+                                .sum::<f64>()
+                                / group.len() as f64;
+                            assert_eq!(group.center().to_bits(), resum.to_bits(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(started_dropped > 0 && pool_flips > 0);
 }

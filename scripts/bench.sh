@@ -88,10 +88,10 @@ if ! grep -q "\"pipeline_1f1b_round_b2_m16_metered\"" "$out_dir/BENCH_headline.j
 fi
 
 # The census-scale scheduler cases must stay in the trajectory: the
-# event queue and million-point mini-batch k-means in the micro
-# snapshot, the 100k-virtual-client end-to-end dispatch in the headline
-# snapshot.
-for case in eventqueue_schedule_pop kmeans_minibatch_1m; do
+# event queue, million-point mini-batch k-means and the million-client
+# association over 64 shared histograms in the micro snapshot, the
+# 100k-virtual-client end-to-end dispatch in the headline snapshot.
+for case in eventqueue_schedule_pop kmeans_minibatch_1m grouper_initial_1m_64rows; do
     if ! grep -q "\"$case\"" "$out_dir/BENCH_micro.json"; then
         echo "ERROR: BENCH_micro.json is missing the $case scale case" >&2
         exit 1

@@ -224,12 +224,12 @@ done
 
 # Scale-smoke gate: the CLI must drive a 100k-virtual-client population
 # (64 data shards, event queue, streaming folds) to completion in
-# bounded time, and the grouped Eco-FL run — whose mini-batch
+# bounded time, and the grouped Eco-FL runs — whose mini-batch
 # association scores batches in parallel — must print bit-identical
-# output at every pool width. A regression to per-client event handling
+# output at every pool width, at 100k and at the benchmark's 1M. A regression to per-client event handling
 # or O(n²) grouping trips the watchdog; a thread-count-dependent
 # reduction order trips the diff.
-echo "==> scale-smoke gate: 100k virtual clients via the CLI (watchdog 300s, ECOFL_THREADS=1/2/8)"
+echo "==> scale-smoke gate: 100k and 1M virtual clients via the CLI (watchdog 300s / 60s, ECOFL_THREADS=1/2/8)"
 scale_dir=$(mktemp -d)
 trap 'rm -rf "$scale_dir"' EXIT
 echo "    fedavg 100k"
@@ -263,6 +263,35 @@ for threads in 2 8; do
 done
 if ! grep -q "updates" "$scale_dir/fedavg.txt"; then
     echo "ERROR: 100k FedAvg run produced no summary line." >&2
+    exit 1
+fi
+# The benchmark's own census op (fl_census_1m, benchmark/src/workloads.rs)
+# at every pool width: the benchmark times the 1M association at
+# ECOFL_THREADS=1 only, so its thread-count bit-identity is gated here.
+# Each run takes well under a second; the watchdog is for a hang or a
+# quadratic regression, not for a slowdown (the benchmark times it).
+echo "    ecofl 1M on 64 shards, ECOFL_THREADS=1/2/8 (watchdog 60s for the three runs)"
+SCALE_DIR=$scale_dir timeout 60 bash -c '
+    for threads in 1 2 8; do
+        ECOFL_THREADS=$threads ./target/release/ecofl fl --strategy ecofl \
+            --clients 1000000 --shards 64 --horizon 800 --seed 7 \
+            >"$SCALE_DIR/census_t$threads.txt" || exit
+    done' || {
+    status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ERROR: the 1M-client Eco-FL runs hit the watchdog — census-scale grouping no longer scales." >&2
+    fi
+    exit "$status"
+}
+for threads in 2 8; do
+    if ! diff -q "$scale_dir/census_t1.txt" "$scale_dir/census_t$threads.txt" >/dev/null; then
+        echo "ERROR: 1M Eco-FL output differs between ECOFL_THREADS=1 and $threads:" >&2
+        diff "$scale_dir/census_t1.txt" "$scale_dir/census_t$threads.txt" >&2 || true
+        exit 1
+    fi
+done
+if ! grep -q "updates" "$scale_dir/census_t1.txt"; then
+    echo "ERROR: 1M Eco-FL run produced no summary line." >&2
     exit 1
 fi
 echo "    ok (outputs bit-identical across pool widths)"

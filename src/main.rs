@@ -14,8 +14,9 @@
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free: `--key value` pairs
-//! after a subcommand. Every failure path is a typed [`EcoFlError`];
-//! `main` prints its `Display` form, which carries the exact message.
+//! after a subcommand, nothing else, and only the keys the subcommand
+//! reads. Every failure path is a typed [`EcoFlError`]; `main` prints its
+//! `Display` form, which carries the exact message.
 
 use ecofl::obs::metrics::LogHistogram;
 use ecofl::obs::{trace_dir, Domain};
@@ -28,19 +29,66 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn parse_args(args: &[String]) -> HashMap<String, String> {
+/// Reads `--key value` pairs. A token outside a pair — a stray word, a
+/// flag with no value after it — is an error, not something to skip: a
+/// skipped token is a run with settings the user did not ask for.
+fn parse_args(args: &[String]) -> Result<HashMap<String, String>, EcoFlError> {
     let mut map = HashMap::new();
-    let mut i = 0;
-    while i + 1 < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            map.insert(key.to_owned(), args[i + 1].clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        let Some(key) = token.strip_prefix("--") else {
+            return Err(EcoFlError::Config(format!(
+                "unexpected argument '{token}' (flags are --key value pairs)"
+            )));
+        };
+        match tokens.next() {
+            Some(value) if !value.starts_with("--") => map.insert(key.to_owned(), value.clone()),
+            _ => return Err(EcoFlError::Config(format!("--{key} needs a value"))),
+        };
     }
-    map
+    Ok(map)
 }
+
+/// Rejects a flag `command` does not read — `known` is the union of the
+/// flag sets `usage()` lists for it. A misspelt flag would otherwise run
+/// the default it was meant to override.
+fn check_flags(
+    args: &HashMap<String, String>,
+    command: &str,
+    known: &[&[&str]],
+) -> Result<(), EcoFlError> {
+    // The smallest offender, so the message does not depend on map order.
+    match args
+        .keys()
+        .filter(|key| !known.iter().any(|set| set.contains(&key.as_str())))
+        .min()
+    {
+        Some(key) => Err(EcoFlError::Config(format!(
+            "unknown flag --{key} for {command}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// What `pipeline_args` reads.
+const PIPELINE_FLAGS: &[&str] = &["model", "devices", "mbs", "micro-batches", "schedule"];
+/// What `spike_args` reads.
+const SPIKE_FLAGS: &[&str] = &["model", "devices", "load", "at", "device", "horizon"];
+/// What `fl_args` reads.
+const FL_FLAGS: &[&str] = &[
+    "strategy",
+    "clients",
+    "horizon",
+    "dataset",
+    "comm-latency",
+    "seed",
+    "shards",
+    "clients-per-round",
+    "groups",
+    "grouping-batch",
+];
+/// What `persist_trace` reads.
+const STORE_WRITE_FLAGS: &[&str] = &["store", "block-records", "out"];
 
 fn require<'a>(args: &'a HashMap<String, String>, key: &str) -> Result<&'a String, EcoFlError> {
     args.get(key)
@@ -171,6 +219,7 @@ fn distinct_device_orders(devices: &[Device]) -> f64 {
 }
 
 fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(args, "plan", &[&["model", "devices", "batch", "schedule"]])?;
     let model = parse_model(require(args, "model")?)?;
     let devices = parse_devices(require(args, "devices")?)?;
     let batch = get(args, "batch", 128usize)?;
@@ -281,6 +330,7 @@ fn pipeline_args(args: &HashMap<String, String>) -> Result<PipelineArgs<'_>, Eco
 }
 
 fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(args, "gantt", &[PIPELINE_FLAGS, &["width"]])?;
     let width = get_positive(args, "width", 100)?;
     let p = pipeline_args(args)?;
     let mbs = p.profile.micro_batch();
@@ -350,6 +400,7 @@ fn cmd_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     if args.contains_key("kill-stage") {
         return cmd_spike_kill(args);
     }
+    check_flags(args, "spike", &[SPIKE_FLAGS])?;
     let (model, devices, spike, horizon) = spike_args(args)?;
     let LoadSpike { device, at, load } = spike;
     let link = Link::mbps_100();
@@ -392,6 +443,20 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     use ecofl_pipeline::runtime::{FaultPlan, PipelineTrainer, RuntimeOptions, SegmentFactory};
     use ecofl_tensor::{Layer, Linear, ReLU};
 
+    // `--model` is accepted and unused: the demo pipeline is a fixed MLP.
+    check_flags(
+        args,
+        "spike --kill-stage",
+        &[&[
+            "model",
+            "devices",
+            "kill-stage",
+            "kill-round",
+            "kill-micro",
+            "rounds",
+            "seed",
+        ]],
+    )?;
     let devices = parse_devices(require(args, "devices")?)?;
     let stages = devices.len();
     let kill_stage = get(args, "kill-stage", 1usize)?;
@@ -513,6 +578,7 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 }
 
 fn cmd_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(args, "fl", &[FL_FLAGS])?;
     let (strategy, dataset, setup) = fl_args(args, (60, 800.0, "cifar"))?;
     let r = run_strategy(strategy, &setup, None);
     println!(
@@ -679,6 +745,19 @@ fn parse_rounds(spec: &str) -> Result<std::ops::Range<u64>, EcoFlError> {
 /// per-segment rollups, how many blocks the query decoded versus
 /// skipped, the matching records, and the stored checkpoint ladder.
 fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(
+        args,
+        "trace --store",
+        &[&[
+            "scenario",
+            "store",
+            "rounds",
+            "domain",
+            "kind",
+            "min-duration",
+            "limit",
+        ]],
+    )?;
     let dir = PathBuf::from(require(args, "store")?);
     let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
     let store = RunStore::open(dir.as_path()).map_err(io_err)?;
@@ -744,6 +823,15 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 /// Traced pipeline run: per-round bubble fractions, total idle cross-check
 /// against the executor's own accounting, and the slowest stages.
 fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(
+        args,
+        "trace --scenario pipeline",
+        &[
+            &["scenario", "rounds", "top"],
+            PIPELINE_FLAGS,
+            STORE_WRITE_FLAGS,
+        ],
+    )?;
     let rounds = get_positive(args, "rounds", 2)?;
     let top = get(args, "top", 3usize)?;
     let p = pipeline_args(args)?;
@@ -785,6 +873,11 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
 /// Traced §4.4 load-spike run: the re-scheduling timeline (lagger
 /// detections, migrations, restarts) straight from the trace.
 fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(
+        args,
+        "trace --scenario spike",
+        &[&["scenario"], SPIKE_FLAGS, STORE_WRITE_FLAGS],
+    )?;
     let (model, devices, spike, horizon) = spike_args(args)?;
     let LoadSpike { device, at, load } = spike;
     let tracer = Tracer::new();
@@ -826,6 +919,11 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 
 /// Traced FL run: convergence metrics recomputed from the trace alone.
 fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(
+        args,
+        "trace --scenario fl",
+        &[&["scenario"], FL_FLAGS, STORE_WRITE_FLAGS],
+    )?;
     let (strategy, dataset, setup) = fl_args(args, (24, 300.0, "mnist"))?;
     let tracer = Tracer::new();
     let r = run_strategy(strategy, &setup, &tracer);
@@ -929,6 +1027,7 @@ fn cmd_metrics(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
 /// latest by default, a specific round with `--round`, exported as
 /// Prometheus text with `--export`.
 fn cmd_metrics_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
+    check_flags(args, "metrics --store", &[&["store", "round", "export"]])?;
     let dir = PathBuf::from(require(args, "store")?);
     let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
     let store = RunStore::open(dir.as_path()).map_err(io_err)?;
@@ -962,6 +1061,7 @@ fn cmd_metrics_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError>
 /// Parses a Prometheus-text export back into a snapshot and renders it
 /// (the read half of the export round-trip); `--export` re-exports it.
 fn cmd_metrics_import(args: &HashMap<String, String>, file: &str) -> Result<(), EcoFlError> {
+    check_flags(args, "metrics --import", &[&["import", "export"]])?;
     let text = std::fs::read_to_string(file)
         .map_err(|e| EcoFlError::Io(format!("cannot read {file}: {e}")))?;
     let snap = MetricsSnapshot::from_prometheus(&text)
@@ -986,6 +1086,11 @@ fn cmd_metrics_import(args: &HashMap<String, String>, file: &str) -> Result<(), 
 fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     use std::io::IsTerminal as _;
 
+    check_flags(
+        args,
+        "metrics --live",
+        &[&["live", "refresh-ms", "store"], FL_FLAGS],
+    )?;
     let scenario = require(args, "live")?;
     if scenario != "fl" {
         return Err(EcoFlError::Parse(format!(
@@ -1075,7 +1180,7 @@ fn usage() -> &'static str {
               [--batch N] [--schedule 1f1b|gpipe|async|interleaved|zb]\n\
        gantt  --model M --devices D  render a schedule Gantt chart\n\
               [--schedule 1f1b|gpipe|async|interleaved|zb]\n\
-              [--mbs N] [--micro-batches N]\n\
+              [--mbs N] [--micro-batches N] [--width COLS]\n\
        spike  --model M --devices D  run the Fig. 13 load-spike scenario\n\
               [--load F] [--at T] [--device I] [--horizon T]\n\
               [--kill-stage I]       instead: kill a real runtime stage,\n\
@@ -1089,14 +1194,16 @@ fn usage() -> &'static str {
               [--clients-per-round N] [--groups N] [--grouping-batch N]\n\
        trace  --model M --devices D  record a virtual-time trace into a\n\
               segmented run store (summary-pruned compressed blocks)\n\
-              [--scenario pipeline|spike|fl] [--rounds N] [--top N]\n\
+              [--scenario pipeline|spike|fl] plus that scenario's flags:\n\
+              pipeline = gantt's (no --width) [--rounds N] [--top N],\n\
+              spike = spike's, fl = fl's\n\
               [--store DIR] [--block-records N] [--out FILE (JSONL export)]\n\
        trace  --store DIR            inspect an existing run store:\n\
               [--rounds A..B] [--domain pipeline|scheduler|fl|grouping]\n\
               [--kind span|event|counter|gauge] [--min-duration T]\n\
               [--limit N]            segments, pruned query, checkpoints\n\
        metrics --live fl             run FL with a metrics hub attached and\n\
-              [--clients N] [--horizon T] [--refresh-ms N] [--store DIR]\n\
+              [fl's flags] [--refresh-ms N] [--store DIR]\n\
                                      render a live-refreshing dashboard,\n\
                                      appending each tick's snapshot to DIR\n\
        metrics --store DIR           inspect persisted metrics snapshots\n\
@@ -1112,9 +1219,8 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let args = parse_args(&argv[1..]);
-    let result = match command.as_str() {
-        "devices" => cmd_devices(),
+    let result = parse_args(&argv[1..]).and_then(|args| match command.as_str() {
+        "devices" => check_flags(&args, "devices", &[]).and_then(|()| cmd_devices()),
         "plan" => cmd_plan(&args),
         "gantt" => cmd_gantt(&args),
         "spike" => cmd_spike(&args),
@@ -1129,7 +1235,7 @@ fn main() -> ExitCode {
             "unknown command '{other}'\n{}",
             usage()
         ))),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1149,9 +1255,46 @@ mod tests {
             .iter()
             .map(ToString::to_string)
             .collect();
-        let map = parse_args(&args);
+        let map = parse_args(&args).unwrap();
         assert_eq!(map.get("model").map(String::as_str), Some("effnet-b0"));
         assert_eq!(map.get("mbs").map(String::as_str), Some("8"));
+    }
+
+    #[test]
+    fn parse_args_rejects_tokens_outside_a_pair() {
+        let parse = |tokens: &[&str]| {
+            parse_args(&tokens.iter().map(ToString::to_string).collect::<Vec<_>>())
+        };
+        for (tokens, needle) in [
+            (
+                &["--horizon", "100", "--clients"][..],
+                "--clients needs a value",
+            ),
+            (
+                &["--clients", "--horizon", "100"],
+                "--clients needs a value",
+            ),
+            (&["--clients", "12", "extra", "--seed", "1"], "'extra'"),
+            (&["fedavg"], "'fedavg'"),
+        ] {
+            match parse(tokens) {
+                Err(EcoFlError::Config(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("{tokens:?}: expected a Config error, got {other:?}"),
+            }
+        }
+        // A negative number is a value, not a flag.
+        let map = parse(&["--comm-latency", "-1.5"]).unwrap();
+        assert_eq!(map.get("comm-latency").map(String::as_str), Some("-1.5"));
+    }
+
+    #[test]
+    fn check_flags_names_the_unknown_flag_and_the_command() {
+        let args = parse_args(&["--bach".to_owned(), "64".to_owned()]).unwrap();
+        match check_flags(&args, "plan", &[&["model", "devices", "batch"]]) {
+            Err(EcoFlError::Config(msg)) => assert_eq!(msg, "unknown flag --bach for plan"),
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+        assert!(check_flags(&args, "plan", &[&["model"], &["bach"]]).is_ok());
     }
 
     #[test]

@@ -423,3 +423,183 @@ fn help_prints_all_commands() {
         assert!(stdout.contains(cmd));
     }
 }
+
+/// A token the command does not read used to be skipped: `--strateg
+/// fedavg` ran Eco-FL, `--bach 64` planned for the default batch, a
+/// dangling `--clients` ran 60 clients, a stray word was stepped over —
+/// all exit 0. One case per failure shape, then one per command's check.
+#[test]
+fn misspelt_and_dangling_flags_are_rejected_not_ignored() {
+    let pipeline = ["--model", "effnet-b0", "--devices", "tx2q,nanoh"];
+    assert_rejects(
+        &["fl", "--strateg", "fedavg"],
+        "unknown flag --strateg for fl",
+    );
+    assert_rejects(
+        &[&["plan"], &pipeline[..], &["--bach", "64"]].concat(),
+        "unknown flag --bach for plan",
+    );
+    assert_rejects(
+        &["fl", "--horizon", "100", "--clients"],
+        "--clients needs a value",
+    );
+    assert_rejects(
+        &["fl", "--clients", "12", "extra", "--strategy", "fedavg"],
+        "unexpected argument 'extra'",
+    );
+
+    assert_rejects(&["devices", "--verbose", "1"], "--verbose for devices");
+    assert_rejects(
+        &[&["gantt"], &pipeline[..], &["--widht", "80"]].concat(),
+        "--widht for gantt",
+    );
+    assert_rejects(
+        &[&["spike"], &pipeline[..], &["--laod", "0.5"]].concat(),
+        "--laod for spike",
+    );
+    // A load-spike flag means nothing to the kill demo.
+    assert_rejects(
+        &[
+            "spike",
+            "--devices",
+            "tx2q,nanoh",
+            "--kill-stage",
+            "1",
+            "--load",
+            "0.5",
+        ],
+        "--load for spike --kill-stage",
+    );
+    assert_rejects(
+        &[&["trace"], &pipeline[..], &["--round", "2"]].concat(),
+        "--round for trace --scenario pipeline",
+    );
+    assert_rejects(
+        &["trace", "--scenario", "fl", "--client", "8"],
+        "--client for trace --scenario fl",
+    );
+    assert_rejects(
+        &["trace", "--store", "nowhere", "--limt", "1"],
+        "--limt for trace --store",
+    );
+    assert_rejects(
+        &["metrics", "--store", "nowhere", "--rond", "1"],
+        "--rond for metrics --store",
+    );
+    assert_rejects(
+        &["metrics", "--live", "fl", "--refresh", "50"],
+        "--refresh for metrics --live",
+    );
+    assert_rejects(
+        &["metrics", "--import", "nowhere.prom", "--exprt", "x"],
+        "--exprt for metrics --import",
+    );
+}
+
+/// The flag sets of the benchmark's six op lists (the table in
+/// `benchmark/README.md`), scaled down: the flag check must never reject
+/// what the frozen benchmark passes.
+#[test]
+fn the_benchmark_flag_sets_are_accepted() {
+    let dir = std::env::temp_dir().join(format!("ecofl-cli-flagsets-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = dir.to_str().expect("utf-8 temp path");
+    let ops: [&[&str]; 9] = [
+        // fl_paper_300
+        &[
+            "fl",
+            "--strategy",
+            "fedat",
+            "--clients",
+            "12",
+            "--clients-per-round",
+            "4",
+            "--groups",
+            "2",
+            "--horizon",
+            "60",
+            "--dataset",
+            "fashion",
+            "--seed",
+            "1003",
+        ],
+        // fl_census_1m
+        &[
+            "fl",
+            "--strategy",
+            "ecofl",
+            "--clients",
+            "200",
+            "--shards",
+            "8",
+            "--horizon",
+            "60",
+            "--seed",
+            "7",
+        ],
+        // pipeline_plan
+        &[
+            "plan",
+            "--model",
+            "effnet-b0",
+            "--batch",
+            "32",
+            "--devices",
+            "tx2q,nanoh",
+        ],
+        // rt_1f1b_recover
+        &[
+            "spike",
+            "--devices",
+            "tx2q,nanoh",
+            "--rounds",
+            "4",
+            "--kill-round",
+            "2",
+            "--kill-micro",
+            "1",
+            "--kill-stage",
+            "0",
+            "--seed",
+            "5",
+        ],
+        // trace_write
+        &[
+            "trace",
+            "--model",
+            "effnet-b0",
+            "--devices",
+            "tx2q,nanoh",
+            "--mbs",
+            "4",
+            "--micro-batches",
+            "8",
+            "--rounds",
+            "3",
+            "--schedule",
+            "zb",
+            "--store",
+            store,
+        ],
+        // trace_query, on the store the op above wrote
+        &["trace", "--store", store, "--limit", "1"],
+        &[
+            "trace", "--store", store, "--limit", "1", "--rounds", "1..2",
+        ],
+        &["trace", "--store", store, "--limit", "1", "--kind", "event"],
+        &[
+            "trace",
+            "--store",
+            store,
+            "--limit",
+            "1",
+            "--min-duration",
+            "1.0",
+        ],
+    ];
+    for op in ops {
+        let (ok, stdout, stderr) = ecofl(op);
+        assert!(ok, "{op:?} failed:\n{stdout}\n{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
