@@ -200,6 +200,34 @@ fn bench_local_train() {
         let mut r = Rng::new(11);
         local_train(ModelArch::Mlp, black_box(&start), &data, &cfg, &mut r)
     });
+
+    // One steady-state SGD step of that call: the paper's MLP at batch
+    // 10, forward + loss + backward + proximal step in place. The six
+    // batches of the shard take turns, as in an epoch: a step timed on one
+    // repeated batch lets the branch predictor learn the activation signs.
+    let mut net = ModelArch::Mlp.build_uninit(spec.feature_dim, spec.num_classes);
+    net.set_params(&start);
+    let batches: Vec<(Tensor, Vec<usize>)> = (0..data.len())
+        .collect::<Vec<_>>()
+        .chunks(cfg.batch_size)
+        .map(|batch| {
+            let (feats, labels) = data.gather(batch);
+            (
+                Tensor::from_vec(feats, &[labels.len(), spec.feature_dim]),
+                labels,
+            )
+        })
+        .collect();
+    let mut opt = Sgd::new(cfg.lr).with_proximal(cfg.mu);
+    let mut turn = 0;
+    time_case("train_step_mlp_b10", warmup(), iters(), || {
+        let (x, labels) = &batches[turn % batches.len()];
+        turn += 1;
+        net.zero_grads();
+        let loss = net.train_step(black_box(x), labels);
+        net.sgd_step(&mut opt, Some(&start));
+        loss
+    });
 }
 
 fn bench_matmul() {
@@ -219,6 +247,21 @@ fn bench_matmul() {
         black_box(&a).matmul_nt(black_box(&b_mat))
     });
 
+    // The three products of the FL MLP's widest layer at batch 10:
+    // `x·W`, `xᵀ·g` and `g·Wᵀ` — L1-resident, pack-free direct driver.
+    let x = Tensor::randn(&[10, 32], 1.0, &mut rng);
+    let w = Tensor::randn(&[32, 64], 1.0, &mut rng);
+    let g = Tensor::randn(&[10, 64], 1.0, &mut rng);
+    time_case("matmul_10x32x64", warmup(), iters(), || {
+        black_box(&x).matmul(black_box(&w))
+    });
+    time_case("matmul_tn_10x32x64", warmup(), iters(), || {
+        black_box(&x).matmul_tn(black_box(&g))
+    });
+    time_case("matmul_nt_10x64x32", warmup(), iters(), || {
+        black_box(&g).matmul_nt(black_box(&w))
+    });
+
     let a256 = Tensor::randn(&[256, 256], 1.0, &mut rng);
     let b256 = Tensor::randn(&[256, 256], 1.0, &mut rng);
     time_case("matmul_256x256", warmup(), iters(), || {
@@ -230,17 +273,20 @@ fn bench_conv() {
     let mut rng = Rng::new(17);
     let x = Tensor::randn(&[4, 8, 16, 16], 1.0, &mut rng);
     let mut conv = Conv2d::new(8, 16, 3, 1, &mut rng);
-    let out = conv.forward(&x);
+    let out = conv.forward(x.clone());
     let grad = Tensor::randn(out.shape(), 1.0, &mut rng);
     conv.clear_cache();
+    // Layers consume their tensors; the clones stand where the layer's
+    // own input copy stood, so the cases stay comparable across the
+    // by-value API change.
     time_case("conv2d_fwd_4x8x16x16_k3", warmup(), iters(), || {
-        let y = conv.forward(black_box(&x));
+        let y = conv.forward(black_box(&x).clone());
         conv.clear_cache();
         y
     });
     time_case("conv2d_fwd_bwd_4x8x16x16_k3", warmup(), iters(), || {
-        conv.forward(black_box(&x));
-        conv.backward(black_box(&grad))
+        let _ = conv.forward(black_box(&x).clone());
+        conv.backward(black_box(&grad).clone())
     });
 }
 

@@ -56,6 +56,32 @@ fn infeasible_home_fails_with_home_name() {
 }
 
 #[test]
+fn bad_local_solver_knobs_are_config_errors_not_worker_panics() {
+    type Spoil = fn(&mut FlConfig);
+    let cases: [(&str, Spoil); 5] = [
+        ("batch_size", |c| c.batch_size = 0),
+        ("local_epochs", |c| c.local_epochs = 0),
+        ("learning_rate", |c| c.learning_rate = f32::NAN),
+        ("mu", |c| c.mu = -1.0),
+        ("alpha", |c| c.alpha = f64::NAN),
+    ];
+    for (field, spoil) in cases {
+        let mut config = quick();
+        spoil(&mut config);
+        let err = EcoFlSystem::builder()
+            .homes(homes())
+            .fl_config(config)
+            .build()
+            .and_then(|system| system.run(None))
+            .unwrap_err();
+        assert!(
+            matches!(err, EcoFlError::Config(_)) && err.to_string().contains(field),
+            "{field}: expected a Config error naming it, got {err:?}"
+        );
+    }
+}
+
+#[test]
 fn dataset_and_partition_options_flow_through() {
     let report = EcoFlSystem::builder()
         .homes(homes())

@@ -95,13 +95,31 @@ impl Dataset {
     /// ready to wrap in a tensor batch.
     #[must_use]
     pub fn gather(&self, indices: &[usize]) -> (Vec<f32>, Vec<usize>) {
-        let mut feats = Vec::with_capacity(indices.len() * self.feature_dim);
+        let mut feats = vec![0.0; indices.len() * self.feature_dim];
         let mut labs = Vec::with_capacity(indices.len());
-        for &i in indices {
-            feats.extend_from_slice(self.feature_row(i));
-            labs.push(self.labels[i]);
-        }
+        self.gather_into(indices, &mut feats, &mut labs);
         (feats, labs)
+    }
+
+    /// [`Dataset::gather`] into buffers the caller reuses from batch to
+    /// batch: the rows are written over `feats`, the labels replace the
+    /// contents of `labels`.
+    ///
+    /// # Panics
+    /// Panics unless `feats` holds exactly `indices.len()` feature rows.
+    pub fn gather_into(&self, indices: &[usize], feats: &mut [f32], labels: &mut Vec<usize>) {
+        assert_eq!(
+            feats.len(),
+            indices.len() * self.feature_dim,
+            "gather_into: feature buffer does not hold {} rows",
+            indices.len()
+        );
+        labels.clear();
+        let dim = self.feature_dim;
+        for (n, &i) in indices.iter().enumerate() {
+            feats[n * dim..(n + 1) * dim].copy_from_slice(self.feature_row(i));
+            labels.push(self.labels[i]);
+        }
     }
 
     /// A new dataset holding copies of the selected samples.
@@ -220,9 +238,18 @@ impl Dataset {
     #[must_use]
     pub fn batches(&self, batch_size: usize, rng: &mut Rng) -> Vec<Vec<usize>> {
         assert!(batch_size > 0, "batches: batch_size must be positive");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        rng.shuffle(&mut idx);
-        idx.chunks(batch_size).map(<[usize]>::to_vec).collect()
+        let mut order = Vec::new();
+        self.epoch_order(&mut order, rng);
+        order.chunks(batch_size).map(<[usize]>::to_vec).collect()
+    }
+
+    /// Replaces `order` with one epoch's shuffled sample indices — the
+    /// permutation [`Dataset::batches`] chunks (same draws from `rng`),
+    /// into a buffer the caller reuses from epoch to epoch.
+    pub fn epoch_order(&self, order: &mut Vec<usize>, rng: &mut Rng) {
+        order.clear();
+        order.extend(0..self.len());
+        rng.shuffle(order);
     }
 }
 
@@ -330,6 +357,24 @@ mod tests {
         firsts.sort_by(f32::total_cmp);
         let expected: Vec<f32> = (0..20).map(|i| (i * 2) as f32).collect();
         assert_eq!(firsts, expected);
+    }
+
+    #[test]
+    fn reused_buffers_give_what_the_allocating_forms_give() {
+        let d = small();
+        let (mut feats, mut labels) = (vec![9.0; 4], vec![7; 5]);
+        d.gather_into(&[2, 0], &mut feats, &mut labels);
+        assert_eq!((feats, labels), d.gather(&[2, 0]));
+        let mut order = vec![42; 9];
+        d.epoch_order(&mut order, &mut Rng::new(7));
+        let batches = d.batches(2, &mut Rng::new(7));
+        assert_eq!(order, batches.concat());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold 2 rows")]
+    fn gather_into_checks_the_feature_buffer() {
+        small().gather_into(&[0, 1], &mut [0.0; 3], &mut Vec::new());
     }
 
     #[test]

@@ -93,8 +93,14 @@ pub struct LocalUpdate {
 /// The proximal anchor is `start_params` itself — the group model the
 /// client synchronized from, matching `h_c(w) = F_c(w) + µ/2‖w − w^g‖²`.
 ///
+/// The step loop allocates nothing: one epoch order, one feature tensor
+/// and one label vector are reused across batches, the network recycles
+/// its activations, and SGD steps the parameters where they live
+/// (`crates/fl/tests/alloc_bound.rs` holds the count).
+///
 /// # Panics
-/// Panics if `data` is empty or the architecture mismatches the dataset.
+/// Panics if `data` is empty, `cfg.batch_size` is zero or the architecture
+/// mismatches the dataset.
 #[must_use]
 pub fn local_train(
     arch: ModelArch,
@@ -104,31 +110,33 @@ pub fn local_train(
     rng: &mut Rng,
 ) -> LocalUpdate {
     assert!(!data.is_empty(), "local_train: empty client dataset");
+    assert!(
+        cfg.batch_size > 0,
+        "local_train: batch_size must be positive"
+    );
     // The synchronized group model overwrites every weight, so build the
     // zeroed skeleton instead of spending `param_len()` Gaussian draws on
     // an initialization that is discarded immediately.
     let mut model = arch.build_uninit(data.feature_dim(), data.num_classes());
     model.set_params(start_params);
     let mut opt = Sgd::new(cfg.lr).with_proximal(cfg.mu);
-    let anchor: Option<Vec<f32>> = (cfg.mu > 0.0).then(|| start_params.to_vec());
+    let anchor = (cfg.mu > 0.0).then_some(start_params);
 
-    // Flat param/grad buffers reused across every mini-batch.
-    let mut params = Vec::with_capacity(model.param_len());
-    let mut grads = Vec::with_capacity(model.param_len());
+    let mut order = Vec::with_capacity(data.len());
+    let mut x = Tensor::zeros(&[0, data.feature_dim()]);
+    let mut labels = Vec::with_capacity(cfg.batch_size.min(data.len()));
     let mut final_loss = 0.0f32;
     for _epoch in 0..cfg.epochs {
         let mut epoch_loss = 0.0f32;
-        let batches = data.batches(cfg.batch_size, rng);
+        data.epoch_order(&mut order, rng);
+        let batches = order.chunks(cfg.batch_size);
         let n_batches = batches.len();
         for batch in batches {
-            let (feats, labels) = data.gather(&batch);
-            let x = Tensor::from_vec(feats, &[labels.len(), data.feature_dim()]);
+            x.resize(&[batch.len(), data.feature_dim()]);
+            data.gather_into(batch, x.data_mut(), &mut labels);
             model.zero_grads();
             epoch_loss += model.train_step(&x, &labels);
-            model.params_into(&mut params);
-            model.grads_into(&mut grads);
-            opt.step(&mut params, &grads, anchor.as_deref());
-            model.set_params(&params);
+            model.sgd_step(&mut opt, anchor);
         }
         final_loss = epoch_loss / n_batches.max(1) as f32;
     }

@@ -160,20 +160,54 @@ impl FlConfig {
         }
     }
 
-    /// Validates the scheduler-facing knobs, returning a description of
-    /// the first violation.
+    /// Validates the scheduler-facing and local-solver knobs, returning a
+    /// description of the first violation.
     ///
     /// Out-of-range values used to flow silently into the run: a NaN or
     /// `>1` `failure_prob` reached `rng.bernoulli` unchecked (making
     /// the failure model ill-defined or a no-op), a non-positive
-    /// `eval_interval` made the eval watermark spin, and a negative
-    /// `comm_latency` scheduled events in the past. The builder and the
-    /// CLI map an `Err` here to `EcoFlError::Config`.
+    /// `eval_interval` made the eval watermark spin, a negative
+    /// `comm_latency` scheduled events in the past, and the solver knobs
+    /// reached asserts deep inside a worker (`batch_size: 0` in the
+    /// batcher, a negative or NaN `mu` in the optimizer, `local_epochs: 0`
+    /// in the latency model, a NaN `alpha` in the staleness weight). The
+    /// builder and the CLI map an `Err` here to `EcoFlError::Config`.
+    ///
+    /// A finite, positive `learning_rate` that is merely too large is
+    /// legal: the run diverges, scores NaN rows as wrong and reports the
+    /// accuracy it got.
     ///
     /// # Errors
     /// Returns `Err(message)` naming the offending field and value.
     pub fn validate(&self) -> Result<(), String> {
+        if self.batch_size == 0 {
+            return Err("batch_size must be at least 1, got 0".to_owned());
+        }
+        if self.local_epochs == 0 {
+            return Err("local_epochs must be at least 1, got 0".to_owned());
+        }
         // `!(x >= lo && x <= hi)` style so NaN fails every check.
+        if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
+            return Err(format!(
+                "learning_rate must be positive and finite, got {}",
+                self.learning_rate
+            ));
+        }
+        if !(self.mu >= 0.0 && self.mu.is_finite()) {
+            return Err(format!(
+                "mu must be non-negative and finite, got {}",
+                self.mu
+            ));
+        }
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
+            return Err(format!("alpha must be in (0, 1], got {}", self.alpha));
+        }
+        if !(self.staleness_exponent >= 0.0 && self.staleness_exponent.is_finite()) {
+            return Err(format!(
+                "staleness_exponent must be non-negative and finite, got {}",
+                self.staleness_exponent
+            ));
+        }
         if !(self.failure_prob >= 0.0 && self.failure_prob <= 1.0) {
             return Err(format!(
                 "failure_prob must be in [0, 1], got {}",
@@ -271,6 +305,72 @@ mod tests {
             let err = c.validate().unwrap_err();
             assert!(err.contains("probe_backoff"), "got: {err}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_zero_batch_size() {
+        let mut c = FlConfig::tiny();
+        c.batch_size = 0;
+        assert!(c.validate().unwrap_err().contains("batch_size"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_local_epochs() {
+        let mut c = FlConfig::tiny();
+        c.local_epochs = 0;
+        assert!(c.validate().unwrap_err().contains("local_epochs"));
+    }
+
+    #[test]
+    fn validate_rejects_bad_learning_rate_but_not_a_large_one() {
+        for bad in [0.0, -0.05, f32::NAN, f32::INFINITY] {
+            let mut c = FlConfig::tiny();
+            c.learning_rate = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("learning_rate"), "got: {err}");
+        }
+        let mut c = FlConfig::tiny();
+        c.learning_rate = 1e9;
+        assert!(c.validate().is_ok(), "divergence is a result, not an error");
+    }
+
+    #[test]
+    fn validate_rejects_bad_mu() {
+        for bad in [-1.0, f32::NAN, f32::INFINITY] {
+            let mut c = FlConfig::tiny();
+            c.mu = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("mu must"), "got: {err}");
+        }
+        let mut c = FlConfig::tiny();
+        c.mu = 0.0;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_alpha_outside_the_half_open_unit_interval() {
+        for bad in [0.0, -0.3, 1.5, f64::NAN, f64::INFINITY] {
+            let mut c = FlConfig::tiny();
+            c.alpha = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("alpha"), "got: {err}");
+        }
+        let mut c = FlConfig::tiny();
+        c.alpha = 1.0;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_bad_staleness_exponent() {
+        for bad in [-0.5, f64::NAN, f64::INFINITY] {
+            let mut c = FlConfig::tiny();
+            c.staleness_exponent = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("staleness_exponent"), "got: {err}");
+        }
+        let mut c = FlConfig::tiny();
+        c.staleness_exponent = 0.0;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

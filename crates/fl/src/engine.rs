@@ -363,6 +363,26 @@ mod tests {
     }
 
     #[test]
+    fn a_diverged_run_reports_its_accuracy_instead_of_panicking() {
+        // A valid but absurd step size drives every weight to NaN within a
+        // round; NaN rows score as wrong, so the run ends with a number.
+        let mut setup = tiny_setup(PartitionScheme::Iid, 8);
+        setup.config.learning_rate = 1e9;
+        assert!(setup.config.validate().is_ok());
+        for strategy in [
+            Strategy::FedAvg,
+            Strategy::EcoFl {
+                dynamic_grouping: true,
+            },
+        ] {
+            let r = run(strategy, &setup, None);
+            assert!(r.global_updates > 0);
+            assert!((0.0..=1.0).contains(&r.final_accuracy), "{r:?}");
+            assert!(r.final_recall.iter().all(|x| (0.0..=1.0).contains(x)));
+        }
+    }
+
+    #[test]
     fn fedat_and_astraea_run() {
         let setup = tiny_setup(PartitionScheme::ClassesPerClient(2), 6);
         let fedat = run(Strategy::FedAt, &setup, None);

@@ -49,9 +49,7 @@ impl ReferenceCurve {
                 let x = Tensor::from_vec(feats, &[labels.len(), train.feature_dim()]);
                 model.zero_grads();
                 let _ = model.train_step(&x, &labels);
-                let mut p = model.params();
-                opt.step(&mut p, &model.grads(), None);
-                model.set_params(&p);
+                model.sgd_step(&mut opt, None);
             }
             let (_, acc) = model.evaluate(&tx, &tl);
             accuracy.push(acc);

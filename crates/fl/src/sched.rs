@@ -24,7 +24,7 @@ use ecofl_compat::par::par_map;
 use ecofl_compat::sync::Shared;
 use ecofl_obs::{Domain, EventKind, MetricsHub, Obs, SpanKind, Tracer};
 use ecofl_simnet::EventQueue;
-use ecofl_tensor::{Network, Tensor};
+use ecofl_tensor::{argmax, Network, Tensor};
 use ecofl_util::{Rng, TimeSeries};
 
 /// A cheap shared handle on a frozen parameter snapshot. Cloning bumps
@@ -542,14 +542,9 @@ impl Evaluator {
             self.net.clear_caches();
             let k = logits.cols();
             for (row, &t) in logits.data().chunks(k).zip(y) {
-                let argmax = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("nonempty row");
                 total[t] += 1;
-                if argmax == t {
+                // A NaN row (a diverged model) predicts nothing.
+                if argmax(row) == Some(t) {
                     correct[t] += 1;
                 }
             }

@@ -8,7 +8,7 @@
 //! 8×8 single-channel layouts exercises the convolution path.
 
 use ecofl_compat::serde::{Deserialize, Serialize};
-use ecofl_tensor::{AvgPool2d, Conv2d, Flatten, Layer, Linear, Network, ReLU};
+use ecofl_tensor::{AvgPool2d, Conv2d, Flatten, Layer, Linear, Network, ReLU, Tensor};
 use ecofl_util::Rng;
 
 /// Which client architecture to instantiate.
@@ -124,14 +124,16 @@ pub fn cnn_uninit(feature_dim: usize, num_classes: usize) -> Network {
 struct Reshape8x8;
 
 impl Layer for Reshape8x8 {
-    fn forward(&mut self, input: &ecofl_tensor::Tensor) -> ecofl_tensor::Tensor {
+    fn forward(&mut self, mut input: Tensor) -> Tensor {
         let b = input.shape()[0];
-        input.clone().reshape(&[b, 1, 8, 8])
+        input.set_shape(&[b, 1, 8, 8]);
+        input
     }
 
-    fn backward(&mut self, grad_out: &ecofl_tensor::Tensor) -> ecofl_tensor::Tensor {
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
         let b = grad_out.shape()[0];
-        grad_out.clone().reshape(&[b, 64])
+        grad_out.set_shape(&[b, 64]);
+        grad_out
     }
 
     fn name(&self) -> &'static str {
@@ -143,7 +145,7 @@ impl Layer for Reshape8x8 {
 mod tests {
     use super::*;
     use ecofl_data::SyntheticSpec;
-    use ecofl_tensor::{Sgd, Tensor};
+    use ecofl_tensor::Sgd;
 
     #[test]
     fn mlp_shapes() {
@@ -186,9 +188,7 @@ mod tests {
                 let x = Tensor::from_vec(feats, &[labels.len(), spec.feature_dim]);
                 net.zero_grads();
                 let _ = net.train_step(&x, &labels);
-                let mut p = net.params();
-                opt.step(&mut p, &net.grads(), None);
-                net.set_params(&p);
+                net.sgd_step(&mut opt, None);
             }
         }
         let (feats, labels) = test.gather(&(0..test.len()).collect::<Vec<_>>());

@@ -92,7 +92,7 @@ use ecofl_compat::sync::channel::{bounded, unbounded, Receiver, RecvTimeoutError
 use ecofl_compat::sync::Mutex;
 use ecofl_obs::store::CheckpointMeta;
 use ecofl_obs::{Counter, Domain, EventKind, Histogram, MetricsHub, RunStore, Tracer};
-use ecofl_tensor::{Layer, SoftmaxCrossEntropy, Tensor};
+use ecofl_tensor::{backward_through, Layer, SoftmaxCrossEntropy, Tensor};
 use ecofl_util::Rng;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -598,7 +598,7 @@ fn do_fwd(ctx: &mut StageCtx, pending_logits: &mut VecDeque<Tensor>) -> Result<(
     let t0 = ctx.metrics.as_ref().map(|_| Instant::now());
     let mut out = x;
     for layer in &mut ctx.layers {
-        out = layer.forward(&out);
+        out = layer.forward(out);
     }
     if let (Some(m), Some(t0)) = (&ctx.metrics, t0) {
         m.fwd_compute_ns.record(t0.elapsed().as_nanos() as f64);
@@ -625,7 +625,7 @@ fn do_bwd(
     pending_logits: &mut VecDeque<Tensor>,
     losses: &mut Vec<f32>,
 ) -> Result<(), StageFail> {
-    let mut grad = if ctx.is_last {
+    let grad = if ctx.is_last {
         let logits = pending_logits.pop_front().expect("logit for backward");
         let targets = ctx
             .target_rx
@@ -635,7 +635,7 @@ fn do_bwd(
             .map_err(|_| StageFail::Disconnect {
                 during: "target receive",
             })?;
-        let (loss, grad) = head.loss_and_grad(&logits, &targets);
+        let (loss, grad) = head.loss_and_grad(logits, &targets);
         losses.push(loss);
         ctx.progress.fetch_add(1, Ordering::Relaxed);
         grad
@@ -651,9 +651,9 @@ fn do_bwd(
         decode_tensor(bytes)
     };
     let t0 = ctx.metrics.as_ref().map(|_| Instant::now());
-    for layer in ctx.layers.iter_mut().rev() {
-        grad = layer.backward(&grad);
-    }
+    // Stage 0 has no upstream: nobody consumes its input gradient, so its
+    // first layer does not compute one.
+    let grad = backward_through(&mut ctx.layers, grad, ctx.upstream_grad_tx.is_some());
     if let (Some(m), Some(t0)) = (&ctx.metrics, t0) {
         m.bwd_compute_ns.record(t0.elapsed().as_nanos() as f64);
     }

@@ -231,13 +231,13 @@ fn a_real_panic_in_layer_code_is_supervised_too() {
         fn name(&self) -> &'static str {
             "panic-on-forward"
         }
-        fn forward(&mut self, input: &Tensor) -> Tensor {
+        fn forward(&mut self, input: Tensor) -> Tensor {
             self.calls += 1;
             assert!(self.calls != self.at, "synthetic layer fault");
-            input.clone()
+            input
         }
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            grad_out.clone()
+        fn backward(&mut self, grad_out: Tensor) -> Tensor {
+            grad_out
         }
     }
 

@@ -1,48 +1,59 @@
-//! Cache-blocked, register-tiled matrix and convolution kernels.
+//! Register-tiled matrix and convolution kernels.
 //!
 //! This module is the compute core behind [`crate::Tensor::matmul`] and the
-//! `Conv2d`/`Sgd` hot paths. The design is the classic BLIS-style
-//! decomposition scaled down to the model sizes this workspace trains:
+//! `Conv2d`/`Sgd` hot paths. Every GEMM entry point picks one of two
+//! drivers **from the size of the product alone**:
 //!
-//! - **Row chunks.** Output rows are processed in fixed
-//!   [`ROWS_PER_CHUNK`]-row chunks. The chunk grid depends only on the
-//!   output shape — never on the worker count — so the parallel path
-//!   (`compat::par::par_chunks_mut`) computes exactly the same tiles as the
-//!   sequential path and results are bit-identical at `ECOFL_THREADS=1/2/8`.
-//! - **Register tiles.** Inside a chunk, an `MR×NR` accumulator tile lives
-//!   in locals for the whole depth (`k`) loop, so each output element is
-//!   loaded and stored once instead of `k` times, and the innermost loop is
-//!   a contiguous fused-multiply-accumulate stream over `b`'s rows that the
-//!   compiler auto-vectorizes.
-//! - **Packed-transpose panels.** `gemm_tn` (the `xᵀ·g` gradient product)
-//!   packs `MR`-column panels of the transposed operand into a small
-//!   reusable buffer instead of materializing the full transpose, then runs
-//!   the same register-tiled kernel over the panel.
+//! - **Direct** (below `PAR_MAC_THRESHOLD` multiply-accumulates, i.e.
+//!   every product that runs sequentially — all of FL local training
+//!   and evaluation): operands are read where they lie. `b`'s rows are
+//!   already contiguous `NR`-column strips at stride `n`, `a`'s scalars sit
+//!   at stride `k` (`a·b`) or `m` (`aᵀ·b`), row tiles are sized to `m`
+//!   (ten rows are two five-row tiles, not two padded eight-row ones) and
+//!   the column tail is masked (AVX-512) or runs a narrower loop. No
+//!   packing, no scratch, no chunk grid: on an L1-resident product those
+//!   were most of the call.
+//! - **Packed** (at or above the threshold, where the work is split over
+//!   threads): the BLIS-style decomposition. Output rows are processed in
+//!   fixed [`ROWS_PER_CHUNK`]-row chunks — the grid depends only on the
+//!   output shape, never on the worker count, so results are bit-identical
+//!   at `ECOFL_THREADS=1/2/8` — and operands are packed into zero-padded
+//!   panels so an `MR×NR` accumulator tile lives in registers for the whole
+//!   depth loop. `gemm_tn` packs columns of the untransposed operand
+//!   straight into tile layout instead of materializing a transpose.
 //!
-//! # SIMD dispatch and the tolerance policy
+//! The threshold is the one that already separates sequential from
+//! parallel execution, so there is no second size rule to tune: a product
+//! is direct exactly when it would have run on one thread anyway.
 //!
-//! Three instantiations of the same kernel body exist:
+//! # SIMD tiers and the bit-identity contract
 //!
-//! - a **portable** path (`acc + a*b`, 4×8 tiles) that performs every
-//!   multiply and add in exactly the order of the retained naive kernels in
-//!   [`crate::reference`] — outputs are **bit-identical** to them,
-//! - an **FMA** path (`f32::mul_add`, 6×16 tiles) compiled with
-//!   `#[target_feature(enable = "avx2", enable = "fma")]` and selected at
-//!   runtime when the CPU supports it, and
-//! - an **AVX-512** path (8×32 tiles held in zmm registers by explicit
-//!   `_mm512_fmadd_ps` intrinsics) selected when `avx512f` is present.
+//! Three instantiations of each driver exist, selected once per process:
 //!
-//! Fused multiply-add skips the intermediate rounding of the product, so
-//! the FMA/AVX-512 outputs differ from the naive reference by at most
-//! `2·k·ε` relative to the absolute-value inner product (≈1e-6 relative
-//! for the `k ≲ 100` shapes the models use); the property tests in
-//! `tests/kernel_equivalence.rs` enforce that bound. Per output element
-//! both paths accumulate in the same ascending-`p` scalar-lane order as
-//! the naive loop — only the `mul_add` rounding differs.
+//! - **portable**: `acc + a*b`, autovectorized,
+//! - **AVX2+FMA**: `f32::mul_add`, compiled with
+//!   `#[target_feature(enable = "avx2", enable = "fma")]`,
+//! - **AVX-512**: explicit `_mm512_fmadd_ps` tiles held in zmm registers.
 //!
-//! On a given machine the dispatch decision is constant, so runs remain
-//! deterministic; `ECOFL_PORTABLE_KERNELS=1` forces the portable path
-//! (used by CI to prove the exact-equality claim on any host).
+//! On every tier and in both drivers one output element of `a·b` / `aᵀ·b`
+//! is the same scalar chain: `acc = 0`, then `acc = madd(a_p, b_p, acc)`
+//! for ascending `p`, then `out = acc` (or `out = out + acc` when
+//! accumulating). `a·bᵀ` keeps eight partial sums (lane `l` takes
+//! `p ≡ l mod 8`) folded as `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`; lanes a
+//! short depth never reaches are left untouched rather than fed
+//! `madd(0, 0, ·)`, which would turn a `-0.0` lane into `+0.0`. Tiling
+//! only decides *where* an element is computed, never the order of its
+//! operations, so both drivers are **bit-identical** to the tier's scalar
+//! chain in [`crate::reference`] (`chain_matmul*`) and to each other —
+//! `tests/kernel_equivalence.rs` and the unit tests below assert
+//! `to_bits` equality. Against the plain-`mul`+`add` naive references the
+//! portable tier is therefore exact and the FMA tiers differ by at most
+//! `2·k·ε` relative to the absolute-value inner product (each fused step
+//! skips one intermediate rounding).
+//!
+//! On a given machine the tier is constant, so runs remain deterministic;
+//! `ECOFL_PORTABLE_KERNELS=1` forces the portable tier (used by CI to
+//! prove the exact-equality claim on any host).
 
 use ecofl_compat::par::{max_threads, par_chunks_mut};
 use std::cell::RefCell;
@@ -68,10 +79,19 @@ pub const NR_PORTABLE: usize = 8;
 /// tiles and the tile grid is independent of how chunks map to threads.
 pub const ROWS_PER_CHUNK: usize = 24;
 
-/// Below this many multiply-accumulates a matmul stays sequential: the
+/// Row-tile height limit of the direct driver: 6 rows × 4 zmm registers
+/// is 24 of AVX-512's 32 accumulators, 6 × 2 ymm (or xmm) 12 of the 16
+/// the narrower tiers have.
+const MR_DIRECT: usize = 6;
+/// Column-strip width of the direct driver's AVX-512 tiles (four 16-lane
+/// registers); the portable and AVX2 instantiations use their packed
+/// `NR`.
+const NR_DIRECT_AVX512: usize = 64;
+
+/// Below this many multiply-accumulates a product stays sequential — the
 /// scoped worker pool spawns threads per call, which only amortizes over
-/// large products (the old 64³ threshold put the micro-bench's own case
-/// on the spawn-dominated path).
+/// large products — and therefore also runs the pack-free direct driver:
+/// the one size rule of this module.
 const PAR_MAC_THRESHOLD: usize = 1 << 22;
 
 /// Which kernel instantiation runtime dispatch selected.
@@ -300,19 +320,28 @@ fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
-/// Where a GEMM chunk reads its left-hand operand from.
+/// Where a GEMM reads its left-hand operand from.
 ///
-/// `Rows` is the plain product (`a·b`, contiguous row panel); `Cols` is the
-/// packed-transpose path (`aᵀ·b`) — the packer below gathers columns of the
-/// `[k,m]` operand directly into the tile layout, so the transpose is never
-/// materialized.
+/// `Rows` is the plain product (`a·b`); `Cols` is `aᵀ·b` — both drivers
+/// read (or pack) columns of the `[k,m]` operand directly, so the
+/// transpose is never materialized.
 #[derive(Clone, Copy)]
 enum ASrc<'a> {
-    /// A row-major `[m,k]` matrix with leading dimension `lda`; chunks take
-    /// row ranges.
-    Rows { a: &'a [f32], lda: usize },
-    /// A row-major `[k,m]` matrix; chunks take column ranges.
+    /// A row-major `[m,k]` matrix.
+    Rows { a: &'a [f32] },
+    /// A row-major `[k,m]` matrix, read transposed.
     Cols { a: &'a [f32], m: usize },
+}
+
+impl<'a> ASrc<'a> {
+    /// `(buffer, row stride, depth stride)` for depth `k`: output row `i`,
+    /// depth `p` reads `buffer[i·row_stride + p·depth_stride]`.
+    fn strides(self, k: usize) -> (&'a [f32], usize, usize) {
+        match self {
+            ASrc::Rows { a } => (a, k, 1),
+            ASrc::Cols { a, m } => (a, 1, m),
+        }
+    }
 }
 
 /// The innermost register tile: `acc[r][j] += Σ_p ap[p·MR+r] · bp[p·NR+j]`
@@ -326,8 +355,7 @@ enum ASrc<'a> {
 /// `madd` is the multiply-accumulate op — `acc + a*b` on the portable
 /// instantiation, `a.mul_add(b, acc)` on the FMA one. Per output element
 /// the products accumulate in ascending-`p` order into a single scalar
-/// lane, matching the naive triple loop, so the only divergence from
-/// [`crate::reference::naive_matmul`] is the `madd` rounding itself.
+/// lane: the tier's scalar chain ([`crate::reference::chain_matmul`]).
 #[inline(always)]
 fn microkernel<const MR: usize, const NR: usize>(
     madd: impl Fn(f32, f32, f32) -> f32 + Copy,
@@ -355,11 +383,11 @@ fn pack_a<const MR: usize>(src: ASrc<'_>, i0: usize, rows: usize, k: usize, apac
         apack[full..].fill(0.0);
     }
     match src {
-        ASrc::Rows { a, lda } => {
+        ASrc::Rows { a } => {
             for t in 0..rows.div_ceil(MR) {
                 let tile = &mut apack[t * k * MR..(t + 1) * k * MR];
                 for r in 0..MR.min(rows - t * MR) {
-                    let arow = &a[(i0 + t * MR + r) * lda..][..k];
+                    let arow = &a[(i0 + t * MR + r) * k..][..k];
                     for (p, &v) in arow.iter().enumerate() {
                         tile[p * MR + r] = v;
                     }
@@ -385,14 +413,17 @@ fn pack_a<const MR: usize>(src: ASrc<'_>, i0: usize, rows: usize, k: usize, apac
 /// sixteen of thirty-two zmm registers. Lane for lane the arithmetic is
 /// exactly `acc[j] = a.mul_add(b[j], acc[j])`, identical to what the
 /// generic FMA instantiation computes.
+// SAFETY: a safe `#[target_feature]` function — only [`packed_avx512`],
+// compiled with the same feature, can call it outside `unsafe`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn microkernel_avx512(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR_AVX512]; MR_AVX512]) {
     use std::arch::x86_64::{
         _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
     };
-    // SAFETY: every load/store stays inside `acc`'s 32-wide rows or the
-    // `chunks_exact` panels (16 lanes at offsets 0 and 16).
+    // SAFETY: every load/store covers 16 lanes at offset 0 or 16 of a
+    // 32-element array: `acc`'s rows by their type, the B panel rows by
+    // `chunks_exact(NR_AVX512)`. `avx512f` is enabled on this function.
     unsafe {
         let mut c = [[_mm512_setzero_ps(); 2]; MR_AVX512];
         for (cr, row) in c.iter_mut().zip(acc.iter()) {
@@ -418,14 +449,14 @@ fn microkernel_avx512(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR_AVX512
     }
 }
 
-/// The full GEMM driver for one kernel instantiation: packs B once into
+/// The packed GEMM driver for one kernel instantiation: packs B once into
 /// zero-padded `NR`-column strips (`[strip][p][j]`, shared read-only by all
 /// chunks/threads), then runs the row chunks — pack the chunk's A panel,
 /// sweep the strips, run the microkernel per tile, and write back only the
-/// live `rb×cb` window of each accumulator.
+/// live `rb×cb` window of each accumulator. Only products in the parallel
+/// class come here, so the chunks always go to the worker pool.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_driver<const MR: usize, const NR: usize>(
+fn packed_driver<const MR: usize, const NR: usize>(
     kern: impl Fn(&[f32], &[f32], &mut [[f32; NR]; MR]) + Copy + Sync,
     asrc: ASrc<'_>,
     k: usize,
@@ -433,7 +464,6 @@ fn gemm_driver<const MR: usize, const NR: usize>(
     n: usize,
     out: &mut [f32],
     accumulate: bool,
-    par: bool,
 ) {
     let strips = n.div_ceil(NR);
     B_SCRATCH.with_borrow_mut(|bbuf| {
@@ -448,8 +478,8 @@ fn gemm_driver<const MR: usize, const NR: usize>(
             }
         }
         let bpack = &*bpack;
-        for_row_chunks(out, n, par, move |i0, chunk| {
-            let rows = chunk.len() / n.max(1);
+        for_row_chunks(out, n, true, move |i0, chunk| {
+            let rows = chunk.len() / n;
             let tiles = rows.div_ceil(MR);
             A_SCRATCH.with_borrow_mut(|abuf| {
                 let apack = scratch(abuf, tiles * k * MR);
@@ -459,8 +489,8 @@ fn gemm_driver<const MR: usize, const NR: usize>(
     });
 }
 
-/// One row chunk of [`gemm_driver`]: pack the chunk's A panel, sweep the B
-/// strips, run the microkernel per tile, write back the live `rb×cb`
+/// One row chunk of [`packed_driver`]: pack the chunk's A panel, sweep the
+/// B strips, run the microkernel per tile, write back the live `rb×cb`
 /// window of each accumulator.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -498,16 +528,15 @@ fn run_chunk<const MR: usize, const NR: usize>(
     }
 }
 
-fn gemm_portable(
+fn packed_portable(
     asrc: ASrc<'_>,
     k: usize,
     b: &[f32],
     n: usize,
     out: &mut [f32],
     accumulate: bool,
-    par: bool,
 ) {
-    gemm_driver::<MR_PORTABLE, NR_PORTABLE>(
+    packed_driver::<MR_PORTABLE, NR_PORTABLE>(
         |ap, bp, acc| microkernel(|a, b, acc| acc + a * b, ap, bp, acc),
         asrc,
         k,
@@ -515,26 +544,17 @@ fn gemm_portable(
         n,
         out,
         accumulate,
-        par,
     );
 }
 
-/// Safe to *define*; callers must ensure AVX2+FMA are available (enforced
-/// by the [`kernel_path`] runtime check at the dispatch site).
 /// The parallel closure inside inherits the target features; worker
-/// threads only ever run it after the same runtime check passed.
+/// threads only ever run it after the caller's runtime check passed.
+// SAFETY: safe body; reached only through `gemm_on`'s `unsafe` call, whose
+// caller established AVX2+FMA (`kernel_path`'s runtime detection).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn gemm_fma(
-    asrc: ASrc<'_>,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-    accumulate: bool,
-    par: bool,
-) {
-    gemm_driver::<MR_FMA, NR_FMA>(
+fn packed_fma(asrc: ASrc<'_>, k: usize, b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
+    packed_driver::<MR_FMA, NR_FMA>(
         |ap, bp, acc| microkernel(|a, b, acc| a.mul_add(b, acc), ap, bp, acc),
         asrc,
         k,
@@ -542,24 +562,17 @@ fn gemm_fma(
         n,
         out,
         accumulate,
-        par,
     );
 }
 
-/// Same contract as [`gemm_fma`], instantiated for 512-bit vectors via the
-/// hand-held [`microkernel_avx512`] tile.
+/// Same contract as [`packed_fma`], instantiated for 512-bit vectors via
+/// the hand-held [`microkernel_avx512`] tile.
+// SAFETY: safe body; reached only through `gemm_on`'s `unsafe` call, whose
+// caller established `avx512f` (`kernel_path`'s runtime detection).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn gemm_avx512(
-    asrc: ASrc<'_>,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-    accumulate: bool,
-    par: bool,
-) {
-    gemm_driver::<MR_AVX512, NR_AVX512>(
+fn packed_avx512(asrc: ASrc<'_>, k: usize, b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
+    packed_driver::<MR_AVX512, NR_AVX512>(
         |ap, bp, acc| microkernel_avx512(ap, bp, acc),
         asrc,
         k,
@@ -567,45 +580,405 @@ fn gemm_avx512(
         n,
         out,
         accumulate,
-        par,
     );
 }
 
-/// Dispatches a GEMM to the selected kernel instantiation.
-fn gemm_dispatch(
+/// Splits `m` output rows into the fewest tiles of at most [`MR_DIRECT`]
+/// rows, as evenly as possible (ten rows are 5 + 5, not 6 + 4), yielding
+/// `(first_row, rows)`.
+fn row_tiles(m: usize) -> impl Iterator<Item = (usize, usize)> {
+    let tiles = m.div_ceil(MR_DIRECT);
+    let (base, extra) = (m / tiles.max(1), m % tiles.max(1));
+    (0..tiles).map(move |t| (t * base + t.min(extra), base + usize::from(t < extra)))
+}
+
+/// Expands to `$tile::<rows, $width>($args)` for a runtime `$rows` in
+/// `1..=MR_DIRECT`, so every row-tile height is its own fully unrolled
+/// instantiation.
+macro_rules! for_tile_rows {
+    ($rows:expr, $tile:ident, $width:tt, $args:tt) => {
+        match $rows {
+            1 => $tile::<1, $width> $args,
+            2 => $tile::<2, $width> $args,
+            3 => $tile::<3, $width> $args,
+            4 => $tile::<4, $width> $args,
+            5 => $tile::<5, $width> $args,
+            6 => $tile::<6, $width> $args,
+            rows => unreachable!("row_tiles yields 1..=MR_DIRECT rows, got {rows}"),
+        }
+    };
+}
+
+/// One `R×cb` output tile of the portable / AVX2 direct driver, read
+/// straight from the operands: `acc[r][j] = madd(a[ib+r, p], b[p, jb+j],
+/// acc[r][j])` for ascending `p` from zero, then stored (or added onto
+/// `out`). A full-width strip (`cb == NR`) runs fixed-trip loops the
+/// compiler keeps in vector registers; the column tail runs the same
+/// chain over `cb` lanes.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn direct_tile<const R: usize, const NR: usize>(
+    madd: impl Fn(f32, f32, f32) -> f32 + Copy,
     asrc: ASrc<'_>,
+    ib: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    jb: usize,
+    cb: usize,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    let (a, row_stride, depth_stride) = asrc.strides(k);
+    let a = &a[ib * row_stride..];
+    let mut acc = [[0.0f32; NR]; R];
+    if cb == NR {
+        for p in 0..k {
+            let brow: &[f32; NR] = b[p * n + jb..][..NR]
+                .try_into()
+                .expect("a full strip is NR wide");
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let a_rp = a[r * row_stride + p * depth_stride];
+                for j in 0..NR {
+                    accr[j] = madd(a_rp, brow[j], accr[j]);
+                }
+            }
+        }
+    } else {
+        for p in 0..k {
+            let brow = &b[p * n + jb..][..cb];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let a_rp = a[r * row_stride + p * depth_stride];
+                for (c, &b_pj) in accr.iter_mut().zip(brow) {
+                    *c = madd(a_rp, b_pj, *c);
+                }
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let orow = &mut out[(ib + r) * n + jb..][..cb];
+        if accumulate {
+            for (o, &v) in orow.iter_mut().zip(accr) {
+                *o += v;
+            }
+        } else {
+            orow.copy_from_slice(&accr[..cb]);
+        }
+    }
+}
+
+/// The direct driver for the portable and AVX2 instantiations: column
+/// strips outermost (a strip of `b` stays cache-hot across the row
+/// tiles), [`row_tiles`] inside, one [`direct_tile`] each.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn direct_driver<const NR: usize>(
+    madd: impl Fn(f32, f32, f32) -> f32 + Copy,
+    asrc: ASrc<'_>,
+    m: usize,
     k: usize,
     b: &[f32],
     n: usize,
     out: &mut [f32],
     accumulate: bool,
-    par: bool,
 ) {
-    match kernel_path() {
-        // SAFETY: `kernel_path` verified the corresponding CPU features at
-        // runtime; the functions contain only safe Rust compiled with
-        // those features enabled.
+    for jb in (0..n).step_by(NR) {
+        let cb = (n - jb).min(NR);
+        for (ib, rb) in row_tiles(m) {
+            for_tile_rows!(
+                rb,
+                direct_tile,
+                NR,
+                (madd, asrc, ib, k, b, n, jb, cb, out, accumulate)
+            );
+        }
+    }
+}
+
+fn direct_portable(
+    asrc: ASrc<'_>,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    direct_driver::<NR_PORTABLE>(|a, b, acc| acc + a * b, asrc, m, k, b, n, out, accumulate);
+}
+
+/// The AVX2+FMA instantiation of [`direct_driver`]: the same safe,
+/// bounds-checked body as [`direct_portable`], fused and 16 columns wide.
+// SAFETY: safe body; reached only through `gemm_on`'s `unsafe` call, whose
+// caller established AVX2+FMA (`kernel_path`'s runtime detection).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn direct_fma(
+    asrc: ASrc<'_>,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    direct_driver::<NR_FMA>(
+        |a, b, acc| a.mul_add(b, acc),
+        asrc,
+        m,
+        k,
+        b,
+        n,
+        out,
+        accumulate,
+    );
+}
+
+/// One `R`-row × `NV`-register (`cols ≤ 16·NV` columns) AVX-512 tile of the
+/// direct driver, accumulators held in `R·NV ≤ 24` zmm registers for the
+/// whole depth loop. Lane for lane it is `acc = a.mul_add(b, acc)` for
+/// ascending `p` from zero; columns at or past `cols` are masked out of
+/// every load and store.
+///
+/// # Safety
+/// `avx512f` must be available, `16·(NV−1) < cols ≤ 16·NV`, and for every
+/// `r < R`, `p < k`, `c < cols` the addresses `a + r·row_stride +
+/// p·depth_stride`, `b + p·ldb + c` and `out + r·ldo + c` must lie inside
+/// their (distinct) allocations, `out`'s exclusively borrowed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn direct_tile_avx512<const R: usize, const NV: usize>(
+    a: *const f32,
+    row_stride: usize,
+    depth_stride: usize,
+    b: *const f32,
+    ldb: usize,
+    k: usize,
+    cols: usize,
+    out: *mut f32,
+    ldo: usize,
+    accumulate: bool,
+) {
+    use std::arch::x86_64::{
+        __mmask16, _mm512_add_ps, _mm512_fmadd_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    let mut live = [0 as __mmask16; NV];
+    for (v, mask) in live.iter_mut().enumerate() {
+        *mask = ((1u32 << (cols - 16 * v).min(16)) - 1) as __mmask16;
+    }
+    // SAFETY: the caller guarantees every unmasked lane of every access
+    // below is in bounds (see `# Safety`); masked-off lanes are neither
+    // read nor written by the `maskz_loadu` / `mask_storeu` forms, and
+    // each vector's first lane (`16·v < cols`) is live, so the pointer
+    // offsets themselves stay inside the allocations.
+    unsafe {
+        let mut acc = [[_mm512_setzero_ps(); NV]; R];
+        for p in 0..k {
+            let brow = b.add(p * ldb);
+            let mut bv = [_mm512_setzero_ps(); NV];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                *bvv = _mm512_maskz_loadu_ps(live[v], brow.add(16 * v));
+            }
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let a_rp = _mm512_set1_ps(*a.add(r * row_stride + p * depth_stride));
+                for (c, &bvv) in accr.iter_mut().zip(&bv) {
+                    *c = _mm512_fmadd_ps(a_rp, bvv, *c);
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            for (v, &c) in accr.iter().enumerate() {
+                let o = out.add(r * ldo + 16 * v);
+                let value = if accumulate {
+                    _mm512_add_ps(_mm512_maskz_loadu_ps(live[v], o), c)
+                } else {
+                    c
+                };
+                _mm512_mask_storeu_ps(o, live[v], value);
+            }
+        }
+    }
+}
+
+/// The AVX-512 direct driver: 64-column strips (four zmm registers, the
+/// last strip as many as its columns need) × [`row_tiles`].
+///
+/// # Safety
+/// `avx512f` must be available and the operands must hold exactly the
+/// elements their shapes name: `[m,k]` (or `[k,m]` for `ASrc::Cols`) in
+/// `asrc`, `k·n` in `b`, `m·n` in `out`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn direct_avx512(
+    asrc: ASrc<'_>,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    let (a, row_stride, depth_stride) = asrc.strides(k);
+    for jb in (0..n).step_by(NR_DIRECT_AVX512) {
+        let cols = (n - jb).min(NR_DIRECT_AVX512);
+        for (ib, rb) in row_tiles(m) {
+            // SAFETY: `row_tiles` keeps `ib + r < m` for `r < rb` and the
+            // strip keeps `jb + c < n` for `c < cols`, so with the operand
+            // lengths this function requires the tile reads
+            // `a[(ib+r)·row_stride + p·depth_stride]` (`< m·k` in either
+            // layout), `b[p·n + jb + c]` (`< k·n`) and touches
+            // `out[(ib+r)·n + jb + c]` (`< m·n`); `out` is exclusively
+            // borrowed and cannot alias the shared operands.
+            unsafe {
+                let a = a.as_ptr().add(ib * row_stride);
+                let b = b.as_ptr().add(jb);
+                let o = out.as_mut_ptr().add(ib * n + jb);
+                macro_rules! strip {
+                    ($nv:tt) => {
+                        for_tile_rows!(
+                            rb,
+                            direct_tile_avx512,
+                            $nv,
+                            (a, row_stride, depth_stride, b, n, k, cols, o, n, accumulate)
+                        )
+                    };
+                }
+                match cols.div_ceil(16) {
+                    1 => strip!(1),
+                    2 => strip!(2),
+                    3 => strip!(3),
+                    4 => strip!(4),
+                    nv => unreachable!("a strip is 1..=4 registers wide, got {nv}"),
+                }
+            }
+        }
+    }
+}
+
+/// Which driver runs a product: a function of its size alone (see the
+/// module docs), through the one threshold that also decides whether the
+/// product is split over threads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    /// Pack-free tiles over the operands in place; always sequential.
+    Direct,
+    /// Packed panels on the fixed chunk grid; the parallel class.
+    Packed,
+}
+
+impl Driver {
+    fn for_product(m: usize, k: usize, n: usize) -> Self {
+        if is_parallel_class(m.saturating_mul(n).saturating_mul(k)) {
+            Driver::Packed
+        } else {
+            Driver::Direct
+        }
+    }
+}
+
+fn is_parallel_class(macs: usize) -> bool {
+    macs >= PAR_MAC_THRESHOLD
+}
+
+/// Panics unless an operand holds exactly `rows·cols` elements. Every
+/// GEMM entry runs this on all three operands before any tile code, so
+/// the raw-pointer tiles never see a buffer shorter than its shape.
+fn check_operand(kernel: &str, operand: &str, len: usize, rows: usize, cols: usize) {
+    assert!(
+        rows.checked_mul(cols) == Some(len),
+        "{kernel}: operand `{operand}` holds {len} elements, its shape [{rows},{cols}] needs {}",
+        rows.saturating_mul(cols)
+    );
+}
+
+/// `out (+)= a·b` (`a: [m,k]`) or, `transposed`, `out (+)= aᵀ·b`
+/// (`a: [k,m]`) on an explicit tier and driver; [`gemm`] / [`gemm_tn`] call
+/// it with the process's tier and the product's size class, the unit tests
+/// with every combination the host supports. Operand lengths are checked
+/// here, ahead of both drivers.
+///
+/// # Safety
+/// The CPU must support `path`'s instruction set ([`kernel_path`] only
+/// returns such a tier).
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_on(
+    path: KernelPath,
+    driver: Driver,
+    a: &[f32],
+    transposed: bool,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    let (kernel, asrc) = if transposed {
+        check_operand("gemm_tn", "a", a.len(), k, m);
+        ("gemm_tn", ASrc::Cols { a, m })
+    } else {
+        check_operand("gemm", "a", a.len(), m, k);
+        ("gemm", ASrc::Rows { a })
+    };
+    check_operand(kernel, "b", b.len(), k, n);
+    check_operand(kernel, "out", out.len(), m, n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        // An empty sum is `+0.0`, stored or added like any other.
+        for o in out.iter_mut() {
+            *o = if accumulate { *o + 0.0 } else { 0.0 };
+        }
+        return;
+    }
+    match (path, driver) {
+        // SAFETY: the caller vouches for `avx512f`, and `check_operand`
+        // above established the three operand lengths the raw-pointer
+        // tiles require.
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx512 => unsafe { gemm_avx512(asrc, k, b, n, out, accumulate, par) },
+        (KernelPath::Avx512, Driver::Direct) => unsafe {
+            direct_avx512(asrc, m, k, b, n, out, accumulate);
+        },
+        // SAFETY: the caller vouches for `avx512f`; the body is safe code.
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Fma => unsafe { gemm_fma(asrc, k, b, n, out, accumulate, par) },
-        _ => gemm_portable(asrc, k, b, n, out, accumulate, par),
+        (KernelPath::Avx512, Driver::Packed) => unsafe {
+            packed_avx512(asrc, k, b, n, out, accumulate);
+        },
+        // SAFETY: the caller vouches for AVX2+FMA; the body is safe code.
+        #[cfg(target_arch = "x86_64")]
+        (KernelPath::Fma, Driver::Direct) => unsafe {
+            direct_fma(asrc, m, k, b, n, out, accumulate);
+        },
+        // SAFETY: the caller vouches for AVX2+FMA; the body is safe code.
+        #[cfg(target_arch = "x86_64")]
+        (KernelPath::Fma, Driver::Packed) => unsafe {
+            packed_fma(asrc, k, b, n, out, accumulate);
+        },
+        (_, Driver::Direct) => direct_portable(asrc, m, k, b, n, out, accumulate),
+        (_, Driver::Packed) => packed_portable(asrc, k, b, n, out, accumulate),
     }
 }
 
 /// `out = a·b` for row-major `a: [m,k]`, `b: [k,n]`, `out: [m,n]`.
+///
+/// # Panics
+/// Panics if an operand's length disagrees with its shape.
 pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = stats::time_kernel(K_GEMM);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let par = m * n * k >= PAR_MAC_THRESHOLD;
-    gemm_dispatch(ASrc::Rows { a, lda: k }, k, b, n, out, false, par);
+    let (path, driver) = (kernel_path(), Driver::for_product(m, k, n));
+    // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+    // features.
+    unsafe { gemm_on(path, driver, a, false, m, k, b, n, out, false) };
 }
 
 /// `out (+)= aᵀ·b` for row-major `a: [k,m]`, `b: [k,n]`, `out: [m,n]`,
-/// without materializing `aᵀ`: the packer gathers each chunk's columns of
-/// `a` straight into the microkernel tile layout.
+/// without materializing `aᵀ`.
+///
+/// # Panics
+/// Panics if an operand's length disagrees with its shape.
 pub(crate) fn gemm_tn(
     a: &[f32],
     b: &[f32],
@@ -616,88 +989,179 @@ pub(crate) fn gemm_tn(
     accumulate: bool,
 ) {
     let _t = stats::time_kernel(K_GEMM_TN);
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let par = m * n * k >= PAR_MAC_THRESHOLD;
-    gemm_dispatch(ASrc::Cols { a, m }, k, b, n, out, accumulate, par);
+    let (path, driver) = (kernel_path(), Driver::for_product(m, k, n));
+    // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+    // features.
+    unsafe { gemm_on(path, driver, a, true, m, k, b, n, out, accumulate) };
 }
 
-/// One output row of `a·bᵀ`: `out[j] = Σ_p arow[p]·b[j·k+p]`.
+/// Output rows `i0..` of `a·bᵀ` into `chunk`, portable instantiation:
+/// `out[i,j] = fold(lanes)` with `lanes[l] = Σ_{p ≡ l mod 8} a[i,p]·b[j,p]`
+/// accumulated as `lanes[l] + x*y` for ascending `p`.
 ///
 /// Both operands are walked contiguously (that is the point of the NT
-/// layout — no transpose is formed). The dot product accumulates into
-/// `LANES` independent partial sums folded in a fixed order at the end, so
-/// results are deterministic and thread-count independent, but reassociated
-/// relative to the naive scalar chain — NT products are always compared
-/// against the reference under the documented tolerance, on both paths.
-#[inline(always)]
-fn nt_row_body(
-    madd: impl Fn(f32, f32, f32) -> f32 + Copy,
-    arow: &[f32],
-    b: &[f32],
-    k: usize,
-    orow: &mut [f32],
-) {
+/// layout — no transpose is formed, nothing is packed). The eight partial
+/// sums and their fixed pairwise fold are the kernel's defined semantics
+/// ([`crate::reference::chain_matmul_nt`]): deterministic and
+/// thread-count independent, reassociated relative to the naive scalar
+/// chain.
+fn nt_rows_portable(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, chunk: &mut [f32]) {
     const LANES: usize = 8;
-    for (j, o) in orow.iter_mut().enumerate() {
-        let brow = &b[j * k..(j + 1) * k];
-        let mut lanes = [0.0f32; LANES];
-        let mut chunks_a = arow.chunks_exact(LANES);
-        let mut chunks_b = brow.chunks_exact(LANES);
-        for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-            for l in 0..LANES {
-                lanes[l] = madd(ca[l], cb[l], lanes[l]);
+    for (r, orow) in chunk.chunks_mut(n).enumerate() {
+        let arow = &a[(i0 + r) * k..][..k];
+        for (j, o) in orow.iter_mut().enumerate() {
+            let brow = &b[j * k..(j + 1) * k];
+            let mut lanes = [0.0f32; LANES];
+            let mut chunks_a = arow.chunks_exact(LANES);
+            let mut chunks_b = brow.chunks_exact(LANES);
+            for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+                for l in 0..LANES {
+                    lanes[l] += ca[l] * cb[l];
+                }
             }
+            // A short tail touches only the lanes it reaches.
+            for (lane, (&av, &bv)) in lanes
+                .iter_mut()
+                .zip(chunks_a.remainder().iter().zip(chunks_b.remainder()))
+            {
+                *lane += av * bv;
+            }
+            *o = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
         }
-        for (l, (&av, &bv)) in chunks_a
-            .remainder()
-            .iter()
-            .zip(chunks_b.remainder())
-            .enumerate()
-        {
-            lanes[l] = madd(av, bv, lanes[l]);
-        }
-        // Fixed pairwise fold — part of the kernel's defined semantics.
-        *o = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
     }
 }
 
+/// Lane-select masks for a depth tail / output tail of `t` lanes:
+/// `TAIL_MASKS[8 - t..][..8]` has its first `t` lanes set.
+#[cfg(target_arch = "x86_64")]
+static TAIL_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// `CJ ≤ 8` adjacent outputs of one row of `a·bᵀ` at once: one ymm
+/// accumulator per output holds its eight partial sums (`a`'s chunk is
+/// loaded once for all of them), and a `hadd` tree folds all `CJ`
+/// accumulators together — per output exactly
+/// `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`, the fold of
+/// [`nt_rows_portable`]. Depth-tail lanes are blended back so a lane the
+/// tail does not reach keeps its value (`fma(0, 0, -0.0)` would be `+0.0`).
+// SAFETY: a safe `#[target_feature]` function — only [`nt_rows_fma`],
+// compiled with the same features, can call it outside `unsafe`; the
+// operand lengths its loads rely on are asserted on entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+fn nt_outputs_fma<const CJ: usize>(arow: &[f32], brows: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_blendv_ps, _mm256_castsi256_ps, _mm256_fmadd_ps, _mm256_hadd_ps,
+        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps,
+        _mm256_permute2f128_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    let k = arow.len();
+    assert!(
+        CJ <= 8 && brows.len() == CJ * k && out.len() == CJ,
+        "nt_outputs_fma: {CJ} outputs need {CJ} rows of b"
+    );
+    let (full, tail) = (k / 8, k % 8);
+    // SAFETY: with the lengths asserted above, chunk `c < full` reads
+    // lanes `8c..8c+8 ≤ k` of `arow` and of each `brows[j·k..][..k]`; the
+    // tail reads only its first `tail` lanes (`maskload` does not touch
+    // masked-off lanes), i.e. up to index `k − 1`; the store writes `CJ`
+    // lanes of `out` (all eight only when `CJ == 8`). `TAIL_MASKS[8−t..]`
+    // has eight entries for every `t ≤ 8`. AVX2 and FMA are enabled on
+    // this function.
+    unsafe {
+        let (ap, bp) = (arow.as_ptr(), brows.as_ptr());
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for c in 0..full {
+            let av = _mm256_loadu_ps(ap.add(8 * c));
+            for (j, lanes) in acc.iter_mut().enumerate().take(CJ) {
+                *lanes = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(j * k + 8 * c)), *lanes);
+            }
+        }
+        if tail > 0 {
+            let mask = _mm256_loadu_si256(TAIL_MASKS.as_ptr().add(8 - tail).cast());
+            let av = _mm256_maskload_ps(ap.add(8 * full), mask);
+            for (j, lanes) in acc.iter_mut().enumerate().take(CJ) {
+                let bv = _mm256_maskload_ps(bp.add(j * k + 8 * full), mask);
+                let reached = _mm256_fmadd_ps(av, bv, *lanes);
+                *lanes = _mm256_blendv_ps(*lanes, reached, _mm256_castsi256_ps(mask));
+            }
+        }
+        // hadd(x, y) = [x0+x1, x2+x3, y0+y1, y2+y3 | x4+x5, x6+x7, y4+y5,
+        // y6+y7]; two levels leave output j's (l0+l1)+(l2+l3) in the low
+        // 128-bit half and (l4+l5)+(l6+l7) in the high half.
+        let q0 = _mm256_hadd_ps(
+            _mm256_hadd_ps(acc[0], acc[1]),
+            _mm256_hadd_ps(acc[2], acc[3]),
+        );
+        let q1 = _mm256_hadd_ps(
+            _mm256_hadd_ps(acc[4], acc[5]),
+            _mm256_hadd_ps(acc[6], acc[7]),
+        );
+        let low = _mm256_permute2f128_ps::<0x20>(q0, q1);
+        let high = _mm256_permute2f128_ps::<0x31>(q0, q1);
+        let folded = _mm256_add_ps(low, high);
+        if CJ == 8 {
+            _mm256_storeu_ps(out.as_mut_ptr(), folded);
+        } else {
+            let live = _mm256_loadu_si256(TAIL_MASKS.as_ptr().add(8 - CJ).cast());
+            _mm256_maskstore_ps(out.as_mut_ptr(), live, folded);
+        }
+    }
+}
+
+/// Output rows `i0..` of `a·bᵀ` into `chunk`, AVX2+FMA instantiation
+/// (also the AVX-512 tier's): eight outputs per row at a time through
+/// [`nt_outputs_fma`], the last group as many as are left.
+// SAFETY: safe, bounds-checked body; reached only through `gemm_nt`'s
+// `unsafe` call, made after `fma_kernels_active` detected AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn nt_rows_fma(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, chunk: &mut [f32]) {
     for (r, orow) in chunk.chunks_mut(n).enumerate() {
-        let i = i0 + r;
-        nt_row_body(
-            |x, y, acc| x.mul_add(y, acc),
-            &a[i * k..(i + 1) * k],
-            b,
-            k,
-            orow,
-        );
-    }
-}
-
-fn nt_rows_portable(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, chunk: &mut [f32]) {
-    for (r, orow) in chunk.chunks_mut(n).enumerate() {
-        let i = i0 + r;
-        nt_row_body(|x, y, acc| acc + x * y, &a[i * k..(i + 1) * k], b, k, orow);
+        let arow = &a[(i0 + r) * k..][..k];
+        let mut groups = orow.chunks_exact_mut(8);
+        for (g, outs) in (&mut groups).enumerate() {
+            nt_outputs_fma::<8>(arow, &b[8 * g * k..][..8 * k], outs);
+        }
+        let outs = groups.into_remainder();
+        let brows = &b[(n - outs.len()) * k..];
+        match outs.len() {
+            0 => {}
+            1 => nt_outputs_fma::<1>(arow, brows, outs),
+            2 => nt_outputs_fma::<2>(arow, brows, outs),
+            3 => nt_outputs_fma::<3>(arow, brows, outs),
+            4 => nt_outputs_fma::<4>(arow, brows, outs),
+            5 => nt_outputs_fma::<5>(arow, brows, outs),
+            6 => nt_outputs_fma::<6>(arow, brows, outs),
+            7 => nt_outputs_fma::<7>(arow, brows, outs),
+            left => unreachable!("chunks_exact_mut(8) leaves under 8 outputs, got {left}"),
+        }
     }
 }
 
 /// `out = a·bᵀ` for row-major `a: [m,k]`, `b: [n,k]`, `out: [m,n]`.
+///
+/// Nothing is packed on any tier — both operands are already walked
+/// contiguously — so the sequential and the parallel class run the same
+/// row kernel, the latter over the fixed chunk grid.
+///
+/// # Panics
+/// Panics if an operand's length disagrees with its shape.
 pub(crate) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = stats::time_kernel(K_GEMM_NT);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    let par = m * n * k >= PAR_MAC_THRESHOLD;
+    check_operand("gemm_nt", "a", a.len(), m, k);
+    check_operand("gemm_nt", "b", b.len(), n, k);
+    check_operand("gemm_nt", "out", out.len(), m, n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let par = is_parallel_class(m.saturating_mul(n).saturating_mul(k));
     for_row_chunks(out, n, par, |i0, chunk| {
         #[cfg(target_arch = "x86_64")]
         if fma_kernels_active() {
-            // SAFETY: guarded by the same runtime AVX2+FMA detection as
-            // `gemm_dispatch`.
+            // SAFETY: `fma_kernels_active` is true only after AVX2 and
+            // FMA were detected at runtime.
             unsafe { nt_rows_fma(a, b, k, n, i0, chunk) };
             return;
         }
@@ -912,6 +1376,8 @@ pub(crate) fn conv2d_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+    use ecofl_util::Rng;
 
     #[test]
     fn chunk_size_is_common_tile_multiple() {
@@ -956,6 +1422,250 @@ mod tests {
         let mut out = [0.0f32; 4];
         gemm_nt(&a, &b, &mut out, 2, 2, 2);
         assert_eq!(out, [17.0, 23.0, 39.0, 53.0]);
+    }
+
+    /// Every tier this host can run — on an AVX-512 box all three.
+    fn host_paths() -> Vec<KernelPath> {
+        let mut paths = vec![KernelPath::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            paths.push(KernelPath::Fma);
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                paths.push(KernelPath::Avx512);
+            }
+        }
+        paths
+    }
+
+    /// Operands that reach the sign-of-zero corners of the contract:
+    /// uniform values mixed with `±0.0`, magnitudes whose products
+    /// underflow (a fused chain from zero can land on `-0.0`, a two-step
+    /// one cannot), and — read as rows of `cols > 1` elements — a dead
+    /// (all-zero) first column.
+    fn operand(len: usize, cols: usize, rng: &mut Rng) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                if cols > 1 && i % cols == 0 {
+                    return 0.0;
+                }
+                match rng.range_usize(0, 12) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1e-30,
+                    3 => -1e-30,
+                    _ => rng.next_f32() * 2.0 - 1.0,
+                }
+            })
+            .collect()
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g:e} vs {w:e}");
+        }
+    }
+
+    const MS: [usize; 7] = [1, 5, 7, 10, 23, 24, 25];
+    const KS: [usize; 7] = [1, 7, 8, 9, 10, 32, 64];
+    const NS: [usize; 11] = [1, 7, 10, 15, 16, 17, 31, 32, 33, 64, 65];
+
+    #[test]
+    fn both_drivers_match_the_scalar_chain_on_every_host_tier() {
+        let mut rng = Rng::new(0xD1_5EC7);
+        for (&m, &k, &n) in MS
+            .iter()
+            .flat_map(|m| KS.iter().map(move |k| (m, k)))
+            .flat_map(|(m, k)| NS.iter().map(move |n| (m, k, n)))
+        {
+            // Depth 0 of `a·b` and output column 0 are dead.
+            let a = operand(m * k, k, &mut rng);
+            let b = operand(k * n, n, &mut rng);
+            let prior = operand(m * n, 0, &mut rng);
+            for path in host_paths() {
+                let fused = path != KernelPath::Portable;
+                for transposed in [false, true] {
+                    let chain = if transposed {
+                        reference::chain_matmul_tn(&a, &b, k, m, n, fused)
+                    } else {
+                        reference::chain_matmul(&a, &b, m, k, n, fused)
+                    };
+                    for driver in [Driver::Direct, Driver::Packed] {
+                        for accumulate in [false, true] {
+                            let want: Vec<f32> = if accumulate {
+                                prior.iter().zip(&chain).map(|(o, c)| o + c).collect()
+                            } else {
+                                chain.clone()
+                            };
+                            let mut out = prior.clone();
+                            // SAFETY: `host_paths` lists detected tiers only.
+                            unsafe {
+                                gemm_on(
+                                    path, driver, &a, transposed, m, k, &b, n, &mut out, accumulate,
+                                );
+                            }
+                            let what = format!(
+                                "{path:?}/{driver:?} t={transposed} acc={accumulate} {m}x{k}x{n}"
+                            );
+                            assert_bits(&out, &want, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nt_rows_match_the_eight_lane_chain_on_every_host_tier() {
+        let mut rng = Rng::new(0x8_1A4E5);
+        for (&m, &k, &n) in MS
+            .iter()
+            .flat_map(|m| KS.iter().map(move |k| (m, k)))
+            .flat_map(|(m, k)| NS.iter().map(move |n| (m, k, n)))
+        {
+            let a = operand(m * k, k, &mut rng);
+            let b = operand(n * k, 0, &mut rng);
+            let mut out = vec![f32::NAN; m * n];
+            nt_rows_portable(&a, &b, k, n, 0, &mut out);
+            let chain = reference::chain_matmul_nt(&a, &b, m, k, n, false);
+            assert_bits(&out, &chain, &format!("portable nt {m}x{k}x{n}"));
+            #[cfg(target_arch = "x86_64")]
+            if host_paths().contains(&KernelPath::Fma) {
+                out.fill(f32::NAN);
+                // SAFETY: AVX2 and FMA were detected by `host_paths`.
+                unsafe { nt_rows_fma(&a, &b, k, n, 0, &mut out) };
+                let chain = reference::chain_matmul_nt(&a, &b, m, k, n, true);
+                assert_bits(&out, &chain, &format!("fma nt {m}x{k}x{n}"));
+            }
+            out.fill(f32::NAN);
+            gemm_nt(&a, &b, &mut out, m, k, n);
+            let chain = reference::chain_matmul_nt(&a, &b, m, k, n, fma_kernels_active());
+            assert_bits(&out, &chain, &format!("dispatched nt {m}x{k}x{n}"));
+        }
+    }
+
+    #[test]
+    fn a_fused_chain_from_zero_can_reach_negative_zero_and_every_driver_agrees() {
+        // 1e-30 · −1e-30 underflows: fused, `fma(x, y, +0.0)` rounds the
+        // exact product to −0.0; in two steps the product is already −0.0
+        // and `+0.0 + −0.0` is +0.0. NT: depth 9 reaches lane 0 twice and
+        // lanes 1..8 once, so a `madd(0, 0, lane)` over the unreached part
+        // of a tail would turn the −0.0 lanes into +0.0.
+        for path in host_paths() {
+            let fused = path != KernelPath::Portable;
+            for driver in [Driver::Direct, Driver::Packed] {
+                let mut out = [1.0f32];
+                // SAFETY: `host_paths` lists detected tiers only.
+                unsafe {
+                    gemm_on(
+                        path,
+                        driver,
+                        &[1e-30],
+                        false,
+                        1,
+                        1,
+                        &[-1e-30],
+                        1,
+                        &mut out,
+                        false,
+                    )
+                };
+                assert_eq!(
+                    out[0].to_bits(),
+                    if fused { (-0.0f32).to_bits() } else { 0 }
+                );
+            }
+        }
+        let a = [1e-30f32; 9];
+        let b = [-1e-30f32; 9];
+        let mut out = [1.0f32];
+        gemm_nt(&a, &b, &mut out, 1, 9, 1);
+        let fused = fma_kernels_active();
+        assert_eq!(
+            out[0].to_bits(),
+            reference::chain_matmul_nt(&a, &b, 1, 9, 1, fused)[0].to_bits()
+        );
+        assert_eq!(
+            out[0].to_bits(),
+            if fused { (-0.0f32).to_bits() } else { 0 }
+        );
+    }
+
+    #[test]
+    fn row_tiles_cover_every_row_once_in_even_tiles() {
+        for m in 0..=40 {
+            let tiles: Vec<_> = row_tiles(m).collect();
+            assert_eq!(tiles.len(), m.div_ceil(MR_DIRECT));
+            let mut next = 0;
+            for &(first, rows) in &tiles {
+                assert_eq!(first, next);
+                assert!((1..=MR_DIRECT).contains(&rows));
+                next += rows;
+            }
+            assert_eq!(next, m);
+            let heights = tiles.iter().map(|t| t.1);
+            assert!(heights.clone().max().unwrap_or(0) - heights.min().unwrap_or(0) <= 1);
+        }
+        assert_eq!(row_tiles(10).collect::<Vec<_>>(), [(0, 5), (5, 5)]);
+    }
+
+    #[test]
+    fn the_size_rule_is_the_parallel_threshold() {
+        assert_eq!(Driver::for_product(10, 32, 64), Driver::Direct);
+        assert_eq!(Driver::for_product(128, 128, 128), Driver::Direct);
+        assert_eq!(Driver::for_product(256, 256, 256), Driver::Packed);
+        assert_eq!(Driver::for_product(1 << 11, 1 << 11, 1), Driver::Packed);
+        assert_eq!(
+            Driver::for_product(1 << 11, (1 << 11) - 1, 1),
+            Driver::Direct
+        );
+        assert_eq!(Driver::for_product(usize::MAX, 2, 2), Driver::Packed);
+    }
+
+    #[test]
+    fn empty_depth_is_a_positive_zero_sum() {
+        let mut out = [3.0f32, -0.0];
+        gemm(&[], &[], &mut out, 2, 0, 1);
+        assert_eq!(out.map(f32::to_bits), [0, 0]);
+        let mut out = [3.0f32, -0.0];
+        gemm_tn(&[], &[], &mut out, 0, 2, 1, true);
+        assert_eq!(out.map(f32::to_bits), [3.0f32.to_bits(), 0]);
+        let mut out = [3.0f32, -0.0];
+        gemm_nt(&[], &[], &mut out, 2, 0, 1);
+        assert_eq!(out.map(f32::to_bits), [0, 0]);
+    }
+
+    // Operand lengths are `assert!`ed, not `debug_assert!`ed: the tiles
+    // below the entries run on raw pointers (CI reruns these in release).
+    #[test]
+    #[should_panic(expected = "gemm: operand `a` holds 5 elements")]
+    fn gemm_rejects_a_short_operand() {
+        gemm(&[0.0; 5], &[0.0; 6], &mut [0.0; 4], 2, 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: operand `out` holds 3 elements")]
+    fn gemm_rejects_a_short_output() {
+        gemm(&[0.0; 6], &[0.0; 6], &mut [0.0; 3], 2, 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_tn: operand `b` holds 7 elements")]
+    fn gemm_tn_rejects_a_long_operand() {
+        gemm_tn(&[0.0; 6], &[0.0; 7], &mut [0.0; 4], 3, 2, 2, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_nt: operand `b` holds 5 elements")]
+    fn gemm_nt_rejects_a_short_operand() {
+        gemm_nt(&[0.0; 6], &[0.0; 5], &mut [0.0; 4], 2, 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 18446744073709551615")]
+    fn operand_shapes_that_overflow_are_rejected() {
+        gemm(&[], &[], &mut [], usize::MAX, 2, 0);
     }
 
     #[test]

@@ -5,6 +5,16 @@
 //! aggregation (FedAvg / FedAsync / Eco-FL's hierarchical scheme) exchanges
 //! flat `f32` vectors, and the pipeline partitioner reasons about per-layer
 //! parameter byte counts.
+//!
+//! Tensors travel through a layer stack **by value**: `forward` consumes
+//! its input (a `Linear` moves it into its cache instead of cloning it) and
+//! `backward` consumes the gradient it is handed. That lets every layer
+//! keep the buffers it would otherwise free — `Linear` writes its output
+//! into the last gradient it consumed and its input gradient over the
+//! cached input, `ReLU` clamps and masks in place — so a steady-state
+//! training step allocates nothing, while the arithmetic (and every result
+//! bit) is that of the allocating step kept as the test oracle in
+//! `tests/oracle`.
 
 use crate::kernel::{self, ConvShape};
 use crate::tensor::Tensor;
@@ -13,17 +23,29 @@ use std::collections::VecDeque;
 
 /// A differentiable network layer.
 ///
-/// Contract: `backward` must be called with the gradient of the loss with
-/// respect to the output of the *most recent* `forward`, and returns the
-/// gradient with respect to that forward's input. Parameter gradients
-/// accumulate until [`Layer::zero_grads`].
+/// Contract: forwards and backwards match FIFO — the `n`-th `backward`
+/// receives the gradient of the loss with respect to the output of the
+/// `n`-th `forward` not yet backpropagated, and returns the gradient with
+/// respect to that forward's input. Several forwards may be in flight
+/// (pipelined micro-batches). Parameter gradients accumulate until
+/// [`Layer::zero_grads`].
 pub trait Layer: Send {
     /// Computes the layer output, caching activations for backward.
-    fn forward(&mut self, input: &Tensor) -> Tensor;
+    fn forward(&mut self, input: Tensor) -> Tensor;
 
     /// Backpropagates `grad_out` (d loss / d output), accumulating parameter
     /// gradients and returning d loss / d input.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    fn backward(&mut self, grad_out: Tensor) -> Tensor;
+
+    /// [`Layer::backward`] for a caller with no consumer for
+    /// d loss / d input — the first layer of a [`crate::Network`], stage 0
+    /// of a pipeline. Parameter gradients accumulate and the cache is
+    /// popped exactly as in `backward`, but a layer may skip the
+    /// input-gradient product: the returned tensor is a buffer for the
+    /// caller to recycle, its contents unspecified.
+    fn backward_params_only(&mut self, grad_out: Tensor) -> Tensor {
+        self.backward(grad_out)
+    }
 
     /// Total number of scalar parameters.
     fn param_len(&self) -> usize {
@@ -41,6 +63,11 @@ pub trait Layer: Send {
     /// Appends all accumulated gradients to `out` (same order as params).
     fn write_grads(&self, _out: &mut Vec<f32>) {}
 
+    /// Calls `visit(params, grads)` on each parameter tensor where it
+    /// lives, in [`Layer::write_params`] order — the in-place optimizer
+    /// step ([`crate::Network::sgd_step`]).
+    fn visit_params(&mut self, _visit: &mut dyn FnMut(&mut [f32], &[f32])) {}
+
     /// Clears accumulated gradients.
     fn zero_grads(&mut self) {}
 
@@ -54,6 +81,48 @@ pub trait Layer: Send {
     fn name(&self) -> &'static str;
 }
 
+/// Backpropagates `grad` through `layers` (a [`crate::Network`], a pipeline
+/// stage) from the last to the first. With `input_grad` unset nobody
+/// consumes d loss / d input, so the first layer runs
+/// [`Layer::backward_params_only`] and what comes back is only a buffer to
+/// recycle.
+pub fn backward_through(
+    layers: &mut [Box<dyn Layer>],
+    mut grad: Tensor,
+    input_grad: bool,
+) -> Tensor {
+    let Some((first, rest)) = layers.split_first_mut() else {
+        return grad;
+    };
+    for layer in rest.iter_mut().rev() {
+        grad = layer.backward(grad);
+    }
+    if input_grad {
+        first.backward(grad)
+    } else {
+        first.backward_params_only(grad)
+    }
+}
+
+/// `acc[j] += Σ_r g[r,j]` over the rows of `g`, each column summed from
+/// `+0.0` in ascending row order *before* it is added: the bits of a
+/// separate row-sum vector added onto `acc`, without the vector.
+fn add_column_sums(acc: &mut [f32], g: &[f32]) {
+    const STRIP: usize = 16;
+    let n = acc.len();
+    for (s, strip) in acc.chunks_mut(STRIP).enumerate() {
+        let mut sums = [0.0f32; STRIP];
+        for row in g.chunks_exact(n) {
+            for (sum, &v) in sums.iter_mut().zip(&row[s * STRIP..][..strip.len()]) {
+                *sum += v;
+            }
+        }
+        for (a, sum) in strip.iter_mut().zip(sums) {
+            *a += sum;
+        }
+    }
+}
+
 /// Fully connected layer: `y = x W + b`, `x: [B, in]`, `W: [in, out]`.
 pub struct Linear {
     weight: Tensor,
@@ -61,6 +130,9 @@ pub struct Linear {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: VecDeque<Tensor>,
+    /// The last gradient consumed: a `[B, out]` buffer the next forward
+    /// writes its output into.
+    spare: Option<Tensor>,
 }
 
 impl Linear {
@@ -85,7 +157,21 @@ impl Linear {
             grad_weight: Tensor::zeros(&[in_dim, out_dim]),
             grad_bias: Tensor::zeros(&[out_dim]),
             cached_input: VecDeque::new(),
+            spare: None,
         }
+    }
+
+    /// Pops the forward this gradient belongs to and accumulates
+    /// `dW += xᵀ·g`, `db += Σ_rows g`; returns the popped input.
+    fn accumulate_grads(&mut self, grad_out: &Tensor) -> Tensor {
+        let input = self
+            .cached_input
+            .pop_front()
+            .expect("Linear::backward called before forward");
+        // Asserts `grad_out` is `[B, out]`, which the bias sum relies on.
+        input.matmul_tn_acc(grad_out, &mut self.grad_weight);
+        add_column_sums(self.grad_bias.data_mut(), grad_out.data());
+        input
     }
 
     /// Input dimensionality.
@@ -102,24 +188,28 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut out = input.matmul(&self.weight);
+    fn forward(&mut self, input: Tensor) -> Tensor {
+        let mut out = self.spare.take().unwrap_or_else(|| Tensor::zeros(&[0, 0]));
+        input.matmul_into(&self.weight, &mut out);
         out.add_row_bias(&self.bias);
-        self.cached_input.push_back(input.clone());
+        self.cached_input.push_back(input);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .pop_front()
-            .expect("Linear::backward called before forward");
-        // dW = xᵀ g ; db = Σ_rows g ; dx = g Wᵀ. Both transpose-composed
-        // products run fused kernels that never materialize a transpose.
-        input.matmul_tn_acc(grad_out, &mut self.grad_weight);
-        let gb = grad_out.sum_rows();
-        self.grad_bias.add_scaled(&gb, 1.0);
-        grad_out.matmul_nt(&self.weight)
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        // dW = xᵀ g ; db = Σ_rows g ; dx = g Wᵀ, written over x's buffer.
+        // Both transpose-composed products run kernels that never
+        // materialize a transpose.
+        let mut grad_in = self.accumulate_grads(&grad_out);
+        grad_out.matmul_nt_into(&self.weight, &mut grad_in);
+        self.spare = Some(grad_out);
+        grad_in
+    }
+
+    fn backward_params_only(&mut self, grad_out: Tensor) -> Tensor {
+        let input = self.accumulate_grads(&grad_out);
+        self.spare = Some(grad_out);
+        input
     }
 
     fn param_len(&self) -> usize {
@@ -144,6 +234,11 @@ impl Layer for Linear {
         out.extend_from_slice(self.grad_bias.data());
     }
 
+    fn visit_params(&mut self, visit: &mut dyn FnMut(&mut [f32], &[f32])) {
+        visit(self.weight.data_mut(), self.grad_weight.data());
+        visit(self.bias.data_mut(), self.grad_bias.data());
+    }
+
     fn zero_grads(&mut self) {
         self.grad_weight.zero();
         self.grad_bias.zero();
@@ -162,6 +257,8 @@ impl Layer for Linear {
 #[derive(Default)]
 pub struct ReLU {
     masks: VecDeque<Vec<bool>>,
+    /// The last mask consumed, refilled by the next forward.
+    spare: Vec<bool>,
 }
 
 impl ReLU {
@@ -173,26 +270,21 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut mask = Vec::with_capacity(input.len());
-        let data = input
-            .data()
-            .iter()
-            .map(|&x| {
-                let keep = x > 0.0;
-                mask.push(keep);
-                if keep {
-                    x
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+    fn forward(&mut self, mut input: Tensor) -> Tensor {
+        let mut mask = std::mem::take(&mut self.spare);
+        mask.clear();
+        // Unconditional stores of a selected value: a branch on the sign of
+        // an activation mispredicts every other element.
+        mask.extend(input.data_mut().iter_mut().map(|x| {
+            let keep = *x > 0.0;
+            *x = if keep { *x } else { 0.0 };
+            keep
+        }));
         self.masks.push_back(mask);
-        Tensor::from_vec(data, input.shape())
+        input
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
         let mask = self
             .masks
             .pop_front()
@@ -202,13 +294,11 @@ impl Layer for ReLU {
             mask.len(),
             "ReLU::backward: gradient size mismatch with cached forward"
         );
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(&mask)
-            .map(|(&g, &keep)| if keep { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, grad_out.shape())
+        for (g, &keep) in grad_out.data_mut().iter_mut().zip(&mask) {
+            *g = if keep { *g } else { 0.0 };
+        }
+        self.spare = mask;
+        grad_out
     }
 
     fn clear_cache(&mut self) {
@@ -235,15 +325,16 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let data: Vec<f32> = input.data().iter().map(|x| x.tanh()).collect();
-        let out = Tensor::from_vec(data, input.shape());
+    fn forward(&mut self, mut input: Tensor) -> Tensor {
+        for x in input.data_mut() {
+            *x = x.tanh();
+        }
         // d tanh(x)/dx = 1 − tanh(x)², so caching the *output* suffices.
-        self.outputs.push_back(out.clone());
-        out
+        self.outputs.push_back(input.clone());
+        input
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
         let y = self
             .outputs
             .pop_front()
@@ -253,13 +344,10 @@ impl Layer for Tanh {
             y.len(),
             "Tanh::backward: gradient size mismatch with cached forward"
         );
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(y.data())
-            .map(|(&g, &t)| g * (1.0 - t * t))
-            .collect();
-        Tensor::from_vec(data, grad_out.shape())
+        for (g, &t) in grad_out.data_mut().iter_mut().zip(y.data()) {
+            *g *= 1.0 - t * t;
+        }
+        grad_out
     }
 
     fn clear_cache(&mut self) {
@@ -337,7 +425,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: Tensor) -> Tensor {
         let [b, c, h, w] = *input.shape() else {
             panic!("Conv2d: expected 4-D input, got {:?}", input.shape());
         };
@@ -351,11 +439,11 @@ impl Layer for Conv2d {
             &s,
             &mut out,
         );
-        self.cached_input.push_back(input.clone());
+        self.cached_input.push_back(input);
         Tensor::from_vec(out, &[b, s.out_c, s.oh, s.ow])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let input = self
             .cached_input
             .pop_front()
@@ -404,6 +492,11 @@ impl Layer for Conv2d {
         out.extend_from_slice(self.grad_bias.data());
     }
 
+    fn visit_params(&mut self, visit: &mut dyn FnMut(&mut [f32], &[f32])) {
+        visit(self.weight.data_mut(), self.grad_weight.data());
+        visit(self.bias.data_mut(), self.grad_bias.data());
+    }
+
     fn zero_grads(&mut self) {
         self.grad_weight.zero();
         self.grad_bias.zero();
@@ -441,7 +534,7 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: Tensor) -> Tensor {
         let [b, c, h, w] = *input.shape() else {
             panic!("AvgPool2d: expected 4-D input, got {:?}", input.shape());
         };
@@ -471,7 +564,7 @@ impl Layer for AvgPool2d {
         Tensor::from_vec(out, &[b, c, oh, ow])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let shape = self
             .cached_shapes
             .pop_front()
@@ -512,6 +605,8 @@ impl Layer for AvgPool2d {
 #[derive(Default)]
 pub struct Flatten {
     cached_shapes: VecDeque<Vec<usize>>,
+    /// The last shape consumed, refilled by the next forward.
+    spare: Vec<usize>,
 }
 
 impl Flatten {
@@ -523,8 +618,10 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let shape = input.shape().to_vec();
+    fn forward(&mut self, mut input: Tensor) -> Tensor {
+        let mut shape = std::mem::take(&mut self.spare);
+        shape.clear();
+        shape.extend_from_slice(input.shape());
         assert!(
             !shape.is_empty(),
             "Flatten: input must have a batch dimension"
@@ -532,15 +629,18 @@ impl Layer for Flatten {
         let b = shape[0];
         let rest: usize = shape[1..].iter().product();
         self.cached_shapes.push_back(shape);
-        input.clone().reshape(&[b, rest])
+        input.set_shape(&[b, rest]);
+        input
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
         let shape = self
             .cached_shapes
             .pop_front()
             .expect("Flatten::backward called before forward");
-        grad_out.clone().reshape(&shape)
+        grad_out.set_shape(&shape);
+        self.spare = shape;
+        grad_out
     }
 
     fn clear_cache(&mut self) {
@@ -562,15 +662,22 @@ mod tests {
     fn finite_diff_check<L: Layer>(mut layer: L, input: Tensor, targets: &[usize], tol: f32) {
         let mut head = SoftmaxCrossEntropy::new();
 
+        // The layer output as the head's `[B, K]` logits.
+        let logits = |layer: &mut L| {
+            let out = layer.forward(input.clone());
+            layer.clear_cache();
+            let b = out.shape()[0];
+            let k = out.len() / b;
+            out.reshape(&[b, k])
+        };
+
         // Analytic gradient.
         layer.zero_grads();
-        let out = layer.forward(&input);
-        let out2 = out
-            .clone()
-            .reshape(&[out.shape()[0], out.len() / out.shape()[0]]);
-        let (_, grad) = head.loss_and_grad(&out2, targets);
-        let grad = grad.reshape(out.shape());
-        let _ = layer.backward(&grad);
+        let out = layer.forward(input.clone());
+        let shape = out.shape().to_vec();
+        let out = out.reshape(&[shape[0], shape[1..].iter().product()]);
+        let (_, grad) = head.loss_and_grad(out, targets);
+        let _ = layer.backward(grad.reshape(&shape));
         let mut analytic = Vec::new();
         layer.write_grads(&mut analytic);
 
@@ -582,18 +689,10 @@ mod tests {
             let orig = params[i];
             params[i] = orig + eps;
             layer.read_params(&params);
-            let out = layer.forward(&input);
-            let out = out
-                .clone()
-                .reshape(&[out.shape()[0], out.len() / out.shape()[0]]);
-            let (lp, _) = head.loss_and_grad(&out, targets);
+            let (lp, _) = head.loss_and_grad(logits(&mut layer), targets);
             params[i] = orig - eps;
             layer.read_params(&params);
-            let out = layer.forward(&input);
-            let out = out
-                .clone()
-                .reshape(&[out.shape()[0], out.len() / out.shape()[0]]);
-            let (lm, _) = head.loss_and_grad(&out, targets);
+            let (lm, _) = head.loss_and_grad(logits(&mut layer), targets);
             params[i] = orig;
             layer.read_params(&params);
             let numeric = (lp - lm) / (2.0 * eps);
@@ -611,7 +710,7 @@ mod tests {
         let mut l = Linear::new(2, 2, &mut rng);
         l.read_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = l.forward(&x);
+        let y = l.forward(x);
         assert_eq!(y.data(), &[4.5, 5.5]);
     }
 
@@ -636,10 +735,10 @@ mod tests {
     fn relu_masks_gradient() {
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[2, 2]);
-        let y = r.forward(&x);
+        let y = r.forward(x);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
         let g = Tensor::full(&[2, 2], 1.0);
-        let gx = r.backward(&g);
+        let gx = r.backward(g);
         assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -647,11 +746,11 @@ mod tests {
     fn tanh_forward_and_gradient() {
         let mut t = Tanh::new();
         let x = Tensor::from_vec(vec![-2.0, 0.0, 1.0], &[1, 3]);
-        let y = t.forward(&x);
+        let y = t.forward(x);
         assert!((y.data()[0] - (-2.0f32).tanh()).abs() < 1e-6);
         assert_eq!(y.data()[1], 0.0);
         let g = Tensor::full(&[1, 3], 1.0);
-        let gx = t.backward(&g);
+        let gx = t.backward(g);
         // Derivative at 0 is 1; saturates toward the tails.
         assert!((gx.data()[1] - 1.0).abs() < 1e-6);
         assert!(gx.data()[0] < gx.data()[1]);
@@ -663,8 +762,8 @@ mod tests {
         for x0 in [-1.5f32, -0.2, 0.7] {
             let mut t = Tanh::new();
             let x = Tensor::from_vec(vec![x0], &[1, 1]);
-            let _ = t.forward(&x);
-            let gx = t.backward(&Tensor::full(&[1, 1], 1.0));
+            let _ = t.forward(x);
+            let gx = t.backward(Tensor::full(&[1, 1], 1.0));
             let numeric = ((x0 + eps).tanh() - (x0 - eps).tanh()) / (2.0 * eps);
             assert!((gx.data()[0] - numeric).abs() < 1e-3);
         }
@@ -674,11 +773,11 @@ mod tests {
     fn avgpool_forward_backward() {
         let mut p = AvgPool2d::new(2);
         let x = Tensor::from_vec((1..=16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
-        let y = p.forward(&x);
+        let y = p.forward(x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
         let g = Tensor::full(&[1, 1, 2, 2], 4.0);
-        let gx = p.backward(&g);
+        let gx = p.backward(g);
         assert!(gx.data().iter().all(|&v| v == 1.0));
     }
 
@@ -686,9 +785,9 @@ mod tests {
     fn flatten_round_trip() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 5]);
-        let y = f.forward(&x);
+        let y = f.forward(x);
         assert_eq!(y.shape(), &[2, 60]);
-        let gx = f.backward(&y);
+        let gx = f.backward(y);
         assert_eq!(gx.shape(), &[2, 3, 4, 5]);
     }
 
@@ -697,8 +796,91 @@ mod tests {
         let mut rng = Rng::new(4);
         let mut c = Conv2d::new(1, 2, 3, 1, &mut rng);
         let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let y = c.forward(&x);
+        let y = c.forward(x);
         assert_eq!(y.shape(), &[1, 2, 8, 8], "same-padding keeps H, W");
+    }
+
+    #[test]
+    fn linear_recycles_buffers_and_keeps_fifo_order() {
+        let mut rng = Rng::new(7);
+        let mut l = Linear::new(3, 2, &mut rng);
+        // Two micro-batches in flight: backwards pop in forward order, and
+        // each input gradient is written over its own cached input.
+        let x1 = Tensor::randn(&[4, 3], 1.0, &mut rng);
+        let x2 = Tensor::randn(&[2, 3], 1.0, &mut rng);
+        let (x1_buf, x2_buf) = (x1.data().as_ptr(), x2.data().as_ptr());
+        let y1 = l.forward(x1);
+        let y2 = l.forward(x2);
+        assert_eq!((y1.shape(), y2.shape()), (&[4, 2][..], &[2, 2][..]));
+        let g1 = Tensor::randn(&[4, 2], 1.0, &mut rng);
+        let gx1 = l.backward(g1.clone());
+        assert_eq!(gx1, g1.matmul_nt(&l.weight));
+        assert_eq!(gx1.data().as_ptr(), x1_buf);
+        let g2 = Tensor::zeros(&[2, 2]);
+        let g2_buf = g2.data().as_ptr();
+        let gx2 = l.backward(g2);
+        assert_eq!((gx2.shape(), gx2.data().as_ptr()), (&[2, 3][..], x2_buf));
+        // The gradient consumed last is the next forward's output buffer,
+        // resized to the new batch.
+        let y3 = l.forward(Tensor::zeros(&[1, 3]));
+        assert_eq!((y3.shape(), y3.data().as_ptr()), (&[1, 2][..], g2_buf));
+    }
+
+    #[test]
+    fn params_only_backward_skips_nothing_but_the_input_gradient() {
+        let mut rng = Rng::new(8);
+        let mut full = Linear::new(5, 3, &mut rng);
+        let mut skip = Linear::zeroed(5, 3);
+        let mut params = Vec::new();
+        full.write_params(&mut params);
+        skip.read_params(&params);
+        for batch in [4, 1, 7] {
+            let x = Tensor::randn(&[batch, 5], 1.0, &mut rng);
+            let g = Tensor::randn(&[batch, 3], 1.0, &mut rng);
+            assert_eq!(full.forward(x.clone()), skip.forward(x.clone()));
+            let _ = full.backward(g.clone());
+            let recycled = skip.backward_params_only(g);
+            assert_eq!(recycled.shape(), &[batch, 5]);
+        }
+        let (mut gf, mut gs) = (Vec::new(), Vec::new());
+        full.write_grads(&mut gf);
+        skip.write_grads(&mut gs);
+        assert_eq!(gf, gs);
+        assert!(skip.cached_input.is_empty());
+    }
+
+    #[test]
+    fn column_sums_add_a_sum_formed_from_positive_zero() {
+        // 40 columns span three strips; a column of −0.0 sums to +0.0
+        // before it meets a −0.0 accumulator: −0.0 + +0.0 = +0.0.
+        let n = 40;
+        let g: Vec<f32> = (0..3 * n)
+            .map(|i| if i % n == 0 { -0.0 } else { i as f32 })
+            .collect();
+        let mut acc = vec![-0.0f32; n];
+        add_column_sums(&mut acc, &g);
+        let want = Tensor::from_vec(g, &[3, n]).sum_rows();
+        for (j, (a, w)) in acc.iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), (-0.0f32 + w).to_bits(), "column {j}");
+        }
+        assert_eq!(acc[0].to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn visit_params_walks_write_params_order() {
+        let mut rng = Rng::new(9);
+        let mut l = Linear::new(4, 3, &mut rng);
+        let _ = l.forward(Tensor::randn(&[2, 4], 1.0, &mut rng));
+        let _ = l.backward(Tensor::randn(&[2, 3], 1.0, &mut rng));
+        let (mut params, mut grads) = (Vec::new(), Vec::new());
+        l.write_params(&mut params);
+        l.write_grads(&mut grads);
+        let (mut seen_p, mut seen_g) = (Vec::new(), Vec::new());
+        l.visit_params(&mut |p, g| {
+            seen_p.extend_from_slice(p);
+            seen_g.extend_from_slice(g);
+        });
+        assert_eq!((seen_p, seen_g), (params, grads));
     }
 
     #[test]

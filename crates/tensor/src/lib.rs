@@ -15,14 +15,17 @@
 //! - [`optim::Sgd`]: SGD with optional momentum and the FedProx proximal
 //!   term `µ/2·‖w − w_global‖²` used by Eco-FL's intra-group solver (§5.1).
 //!
-//! The compute core lives in [`kernel`]: cache-blocked, register-tiled
-//! matmul/conv kernels with runtime AVX-512/AVX2+FMA dispatch and fixed-chunk
-//! parallelism (results are bit-identical across `ECOFL_THREADS=1/2/8`).
-//! The naive triple loops they replaced are retained in [`reference`] as
-//! the semantic ground truth; `tests/kernel_equivalence.rs` proves each
-//! blocked kernel against them — bit-identically on the portable path,
-//! within the documented tolerance where FMA/lane reduction reassociates
-//! (see DESIGN.md, "Kernel tiling and the tolerance policy").
+//! The compute core lives in [`kernel`]: register-tiled matmul/conv kernels
+//! with runtime AVX-512/AVX2+FMA dispatch — pack-free direct tiles for the
+//! L1-sized products of FL training, packed panels on a fixed chunk grid
+//! for products large enough to go parallel (results are bit-identical
+//! across `ECOFL_THREADS=1/2/8`). The naive triple loops they replaced are
+//! retained in [`mod@reference`] next to the scalar chains the kernels are
+//! specified by; `tests/kernel_equivalence.rs` proves every GEMM
+//! bit-identical to its tier's chain and within the documented tolerance
+//! of the naive loop (see DESIGN.md §7, "Kernel tiling and the tolerance
+//! policy"). Layers pass tensors by value and recycle their buffers, so a
+//! steady-state training step allocates nothing (DESIGN.md §6 item 8).
 
 pub mod kernel;
 pub mod layers;
@@ -35,8 +38,8 @@ pub mod tensor;
 pub use kernel::{
     kernel_stats, kernel_stats_enabled, reset_kernel_stats, set_kernel_stats_enabled, KernelStat,
 };
-pub use layers::{AvgPool2d, Conv2d, Flatten, Layer, Linear, ReLU, Tanh};
-pub use loss::{accuracy, softmax, SoftmaxCrossEntropy};
+pub use layers::{backward_through, AvgPool2d, Conv2d, Flatten, Layer, Linear, ReLU, Tanh};
+pub use loss::{accuracy, argmax, softmax, SoftmaxCrossEntropy};
 pub use network::Network;
 pub use optim::Sgd;
 pub use tensor::Tensor;

@@ -2,25 +2,28 @@
 
 use crate::tensor::Tensor;
 
+/// Numerically stable softmax of one logit row, in place.
+fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for x in row.iter_mut() {
+        let e = (*x - max).exp();
+        *x = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    for x in row.iter_mut() {
+        *x *= inv;
+    }
+}
+
 /// Numerically stable row-wise softmax of a `[B, K]` logit matrix.
 #[must_use]
 pub fn softmax(logits: &Tensor) -> Tensor {
-    let (b, k) = (logits.rows(), logits.cols());
-    let mut out = vec![0.0f32; b * k];
-    for (row_in, row_out) in logits.data().chunks(k).zip(out.chunks_mut(k)) {
-        let max = row_in.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for (o, &x) in row_out.iter_mut().zip(row_in) {
-            let e = (x - max).exp();
-            *o = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for o in row_out.iter_mut() {
-            *o *= inv;
-        }
-    }
-    Tensor::from_vec(out, &[b, k])
+    let k = logits.cols();
+    let mut out = logits.clone();
+    out.data_mut().chunks_mut(k.max(1)).for_each(softmax_row);
+    out
 }
 
 /// Mean softmax cross-entropy head.
@@ -38,32 +41,51 @@ impl SoftmaxCrossEntropy {
     }
 
     /// Computes `(mean loss, d loss / d logits)` for `[B, K]` logits and a
-    /// batch of class indices.
+    /// batch of class indices. The logits are consumed: probabilities and
+    /// then the gradient are written over them, so the head allocates
+    /// nothing.
     ///
     /// # Panics
     /// Panics if `targets.len()` differs from the batch size or a target is
     /// out of range.
-    pub fn loss_and_grad(&mut self, logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
+    pub fn loss_and_grad(&mut self, mut logits: Tensor, targets: &[usize]) -> (f32, Tensor) {
         let (b, k) = (logits.rows(), logits.cols());
         assert_eq!(targets.len(), b, "loss: batch size mismatch");
-        let probs = softmax(logits);
         let mut loss = 0.0f32;
-        let mut grad = probs.data().to_vec();
         let inv_b = 1.0 / b as f32;
         for (i, &t) in targets.iter().enumerate() {
             assert!(t < k, "loss: target {t} out of range for {k} classes");
-            let p = probs.data()[i * k + t].max(1e-12);
-            loss -= p.ln();
-            grad[i * k + t] -= 1.0;
+            let row = &mut logits.data_mut()[i * k..(i + 1) * k];
+            softmax_row(row);
+            loss -= row[t].max(1e-12).ln();
+            row[t] -= 1.0;
+            for g in row.iter_mut() {
+                *g *= inv_b;
+            }
         }
-        for g in &mut grad {
-            *g *= inv_b;
-        }
-        (loss * inv_b, Tensor::from_vec(grad, &[b, k]))
+        (loss * inv_b, logits)
     }
 }
 
-/// Fraction of rows whose argmax matches the target class.
+/// Index of the largest logit of a row — the last one among equals, as
+/// `Iterator::max_by` picks — or `None` for an empty row or one holding a
+/// NaN (a diverged model has no prediction).
+#[must_use]
+pub fn argmax(row: &[f32]) -> Option<usize> {
+    let mut best: Option<(usize, f32)> = None;
+    for (i, &v) in row.iter().enumerate() {
+        if v.is_nan() {
+            return None;
+        }
+        if best.is_none_or(|(_, top)| v >= top) {
+            best = Some((i, v));
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
+/// Fraction of rows whose argmax matches the target class. A row with a
+/// NaN logit counts as wrong.
 ///
 /// # Panics
 /// Panics if `targets.len()` differs from the number of logit rows.
@@ -74,18 +96,12 @@ pub fn accuracy(logits: &Tensor, targets: &[usize]) -> f64 {
     if b == 0 {
         return 0.0;
     }
-    let mut correct = 0usize;
-    for (row, &t) in logits.data().chunks(k).zip(targets) {
-        let argmax = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("accuracy: NaN logit"))
-            .map(|(i, _)| i)
-            .expect("accuracy: empty row");
-        if argmax == t {
-            correct += 1;
-        }
-    }
+    let correct = logits
+        .data()
+        .chunks(k.max(1))
+        .zip(targets)
+        .filter(|&(row, &t)| argmax(row) == Some(t))
+        .count();
     correct as f64 / b as f64
 }
 
@@ -117,8 +133,8 @@ mod tests {
         let mut head = SoftmaxCrossEntropy::new();
         let confident = Tensor::from_vec(vec![5.0, 0.0], &[1, 2]);
         let unsure = Tensor::from_vec(vec![0.1, 0.0], &[1, 2]);
-        let (l1, _) = head.loss_and_grad(&confident, &[0]);
-        let (l2, _) = head.loss_and_grad(&unsure, &[0]);
+        let (l1, _) = head.loss_and_grad(confident, &[0]);
+        let (l2, _) = head.loss_and_grad(unsure, &[0]);
         assert!(l1 < l2);
     }
 
@@ -126,7 +142,7 @@ mod tests {
     fn grad_is_probs_minus_onehot_over_batch() {
         let mut head = SoftmaxCrossEntropy::new();
         let logits = Tensor::from_vec(vec![0.0, 0.0], &[1, 2]);
-        let (loss, grad) = head.loss_and_grad(&logits, &[1]);
+        let (loss, grad) = head.loss_and_grad(logits, &[1]);
         assert!((loss - (2.0f32).ln()).abs() < 1e-6);
         assert!((grad.data()[0] - 0.5).abs() < 1e-6);
         assert!((grad.data()[1] + 0.5).abs() < 1e-6);
@@ -137,15 +153,15 @@ mod tests {
         let mut head = SoftmaxCrossEntropy::new();
         let logits = Tensor::from_vec(vec![0.3, -0.7, 1.2, 0.0, 0.5, -0.5], &[2, 3]);
         let targets = [2usize, 0];
-        let (_, grad) = head.loss_and_grad(&logits, &targets);
+        let (_, grad) = head.loss_and_grad(logits.clone(), &targets);
         let eps = 1e-3f32;
         for i in 0..6 {
             let mut plus = logits.clone();
             plus.data_mut()[i] += eps;
             let mut minus = logits.clone();
             minus.data_mut()[i] -= eps;
-            let (lp, _) = head.loss_and_grad(&plus, &targets);
-            let (lm, _) = head.loss_and_grad(&minus, &targets);
+            let (lp, _) = head.loss_and_grad(plus, &targets);
+            let (lm, _) = head.loss_and_grad(minus, &targets);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
                 (numeric - grad.data()[i]).abs() < 1e-3,
@@ -167,6 +183,45 @@ mod tests {
     fn loss_rejects_bad_target() {
         let mut head = SoftmaxCrossEntropy::new();
         let logits = Tensor::zeros(&[1, 2]);
-        let _ = head.loss_and_grad(&logits, &[2]);
+        let _ = head.loss_and_grad(logits, &[2]);
+    }
+
+    #[test]
+    fn the_gradient_is_written_over_the_logits() {
+        let mut head = SoftmaxCrossEntropy::new();
+        let logits = Tensor::from_vec(vec![0.3, -0.7, 1.2, 0.0, 0.5, -0.5], &[2, 3]);
+        let (buffer, probs) = (logits.data().as_ptr(), softmax(&logits));
+        let (_, grad) = head.loss_and_grad(logits, &[2, 0]);
+        assert_eq!(grad.data().as_ptr(), buffer);
+        let mut want = probs.into_vec();
+        want[2] -= 1.0;
+        want[3] -= 1.0;
+        let want: Vec<f32> = want.iter().map(|g| g * 0.5).collect();
+        assert_eq!(grad.data(), &want[..]);
+    }
+
+    #[test]
+    fn argmax_takes_the_last_of_equals_and_refuses_nan() {
+        assert_eq!(argmax(&[0.1, 0.9, 0.9, 0.2]), Some(2));
+        assert_eq!(argmax(&[-0.0, 0.0]), Some(1));
+        assert_eq!(argmax(&[f32::NEG_INFINITY]), Some(0));
+        assert_eq!(argmax(&[1.0, f32::NAN, 3.0]), None);
+        assert_eq!(argmax(&[]), None);
+        // The reference: what `max_by(partial_cmp)` picked on finite rows.
+        let row = [0.5f32, 2.0, -1.0, 2.0, 0.0];
+        let by_max = row
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+            .map(|(i, _)| i);
+        assert_eq!(argmax(&row), by_max);
+    }
+
+    #[test]
+    fn a_nan_row_counts_as_wrong_instead_of_panicking() {
+        let logits = Tensor::from_vec(vec![0.9, 0.1, f32::NAN, 0.8, 0.6, 0.4], &[3, 2]);
+        assert_eq!(accuracy(&logits, &[0, 1, 0]), 2.0 / 3.0);
+        let diverged = Tensor::full(&[4, 3], f32::NAN);
+        assert_eq!(accuracy(&diverged, &[0, 1, 2, 0]), 0.0);
     }
 }

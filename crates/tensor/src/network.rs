@@ -4,16 +4,22 @@
 //! cross-entropy head. It exposes the flat parameter-vector view that the
 //! FL aggregators operate on: `params()` / `set_params()` round-trip the
 //! entire model as one `Vec<f32>`, and `grads()` yields the matching
-//! gradient vector after a backward pass.
+//! gradient vector after a backward pass. Training does not go through
+//! that view: [`Network::sgd_step`] updates every parameter tensor where it
+//! lives.
 
-use crate::layers::Layer;
+use crate::layers::{backward_through, Layer};
 use crate::loss::{accuracy, SoftmaxCrossEntropy};
+use crate::optim::Sgd;
 use crate::tensor::Tensor;
 
 /// A sequential feed-forward classification network.
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
     head: SoftmaxCrossEntropy,
+    /// The buffer the first layer handed back from the last training
+    /// step: the next forward copies its input into it.
+    input: Option<Tensor>,
 }
 
 impl Network {
@@ -23,6 +29,7 @@ impl Network {
         Self {
             layers,
             head: SoftmaxCrossEntropy::new(),
+            input: None,
         }
     }
 
@@ -40,22 +47,42 @@ impl Network {
 
     /// Runs a forward pass and returns the logits.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
+        let mut x = self.input.take().unwrap_or_else(|| Tensor::zeros(&[0]));
+        x.clone_from(input);
         for layer in &mut self.layers {
-            x = layer.forward(&x);
+            x = layer.forward(x);
         }
         x
     }
 
     /// Forward + loss + backward: accumulates gradients and returns the
-    /// mean batch loss.
+    /// mean batch loss. Nothing consumes d loss / d input, so the first
+    /// layer's input-gradient product is skipped, not computed and dropped.
     pub fn train_step(&mut self, input: &Tensor, targets: &[usize]) -> f32 {
         let logits = self.forward(input);
-        let (loss, mut grad) = self.head.loss_and_grad(&logits, targets);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
+        let (loss, grad) = self.head.loss_and_grad(logits, targets);
+        self.input = Some(backward_through(&mut self.layers, grad, false));
         loss
+    }
+
+    /// One optimizer step on the accumulated gradients, applied to every
+    /// parameter tensor in place. `anchor` is the proximal reference in
+    /// the flat [`Network::params`] layout; the pieces are stepped at
+    /// their flat offsets ([`Sgd::step_at`]), so the result is bit-identical
+    /// to `params` → [`Sgd::step`] → `set_params` without the three copies.
+    pub fn sgd_step(&mut self, opt: &mut Sgd, anchor: Option<&[f32]>) {
+        let total = self.param_len();
+        let mut offset = 0;
+        for layer in &mut self.layers {
+            layer.visit_params(&mut |params, grads| {
+                opt.step_at(offset, total, params, grads, anchor);
+                offset += params.len();
+            });
+        }
+        assert_eq!(
+            offset, total,
+            "sgd_step: layers visited {offset} of {total} parameters"
+        );
     }
 
     /// Mean loss and accuracy without touching gradients.
@@ -66,8 +93,9 @@ impl Network {
     pub fn evaluate(&mut self, input: &Tensor, targets: &[usize]) -> (f32, f64) {
         let logits = self.forward(input);
         self.clear_caches();
-        let (loss, _) = self.head.loss_and_grad(&logits, targets);
-        (loss, accuracy(&logits, targets))
+        let accuracy = accuracy(&logits, targets);
+        let (loss, _) = self.head.loss_and_grad(logits, targets);
+        (loss, accuracy)
     }
 
     /// Drops all cached forward activations (inference-only cleanup).
@@ -86,8 +114,7 @@ impl Network {
     }
 
     /// Clears `out` and writes all parameters into it, reusing its
-    /// allocation — the hot-loop variant of [`Network::params`] (local
-    /// training extracts the full vector every mini-batch).
+    /// allocation.
     pub fn params_into(&self, out: &mut Vec<f32>) {
         out.clear();
         for layer in &self.layers {
@@ -104,7 +131,7 @@ impl Network {
     }
 
     /// Clears `out` and writes all gradients into it, reusing its
-    /// allocation — the hot-loop variant of [`Network::grads`].
+    /// allocation.
     pub fn grads_into(&self, out: &mut Vec<f32>) {
         out.clear();
         for layer in &self.layers {
@@ -189,9 +216,7 @@ mod tests {
         for _ in 0..60 {
             net.zero_grads();
             let _ = net.train_step(&x, &y);
-            let mut params = net.params();
-            opt.step(&mut params, &net.grads(), None);
-            net.set_params(&params);
+            net.sgd_step(&mut opt, None);
         }
         let (final_loss, acc) = net.evaluate(&x, &y);
         assert!(
@@ -220,6 +245,41 @@ mod tests {
         assert!(net.grads().iter().any(|&g| g != 0.0));
         net.zero_grads();
         assert!(net.grads().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn sgd_step_in_place_equals_the_flat_copy_chain() {
+        let mut rng = Rng::new(6);
+        let mut in_place = tiny_net(&mut rng);
+        let mut flat = tiny_net(&mut Rng::new(6));
+        let anchor = in_place.params();
+        let (x, y) = toy_batch();
+        let mut opt_a = Sgd::new(0.1).with_momentum(0.9).with_proximal(0.05);
+        let mut opt_b = opt_a.clone();
+        for _ in 0..4 {
+            in_place.zero_grads();
+            flat.zero_grads();
+            assert_eq!(in_place.train_step(&x, &y), flat.train_step(&x, &y));
+            in_place.sgd_step(&mut opt_a, Some(&anchor));
+            let mut params = flat.params();
+            opt_b.step(&mut params, &flat.grads(), Some(&anchor));
+            flat.set_params(&params);
+            assert_eq!(in_place.params(), params);
+        }
+    }
+
+    #[test]
+    fn the_input_buffer_comes_back_from_the_first_layer() {
+        let mut rng = Rng::new(7);
+        let mut net = tiny_net(&mut rng);
+        let (x, y) = toy_batch();
+        let _ = net.train_step(&x, &y);
+        let buffer = net.input.as_ref().expect("recycled").data().as_ptr();
+        let _ = net.train_step(&x, &y);
+        assert_eq!(
+            net.input.as_ref().expect("recycled").data().as_ptr(),
+            buffer
+        );
     }
 
     #[test]

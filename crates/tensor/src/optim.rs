@@ -75,6 +75,20 @@ impl Sgd {
     /// `None` when `µ = 0` or no anchor applies (e.g. plain FedAvg local
     /// training).
     ///
+    /// # Panics
+    /// Panics if vector lengths disagree, or if `µ > 0` but no reference is
+    /// supplied.
+    pub fn step(&mut self, params: &mut [f32], grads: &[f32], reference: Option<&[f32]>) {
+        self.step_at(0, params.len(), params, grads, reference);
+    }
+
+    /// [`Sgd::step`] on one piece of a model whose `total` parameters live
+    /// in several tensors: `params` / `grads` are the piece starting at
+    /// flat index `offset`, while `reference` anchors the **whole** model
+    /// and the momentum buffer is one flat `total`-long vector, both read
+    /// from `offset`. Stepping every piece is therefore bit-identical to
+    /// one `step` over the concatenation — and needs no copy of it.
+    ///
     /// The mode branches (`µ > 0`? momentum?) are resolved once, outside
     /// the element loop, so each specialization below is a straight-line
     /// fused-multiply-add stream the compiler vectorizes. The per-element
@@ -83,28 +97,38 @@ impl Sgd {
     /// [`crate::reference::naive_sgd_step`] on every configuration.
     ///
     /// # Panics
-    /// Panics if vector lengths disagree, or if `µ > 0` but no reference is
-    /// supplied.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32], reference: Option<&[f32]>) {
+    /// Panics if the piece does not fit `total`, if lengths disagree, or
+    /// if `µ > 0` but no reference is supplied.
+    pub fn step_at(
+        &mut self,
+        offset: usize,
+        total: usize,
+        params: &mut [f32],
+        grads: &[f32],
+        reference: Option<&[f32]>,
+    ) {
         assert_eq!(
             params.len(),
             grads.len(),
             "step: params/grads length mismatch"
         );
+        let piece = offset..offset + params.len();
+        assert!(piece.end <= total, "step: piece {piece:?} outside {total}");
         let anchor = if self.mu > 0.0 {
             let anchor = reference.expect("step: proximal term requires a reference vector");
-            assert_eq!(
-                params.len(),
-                anchor.len(),
-                "step: reference length mismatch"
-            );
-            Some(anchor)
+            assert_eq!(total, anchor.len(), "step: reference length mismatch");
+            Some(&anchor[piece.clone()])
         } else {
             None
         };
-        if self.momentum > 0.0 && self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
+        if self.momentum > 0.0 && self.velocity.len() != total {
+            self.velocity = vec![0.0; total];
         }
+        let velocity: &mut [f32] = if self.momentum > 0.0 {
+            &mut self.velocity[piece]
+        } else {
+            &mut []
+        };
         let (lr, mom, mu) = (self.lr, self.momentum, self.mu);
         match (anchor, mom > 0.0) {
             (None, false) => {
@@ -113,7 +137,7 @@ impl Sgd {
                 }
             }
             (None, true) => {
-                for ((p, &g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
+                for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity) {
                     let vnew = mom * *v + g;
                     *v = vnew;
                     *p -= lr * vnew;
@@ -127,12 +151,7 @@ impl Sgd {
                 }
             }
             (Some(anchor), true) => {
-                for (((p, &g), &a), v) in params
-                    .iter_mut()
-                    .zip(grads)
-                    .zip(anchor)
-                    .zip(&mut self.velocity)
-                {
+                for (((p, &g), &a), v) in params.iter_mut().zip(grads).zip(anchor).zip(velocity) {
                     let gp = g + mu * (*p - a);
                     let vnew = mom * *v + gp;
                     *v = vnew;
@@ -210,6 +229,38 @@ mod tests {
         let mut opt = Sgd::new(0.1).with_proximal(0.5);
         let mut w = vec![1.0f32];
         opt.step(&mut w, &[0.0], None);
+    }
+
+    #[test]
+    fn stepping_the_pieces_equals_stepping_the_whole() {
+        let reference: Vec<f32> = (0..7).map(|i| i as f32 * 0.1).collect();
+        let grads: Vec<f32> = (0..7).map(|i| (i as f32 - 3.0) * 0.3).collect();
+        let mut whole_opt = Sgd::new(0.1).with_momentum(0.9).with_proximal(0.05);
+        let mut piece_opt = whole_opt.clone();
+        let mut whole = vec![1.0f32; 7];
+        let mut pieces = whole.clone();
+        for _ in 0..3 {
+            whole_opt.step(&mut whole, &grads, Some(&reference));
+            let mut offset = 0;
+            for len in [4, 0, 3] {
+                let piece = offset..offset + len;
+                piece_opt.step_at(
+                    offset,
+                    7,
+                    &mut pieces[piece.clone()],
+                    &grads[piece],
+                    Some(&reference),
+                );
+                offset += len;
+            }
+            assert_eq!(whole, pieces);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn step_at_rejects_a_piece_past_the_model() {
+        Sgd::new(0.1).step_at(3, 4, &mut [0.0; 2], &[0.0; 2], None);
     }
 
     #[test]

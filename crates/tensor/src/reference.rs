@@ -1,22 +1,41 @@
-//! Retained naive kernels — the semantic ground truth for [`crate::kernel`].
+//! Retained reference kernels — the semantic ground truth for
+//! [`crate::kernel`].
 //!
-//! These are the textbook triple loops the blocked kernels replaced. They
-//! are deliberately kept (and kept *simple*: no zero-skips, no blocking, no
-//! lane splitting) so the property tests in `tests/kernel_equivalence.rs`
-//! can assert, for every kernel, either **bit-identical** output (portable
-//! paths, which replay the exact accumulation order below) or agreement
-//! within the documented FMA/reassociation tolerance (see `DESIGN.md`,
-//! "Kernel tiling and the tolerance policy"). The micro benches also time
-//! them to anchor the committed `BENCH_micro.json` speedup trajectory.
+//! Two kinds, both deliberately kept *simple* (no zero-skips, no blocking):
 //!
-//! Accumulation-order contract (what "bit-identical" is measured against):
-//! every output element is a single scalar accumulator updated in
-//! ascending inner-index order — `p` for the matmuls, `(ic, ky, kx)` taps
-//! (bias first) for the convolution.
+//! - the **scalar chains** (`chain_matmul`, `chain_matmul_tn`,
+//!   `chain_matmul_nt`): per output element, the exact sequence of
+//!   floating-point operations every GEMM driver performs on a given tier
+//!   — ascending-`p` multiply-accumulate from zero, fused or not; eight
+//!   lane sums and a fixed fold for `a·bᵀ`. The kernels match them **bit
+//!   for bit** on every tier;
+//! - the **naive loops** (`naive_*`): the textbook products the chains
+//!   reduce to on the portable tier and stay within the documented
+//!   rounding bound of on the fused ones, plus the naive convolution (bias
+//!   first, `(ic, ky, kx)` taps ascending) and the branch-in-loop SGD step.
+//!
+//! `tests/kernel_equivalence.rs` and the unit tests in `kernel.rs` assert
+//! the contract (see `DESIGN.md` §7, "Kernel tiling and the tolerance
+//! policy"). The micro benches also time the naive loops to anchor the
+//! committed `BENCH_micro.json` speedup trajectory.
 
-/// Naive `out = a·b` for row-major `a: [m,k]`, `b: [k,n]`.
+/// The multiply-accumulate of one kernel tier: `acc + a·b` rounded twice
+/// (portable) or once (`fused`: the AVX2+FMA and AVX-512 tiers).
+#[inline]
+fn madd(fused: bool, a: f32, b: f32, acc: f32) -> f32 {
+    if fused {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// The scalar chain every `a·b` kernel computes, element by element, on
+/// the tier `fused` names: `acc = 0`, `acc = madd(a[i,p], b[p,j], acc)`
+/// for ascending `p`. Pass [`crate::kernel::fma_kernels_active`] for the
+/// process's tier; the kernels match it **bit for bit**.
 #[must_use]
-pub fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+pub fn chain_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, fused: bool) -> Vec<f32> {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * n];
@@ -24,7 +43,7 @@ pub fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f
         for j in 0..n {
             let mut acc = 0.0f32;
             for p in 0..k {
-                acc += a[i * k + p] * b[p * n + j];
+                acc = madd(fused, a[i * k + p], b[p * n + j], acc);
             }
             out[i * n + j] = acc;
         }
@@ -32,9 +51,16 @@ pub fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f
     out
 }
 
-/// Naive `out = aᵀ·b` for row-major `a: [k,m]`, `b: [k,n]`.
+/// [`chain_matmul`] for `aᵀ·b`, `a: [k,m]`.
 #[must_use]
-pub fn naive_matmul_tn(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
+pub fn chain_matmul_tn(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    fused: bool,
+) -> Vec<f32> {
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * n];
@@ -42,7 +68,7 @@ pub fn naive_matmul_tn(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Ve
         for j in 0..n {
             let mut acc = 0.0f32;
             for p in 0..k {
-                acc += a[p * m + i] * b[p * n + j];
+                acc = madd(fused, a[p * m + i], b[p * n + j], acc);
             }
             out[i * n + j] = acc;
         }
@@ -50,7 +76,51 @@ pub fn naive_matmul_tn(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Ve
     out
 }
 
-/// Naive `out = a·bᵀ` for row-major `a: [m,k]`, `b: [n,k]`.
+/// The chain every `a·bᵀ` kernel computes (`a: [m,k]`, `b: [n,k]`): eight
+/// partial sums, lane `l` taking the depths `p ≡ l (mod 8)` in ascending
+/// order from zero, folded as `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`. A
+/// lane a short depth never reaches stays `+0.0`.
+#[must_use]
+pub fn chain_matmul_nt(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    fused: bool,
+) -> Vec<f32> {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), n * k);
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut lanes = [0.0f32; 8];
+            for p in 0..k {
+                lanes[p % 8] = madd(fused, a[i * k + p], b[j * k + p], lanes[p % 8]);
+            }
+            out[i * n + j] = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+        }
+    }
+    out
+}
+
+/// Naive `out = a·b` for row-major `a: [m,k]`, `b: [k,n]`: the plain
+/// `mul` + `add` chain.
+#[must_use]
+pub fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    chain_matmul(a, b, m, k, n, false)
+}
+
+/// Naive `out = aᵀ·b` for row-major `a: [k,m]`, `b: [k,n]`.
+#[must_use]
+pub fn naive_matmul_tn(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
+    chain_matmul_tn(a, b, k, m, n, false)
+}
+
+/// Naive `out = a·bᵀ` for row-major `a: [m,k]`, `b: [n,k]`: one scalar
+/// accumulator per element, which the 8-lane kernels reassociate (see
+/// [`chain_matmul_nt`] for what they compute exactly).
 #[must_use]
 pub fn naive_matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k);

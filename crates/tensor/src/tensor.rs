@@ -2,11 +2,13 @@
 //!
 //! The hot path of the whole FL simulation is `matmul` inside client local
 //! training; it and the transpose-composed products [`Tensor::matmul_tn`] /
-//! [`Tensor::matmul_nt`] delegate to the cache-blocked, register-tiled
-//! kernels in [`crate::kernel`] (SIMD-dispatched at runtime, parallelized
-//! across fixed row chunks once the work is large enough to amortize the
-//! fork-join cost — see that module for the determinism and tolerance
-//! contract against [`crate::reference`]).
+//! [`Tensor::matmul_nt`] delegate to the register-tiled kernels in
+//! [`crate::kernel`] (SIMD-dispatched at runtime, parallelized across fixed
+//! row chunks once the work is large enough to amortize the fork-join
+//! cost — see that module for the determinism and bit-identity contract
+//! against [`crate::reference`]). The `*_into` forms and [`Tensor::resize`]
+//! write into a tensor the caller already owns, which is how the layers
+//! run a training step without allocating.
 
 use crate::kernel;
 use ecofl_compat::serde::{Deserialize, Serialize};
@@ -23,10 +25,26 @@ use ecofl_util::Rng;
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self {
+            data: self.data.clone(),
+            shape: self.shape.clone(),
+        }
+    }
+
+    /// Copies `source` over `self`, keeping `self`'s allocations when they
+    /// are large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.shape.clone_from(&source.shape);
+    }
 }
 
 impl Tensor {
@@ -132,10 +150,29 @@ impl Tensor {
     /// Panics if the volumes differ.
     #[must_use]
     pub fn reshape(mut self, shape: &[usize]) -> Self {
+        self.set_shape(shape);
+        self
+    }
+
+    /// [`Tensor::reshape`] in place, reusing the shape's allocation.
+    ///
+    /// # Panics
+    /// Panics if the volumes differ.
+    pub fn set_shape(&mut self, shape: &[usize]) {
         let n: usize = shape.iter().product();
         assert_eq!(self.data.len(), n, "reshape: volume mismatch");
-        self.shape = shape.to_vec();
-        self
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+    }
+
+    /// Gives the tensor a new shape of any volume, keeping its allocations
+    /// when they are large enough — how a recycled buffer follows a ragged
+    /// last batch. Elements kept keep their values, new ones are zero;
+    /// callers overwrite all of them.
+    pub fn resize(&mut self, shape: &[usize]) {
+        self.data.resize(shape.iter().product(), 0.0);
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
     }
 
     /// Number of rows of a 2-D tensor.
@@ -161,28 +198,37 @@ impl Tensor {
     /// Matrix product of two 2-D tensors (`[m,k] × [k,n] → [m,n]`).
     ///
     /// Runs the register-tiled kernel in [`crate::kernel`]; results are
-    /// bit-identical across thread counts (the chunk grid is fixed) and
-    /// match [`crate::reference::naive_matmul`] exactly on the portable
-    /// path, within the documented tolerance on the FMA path.
+    /// bit-identical across thread counts and to the tier's scalar chain
+    /// [`crate::reference::chain_matmul`] (on the portable tier that is
+    /// [`crate::reference::naive_matmul`]).
     ///
     /// # Panics
     /// Panics on non-2-D inputs or mismatched inner dimensions.
     #[must_use]
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[0, 0]);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] written over `out`, which is resized to `[m,n]`.
+    ///
+    /// # Panics
+    /// Panics on non-2-D inputs or mismatched inner dimensions.
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul: inner dimensions {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        kernel::gemm(&self.data, &other.data, &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
+        out.resize(&[m, n]);
+        kernel::gemm(&self.data, &other.data, &mut out.data, m, k, n);
     }
 
     /// `selfᵀ · other` without materializing the transpose
     /// (`[k,m]ᵀ × [k,n] → [m,n]`).
     ///
     /// This is the gradient product `xᵀ·g` in `Linear::backward`; the
-    /// kernel packs column panels of `self` into a small reused buffer
-    /// instead of building the full `[m,k]` transpose.
+    /// kernel reads (or packs) columns of `self` where they lie instead of
+    /// building the `[m,k]` transpose.
     ///
     /// # Panics
     /// Panics on non-2-D inputs or mismatched leading dimensions.
@@ -215,20 +261,31 @@ impl Tensor {
     ///
     /// This is the gradient product `g·Wᵀ` in `Linear::backward`. Both
     /// operands are walked row-contiguously; the per-element dot product
-    /// uses fixed-order lane accumulators, so outputs are deterministic but
-    /// compared against [`crate::reference::naive_matmul_nt`] under the
-    /// documented tolerance on every path.
+    /// is the eight-lane chain [`crate::reference::chain_matmul_nt`], bit
+    /// for bit, which reassociates
+    /// [`crate::reference::naive_matmul_nt`] within the documented
+    /// tolerance.
     ///
     /// # Panics
     /// Panics on non-2-D inputs or mismatched trailing dimensions.
     #[must_use]
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[0, 0]);
+        self.matmul_nt_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_nt`] written over `out`, which is resized to
+    /// `[m,n]`.
+    ///
+    /// # Panics
+    /// Panics on non-2-D inputs or mismatched trailing dimensions.
+    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = (self.rows(), self.cols());
         let (n, k2) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_nt: trailing dimensions {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        kernel::gemm_nt(&self.data, &other.data, &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
+        out.resize(&[m, n]);
+        kernel::gemm_nt(&self.data, &other.data, &mut out.data, m, k, n);
     }
 
     /// Transpose of a 2-D tensor.
@@ -365,28 +422,52 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_reference() {
-        // The blocked kernel must match the retained naive reference:
-        // bit-identically on the portable path, within the documented FMA
-        // tolerance otherwise (tests/kernel_equivalence.rs sweeps shapes;
-        // this is the in-crate smoke check).
+    fn matmul_matches_the_tier_chain_bitwise() {
+        // In-crate smoke check of the contract tests/kernel_equivalence.rs
+        // sweeps: every element is the tier's scalar chain, bit for bit.
         let mut rng = Rng::new(2);
         let (m, k, n) = (80, 70, 90);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let big = a.matmul(&b);
-        let reference = crate::reference::naive_matmul(a.data(), b.data(), m, k, n);
-        if crate::kernel::fma_kernels_active() {
-            for (x, y) in big.data().iter().zip(&reference) {
-                assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
-            }
-        } else {
-            assert_eq!(
-                big.data(),
-                &reference[..],
-                "portable path must be bit-identical to the naive reference"
-            );
-        }
+        let fused = crate::kernel::fma_kernels_active();
+        let chain = crate::reference::chain_matmul(a.data(), b.data(), m, k, n, fused);
+        assert_eq!(a.matmul(&b).data(), &chain[..]);
+    }
+
+    #[test]
+    fn into_forms_resize_and_reuse_the_output() {
+        let mut rng = Rng::new(21);
+        let a = Tensor::randn(&[10, 6], 1.0, &mut rng);
+        let w = Tensor::randn(&[6, 4], 1.0, &mut rng);
+        let g = Tensor::randn(&[10, 4], 1.0, &mut rng);
+        let mut out = Tensor::full(&[3, 50], 7.0);
+        let before = out.data().as_ptr();
+        a.matmul_into(&w, &mut out);
+        assert_eq!(out, a.matmul(&w));
+        g.matmul_nt_into(&w, &mut out);
+        assert_eq!(out, g.matmul_nt(&w));
+        assert_eq!(out.shape(), &[10, 6]);
+        assert_eq!(out.data().as_ptr(), before, "150 elements fit 40 and 60");
+    }
+
+    #[test]
+    fn resize_and_set_shape_work_in_place() {
+        let mut t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+        t.set_shape(&[3, 2]);
+        assert_eq!(t.shape(), &[3, 2]);
+        t.resize(&[1, 2]);
+        assert_eq!((t.shape(), t.data()), (&[1, 2][..], &[1.0, 2.0][..]));
+        t.resize(&[2, 2]);
+        assert_eq!(t.data(), &[1.0, 2.0, 0.0, 0.0]);
+        let mut copy = Tensor::zeros(&[9]);
+        copy.clone_from(&t);
+        assert_eq!(copy, t);
+    }
+
+    #[test]
+    #[should_panic(expected = "volume")]
+    fn set_shape_checks_volume() {
+        Tensor::zeros(&[2, 3]).set_shape(&[4, 2]);
     }
 
     #[test]

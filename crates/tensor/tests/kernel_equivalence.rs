@@ -1,27 +1,31 @@
-//! Property tests proving the blocked kernels in `ecofl_tensor::kernel`
-//! against the retained naive references in `ecofl_tensor::reference`.
+//! Property tests proving the kernels in `ecofl_tensor::kernel` against
+//! the retained references in `ecofl_tensor::reference`.
 //!
-//! The equivalence contract (DESIGN.md, "Kernel tiling and the tolerance
-//! policy"):
+//! The equivalence contract (DESIGN.md §7):
 //!
-//! | kernel                  | portable path  | FMA / AVX-512 path |
-//! |-------------------------|----------------|--------------------|
-//! | `matmul`, `matmul_tn`   | bit-identical  | FMA tolerance      |
-//! | `matmul_nt`             | lane tolerance | lane tolerance     |
-//! | `Conv2d` forward, `gb`  | bit-identical  | bit-identical      |
-//! | `Conv2d` `gw`, `gx`     | lane tolerance | lane tolerance     |
-//! | `Sgd::step`             | bit-identical  | bit-identical      |
+//! | kernel                  | every tier, both drivers                     |
+//! |-------------------------|----------------------------------------------|
+//! | `matmul`, `matmul_tn`   | bit-identical to `chain_matmul{,_tn}`        |
+//! | `matmul_tn_acc`         | bit-identical to `prior + chain_matmul_tn`   |
+//! | `matmul_nt`             | bit-identical to `chain_matmul_nt` (8 lanes) |
+//! | `Conv2d` forward, `gb`  | bit-identical to the naive convolution       |
+//! | `Conv2d` `gw`, `gx`     | lane tolerance vs the naive convolution      |
+//! | `Sgd::step`             | bit-identical to `naive_sgd_step`            |
 //!
-//! "FMA tolerance" bounds the `mul_add` rounding difference: per output
-//! element both sides accumulate in the same ascending-`p` order, each of
-//! the `k` fused steps skips at most one intermediate rounding, so the
-//! divergence is at most `2·k·ε` relative to the inner product of
-//! absolute values. "Lane tolerance" covers kernels that also reassociate
-//! the sum (8-lane partial accumulators, or a different tap order for
-//! conv `gx`) — same bound, it just applies on the portable path too.
+//! The chains take the tier's multiply-accumulate (`fused`: one rounding
+//! per step on the AVX2+FMA and AVX-512 tiers, two on the portable one),
+//! so on the portable tier `chain_matmul` *is* `naive_matmul`. Against the
+//! plain naive loops the fused tiers — and `matmul_nt`'s eight partial
+//! sums on every tier — stay within `2·k·ε` of the inner product of
+//! absolute values: each of the `k` steps skips or reorders at most one
+//! rounding. That bound is asserted too, so the chains cannot drift from
+//! the textbook product.
 //!
-//! Shapes cover the `ROWS_PER_CHUNK = 24` tile edges `{1, 7, 23, 24, 25}`
-//! exhaustively plus random rectangles, and `CI` runs this suite at
+//! This file drives the public `Tensor` API, which picks the driver from
+//! the product's size: the sweep below is the direct (sequential) class,
+//! `parallel_class_products_match_the_chain_bitwise` the packed one. The
+//! unit tests in `kernel.rs` run *both* drivers on *every* tier the host
+//! supports over the same sizes. `CI` runs this suite at
 //! `ECOFL_THREADS=1/2/8` and under `ECOFL_PORTABLE_KERNELS=1`.
 
 use ecofl_compat::check::{any_u64, forall, pair, quad, triple, usize_in};
@@ -31,11 +35,35 @@ use ecofl_util::Rng;
 
 const CASES: usize = 48;
 
-/// `ROWS_PER_CHUNK` is 24; probe both sides of every tile boundary.
-const EDGES: [usize; 5] = [1, 7, 23, 24, 25];
+/// Row counts either side of the 5/6-row direct tiles and the 24-row
+/// packed chunk, depths around the 8-lane NT chunk, widths around the 16-,
+/// 32- and 64-column strips of the three tiers.
+const MS: [usize; 7] = [1, 5, 7, 10, 23, 24, 25];
+const KS: [usize; 7] = [1, 7, 8, 9, 10, 32, 64];
+const NS: [usize; 11] = [1, 7, 10, 15, 16, 17, 31, 32, 33, 64, 65];
 
 fn randv(n: usize, rng: &mut Rng) -> Vec<f32> {
     (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect()
+}
+
+/// Uniform values seeded with `±0.0`, with magnitudes whose products
+/// underflow (a fused chain from zero can land on `-0.0`), and — read as
+/// rows of `cols > 1` elements — with a dead (all-zero) first column.
+fn operand(len: usize, cols: usize, rng: &mut Rng) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            if cols > 1 && i % cols == 0 {
+                return 0.0;
+            }
+            match rng.range_usize(0, 12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1e-30,
+                3 => -1e-30,
+                _ => rng.next_f32() * 2.0 - 1.0,
+            }
+        })
+        .collect()
 }
 
 /// Asserts exact bitwise equality (the "bit-identical" contract).
@@ -60,107 +88,126 @@ fn assert_tol(actual: &[f32], expect: &[f32], absref: &[f32], k: usize, what: &s
     }
 }
 
-fn check_matmul(seed: u64, m: usize, k: usize, n: usize) {
-    let mut rng = Rng::new(seed);
-    let a = Tensor::from_vec(randv(m * k, &mut rng), &[m, k]);
-    let b = Tensor::from_vec(randv(k * n, &mut rng), &[k, n]);
-    let blocked = a.matmul(&b);
-    let naive = reference::naive_matmul(a.data(), b.data(), m, k, n);
-    if fma_kernels_active() {
-        let aabs: Vec<f32> = a.data().iter().map(|v| v.abs()).collect();
-        let babs: Vec<f32> = b.data().iter().map(|v| v.abs()).collect();
-        let absref = reference::naive_matmul(&aabs, &babs, m, k, n);
-        assert_tol(blocked.data(), &naive, &absref, k, "matmul");
-    } else {
-        assert_bits(blocked.data(), &naive, "matmul");
-    }
+fn abs(v: &[f32]) -> Vec<f32> {
+    v.iter().map(|x| x.abs()).collect()
 }
 
-fn check_matmul_tn(seed: u64, k: usize, m: usize, n: usize) {
+/// All three products (and the accumulating form) of one shape against
+/// their chains, bit for bit, and against the naive loops within the
+/// documented bound. `a` is read as `[m,k]` by `matmul` / `matmul_nt` and
+/// as `[k,m]` by `matmul_tn`.
+fn check_products(seed: u64, m: usize, k: usize, n: usize) {
     let mut rng = Rng::new(seed);
-    let a = Tensor::from_vec(randv(k * m, &mut rng), &[k, m]);
-    let b = Tensor::from_vec(randv(k * n, &mut rng), &[k, n]);
-    let blocked = a.matmul_tn(&b);
-    let naive = reference::naive_matmul_tn(a.data(), b.data(), k, m, n);
-    if fma_kernels_active() {
-        let aabs: Vec<f32> = a.data().iter().map(|v| v.abs()).collect();
-        let babs: Vec<f32> = b.data().iter().map(|v| v.abs()).collect();
-        let absref = reference::naive_matmul_tn(&aabs, &babs, k, m, n);
-        assert_tol(blocked.data(), &naive, &absref, k, "matmul_tn");
-    } else {
-        assert_bits(blocked.data(), &naive, "matmul_tn");
-    }
-}
+    let fused = fma_kernels_active();
+    let what = format!("{m}x{k}x{n}");
+    let a = operand(m * k, k, &mut rng);
+    let b = operand(k * n, n, &mut rng);
+    let bt = operand(n * k, 0, &mut rng);
+    let prior = operand(m * n, 0, &mut rng);
+    let (a_mk, a_km) = (
+        Tensor::from_vec(a.clone(), &[m, k]),
+        Tensor::from_vec(a.clone(), &[k, m]),
+    );
+    let b_kn = Tensor::from_vec(b.clone(), &[k, n]);
+    let b_nk = Tensor::from_vec(bt.clone(), &[n, k]);
 
-fn check_matmul_nt(seed: u64, m: usize, k: usize, n: usize) {
-    let mut rng = Rng::new(seed);
-    let a = Tensor::from_vec(randv(m * k, &mut rng), &[m, k]);
-    let b = Tensor::from_vec(randv(n * k, &mut rng), &[n, k]);
-    let blocked = a.matmul_nt(&b);
-    let naive = reference::naive_matmul_nt(a.data(), b.data(), m, k, n);
-    // NT uses 8-lane partial sums on every path: always tolerance.
-    let aabs: Vec<f32> = a.data().iter().map(|v| v.abs()).collect();
-    let babs: Vec<f32> = b.data().iter().map(|v| v.abs()).collect();
-    let absref = reference::naive_matmul_nt(&aabs, &babs, m, k, n);
-    assert_tol(blocked.data(), &naive, &absref, k, "matmul_nt");
+    let nn = a_mk.matmul(&b_kn);
+    assert_bits(
+        nn.data(),
+        &reference::chain_matmul(&a, &b, m, k, n, fused),
+        &format!("matmul {what}"),
+    );
+    let naive = reference::naive_matmul(&a, &b, m, k, n);
+    let absref = reference::naive_matmul(&abs(&a), &abs(&b), m, k, n);
+    assert_tol(nn.data(), &naive, &absref, k, &format!("matmul {what}"));
+
+    let tn_chain = reference::chain_matmul_tn(&a, &b, k, m, n, fused);
+    // `matmul_tn` accumulates onto zeros: `+0.0 + chain`.
+    let tn_fresh: Vec<f32> = tn_chain.iter().map(|c| 0.0 + c).collect();
+    assert_bits(
+        a_km.matmul_tn(&b_kn).data(),
+        &tn_fresh,
+        &format!("matmul_tn {what}"),
+    );
+    let mut acc = Tensor::from_vec(prior.clone(), &[m, n]);
+    a_km.matmul_tn_acc(&b_kn, &mut acc);
+    let tn_acc: Vec<f32> = prior.iter().zip(&tn_chain).map(|(o, c)| o + c).collect();
+    assert_bits(acc.data(), &tn_acc, &format!("matmul_tn_acc {what}"));
+    let naive = reference::naive_matmul_tn(&a, &b, k, m, n);
+    let absref = reference::naive_matmul_tn(&abs(&a), &abs(&b), k, m, n);
+    assert_tol(&tn_chain, &naive, &absref, k, &format!("matmul_tn {what}"));
+
+    let nt = a_mk.matmul_nt(&b_nk);
+    assert_bits(
+        nt.data(),
+        &reference::chain_matmul_nt(&a, &bt, m, k, n, fused),
+        &format!("matmul_nt {what}"),
+    );
+    let naive = reference::naive_matmul_nt(&a, &bt, m, k, n);
+    let absref = reference::naive_matmul_nt(&abs(&a), &abs(&bt), m, k, n);
+    assert_tol(nt.data(), &naive, &absref, k, &format!("matmul_nt {what}"));
 }
 
 #[test]
-fn matmul_matches_naive_on_tile_edges() {
-    for m in EDGES {
-        for k in EDGES {
-            for n in EDGES {
-                let seed = (m * 10_000 + k * 100 + n) as u64;
-                check_matmul(seed, m, k, n);
-                check_matmul_tn(seed ^ 0xA5A5, k, m, n);
-                check_matmul_nt(seed ^ 0x5A5A, m, k, n);
+fn products_match_their_chains_bitwise_on_tile_edges() {
+    for m in MS {
+        for k in KS {
+            for n in NS {
+                check_products((m * 10_000 + k * 100 + n) as u64, m, k, n);
             }
         }
     }
 }
 
 #[test]
-fn matmul_matches_naive_on_random_shapes() {
-    let input = quad(any_u64(), usize_in(1, 40), usize_in(1, 40), usize_in(1, 40));
+fn products_match_their_chains_bitwise_on_random_shapes() {
+    let input = quad(any_u64(), usize_in(1, 40), usize_in(1, 40), usize_in(1, 70));
     forall(
-        "matmul_matches_naive_on_random_shapes",
+        "products_match_their_chains_bitwise_on_random_shapes",
         CASES,
         &input,
-        |&(seed, m, k, n)| {
-            check_matmul(seed, m, k, n);
-            check_matmul_tn(seed, k, m, n);
-            check_matmul_nt(seed, m, k, n);
-        },
+        |&(seed, m, k, n)| check_products(seed, m, k, n),
     );
 }
 
+/// At or above 2²² multiply-accumulates the packed, 24-row-chunked driver
+/// runs (over the worker pool when `ECOFL_THREADS > 1`): the same chains,
+/// bit for bit, with ragged last chunks, tiles and strips.
 #[test]
-fn matmul_tn_acc_accumulates_exactly() {
-    let input = quad(any_u64(), usize_in(1, 25), usize_in(1, 25), usize_in(1, 25));
-    forall(
-        "matmul_tn_acc_accumulates_exactly",
-        CASES,
-        &input,
-        |&(seed, k, m, n)| {
-            let mut rng = Rng::new(seed);
-            let a = Tensor::from_vec(randv(k * m, &mut rng), &[k, m]);
-            let b = Tensor::from_vec(randv(k * n, &mut rng), &[k, n]);
-            let init = randv(m * n, &mut rng);
-            let mut acc = Tensor::from_vec(init.clone(), &[m, n]);
-            a.matmul_tn_acc(&b, &mut acc);
-            // `accumulate` adds the finished tile onto the prior value, so
-            // `init + (fresh product)` is exact on every path.
-            let fresh = a.matmul_tn(&b);
-            let expect: Vec<f32> = init.iter().zip(fresh.data()).map(|(i, p)| i + p).collect();
-            assert_bits(acc.data(), &expect, "matmul_tn_acc");
-        },
-    );
+fn parallel_class_products_match_the_chain_bitwise() {
+    let fused = fma_kernels_active();
+    for (m, k, n) in [(25, 520, 323), (49, 300, 290), (170, 165, 150)] {
+        assert!(m * k * n >= 1 << 22, "{m}x{k}x{n} must be parallel class");
+        let mut rng = Rng::new((m * k + n) as u64);
+        let a = operand(m * k, k, &mut rng);
+        let b = operand(k * n, n, &mut rng);
+        let bt = operand(n * k, 0, &mut rng);
+        let prior = operand(m * n, 0, &mut rng);
+        let what = format!("{m}x{k}x{n}");
+
+        let nn = Tensor::from_vec(a.clone(), &[m, k]).matmul(&Tensor::from_vec(b.clone(), &[k, n]));
+        let chain = reference::chain_matmul(&a, &b, m, k, n, fused);
+        assert_bits(nn.data(), &chain, &format!("packed matmul {what}"));
+
+        let mut acc = Tensor::from_vec(prior.clone(), &[m, n]);
+        Tensor::from_vec(a.clone(), &[k, m])
+            .matmul_tn_acc(&Tensor::from_vec(b.clone(), &[k, n]), &mut acc);
+        let chain = reference::chain_matmul_tn(&a, &b, k, m, n, fused);
+        let want: Vec<f32> = prior.iter().zip(&chain).map(|(o, c)| o + c).collect();
+        assert_bits(acc.data(), &want, &format!("packed matmul_tn_acc {what}"));
+
+        let nt =
+            Tensor::from_vec(a.clone(), &[m, k]).matmul_nt(&Tensor::from_vec(bt.clone(), &[n, k]));
+        let chain = reference::chain_matmul_nt(&a, &bt, m, k, n, fused);
+        assert_bits(nt.data(), &chain, &format!("chunked matmul_nt {what}"));
+    }
 }
 
 /// The chunk grid is a pure function of the output shape, so a matmul
 /// large enough to take the parallel path must produce, row range by row
 /// range, exactly the bits of the small sequential matmuls over the same
-/// 24-row slices — at any `ECOFL_THREADS`.
+/// 24-row slices — at any `ECOFL_THREADS`, and although the slices run the
+/// direct driver and the whole the packed one.
 #[test]
 fn parallel_chunks_match_sequential_slices_bitwise() {
     const CHUNK: usize = 24; // ROWS_PER_CHUNK
@@ -200,7 +247,7 @@ fn conv2d_forward_is_bit_identical_to_naive() {
             let mut conv = Conv2d::zeroed(in_c, out_c, k, pad);
             let params: Vec<f32> = wgt.iter().chain(&bias).copied().collect();
             conv.read_params(&params);
-            let out = conv.forward(&x);
+            let out = conv.forward(x.clone());
             let naive = reference::naive_conv2d_forward(
                 x.data(),
                 &wgt,
@@ -246,8 +293,8 @@ fn conv2d_backward_matches_naive_per_contract() {
             let mut conv = Conv2d::zeroed(in_c, out_c, k, pad);
             let params: Vec<f32> = wgt.iter().chain(&bias).copied().collect();
             conv.read_params(&params);
-            conv.forward(&x);
-            let gx = conv.backward(&g);
+            let _ = conv.forward(x.clone());
+            let gx = conv.backward(g.clone());
             let mut grads = Vec::new();
             conv.write_grads(&mut grads);
             let (gw, gb) = grads.split_at(out_c * in_c * k * k);
@@ -329,35 +376,31 @@ fn sgd_step_is_bit_identical_to_naive() {
 }
 
 #[test]
-fn local_train_shapes_exercise_every_kernel() {
-    // The exact MLP shapes the FL clients train (64→32→10): one smoke
-    // round asserting the composed forward/backward stays within the
-    // per-kernel bounds proven above. Catches wiring regressions in
-    // `layers.rs` (e.g. a gradient product mapped to the wrong kernel).
+fn local_train_shapes_agree_across_the_three_products() {
+    // The exact MLP shapes the FL clients train (64→32→10): the gradient
+    // product `xᵀ·g` read in place must be, bit for bit, the plain product
+    // of the materialized transpose — both are the same ascending-`p`
+    // chain. Catches wiring regressions in `layers.rs` (e.g. a gradient
+    // product mapped to the wrong kernel).
     let input = triple(any_u64(), usize_in(1, 16), usize_in(1, 48));
     forall(
-        "local_train_shapes_exercise_every_kernel",
+        "local_train_shapes_agree_across_the_three_products",
         24,
         &input,
         |&(seed, batch, hidden)| {
             let mut rng = Rng::new(seed);
             let x = Tensor::from_vec(randv(batch * 64, &mut rng), &[batch, 64]);
             let g = Tensor::from_vec(randv(batch * hidden, &mut rng), &[batch, hidden]);
-            // grad_weight = xᵀ·g via the packed-transpose path vs the
-            // materialized transpose through the plain blocked kernel.
-            let packed = x.matmul_tn(&g);
-            let materialized = x.transpose().matmul(&g);
-            let xabs = Tensor::from_vec(x.data().iter().map(|v| v.abs()).collect(), &[batch, 64]);
-            let gabs =
-                Tensor::from_vec(g.data().iter().map(|v| v.abs()).collect(), &[batch, hidden]);
-            let absref = xabs.transpose().matmul(&gabs);
-            assert_tol(
-                packed.data(),
-                materialized.data(),
-                absref.data(),
-                batch,
-                "packed transpose vs materialized",
-            );
+            let mut in_place = Tensor::zeros(&[64, hidden]);
+            x.matmul_tn_acc(&g, &mut in_place);
+            let materialized: Vec<f32> = x
+                .transpose()
+                .matmul(&g)
+                .data()
+                .iter()
+                .map(|c| 0.0 + c)
+                .collect();
+            assert_bits(in_place.data(), &materialized, "xᵀ·g vs transpose(x)·g");
         },
     );
 }

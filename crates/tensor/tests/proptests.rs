@@ -138,10 +138,10 @@ fn relu_output_nonnegative_and_sparse_grad() {
             let mut rng = Rng::new(seed);
             let x = Tensor::randn(&[1, n], 1.0, &mut rng);
             let mut relu = ReLU::new();
-            let y = relu.forward(&x);
+            let y = relu.forward(x.clone());
             assert!(y.data().iter().all(|&v| v >= 0.0));
             let g = Tensor::full(&[1, n], 1.0);
-            let gx = relu.backward(&g);
+            let gx = relu.backward(g);
             for (i, &v) in gx.data().iter().enumerate() {
                 if x.data()[i] > 0.0 {
                     assert_eq!(v, 1.0);

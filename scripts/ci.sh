@@ -82,6 +82,28 @@ if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src b
     echo "ERROR: a folded twin entry point is back — observation goes through ecofl_obs::Obs." >&2
     exit 1
 fi
+# One training path: tensors go through `Layer` by value (the compiler
+# holds every impl to the trait, so the trait's two signatures are the
+# guard), and every consumer — FL clients, the evaluator, the threaded
+# runtime — trains through the one `Network::train_step` and the one
+# `local_train`. The allocating by-reference step survives only as the
+# oracle under tests/.
+if ! grep -qF 'fn forward(&mut self, input: Tensor) -> Tensor;' crates/tensor/src/layers.rs ||
+    ! grep -qF 'fn backward(&mut self, grad_out: Tensor) -> Tensor;' crates/tensor/src/layers.rs; then
+    echo "ERROR: Layer::forward / Layer::backward no longer take and return Tensor by value." >&2
+    exit 1
+fi
+for entry in train_step local_train; do
+    if [ "$(grep -rhoE --include='*.rs' "fn ${entry}[a-z0-9_]*" crates/*/src src | sort -u | wc -l)" -ne 1 ]; then
+        echo "ERROR: expected exactly one ${entry}* function in production code, found:" >&2
+        grep -rnE --include='*.rs' "fn ${entry}[a-z0-9_]*" crates/*/src src >&2
+        exit 1
+    fi
+done
+if grep -rnE --include='*.rs' '(struct|enum) +(Fused|Fast)[A-Za-z0-9]*(Mlp|Net|Network|Trainer)\b' crates/*/src src; then
+    echo "ERROR: a second trainer type is back — Network is the one trainer for every ModelArch." >&2
+    exit 1
+fi
 
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
@@ -170,22 +192,31 @@ for schedule in gpipe async interleaved zb; do
 done
 echo "    ok (14 plans byte-identical at every pool width)"
 
-# Kernel-equivalence gate: the blocked tensor kernels must match the
-# retained naive references — bit-identically where the contract says so,
-# within the documented tolerance elsewhere (DESIGN.md, "Kernel tiling and
-# the tolerance policy"). Swept across thread counts because the fixed
-# 24-row chunk grid is what makes parallel results bit-identical, and once
-# under ECOFL_PORTABLE_KERNELS=1 to prove the exact-equality claim
-# independently of the host's SIMD tier.
-echo "==> kernel-equivalence gate: ecofl-tensor --test kernel_equivalence at ECOFL_THREADS=1/2/8 + portable"
+# Kernel-equivalence gate: both GEMM drivers must be bit-identical to the
+# tier's scalar chain (DESIGN.md §7), and the training step built on them
+# bit-identical to the allocating oracle and to the parent binary. Four
+# configurations: swept across thread counts because the fixed 24-row
+# chunk grid is what makes parallel results bit-identical, and once under
+# ECOFL_PORTABLE_KERNELS=1 to prove the claim independently of the host's
+# SIMD tier. Each runs, optimized: the kernel unit tests (every driver on
+# every tier the host supports; the operand-length `should_panic`s, which
+# must hold without debug assertions), the public-API sweep, the
+# `train_step` differential against tests/oracle, the 486-call
+# `local_train` fingerprint, and the allocations-per-step bound.
+echo "==> kernel-equivalence gate: kernel tests, train_step oracle, fingerprint, allocation bound at ECOFL_THREADS=1/2/8 + portable"
+kernel_gate() {
+    cargo test -q --release --offline -p ecofl-tensor --lib kernel::tests
+    cargo test -q --release --offline -p ecofl-tensor \
+        --test kernel_equivalence --test train_step_oracle
+    cargo test -q --release --offline -p ecofl-fl \
+        --test train_fingerprint --test alloc_bound
+}
 for threads in 1 2 8; do
     echo "    ECOFL_THREADS=$threads"
-    ECOFL_THREADS=$threads \
-        cargo test -q --release --offline -p ecofl-tensor --test kernel_equivalence
+    ECOFL_THREADS=$threads kernel_gate
 done
 echo "    ECOFL_PORTABLE_KERNELS=1"
-ECOFL_PORTABLE_KERNELS=1 \
-    cargo test -q --release --offline -p ecofl-tensor --test kernel_equivalence
+ECOFL_PORTABLE_KERNELS=1 kernel_gate
 
 # Metrics-perturbation gate: attaching a MetricsHub must leave FL run
 # results, executor reports/traces and threaded-runtime parameters

@@ -1213,7 +1213,29 @@ fn usage() -> &'static str {
      devices: comma list of nanol, nanoh, tx2q, tx2n"
 }
 
+/// Puts `SIGPIPE` back to its default disposition. The Rust runtime starts
+/// every program with the signal ignored, so writing to a closed pipe
+/// (`ecofl fl … | head -3`) comes back as `EPIPE`, which `println!` turns
+/// into a panic with a backtrace and exit code 101; with the default
+/// disposition the process ends quietly on the signal, like any filter.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    extern "C" {
+        fn signal(signum: std::ffi::c_int, handler: usize) -> usize;
+    }
+    const SIGPIPE: std::ffi::c_int = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` is async-signal-safe libc with no memory arguments;
+    // `SIG_DFL` installs no handler of ours, and this runs first thing in
+    // `main`, before any other thread exists.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
 fn main() -> ExitCode {
+    #[cfg(unix)]
+    restore_default_sigpipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else {
         eprintln!("{}", usage());

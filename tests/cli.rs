@@ -132,6 +132,46 @@ fn fl_runs_a_tiny_federation() {
     assert!(stdout.contains("updates"));
 }
 
+/// `ecofl fl … | head -1` with the reader gone before the report is
+/// printed (the run prints only when it has finished, so closing the pipe
+/// right after the spawn is the deterministic form of that race). The
+/// process must end on `SIGPIPE` like any filter, not panic on the failed
+/// `println!` with a backtrace and exit code 101.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_pipe_ends_the_run_without_a_panic() {
+    use std::io::Read;
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ecofl"))
+        .args(["fl", "--strategy", "fedavg", "--clients", "8"])
+        .args(["--horizon", "120", "--dataset", "mnist"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+
+    let status = child.wait().expect("child exits");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("utf-8 stderr");
+    assert!(
+        !stderr.contains("panicked"),
+        "a closed pipe must not panic:\n{stderr}"
+    );
+    assert_eq!(
+        status.signal(),
+        Some(13),
+        "expected death by SIGPIPE: {status:?}"
+    );
+}
+
 #[test]
 fn trace_records_into_a_store_and_inspect_reads_it_back() {
     let dir = std::env::temp_dir().join(format!("ecofl-cli-store-{}", std::process::id()));
