@@ -51,6 +51,7 @@
 //! assert!(view.makespan() >= 4.0);
 //! ```
 
+mod block;
 pub mod context;
 pub mod metrics;
 pub mod record;

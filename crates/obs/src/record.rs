@@ -71,6 +71,66 @@ pub enum EventKind {
     RoundReplayed,
 }
 
+/// The on-disk code of every variant, as stored in a columnar trace
+/// block's shape byte (see `block.rs`). `code` is an exhaustive match, so
+/// a new variant does not compile until it is given a code here, and
+/// `from_code` is generated from the same table, so the two directions
+/// cannot disagree. Codes are **append-only**: changing or reusing one
+/// makes every store already on disk decode to the wrong variant. `$bits`
+/// is the width of the type's field in the shape byte; a code that does
+/// not fit fails the build.
+macro_rules! block_codes {
+    ($ty:ident: $bits:literal bits { $($variant:ident = $code:literal),+ $(,)? }) => {
+        const _: () = assert!($($code < (1u8 << $bits))&&+);
+
+        impl $ty {
+            pub(crate) const fn code(self) -> u8 {
+                match self {
+                    $($ty::$variant => $code),+
+                }
+            }
+
+            pub(crate) const fn from_code(code: u8) -> Option<$ty> {
+                match code {
+                    $($code => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+block_codes!(Domain: 2 bits {
+    Pipeline = 0,
+    Scheduler = 1,
+    Fl = 2,
+    Grouping = 3,
+});
+
+block_codes!(SpanKind: 4 bits {
+    Forward = 0,
+    Backward = 1,
+    BackwardInput = 2,
+    BackwardWeight = 3,
+    CommForward = 4,
+    CommBackward = 5,
+    LocalTrain = 6,
+    Round = 7,
+});
+
+block_codes!(EventKind: 4 bits {
+    LaggerDetected = 0,
+    Migration = 1,
+    Restart = 2,
+    Aggregation = 3,
+    RegroupMoved = 4,
+    RegroupDropped = 5,
+    RegroupRejoined = 6,
+    StageDied = 7,
+    CheckpointTaken = 8,
+    RoundReplayed = 9,
+});
+
 /// A duration: something ran from `t0` to `t1` in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
@@ -220,6 +280,30 @@ mod tests {
             ..s
         };
         assert!(!comm.is_compute());
+    }
+
+    #[test]
+    fn block_codes_are_pinned() {
+        // These bytes are on disk in every columnar trace block: a code
+        // may be appended, never changed. Each row reads both ways.
+        macro_rules! pinned {
+            ($ty:ident: $($variant:ident = $code:literal),+) => {{
+                $(
+                    assert_eq!($ty::$variant.code(), $code);
+                    assert_eq!($ty::from_code($code), Some($ty::$variant));
+                )+
+                let count = [$($code),+].len() as u8;
+                assert_eq!($ty::from_code(count), None, "an unpinned code");
+            }};
+        }
+        pinned!(Domain: Pipeline = 0, Scheduler = 1, Fl = 2, Grouping = 3);
+        pinned!(SpanKind: Forward = 0, Backward = 1, BackwardInput = 2, BackwardWeight = 3,
+            CommForward = 4, CommBackward = 5, LocalTrain = 6, Round = 7);
+        pinned!(EventKind: LaggerDetected = 0, Migration = 1, Restart = 2, Aggregation = 3,
+            RegroupMoved = 4, RegroupDropped = 5, RegroupRejoined = 6, StageDied = 7,
+            CheckpointTaken = 8, RoundReplayed = 9);
+        assert_eq!(SpanKind::from_code(15), None);
+        assert_eq!(EventKind::from_code(15), None);
     }
 
     #[test]

@@ -3,10 +3,18 @@
 //! A [`RunStore`] is a directory holding two segment files —
 //! `trace.seg` for [`TraceRecord`] blocks and `checkpoints.seg` for
 //! versioned pipeline checkpoints. Trace records append in batches of
-//! [`RunStore::block_records`] per block; each block's payload is the
-//! same JSONL encoding the legacy sink wrote (one externally-tagged
-//! record per line), LZ-compressed, with a [`BlockSummary`] of four
-//! min/max columns:
+//! [`RunStore::block_records`] per block. A block's payload is typed
+//! columns — a shape byte per record, varint index columns, a name
+//! dictionary, `f64` bit patterns — written by the crate's private
+//! `block` codec, the one encoder [`RunStore::append`] has, and
+//! LZ-compressed by the segment layer. The format is chosen per
+//! *payload*: the one block decoder, [`jsonl_to_records`], reads a
+//! columnar block by its tag byte and anything else as the JSONL text
+//! (one externally-tagged record per line) that older stores hold, so
+//! those stay readable and take new blocks behind their old ones. JSONL
+//! itself stays the interchange format ([`RunStore::export_jsonl`],
+//! [`records_to_jsonl`]) and the oracle the codec is tested against.
+//! Each block carries a [`BlockSummary`] of four min/max columns:
 //!
 //! | column | meaning | populated by |
 //! |---|---|---|
@@ -35,6 +43,7 @@
 //! metrics layer existed open fine — the segment is created on
 //! demand.
 
+use crate::block;
 use crate::metrics::{MetricsHub, MetricsSnapshot, METRICS_SNAPSHOT_VERSION};
 use crate::record::{Domain, TraceRecord};
 use crate::view::TraceView;
@@ -381,10 +390,18 @@ pub struct CheckpointMeta {
     pub bytes: u64,
 }
 
-/// Encodes records exactly as the legacy sink did: one externally-
-/// tagged JSON object per `\n`-terminated line. Block payloads and
-/// [`RunStore::export_jsonl`] share this, which is what makes
-/// pruned-query results byte-identical to a full JSONL scan.
+/// Encodes records as JSONL, the interchange format: one externally-
+/// tagged JSON object per `\n`-terminated line, exactly what the legacy
+/// sink wrote. [`RunStore::export_jsonl`] writes this; stores written
+/// before the columnar codec hold it as their block payload; and it is
+/// the differential oracle the codec is tested against (`records →
+/// block → records → JSONL` is byte-identical to `records → JSONL`).
+/// JSON has no spelling for NaN or ±∞: a non-finite `value` / `delta`
+/// is written as `null`, which [`jsonl_to_records`] does not read back
+/// — the store itself keeps such values bit-exactly. Likewise the JSON
+/// layer holds integers as `i64`: an index above `i64::MAX` is written
+/// as a negative number and not read back, where the store's varint
+/// columns carry the full `usize`.
 ///
 /// # Errors
 /// Returns `InvalidData` if a record fails to serialize.
@@ -398,11 +415,25 @@ pub fn records_to_jsonl(records: &[TraceRecord]) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes a [`records_to_jsonl`] payload (blank lines skipped).
+/// *The* trace block decoder: turns one block payload of `trace.seg`
+/// back into its records. The format is chosen per payload — a first
+/// byte of `0xC1` (which no UTF-8 text contains) marks a columnar block,
+/// fully validated by the `block` codec; anything else is the JSONL
+/// text older stores hold (a [`records_to_jsonl`] payload, blank lines
+/// skipped), so a segment may mix both and an old store takes new
+/// blocks behind its old ones.
+///
+/// The name is historical: the frozen `benchmark/layers` probe imports
+/// it. The rename to what it now does is owed by ROADMAP item 1's
+/// benchmark PR.
 ///
 /// # Errors
-/// Returns `InvalidData` for non-UTF-8 bytes or unparseable lines.
+/// Returns `InvalidData` for a malformed columnar block, non-UTF-8
+/// bytes or unparseable lines.
 pub fn jsonl_to_records(bytes: &[u8]) -> io::Result<Vec<TraceRecord>> {
+    if bytes.first() == Some(&block::TAG) {
+        return block::decode(bytes);
+    }
     let text = std::str::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
     text.lines()
         .filter(|l| !l.trim().is_empty())
@@ -532,10 +563,10 @@ impl RunStore {
     /// [`RunStore::flush`] (or drop).
     ///
     /// # Errors
-    /// Returns any serialization or I/O error.
+    /// Returns any I/O error.
     pub fn append(&mut self, records: &[TraceRecord]) -> io::Result<()> {
         for chunk in records.chunks(self.block_records) {
-            let payload = records_to_jsonl(chunk)?;
+            let payload = block::encode(chunk);
             self.trace.append_block(&payload, summarize(chunk))?;
             self.note_write(payload.len());
         }
@@ -629,7 +660,9 @@ impl RunStore {
     }
 
     /// Exports the full trace as flat JSONL at `path` — byte-
-    /// identical to what the removed `write_jsonl` shim produced.
+    /// identical to what the removed `write_jsonl` shim produced. A
+    /// non-finite event value, counter delta or gauge value is written
+    /// as `null` (see [`records_to_jsonl`]).
     ///
     /// # Errors
     /// Returns any decode or I/O error.

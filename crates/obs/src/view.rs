@@ -125,6 +125,32 @@ impl TraceView {
         Some(1.0 - busy / (stages as f64 * window))
     }
 
+    /// [`TraceView::round_window`] and [`TraceView::bubble_fraction`] of
+    /// every sync-round `0..pipeline_rounds()`, in one pass over the
+    /// records instead of four per round. Entry `r` is `(t0, t1, bubble
+    /// fraction)`, or `None` where `round_window(r)` is; each number has
+    /// the bits the per-round calls return, because each is the same
+    /// fold over the same spans in the same (recording) order.
+    #[must_use]
+    pub fn round_table(&self) -> Vec<Option<(f64, f64, f64)>> {
+        // Per round: (min t0, max t1, Σ duration) of its compute spans.
+        let mut rounds = vec![(f64::INFINITY, f64::NEG_INFINITY, 0.0f64); self.pipeline_rounds()];
+        let mut stages = 0usize;
+        for s in self.spans().filter(|s| s.is_compute()) {
+            let (t0, t1, busy) = &mut rounds[s.round];
+            *t0 = t0.min(s.t0);
+            *t1 = t1.max(s.t1);
+            *busy += s.duration();
+            stages = stages.max(s.entity + 1);
+        }
+        rounds
+            .into_iter()
+            .map(|(t0, t1, busy)| {
+                (t0 < t1).then(|| (t0, t1, 1.0 - busy / (stages as f64 * (t1 - t0))))
+            })
+            .collect()
+    }
+
     /// Total idle device-time across the whole pipeline trace:
     /// `stages × (max end − min start) − Σ busy`. Matches the sum of
     /// `ExecutionReport::stage_idle_time` for a trace recorded by
@@ -245,6 +271,56 @@ mod tests {
         assert!((bubble - (1.0 - 8.0 / 12.0)).abs() < 1e-12);
         assert!((v.total_idle_time() - 4.0).abs() < 1e-12);
         assert!((v.stage_busy(0, 0) - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn round_table_has_the_bits_of_the_per_round_calls() {
+        // Three rounds of awkward floats on three stages; round 1 is
+        // left without compute spans and round 3 has a single instant.
+        let t = Tracer::new();
+        let mut at = 0.1;
+        for (round, spans) in [(0usize, 7usize), (2, 5), (3, 0)] {
+            for i in 0..spans {
+                let len = 0.3 + 0.7 / (i as f64 + 3.0);
+                t.span(
+                    Domain::Pipeline,
+                    SpanKind::Forward,
+                    i % 3,
+                    round,
+                    i,
+                    at,
+                    at + len,
+                );
+                t.span(
+                    Domain::Pipeline,
+                    SpanKind::CommForward,
+                    i % 3,
+                    round,
+                    i,
+                    at,
+                    at + 9.0,
+                );
+                at += len / 3.0;
+            }
+        }
+        t.span(Domain::Pipeline, SpanKind::Backward, 0, 3, 0, at, at);
+        t.span(Domain::Fl, SpanKind::Round, 9, 1, 0, 0.0, 50.0);
+        let v = t.view();
+        let table = v.round_table();
+        assert_eq!(table.len(), v.pipeline_rounds());
+        assert_eq!(table.len(), 4);
+        for (r, row) in table.iter().enumerate() {
+            let expected = v.round_window(r).map(|(t0, t1)| {
+                let bubble = v.bubble_fraction(r).expect("a window has a bubble");
+                (t0.to_bits(), t1.to_bits(), bubble.to_bits())
+            });
+            let row = row.map(|(t0, t1, b)| (t0.to_bits(), t1.to_bits(), b.to_bits()));
+            assert_eq!(row, expected, "round {r}");
+        }
+        assert!(table[0].is_some() && table[2].is_some());
+        assert!(table[1].is_none() && table[3].is_none());
+        assert!(tiny_trace().round_table()[0].is_some());
+        assert!(TraceView::default().round_table().is_empty());
     }
 
     #[test]

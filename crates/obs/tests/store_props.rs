@@ -2,85 +2,24 @@
 //!
 //! Four laws, each checked over generated inputs:
 //!
-//! 1. append → read round-trips arbitrary record batches byte-identically,
+//! 1. append → read round-trips arbitrary record batches: the typed
+//!    records are equal and so are their JSONL bytes (JSONL is the
+//!    oracle the columnar block codec is held to),
 //! 2. every [`TraceQuery`] over the store returns exactly what the same
-//!    predicate returns over a full JSONL scan,
+//!    predicate returns over a full JSONL scan (the legacy path),
 //! 3. block summaries are *sound*: a block whose summary rejects a query
 //!    contains no record matching it,
 //! 4. checkpoint sequence numbers restore the latest-at-or-before state.
 
+mod common;
+
+use common::{gen_record, gen_record_with_extremes, temp_dir};
 use ecofl_compat::check;
 use ecofl_obs::store::{jsonl_to_records, records_to_jsonl};
 use ecofl_obs::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, RecordKind, RunStore, SpanKind,
     SpanRecord, TraceQuery, TraceRecord,
 };
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A fresh directory per call so `forall` cases never share state.
-fn temp_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ecofl-store-props-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Generates one record of any of the four kinds, spread over rounds
-/// 0..40, entities 0..8, times 0..100 and all four domains — wide
-/// enough that every query below both matches and rejects records.
-fn gen_record() -> check::Gen<TraceRecord> {
-    check::quad(
-        check::u32_in(0, 9),
-        check::usize_in(0, 7),
-        check::f64_in(0.0, 100.0),
-        check::usize_in(0, 39),
-    )
-    .map(|(sel, entity, time, round)| {
-        let domain = match sel % 4 {
-            0 => Domain::Pipeline,
-            1 => Domain::Scheduler,
-            2 => Domain::Fl,
-            _ => Domain::Grouping,
-        };
-        match sel {
-            0..=4 => TraceRecord::Span(SpanRecord {
-                domain,
-                kind: if sel % 2 == 0 {
-                    SpanKind::Forward
-                } else {
-                    SpanKind::Backward
-                },
-                entity,
-                round,
-                micro: sel as usize % 3,
-                t0: time,
-                t1: time + 0.1 + f64::from(sel) * 0.2,
-            }),
-            5 | 6 => TraceRecord::Event(EventRecord {
-                domain,
-                kind: EventKind::Aggregation,
-                entity,
-                time,
-                value: round as f64,
-            }),
-            7 | 8 => TraceRecord::Counter(CounterRecord {
-                name: format!("c{}", entity % 3),
-                time,
-                delta: 1.0,
-            }),
-            _ => TraceRecord::Gauge(GaugeRecord {
-                name: "accuracy".into(),
-                time,
-                value: round as f64 / 40.0,
-            }),
-        }
-    })
-}
 
 /// Queries exercising every clause alone and in combination.
 fn queries() -> Vec<TraceQuery> {
@@ -106,7 +45,7 @@ fn queries() -> Vec<TraceQuery> {
 
 #[test]
 fn prop_append_read_round_trips_batches() {
-    let gen = check::vec_in(gen_record(), 0, 90);
+    let gen = check::vec_in(gen_record_with_extremes(), 0, 90);
     check::forall("store append/read roundtrip", 25, &gen, |records| {
         let dir = temp_dir("roundtrip");
         let mut store = RunStore::create(&dir).unwrap().with_block_records(7);
@@ -175,6 +114,126 @@ fn prop_block_summaries_are_sound() {
         }
         std::fs::remove_dir_all(&dir).ok();
     });
+}
+
+#[test]
+fn wide_dictionary_block_round_trips() {
+    // 300 distinct names in one block: dictionary indices past 127 take
+    // the two-byte varint. Empty and multi-byte names ride along.
+    let mut records: Vec<TraceRecord> = (0..300)
+        .map(|i| {
+            TraceRecord::Gauge(GaugeRecord {
+                name: format!("gauge-{i}-µ"),
+                time: f64::from(i),
+                value: f64::from(i) / 7.0,
+            })
+        })
+        .collect();
+    for name in ["", "精度", "gauge-299-µ", "gauge-0-µ"] {
+        records.push(TraceRecord::Counter(CounterRecord {
+            name: name.into(),
+            time: 300.0,
+            delta: 1.0,
+        }));
+    }
+    let dir = temp_dir("wide-dictionary");
+    let mut store = RunStore::create(&dir).unwrap();
+    store.append(&records).unwrap();
+    store.flush().unwrap();
+    assert_eq!(store.trace_blocks().len(), 1, "one block holds them all");
+    let back = RunStore::open(&dir).unwrap().records().unwrap();
+    assert_eq!(back, records);
+    assert_eq!(
+        records_to_jsonl(&back).unwrap(),
+        records_to_jsonl(&records).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `record` with its two floats zeroed, and the floats' bit patterns:
+/// equality that tells NaN payloads and the sign of zero apart.
+fn exact(record: &TraceRecord) -> (TraceRecord, [u64; 2]) {
+    let mut r = record.clone();
+    let (a, b) = match &mut r {
+        TraceRecord::Span(s) => (&mut s.t0, &mut s.t1),
+        TraceRecord::Event(e) => (&mut e.time, &mut e.value),
+        TraceRecord::Counter(c) => (&mut c.time, &mut c.delta),
+        TraceRecord::Gauge(g) => (&mut g.time, &mut g.value),
+    };
+    let bits = [a.to_bits(), b.to_bits()];
+    (*a, *b) = (0.0, 0.0);
+    (r, bits)
+}
+
+#[test]
+fn non_finite_payloads_round_trip_bit_exactly() {
+    // Regression: the tracer checks that *times* are finite, nothing
+    // checks an event value, counter delta or gauge value. With JSONL
+    // blocks one NaN gauge was written as `null` — `append` returned Ok
+    // and every later read of the block, its 511 neighbours included,
+    // failed with `expected number, found Null`.
+    let payloads = [
+        f64::NAN,
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF), // NaN with a payload
+        f64::from_bits(0xFFF0_0000_0000_0001), // negative signalling NaN
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        f64::MIN_POSITIVE / 8.0, // subnormal
+        f64::MAX,
+    ];
+    let mut records = Vec::new();
+    for (i, &v) in payloads.iter().enumerate() {
+        let time = i as f64;
+        records.push(TraceRecord::Gauge(GaugeRecord {
+            name: "loss".into(),
+            time,
+            value: v,
+        }));
+        records.push(TraceRecord::Counter(CounterRecord {
+            name: "bytes".into(),
+            time,
+            delta: v,
+        }));
+        records.push(TraceRecord::Event(EventRecord {
+            domain: Domain::Scheduler,
+            kind: EventKind::Migration,
+            entity: i,
+            time,
+            value: v,
+        }));
+        // A good neighbour in the same block.
+        records.push(TraceRecord::Span(SpanRecord {
+            domain: Domain::Pipeline,
+            kind: SpanKind::Forward,
+            entity: i,
+            round: 0,
+            micro: 0,
+            t0: time,
+            t1: time + 0.5,
+        }));
+    }
+    let dir = temp_dir("non-finite");
+    let mut store = RunStore::create(&dir).unwrap();
+    store.append(&records).unwrap();
+    store.flush().unwrap();
+    let reopened = RunStore::open(&dir).unwrap();
+    let back = reopened.records().unwrap();
+    assert_eq!(
+        back.iter().map(exact).collect::<Vec<_>>(),
+        records.iter().map(exact).collect::<Vec<_>>()
+    );
+    let spans = reopened
+        .query(&TraceQuery::new().kind(RecordKind::Span))
+        .unwrap();
+    assert_eq!(spans.records.len(), payloads.len());
+    // The JSONL export has no spelling for them: `null`, documented.
+    let out = dir.join("export.jsonl");
+    reopened.export_jsonl(&out).unwrap();
+    let text = std::fs::read_to_string(&out).unwrap();
+    assert_eq!(text.lines().count(), records.len());
+    assert!(text.contains(r#"{"Gauge":{"name":"loss","time":0.0,"value":null}}"#));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Like [`gen_record`] but roughly a third of the spans have *zero*

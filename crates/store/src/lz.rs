@@ -1,9 +1,12 @@
 //! A small deterministic LZ77 codec (LZSS token stream).
 //!
-//! Block payloads are mostly JSONL text with heavily repeated keys, so
-//! a greedy byte-oriented matcher with a 64 KiB window compresses them
-//! several-fold at negligible cost — and, unlike a general-purpose
-//! dependency, stays inside the hermetic-workspace rule.
+//! Block payloads are small and repetitive in a byte-aligned way —
+//! columnar trace blocks (runs of equal shape, round and exponent bytes,
+//! timestamps that repeat whole), JSON metrics snapshots, the JSONL text
+//! of older trace stores — so a greedy byte-oriented matcher with a
+//! 64 KiB window compresses them several-fold at negligible cost — and,
+//! unlike a general-purpose dependency, stays inside the
+//! hermetic-workspace rule.
 //!
 //! ## Token stream
 //!
@@ -115,10 +118,18 @@ fn corrupt(what: &str) -> std::io::Error {
 /// Decompresses a [`compress`] stream back into exactly `raw_len`
 /// bytes.
 ///
+/// `raw_len` comes from a footer on disk, so it is checked against what
+/// `comp` can expand to before anything is reserved for it: the densest
+/// item is a three-byte match token yielding [`MAX_MATCH`] bytes.
+///
 /// # Errors
-/// Returns `InvalidData` when the stream is truncated, overruns
-/// `raw_len`, or a match reaches before the start of the output.
+/// Returns `InvalidData` when `raw_len` is more than the stream could
+/// produce, the stream is truncated, overruns `raw_len`, or a match
+/// reaches before the start of the output.
 pub fn decompress(comp: &[u8], raw_len: usize) -> std::io::Result<Vec<u8>> {
+    if raw_len > (comp.len() / 3 + 1).saturating_mul(MAX_MATCH) {
+        return Err(corrupt("raw length exceeds what the stream can expand to"));
+    }
     let mut out = Vec::with_capacity(raw_len);
     let mut pos = 0usize;
     while out.len() < raw_len {
@@ -234,6 +245,22 @@ mod tests {
         let comp = compress(&raw);
         assert!(decompress(&comp[..comp.len() - 1], raw.len()).is_err());
         assert!(decompress(&comp, raw.len() + 1).is_err());
+    }
+
+    #[test]
+    fn raw_len_is_bounded_by_the_stream_before_reserving() {
+        // A bit-flipped footer can claim any length; the answer is a
+        // typed error, not a capacity-overflow panic or a 4 GiB reserve.
+        for raw_len in [1, 1 << 32, usize::MAX] {
+            let err = decompress(&[], raw_len).expect_err("nothing to expand");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+        let comp = compress(&[b'q'; 5000]);
+        let err = decompress(&comp, usize::MAX).expect_err("implausible length");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // The bound never rejects what `compress` wrote, however dense.
+        assert!(comp.len() < 5000 / 70, "all matches: {} bytes", comp.len());
+        assert_eq!(decompress(&comp, 5000).expect("decompress"), [b'q'; 5000]);
     }
 
     #[test]

@@ -204,11 +204,22 @@ impl Segment {
         file.seek(SeekFrom::Start(footer_start))?;
         file.read_exact(&mut footer)?;
         let blocks = parse_footer(&path, &footer)?;
-        if let Some(last) = blocks.last() {
-            let end = last.offset + u64::from(last.comp_len);
-            if end > footer_start {
-                return Err(corrupt(&path, "block extends past footer"));
+        // Every entry must lie inside the data region, in order and
+        // without overlap: `read_block` sizes its buffer by `comp_len`,
+        // so an entry the file cannot hold is refused here.
+        let mut data_end = HEADER_LEN;
+        for (index, block) in blocks.iter().enumerate() {
+            if block.offset < data_end {
+                return Err(corrupt(
+                    &path,
+                    &format!("block {index} starts before the end of its predecessor"),
+                ));
             }
+            data_end = block
+                .offset
+                .checked_add(u64::from(block.comp_len))
+                .filter(|&end| end <= footer_start)
+                .ok_or_else(|| corrupt(&path, &format!("block {index} extends past footer")))?;
         }
 
         let mut seg = Segment {
@@ -521,6 +532,71 @@ mod tests {
         bytes[0] ^= 0xFF;
         fs::write(&path, &bytes).expect("write");
         assert!(Segment::open(&path).is_err());
+        fs::remove_file(&path).ok();
+    }
+
+    /// A sealed three-block segment's bytes, and where block `index`'s
+    /// footer entry starts in them.
+    fn three_blocks(path: &Path) -> (Vec<u8>, impl Fn(usize) -> usize) {
+        let mut seg = Segment::create(path).expect("create");
+        for i in 0..3u8 {
+            let payload = [i; 40];
+            seg.append_block(&payload, summary_for(f64::from(i), 1))
+                .expect("append");
+        }
+        seg.seal().expect("seal");
+        let data_end = seg.data_end as usize;
+        drop(seg);
+        // Entry: offset u64, comp_len u32, raw_len u32, count u64,
+        // kind_mask u32, ncols u32, two (min, max) column pairs.
+        let entry_at = move |index: usize| data_end + 8 + index * (32 + 2 * 16);
+        (fs::read(path).expect("read"), entry_at)
+    }
+
+    fn open_patched(path: &Path, bytes: &[u8], at: usize, patch: &[u8]) -> io::Result<Segment> {
+        let mut bytes = bytes.to_vec();
+        bytes[at..at + patch.len()].copy_from_slice(patch);
+        fs::write(path, &bytes).expect("write");
+        Segment::open(path)
+    }
+
+    #[test]
+    fn every_footer_entry_is_bounds_checked_at_open() {
+        let path = temp_path("entrybounds");
+        let (bytes, entry_at) = three_blocks(&path);
+        let offset_of =
+            |i: usize| u64::from_le_bytes(bytes[entry_at(i)..entry_at(i) + 8].try_into().unwrap());
+        assert_eq!(offset_of(0), HEADER_LEN);
+
+        let cases: [(&str, usize, Vec<u8>); 5] = [
+            // A middle entry's length flipped to 4 GiB − 1: `read_block`
+            // would allocate it before reading a byte.
+            (
+                "past footer",
+                entry_at(1) + 8,
+                u32::MAX.to_le_bytes().into(),
+            ),
+            (
+                "offset + len overflow",
+                entry_at(1),
+                u64::MAX.to_le_bytes().into(),
+            ),
+            ("inside header", entry_at(0), 4u64.to_le_bytes().into()),
+            ("overlap", entry_at(2), offset_of(1).to_le_bytes().into()),
+            (
+                "out of order",
+                entry_at(1),
+                offset_of(2).to_le_bytes().into(),
+            ),
+        ];
+        for (what, at, patch) in cases {
+            let err = open_patched(&path, &bytes, at, &patch).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        // The unpatched image still opens and reads.
+        let seg = open_patched(&path, &bytes, 0, &[]).expect("pristine");
+        assert_eq!(seg.read_block(1).expect("read"), [1u8; 40]);
+        drop(seg);
         fs::remove_file(&path).ok();
     }
 

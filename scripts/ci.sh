@@ -169,6 +169,13 @@ cargo test -q --release --offline --test schedule_legality
 echo "==> plan-search differential gate: ecofl-pipeline orchestrator/partition suites, release, ECOFL_CHECK_CASES=300"
 ECOFL_CHECK_CASES=300 cargo test -q --release --offline -p ecofl-pipeline --lib -- \
     orchestrator::tests partition::tests
+# Block-decoder mutation gate: the trace block decoder reads what a disk
+# hands it. The harness (truncate at every offset, flip bits, splice two
+# blocks, inflate the length fields; a counting allocator holds every
+# allocation to a multiple of the payload) runs one seeded case under
+# the plain `cargo test` above; here it runs optimized over many.
+echo "==> block-decoder mutation gate: ecofl-obs --test block_mutation, release, ECOFL_CHECK_CASES=100"
+ECOFL_CHECK_CASES=100 cargo test -q --release --offline -p ecofl-obs --test block_mutation
 echo "==> plan-golden gate: ecofl plan stdout vs tests/golden/plan at ECOFL_THREADS=1/2/8"
 plan_golden() { # <golden name> <plan flags...>
     local name=$1 threads
@@ -340,8 +347,13 @@ ECOFL_BENCH_ITERS=1 scripts/bench.sh --smoke
 # build. Build both here so an API refactor learns it broke the frozen
 # probe now, not when the benchmark runs; then one smoke pass checks
 # the CLI's stdout invariants (no timings). The shared target dir is
-# the one run.sh uses, so nothing builds twice.
-echo "==> benchmark-probe gate: build benchmark/ + benchmark/layers/, then benchmark/run.sh --smoke"
+# the one run.sh uses, so nothing builds twice. The smoke pass is `e2e`
+# only, and `layers` must also still *run* against the crates it links:
+# its store probes decode raw `trace.seg` blocks through
+# `ecofl_obs::store::jsonl_to_records` and check every in-process count
+# against the CLI's, so one traced second of each store workload runs
+# too, and any failed check fails the gate.
+echo "==> benchmark-probe gate: build benchmark/ + benchmark/layers/, run.sh --smoke, traced trace_write / trace_query"
 for manifest in benchmark/Cargo.toml benchmark/layers/Cargo.toml; do
     CARGO_TARGET_DIR=target/benchmark \
         cargo build --release --offline --manifest-path "$manifest"
@@ -351,6 +363,16 @@ benchmark/run.sh --smoke --out "$scale_dir/benchmark-smoke.json" >"$scale_dir/be
     tail -n 40 "$scale_dir/benchmark-smoke.txt" >&2
     exit 1
 }
+for workload in trace_write trace_query; do
+    traced="$scale_dir/benchmark-traced-$workload.txt"
+    if ! benchmark/run.sh --workload "$workload" --seconds 1 --trace 1 >"$traced" ||
+        grep -q 'FAILED CHECK' "$traced" ||
+        ! grep -q '"correct":true' "$traced"; then
+        echo "ERROR: the traced $workload probe (benchmark/layers) failed a check:" >&2
+        grep -v '^{' "$traced" | tail -n 40 >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -690,7 +690,7 @@ fn fl_args(
 /// Persists `records` into a segmented run store — at `--store DIR`, or a
 /// per-scenario directory under the shared trace dir — chunked into blocks
 /// of `--block-records` records (default 512). `--out FILE` additionally
-/// exports the stored trace as legacy JSONL for external tooling. Returns
+/// exports the stored trace as JSONL, the interchange format. Returns
 /// the store directory plus its total record and block counts.
 fn persist_trace(
     args: &HashMap<String, String>,
@@ -849,9 +849,8 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
         "trace: {} ({stored} stored record(s), {blocks} block(s))",
         store_dir.display()
     );
-    for r in 0..view.pipeline_rounds() {
-        let bubble = view.bubble_fraction(r).unwrap_or(0.0);
-        let (t0, t1) = view.round_window(r).unwrap_or((0.0, 0.0));
+    for (r, row) in view.round_table().into_iter().enumerate() {
+        let (t0, t1, bubble) = row.unwrap_or((0.0, 0.0, 0.0));
         println!(
             "  round {r}: window {:.2}s..{:.2}s, bubble fraction {bubble:.4}",
             t0, t1
