@@ -51,9 +51,38 @@ impl<T> Mutex<T> {
     }
 }
 
-/// Multi-producer multi-consumer channels.
+/// Multi-producer multi-consumer channels: a `VecDeque` under one lock
+/// with two condition variables — the threaded pipeline runtime's only
+/// blocking primitive, so its hand-off cost is the runtime's.
+///
+/// **A receiver backs off before it parks.** A stage's reply is usually
+/// microseconds away, and parking for it puts a `futex` sleep and a
+/// cross-CPU wake-up (tens of µs in a VM) on the round's critical path.
+/// So an empty `recv` first watches an atomic mirror of the queue length
+/// (and the sender count, so a disconnect ends the wait too) for
+/// `SPIN_HINTS` `spin_loop` turns, then `YIELDS` `yield_now` turns —
+/// crossbeam-channel's `Backoff::snooze` shape — and only then takes the
+/// lock and parks. The two counts are private constants, not knobs; a
+/// host with fewer cores than threads dictates their shape, because the
+/// peer a spinner waits for may need the spinner's core. On 2 vCPUs with
+/// three runtime threads (the benchmark's `rt_1f1b_recover`, wall
+/// seconds, one run each): no back-off 2.06; 16 hints + 4 / 16 / 64 / 128 / 512 / 4096
+/// yields 1.62 / 0.46 / 0.40 / 0.41 / 0.43 / 0.42; 256 hints + 128
+/// yields 0.56; spinning alone for 5 / 20 / 50 / 200 µs 1.27 / 1.74 /
+/// 1.78 / 3.68. Yielding is what pays and spinning is poison, and the
+/// whole window stays far below any timeout a caller can state.
+///
+/// **A wake-up goes only to a parked peer.** `Condvar::notify_one` is a
+/// system call whether or not anyone sleeps, so the queue keeps, under
+/// its lock, how many receivers and senders are parked, and `send` /
+/// `recv` notify only when that count is non-zero. No wake-up can be
+/// lost: a waiter counts itself in under the lock before `Condvar::wait`
+/// releases it, and the notifier reads the count under the same lock
+/// after its push or pop. A disconnect notifies everyone, always.
 pub mod channel {
     use super::{fmt, Arc, AtomicUsize, Condvar, Ordering, StdMutex, VecDeque};
+    use std::sync::{MutexGuard, PoisonError};
+    use std::time::{Duration, Instant};
 
     /// Error returned by [`Sender::send`] when every receiver is gone;
     /// carries the rejected message like crossbeam's.
@@ -109,8 +138,29 @@ pub mod channel {
         }
     }
 
+    /// A receiver's back-off before it parks (why these, and why they
+    /// are not knobs: the module docs).
+    const SPIN_HINTS: u32 = 16;
+    const YIELDS: u32 = 128;
+
+    /// What the queue lock protects; the parked counts are written only
+    /// under it (the module docs say why that loses no wake-up).
+    struct Queue<T> {
+        items: VecDeque<T>,
+        /// Receivers inside a `not_empty` wait.
+        parked_receivers: usize,
+        /// Senders inside a `not_full` wait.
+        parked_senders: usize,
+    }
+
+    type Guard<'a, T> = MutexGuard<'a, Queue<T>>;
+
     struct Shared<T> {
-        queue: StdMutex<VecDeque<T>>,
+        queue: StdMutex<Queue<T>>,
+        /// Mirror of `items.len()`, stored under the lock and read
+        /// without it by a receiver's back-off. A hint only: every
+        /// decision is made again under the lock.
+        len: AtomicUsize,
         /// `None` = unbounded.
         capacity: Option<usize>,
         not_empty: Condvar,
@@ -120,10 +170,47 @@ pub mod channel {
     }
 
     impl<T> Shared<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-            self.queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        fn lock(&self) -> Guard<'_, T> {
+            self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Pops the head and, lock released, wakes one parked sender if
+        /// there is one; hands the guard back when the queue is empty.
+        fn pop<'a>(&self, mut queue: Guard<'a, T>) -> Result<T, Guard<'a, T>> {
+            let Some(value) = queue.items.pop_front() else {
+                return Err(queue);
+            };
+            self.len.store(queue.items.len(), Ordering::SeqCst);
+            let wake = queue.parked_senders > 0;
+            drop(queue);
+            if wake {
+                self.not_full.notify_one();
+            }
+            Ok(value)
+        }
+
+        /// Waits a bounded while, without the lock, for a message or for
+        /// the last sender to go.
+        fn back_off(&self) {
+            for turn in 0..SPIN_HINTS + YIELDS {
+                if self.len.load(Ordering::SeqCst) > 0 || self.senders.load(Ordering::SeqCst) == 0 {
+                    return;
+                }
+                if turn < SPIN_HINTS {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+
+        /// The last peer on one side is gone: wake every waiter of the
+        /// other side. Passing through the lock first orders the wake
+        /// after any waiter that read the old peer count but has not
+        /// parked yet.
+        fn disconnect(&self, waiters: &Condvar) {
+            drop(self.lock());
+            waiters.notify_all();
         }
     }
 
@@ -143,52 +230,74 @@ pub mod channel {
         /// # Errors
         /// Returns the message if all receivers have been dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut queue = self.shared.lock();
+            let shared = &*self.shared;
+            let mut queue = shared.lock();
             loop {
-                if self.shared.receivers.load(Ordering::SeqCst) == 0 {
+                if shared.receivers.load(Ordering::SeqCst) == 0 {
                     return Err(SendError(value));
                 }
-                match self.shared.capacity {
-                    Some(cap) if queue.len() >= cap => {
-                        queue = self
-                            .shared
-                            .not_full
-                            .wait(queue)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                match shared.capacity {
+                    Some(cap) if queue.items.len() >= cap => {
+                        queue.parked_senders += 1;
+                        let parked = shared.not_full.wait(queue);
+                        queue = parked.unwrap_or_else(PoisonError::into_inner);
+                        queue.parked_senders -= 1;
                     }
                     _ => break,
                 }
             }
-            queue.push_back(value);
+            queue.items.push_back(value);
+            shared.len.store(queue.items.len(), Ordering::SeqCst);
+            let wake = queue.parked_receivers > 0;
             drop(queue);
-            self.shared.not_empty.notify_one();
+            if wake {
+                shared.not_empty.notify_one();
+            }
             Ok(())
         }
     }
 
     impl<T> Receiver<T> {
+        /// The one receive loop: a short back-off, then parked until a
+        /// message, the last sender's drop or `deadline` (`None`: never).
+        fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+            let shared = &*self.shared;
+            shared.back_off();
+            let mut queue = shared.lock();
+            loop {
+                queue = match shared.pop(queue) {
+                    Ok(value) => return Ok(value),
+                    Err(queue) => queue,
+                };
+                if shared.senders.load(Ordering::SeqCst) == 0 {
+                    return Err(RecvTimeoutError::Disconnected);
+                }
+                let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                if remaining.is_some_and(|r| r.is_zero()) {
+                    return Err(RecvTimeoutError::Timeout);
+                }
+                queue.parked_receivers += 1;
+                queue = match remaining {
+                    Some(remaining) => {
+                        let parked = shared.not_empty.wait_timeout(queue, remaining);
+                        parked.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                    None => {
+                        let parked = shared.not_empty.wait(queue);
+                        parked.unwrap_or_else(PoisonError::into_inner)
+                    }
+                };
+                queue.parked_receivers -= 1;
+            }
+        }
+
         /// Receives a message, blocking while the channel is empty.
         ///
         /// # Errors
         /// Returns [`RecvError`] if the channel is empty and all senders
         /// have been dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.shared.lock();
-            loop {
-                if let Some(value) = queue.pop_front() {
-                    drop(queue);
-                    self.shared.not_full.notify_one();
-                    return Ok(value);
-                }
-                if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                    return Err(RecvError);
-                }
-                queue = self
-                    .shared
-                    .not_empty
-                    .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
+            self.recv_until(None).map_err(|_| RecvError)
         }
 
         /// Receives a message, blocking at most `timeout`: the
@@ -200,59 +309,29 @@ pub mod channel {
         /// [`RecvTimeoutError::Disconnected`] if the channel is empty
         /// with all senders dropped, [`RecvTimeoutError::Timeout`] if
         /// the deadline elapsed first.
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             self.recv_timeout_timed(timeout).0
         }
 
         /// [`Receiver::recv_timeout`] plus a wall-clock measurement of
         /// how long the call actually blocked — the timing hook the
         /// runtime's channel-wait profiling is built on. The returned
-        /// duration covers the whole call (queue lock to outcome), so
-        /// an immediate pop reports a near-zero wait and a timeout
-        /// reports approximately `timeout`.
+        /// duration covers the whole call (back-off and parked wait to
+        /// outcome), so an immediate pop reports a near-zero wait and a
+        /// timeout reports approximately `timeout`. `Timeout` is never
+        /// returned before the deadline; the back-off does not look at
+        /// the clock, so a `timeout` shorter than its window can run
+        /// over by that window.
         ///
         /// # Errors
         /// Exactly as [`Receiver::recv_timeout`].
         pub fn recv_timeout_timed(
             &self,
-            timeout: std::time::Duration,
-        ) -> (Result<T, RecvTimeoutError>, std::time::Duration) {
-            let start = std::time::Instant::now();
-            let deadline = start + timeout;
-            let mut queue = self.shared.lock();
-            let outcome = loop {
-                if let Some(value) = queue.pop_front() {
-                    drop(queue);
-                    self.shared.not_full.notify_one();
-                    break Ok(value);
-                }
-                if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                    break Err(RecvTimeoutError::Disconnected);
-                }
-                let now = std::time::Instant::now();
-                let Some(remaining) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break Err(RecvTimeoutError::Timeout);
-                };
-                let (guard, _timed_out) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(queue, remaining)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                queue = guard;
-            };
+            timeout: Duration,
+        ) -> (Result<T, RecvTimeoutError>, Duration) {
+            let start = Instant::now();
+            let outcome = self.recv_until(Some(start + timeout));
             (outcome, start.elapsed())
-        }
-
-        /// Receives without blocking; `None` when currently empty.
-        pub fn try_recv(&self) -> Option<T> {
-            let value = self.shared.lock().pop_front();
-            if value.is_some() {
-                self.shared.not_full.notify_one();
-            }
-            value
         }
     }
 
@@ -277,9 +356,7 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Wake receivers blocked on an empty queue so they can
-                // observe the disconnect.
-                self.shared.not_empty.notify_all();
+                self.shared.disconnect(&self.shared.not_empty);
             }
         }
     }
@@ -287,14 +364,19 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.shared.not_full.notify_all();
+                self.shared.disconnect(&self.shared.not_full);
             }
         }
     }
 
     fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            queue: StdMutex::new(VecDeque::new()),
+            queue: StdMutex::new(Queue {
+                items: VecDeque::new(),
+                parked_receivers: 0,
+                parked_senders: 0,
+            }),
+            len: AtomicUsize::new(0),
             capacity,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -330,10 +412,44 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError, RecvTimeoutError};
+    use super::channel::{bounded, unbounded, RecvError, RecvTimeoutError, SendError};
     use super::Mutex;
-    use std::sync::Arc;
+    use crate::check::CheckRng;
+    use std::sync::{Arc, Barrier};
     use std::time::{Duration, Instant};
+
+    /// Runs `body` on its own thread and fails, instead of hanging, if it
+    /// is not done within a minute: a lost wake-up parks a thread for
+    /// good. (The verdict comes over a std channel, not the one on trial.)
+    fn under_watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done_tx.send(body());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(value) => {
+                worker.join().expect("worker finished");
+                value
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("watchdog: a channel operation hung")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("worker panicked"))
+            }
+        }
+    }
+
+    /// Seeded scheduling noise: mostly nothing, sometimes a yield, rarely
+    /// a sleep long enough that the peers run out of back-off and park.
+    fn jitter(rng: &mut CheckRng) {
+        match rng.below(512) {
+            0 => std::thread::sleep(Duration::from_millis(1)),
+            1..=4 => std::thread::sleep(Duration::from_micros(50)),
+            5..=40 => std::thread::yield_now(),
+            _ => {}
+        }
+    }
 
     #[test]
     fn mutex_basic_and_poison_tolerant() {
@@ -386,18 +502,6 @@ mod tests {
         let (tx, rx) = unbounded::<u32>();
         tx.send(7).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Ok(7));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_with_live_senders() {
-        let (tx, rx) = unbounded::<u32>();
-        let start = Instant::now();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(30)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        assert!(start.elapsed() >= Duration::from_millis(25));
-        drop(tx);
     }
 
     #[test]
@@ -480,42 +584,150 @@ mod tests {
     }
 
     #[test]
-    fn mpmc_many_producers_many_consumers() {
-        let (tx, rx) = bounded::<u64>(8);
-        let mut handles = Vec::new();
-        for p in 0..4u64 {
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..250 {
-                    tx.send(p * 1000 + i).unwrap();
+    fn capacity_one_ping_pong_of_100k_messages() {
+        under_watchdog(|| {
+            let (ping_tx, ping_rx) = bounded::<u32>(1);
+            let (pong_tx, pong_rx) = bounded::<u32>(1);
+            let echo = std::thread::spawn(move || {
+                while let Ok(i) = ping_rx.recv() {
+                    pong_tx.send(i).unwrap();
                 }
-            }));
-        }
-        drop(tx);
-        let mut consumers = Vec::new();
-        for _ in 0..3 {
-            let rx = rx.clone();
-            consumers.push(std::thread::spawn(move || {
-                let mut local = Vec::new();
-                while let Ok(v) = rx.recv() {
-                    local.push(v);
+            });
+            for i in 0..100_000 {
+                ping_tx.send(i).unwrap();
+                assert_eq!(pong_rx.recv(), Ok(i));
+            }
+            drop(ping_tx);
+            echo.join().unwrap();
+            assert_eq!(pong_rx.recv(), Err(RecvError));
+        });
+    }
+
+    #[test]
+    fn jittered_mpmc_delivers_each_message_once_in_producer_order() {
+        const PER_PRODUCER: u64 = 3000;
+        under_watchdog(|| {
+            let (tx, rx) = bounded::<(u64, u64)>(3);
+            let producers: Vec<_> = (0..4u64)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        let mut rng = CheckRng::new(p);
+                        for i in 0..PER_PRODUCER {
+                            jitter(&mut rng);
+                            tx.send((p, i)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let consumers: Vec<_> = (0..3u64)
+                .map(|c| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        let mut rng = CheckRng::new(100 + c);
+                        let mut got = Vec::new();
+                        while let Ok(message) = rx.recv() {
+                            got.push(message);
+                            jitter(&mut rng);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            drop(rx);
+            for producer in producers {
+                producer.join().unwrap();
+            }
+            let mut all = Vec::new();
+            for consumer in consumers {
+                let got = consumer.join().unwrap();
+                // The queue is FIFO, so what one consumer took from one
+                // producer it took in the order that producer sent it.
+                for p in 0..4 {
+                    let from_p: Vec<u64> = got.iter().filter(|m| m.0 == p).map(|m| m.1).collect();
+                    assert!(from_p.windows(2).all(|w| w[0] < w[1]), "producer {p}");
                 }
-                local
-            }));
+                all.extend(got);
+            }
+            all.sort_unstable();
+            let expect: Vec<(u64, u64)> = (0..4)
+                .flat_map(|p| (0..PER_PRODUCER).map(move |i| (p, i)))
+                .collect();
+            assert_eq!(all, expect, "every message exactly once");
+        });
+    }
+
+    #[test]
+    fn a_waiting_receiver_sees_the_last_sender_go() {
+        // The sender goes the moment the receiver starts waiting (inside
+        // its back-off, or between its last look and parking), and once
+        // after the receiver has surely parked.
+        for round in 0..=2000 {
+            under_watchdog(move || {
+                let (tx, rx) = unbounded::<u32>();
+                let start = Arc::new(Barrier::new(2));
+                let receiver = {
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        (rx.recv(), rx.recv_timeout(Duration::from_secs(3600)))
+                    })
+                };
+                start.wait();
+                if round == 2000 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                let dropped = Instant::now();
+                drop(tx);
+                let (blocking, bounded) = receiver.join().unwrap();
+                assert_eq!(blocking, Err(RecvError));
+                assert_eq!(bounded, Err(RecvTimeoutError::Disconnected));
+                assert!(dropped.elapsed() < Duration::from_secs(10), "round {round}");
+            });
         }
-        drop(rx);
-        for h in handles {
-            h.join().unwrap();
+    }
+
+    #[test]
+    fn a_sender_blocked_on_a_full_queue_sees_the_last_receiver_go() {
+        for round in 0..=2000 {
+            under_watchdog(move || {
+                let (tx, rx) = bounded::<u32>(1);
+                tx.send(1).unwrap();
+                let start = Arc::new(Barrier::new(2));
+                let sender = {
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        tx.send(2)
+                    })
+                };
+                start.wait();
+                if round == 2000 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                let dropped = Instant::now();
+                drop(rx);
+                assert_eq!(sender.join().unwrap(), Err(SendError(2)));
+                assert!(dropped.elapsed() < Duration::from_secs(10), "round {round}");
+            });
         }
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let mut expect: Vec<u64> = (0..4u64)
-            .flat_map(|p| (0..250).map(move |i| p * 1000 + i))
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(all, expect);
+    }
+
+    #[test]
+    fn recv_timeout_never_times_out_before_its_deadline() {
+        under_watchdog(|| {
+            let (_tx, rx) = unbounded::<u32>();
+            for millis in [0, 1, 3, 10, 40] {
+                let timeout = Duration::from_millis(millis);
+                let start = Instant::now();
+                let (got, waited) = rx.recv_timeout_timed(timeout);
+                let elapsed = start.elapsed();
+                assert_eq!(got, Err(RecvTimeoutError::Timeout));
+                assert!(elapsed >= timeout, "{elapsed:?} of {timeout:?}");
+                // The reported wait is the call's: back-off included.
+                assert!(waited >= timeout && waited <= elapsed, "{waited:?}");
+            }
+        });
     }
 }

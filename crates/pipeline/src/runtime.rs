@@ -22,50 +22,71 @@
 //! stage's residency `K_s`, so the in-flight micro-batch memory really is
 //! limited by the §4.3 (Eq. 3) analysis rather than an arbitrary buffer.
 //!
+//! # Protocol
+//!
+//! The portal (the thread owning [`PipelineTrainer`]) talks to each stage
+//! over a control and a reply channel; a sync-round is **one** round trip:
+//!
+//! | portal → every stage | stage → portal | when |
+//! |---|---|---|
+//! | `Round { m, k, round, sched, lr, scale }` | `RoundDone { losses, params }` | every [`train_round`] |
+//! | `Collect` | `Params` | launch checkpoint, [`params`] |
+//! | `SetParams` | `SetDone { expected, got }` | [`set_params`], [`recover`] |
+//! | `Shutdown` | — | teardown |
+//!
+//! The flush is stage-local: a stage's update depends only on its own
+//! `m` backwards, so once it has walked its stream it applies
+//! `p -= lr · g · scale` (`scale = 1/m`) to its own parameters, zeroes
+//! the gradients and answers with the post-flush parameters, from which
+//! the portal assembles the round's checkpoint — no second trip to apply,
+//! no third to collect. Stages therefore flush at different moments, and
+//! a stage that dies late leaves its neighbours a round ahead of it; that
+//! state is never observable: any death poisons the trainer, every
+//! reading call then returns the stored error, the checkpoint is replaced
+//! only after *all* `S` replies arrived, and [`recover`] rebuilds *every*
+//! stage from the factory before restoring it.
+//!
 //! # Supervision tree and the never-panic contract
 //!
-//! The portal (the thread owning [`PipelineTrainer`]) supervises the
-//! stage threads. Every stage runs inside a panic-catching wrapper: when
-//! a stage dies — a real panic in layer code, an injected [`FaultPlan`]
-//! kill, or a channel-disconnect cascade from a dead neighbour — it
-//! posts a death note (stage index + what it was doing) to a shared
-//! board *before* its channels close, so the first note on the board is
-//! always the root cause. Portal-side waits all go through the
-//! disconnect-aware bounded [`recv_timeout`] of `ecofl-compat`, so a
-//! dead or wedged stage surfaces as
+//! The portal supervises the stage threads. Every stage runs inside a
+//! panic-catching wrapper: when a stage dies — a real panic in layer
+//! code, an injected [`FaultPlan`] kill, or a channel-disconnect cascade
+//! from a dead neighbour — it posts a death note (stage index + what it
+//! was doing) to a shared board *before* its channels close, so the first
+//! note on the board is always the root cause. Portal-side waits all go
+//! through the disconnect-aware bounded [`recv_timeout`] of
+//! `ecofl-compat`, so a dead or wedged stage surfaces as
 //! [`ExecError::StageDied`] in bounded time instead of a hang.
 //!
 //! The public runtime API **never panics on a runtime disturbance**:
-//! [`PipelineTrainer::train_round`], [`PipelineTrainer::params`],
-//! [`PipelineTrainer::set_params`] and [`PipelineTrainer::recover`] all
-//! return `Result<_, ExecError>`. (Constructor shape checks — empty
-//! segments, `K` arity — remain documented panics: they are programmer
-//! errors, not disturbances.) After an error the trainer is *poisoned*:
-//! further calls return the stored error until [`PipelineTrainer::recover`]
-//! rebuilds it.
+//! [`train_round`], [`params`], [`set_params`] and [`recover`] all return
+//! `Result<_, ExecError>`. (Constructor shape checks — empty segments,
+//! `K` arity — remain documented panics: they are programmer errors, not
+//! disturbances.) After an error the trainer is *poisoned*: further calls
+//! return the stored error until [`recover`] rebuilds it.
 //!
 //! # Checkpoint / recovery (§4.4 on the real runtime)
 //!
-//! The portal snapshots the full parameter vector at launch and after
-//! every sync-round flush, as a typed [`CheckpointRecord`] carrying a
-//! monotone sequence number. With [`RuntimeOptions::store_path`] set,
-//! every snapshot is also durably appended to the run store's
-//! checkpoint segment, and [`PipelineTrainer::recover`] restores from
-//! the store's newest checkpoint instead of the in-memory copy — the
-//! two paths are bit-identical by construction (the store holds exactly
-//! what `take_checkpoint` encoded), which `tests/fault_injection.rs`
-//! asserts. [`stored_checkpoints`] and [`load_checkpoint_at_or_before`]
-//! read the same segment offline for point-in-time recovery and
-//! cross-run diffing. Recovery tears the broken pipeline down
-//! (unblocking and joining every surviving thread), relaunches all
-//! stages from the segment factory, restores the checkpoint, and
-//! rewinds the round counter — so replaying the interrupted round
-//! yields parameters **bit-identical** to an uninterrupted run on the
-//! same data (asserted across random stage counts, micro-batch counts
-//! and kill points). Recovery needs a way to rebuild dead stages, so it
-//! is available from [`PipelineTrainer::launch_supervised`] (which
-//! takes a segment factory); plain [`PipelineTrainer::launch`] keeps the
-//! old signature and reports [`ExecError::RecoveryUnsupported`].
+//! The portal holds the full parameter vector as of launch and of every
+//! sync-round flush, as a typed [`CheckpointRecord`] carrying a monotone
+//! sequence number. With [`RuntimeOptions::store_path`] set, every
+//! snapshot is also durably appended to the run store's checkpoint
+//! segment, and [`recover`] restores from the store's newest checkpoint
+//! instead of the in-memory copy — bit-identical by construction (the
+//! store holds the record's own encoding), which
+//! `tests/fault_injection.rs` asserts. [`stored_checkpoints`] and
+//! [`load_checkpoint_at_or_before`] read the same segment offline for
+//! point-in-time recovery and cross-run diffing. Recovery tears the
+//! broken pipeline down (unblocking and joining every surviving thread),
+//! relaunches all stages from the segment factory, restores the
+//! checkpoint, and rewinds the round counter — so replaying the
+//! interrupted round yields parameters **bit-identical** to an
+//! uninterrupted run on the same data (asserted across random stage
+//! counts, micro-batch counts and kill points). It needs a way to rebuild
+//! dead stages, so it is available from
+//! [`PipelineTrainer::launch_supervised`] (which takes a segment
+//! factory); plain [`PipelineTrainer::launch`] reports
+//! [`ExecError::RecoveryUnsupported`].
 //!
 //! # Observability
 //!
@@ -84,6 +105,10 @@
 //! becoming an `failure_prob` casualty in the first place.
 //!
 //! [`recv_timeout`]: ecofl_compat::sync::channel::Receiver::recv_timeout
+//! [`train_round`]: PipelineTrainer::train_round
+//! [`params`]: PipelineTrainer::params
+//! [`set_params`]: PipelineTrainer::set_params
+//! [`recover`]: PipelineTrainer::recover
 
 use crate::executor::ExecError;
 use crate::schedule::{ScheduleKind, StageTask};
@@ -260,9 +285,13 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// Portal-side `rt_*` metric handles, resolved once at launch so the
-/// hot paths never touch the hub's registry maps.
+/// The `rt_*` metric handles, resolved once at launch so the hot paths
+/// never touch the hub's registry maps; every stage thread holds a clone
+/// for its two compute series.
+#[derive(Clone)]
 struct RtMetrics {
+    fwd_compute_ns: Histogram,
+    bwd_compute_ns: Histogram,
     recv_wait_ns: Histogram,
     recv_timeouts: Counter,
     stage_deaths: Counter,
@@ -276,6 +305,8 @@ struct RtMetrics {
 impl RtMetrics {
     fn new(hub: &MetricsHub) -> Self {
         Self {
+            fwd_compute_ns: hub.histogram("rt_fwd_compute_ns"),
+            bwd_compute_ns: hub.histogram("rt_bwd_compute_ns"),
             recv_wait_ns: hub.histogram("rt_recv_wait_ns"),
             recv_timeouts: hub.counter("rt_recv_timeouts"),
             stage_deaths: hub.counter("rt_stage_deaths"),
@@ -288,22 +319,6 @@ impl RtMetrics {
     }
 }
 
-/// Stage-side metric handles (cloned into every stage thread).
-#[derive(Clone)]
-struct StageMetrics {
-    fwd_compute_ns: Histogram,
-    bwd_compute_ns: Histogram,
-}
-
-impl StageMetrics {
-    fn new(hub: &MetricsHub) -> Self {
-        Self {
-            fwd_compute_ns: hub.histogram("rt_fwd_compute_ns"),
-            bwd_compute_ns: hub.histogram("rt_bwd_compute_ns"),
-        }
-    }
-}
-
 /// Rebuilds the stage segments after a crash; must return the same
 /// layer architecture every call (parameters are overwritten from the
 /// checkpoint, so their values are irrelevant).
@@ -311,17 +326,14 @@ pub type SegmentFactory = Box<dyn Fn() -> Vec<Vec<Box<dyn Layer>>>>;
 
 enum Ctrl {
     /// Run one sync-round of `m` micro-batches with warmup residency `k`
-    /// under schedule `sched`. `round` is the trainer-lifetime round
-    /// index (drives fault injection).
+    /// under schedule `sched`, then flush: SGD with `lr` on the
+    /// accumulated gradients scaled by `scale`, and zero them. `round`
+    /// is the trainer-lifetime round index (drives fault injection).
     Round {
         m: usize,
         k: usize,
         round: u64,
         sched: ScheduleKind,
-    },
-    /// Apply accumulated gradients: SGD with `lr`, gradients scaled by
-    /// `scale`, then zero gradients.
-    Apply {
         lr: f32,
         scale: f32,
     },
@@ -334,16 +346,28 @@ enum Ctrl {
 
 enum Reply {
     Params(Vec<f32>),
+    /// The round ran and was flushed: per-micro-batch losses (last
+    /// stage only) and the stage's post-flush parameters.
     RoundDone {
         losses: Vec<f32>,
+        params: Vec<f32>,
     },
-    Applied,
     /// Ack for `SetParams`: the stage's own parameter count and the
     /// length it was handed. On mismatch nothing was applied.
     SetDone {
         expected: usize,
         got: usize,
     },
+}
+
+impl Reply {
+    /// `(expected, got)` of a `SetDone` ack.
+    fn set_done(self) -> Option<(usize, usize)> {
+        match self {
+            Reply::SetDone { expected, got } => Some((expected, got)),
+            _ => None,
+        }
+    }
 }
 
 /// Why a stage thread exited abnormally.
@@ -355,6 +379,11 @@ enum StageFail {
 }
 
 impl StageFail {
+    /// Maps a channel error to the disconnect it means, seen `during`.
+    fn gone<E>(during: &'static str) -> impl FnOnce(E) -> StageFail {
+        move |_| StageFail::Disconnect { during }
+    }
+
     fn describe(&self) -> String {
         match self {
             StageFail::Killed { round, micro } => {
@@ -408,7 +437,6 @@ pub struct PipelineTrainer {
     failure: Option<ExecError>,
     replaying: bool,
     metrics: Option<RtMetrics>,
-    stage_metrics: Option<StageMetrics>,
 }
 
 /// Wire-format version of [`CheckpointRecord::encode`].
@@ -421,7 +449,7 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// each one is durably appended to the run store, where
 /// [`stored_checkpoints`] / [`load_checkpoint_at_or_before`] give
 /// point-in-time recovery and cross-run diffing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointRecord {
     /// Monotone sequence number, unique within a store across runs.
     pub seq: u64,
@@ -434,71 +462,81 @@ pub struct CheckpointRecord {
 }
 
 impl CheckpointRecord {
-    /// Serializes the record: a version/seq/round/lens header followed
-    /// by the parameters as an [`encode_tensor`] rank-1 tensor.
+    /// Serializes the record, little-endian throughout: `u32` version,
+    /// `u64` seq, round and stage count, one `u64` length per stage,
+    /// then the parameters as [`encode_tensor`] writes a rank-1 tensor
+    /// (`u64` rank 1, `u64` count, the `f32`s).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf =
-            BytesMut::with_capacity(32 + self.stage_lens.len() * 8 + self.params.len() * 4);
-        buf.put_u32_le(CHECKPOINT_VERSION);
-        buf.put_u64_le(self.seq);
-        buf.put_u64_le(self.round);
-        buf.put_u64_le(self.stage_lens.len() as u64);
-        for &len in &self.stage_lens {
-            buf.put_u64_le(len as u64);
+        let words = [self.seq, self.round, self.stage_lens.len() as u64]
+            .into_iter()
+            .chain(self.stage_lens.iter().map(|&len| len as u64))
+            .chain([1, self.params.len() as u64]);
+        let mut buf = Vec::with_capacity(44 + self.stage_lens.len() * 8 + self.params.len() * 4);
+        buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        words.for_each(|w| buf.extend_from_slice(&w.to_le_bytes()));
+        for p in &self.params {
+            buf.extend_from_slice(&p.to_le_bytes());
         }
-        let tensor = Tensor::from_vec(self.params.clone(), &[self.params.len()]);
-        buf.put_slice(encode_tensor(&tensor).chunk());
-        buf.freeze().chunk().to_vec()
+        buf
     }
 
-    /// Deserializes an [`encode`](Self::encode) payload.
+    /// Deserializes an [`encode`](Self::encode) payload. Every count the
+    /// payload states is checked against the payload's own length, in
+    /// checked arithmetic, before anything is allocated for it.
     ///
     /// # Errors
     /// [`ExecError::CheckpointStore`] on a truncated buffer, unknown
     /// version, or a parameter tensor inconsistent with the header.
     pub fn decode(payload: &[u8]) -> Result<CheckpointRecord, ExecError> {
         let bad = |detail: String| ExecError::CheckpointStore { detail };
-        let mut bytes = Bytes::from_vec(payload.to_vec());
-        if bytes.len() < 28 {
+        let word = |bytes: &[u8]| u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"));
+        if payload.len() < 28 {
             return Err(bad(format!(
                 "checkpoint payload truncated ({} bytes)",
                 payload.len()
             )));
         }
-        let version = bytes.get_u32_le();
+        let version = u32::from_le_bytes(payload[..4].try_into().expect("four bytes"));
         if version != CHECKPOINT_VERSION {
             return Err(bad(format!("unknown checkpoint version {version}")));
         }
-        let seq = bytes.get_u64_le();
-        let round = bytes.get_u64_le();
-        let nstages = bytes.get_u64_le() as usize;
-        if bytes.len() < nstages * 8 {
-            return Err(bad(format!("checkpoint header claims {nstages} stages")));
-        }
-        let stage_lens: Vec<usize> = (0..nstages).map(|_| bytes.get_u64_le() as usize).collect();
-        let total: usize = stage_lens.iter().sum();
-        // encode_tensor of a rank-1 [n] tensor is 8 (rank) + 8 (dim) +
-        // 4n bytes; validate before decode_tensor, which panics.
-        if bytes.len() != 16 + 4 * total {
+        let (seq, round, nstages) = (
+            word(&payload[4..]),
+            word(&payload[12..]),
+            word(&payload[20..]),
+        );
+        let body = &payload[28..];
+        let lens_bytes = usize::try_from(nstages)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .filter(|&bytes| bytes <= body.len())
+            .ok_or_else(|| bad(format!("checkpoint header claims {nstages} stages")))?;
+        let (lens, tensor) = body.split_at(lens_bytes);
+        let total = lens
+            .chunks_exact(8)
+            .try_fold(0u64, |sum, len| sum.checked_add(word(len)));
+        // A rank-1 [total] tensor is 8 (rank) + 8 (dim) + 4·total bytes.
+        let tensor_bytes = total.and_then(|t| t.checked_mul(4)?.checked_add(16));
+        let consistent = tensor_bytes == Some(tensor.len() as u64)
+            && word(tensor) == 1
+            && Some(word(&tensor[8..])) == total;
+        if !consistent {
             return Err(bad(format!(
-                "checkpoint params region is {} bytes, expected {} for {total} parameters",
-                bytes.len(),
-                16 + 4 * total
-            )));
-        }
-        let tensor = decode_tensor(bytes);
-        if tensor.shape() != [total] {
-            return Err(bad(format!(
-                "checkpoint tensor shape {:?} does not match stage lens total {total}",
-                tensor.shape()
+                "checkpoint params region ({} bytes) is not the rank-1 tensor its {nstages} \
+                 stage lengths add up to",
+                tensor.len()
             )));
         }
         Ok(CheckpointRecord {
             seq,
             round,
-            stage_lens,
-            params: tensor.data().to_vec(),
+            // Each length is at most `total`, which fits the payload.
+            stage_lens: lens.chunks_exact(8).map(|len| word(len) as usize).collect(),
+            params: tensor[16..]
+                .chunks_exact(4)
+                .map(|p| f32::from_le_bytes(p.try_into().expect("four bytes")))
+                .collect(),
         })
     }
 
@@ -579,7 +617,7 @@ struct StageCtx {
     /// `(round, micro)` kill points for this stage.
     kills: Vec<(u64, usize)>,
     deaths: DeathBoard,
-    metrics: Option<StageMetrics>,
+    metrics: Option<RtMetrics>,
 }
 
 impl StageCtx {
@@ -589,9 +627,10 @@ impl StageCtx {
 }
 
 fn do_fwd(ctx: &mut StageCtx, pending_logits: &mut VecDeque<Tensor>) -> Result<(), StageFail> {
-    let bytes = ctx.input_rx.recv().map_err(|_| StageFail::Disconnect {
-        during: "activation receive",
-    })?;
+    let bytes = ctx
+        .input_rx
+        .recv()
+        .map_err(StageFail::gone("activation receive"))?;
     let x = decode_tensor(bytes);
     // Compute-only window: the blocking receive above is channel-wait,
     // not compute, and is excluded from the histogram.
@@ -612,9 +651,7 @@ fn do_fwd(ctx: &mut StageCtx, pending_logits: &mut VecDeque<Tensor>) -> Result<(
             .as_ref()
             .expect("non-last stage has downstream")
             .send(encoded)
-            .map_err(|_| StageFail::Disconnect {
-                during: "activation send",
-            })?;
+            .map_err(StageFail::gone("activation send"))?;
     }
     Ok(())
 }
@@ -632,9 +669,7 @@ fn do_bwd(
             .as_ref()
             .expect("last stage has targets")
             .recv()
-            .map_err(|_| StageFail::Disconnect {
-                during: "target receive",
-            })?;
+            .map_err(StageFail::gone("target receive"))?;
         let (loss, grad) = head.loss_and_grad(logits, &targets);
         losses.push(loss);
         ctx.progress.fetch_add(1, Ordering::Relaxed);
@@ -645,9 +680,7 @@ fn do_bwd(
             .as_ref()
             .expect("non-last stage has grad channel")
             .recv()
-            .map_err(|_| StageFail::Disconnect {
-                during: "gradient receive",
-            })?;
+            .map_err(StageFail::gone("gradient receive"))?;
         decode_tensor(bytes)
     };
     let t0 = ctx.metrics.as_ref().map(|_| Instant::now());
@@ -660,9 +693,7 @@ fn do_bwd(
     if let Some(tx) = &ctx.upstream_grad_tx {
         let encoded = encode_tensor(&grad);
         ctx.comm.lock().bwd_bytes[ctx.stage_idx - 1] += encoded.len() as u64;
-        tx.send(encoded).map_err(|_| StageFail::Disconnect {
-            during: "gradient send",
-        })?;
+        tx.send(encoded).map_err(StageFail::gone("gradient send"))?;
     }
     Ok(())
 }
@@ -672,7 +703,8 @@ fn do_bwd(
 /// The runtime is round-synchronous with one physical segment per
 /// device: `Bwd` and `BwdInput` both run the whole backward (the
 /// weight-gradient half has no separate kernel here), and the flush is
-/// the portal's `Ctrl::Apply`, so `BwdWeight` and `Sync` map to nothing.
+/// what a stage does once its stream is walked, so `BwdWeight` and `Sync`
+/// map to nothing.
 /// Flush-freedom, virtual stages and the backward split are
 /// executor-level refinements that do not change which gradients are
 /// accumulated.
@@ -704,17 +736,20 @@ fn stage_loop(ctx: &mut StageCtx) -> Result<(), StageFail> {
     // Logits awaiting their backward at the last stage (FIFO).
     let mut pending_logits: VecDeque<Tensor> = VecDeque::new();
     // Own flat parameter count, for `SetParams` length validation.
-    let own_params = {
-        let mut scratch = Vec::new();
-        for layer in &ctx.layers {
-            layer.write_params(&mut scratch);
-        }
-        scratch.len()
-    };
+    let own_params: usize = ctx.layers.iter().map(|layer| layer.param_len()).sum();
+    // The flush's gradient scratch, kept across rounds.
+    let mut grads: Vec<f32> = Vec::with_capacity(own_params);
 
     loop {
         match ctx.ctrl_rx.recv() {
-            Ok(Ctrl::Round { m, k, round, sched }) => {
+            Ok(Ctrl::Round {
+                m,
+                k,
+                round,
+                sched,
+                lr,
+                scale,
+            }) => {
                 let mut losses = Vec::new();
                 // Walk the schedule's nominal stream (for 1F1B: warmup
                 // with K forwards, then alternate BP/FP, drain remaining
@@ -735,16 +770,10 @@ fn stage_loop(ctx: &mut StageCtx) -> Result<(), StageFail> {
                         }
                     }
                 }
-                ctx.reply_tx
-                    .send(Reply::RoundDone { losses })
-                    .map_err(|_| StageFail::Disconnect {
-                        during: "round-done reply",
-                    })?;
-            }
-            Ok(Ctrl::Apply { lr, scale }) => {
-                // Pipeline flush: local SGD on the accumulated gradients.
-                let mut params = Vec::new();
-                let mut grads = Vec::new();
+                // Pipeline flush, stage-local: this stage's `m` backwards
+                // are all its update depends on.
+                let mut params = Vec::with_capacity(own_params);
+                grads.clear();
                 for layer in &ctx.layers {
                     layer.write_params(&mut params);
                     layer.write_grads(&mut grads);
@@ -758,21 +787,17 @@ fn stage_loop(ctx: &mut StageCtx) -> Result<(), StageFail> {
                     layer.zero_grads();
                 }
                 ctx.reply_tx
-                    .send(Reply::Applied)
-                    .map_err(|_| StageFail::Disconnect {
-                        during: "apply reply",
-                    })?;
+                    .send(Reply::RoundDone { losses, params })
+                    .map_err(StageFail::gone("round-done reply"))?;
             }
             Ok(Ctrl::Collect) => {
-                let mut params = Vec::new();
+                let mut params = Vec::with_capacity(own_params);
                 for layer in &ctx.layers {
                     layer.write_params(&mut params);
                 }
                 ctx.reply_tx
                     .send(Reply::Params(params))
-                    .map_err(|_| StageFail::Disconnect {
-                        during: "params reply",
-                    })?;
+                    .map_err(StageFail::gone("params reply"))?;
             }
             Ok(Ctrl::SetParams(params)) => {
                 let got = params.len();
@@ -790,9 +815,7 @@ fn stage_loop(ctx: &mut StageCtx) -> Result<(), StageFail> {
                         expected: own_params,
                         got,
                     })
-                    .map_err(|_| StageFail::Disconnect {
-                        during: "set-params ack",
-                    })?;
+                    .map_err(StageFail::gone("set-params ack"))?;
             }
             Ok(Ctrl::Shutdown) | Err(_) => return Ok(()),
         }
@@ -852,7 +875,7 @@ fn spawn_stages(
     progress: &Arc<AtomicU64>,
     deaths: &DeathBoard,
     fault_plan: &FaultPlan,
-    metrics: Option<&StageMetrics>,
+    metrics: Option<&RtMetrics>,
 ) -> Wiring {
     let s_count = segments.len();
     let (input_tx, first_rx) = unbounded::<Bytes>();
@@ -867,8 +890,7 @@ fn spawn_stages(
     let (target_tx, target_rx) = unbounded::<Vec<usize>>();
 
     let mut stages = Vec::with_capacity(s_count);
-    let mut segments = segments;
-    for (s, layers) in segments.drain(..).enumerate() {
+    for (s, layers) in segments.into_iter().enumerate() {
         assert!(!layers.is_empty(), "PipelineTrainer: stage {s} empty");
         let (ctrl_tx, ctrl_rx) = unbounded::<Ctrl>();
         let (reply_tx, reply_rx) = unbounded::<Reply>();
@@ -974,16 +996,13 @@ impl PipelineTrainer {
         let deaths: DeathBoard = Arc::new(Mutex::new(Vec::new()));
         // Open the run store before spawning anything: a bad path fails
         // the launch with a typed error instead of a mid-round surprise.
-        let store = match &opts.store_path {
-            Some(dir) => Some(RunStore::open_or_create(dir).map_err(store_err)?),
-            None => None,
-        };
+        let store = opts.store_path.as_ref().map(RunStore::open_or_create);
+        let store = store.transpose().map_err(store_err)?;
         let next_ckpt_seq = store
             .as_ref()
             .and_then(|s| s.checkpoint_metas().last().map(|m| m.seq + 1))
             .unwrap_or(0);
         let metrics = opts.metrics.as_ref().map(RtMetrics::new);
-        let stage_metrics = opts.metrics.as_ref().map(StageMetrics::new);
         let wiring = spawn_stages(
             segments,
             &k,
@@ -991,7 +1010,7 @@ impl PipelineTrainer {
             &progress,
             &deaths,
             &opts.fault_plan,
-            stage_metrics.as_ref(),
+            metrics.as_ref(),
         );
 
         let mut trainer = Self {
@@ -1005,22 +1024,17 @@ impl PipelineTrainer {
             opts,
             factory,
             round: 0,
-            checkpoint: CheckpointRecord {
-                seq: 0,
-                round: 0,
-                stage_lens: Vec::new(),
-                params: Vec::new(),
-            },
+            checkpoint: CheckpointRecord::default(),
             next_ckpt_seq,
             store,
             failure: None,
             replaying: false,
             metrics,
-            stage_metrics,
         };
         // Checkpoint 0: the pristine launch parameters, so a crash in the
         // very first round is recoverable too.
-        trainer.take_checkpoint()?;
+        let launch_params = trainer.collect_params("checkpoint collect")?;
+        trainer.store_checkpoint(&launch_params)?;
         Ok(trainer)
     }
 
@@ -1070,25 +1084,38 @@ impl PipelineTrainer {
     /// board; an empty board means the stage is alive but silent
     /// (wedged), attributed to `s` itself.
     fn death_error(&self, s: usize, during: &str) -> ExecError {
-        let board = self.deaths.lock();
-        if let Some(first) = board.first() {
-            ExecError::StageDied {
-                stage: first.stage,
-                during: first.during.clone(),
+        let (stage, during) = match self.deaths.lock().first() {
+            Some(first) => (first.stage, first.during.clone()),
+            None => {
+                let wedged = format!("{during} (no reply within {:?})", self.opts.recv_timeout);
+                (s, wedged)
             }
-        } else {
-            ExecError::StageDied {
-                stage: s,
-                during: format!("{during} (no reply within {:?})", self.opts.recv_timeout),
-            }
-        }
+        };
+        ExecError::StageDied { stage, during }
     }
 
-    /// Bounded, disconnect-aware wait for a reply from stage `s`. With
-    /// a hub attached, the wall-clock time spent blocked is recorded
-    /// into `rt_recv_wait_ns` (and `rt_recv_timeouts` counts waits that
-    /// exhausted [`RuntimeOptions::recv_timeout`]).
-    fn recv_reply(&self, s: usize, during: &str) -> Result<Reply, ExecError> {
+    /// Sends `ctrl` to stage `s`. A closed control channel means the
+    /// stage is gone: the trainer is poisoned with the root cause.
+    fn dispatch(&mut self, s: usize, ctrl: Ctrl, during: &str) -> Result<(), ExecError> {
+        if self.stages[s].ctrl_tx.send(ctrl).is_ok() {
+            return Ok(());
+        }
+        let e = self.death_error(s, &format!("{during} dispatch"));
+        Err(self.fail(e))
+    }
+
+    /// Bounded, disconnect-aware wait for the reply from stage `s` that
+    /// `pick` accepts; a death, a silent stage or any other reply
+    /// poisons the trainer. With a hub attached, the wall-clock time
+    /// spent blocked is recorded into `rt_recv_wait_ns` (and
+    /// `rt_recv_timeouts` counts waits that exhausted
+    /// [`RuntimeOptions::recv_timeout`]).
+    fn expect_reply<T>(
+        &mut self,
+        s: usize,
+        during: &str,
+        pick: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, ExecError> {
         let (res, waited) = self.stages[s]
             .reply_rx
             .recv_timeout_timed(self.opts.recv_timeout);
@@ -1098,58 +1125,67 @@ impl PipelineTrainer {
                 m.recv_timeouts.inc(1);
             }
         }
-        res.map_err(|_| self.death_error(s, during))
+        let e = match res.map(pick) {
+            Ok(Some(picked)) => return Ok(picked),
+            Ok(None) => ExecError::StageDied {
+                stage: s,
+                during: format!("{during} (unexpected reply)"),
+            },
+            Err(_) => self.death_error(s, during),
+        };
+        Err(self.fail(e))
+    }
+
+    /// Records a `Domain::Pipeline` event at (virtual) time `round`.
+    fn trace(&self, kind: EventKind, entity: usize, round: u64, value: f64) {
+        if let Some(tr) = &self.opts.tracer {
+            tr.event(Domain::Pipeline, kind, entity, round as f64, value);
+        }
     }
 
     /// Poisons the trainer and reports the failure to the tracer.
     fn fail(&mut self, err: ExecError) -> ExecError {
-        if let (Some(m), ExecError::StageDied { .. }) = (&self.metrics, &err) {
-            m.stage_deaths.inc(1);
-        }
-        if let (Some(tr), ExecError::StageDied { stage, .. }) = (&self.opts.tracer, &err) {
-            tr.event(
-                Domain::Pipeline,
-                EventKind::StageDied,
-                *stage,
-                self.round as f64,
-                0.0,
-            );
+        if let ExecError::StageDied { stage, .. } = &err {
+            if let Some(m) = &self.metrics {
+                m.stage_deaths.inc(1);
+            }
+            self.trace(EventKind::StageDied, *stage, self.round, 0.0);
         }
         self.failure = Some(err.clone());
         err
     }
 
-    /// Collects all stage parameters into a fresh checkpoint.
-    fn take_checkpoint(&mut self) -> Result<(), ExecError> {
-        let t0 = Instant::now();
-        for (s, stage) in self.stages.iter().enumerate() {
-            if stage.ctrl_tx.send(Ctrl::Collect).is_err() {
-                let e = self.death_error(s, "checkpoint collect dispatch");
-                return Err(self.fail(e));
-            }
-        }
-        let mut stage_params = Vec::with_capacity(self.stages.len());
+    /// Asks every stage for its flat parameters (stage order): the
+    /// launch checkpoint and [`params`](Self::params). A round's
+    /// checkpoint needs no such round trip — it rides on `RoundDone`.
+    fn collect_params(&mut self, during: &str) -> Result<Vec<Vec<f32>>, ExecError> {
         for s in 0..self.stages.len() {
-            match self.recv_reply(s, "checkpoint collect") {
-                Ok(Reply::Params(p)) => stage_params.push(p),
-                Ok(_) => {
-                    let e = ExecError::StageDied {
-                        stage: s,
-                        during: "checkpoint collect (unexpected reply)".into(),
-                    };
-                    return Err(self.fail(e));
-                }
-                Err(e) => return Err(self.fail(e)),
-            }
+            self.dispatch(s, Ctrl::Collect, during)?;
         }
-        let stage_lens: Vec<usize> = stage_params.iter().map(Vec::len).collect();
-        let params: Vec<f32> = stage_params.into_iter().flatten().collect();
-        self.checkpoint = CheckpointRecord {
-            seq: self.next_ckpt_seq,
-            round: self.round,
-            stage_lens,
-            params,
-        };
+        (0..self.stages.len())
+            .map(|s| {
+                self.expect_reply(s, during, |reply| match reply {
+                    Reply::Params(p) => Some(p),
+                    _ => None,
+                })
+            })
+            .collect()
+    }
+
+    /// Makes the stages' parameters as of `self.round` the current
+    /// checkpoint and, with a store configured, durably appends it.
+    fn store_checkpoint(&mut self, stage_params: &[Vec<f32>]) -> Result<(), ExecError> {
+        let t0 = Instant::now();
+        // Overwritten in place: a round's snapshot reuses the last one's
+        // buffers instead of allocating the parameter vector again.
+        let checkpoint = &mut self.checkpoint;
+        (checkpoint.seq, checkpoint.round) = (self.next_ckpt_seq, self.round);
+        checkpoint.stage_lens.clear();
+        checkpoint.params.clear();
+        for params in stage_params {
+            checkpoint.stage_lens.push(params.len());
+            checkpoint.params.extend_from_slice(params);
+        }
         self.next_ckpt_seq += 1;
         if let Some(store) = &mut self.store {
             // Durability point: append_checkpoint seals the segment, so
@@ -1159,15 +1195,7 @@ impl PipelineTrainer {
                 return Err(self.fail(store_err(e)));
             }
         }
-        if let Some(tr) = &self.opts.tracer {
-            tr.event(
-                Domain::Pipeline,
-                EventKind::CheckpointTaken,
-                0,
-                self.round as f64,
-                self.round as f64,
-            );
-        }
+        self.trace(EventKind::CheckpointTaken, 0, self.round, self.round as f64);
         if let Some(m) = &self.metrics {
             m.checkpoints.inc(1);
             m.checkpoint_ns.record(t0.elapsed().as_nanos() as f64);
@@ -1201,20 +1229,17 @@ impl PipelineTrainer {
         assert!(m > 0, "train_round: need at least one micro-batch");
         let t0 = Instant::now();
         let round = self.round;
-        for (s, stage) in self.stages.iter().enumerate() {
-            if stage
-                .ctrl_tx
-                .send(Ctrl::Round {
-                    m,
-                    k: self.k[s],
-                    round,
-                    sched: self.opts.schedule,
-                })
-                .is_err()
-            {
-                let e = self.death_error(s, "round dispatch");
-                return Err(self.fail(e));
-            }
+        for s in 0..self.stages.len() {
+            let ctrl = Ctrl::Round {
+                m,
+                k: self.k[s],
+                round,
+                sched: self.opts.schedule,
+                lr,
+                // Synchronized update with 1/M gradient scaling.
+                scale: 1.0 / m as f32,
+            };
+            self.dispatch(s, ctrl, "round")?;
         }
         let last = self.stages.len() - 1;
         for (x, targets) in micro_batches {
@@ -1228,71 +1253,33 @@ impl PipelineTrainer {
             }
         }
         let mut mean_loss = 0.0f32;
+        let mut stage_params = Vec::with_capacity(self.stages.len());
         for s in 0..self.stages.len() {
-            match self.recv_reply(s, "round execution") {
-                Ok(Reply::RoundDone { losses }) => {
-                    if s == last {
-                        assert_eq!(
-                            losses.len(),
-                            m,
-                            "last stage must report one loss per micro-batch"
-                        );
-                        mean_loss = losses.iter().sum::<f32>() / losses.len() as f32;
-                    } else {
-                        assert!(
-                            losses.is_empty(),
-                            "only the last stage computes losses (stage {s} reported {})",
-                            losses.len()
-                        );
-                    }
-                }
-                Ok(_) => {
-                    let e = ExecError::StageDied {
-                        stage: s,
-                        during: "round execution (unexpected reply)".into(),
-                    };
-                    return Err(self.fail(e));
-                }
-                Err(e) => return Err(self.fail(e)),
+            let (losses, params) =
+                self.expect_reply(s, "round execution", |reply| match reply {
+                    Reply::RoundDone { losses, params } => Some((losses, params)),
+                    _ => None,
+                })?;
+            let owed = if s == last { m } else { 0 };
+            assert_eq!(
+                losses.len(),
+                owed,
+                "stage {s}: the last stage alone reports losses, one per micro-batch"
+            );
+            if s == last {
+                mean_loss = losses.iter().sum::<f32>() / m as f32;
             }
+            stage_params.push(params);
         }
-        // Pipeline flush: synchronized update with 1/M gradient scaling.
-        let scale = 1.0 / m as f32;
-        for (s, stage) in self.stages.iter().enumerate() {
-            if stage.ctrl_tx.send(Ctrl::Apply { lr, scale }).is_err() {
-                let e = self.death_error(s, "apply dispatch");
-                return Err(self.fail(e));
-            }
-        }
-        for s in 0..self.stages.len() {
-            match self.recv_reply(s, "apply") {
-                Ok(Reply::Applied) => {}
-                Ok(_) => {
-                    let e = ExecError::StageDied {
-                        stage: s,
-                        during: "apply (unexpected reply)".into(),
-                    };
-                    return Err(self.fail(e));
-                }
-                Err(e) => return Err(self.fail(e)),
-            }
-        }
+        // Every stage has flushed: its reply is the post-flush snapshot.
         self.round += 1;
-        self.take_checkpoint()?;
+        self.store_checkpoint(&stage_params)?;
         if let Some(mx) = &self.metrics {
             mx.round_ns.record(t0.elapsed().as_nanos() as f64);
         }
         if self.replaying {
             self.replaying = false;
-            if let Some(tr) = &self.opts.tracer {
-                tr.event(
-                    Domain::Pipeline,
-                    EventKind::RoundReplayed,
-                    0,
-                    round as f64,
-                    round as f64,
-                );
-            }
+            self.trace(EventKind::RoundReplayed, 0, round, round as f64);
         }
         Ok(mean_loss)
     }
@@ -1323,28 +1310,18 @@ impl PipelineTrainer {
         }
         let t0 = Instant::now();
         // With a store configured, restore from its newest durable
-        // checkpoint (the same snapshot take_checkpoint persisted, so
+        // checkpoint (the same snapshot store_checkpoint persisted, so
         // replay stays bit-identical to the in-memory path); this is
         // what makes recovery survive portal restarts, not just stage
         // deaths. Without one, use the in-memory snapshot.
         if let Some(store) = &self.store {
-            match store.latest_checkpoint().map_err(store_err)? {
-                Some((_, payload)) => self.checkpoint = CheckpointRecord::decode(&payload)?,
-                None => {
-                    return Err(ExecError::CheckpointStore {
-                        detail: "store has no checkpoint to recover from".into(),
-                    })
-                }
-            }
+            let newest = store.latest_checkpoint().map_err(store_err)?;
+            let (_, payload) = newest.ok_or_else(|| ExecError::CheckpointStore {
+                detail: "store has no checkpoint to recover from".into(),
+            })?;
+            self.checkpoint = CheckpointRecord::decode(&payload)?;
         }
-        // Tear down: replace the data feeds (dropping the old senders so
-        // a stage blocked in `recv` wakes), drop every control sender,
-        // then join. Death-cascade disconnects unblock everything else.
-        let mut old = std::mem::take(&mut self.stages);
-        for stage in &old {
-            let _ = stage.ctrl_tx.send(Ctrl::Shutdown);
-        }
-        let handles: Vec<JoinHandle<()>> = old.iter_mut().filter_map(|s| s.handle.take()).collect();
+        self.teardown();
         let segments = self.factory.as_ref().expect("factory checked above")();
         assert_eq!(
             segments.len(),
@@ -1367,48 +1344,27 @@ impl PipelineTrainer {
             &self.progress,
             &self.deaths,
             &self.opts.fault_plan,
-            self.stage_metrics.as_ref(),
+            self.metrics.as_ref(),
         );
         self.stages = wiring.stages;
-        drop(std::mem::replace(&mut self.input_tx, wiring.input_tx));
-        drop(std::mem::replace(&mut self.target_tx, wiring.target_tx));
-        drop(old); // disconnects the dead pipeline's ctrl/reply channels
-        for h in handles {
-            let _ = h.join();
-        }
+        self.input_tx = wiring.input_tx;
+        self.target_tx = wiring.target_tx;
         self.failure = None;
         self.round = self.checkpoint.round;
         self.replaying = true;
         // Restore the checkpoint into the fresh stages.
         for (s, params) in self.checkpoint.stage_params().into_iter().enumerate() {
-            if self.stages[s]
-                .ctrl_tx
-                .send(Ctrl::SetParams(params))
-                .is_err()
-            {
-                let e = self.death_error(s, "checkpoint restore dispatch");
-                return Err(self.fail(e));
-            }
+            self.dispatch(s, Ctrl::SetParams(params), "checkpoint restore")?;
         }
         for s in 0..self.stages.len() {
-            match self.recv_reply(s, "checkpoint restore") {
-                Ok(Reply::SetDone { expected, got }) if expected == got => {}
-                Ok(Reply::SetDone { expected, got }) => {
-                    let e = ExecError::ParamLenMismatch {
-                        stage: s,
-                        expected,
-                        got,
-                    };
-                    return Err(self.fail(e));
-                }
-                Ok(_) => {
-                    let e = ExecError::StageDied {
-                        stage: s,
-                        during: "checkpoint restore (unexpected reply)".into(),
-                    };
-                    return Err(self.fail(e));
-                }
-                Err(e) => return Err(self.fail(e)),
+            let (expected, got) = self.expect_reply(s, "checkpoint restore", Reply::set_done)?;
+            if expected != got {
+                let e = ExecError::ParamLenMismatch {
+                    stage: s,
+                    expected,
+                    got,
+                };
+                return Err(self.fail(e));
             }
         }
         if let Some(m) = &self.metrics {
@@ -1427,27 +1383,7 @@ impl PipelineTrainer {
         if let Some(e) = &self.failure {
             return Err(e.clone());
         }
-        for (s, stage) in self.stages.iter().enumerate() {
-            if stage.ctrl_tx.send(Ctrl::Collect).is_err() {
-                let e = self.death_error(s, "params collect dispatch");
-                return Err(self.fail(e));
-            }
-        }
-        let mut all = Vec::new();
-        for s in 0..self.stages.len() {
-            match self.recv_reply(s, "params collect") {
-                Ok(Reply::Params(p)) => all.extend(p),
-                Ok(_) => {
-                    let e = ExecError::StageDied {
-                        stage: s,
-                        during: "params collect (unexpected reply)".into(),
-                    };
-                    return Err(self.fail(e));
-                }
-                Err(e) => return Err(self.fail(e)),
-            }
-        }
-        Ok(all)
+        Ok(self.collect_params("params collect")?.concat())
     }
 
     /// Overwrites the full flat parameter vector (stage order), acked by
@@ -1483,38 +1419,21 @@ impl PipelineTrainer {
         }
         let mut offset = 0;
         for (s, &len) in stage_lens.iter().enumerate() {
-            if self.stages[s]
-                .ctrl_tx
-                .send(Ctrl::SetParams(params[offset..offset + len].to_vec()))
-                .is_err()
-            {
-                let e = self.death_error(s, "set-params dispatch");
-                return Err(self.fail(e));
-            }
+            let slice = params[offset..offset + len].to_vec();
+            self.dispatch(s, Ctrl::SetParams(slice), "set-params")?;
             offset += len;
         }
         // Drain every ack (keeping the reply protocol in sync) before
         // reporting the first mismatch.
         let mut first_mismatch = None;
         for s in 0..self.stages.len() {
-            match self.recv_reply(s, "set-params ack") {
-                Ok(Reply::SetDone { expected, got }) => {
-                    if expected != got && first_mismatch.is_none() {
-                        first_mismatch = Some(ExecError::ParamLenMismatch {
-                            stage: s,
-                            expected,
-                            got,
-                        });
-                    }
-                }
-                Ok(_) => {
-                    let e = ExecError::StageDied {
-                        stage: s,
-                        during: "set-params ack (unexpected reply)".into(),
-                    };
-                    return Err(self.fail(e));
-                }
-                Err(e) => return Err(self.fail(e)),
+            let (expected, got) = self.expect_reply(s, "set-params ack", Reply::set_done)?;
+            if expected != got && first_mismatch.is_none() {
+                first_mismatch = Some(ExecError::ParamLenMismatch {
+                    stage: s,
+                    expected,
+                    got,
+                });
             }
         }
         match first_mismatch {
@@ -1531,9 +1450,10 @@ impl PipelineTrainer {
         (c.fwd_bytes.clone(), c.bwd_bytes.clone())
     }
 
-    /// Unblocks and joins every stage thread: sends `Shutdown`, drops
-    /// the portal-side data feeds (so a stage stuck waiting for an input
-    /// that never came observes the disconnect), then joins.
+    /// Unblocks and joins every stage thread, healthy or broken: sends
+    /// `Shutdown`, drops the portal-side data feeds (so a stage stuck
+    /// waiting for an input that never came observes the disconnect),
+    /// then joins. Death-cascade disconnects unblock everything else.
     fn teardown(&mut self) {
         for stage in &self.stages {
             let _ = stage.ctrl_tx.send(Ctrl::Shutdown);
@@ -1549,10 +1469,8 @@ impl PipelineTrainer {
         }
     }
 
-    /// Stops all stage threads.
-    pub fn shutdown(mut self) {
-        self.teardown();
-    }
+    /// Stops all stage threads (dropping the trainer tears it down).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for PipelineTrainer {

@@ -156,6 +156,30 @@ done
 echo "    schedule-legality property suite"
 cargo test -q --release --offline --test schedule_legality
 
+# Single-CPU gate: the sweeps above vary the pool width, never the *core*
+# count, and that is what a channel back-off is sensitive to — one that
+# spins without yielding passes on two cores and crawls on one, where the
+# peer it waits for needs the spinner's core. Pin the channel's own suite
+# and the two runtime suites to CPU 0 under the same watchdog (the runtime
+# suites were built by the gates above; the compiler is not what is
+# pinned).
+if command -v taskset >/dev/null; then
+    echo "==> single-CPU gate: ecofl-compat + fault_injection + schedule_conformance under taskset -c 0 (watchdog 300s)"
+    cargo test -q --release --offline -p ecofl-compat --no-run
+    timeout 300 taskset -c 0 bash -c '
+        cargo test -q --release --offline -p ecofl-compat &&
+        cargo test -q --release --offline -p ecofl-pipeline \
+            --test fault_injection --test schedule_conformance' || {
+        status=$?
+        if [ "$status" -eq 124 ]; then
+            echo "ERROR: the single-CPU gate hit the watchdog — a back-off starves its peer, or a wake-up was lost." >&2
+        fi
+        exit "$status"
+    }
+else
+    echo "==> single-CPU gate skipped: no taskset on this host"
+fi
+
 # Plan-search gates: the §4.3 search skips repeated device orders, reads
 # Eq. 1 from per-call tables and prunes executor runs by an admissible
 # bound, and must still return the exhaustive search's plan bit for bit.
@@ -176,6 +200,9 @@ ECOFL_CHECK_CASES=300 cargo test -q --release --offline -p ecofl-pipeline --lib 
 # the plain `cargo test` above; here it runs optimized over many.
 echo "==> block-decoder mutation gate: ecofl-obs --test block_mutation, release, ECOFL_CHECK_CASES=100"
 ECOFL_CHECK_CASES=100 cargo test -q --release --offline -p ecofl-obs --test block_mutation
+# The checkpoint decoder reads a disk too, and sits under the same harness.
+echo "==> checkpoint-decoder mutation gate: ecofl-pipeline --test checkpoint_mutation, release, ECOFL_CHECK_CASES=100"
+ECOFL_CHECK_CASES=100 cargo test -q --release --offline -p ecofl-pipeline --test checkpoint_mutation
 echo "==> plan-golden gate: ecofl plan stdout vs tests/golden/plan at ECOFL_THREADS=1/2/8"
 plan_golden() { # <golden name> <plan flags...>
     local name=$1 threads
