@@ -248,7 +248,7 @@ fn bench_matmul() {
     });
 
     // The three products of the FL MLP's widest layer at batch 10:
-    // `x·W`, `xᵀ·g` and `g·Wᵀ` — L1-resident, pack-free direct driver.
+    // `x·W`, `xᵀ·g` and `g·Wᵀ` — L1-resident.
     let x = Tensor::randn(&[10, 32], 1.0, &mut rng);
     let w = Tensor::randn(&[32, 64], 1.0, &mut rng);
     let g = Tensor::randn(&[10, 64], 1.0, &mut rng);

@@ -10,7 +10,7 @@
 //! | [`json`] | serde + serde_json | JSON value, parser, writer, `ToJson`/`FromJson` |
 //! | [`serde`] | serde derive front-end | `#[derive(Serialize, Deserialize)]` |
 //! | [`sync`] | parking_lot + crossbeam-channel | `Mutex`, MPMC channels |
-//! | [`par`] | rayon | scoped worker pool, `par_map`, `par_chunks_mut` |
+//! | [`par`] | rayon | scoped worker pool, `par_map` |
 //! | [`bytes`] | bytes | `Bytes` / `BytesMut` wire buffers |
 //! | [`check`] | proptest | seeded property harness with shrinking |
 //!

@@ -1,14 +1,13 @@
-//! Data-parallel helpers over a scoped worker pool — the rayon
-//! replacement for this workspace's two hot paths (client local
-//! training fan-out and matmul row blocking).
+//! A data-parallel map over a scoped worker pool — the rayon replacement
+//! for this workspace's one parallel hot path, the fan-out of a cohort's
+//! client training runs. It is the only place the workspace spawns compute
+//! threads: the tensor kernels below it are sequential.
 //!
 //! Work is distributed dynamically: scoped workers pull the next item
 //! index from a shared atomic counter, so uneven item costs (clients
 //! with different shard sizes) still balance. Threads are spawned per
-//! call via `std::thread::scope`; the kernels behind these helpers are
-//! coarse enough (whole client training runs, ≥64³ matmuls) that spawn
-//! cost is noise, and callers gate small inputs to the sequential path
-//! themselves.
+//! call via `std::thread::scope`; the work behind the map is coarse
+//! enough (whole client training runs) that spawn cost is noise.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -59,43 +58,6 @@ where
     gathered.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Splits `data` into `chunk_size`-sized mutable chunks and applies
-/// `f(chunk_index, chunk)` to each in parallel (the
-/// `par_chunks_mut().enumerate().for_each()` analogue).
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(
-        chunk_size > 0,
-        "par_chunks_mut: chunk_size must be positive"
-    );
-    let n_chunks = data.len().div_ceil(chunk_size);
-    let threads = max_threads().min(n_chunks);
-    if threads <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    // Hand each worker disjoint chunks through a locked iterator; the
-    // lock is only touched between chunks, never inside the kernel.
-    let chunks: crate::sync::Mutex<_> =
-        crate::sync::Mutex::new(data.chunks_mut(chunk_size).enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let item = chunks.lock().next();
-                match item {
-                    Some((i, chunk)) => f(i, chunk),
-                    None => return,
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,36 +73,6 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
         assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_element_once() {
-        let mut data = vec![0u32; 1003];
-        par_chunks_mut(&mut data, 64, |i, chunk| {
-            for x in chunk.iter_mut() {
-                *x += 1 + i as u32;
-            }
-        });
-        for (j, &x) in data.iter().enumerate() {
-            assert_eq!(x, 1 + (j / 64) as u32, "element {j}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_matches_sequential_kernel() {
-        let n = 257usize;
-        let kernel = |i: usize, chunk: &mut [f64]| {
-            for (j, x) in chunk.iter_mut().enumerate() {
-                *x = (i * 1000 + j) as f64;
-            }
-        };
-        let mut seq = vec![0.0; n];
-        for (i, chunk) in seq.chunks_mut(16).enumerate() {
-            kernel(i, chunk);
-        }
-        let mut par = vec![0.0; n];
-        par_chunks_mut(&mut par, 16, kernel);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -215,8 +215,10 @@ impl EcoFlSystemBuilder {
     /// Validates and assembles the system.
     ///
     /// # Errors
-    /// [`EcoFlError::Config`] when no homes are configured or the FL
-    /// config fails [`FlConfig::validate`] (out-of-range failure
+    /// [`EcoFlError::Config`] when no homes are configured, a home has
+    /// no devices (its `devices` field is public, so a literal can skip
+    /// [`SmartHome::new`]'s check) or the FL config fails
+    /// [`FlConfig::validate`] (out-of-range failure
     /// probability, non-positive eval interval, negative communication
     /// latency, …); [`EcoFlError::Plan`] when some home admits no
     /// feasible pipeline plan.
@@ -225,6 +227,12 @@ impl EcoFlSystemBuilder {
             return Err(EcoFlError::Config(
                 "EcoFlSystem: at least one smart home is required".into(),
             ));
+        }
+        if let Some(home) = self.homes.iter().find(|h| h.devices.is_empty()) {
+            return Err(EcoFlError::Config(format!(
+                "EcoFlSystem: home {} has no devices",
+                home.name
+            )));
         }
         self.fl_config
             .validate()
@@ -442,6 +450,22 @@ mod tests {
     fn builder_errors_are_typed() {
         match EcoFlSystem::builder().build() {
             Err(EcoFlError::Config(msg)) => assert!(msg.contains("at least one smart home")),
+            other => panic!("expected Config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn builder_names_a_home_without_devices() {
+        // A struct literal skips `SmartHome::new`'s assert.
+        let mut homes = homes();
+        homes.push(SmartHome {
+            name: "empty-nest".into(),
+            devices: Vec::new(),
+        });
+        match EcoFlSystem::builder().homes(homes).build() {
+            Err(EcoFlError::Config(msg)) => {
+                assert!(msg.contains("home empty-nest has no devices"), "{msg:?}");
+            }
             other => panic!("expected Config error, got {other:?}"),
         }
     }

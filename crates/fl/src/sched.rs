@@ -388,8 +388,8 @@ impl<'a> Scheduler<'a> {
     /// — the returned average is bit-identical to the unfused
     /// train-then-aggregate path at any thread count.
     ///
-    /// # Panics
-    /// Panics if `members` is empty or holds no training samples.
+    /// A cohort that is empty, or whose members hold no training
+    /// samples, has nothing to average: `start` comes back unchanged.
     #[must_use]
     pub fn train_cohort_folded(
         &self,
@@ -402,6 +402,9 @@ impl<'a> Scheduler<'a> {
             .iter()
             .map(|&c| self.setup.data.client(c).len() as f64)
             .sum();
+        if total == 0.0 {
+            return start.to_vec();
+        }
         let mut acc = StreamingAverage::new(start.len(), total);
         for chunk in members.chunks(TRAIN_FOLD_CHUNK) {
             for update in self.train_cohort(chunk, start, mu, tag) {
@@ -773,6 +776,7 @@ mod tests {
         snapshots_shared: bool,
         snapshot_invalidated: bool,
         folded_matches_batch: bool,
+        empty_fold_is_start: bool,
     }
 
     impl AggregationStrategy for Inspect {
@@ -818,6 +822,8 @@ mod tests {
                     .iter()
                     .zip(&batch)
                     .all(|(a, b)| a.to_bits() == b.to_bits());
+            // No survivors: nothing to average, not a panic.
+            self.empty_fold_is_start = sched.train_cohort_folded(&[], &start, 0.0, 3) == start;
         }
         fn on_cohort(&mut self, _sched: &mut Scheduler<'_>, _t: f64, _cohort: Cohort) {}
     }
@@ -848,6 +854,10 @@ mod tests {
         assert!(
             strat.folded_matches_batch,
             "train_cohort_folded diverged from train + weighted_average"
+        );
+        assert!(
+            strat.empty_fold_is_start,
+            "an empty cohort must fold to its start parameters"
         );
     }
 }

@@ -1,108 +1,72 @@
 //! Register-tiled matrix and convolution kernels.
 //!
 //! This module is the compute core behind [`crate::Tensor::matmul`] and the
-//! `Conv2d`/`Sgd` hot paths. Every GEMM entry point picks one of two
-//! drivers **from the size of the product alone**:
+//! `Conv2d`/`Sgd` hot paths. Everything here runs on the calling thread:
+//! the workspace's parallelism is across FL clients (the scheduler's
+//! cohort fan-out), never inside a kernel, so a result cannot depend on
+//! `ECOFL_THREADS`.
 //!
-//! - **Direct** (below `PAR_MAC_THRESHOLD` multiply-accumulates, i.e.
-//!   every product that runs sequentially — all of FL local training
-//!   and evaluation): operands are read where they lie. `b`'s rows are
-//!   already contiguous `NR`-column strips at stride `n`, `a`'s scalars sit
-//!   at stride `k` (`a·b`) or `m` (`aᵀ·b`), row tiles are sized to `m`
-//!   (ten rows are two five-row tiles, not two padded eight-row ones) and
-//!   the column tail is masked (AVX-512) or runs a narrower loop. No
-//!   packing, no scratch, no chunk grid: on an L1-resident product those
-//!   were most of the call.
-//! - **Packed** (at or above the threshold, where the work is split over
-//!   threads): the BLIS-style decomposition. Output rows are processed in
-//!   fixed [`ROWS_PER_CHUNK`]-row chunks — the grid depends only on the
-//!   output shape, never on the worker count, so results are bit-identical
-//!   at `ECOFL_THREADS=1/2/8` — and operands are packed into zero-padded
-//!   panels so an `MR×NR` accumulator tile lives in registers for the whole
-//!   depth loop. `gemm_tn` packs columns of the untransposed operand
-//!   straight into tile layout instead of materializing a transpose.
-//!
-//! The threshold is the one that already separates sequential from
-//! parallel execution, so there is no second size rule to tune: a product
-//! is direct exactly when it would have run on one thread anyway.
+//! Each GEMM entry point has **one** driver per SIMD tier, whatever the
+//! size of the product: operands are read where they lie. `b`'s rows are
+//! already contiguous `NR`-column strips at stride `n`, `a`'s scalars sit
+//! at stride `k` (`a·b`) or `m` (`aᵀ·b` — the transpose is never
+//! materialized), row tiles are sized to `m` (ten rows are two five-row
+//! tiles, not a six and a four) and the column tail is masked
+//! (AVX-512) or runs a narrower loop. Nothing is packed or copied: every
+//! product a shipped model issues is L1-resident (the largest is the
+//! 256-row evaluation batch, `256 × 32 × 64`), where packing panels costs
+//! more than the arithmetic. `a·bᵀ` walks both operands contiguously one
+//! output row at a time.
 //!
 //! # SIMD tiers and the bit-identity contract
 //!
-//! Three instantiations of each driver exist, selected once per process:
+//! Three instantiations of the driver exist, selected once per process:
 //!
 //! - **portable**: `acc + a*b`, autovectorized,
 //! - **AVX2+FMA**: `f32::mul_add`, compiled with
 //!   `#[target_feature(enable = "avx2", enable = "fma")]`,
 //! - **AVX-512**: explicit `_mm512_fmadd_ps` tiles held in zmm registers.
 //!
-//! On every tier and in both drivers one output element of `a·b` / `aᵀ·b`
-//! is the same scalar chain: `acc = 0`, then `acc = madd(a_p, b_p, acc)`
-//! for ascending `p`, then `out = acc` (or `out = out + acc` when
-//! accumulating). `a·bᵀ` keeps eight partial sums (lane `l` takes
-//! `p ≡ l mod 8`) folded as `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`; lanes a
-//! short depth never reaches are left untouched rather than fed
-//! `madd(0, 0, ·)`, which would turn a `-0.0` lane into `+0.0`. Tiling
-//! only decides *where* an element is computed, never the order of its
-//! operations, so both drivers are **bit-identical** to the tier's scalar
-//! chain in [`crate::reference`] (`chain_matmul*`) and to each other —
-//! `tests/kernel_equivalence.rs` and the unit tests below assert
-//! `to_bits` equality. Against the plain-`mul`+`add` naive references the
-//! portable tier is therefore exact and the FMA tiers differ by at most
-//! `2·k·ε` relative to the absolute-value inner product (each fused step
-//! skips one intermediate rounding).
+//! On every tier one output element of `a·b` / `aᵀ·b` is the same scalar
+//! chain: `acc = 0`, then `acc = madd(a_p, b_p, acc)` for ascending `p`,
+//! then `out = acc` (or `out = out + acc` when accumulating). `a·bᵀ` keeps
+//! eight partial sums (lane `l` takes `p ≡ l mod 8`) folded as
+//! `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`; lanes a short depth never
+//! reaches are left untouched rather than fed `madd(0, 0, ·)`, which would
+//! turn a `-0.0` lane into `+0.0`. Tiling only decides *where* an element
+//! is computed, never the order of its operations, so every tier is
+//! **bit-identical** to its scalar chain in [`crate::reference`]
+//! (`chain_matmul*`) — `tests/kernel_equivalence.rs` and the unit tests
+//! below assert `to_bits` equality. Against the plain-`mul`+`add` naive
+//! references the portable tier is therefore exact and the FMA tiers
+//! differ by at most `2·k·ε` relative to the absolute-value inner product
+//! (each fused step skips one intermediate rounding).
 //!
 //! On a given machine the tier is constant, so runs remain deterministic;
 //! `ECOFL_PORTABLE_KERNELS=1` forces the portable tier (used by CI to
 //! prove the exact-equality claim on any host).
 
-use ecofl_compat::par::{max_threads, par_chunks_mut};
-use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// Register-tile rows of the AVX2 FMA kernel (6 rows × 2 AVX lanes of
-/// accumulators = 12 of 16 vector registers).
-pub const MR_FMA: usize = 6;
-/// Register-tile columns of the AVX2 FMA kernel (two 8-lane registers).
-pub const NR_FMA: usize = 16;
-/// Register-tile rows of the AVX-512 kernel (8 rows × 2 zmm lanes of
-/// accumulators = 16 of 32 zmm registers; 8 also divides
-/// [`ROWS_PER_CHUNK`] exactly, so no chunk carries padded tile rows).
-pub const MR_AVX512: usize = 8;
-/// Register-tile columns of the AVX-512 kernel (two 16-lane registers).
-pub const NR_AVX512: usize = 32;
-/// Register-tile rows of the portable kernel (sized for 16 SSE registers).
-pub const MR_PORTABLE: usize = 4;
-/// Register-tile columns of the portable kernel.
-pub const NR_PORTABLE: usize = 8;
-/// Output rows per parallel chunk — a common multiple of every kernel's
-/// `MR`, so every chunk except the last decomposes into full register
-/// tiles and the tile grid is independent of how chunks map to threads.
-pub const ROWS_PER_CHUNK: usize = 24;
-
-/// Row-tile height limit of the direct driver: 6 rows × 4 zmm registers
-/// is 24 of AVX-512's 32 accumulators, 6 × 2 ymm (or xmm) 12 of the 16
-/// the narrower tiers have.
-const MR_DIRECT: usize = 6;
-/// Column-strip width of the direct driver's AVX-512 tiles (four 16-lane
-/// registers); the portable and AVX2 instantiations use their packed
-/// `NR`.
-const NR_DIRECT_AVX512: usize = 64;
-
-/// Below this many multiply-accumulates a product stays sequential — the
-/// scoped worker pool spawns threads per call, which only amortizes over
-/// large products — and therefore also runs the pack-free direct driver:
-/// the one size rule of this module.
-const PAR_MAC_THRESHOLD: usize = 1 << 22;
+/// Row-tile height limit: 6 rows × 4 zmm registers is 24 of AVX-512's 32
+/// accumulators, 6 × 2 ymm (or xmm) 12 of the 16 the narrower tiers have.
+const MR: usize = 6;
+/// Column-strip width of the portable tiles (two 4-lane SSE registers).
+const NR_PORTABLE: usize = 8;
+/// Column-strip width of the AVX2 tiles (two 8-lane registers).
+const NR_FMA: usize = 16;
+/// Column-strip width of the AVX-512 tiles (four 16-lane registers).
+const NR_AVX512: usize = 64;
 
 /// Which kernel instantiation runtime dispatch selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KernelPath {
-    /// Plain `mul`+`add`, 4×8 tiles — bit-identical to the naive
+    /// Plain `mul`+`add`, tiles up to 6×8 — bit-identical to the naive
     /// references on every machine.
     Portable,
-    /// AVX2 + FMA, 6×16 tiles.
+    /// AVX2 + FMA, tiles up to 6×16.
     Fma,
-    /// AVX-512, 8×32 tiles (two 16-lane zmm accumulator columns).
+    /// AVX-512, tiles up to 6×64 (four 16-lane zmm accumulators per row).
     Avx512,
 }
 
@@ -284,47 +248,11 @@ pub fn kernel_stats() -> Vec<KernelStat> {
     stats::snapshot()
 }
 
-/// Runs `f(first_row, chunk_rows_slice)` over fixed `ROWS_PER_CHUNK`-row
-/// chunks of `out`, in parallel when `par` is set. The chunk grid is a pure
-/// function of `out.len()` and `n`, so parallel and sequential execution
-/// produce identical results.
-fn for_row_chunks(out: &mut [f32], n: usize, par: bool, f: impl Fn(usize, &mut [f32]) + Sync) {
-    let chunk = ROWS_PER_CHUNK * n;
-    if par && max_threads() > 1 {
-        par_chunks_mut(out, chunk, |ci, rows| f(ci * ROWS_PER_CHUNK, rows));
-    } else {
-        for (ci, rows) in out.chunks_mut(chunk).enumerate() {
-            f(ci * ROWS_PER_CHUNK, rows);
-        }
-    }
-}
-
-thread_local! {
-    /// Reusable A-panel packing scratch, one per worker thread. Fresh
-    /// `Vec`s per GEMM call cost ~2µs on the 64³ micro-bench case — a
-    /// fifth of the whole call. Contents are garbage between calls by
-    /// design: `pack_a` overwrites every live lane and zero-fills every
-    /// padded lane on each call.
-    static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Reusable B-strip packing scratch (packed once per call on the
-    /// calling thread, shared read-only with workers).
-    static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Grows `buf` to at least `len` elements and returns the `len`-prefix
-/// without zeroing previously used capacity.
-fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-    &mut buf[..len]
-}
-
 /// Where a GEMM reads its left-hand operand from.
 ///
-/// `Rows` is the plain product (`a·b`); `Cols` is `aᵀ·b` — both drivers
-/// read (or pack) columns of the `[k,m]` operand directly, so the
-/// transpose is never materialized.
+/// `Rows` is the plain product (`a·b`); `Cols` is `aᵀ·b` — the tiles read
+/// columns of the `[k,m]` operand directly, so the transpose is never
+/// materialized.
 #[derive(Clone, Copy)]
 enum ASrc<'a> {
     /// A row-major `[m,k]` matrix.
@@ -344,256 +272,17 @@ impl<'a> ASrc<'a> {
     }
 }
 
-/// The innermost register tile: `acc[r][j] += Σ_p ap[p·MR+r] · bp[p·NR+j]`
-/// over zero-padded packed panels.
-///
-/// Everything is `chunks_exact` with const-generic widths, so the body has
-/// **no bounds checks and no side exits** — the compiler keeps the whole
-/// `MR×NR` accumulator in vector registers for the depth loop instead of
-/// spilling it to the stack each iteration (the difference is ~4x).
-///
-/// `madd` is the multiply-accumulate op — `acc + a*b` on the portable
-/// instantiation, `a.mul_add(b, acc)` on the FMA one. Per output element
-/// the products accumulate in ascending-`p` order into a single scalar
-/// lane: the tier's scalar chain ([`crate::reference::chain_matmul`]).
-#[inline(always)]
-fn microkernel<const MR: usize, const NR: usize>(
-    madd: impl Fn(f32, f32, f32) -> f32 + Copy,
-    apanel: &[f32],
-    bpanel: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    for (ap, bp) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let a_rp = ap[r];
-            for j in 0..NR {
-                accr[j] = madd(a_rp, bp[j], accr[j]);
-            }
-        }
-    }
-}
-
-/// Packs the chunk's A rows/columns (starting at output row `i0`) into
-/// `[tile][p][r]` order (`MR` consecutive row values per depth step),
-/// zero-padding the tail tile. Padded lanes multiply into accumulator rows
-/// that are never stored.
-fn pack_a<const MR: usize>(src: ASrc<'_>, i0: usize, rows: usize, k: usize, apack: &mut [f32]) {
-    if !rows.is_multiple_of(MR) {
-        let full = (rows / MR) * k * MR;
-        apack[full..].fill(0.0);
-    }
-    match src {
-        ASrc::Rows { a } => {
-            for t in 0..rows.div_ceil(MR) {
-                let tile = &mut apack[t * k * MR..(t + 1) * k * MR];
-                for r in 0..MR.min(rows - t * MR) {
-                    let arow = &a[(i0 + t * MR + r) * k..][..k];
-                    for (p, &v) in arow.iter().enumerate() {
-                        tile[p * MR + r] = v;
-                    }
-                }
-            }
-        }
-        ASrc::Cols { a, m } => {
-            for (p, arow) in a.chunks_exact(m).enumerate() {
-                let acols = &arow[i0..i0 + rows];
-                for (r, &v) in acols.iter().enumerate() {
-                    apack[(r / MR) * k * MR + p * MR + (r % MR)] = v;
-                }
-            }
-        }
-    }
-}
-
-/// AVX-512 instantiation of the microkernel body, written with explicit
-/// `_mm512_*` intrinsics: at `NR = 32` the autovectorizer keeps the
-/// accumulator tile on the stack (rustc tunes for 256-bit vectors, and
-/// thirty-two 256-bit accumulators do not fit the sixteen ymm registers
-/// `avx512f` alone exposes), which costs ~14x. Held by hand the tile is
-/// sixteen of thirty-two zmm registers. Lane for lane the arithmetic is
-/// exactly `acc[j] = a.mul_add(b[j], acc[j])`, identical to what the
-/// generic FMA instantiation computes.
-// SAFETY: a safe `#[target_feature]` function — only [`packed_avx512`],
-// compiled with the same feature, can call it outside `unsafe`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn microkernel_avx512(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR_AVX512]; MR_AVX512]) {
-    use std::arch::x86_64::{
-        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
-    };
-    // SAFETY: every load/store covers 16 lanes at offset 0 or 16 of a
-    // 32-element array: `acc`'s rows by their type, the B panel rows by
-    // `chunks_exact(NR_AVX512)`. `avx512f` is enabled on this function.
-    unsafe {
-        let mut c = [[_mm512_setzero_ps(); 2]; MR_AVX512];
-        for (cr, row) in c.iter_mut().zip(acc.iter()) {
-            cr[0] = _mm512_loadu_ps(row.as_ptr());
-            cr[1] = _mm512_loadu_ps(row.as_ptr().add(16));
-        }
-        for (ap, bp) in apanel
-            .chunks_exact(MR_AVX512)
-            .zip(bpanel.chunks_exact(NR_AVX512))
-        {
-            let b0 = _mm512_loadu_ps(bp.as_ptr());
-            let b1 = _mm512_loadu_ps(bp.as_ptr().add(16));
-            for (&a_rp, cr) in ap.iter().zip(c.iter_mut()) {
-                let av = _mm512_set1_ps(a_rp);
-                cr[0] = _mm512_fmadd_ps(av, b0, cr[0]);
-                cr[1] = _mm512_fmadd_ps(av, b1, cr[1]);
-            }
-        }
-        for (row, cr) in acc.iter_mut().zip(&c) {
-            _mm512_storeu_ps(row.as_mut_ptr(), cr[0]);
-            _mm512_storeu_ps(row.as_mut_ptr().add(16), cr[1]);
-        }
-    }
-}
-
-/// The packed GEMM driver for one kernel instantiation: packs B once into
-/// zero-padded `NR`-column strips (`[strip][p][j]`, shared read-only by all
-/// chunks/threads), then runs the row chunks — pack the chunk's A panel,
-/// sweep the strips, run the microkernel per tile, and write back only the
-/// live `rb×cb` window of each accumulator. Only products in the parallel
-/// class come here, so the chunks always go to the worker pool.
-#[inline(always)]
-fn packed_driver<const MR: usize, const NR: usize>(
-    kern: impl Fn(&[f32], &[f32], &mut [[f32; NR]; MR]) + Copy + Sync,
-    asrc: ASrc<'_>,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-    accumulate: bool,
-) {
-    let strips = n.div_ceil(NR);
-    B_SCRATCH.with_borrow_mut(|bbuf| {
-        let bpack = scratch(bbuf, strips * k * NR);
-        for (p, brow) in b.chunks_exact(n).enumerate() {
-            for s in 0..strips {
-                let jb = s * NR;
-                let cb = (n - jb).min(NR);
-                let prow = &mut bpack[s * k * NR + p * NR..][..NR];
-                prow[..cb].copy_from_slice(&brow[jb..jb + cb]);
-                prow[cb..].fill(0.0);
-            }
-        }
-        let bpack = &*bpack;
-        for_row_chunks(out, n, true, move |i0, chunk| {
-            let rows = chunk.len() / n;
-            let tiles = rows.div_ceil(MR);
-            A_SCRATCH.with_borrow_mut(|abuf| {
-                let apack = scratch(abuf, tiles * k * MR);
-                run_chunk::<MR, NR>(kern, asrc, k, n, bpack, i0, chunk, rows, apack, accumulate);
-            });
-        });
-    });
-}
-
-/// One row chunk of [`packed_driver`]: pack the chunk's A panel, sweep the
-/// B strips, run the microkernel per tile, write back the live `rb×cb`
-/// window of each accumulator.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn run_chunk<const MR: usize, const NR: usize>(
-    kern: impl Fn(&[f32], &[f32], &mut [[f32; NR]; MR]) + Copy,
-    asrc: ASrc<'_>,
-    k: usize,
-    n: usize,
-    bpack: &[f32],
-    i0: usize,
-    chunk: &mut [f32],
-    rows: usize,
-    apack: &mut [f32],
-    accumulate: bool,
-) {
-    pack_a::<MR>(asrc, i0, rows, k, apack);
-    for (s, bstrip) in bpack.chunks_exact(k * NR).enumerate() {
-        let jb = s * NR;
-        let cb = (n - jb).min(NR);
-        for (t, atile) in apack.chunks_exact(k * MR).enumerate() {
-            let rb = MR.min(rows - t * MR);
-            let mut acc = [[0.0f32; NR]; MR];
-            kern(atile, bstrip, &mut acc);
-            for (r, accr) in acc.iter().enumerate().take(rb) {
-                let orow = &mut chunk[(t * MR + r) * n + jb..(t * MR + r) * n + jb + cb];
-                if accumulate {
-                    for (o, &v) in orow.iter_mut().zip(&accr[..cb]) {
-                        *o += v;
-                    }
-                } else {
-                    orow.copy_from_slice(&accr[..cb]);
-                }
-            }
-        }
-    }
-}
-
-fn packed_portable(
-    asrc: ASrc<'_>,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-    accumulate: bool,
-) {
-    packed_driver::<MR_PORTABLE, NR_PORTABLE>(
-        |ap, bp, acc| microkernel(|a, b, acc| acc + a * b, ap, bp, acc),
-        asrc,
-        k,
-        b,
-        n,
-        out,
-        accumulate,
-    );
-}
-
-/// The parallel closure inside inherits the target features; worker
-/// threads only ever run it after the caller's runtime check passed.
-// SAFETY: safe body; reached only through `gemm_on`'s `unsafe` call, whose
-// caller established AVX2+FMA (`kernel_path`'s runtime detection).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn packed_fma(asrc: ASrc<'_>, k: usize, b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
-    packed_driver::<MR_FMA, NR_FMA>(
-        |ap, bp, acc| microkernel(|a, b, acc| a.mul_add(b, acc), ap, bp, acc),
-        asrc,
-        k,
-        b,
-        n,
-        out,
-        accumulate,
-    );
-}
-
-/// Same contract as [`packed_fma`], instantiated for 512-bit vectors via
-/// the hand-held [`microkernel_avx512`] tile.
-// SAFETY: safe body; reached only through `gemm_on`'s `unsafe` call, whose
-// caller established `avx512f` (`kernel_path`'s runtime detection).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn packed_avx512(asrc: ASrc<'_>, k: usize, b: &[f32], n: usize, out: &mut [f32], accumulate: bool) {
-    packed_driver::<MR_AVX512, NR_AVX512>(
-        |ap, bp, acc| microkernel_avx512(ap, bp, acc),
-        asrc,
-        k,
-        b,
-        n,
-        out,
-        accumulate,
-    );
-}
-
-/// Splits `m` output rows into the fewest tiles of at most [`MR_DIRECT`]
-/// rows, as evenly as possible (ten rows are 5 + 5, not 6 + 4), yielding
+/// Splits `m` output rows into the fewest tiles of at most [`MR`] rows,
+/// as evenly as possible (ten rows are 5 + 5, not 6 + 4), yielding
 /// `(first_row, rows)`.
 fn row_tiles(m: usize) -> impl Iterator<Item = (usize, usize)> {
-    let tiles = m.div_ceil(MR_DIRECT);
+    let tiles = m.div_ceil(MR);
     let (base, extra) = (m / tiles.max(1), m % tiles.max(1));
     (0..tiles).map(move |t| (t * base + t.min(extra), base + usize::from(t < extra)))
 }
 
 /// Expands to `$tile::<rows, $width>($args)` for a runtime `$rows` in
-/// `1..=MR_DIRECT`, so every row-tile height is its own fully unrolled
+/// `1..=MR`, so every row-tile height is its own fully unrolled
 /// instantiation.
 macro_rules! for_tile_rows {
     ($rows:expr, $tile:ident, $width:tt, $args:tt) => {
@@ -604,12 +293,12 @@ macro_rules! for_tile_rows {
             4 => $tile::<4, $width> $args,
             5 => $tile::<5, $width> $args,
             6 => $tile::<6, $width> $args,
-            rows => unreachable!("row_tiles yields 1..=MR_DIRECT rows, got {rows}"),
+            rows => unreachable!("row_tiles yields 1..=MR rows, got {rows}"),
         }
     };
 }
 
-/// One `R×cb` output tile of the portable / AVX2 direct driver, read
+/// One `R×cb` output tile of the portable / AVX2 instantiations, read
 /// straight from the operands: `acc[r][j] = madd(a[ib+r, p], b[p, jb+j],
 /// acc[r][j])` for ascending `p` from zero, then stored (or added onto
 /// `out`). A full-width strip (`cb == NR`) runs fixed-trip loops the
@@ -617,7 +306,7 @@ macro_rules! for_tile_rows {
 /// chain over `cb` lanes.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn direct_tile<const R: usize, const NR: usize>(
+fn tile<const R: usize, const NR: usize>(
     madd: impl Fn(f32, f32, f32) -> f32 + Copy,
     asrc: ASrc<'_>,
     ib: usize,
@@ -667,12 +356,12 @@ fn direct_tile<const R: usize, const NR: usize>(
     }
 }
 
-/// The direct driver for the portable and AVX2 instantiations: column
+/// The GEMM driver of the portable and AVX2 instantiations: column
 /// strips outermost (a strip of `b` stays cache-hot across the row
-/// tiles), [`row_tiles`] inside, one [`direct_tile`] each.
+/// tiles), [`row_tiles`] inside, one [`tile`] each.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn direct_driver<const NR: usize>(
+fn tile_driver<const NR: usize>(
     madd: impl Fn(f32, f32, f32) -> f32 + Copy,
     asrc: ASrc<'_>,
     m: usize,
@@ -687,7 +376,7 @@ fn direct_driver<const NR: usize>(
         for (ib, rb) in row_tiles(m) {
             for_tile_rows!(
                 rb,
-                direct_tile,
+                tile,
                 NR,
                 (madd, asrc, ib, k, b, n, jb, cb, out, accumulate)
             );
@@ -695,7 +384,7 @@ fn direct_driver<const NR: usize>(
     }
 }
 
-fn direct_portable(
+fn gemm_portable(
     asrc: ASrc<'_>,
     m: usize,
     k: usize,
@@ -704,16 +393,16 @@ fn direct_portable(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    direct_driver::<NR_PORTABLE>(|a, b, acc| acc + a * b, asrc, m, k, b, n, out, accumulate);
+    tile_driver::<NR_PORTABLE>(|a, b, acc| acc + a * b, asrc, m, k, b, n, out, accumulate);
 }
 
-/// The AVX2+FMA instantiation of [`direct_driver`]: the same safe,
-/// bounds-checked body as [`direct_portable`], fused and 16 columns wide.
+/// The AVX2+FMA instantiation of [`tile_driver`]: the same safe,
+/// bounds-checked body as [`gemm_portable`], fused and 16 columns wide.
 // SAFETY: safe body; reached only through `gemm_on`'s `unsafe` call, whose
 // caller established AVX2+FMA (`kernel_path`'s runtime detection).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn direct_fma(
+fn gemm_fma(
     asrc: ASrc<'_>,
     m: usize,
     k: usize,
@@ -722,7 +411,7 @@ fn direct_fma(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    direct_driver::<NR_FMA>(
+    tile_driver::<NR_FMA>(
         |a, b, acc| a.mul_add(b, acc),
         asrc,
         m,
@@ -734,8 +423,8 @@ fn direct_fma(
     );
 }
 
-/// One `R`-row × `NV`-register (`cols ≤ 16·NV` columns) AVX-512 tile of the
-/// direct driver, accumulators held in `R·NV ≤ 24` zmm registers for the
+/// One `R`-row × `NV`-register (`cols ≤ 16·NV` columns) AVX-512 tile,
+/// accumulators held in `R·NV ≤ 24` zmm registers for the
 /// whole depth loop. Lane for lane it is `acc = a.mul_add(b, acc)` for
 /// ascending `p` from zero; columns at or past `cols` are masked out of
 /// every load and store.
@@ -748,7 +437,7 @@ fn direct_fma(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn direct_tile_avx512<const R: usize, const NV: usize>(
+unsafe fn tile_avx512<const R: usize, const NV: usize>(
     a: *const f32,
     row_stride: usize,
     depth_stride: usize,
@@ -802,7 +491,7 @@ unsafe fn direct_tile_avx512<const R: usize, const NV: usize>(
     }
 }
 
-/// The AVX-512 direct driver: 64-column strips (four zmm registers, the
+/// The AVX-512 GEMM driver: 64-column strips (four zmm registers, the
 /// last strip as many as its columns need) × [`row_tiles`].
 ///
 /// # Safety
@@ -811,7 +500,7 @@ unsafe fn direct_tile_avx512<const R: usize, const NV: usize>(
 /// `asrc`, `k·n` in `b`, `m·n` in `out`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn direct_avx512(
+unsafe fn gemm_avx512(
     asrc: ASrc<'_>,
     m: usize,
     k: usize,
@@ -821,8 +510,8 @@ unsafe fn direct_avx512(
     accumulate: bool,
 ) {
     let (a, row_stride, depth_stride) = asrc.strides(k);
-    for jb in (0..n).step_by(NR_DIRECT_AVX512) {
-        let cols = (n - jb).min(NR_DIRECT_AVX512);
+    for jb in (0..n).step_by(NR_AVX512) {
+        let cols = (n - jb).min(NR_AVX512);
         for (ib, rb) in row_tiles(m) {
             // SAFETY: `row_tiles` keeps `ib + r < m` for `r < rb` and the
             // strip keeps `jb + c < n` for `c < cols`, so with the operand
@@ -839,7 +528,7 @@ unsafe fn direct_avx512(
                     ($nv:tt) => {
                         for_tile_rows!(
                             rb,
-                            direct_tile_avx512,
+                            tile_avx512,
                             $nv,
                             (a, row_stride, depth_stride, b, n, k, cols, o, n, accumulate)
                         )
@@ -857,31 +546,6 @@ unsafe fn direct_avx512(
     }
 }
 
-/// Which driver runs a product: a function of its size alone (see the
-/// module docs), through the one threshold that also decides whether the
-/// product is split over threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Driver {
-    /// Pack-free tiles over the operands in place; always sequential.
-    Direct,
-    /// Packed panels on the fixed chunk grid; the parallel class.
-    Packed,
-}
-
-impl Driver {
-    fn for_product(m: usize, k: usize, n: usize) -> Self {
-        if is_parallel_class(m.saturating_mul(n).saturating_mul(k)) {
-            Driver::Packed
-        } else {
-            Driver::Direct
-        }
-    }
-}
-
-fn is_parallel_class(macs: usize) -> bool {
-    macs >= PAR_MAC_THRESHOLD
-}
-
 /// Panics unless an operand holds exactly `rows·cols` elements. Every
 /// GEMM entry runs this on all three operands before any tile code, so
 /// the raw-pointer tiles never see a buffer shorter than its shape.
@@ -894,10 +558,9 @@ fn check_operand(kernel: &str, operand: &str, len: usize, rows: usize, cols: usi
 }
 
 /// `out (+)= a·b` (`a: [m,k]`) or, `transposed`, `out (+)= aᵀ·b`
-/// (`a: [k,m]`) on an explicit tier and driver; [`gemm`] / [`gemm_tn`] call
-/// it with the process's tier and the product's size class, the unit tests
-/// with every combination the host supports. Operand lengths are checked
-/// here, ahead of both drivers.
+/// (`a: [k,m]`) on an explicit tier; [`gemm`] / [`gemm_tn`] call it with
+/// the process's tier, the unit tests with every tier the host supports.
+/// Operand lengths are checked here, ahead of any tile code.
 ///
 /// # Safety
 /// The CPU must support `path`'s instruction set ([`kernel_path`] only
@@ -905,7 +568,6 @@ fn check_operand(kernel: &str, operand: &str, len: usize, rows: usize, cols: usi
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_on(
     path: KernelPath,
-    driver: Driver,
     a: &[f32],
     transposed: bool,
     m: usize,
@@ -934,31 +596,20 @@ unsafe fn gemm_on(
         }
         return;
     }
-    match (path, driver) {
+    match path {
         // SAFETY: the caller vouches for `avx512f`, and `check_operand`
         // above established the three operand lengths the raw-pointer
         // tiles require.
         #[cfg(target_arch = "x86_64")]
-        (KernelPath::Avx512, Driver::Direct) => unsafe {
-            direct_avx512(asrc, m, k, b, n, out, accumulate);
-        },
-        // SAFETY: the caller vouches for `avx512f`; the body is safe code.
-        #[cfg(target_arch = "x86_64")]
-        (KernelPath::Avx512, Driver::Packed) => unsafe {
-            packed_avx512(asrc, k, b, n, out, accumulate);
+        KernelPath::Avx512 => unsafe {
+            gemm_avx512(asrc, m, k, b, n, out, accumulate);
         },
         // SAFETY: the caller vouches for AVX2+FMA; the body is safe code.
         #[cfg(target_arch = "x86_64")]
-        (KernelPath::Fma, Driver::Direct) => unsafe {
-            direct_fma(asrc, m, k, b, n, out, accumulate);
+        KernelPath::Fma => unsafe {
+            gemm_fma(asrc, m, k, b, n, out, accumulate);
         },
-        // SAFETY: the caller vouches for AVX2+FMA; the body is safe code.
-        #[cfg(target_arch = "x86_64")]
-        (KernelPath::Fma, Driver::Packed) => unsafe {
-            packed_fma(asrc, k, b, n, out, accumulate);
-        },
-        (_, Driver::Direct) => direct_portable(asrc, m, k, b, n, out, accumulate),
-        (_, Driver::Packed) => packed_portable(asrc, k, b, n, out, accumulate),
+        _ => gemm_portable(asrc, m, k, b, n, out, accumulate),
     }
 }
 
@@ -968,10 +619,9 @@ unsafe fn gemm_on(
 /// Panics if an operand's length disagrees with its shape.
 pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = stats::time_kernel(K_GEMM);
-    let (path, driver) = (kernel_path(), Driver::for_product(m, k, n));
     // SAFETY: `kernel_path` returns a tier only after detecting its CPU
     // features.
-    unsafe { gemm_on(path, driver, a, false, m, k, b, n, out, false) };
+    unsafe { gemm_on(kernel_path(), a, false, m, k, b, n, out, false) };
 }
 
 /// `out (+)= aᵀ·b` for row-major `a: [k,m]`, `b: [k,n]`, `out: [m,n]`,
@@ -989,26 +639,24 @@ pub(crate) fn gemm_tn(
     accumulate: bool,
 ) {
     let _t = stats::time_kernel(K_GEMM_TN);
-    let (path, driver) = (kernel_path(), Driver::for_product(m, k, n));
     // SAFETY: `kernel_path` returns a tier only after detecting its CPU
     // features.
-    unsafe { gemm_on(path, driver, a, true, m, k, b, n, out, accumulate) };
+    unsafe { gemm_on(kernel_path(), a, true, m, k, b, n, out, accumulate) };
 }
 
-/// Output rows `i0..` of `a·bᵀ` into `chunk`, portable instantiation:
+/// `a·bᵀ` into `out`, portable instantiation:
 /// `out[i,j] = fold(lanes)` with `lanes[l] = Σ_{p ≡ l mod 8} a[i,p]·b[j,p]`
 /// accumulated as `lanes[l] + x*y` for ascending `p`.
 ///
 /// Both operands are walked contiguously (that is the point of the NT
 /// layout — no transpose is formed, nothing is packed). The eight partial
 /// sums and their fixed pairwise fold are the kernel's defined semantics
-/// ([`crate::reference::chain_matmul_nt`]): deterministic and
-/// thread-count independent, reassociated relative to the naive scalar
-/// chain.
-fn nt_rows_portable(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, chunk: &mut [f32]) {
+/// ([`crate::reference::chain_matmul_nt`]): deterministic, reassociated
+/// relative to the naive scalar chain.
+fn nt_rows_portable(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     const LANES: usize = 8;
-    for (r, orow) in chunk.chunks_mut(n).enumerate() {
-        let arow = &a[(i0 + r) * k..][..k];
+    for (r, orow) in out.chunks_mut(n).enumerate() {
+        let arow = &a[r * k..][..k];
         for (j, o) in orow.iter_mut().enumerate() {
             let brow = &b[j * k..(j + 1) * k];
             let mut lanes = [0.0f32; LANES];
@@ -1110,16 +758,16 @@ fn nt_outputs_fma<const CJ: usize>(arow: &[f32], brows: &[f32], out: &mut [f32])
     }
 }
 
-/// Output rows `i0..` of `a·bᵀ` into `chunk`, AVX2+FMA instantiation
-/// (also the AVX-512 tier's): eight outputs per row at a time through
-/// [`nt_outputs_fma`], the last group as many as are left.
+/// `a·bᵀ` into `out`, AVX2+FMA instantiation (also the AVX-512 tier's):
+/// eight outputs per row at a time through [`nt_outputs_fma`], the last
+/// group as many as are left.
 // SAFETY: safe, bounds-checked body; reached only through `gemm_nt`'s
 // `unsafe` call, made after `fma_kernels_active` detected AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn nt_rows_fma(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, chunk: &mut [f32]) {
-    for (r, orow) in chunk.chunks_mut(n).enumerate() {
-        let arow = &a[(i0 + r) * k..][..k];
+fn nt_rows_fma(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    for (r, orow) in out.chunks_mut(n).enumerate() {
+        let arow = &a[r * k..][..k];
         let mut groups = orow.chunks_exact_mut(8);
         for (g, outs) in (&mut groups).enumerate() {
             nt_outputs_fma::<8>(arow, &b[8 * g * k..][..8 * k], outs);
@@ -1142,9 +790,8 @@ fn nt_rows_fma(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, chunk: &mut 
 
 /// `out = a·bᵀ` for row-major `a: [m,k]`, `b: [n,k]`, `out: [m,n]`.
 ///
-/// Nothing is packed on any tier — both operands are already walked
-/// contiguously — so the sequential and the parallel class run the same
-/// row kernel, the latter over the fixed chunk grid.
+/// Both operands are already walked contiguously, so one row kernel per
+/// tier runs over the whole output.
 ///
 /// # Panics
 /// Panics if an operand's length disagrees with its shape.
@@ -1156,17 +803,14 @@ pub(crate) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     if m == 0 || n == 0 {
         return;
     }
-    let par = is_parallel_class(m.saturating_mul(n).saturating_mul(k));
-    for_row_chunks(out, n, par, |i0, chunk| {
-        #[cfg(target_arch = "x86_64")]
-        if fma_kernels_active() {
-            // SAFETY: `fma_kernels_active` is true only after AVX2 and
-            // FMA were detected at runtime.
-            unsafe { nt_rows_fma(a, b, k, n, i0, chunk) };
-            return;
-        }
-        nt_rows_portable(a, b, k, n, i0, chunk);
-    });
+    #[cfg(target_arch = "x86_64")]
+    if fma_kernels_active() {
+        // SAFETY: `fma_kernels_active` is true only after AVX2 and FMA
+        // were detected at runtime.
+        unsafe { nt_rows_fma(a, b, k, n, out) };
+        return;
+    }
+    nt_rows_portable(a, b, k, n, out);
 }
 
 /// Geometry of one `Conv2d` application (stride 1, symmetric zero padding).
@@ -1198,10 +842,6 @@ impl ConvShape {
         let hi = (self.w + self.pad - kx).min(self.ow);
         (lo.min(hi), hi)
     }
-
-    fn macs(&self) -> usize {
-        self.batch * self.out_c * self.oh * self.ow * self.in_c * self.k * self.k
-    }
 }
 
 /// Blocked Conv2d forward: `out[bi,oc] = bias[oc] + Σ_{ic,ky,kx} w·x`.
@@ -1213,9 +853,7 @@ impl ConvShape {
 /// bit-identical to [`crate::reference::naive_conv2d_forward`].
 pub(crate) fn conv2d_forward(x: &[f32], wgt: &[f32], bias: &[f32], s: &ConvShape, out: &mut [f32]) {
     let _t = stats::time_kernel(K_CONV_FWD);
-    let plane = s.oh * s.ow;
-    let par = s.macs() >= PAR_MAC_THRESHOLD;
-    let run = |plane_idx: usize, oplane: &mut [f32]| {
+    for (plane_idx, oplane) in out.chunks_mut(s.oh * s.ow).enumerate() {
         let (bi, oc) = (plane_idx / s.out_c, plane_idx % s.out_c);
         oplane.fill(bias[oc]);
         for ic in 0..s.in_c {
@@ -1240,27 +878,20 @@ pub(crate) fn conv2d_forward(x: &[f32], wgt: &[f32], bias: &[f32], s: &ConvShape
                 }
             }
         }
-    };
-    if par && max_threads() > 1 {
-        par_chunks_mut(out, plane, |idx, oplane| run(idx, oplane));
-    } else {
-        for (idx, oplane) in out.chunks_mut(plane).enumerate() {
-            run(idx, oplane);
-        }
     }
 }
 
 /// Blocked Conv2d backward.
 ///
-/// Three passes, each with its own parallel axis and its own equivalence
-/// contract against [`crate::reference::naive_conv2d_backward`]:
+/// Three passes, each with its own equivalence contract against
+/// [`crate::reference::naive_conv2d_backward`]:
 ///
-/// - `gb` (sequential, cheap): contributions arrive in the naive
-///   `(bi, oy, ox)` order per channel — **bit-identical**.
-/// - `gw` (parallel over `oc`, disjoint weight slices): the per-row dot
-///   products use 8-lane partial sums, reassociating the naive scalar
-///   chain — **documented tolerance**.
-/// - `gx` (parallel over `bi`, disjoint input planes): contiguous axpy
+/// - `gb`: contributions arrive in the naive `(bi, oy, ox)` order per
+///   channel — **bit-identical**.
+/// - `gw` (one `oc` weight slice at a time): the per-row dot products use
+///   8-lane partial sums, reassociating the naive scalar chain —
+///   **documented tolerance**.
+/// - `gx` (one batch element's input planes at a time): contiguous axpy
 ///   rows; tap order per input element differs from the naive loop nest —
 ///   **documented tolerance**.
 pub(crate) fn conv2d_backward(
@@ -1274,7 +905,6 @@ pub(crate) fn conv2d_backward(
 ) {
     let _t = stats::time_kernel(K_CONV_BWD);
     let oplane = s.oh * s.ow;
-    let par = s.macs() >= PAR_MAC_THRESHOLD && max_threads() > 1;
 
     // Pass 1: bias gradient, naive accumulation order per channel.
     for bi in 0..s.batch {
@@ -1287,8 +917,7 @@ pub(crate) fn conv2d_backward(
     }
 
     // Pass 2: weight gradient — each `oc` owns a disjoint `gw` slice.
-    let wslice = s.in_c * s.k * s.k;
-    let gw_pass = |oc: usize, gwo: &mut [f32]| {
+    for (oc, gwo) in gw.chunks_mut(s.in_c * s.k * s.k).enumerate() {
         for bi in 0..s.batch {
             let gplane = &g[(bi * s.out_c + oc) * oplane..][..oplane];
             for ic in 0..s.in_c {
@@ -1326,18 +955,10 @@ pub(crate) fn conv2d_backward(
                 }
             }
         }
-    };
-    if par {
-        par_chunks_mut(gw, wslice, gw_pass);
-    } else {
-        for (oc, gwo) in gw.chunks_mut(wslice).enumerate() {
-            gw_pass(oc, gwo);
-        }
     }
 
     // Pass 3: input gradient — each batch element owns a disjoint plane.
-    let xvol = s.in_c * s.h * s.w;
-    let gx_pass = |bi: usize, gxb: &mut [f32]| {
+    for (bi, gxb) in gx.chunks_mut(s.in_c * s.h * s.w).enumerate() {
         for oc in 0..s.out_c {
             let gplane = &g[(bi * s.out_c + oc) * oplane..][..oplane];
             for ic in 0..s.in_c {
@@ -1363,13 +984,6 @@ pub(crate) fn conv2d_backward(
                 }
             }
         }
-    };
-    if par {
-        par_chunks_mut(gx, xvol, gx_pass);
-    } else {
-        for (bi, gxb) in gx.chunks_mut(xvol).enumerate() {
-            gx_pass(bi, gxb);
-        }
     }
 }
 
@@ -1378,13 +992,6 @@ mod tests {
     use super::*;
     use crate::reference;
     use ecofl_util::Rng;
-
-    #[test]
-    fn chunk_size_is_common_tile_multiple() {
-        assert_eq!(ROWS_PER_CHUNK % MR_FMA, 0);
-        assert_eq!(ROWS_PER_CHUNK % MR_AVX512, 0);
-        assert_eq!(ROWS_PER_CHUNK % MR_PORTABLE, 0);
-    }
 
     #[test]
     fn gemm_known_values() {
@@ -1472,7 +1079,7 @@ mod tests {
     const NS: [usize; 11] = [1, 7, 10, 15, 16, 17, 31, 32, 33, 64, 65];
 
     #[test]
-    fn both_drivers_match_the_scalar_chain_on_every_host_tier() {
+    fn gemm_matches_the_scalar_chain_on_every_host_tier() {
         let mut rng = Rng::new(0xD1_5EC7);
         for (&m, &k, &n) in MS
             .iter()
@@ -1491,25 +1098,19 @@ mod tests {
                     } else {
                         reference::chain_matmul(&a, &b, m, k, n, fused)
                     };
-                    for driver in [Driver::Direct, Driver::Packed] {
-                        for accumulate in [false, true] {
-                            let want: Vec<f32> = if accumulate {
-                                prior.iter().zip(&chain).map(|(o, c)| o + c).collect()
-                            } else {
-                                chain.clone()
-                            };
-                            let mut out = prior.clone();
-                            // SAFETY: `host_paths` lists detected tiers only.
-                            unsafe {
-                                gemm_on(
-                                    path, driver, &a, transposed, m, k, &b, n, &mut out, accumulate,
-                                );
-                            }
-                            let what = format!(
-                                "{path:?}/{driver:?} t={transposed} acc={accumulate} {m}x{k}x{n}"
-                            );
-                            assert_bits(&out, &want, &what);
+                    for accumulate in [false, true] {
+                        let want: Vec<f32> = if accumulate {
+                            prior.iter().zip(&chain).map(|(o, c)| o + c).collect()
+                        } else {
+                            chain.clone()
+                        };
+                        let mut out = prior.clone();
+                        // SAFETY: `host_paths` lists detected tiers only.
+                        unsafe {
+                            gemm_on(path, &a, transposed, m, k, &b, n, &mut out, accumulate);
                         }
+                        let what = format!("{path:?} t={transposed} acc={accumulate} {m}x{k}x{n}");
+                        assert_bits(&out, &want, &what);
                     }
                 }
             }
@@ -1527,14 +1128,14 @@ mod tests {
             let a = operand(m * k, k, &mut rng);
             let b = operand(n * k, 0, &mut rng);
             let mut out = vec![f32::NAN; m * n];
-            nt_rows_portable(&a, &b, k, n, 0, &mut out);
+            nt_rows_portable(&a, &b, k, n, &mut out);
             let chain = reference::chain_matmul_nt(&a, &b, m, k, n, false);
             assert_bits(&out, &chain, &format!("portable nt {m}x{k}x{n}"));
             #[cfg(target_arch = "x86_64")]
             if host_paths().contains(&KernelPath::Fma) {
                 out.fill(f32::NAN);
                 // SAFETY: AVX2 and FMA were detected by `host_paths`.
-                unsafe { nt_rows_fma(&a, &b, k, n, 0, &mut out) };
+                unsafe { nt_rows_fma(&a, &b, k, n, &mut out) };
                 let chain = reference::chain_matmul_nt(&a, &b, m, k, n, true);
                 assert_bits(&out, &chain, &format!("fma nt {m}x{k}x{n}"));
             }
@@ -1546,7 +1147,7 @@ mod tests {
     }
 
     #[test]
-    fn a_fused_chain_from_zero_can_reach_negative_zero_and_every_driver_agrees() {
+    fn a_fused_chain_from_zero_can_reach_negative_zero_on_every_host_tier() {
         // 1e-30 · −1e-30 underflows: fused, `fma(x, y, +0.0)` rounds the
         // exact product to −0.0; in two steps the product is already −0.0
         // and `+0.0 + −0.0` is +0.0. NT: depth 9 reaches lane 0 twice and
@@ -1554,28 +1155,13 @@ mod tests {
         // of a tail would turn the −0.0 lanes into +0.0.
         for path in host_paths() {
             let fused = path != KernelPath::Portable;
-            for driver in [Driver::Direct, Driver::Packed] {
-                let mut out = [1.0f32];
-                // SAFETY: `host_paths` lists detected tiers only.
-                unsafe {
-                    gemm_on(
-                        path,
-                        driver,
-                        &[1e-30],
-                        false,
-                        1,
-                        1,
-                        &[-1e-30],
-                        1,
-                        &mut out,
-                        false,
-                    )
-                };
-                assert_eq!(
-                    out[0].to_bits(),
-                    if fused { (-0.0f32).to_bits() } else { 0 }
-                );
-            }
+            let mut out = [1.0f32];
+            // SAFETY: `host_paths` lists detected tiers only.
+            unsafe { gemm_on(path, &[1e-30], false, 1, 1, &[-1e-30], 1, &mut out, false) };
+            assert_eq!(
+                out[0].to_bits(),
+                if fused { (-0.0f32).to_bits() } else { 0 }
+            );
         }
         let a = [1e-30f32; 9];
         let b = [-1e-30f32; 9];
@@ -1596,11 +1182,11 @@ mod tests {
     fn row_tiles_cover_every_row_once_in_even_tiles() {
         for m in 0..=40 {
             let tiles: Vec<_> = row_tiles(m).collect();
-            assert_eq!(tiles.len(), m.div_ceil(MR_DIRECT));
+            assert_eq!(tiles.len(), m.div_ceil(MR));
             let mut next = 0;
             for &(first, rows) in &tiles {
                 assert_eq!(first, next);
-                assert!((1..=MR_DIRECT).contains(&rows));
+                assert!((1..=MR).contains(&rows));
                 next += rows;
             }
             assert_eq!(next, m);
@@ -1611,26 +1197,17 @@ mod tests {
     }
 
     #[test]
-    fn the_size_rule_is_the_parallel_threshold() {
-        assert_eq!(Driver::for_product(10, 32, 64), Driver::Direct);
-        assert_eq!(Driver::for_product(128, 128, 128), Driver::Direct);
-        assert_eq!(Driver::for_product(256, 256, 256), Driver::Packed);
-        assert_eq!(Driver::for_product(1 << 11, 1 << 11, 1), Driver::Packed);
-        assert_eq!(
-            Driver::for_product(1 << 11, (1 << 11) - 1, 1),
-            Driver::Direct
-        );
-        assert_eq!(Driver::for_product(usize::MAX, 2, 2), Driver::Packed);
-    }
-
-    #[test]
     fn empty_depth_is_a_positive_zero_sum() {
-        let mut out = [3.0f32, -0.0];
-        gemm(&[], &[], &mut out, 2, 0, 1);
-        assert_eq!(out.map(f32::to_bits), [0, 0]);
-        let mut out = [3.0f32, -0.0];
-        gemm_tn(&[], &[], &mut out, 0, 2, 1, true);
-        assert_eq!(out.map(f32::to_bits), [3.0f32.to_bits(), 0]);
+        for path in host_paths() {
+            let mut out = [3.0f32, -0.0];
+            // SAFETY: `host_paths` lists detected tiers only.
+            unsafe { gemm_on(path, &[], false, 2, 0, &[], 1, &mut out, false) };
+            assert_eq!(out.map(f32::to_bits), [0, 0], "{path:?}");
+            let mut out = [3.0f32, -0.0];
+            // SAFETY: as above.
+            unsafe { gemm_on(path, &[], true, 2, 0, &[], 1, &mut out, true) };
+            assert_eq!(out.map(f32::to_bits), [3.0f32.to_bits(), 0], "{path:?}");
+        }
         let mut out = [3.0f32, -0.0];
         gemm_nt(&[], &[], &mut out, 2, 0, 1);
         assert_eq!(out.map(f32::to_bits), [0, 0]);

@@ -16,16 +16,17 @@
 //!   term `µ/2·‖w − w_global‖²` used by Eco-FL's intra-group solver (§5.1).
 //!
 //! The compute core lives in [`kernel`]: register-tiled matmul/conv kernels
-//! with runtime AVX-512/AVX2+FMA dispatch — pack-free direct tiles for the
-//! L1-sized products of FL training, packed panels on a fixed chunk grid
-//! for products large enough to go parallel (results are bit-identical
-//! across `ECOFL_THREADS=1/2/8`). The naive triple loops they replaced are
-//! retained in [`mod@reference`] next to the scalar chains the kernels are
-//! specified by; `tests/kernel_equivalence.rs` proves every GEMM
-//! bit-identical to its tier's chain and within the documented tolerance
-//! of the naive loop (see DESIGN.md §7, "Kernel tiling and the tolerance
-//! policy"). Layers pass tensors by value and recycle their buffers, so a
-//! steady-state training step allocates nothing (DESIGN.md §6 item 8).
+//! with runtime AVX-512/AVX2+FMA dispatch — one pack-free driver per tier,
+//! sized for the L1-resident products of FL training, always on the
+//! calling thread (parallelism is across clients, one level up, so no
+//! result here can depend on `ECOFL_THREADS`). The naive triple loops they
+//! replaced are retained in [`mod@reference`] next to the scalar chains
+//! the kernels are specified by; `tests/kernel_equivalence.rs` proves
+//! every GEMM bit-identical to its tier's chain and within the documented
+//! tolerance of the naive loop (see DESIGN.md §7, "Kernel tiling and the
+//! tolerance policy"). Layers pass tensors by value and recycle their
+//! buffers, so a steady-state training step allocates nothing (DESIGN.md
+//! §6 item 8).
 
 pub mod kernel;
 pub mod layers;

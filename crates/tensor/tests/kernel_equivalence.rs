@@ -3,7 +3,7 @@
 //!
 //! The equivalence contract (DESIGN.md §7):
 //!
-//! | kernel                  | every tier, both drivers                     |
+//! | kernel                  | every tier                                   |
 //! |-------------------------|----------------------------------------------|
 //! | `matmul`, `matmul_tn`   | bit-identical to `chain_matmul{,_tn}`        |
 //! | `matmul_tn_acc`         | bit-identical to `prior + chain_matmul_tn`   |
@@ -21,12 +21,12 @@
 //! rounding. That bound is asserted too, so the chains cannot drift from
 //! the textbook product.
 //!
-//! This file drives the public `Tensor` API, which picks the driver from
-//! the product's size: the sweep below is the direct (sequential) class,
-//! `parallel_class_products_match_the_chain_bitwise` the packed one. The
-//! unit tests in `kernel.rs` run *both* drivers on *every* tier the host
-//! supports over the same sizes. `CI` runs this suite at
-//! `ECOFL_THREADS=1/2/8` and under `ECOFL_PORTABLE_KERNELS=1`.
+//! This file drives the public `Tensor` API on the tier the process
+//! selected: the sweep below covers the tile edges at the sizes the shipped
+//! models issue, `large_products_match_their_chains_bitwise` the same tiles at
+//! ≥ 2²² multiply-accumulates. The unit tests in `kernel.rs` run *every*
+//! tier the host supports over the same sizes. CI runs this suite on the
+//! host tier and under `ECOFL_PORTABLE_KERNELS=1`.
 
 use ecofl_compat::check::{any_u64, forall, pair, quad, triple, usize_in};
 use ecofl_tensor::kernel::fma_kernels_active;
@@ -35,9 +35,9 @@ use ecofl_util::Rng;
 
 const CASES: usize = 48;
 
-/// Row counts either side of the 5/6-row direct tiles and the 24-row
-/// packed chunk, depths around the 8-lane NT chunk, widths around the 16-,
-/// 32- and 64-column strips of the three tiers.
+/// Row counts either side of the 5/6-row tiles, depths around the 8-lane
+/// NT chunk, widths around the 8-, 16- and 64-column strips of the three
+/// tiers.
 const MS: [usize; 7] = [1, 5, 7, 10, 23, 24, 25];
 const KS: [usize; 7] = [1, 7, 8, 9, 10, 32, 64];
 const NS: [usize; 11] = [1, 7, 10, 15, 16, 17, 31, 32, 33, 64, 65];
@@ -170,57 +170,19 @@ fn products_match_their_chains_bitwise_on_random_shapes() {
     );
 }
 
-/// At or above 2²² multiply-accumulates the packed, 24-row-chunked driver
-/// runs (over the worker pool when `ECOFL_THREADS > 1`): the same chains,
-/// bit for bit, with ragged last chunks, tiles and strips.
+/// Products far larger than anything a shipped model issues (each
+/// ≥ 2²² multiply-accumulates, operands well past L1): the same chains,
+/// bit for bit, with ragged row tiles and column strips.
 #[test]
-fn parallel_class_products_match_the_chain_bitwise() {
-    let fused = fma_kernels_active();
-    for (m, k, n) in [(25, 520, 323), (49, 300, 290), (170, 165, 150)] {
-        assert!(m * k * n >= 1 << 22, "{m}x{k}x{n} must be parallel class");
-        let mut rng = Rng::new((m * k + n) as u64);
-        let a = operand(m * k, k, &mut rng);
-        let b = operand(k * n, n, &mut rng);
-        let bt = operand(n * k, 0, &mut rng);
-        let prior = operand(m * n, 0, &mut rng);
-        let what = format!("{m}x{k}x{n}");
-
-        let nn = Tensor::from_vec(a.clone(), &[m, k]).matmul(&Tensor::from_vec(b.clone(), &[k, n]));
-        let chain = reference::chain_matmul(&a, &b, m, k, n, fused);
-        assert_bits(nn.data(), &chain, &format!("packed matmul {what}"));
-
-        let mut acc = Tensor::from_vec(prior.clone(), &[m, n]);
-        Tensor::from_vec(a.clone(), &[k, m])
-            .matmul_tn_acc(&Tensor::from_vec(b.clone(), &[k, n]), &mut acc);
-        let chain = reference::chain_matmul_tn(&a, &b, k, m, n, fused);
-        let want: Vec<f32> = prior.iter().zip(&chain).map(|(o, c)| o + c).collect();
-        assert_bits(acc.data(), &want, &format!("packed matmul_tn_acc {what}"));
-
-        let nt =
-            Tensor::from_vec(a.clone(), &[m, k]).matmul_nt(&Tensor::from_vec(bt.clone(), &[n, k]));
-        let chain = reference::chain_matmul_nt(&a, &bt, m, k, n, fused);
-        assert_bits(nt.data(), &chain, &format!("chunked matmul_nt {what}"));
-    }
-}
-
-/// The chunk grid is a pure function of the output shape, so a matmul
-/// large enough to take the parallel path must produce, row range by row
-/// range, exactly the bits of the small sequential matmuls over the same
-/// 24-row slices — at any `ECOFL_THREADS`, and although the slices run the
-/// direct driver and the whole the packed one.
-#[test]
-fn parallel_chunks_match_sequential_slices_bitwise() {
-    const CHUNK: usize = 24; // ROWS_PER_CHUNK
-    let (m, k, n) = (48, 512, 256); // m·k·n exceeds the parallel threshold
-    let mut rng = Rng::new(99);
-    let a = Tensor::from_vec(randv(m * k, &mut rng), &[m, k]);
-    let b = Tensor::from_vec(randv(k * n, &mut rng), &[k, n]);
-    let whole = a.matmul(&b);
-    for (ci, arows) in a.data().chunks(CHUNK * k).enumerate() {
-        let rows = arows.len() / k;
-        let part = Tensor::from_vec(arows.to_vec(), &[rows, k]).matmul(&b);
-        let wrows = &whole.data()[ci * CHUNK * n..ci * CHUNK * n + rows * n];
-        assert_bits(part.data(), wrows, "parallel chunk");
+fn large_products_match_their_chains_bitwise() {
+    for (m, k, n) in [
+        (48, 512, 256),
+        (25, 520, 323),
+        (49, 300, 290),
+        (170, 165, 150),
+    ] {
+        assert!(m * k * n >= 1 << 22, "{m}x{k}x{n} must be a large product");
+        check_products((m * k + n) as u64, m, k, n);
     }
 }
 

@@ -116,8 +116,8 @@ fi
 
 # The FL training step must stay in the trajectory: the whole
 # `local_train` call, one steady-state step of it, and the three
-# L1-resident products of the MLP's widest layer (direct driver) next to
-# the 64² cases and the parallel-class 256² product (packed driver).
+# L1-resident products of the MLP's widest layer next to the 64² cases
+# and a 256² product far past any shipped model's (same pack-free tiles).
 for case in local_train_60samples_3epochs train_step_mlp_b10 matmul_10x32x64 \
     matmul_tn_10x32x64 matmul_nt_10x64x32 matmul_64x64 matmul_256x256; do
     if ! grep -q "\"$case\"" "$out_dir/BENCH_micro.json"; then

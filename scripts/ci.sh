@@ -67,9 +67,12 @@ if [ "$covered_metrics" -ne 1 ]; then
 fi
 echo "    ok"
 
-# Surface ledger: the two numbers the ROADMAP tracks downward, and a
-# guard that the run / run_traced / run_metered twins and the second
-# event-queue backend (folded into `Obs` and deleted by PR 16) stay gone.
+# Surface ledger: the two numbers the ROADMAP tracks downward, ratcheted
+# against scripts/ledger.txt (a PR that must grow one raises the committed
+# number in the same diff, where a reviewer sees it; one that shrinks it
+# lowers the number so the gain is kept), and a guard that the run /
+# run_traced / run_metered twins and the second event-queue backend
+# (folded into `Obs` and deleted by PR 16) stay gone.
 echo "==> surface ledger"
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 prelude_exports=$(sed -e 's://.*::' crates/core/src/prelude.rs | tr -d '\n' |
@@ -77,6 +80,20 @@ prelude_exports=$(sed -e 's://.*::' crates/core/src/prelude.rs | tr -d '\n' |
     tr ',' '\n' | grep -cE '[A-Za-z0-9_]')
 echo "    $rust_lines Rust lines under crates/ src/ tests/ examples/"
 echo "    $prelude_exports names exported by ecofl_core::prelude"
+ratchet() {
+    local committed
+    committed=$(awk -v name="$1" '$1 == name { print $2 }' scripts/ledger.txt)
+    if ! [ "$committed" -ge 0 ] 2>/dev/null; then
+        echo "ERROR: scripts/ledger.txt has no number for $1." >&2
+        exit 1
+    fi
+    if [ "$2" -gt "$committed" ]; then
+        echo "ERROR: $1 is $2, above the $committed committed in scripts/ledger.txt — shrink the change or raise the number on purpose." >&2
+        exit 1
+    fi
+}
+ratchet rust_lines "$rust_lines"
+ratchet prelude_exports "$prelude_exports"
 twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
     echo "ERROR: a folded twin entry point is back — observation goes through ecofl_obs::Obs." >&2
@@ -102,6 +119,17 @@ for entry in train_step local_train; do
 done
 if grep -rnE --include='*.rs' '(struct|enum) +(Fused|Fast)[A-Za-z0-9]*(Mlp|Net|Network|Trainer)\b' crates/*/src src; then
     echo "ERROR: a second trainer type is back — Network is the one trainer for every ModelArch." >&2
+    exit 1
+fi
+# No threads inside a kernel: the cohort `par_map` is the one place the
+# workspace spawns compute threads (ROADMAP "Parked" says what would bring
+# a threaded GEMM driver back).
+if grep -rnE 'compat::par|max_threads' crates/tensor; then
+    echo "ERROR: crates/tensor reaches for the worker pool — kernels run on the calling thread." >&2
+    exit 1
+fi
+if grep -rn --include='*.rs' 'par_chunks_mut' crates src; then
+    echo "ERROR: par_chunks_mut is back — parallelism is across clients (par_map), not inside a kernel." >&2
     exit 1
 fi
 
@@ -226,18 +254,17 @@ for schedule in gpipe async interleaved zb; do
 done
 echo "    ok (14 plans byte-identical at every pool width)"
 
-# Kernel-equivalence gate: both GEMM drivers must be bit-identical to the
-# tier's scalar chain (DESIGN.md §7), and the training step built on them
-# bit-identical to the allocating oracle and to the parent binary. Four
-# configurations: swept across thread counts because the fixed 24-row
-# chunk grid is what makes parallel results bit-identical, and once under
-# ECOFL_PORTABLE_KERNELS=1 to prove the claim independently of the host's
-# SIMD tier. Each runs, optimized: the kernel unit tests (every driver on
-# every tier the host supports; the operand-length `should_panic`s, which
-# must hold without debug assertions), the public-API sweep, the
+# Kernel-equivalence gate: every GEMM must be bit-identical to its tier's
+# scalar chain (DESIGN.md §7), and the training step built on them
+# bit-identical to the allocating oracle and to the parent binary. Two
+# configurations — the host's SIMD tier, and ECOFL_PORTABLE_KERNELS=1 to
+# prove the claim independently of it; the kernels are sequential, so
+# there is no thread count to sweep. Each runs, optimized: the kernel unit
+# tests (every tier the host supports; the operand-length `should_panic`s,
+# which must hold without debug assertions), the public-API sweep, the
 # `train_step` differential against tests/oracle, the 486-call
 # `local_train` fingerprint, and the allocations-per-step bound.
-echo "==> kernel-equivalence gate: kernel tests, train_step oracle, fingerprint, allocation bound at ECOFL_THREADS=1/2/8 + portable"
+echo "==> kernel-equivalence gate: kernel tests, train_step oracle, fingerprint, allocation bound on the host tier + portable"
 kernel_gate() {
     cargo test -q --release --offline -p ecofl-tensor --lib kernel::tests
     cargo test -q --release --offline -p ecofl-tensor \
@@ -245,17 +272,15 @@ kernel_gate() {
     cargo test -q --release --offline -p ecofl-fl \
         --test train_fingerprint --test alloc_bound
 }
-for threads in 1 2 8; do
-    echo "    ECOFL_THREADS=$threads"
-    ECOFL_THREADS=$threads kernel_gate
-done
+echo "    host tier"
+kernel_gate
 echo "    ECOFL_PORTABLE_KERNELS=1"
 ECOFL_PORTABLE_KERNELS=1 kernel_gate
 
 # Metrics-perturbation gate: attaching a MetricsHub must leave FL run
 # results, executor reports/traces and threaded-runtime parameters
 # bit-identical to a detached run. Swept across pool widths because the
-# guarantee must hold regardless of kernel parallelism; watchdogged
+# guarantee must hold regardless of the cohort fan-out width; watchdogged
 # because the suite drives the threaded runtime.
 echo "==> metrics-perturbation gate: --test metrics_perturbation at ECOFL_THREADS=1/2/8 (watchdog 300s)"
 for threads in 1 2 8; do
