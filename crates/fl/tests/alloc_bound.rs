@@ -93,9 +93,6 @@ fn allocations(batch_size: usize, epochs: usize) -> usize {
 fn a_steady_state_sgd_step_allocates_next_to_nothing() {
     // Batch 10 divides the 60 samples; batch 7 ends every epoch on a
     // ragged batch of 4, which must resize the buffers, not replace them.
-    // Once-per-process work (reading `ECOFL_PORTABLE_KERNELS` into the
-    // kernel tier allocates an `OsString`) stays out of the counts.
-    let _ = allocations(10, 1);
     for batch_size in [10, 7] {
         let [one, three, thirteen] = [1, 3, 13].map(|e| allocations(batch_size, e));
         let steps_per_epoch = SAMPLES.div_ceil(batch_size);

@@ -9,17 +9,16 @@
 //!
 //! Two checks:
 //!
-//! - **every tier**: the same sweep through the differential oracle
-//!   (`ecofl-tensor`'s `tests/oracle`: the allocation-per-op `Linear` /
-//!   `ReLU` / loss / flat-`Sgd` step this code replaced, on the same
-//!   kernels) hashes to the same value;
+//! - **against the oracle**: the same sweep through the differential
+//!   oracle (`ecofl-tensor`'s `tests/oracle`: the allocation-per-op
+//!   `Linear` / `ReLU` / loss / flat-`Sgd` step this code replaced, on the
+//!   same kernels) hashes to the same value;
 //! - **against the parent binary**: the hash equals the constant captured
-//!   from the commit before the rewrite (87dac46) — one for the portable
-//!   tier (`ECOFL_PORTABLE_KERNELS=1`, or a host without AVX2+FMA), one for
-//!   the fused tiers (AVX2+FMA and AVX-512 compute the same `mul_add`
-//!   chain, so they share it). The arithmetic is IEEE exact everywhere,
-//!   but the loss head's `exp` / `ln` are the platform libm's, so the
-//!   constants are checked on x86-64 Linux only.
+//!   from the commit before the rewrite (87dac46) on a fused-kernel host.
+//!   Every kernel tier computes the same `mul_add` chain, so the one
+//!   constant holds whatever the CPU. The arithmetic is IEEE exact
+//!   everywhere, but the loss head's `exp` / `ln` are the platform libm's,
+//!   so the constant is checked on x86-64 Linux only.
 
 #[path = "../../tensor/tests/oracle/mod.rs"]
 mod oracle;
@@ -27,11 +26,9 @@ mod oracle;
 use ecofl_data::{Dataset, SyntheticSpec};
 use ecofl_fl::client::{local_train, LocalTrainConfig};
 use ecofl_models::ModelArch;
-use ecofl_tensor::kernel::fma_kernels_active;
 use ecofl_util::Rng;
 
-/// Fingerprints of the sweep captured from commit 87dac46's binary.
-const PORTABLE_FINGERPRINT: u64 = 0xc1a3_a2c8_bda2_fed2;
+/// Fingerprint of the sweep captured from commit 87dac46's binary.
 const FUSED_FINGERPRINT: u64 = 0xb5a1_3c7c_185f_03c4;
 const CALLS: usize = 486;
 
@@ -184,20 +181,11 @@ fn local_train_fingerprint_matches_the_oracle_and_the_parent_binary() {
         "local_train diverged from the allocation-per-op oracle step: {:016x} vs {:016x}",
         got.hash, want.hash
     );
-    println!(
-        "fingerprint {:016x} (fused: {})",
-        got.hash,
-        fma_kernels_active()
-    );
+    println!("fingerprint {:016x}", got.hash);
     if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-        let pinned = if fma_kernels_active() {
-            FUSED_FINGERPRINT
-        } else {
-            PORTABLE_FINGERPRINT
-        };
         assert_eq!(
-            got.hash, pinned,
-            "weights no longer match the pre-rewrite binary: {:016x} vs {pinned:016x}",
+            got.hash, FUSED_FINGERPRINT,
+            "weights no longer match the pre-rewrite binary: {:016x} vs {FUSED_FINGERPRINT:016x}",
             got.hash
         );
     }

@@ -12,7 +12,8 @@
 //!   among the parameters);
 //! - `fixtures/parent_store/`: the run store a two-stage trainer with
 //!   `RuntimeOptions::store_path` left behind after its launch checkpoint
-//!   and two sync-rounds, on a host with the fused kernel tier.
+//!   and two sync-rounds (on a fused-kernel host; every tier computes
+//!   that chain, so the bytes are the same on any CPU).
 //!
 //! Beside them, the decoder's length arithmetic: a bit-flipped header may
 //! claim any count, and the answer is a typed error, not a panic.
@@ -24,7 +25,6 @@ use ecofl_pipeline::runtime::{
     load_checkpoint_at_or_before, stored_checkpoints, CheckpointRecord, PipelineTrainer,
     RuntimeOptions, SegmentFactory,
 };
-use ecofl_tensor::kernel::fma_kernels_active;
 use ecofl_tensor::{Layer, Linear, ReLU, Tensor};
 use ecofl_util::Rng;
 use std::path::{Path, PathBuf};
@@ -195,9 +195,8 @@ fn a_store_written_by_the_parent_reads_back_recovers_and_is_what_this_build_writ
         assert_eq!(&record.encode(), payload, "re-encoding moved a byte");
     }
 
-    // The same run on this build leaves the same sequence behind. Rounds
-    // go through the GEMM tier, so past the launch checkpoint the bytes
-    // are the fixture's only on the tier it was written on.
+    // The same run on this build leaves the same sequence behind, byte
+    // for byte, whatever GEMM tier the rounds went through.
     let fresh = temp_dir("fresh");
     let mut trainer = launch_into(&fresh);
     for round in 0..2 {
@@ -207,9 +206,7 @@ fn a_store_written_by_the_parent_reads_back_recovers_and_is_what_this_build_writ
     let ours = checkpoint_sequence(&fresh);
     assert_eq!(ours.len(), theirs.len());
     assert_eq!(ours[0], theirs[0], "launch checkpoint");
-    if fma_kernels_active() {
-        assert_eq!(ours, theirs, "post-round checkpoints");
-    }
+    assert_eq!(ours, theirs, "post-round checkpoints");
 
     // A trainer launched on the parent's store numbers on from it, and
     // the parent's newest snapshot restores into it.

@@ -11,8 +11,7 @@
 //! This crate is deliberately payload-agnostic: a block is `&[u8]` plus
 //! a [`BlockSummary`]. The typed layer — trace records, checkpoint
 //! records, query predicates — lives in `ecofl-obs::store`, which keeps
-//! the dependency arrow pointing one way (`obs` → `store`) while the
-//! sink shims stay in `obs`.
+//! the dependency arrow pointing one way (`obs` → `store`).
 //!
 //! ## File layout
 //!

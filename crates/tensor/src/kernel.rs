@@ -20,31 +20,33 @@
 //!
 //! # SIMD tiers and the bit-identity contract
 //!
-//! Three instantiations of the driver exist, selected once per process:
+//! Three instantiations of the driver exist, selected once per process
+//! from the CPU's features:
 //!
-//! - **portable**: `acc + a*b`, autovectorized,
-//! - **AVX2+FMA**: `f32::mul_add`, compiled with
+//! - **portable**: scalar `f32::mul_add` (IEEE `fusedMultiplyAdd`),
+//! - **AVX2+FMA**: the same body compiled with
 //!   `#[target_feature(enable = "avx2", enable = "fma")]`,
 //! - **AVX-512**: explicit `_mm512_fmadd_ps` tiles held in zmm registers.
 //!
-//! On every tier one output element of `a·b` / `aᵀ·b` is the same scalar
-//! chain: `acc = 0`, then `acc = madd(a_p, b_p, acc)` for ascending `p`,
-//! then `out = acc` (or `out = out + acc` when accumulating). `a·bᵀ` keeps
-//! eight partial sums (lane `l` takes `p ≡ l mod 8`) folded as
+//! They differ only in *where* an element is computed. One output element
+//! of `a·b` / `aᵀ·b` is the same scalar chain on every tier: `acc = 0`,
+//! then `acc = a_p.mul_add(b_p, acc)` for ascending `p`, then `out = acc`
+//! (or `out = out + acc` when accumulating). `a·bᵀ` keeps eight partial
+//! sums (lane `l` takes `p ≡ l mod 8`) folded as
 //! `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`; lanes a short depth never
-//! reaches are left untouched rather than fed `madd(0, 0, ·)`, which would
-//! turn a `-0.0` lane into `+0.0`. Tiling only decides *where* an element
-//! is computed, never the order of its operations, so every tier is
-//! **bit-identical** to its scalar chain in [`crate::reference`]
-//! (`chain_matmul*`) — `tests/kernel_equivalence.rs` and the unit tests
-//! below assert `to_bits` equality. Against the plain-`mul`+`add` naive
-//! references the portable tier is therefore exact and the FMA tiers
-//! differ by at most `2·k·ε` relative to the absolute-value inner product
-//! (each fused step skips one intermediate rounding).
+//! reaches are left untouched rather than fed `fma(0, 0, ·)`, which would
+//! turn a `-0.0` lane into `+0.0`. So every tier — and therefore every
+//! host — is **bit-identical** to the one scalar chain in
+//! [`crate::reference`] (`chain_matmul*`); `tests/kernel_equivalence.rs`
+//! and the unit tests below assert `to_bits` equality. Against the
+//! textbook `mul`+`add` loops (`naive_*`) the chain differs by at most
+//! `2·k·ε` relative to the absolute-value inner product (each fused step
+//! skips one intermediate rounding).
 //!
-//! On a given machine the tier is constant, so runs remain deterministic;
-//! `ECOFL_PORTABLE_KERNELS=1` forces the portable tier (used by CI to
-//! prove the exact-equality claim on any host).
+//! The price of one arithmetic is paid by the portable tier on x86-64
+//! without AVX2+FMA, where `mul_add` is a libm `fmaf` call per
+//! multiply-accumulate (≈ 10× the old `mul`+`add` tier on a whole `ecofl
+//! fl` run; DESIGN.md §7). aarch64 has `fmadd` natively.
 
 use std::sync::OnceLock;
 
@@ -61,8 +63,7 @@ const NR_AVX512: usize = 64;
 /// Which kernel instantiation runtime dispatch selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KernelPath {
-    /// Plain `mul`+`add`, tiles up to 6×8 — bit-identical to the naive
-    /// references on every machine.
+    /// Scalar `mul_add`, tiles up to 6×8 — any CPU.
     Portable,
     /// AVX2 + FMA, tiles up to 6×16.
     Fma,
@@ -73,9 +74,6 @@ enum KernelPath {
 fn kernel_path() -> KernelPath {
     static PATH: OnceLock<KernelPath> = OnceLock::new();
     *PATH.get_or_init(|| {
-        if std::env::var_os("ECOFL_PORTABLE_KERNELS").is_some_and(|v| v == "1") {
-            return KernelPath::Portable;
-        }
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2")
@@ -91,18 +89,6 @@ fn kernel_path() -> KernelPath {
         }
         KernelPath::Portable
     })
-}
-
-/// Whether runtime dispatch selected a fused-multiply-add kernel
-/// (AVX2+FMA or AVX-512) instead of the portable path.
-///
-/// Constant for the lifetime of the process: the decision depends only on
-/// CPU features and the `ECOFL_PORTABLE_KERNELS` environment variable read
-/// once. When `false`, every kernel in this module is bit-identical to the
-/// naive references in [`crate::reference`].
-#[must_use]
-pub fn fma_kernels_active() -> bool {
-    kernel_path() != KernelPath::Portable
 }
 
 /// Human-readable name of the selected dispatch path.
@@ -299,7 +285,7 @@ macro_rules! for_tile_rows {
 }
 
 /// One `R×cb` output tile of the portable / AVX2 instantiations, read
-/// straight from the operands: `acc[r][j] = madd(a[ib+r, p], b[p, jb+j],
+/// straight from the operands: `acc[r][j] = a[ib+r, p].mul_add(b[p, jb+j],
 /// acc[r][j])` for ascending `p` from zero, then stored (or added onto
 /// `out`). A full-width strip (`cb == NR`) runs fixed-trip loops the
 /// compiler keeps in vector registers; the column tail runs the same
@@ -307,7 +293,6 @@ macro_rules! for_tile_rows {
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile<const R: usize, const NR: usize>(
-    madd: impl Fn(f32, f32, f32) -> f32 + Copy,
     asrc: ASrc<'_>,
     ib: usize,
     k: usize,
@@ -329,7 +314,7 @@ fn tile<const R: usize, const NR: usize>(
             for (r, accr) in acc.iter_mut().enumerate() {
                 let a_rp = a[r * row_stride + p * depth_stride];
                 for j in 0..NR {
-                    accr[j] = madd(a_rp, brow[j], accr[j]);
+                    accr[j] = a_rp.mul_add(brow[j], accr[j]);
                 }
             }
         }
@@ -339,7 +324,7 @@ fn tile<const R: usize, const NR: usize>(
             for (r, accr) in acc.iter_mut().enumerate() {
                 let a_rp = a[r * row_stride + p * depth_stride];
                 for (c, &b_pj) in accr.iter_mut().zip(brow) {
-                    *c = madd(a_rp, b_pj, *c);
+                    *c = a_rp.mul_add(b_pj, *c);
                 }
             }
         }
@@ -360,9 +345,7 @@ fn tile<const R: usize, const NR: usize>(
 /// strips outermost (a strip of `b` stays cache-hot across the row
 /// tiles), [`row_tiles`] inside, one [`tile`] each.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn tile_driver<const NR: usize>(
-    madd: impl Fn(f32, f32, f32) -> f32 + Copy,
     asrc: ASrc<'_>,
     m: usize,
     k: usize,
@@ -374,12 +357,7 @@ fn tile_driver<const NR: usize>(
     for jb in (0..n).step_by(NR) {
         let cb = (n - jb).min(NR);
         for (ib, rb) in row_tiles(m) {
-            for_tile_rows!(
-                rb,
-                tile,
-                NR,
-                (madd, asrc, ib, k, b, n, jb, cb, out, accumulate)
-            );
+            for_tile_rows!(rb, tile, NR, (asrc, ib, k, b, n, jb, cb, out, accumulate));
         }
     }
 }
@@ -393,11 +371,12 @@ fn gemm_portable(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    tile_driver::<NR_PORTABLE>(|a, b, acc| acc + a * b, asrc, m, k, b, n, out, accumulate);
+    tile_driver::<NR_PORTABLE>(asrc, m, k, b, n, out, accumulate);
 }
 
 /// The AVX2+FMA instantiation of [`tile_driver`]: the same safe,
-/// bounds-checked body as [`gemm_portable`], fused and 16 columns wide.
+/// bounds-checked body as [`gemm_portable`], where `mul_add` is one
+/// `vfmadd` and a strip is 16 columns wide.
 // SAFETY: safe body; reached only through `gemm_on`'s `unsafe` call, whose
 // caller established AVX2+FMA (`kernel_path`'s runtime detection).
 #[cfg(target_arch = "x86_64")]
@@ -411,16 +390,7 @@ fn gemm_fma(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    tile_driver::<NR_FMA>(
-        |a, b, acc| a.mul_add(b, acc),
-        asrc,
-        m,
-        k,
-        b,
-        n,
-        out,
-        accumulate,
-    );
+    tile_driver::<NR_FMA>(asrc, m, k, b, n, out, accumulate);
 }
 
 /// One `R`-row × `NV`-register (`cols ≤ 16·NV` columns) AVX-512 tile,
@@ -646,7 +616,7 @@ pub(crate) fn gemm_tn(
 
 /// `a·bᵀ` into `out`, portable instantiation:
 /// `out[i,j] = fold(lanes)` with `lanes[l] = Σ_{p ≡ l mod 8} a[i,p]·b[j,p]`
-/// accumulated as `lanes[l] + x*y` for ascending `p`.
+/// accumulated as `x.mul_add(y, lanes[l])` for ascending `p`.
 ///
 /// Both operands are walked contiguously (that is the point of the NT
 /// layout — no transpose is formed, nothing is packed). The eight partial
@@ -664,7 +634,7 @@ fn nt_rows_portable(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
             let mut chunks_b = brow.chunks_exact(LANES);
             for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
                 for l in 0..LANES {
-                    lanes[l] += ca[l] * cb[l];
+                    lanes[l] = ca[l].mul_add(cb[l], lanes[l]);
                 }
             }
             // A short tail touches only the lanes it reaches.
@@ -672,7 +642,7 @@ fn nt_rows_portable(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
                 .iter_mut()
                 .zip(chunks_a.remainder().iter().zip(chunks_b.remainder()))
             {
-                *lane += av * bv;
+                *lane = av.mul_add(bv, *lane);
             }
             *o = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
@@ -762,7 +732,7 @@ fn nt_outputs_fma<const CJ: usize>(arow: &[f32], brows: &[f32], out: &mut [f32])
 /// eight outputs per row at a time through [`nt_outputs_fma`], the last
 /// group as many as are left.
 // SAFETY: safe, bounds-checked body; reached only through `gemm_nt`'s
-// `unsafe` call, made after `fma_kernels_active` detected AVX2+FMA.
+// `unsafe` call, made after `kernel_path` detected AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn nt_rows_fma(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
@@ -804,9 +774,9 @@ pub(crate) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if fma_kernels_active() {
-        // SAFETY: `fma_kernels_active` is true only after AVX2 and FMA
-        // were detected at runtime.
+    if kernel_path() != KernelPath::Portable {
+        // SAFETY: `kernel_path` leaves the portable tier only after AVX2
+        // and FMA were detected at runtime.
         unsafe { nt_rows_fma(a, b, k, n, out) };
         return;
     }
@@ -1047,9 +1017,9 @@ mod tests {
 
     /// Operands that reach the sign-of-zero corners of the contract:
     /// uniform values mixed with `±0.0`, magnitudes whose products
-    /// underflow (a fused chain from zero can land on `-0.0`, a two-step
-    /// one cannot), and — read as rows of `cols > 1` elements — a dead
-    /// (all-zero) first column.
+    /// underflow (the fused chain from zero can land on `-0.0`), and —
+    /// read as rows of `cols > 1` elements — a dead (all-zero) first
+    /// column.
     fn operand(len: usize, cols: usize, rng: &mut Rng) -> Vec<f32> {
         (0..len)
             .map(|i| {
@@ -1090,20 +1060,19 @@ mod tests {
             let a = operand(m * k, k, &mut rng);
             let b = operand(k * n, n, &mut rng);
             let prior = operand(m * n, 0, &mut rng);
-            for path in host_paths() {
-                let fused = path != KernelPath::Portable;
-                for transposed in [false, true] {
-                    let chain = if transposed {
-                        reference::chain_matmul_tn(&a, &b, k, m, n, fused)
+            for transposed in [false, true] {
+                let chain = if transposed {
+                    reference::chain_matmul_tn(&a, &b, k, m, n)
+                } else {
+                    reference::chain_matmul(&a, &b, m, k, n)
+                };
+                for accumulate in [false, true] {
+                    let want: Vec<f32> = if accumulate {
+                        prior.iter().zip(&chain).map(|(o, c)| o + c).collect()
                     } else {
-                        reference::chain_matmul(&a, &b, m, k, n, fused)
+                        chain.clone()
                     };
-                    for accumulate in [false, true] {
-                        let want: Vec<f32> = if accumulate {
-                            prior.iter().zip(&chain).map(|(o, c)| o + c).collect()
-                        } else {
-                            chain.clone()
-                        };
+                    for path in host_paths() {
                         let mut out = prior.clone();
                         // SAFETY: `host_paths` lists detected tiers only.
                         unsafe {
@@ -1127,55 +1096,49 @@ mod tests {
         {
             let a = operand(m * k, k, &mut rng);
             let b = operand(n * k, 0, &mut rng);
+            let chain = reference::chain_matmul_nt(&a, &b, m, k, n);
             let mut out = vec![f32::NAN; m * n];
             nt_rows_portable(&a, &b, k, n, &mut out);
-            let chain = reference::chain_matmul_nt(&a, &b, m, k, n, false);
             assert_bits(&out, &chain, &format!("portable nt {m}x{k}x{n}"));
             #[cfg(target_arch = "x86_64")]
             if host_paths().contains(&KernelPath::Fma) {
                 out.fill(f32::NAN);
                 // SAFETY: AVX2 and FMA were detected by `host_paths`.
                 unsafe { nt_rows_fma(&a, &b, k, n, &mut out) };
-                let chain = reference::chain_matmul_nt(&a, &b, m, k, n, true);
                 assert_bits(&out, &chain, &format!("fma nt {m}x{k}x{n}"));
             }
             out.fill(f32::NAN);
             gemm_nt(&a, &b, &mut out, m, k, n);
-            let chain = reference::chain_matmul_nt(&a, &b, m, k, n, fma_kernels_active());
             assert_bits(&out, &chain, &format!("dispatched nt {m}x{k}x{n}"));
         }
     }
 
     #[test]
     fn a_fused_chain_from_zero_can_reach_negative_zero_on_every_host_tier() {
-        // 1e-30 · −1e-30 underflows: fused, `fma(x, y, +0.0)` rounds the
-        // exact product to −0.0; in two steps the product is already −0.0
-        // and `+0.0 + −0.0` is +0.0. NT: depth 9 reaches lane 0 twice and
-        // lanes 1..8 once, so a `madd(0, 0, lane)` over the unreached part
+        // 1e-30 · −1e-30 underflows: `fma(x, y, +0.0)` rounds the exact
+        // product to −0.0 (in two steps the product is already −0.0 and
+        // `+0.0 + −0.0` is +0.0). NT: depth 9 reaches lane 0 twice and
+        // lanes 1..8 once, so an `fma(0, 0, lane)` over the unreached part
         // of a tail would turn the −0.0 lanes into +0.0.
+        let negative_zero = (-0.0f32).to_bits();
         for path in host_paths() {
-            let fused = path != KernelPath::Portable;
             let mut out = [1.0f32];
             // SAFETY: `host_paths` lists detected tiers only.
             unsafe { gemm_on(path, &[1e-30], false, 1, 1, &[-1e-30], 1, &mut out, false) };
-            assert_eq!(
-                out[0].to_bits(),
-                if fused { (-0.0f32).to_bits() } else { 0 }
-            );
+            assert_eq!(out[0].to_bits(), negative_zero, "{path:?}");
         }
         let a = [1e-30f32; 9];
         let b = [-1e-30f32; 9];
+        assert_eq!(
+            reference::chain_matmul_nt(&a, &b, 1, 9, 1)[0].to_bits(),
+            negative_zero
+        );
         let mut out = [1.0f32];
+        nt_rows_portable(&a, &b, 9, 1, &mut out);
+        assert_eq!(out[0].to_bits(), negative_zero, "portable nt");
+        out = [1.0];
         gemm_nt(&a, &b, &mut out, 1, 9, 1);
-        let fused = fma_kernels_active();
-        assert_eq!(
-            out[0].to_bits(),
-            reference::chain_matmul_nt(&a, &b, 1, 9, 1, fused)[0].to_bits()
-        );
-        assert_eq!(
-            out[0].to_bits(),
-            if fused { (-0.0f32).to_bits() } else { 0 }
-        );
+        assert_eq!(out[0].to_bits(), negative_zero, "dispatched nt");
     }
 
     #[test]

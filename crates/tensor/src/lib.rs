@@ -22,7 +22,7 @@
 //! result here can depend on `ECOFL_THREADS`). The naive triple loops they
 //! replaced are retained in [`mod@reference`] next to the scalar chains
 //! the kernels are specified by; `tests/kernel_equivalence.rs` proves
-//! every GEMM bit-identical to its tier's chain and within the documented
+//! every GEMM bit-identical to its chain on every tier and within the documented
 //! tolerance of the naive loop (see DESIGN.md §7, "Kernel tiling and the
 //! tolerance policy"). Layers pass tensors by value and recycle their
 //! buffers, so a steady-state training step allocates nothing (DESIGN.md

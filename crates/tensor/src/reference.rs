@@ -5,37 +5,29 @@
 //!
 //! - the **scalar chains** (`chain_matmul`, `chain_matmul_tn`,
 //!   `chain_matmul_nt`): per output element, the exact sequence of
-//!   floating-point operations every GEMM driver performs on a given tier
-//!   — ascending-`p` multiply-accumulate from zero, fused or not; eight
-//!   lane sums and a fixed fold for `a·bᵀ`. The kernels match them **bit
-//!   for bit** on every tier;
-//! - the **naive loops** (`naive_*`): the textbook products the chains
-//!   reduce to on the portable tier and stay within the documented
-//!   rounding bound of on the fused ones, plus the naive convolution (bias
-//!   first, `(ic, ky, kx)` taps ascending) and the branch-in-loop SGD step.
+//!   floating-point operations every GEMM driver performs on every tier —
+//!   ascending-`p` `f32::mul_add` from zero; eight lane sums and a fixed
+//!   fold for `a·bᵀ`. The kernels match them **bit for bit** on every
+//!   host;
+//! - the **naive loops** (`naive_*`): the textbook `mul` + `add` products
+//!   the chains stay within the documented rounding bound of, plus the
+//!   naive convolution (bias first, `(ic, ky, kx)` taps ascending) and the
+//!   branch-in-loop SGD step.
 //!
 //! `tests/kernel_equivalence.rs` and the unit tests in `kernel.rs` assert
 //! the contract (see `DESIGN.md` §7, "Kernel tiling and the tolerance
 //! policy"). The micro benches also time the naive loops to anchor the
 //! committed `BENCH_micro.json` speedup trajectory.
 
-/// The multiply-accumulate of one kernel tier: `acc + a·b` rounded twice
-/// (portable) or once (`fused`: the AVX2+FMA and AVX-512 tiers).
-#[inline]
-fn madd(fused: bool, a: f32, b: f32, acc: f32) -> f32 {
-    if fused {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
-}
-
-/// The scalar chain every `a·b` kernel computes, element by element, on
-/// the tier `fused` names: `acc = 0`, `acc = madd(a[i,p], b[p,j], acc)`
-/// for ascending `p`. Pass [`crate::kernel::fma_kernels_active`] for the
-/// process's tier; the kernels match it **bit for bit**.
-#[must_use]
-pub fn chain_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, fused: bool) -> Vec<f32> {
+/// `out[i,j] = acc_k` with `acc_0 = 0`, `acc_{p+1} = step(a[i·ra + p·pa],
+/// b[p·n + j], acc_p)`: the loop nest the `a·b` / `aᵀ·b` chains and naive
+/// products share, each with its own multiply-accumulate.
+fn product(
+    (a, ra, pa): (&[f32], usize, usize),
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    step: impl Fn(f32, f32, f32) -> f32,
+) -> Vec<f32> {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * n];
@@ -43,7 +35,7 @@ pub fn chain_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, fused: b
         for j in 0..n {
             let mut acc = 0.0f32;
             for p in 0..k {
-                acc = madd(fused, a[i * k + p], b[p * n + j], acc);
+                acc = step(a[i * ra + p * pa], b[p * n + j], acc);
             }
             out[i * n + j] = acc;
         }
@@ -51,29 +43,18 @@ pub fn chain_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, fused: b
     out
 }
 
+/// The scalar chain every `a·b` kernel computes, element by element, on
+/// every tier: `acc = 0`, `acc = a[i,p].mul_add(b[p,j], acc)` for
+/// ascending `p`. The kernels match it **bit for bit**.
+#[must_use]
+pub fn chain_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    product((a, k, 1), b, (m, k, n), f32::mul_add)
+}
+
 /// [`chain_matmul`] for `aᵀ·b`, `a: [k,m]`.
 #[must_use]
-pub fn chain_matmul_tn(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    n: usize,
-    fused: bool,
-) -> Vec<f32> {
-    assert_eq!(a.len(), k * m);
-    assert_eq!(b.len(), k * n);
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc = madd(fused, a[p * m + i], b[p * n + j], acc);
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    out
+pub fn chain_matmul_tn(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
+    product((a, 1, m), b, (m, k, n), f32::mul_add)
 }
 
 /// The chain every `a·bᵀ` kernel computes (`a: [m,k]`, `b: [n,k]`): eight
@@ -81,14 +62,7 @@ pub fn chain_matmul_tn(
 /// order from zero, folded as `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`. A
 /// lane a short depth never reaches stays `+0.0`.
 #[must_use]
-pub fn chain_matmul_nt(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    fused: bool,
-) -> Vec<f32> {
+pub fn chain_matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     let mut out = vec![0.0f32; m * n];
@@ -96,7 +70,7 @@ pub fn chain_matmul_nt(
         for j in 0..n {
             let mut lanes = [0.0f32; 8];
             for p in 0..k {
-                lanes[p % 8] = madd(fused, a[i * k + p], b[j * k + p], lanes[p % 8]);
+                lanes[p % 8] = a[i * k + p].mul_add(b[j * k + p], lanes[p % 8]);
             }
             out[i * n + j] = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
@@ -109,13 +83,13 @@ pub fn chain_matmul_nt(
 /// `mul` + `add` chain.
 #[must_use]
 pub fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    chain_matmul(a, b, m, k, n, false)
+    product((a, k, 1), b, (m, k, n), |x, y, acc| acc + x * y)
 }
 
 /// Naive `out = aᵀ·b` for row-major `a: [k,m]`, `b: [k,n]`.
 #[must_use]
 pub fn naive_matmul_tn(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
-    chain_matmul_tn(a, b, k, m, n, false)
+    product((a, 1, m), b, (m, k, n), |x, y, acc| acc + x * y)
 }
 
 /// Naive `out = a·bᵀ` for row-major `a: [m,k]`, `b: [n,k]`: one scalar

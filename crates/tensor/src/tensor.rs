@@ -198,9 +198,8 @@ impl Tensor {
     /// Matrix product of two 2-D tensors (`[m,k] × [k,n] → [m,n]`).
     ///
     /// Runs the register-tiled kernel in [`crate::kernel`]; results are
-    /// bit-identical across thread counts and to the tier's scalar chain
-    /// [`crate::reference::chain_matmul`] (on the portable tier that is
-    /// [`crate::reference::naive_matmul`]).
+    /// bit-identical across thread counts and hosts: every element is the
+    /// scalar chain [`crate::reference::chain_matmul`].
     ///
     /// # Panics
     /// Panics on non-2-D inputs or mismatched inner dimensions.
@@ -424,13 +423,12 @@ mod tests {
     #[test]
     fn matmul_matches_the_tier_chain_bitwise() {
         // In-crate smoke check of the contract tests/kernel_equivalence.rs
-        // sweeps: every element is the tier's scalar chain, bit for bit.
+        // sweeps: every element is the scalar chain, bit for bit.
         let mut rng = Rng::new(2);
         let (m, k, n) = (80, 70, 90);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let fused = crate::kernel::fma_kernels_active();
-        let chain = crate::reference::chain_matmul(a.data(), b.data(), m, k, n, fused);
+        let chain = crate::reference::chain_matmul(a.data(), b.data(), m, k, n);
         assert_eq!(a.matmul(&b).data(), &chain[..]);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The equivalence contract (DESIGN.md §7):
 //!
-//! | kernel                  | every tier                                   |
+//! | kernel                  | every tier, every host                       |
 //! |-------------------------|----------------------------------------------|
 //! | `matmul`, `matmul_tn`   | bit-identical to `chain_matmul{,_tn}`        |
 //! | `matmul_tn_acc`         | bit-identical to `prior + chain_matmul_tn`   |
@@ -12,24 +12,21 @@
 //! | `Conv2d` `gw`, `gx`     | lane tolerance vs the naive convolution      |
 //! | `Sgd::step`             | bit-identical to `naive_sgd_step`            |
 //!
-//! The chains take the tier's multiply-accumulate (`fused`: one rounding
-//! per step on the AVX2+FMA and AVX-512 tiers, two on the portable one),
-//! so on the portable tier `chain_matmul` *is* `naive_matmul`. Against the
-//! plain naive loops the fused tiers — and `matmul_nt`'s eight partial
-//! sums on every tier — stay within `2·k·ε` of the inner product of
-//! absolute values: each of the `k` steps skips or reorders at most one
-//! rounding. That bound is asserted too, so the chains cannot drift from
-//! the textbook product.
+//! The chains are fused (`f32::mul_add`, one rounding per step) on every
+//! tier, the portable one included, so there is one expected answer per
+//! product whatever CPU runs it. Against the textbook `mul` + `add` naive
+//! loops the chains — and `matmul_nt`'s eight partial sums — stay within
+//! `2·k·ε` of the inner product of absolute values: each of the `k` steps
+//! skips or reorders at most one rounding. That bound is asserted too, so
+//! the chains cannot drift from the textbook product.
 //!
 //! This file drives the public `Tensor` API on the tier the process
 //! selected: the sweep below covers the tile edges at the sizes the shipped
 //! models issue, `large_products_match_their_chains_bitwise` the same tiles at
 //! ≥ 2²² multiply-accumulates. The unit tests in `kernel.rs` run *every*
-//! tier the host supports over the same sizes. CI runs this suite on the
-//! host tier and under `ECOFL_PORTABLE_KERNELS=1`.
+//! tier the host supports over the same sizes against the same chains.
 
 use ecofl_compat::check::{any_u64, forall, pair, quad, triple, usize_in};
-use ecofl_tensor::kernel::fma_kernels_active;
 use ecofl_tensor::{reference, Conv2d, Layer, Sgd, Tensor};
 use ecofl_util::Rng;
 
@@ -98,7 +95,6 @@ fn abs(v: &[f32]) -> Vec<f32> {
 /// as `[k,m]` by `matmul_tn`.
 fn check_products(seed: u64, m: usize, k: usize, n: usize) {
     let mut rng = Rng::new(seed);
-    let fused = fma_kernels_active();
     let what = format!("{m}x{k}x{n}");
     let a = operand(m * k, k, &mut rng);
     let b = operand(k * n, n, &mut rng);
@@ -114,14 +110,14 @@ fn check_products(seed: u64, m: usize, k: usize, n: usize) {
     let nn = a_mk.matmul(&b_kn);
     assert_bits(
         nn.data(),
-        &reference::chain_matmul(&a, &b, m, k, n, fused),
+        &reference::chain_matmul(&a, &b, m, k, n),
         &format!("matmul {what}"),
     );
     let naive = reference::naive_matmul(&a, &b, m, k, n);
     let absref = reference::naive_matmul(&abs(&a), &abs(&b), m, k, n);
     assert_tol(nn.data(), &naive, &absref, k, &format!("matmul {what}"));
 
-    let tn_chain = reference::chain_matmul_tn(&a, &b, k, m, n, fused);
+    let tn_chain = reference::chain_matmul_tn(&a, &b, k, m, n);
     // `matmul_tn` accumulates onto zeros: `+0.0 + chain`.
     let tn_fresh: Vec<f32> = tn_chain.iter().map(|c| 0.0 + c).collect();
     assert_bits(
@@ -140,7 +136,7 @@ fn check_products(seed: u64, m: usize, k: usize, n: usize) {
     let nt = a_mk.matmul_nt(&b_nk);
     assert_bits(
         nt.data(),
-        &reference::chain_matmul_nt(&a, &bt, m, k, n, fused),
+        &reference::chain_matmul_nt(&a, &bt, m, k, n),
         &format!("matmul_nt {what}"),
     );
     let naive = reference::naive_matmul_nt(&a, &bt, m, k, n);

@@ -9,8 +9,6 @@
 //! three epochs, every loss, every gradient and every parameter must agree
 //! **bit for bit** — and so must a third stack of production layers that
 //! does *not* skip the first layer, whose input gradient is checked too.
-//! CI runs this at `ECOFL_THREADS=1/2/8` and under
-//! `ECOFL_PORTABLE_KERNELS=1`.
 
 mod oracle;
 

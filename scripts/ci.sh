@@ -147,50 +147,41 @@ cargo test -q --release --offline -p ecofl-fl --test determinism
 
 # Fault-injection gate: killing any pipeline stage must surface a typed
 # error in bounded time, and recovery must replay bit-identically. A
-# reintroduced deadlock would hang the suite, so each run sits under a
-# watchdog timeout; the thread-pool width is swept because channel/join
-# interleavings differ between a starved and an oversubscribed pool.
-echo "==> fault-injection gate: ecofl-pipeline --test fault_injection at ECOFL_THREADS=1/2/8 (watchdog 300s)"
-for threads in 1 2 8; do
-    echo "    ECOFL_THREADS=$threads"
-    ECOFL_THREADS=$threads timeout 300 \
-        cargo test -q --release --offline -p ecofl-pipeline --test fault_injection || {
-        status=$?
-        if [ "$status" -eq 124 ]; then
-            echo "ERROR: fault-injection suite hit the watchdog — a crash path deadlocked." >&2
-        fi
-        exit "$status"
-    }
-done
+# reintroduced deadlock would hang the suite, so it sits under a watchdog
+# timeout. (The runtime spawns one thread per stage and never reads
+# ECOFL_THREADS — only the FL cohort `par_map` does — so there is no pool
+# width to sweep here.)
+echo "==> fault-injection gate: ecofl-pipeline --test fault_injection (watchdog 300s)"
+timeout 300 cargo test -q --release --offline -p ecofl-pipeline --test fault_injection || {
+    status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ERROR: fault-injection suite hit the watchdog — a crash path deadlocked." >&2
+    fi
+    exit "$status"
+}
 
 # Schedule-conformance gate: every registered pipeline schedule must
 # recover from injected stage kills with a bit-identical replay and run
-# deterministically in the virtual-time executor. Swept across pool
-# widths like the fault gate (a schedule whose step program deadlocks
-# the round-synchronous runtime would hang, hence the watchdog), plus
-# one pass of the randomized legality property suite.
-echo "==> schedule-conformance gate: ecofl-pipeline --test schedule_conformance at ECOFL_THREADS=1/2/8 (watchdog 300s)"
-for threads in 1 2 8; do
-    echo "    ECOFL_THREADS=$threads"
-    ECOFL_THREADS=$threads timeout 300 \
-        cargo test -q --release --offline -p ecofl-pipeline --test schedule_conformance || {
-        status=$?
-        if [ "$status" -eq 124 ]; then
-            echo "ERROR: schedule-conformance suite hit the watchdog — a step program deadlocked the runtime." >&2
-        fi
-        exit "$status"
-    }
-done
+# deterministically in the virtual-time executor (a schedule whose step
+# program deadlocks the round-synchronous runtime would hang, hence the
+# watchdog), plus one pass of the randomized legality property suite.
+echo "==> schedule-conformance gate: ecofl-pipeline --test schedule_conformance (watchdog 300s)"
+timeout 300 cargo test -q --release --offline -p ecofl-pipeline --test schedule_conformance || {
+    status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ERROR: schedule-conformance suite hit the watchdog — a step program deadlocked the runtime." >&2
+    fi
+    exit "$status"
+}
 echo "    schedule-legality property suite"
 cargo test -q --release --offline --test schedule_legality
 
-# Single-CPU gate: the sweeps above vary the pool width, never the *core*
-# count, and that is what a channel back-off is sensitive to — one that
-# spins without yielding passes on two cores and crawls on one, where the
-# peer it waits for needs the spinner's core. Pin the channel's own suite
-# and the two runtime suites to CPU 0 under the same watchdog (the runtime
-# suites were built by the gates above; the compiler is not what is
-# pinned).
+# Single-CPU gate: what a channel back-off is sensitive to is the *core*
+# count — one that spins without yielding passes on two cores and crawls
+# on one, where the peer it waits for needs the spinner's core. Pin the
+# channel's own suite and the two runtime suites to CPU 0 under the same
+# watchdog (the runtime suites were built by the gates above; the compiler
+# is not what is pinned).
 if command -v taskset >/dev/null; then
     echo "==> single-CPU gate: ecofl-compat + fault_injection + schedule_conformance under taskset -c 0 (watchdog 300s)"
     cargo test -q --release --offline -p ecofl-compat --no-run
@@ -217,7 +208,8 @@ fi
 # (2) The stdout of the benchmark's ten `pipeline_plan` invocations (the
 # flags of benchmark/src/workloads.rs, copied here) plus one run per
 # non-default --schedule is diffed against goldens captured from the
-# pre-optimization search (commit 658b7d3), at every pool width.
+# pre-optimization search (commit 658b7d3). `plan` never reaches the
+# cohort `par_map`, so one run each.
 echo "==> plan-search differential gate: ecofl-pipeline orchestrator/partition suites, release, ECOFL_CHECK_CASES=300"
 ECOFL_CHECK_CASES=300 cargo test -q --release --offline -p ecofl-pipeline --lib -- \
     orchestrator::tests partition::tests
@@ -231,17 +223,14 @@ ECOFL_CHECK_CASES=100 cargo test -q --release --offline -p ecofl-obs --test bloc
 # The checkpoint decoder reads a disk too, and sits under the same harness.
 echo "==> checkpoint-decoder mutation gate: ecofl-pipeline --test checkpoint_mutation, release, ECOFL_CHECK_CASES=100"
 ECOFL_CHECK_CASES=100 cargo test -q --release --offline -p ecofl-pipeline --test checkpoint_mutation
-echo "==> plan-golden gate: ecofl plan stdout vs tests/golden/plan at ECOFL_THREADS=1/2/8"
+echo "==> plan-golden gate: ecofl plan stdout vs tests/golden/plan"
 plan_golden() { # <golden name> <plan flags...>
-    local name=$1 threads
+    local name=$1
     shift
-    for threads in 1 2 8; do
-        if ! ECOFL_THREADS=$threads ./target/release/ecofl plan "$@" |
-            diff "tests/golden/plan/$name.txt" - >&2; then
-            echo "ERROR: 'ecofl plan $*' at ECOFL_THREADS=$threads no longer prints tests/golden/plan/$name.txt" >&2
-            exit 1
-        fi
-    done
+    if ! ./target/release/ecofl plan "$@" | diff "tests/golden/plan/$name.txt" - >&2; then
+        echo "ERROR: 'ecofl plan $*' no longer prints tests/golden/plan/$name.txt" >&2
+        exit 1
+    fi
 }
 for home in "5dev tx2q,tx2n,nanoh,nanoh,nanol" "6dev tx2q,tx2n,tx2n,nanoh,nanoh,nanol"; do
     for model in effnet-b4 effnet-b6 effnet-b6@380 mobilenet-w3 mobilenet-w3@380; do
@@ -252,30 +241,24 @@ for schedule in gpipe async interleaved zb; do
     plan_golden "5dev_effnet-b2_$schedule" --model effnet-b2 --batch 256 \
         --devices tx2q,tx2n,nanoh,nanoh,nanol --schedule "$schedule"
 done
-echo "    ok (14 plans byte-identical at every pool width)"
+echo "    ok (14 plans byte-identical)"
 
-# Kernel-equivalence gate: every GEMM must be bit-identical to its tier's
-# scalar chain (DESIGN.md §7), and the training step built on them
-# bit-identical to the allocating oracle and to the parent binary. Two
-# configurations — the host's SIMD tier, and ECOFL_PORTABLE_KERNELS=1 to
-# prove the claim independently of it; the kernels are sequential, so
-# there is no thread count to sweep. Each runs, optimized: the kernel unit
-# tests (every tier the host supports; the operand-length `should_panic`s,
-# which must hold without debug assertions), the public-API sweep, the
-# `train_step` differential against tests/oracle, the 486-call
-# `local_train` fingerprint, and the allocations-per-step bound.
-echo "==> kernel-equivalence gate: kernel tests, train_step oracle, fingerprint, allocation bound on the host tier + portable"
-kernel_gate() {
-    cargo test -q --release --offline -p ecofl-tensor --lib kernel::tests
-    cargo test -q --release --offline -p ecofl-tensor \
-        --test kernel_equivalence --test train_step_oracle
-    cargo test -q --release --offline -p ecofl-fl \
-        --test train_fingerprint --test alloc_bound
-}
-echo "    host tier"
-kernel_gate
-echo "    ECOFL_PORTABLE_KERNELS=1"
-ECOFL_PORTABLE_KERNELS=1 kernel_gate
+# Kernel-equivalence gate: every GEMM must be bit-identical to the one
+# scalar chain on every tier (DESIGN.md §7), and the training step built
+# on them bit-identical to the allocating oracle and to the parent binary.
+# One configuration: the tiers compute the same chain and the kernels are
+# sequential, so there is no tier and no thread count to sweep. Optimized:
+# the kernel unit tests (every tier the host supports, portable included,
+# against the same chain; the operand-length `should_panic`s, which must
+# hold without debug assertions), the public-API sweep, the `train_step`
+# differential against tests/oracle, the 486-call `local_train`
+# fingerprint, and the allocations-per-step bound.
+echo "==> kernel-equivalence gate: kernel tests, train_step oracle, fingerprint, allocation bound"
+cargo test -q --release --offline -p ecofl-tensor --lib kernel::tests
+cargo test -q --release --offline -p ecofl-tensor \
+    --test kernel_equivalence --test train_step_oracle
+cargo test -q --release --offline -p ecofl-fl \
+    --test train_fingerprint --test alloc_bound
 
 # Metrics-perturbation gate: attaching a MetricsHub must leave FL run
 # results, executor reports/traces and threaded-runtime parameters

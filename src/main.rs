@@ -331,7 +331,13 @@ fn pipeline_args(args: &HashMap<String, String>) -> Result<PipelineArgs<'_>, Eco
 
 fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     check_flags(args, "gantt", &[PIPELINE_FLAGS, &["width"]])?;
-    let width = get_positive(args, "width", 100)?;
+    // `render_view` asserts on anything narrower.
+    let width = get(args, "width", 100usize)?;
+    if width < 10 {
+        return Err(EcoFlError::Config(format!(
+            "--width must be at least 10 columns, got {width}"
+        )));
+    }
     let p = pipeline_args(args)?;
     let mbs = p.profile.micro_batch();
     let v = match &p.policy {
@@ -396,20 +402,25 @@ fn spike_args(
     Ok((model, devices, LoadSpike { device, at, load }, horizon))
 }
 
+/// The first stdout line of `spike` and `trace --scenario spike`.
+fn spike_header(model: &str, spike: LoadSpike) -> String {
+    let LoadSpike { device, at, load } = spike;
+    format!(
+        "{model}: {:.0}% load on device {device} at t = {at}s",
+        load * 100.0
+    )
+}
+
 fn cmd_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     if args.contains_key("kill-stage") {
         return cmd_spike_kill(args);
     }
     check_flags(args, "spike", &[SPIKE_FLAGS])?;
     let (model, devices, spike, horizon) = spike_args(args)?;
-    let LoadSpike { device, at, load } = spike;
     let link = Link::mbps_100();
     let with = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, true)?;
     let without = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, false)?;
-    println!(
-        "{}: {load:.0}% load on device {device} at t = {at}s",
-        model.name
-    );
+    println!("{}", spike_header(&model.name, spike));
     println!(
         "  pre-spike            : {:6.2} samples/s",
         with.pre_spike_throughput
@@ -878,7 +889,6 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         &[&["scenario"], SPIKE_FLAGS, STORE_WRITE_FLAGS],
     )?;
     let (model, devices, spike, horizon) = spike_args(args)?;
-    let LoadSpike { device, at, load } = spike;
     let tracer = Tracer::new();
     let trace = simulate_load_spike_with(
         &model,
@@ -894,10 +904,7 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     )?;
     let view = tracer.view();
     let (store_dir, stored, blocks) = persist_trace(args, "spike", &tracer.records())?;
-    println!(
-        "{}: {load:.0}% load on device {device} at t = {at}s",
-        model.name
-    );
+    println!("{}", spike_header(&model.name, spike));
     println!(
         "trace: {} ({stored} stored record(s), {blocks} block(s))",
         store_dir.display()

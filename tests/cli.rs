@@ -411,8 +411,30 @@ fn spike_rejects_degenerate_horizon_at_and_load() {
     }
 }
 
+/// `--load` is a fraction; the header used to print it with a `%` as it
+/// came (`1% load` for 0.6, `0% load` for 0.3).
+#[test]
+fn spike_header_prints_the_load_fraction_as_a_percentage() {
+    let spike = ["spike", "--model", "effnet-b0", "--devices", "tx2q,nanoh"];
+    for (load, header) in [
+        (
+            "0.6",
+            "EfficientNet-B0@224: 60% load on device 1 at t = 100s",
+        ),
+        (
+            "0.3",
+            "EfficientNet-B0@224: 30% load on device 1 at t = 100s",
+        ),
+    ] {
+        let (ok, stdout, stderr) = ecofl(&[&spike[..], &["--load", load]].concat());
+        assert!(ok, "stderr:\n{stderr}");
+        assert_eq!(stdout.lines().next(), Some(header));
+    }
+}
+
 /// Zero counts used to reach library asserts (`executor.rs`,
-/// `profiler.rs`, `gantt.rs`, `latency.rs`); each is rejected by flag name.
+/// `profiler.rs`, `gantt.rs`, `latency.rs`) and a `--width` under the
+/// renderer's ten columns still did; each is rejected by flag name.
 #[test]
 fn zero_counts_are_rejected_by_flag_name_not_asserted() {
     let pipeline = ["--model", "effnet-b0", "--devices", "tx2q,nanoh"];
@@ -425,6 +447,10 @@ fn zero_counts_are_rejected_by_flag_name_not_asserted() {
     ] {
         assert_rejects(&[&[command], &pipeline[..], &[flag, "0"]].concat(), flag);
     }
+    assert_rejects(
+        &[&["gantt"], &pipeline[..], &["--width", "9"]].concat(),
+        "--width must be at least 10",
+    );
     assert_rejects(&["fl", "--clients", "0"], "--clients");
 }
 
