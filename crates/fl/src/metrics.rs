@@ -31,16 +31,7 @@ pub struct ConvergenceSummary {
 /// Summarizes a run against a ladder of accuracy thresholds.
 #[must_use]
 pub fn summarize(result: &RunResult, thresholds: &[f64]) -> ConvergenceSummary {
-    ConvergenceSummary {
-        strategy: result.strategy.clone(),
-        time_to: thresholds
-            .iter()
-            .filter_map(|&th| result.accuracy.time_to_reach(th).map(|t| (th, t)))
-            .collect(),
-        mean_accuracy: mean_over_span(&result.accuracy),
-        best_accuracy: result.best_accuracy,
-        max_drawdown: max_drawdown(&result.accuracy),
-    }
+    summarize_series(&result.strategy, &result.accuracy, thresholds)
 }
 
 /// [`summarize`] over a recorded trace instead of a [`RunResult`]:
@@ -50,15 +41,26 @@ pub fn summarize(result: &RunResult, thresholds: &[f64]) -> ConvergenceSummary {
 #[must_use]
 pub fn summarize_view(view: &TraceView, strategy: &str, thresholds: &[f64]) -> ConvergenceSummary {
     let accuracy: TimeSeries = view.gauge_series("accuracy").into_iter().collect();
+    summarize_series(strategy, &accuracy, thresholds)
+}
+
+/// The one fold behind [`summarize`] and [`summarize_view`]. The best
+/// accuracy is the curve's maximum, which is how a run sets
+/// `RunResult::best_accuracy`.
+fn summarize_series(
+    strategy: &str,
+    accuracy: &TimeSeries,
+    thresholds: &[f64],
+) -> ConvergenceSummary {
     ConvergenceSummary {
         strategy: strategy.to_owned(),
         time_to: thresholds
             .iter()
             .filter_map(|&th| accuracy.time_to_reach(th).map(|t| (th, t)))
             .collect(),
-        mean_accuracy: mean_over_span(&accuracy),
+        mean_accuracy: mean_over_span(accuracy),
         best_accuracy: accuracy.max_value().unwrap_or(0.0),
-        max_drawdown: max_drawdown(&accuracy),
+        max_drawdown: max_drawdown(accuracy),
     }
 }
 

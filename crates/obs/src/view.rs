@@ -3,7 +3,10 @@
 //! [`TraceView`] is the read side of the obs layer: the Gantt renderer,
 //! the convergence metrics, the `ecofl trace` CLI aggregations, and the
 //! invariant tests all consume a view instead of re-deriving structure
-//! from raw span lists.
+//! from raw span lists. A view comes from a [`Tracer`](crate::Tracer), a
+//! [`RunStore`](crate::RunStore) query, or a pipeline report's own
+//! compute spans (`ExecutionReport::trace_view`), which are the same
+//! records an attached tracer receives.
 
 use crate::record::{Domain, EventKind, EventRecord, SpanKind, SpanRecord, TraceRecord};
 

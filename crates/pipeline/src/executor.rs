@@ -35,12 +35,21 @@
 //! per direction. A fixed per-task dispatch overhead models kernel-launch
 //! and synchronization costs, making "GPU utilization" (useful compute ÷
 //! makespan) improve with micro-batch size the way Table 2 reports.
+//!
+//! Each started task is recorded once, as a [`SpanRecord`]:
+//! the report keeps it in [`ExecutionReport::task_spans`] and an attached
+//! [`Tracer`] receives the same values. Per-stage busy and idle time and
+//! the measured DDB are a fold over those spans after the event loop;
+//! [`ExecutionReport::trace_view`] lifts them into a [`TraceView`] for
+//! the Gantt renderer and the trace queries.
 
 use crate::profiler::PipelineProfile;
 use crate::schedule::interleave_profile;
 use ecofl_compat::serde::{Deserialize, Serialize};
-use ecofl_obs::{Counter, Domain, Histogram, Obs, SpanKind, TraceView, Tracer};
-use ecofl_simnet::{BusyTracker, Device, EventQueue, ThroughputTracker};
+use ecofl_obs::{
+    Counter, Domain, Histogram, Obs, SpanKind, SpanRecord, TraceRecord, TraceView, Tracer,
+};
+use ecofl_simnet::{Device, EventQueue};
 use std::collections::VecDeque;
 
 pub use crate::schedule::SchedulePolicy;
@@ -179,39 +188,6 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// What phase of a micro-batch a task span executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TaskPhase {
-    /// Forward pass.
-    Forward,
-    /// Full (unsplit) backward pass.
-    Backward,
-    /// Activation-gradient half of a split backward.
-    BackwardInput,
-    /// Weight-gradient half of a split backward.
-    BackwardWeight,
-}
-
-/// One executed compute task, for schedule visualization and bubble
-/// forensics (the Fig. 3 Gantt of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TaskSpan {
-    /// Stage that executed the task (virtual stage for interleaved).
-    pub stage: usize,
-    /// Micro-batch index within its sync-round.
-    pub micro: usize,
-    /// Sync-round index.
-    pub round: usize,
-    /// True for a forward pass, false for any backward phase.
-    pub forward: bool,
-    /// Which compute phase ran.
-    pub phase: TaskPhase,
-    /// Start time, seconds.
-    pub start: f64,
-    /// End time, seconds (includes dispatch overhead).
-    pub end: f64,
-}
-
 /// Measured results of a pipeline run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionReport {
@@ -240,48 +216,24 @@ pub struct ExecutionReport {
     pub rounds: usize,
     /// Micro-batches per sync-round.
     pub micro_batches: usize,
-    /// Every executed compute task in dispatch order (schedule trace).
-    pub task_spans: Vec<TaskSpan>,
-}
-
-impl TaskSpan {
-    /// The obs-layer record equivalent of this span.
-    #[must_use]
-    pub fn to_record(&self) -> ecofl_obs::SpanRecord {
-        ecofl_obs::SpanRecord {
-            domain: Domain::Pipeline,
-            kind: match self.phase {
-                TaskPhase::Forward => SpanKind::Forward,
-                TaskPhase::Backward => SpanKind::Backward,
-                TaskPhase::BackwardInput => SpanKind::BackwardInput,
-                TaskPhase::BackwardWeight => SpanKind::BackwardWeight,
-            },
-            entity: self.stage,
-            round: self.round,
-            micro: self.micro,
-            t0: self.start,
-            t1: self.end,
-        }
-    }
-}
-
-/// Lifts raw task spans into a queryable [`TraceView`] — the bridge for
-/// reports produced without a [`Tracer`] attached.
-#[must_use]
-pub fn spans_to_view(spans: &[TaskSpan]) -> TraceView {
-    TraceView::from_records(
-        spans
-            .iter()
-            .map(|s| ecofl_obs::TraceRecord::Span(s.to_record()))
-            .collect(),
-    )
+    /// Every executed compute task in dispatch order (schedule trace): a
+    /// [`Domain::Pipeline`] compute span whose `entity` is the (virtual)
+    /// stage, and whose `t1` includes the dispatch overhead.
+    pub task_spans: Vec<SpanRecord>,
 }
 
 impl ExecutionReport {
-    /// A [`TraceView`] over this report's compute spans.
+    /// A [`TraceView`] over this report's compute spans — the bridge for
+    /// reports produced without a [`Tracer`] attached.
     #[must_use]
     pub fn trace_view(&self) -> TraceView {
-        spans_to_view(&self.task_spans)
+        TraceView::from_records(
+            self.task_spans
+                .iter()
+                .copied()
+                .map(TraceRecord::Span)
+                .collect(),
+        )
     }
 
     /// Energy consumed per stage in joules, given each stage device's
@@ -532,8 +484,6 @@ impl<'a> PipelineExecutor<'a> {
             devices,
             device_busy: vec![false; dev_count],
             dev_stages,
-            busy_trackers: vec![BusyTracker::new(); s_count],
-            completions: ThroughputTracker::new(),
             task_spans: Vec::new(),
             tracer: obs.tracer,
             metrics: obs.hub.map(|hub| ExecMetrics {
@@ -608,8 +558,8 @@ impl<'a> PipelineExecutor<'a> {
         let mut stage_gpu = Vec::with_capacity(s_count);
         let mut stage_idle = Vec::with_capacity(s_count);
         let mut ddb = Vec::with_capacity(s_count);
-        for (i, st) in engine.state.iter().enumerate() {
-            let busy = engine.busy_trackers[i].busy_time(0.0, makespan);
+        let busy_times = stage_busy_times(&engine.task_spans, s_count);
+        for (st, busy) in engine.state.iter().zip(busy_times) {
             stage_busy.push(busy / makespan);
             stage_gpu.push(st.useful_time / makespan);
             let idle = makespan - busy;
@@ -634,6 +584,33 @@ impl<'a> PipelineExecutor<'a> {
     }
 }
 
+/// Busy time per stage, folded over the executed spans in dispatch order:
+/// a stage's span that starts within 1e-9 s of the end of its open busy
+/// interval extends it, any other non-empty span opens a new one, and the
+/// closed intervals' lengths `e − s` sum in order. Every span ends by the
+/// makespan, so this is the stage's busy time over `[0, makespan)`.
+fn stage_busy_times(spans: &[SpanRecord], stages: usize) -> Vec<f64> {
+    let mut open: Vec<Option<(f64, f64)>> = vec![None; stages];
+    let mut busy = vec![0.0; stages];
+    for s in spans {
+        match &mut open[s.entity] {
+            Some((_, end)) if (s.t0 - *end).abs() < 1e-9 => *end = s.t1,
+            slot if s.t1 > s.t0 => {
+                if let Some((a, b)) = slot.replace((s.t0, s.t1)) {
+                    busy[s.entity] += b - a;
+                }
+            }
+            _ => {}
+        }
+    }
+    for (slot, total) in open.into_iter().zip(&mut busy) {
+        if let Some((a, b)) = slot {
+            *total += b - a;
+        }
+    }
+    busy
+}
+
 /// Which task class a dispatch pass scans for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pass {
@@ -656,9 +633,7 @@ struct Engine<'e> {
     device_busy: Vec<bool>,
     /// Stage indices hosted by each device, ascending.
     dev_stages: Vec<Vec<usize>>,
-    busy_trackers: Vec<BusyTracker>,
-    completions: ThroughputTracker,
-    task_spans: Vec<TaskSpan>,
+    task_spans: Vec<SpanRecord>,
     tracer: Option<&'e Tracer>,
     metrics: Option<ExecMetrics>,
 }
@@ -710,7 +685,7 @@ impl Engine<'_> {
                 }
             }
             Task::Bp(m) => {
-                self.finish_backward(stage, m, sp.activation_bytes_per_mb, now);
+                self.finish_backward(stage, sp.activation_bytes_per_mb);
                 self.send_upstream_grad(stage, m, now, queue, round);
             }
             Task::BpIn(m) => {
@@ -719,23 +694,19 @@ impl Engine<'_> {
                 self.state[stage].bpw_ready.push_back(m);
                 self.send_upstream_grad(stage, m, now, queue, round);
             }
-            Task::BpW(m) => {
-                self.finish_backward(stage, m, sp.activation_bytes_per_mb, now);
+            Task::BpW(_) => {
+                self.finish_backward(stage, sp.activation_bytes_per_mb);
             }
         }
     }
 
-    /// Books the completion of micro-batch `m`'s backward at `stage`:
-    /// counter, residency, activation memory, throughput.
-    fn finish_backward(&mut self, stage: usize, _m: usize, activation_bytes: u64, now: f64) {
+    /// Books the completion of a backward at `stage`: counter, residency,
+    /// activation memory.
+    fn finish_backward(&mut self, stage: usize, activation_bytes: u64) {
         let dev = self.profile.stages()[stage].device;
         self.state[stage].bp_done += 1;
         self.state[stage].in_flight -= 1;
         self.devices[dev].free(activation_bytes);
-        if stage == 0 {
-            self.completions
-                .record(now, self.profile.micro_batch() as u64);
-        }
     }
 
     /// Serializes micro-batch `m`'s gradient onto the backward link out of
@@ -892,44 +863,38 @@ impl Engine<'_> {
         let duration = wall + self.task_overhead;
         self.device_busy[sp.device] = true;
         self.state[stage].useful_time += wall * sp.efficiency;
-        self.busy_trackers[stage].record(now, now + duration);
-        let (micro, phase) = match task {
-            Task::Fp(m) => (m, TaskPhase::Forward),
-            Task::Bp(m) => (m, TaskPhase::Backward),
-            Task::BpIn(m) => (m, TaskPhase::BackwardInput),
-            Task::BpW(m) => (m, TaskPhase::BackwardWeight),
+        let (micro, kind) = match task {
+            Task::Fp(m) => (m, SpanKind::Forward),
+            Task::Bp(m) => (m, SpanKind::Backward),
+            Task::BpIn(m) => (m, SpanKind::BackwardInput),
+            Task::BpW(m) => (m, SpanKind::BackwardWeight),
         };
-        self.task_spans.push(TaskSpan {
-            stage,
-            micro,
+        let span = SpanRecord {
+            domain: Domain::Pipeline,
+            kind,
+            entity: stage,
             round,
-            forward: phase == TaskPhase::Forward,
-            phase,
-            start: now,
-            end: now + duration,
-        });
+            micro,
+            t0: now,
+            t1: now + duration,
+        };
+        self.task_spans.push(span);
         if let Some(m) = &self.metrics {
             m.tasks.inc(1);
             m.task_s.record(duration);
         }
         if let Some(tr) = self.tracer {
-            let kind = match phase {
-                TaskPhase::Forward => SpanKind::Forward,
-                TaskPhase::Backward => SpanKind::Backward,
-                TaskPhase::BackwardInput => SpanKind::BackwardInput,
-                TaskPhase::BackwardWeight => SpanKind::BackwardWeight,
-            };
             tr.span(
-                Domain::Pipeline,
-                kind,
-                stage,
-                round,
-                micro,
-                now,
-                now + duration,
+                span.domain,
+                span.kind,
+                span.entity,
+                span.round,
+                span.micro,
+                span.t0,
+                span.t1,
             );
         }
-        queue.schedule(now + duration, Event::ComputeDone { stage, task });
+        queue.schedule(span.t1, Event::ComputeDone { stage, task });
     }
 }
 
@@ -1046,7 +1011,11 @@ mod tests {
             .spans_of(Domain::Pipeline, SpanKind::CommBackward)
             .next()
             .is_some());
-        // The spans_to_view bridge sees the same compute structure.
+        // The report's spans are the tracer's compute spans, and the
+        // trace_view bridge sees the same compute structure.
+        let traced_compute: Vec<SpanRecord> =
+            view.spans().filter(|s| s.is_compute()).copied().collect();
+        assert_eq!(traced.task_spans, traced_compute);
         let bridged = traced.trace_view();
         assert_eq!(bridged.stage_count(), view.stage_count());
         assert!((bridged.total_idle_time() - view.total_idle_time()).abs() < 1e-9);
@@ -1266,12 +1235,12 @@ mod tests {
         let inputs = zb
             .task_spans
             .iter()
-            .filter(|s| s.phase == TaskPhase::BackwardInput)
+            .filter(|s| s.kind == SpanKind::BackwardInput)
             .count();
         let weights = zb
             .task_spans
             .iter()
-            .filter(|s| s.phase == TaskPhase::BackwardWeight)
+            .filter(|s| s.kind == SpanKind::BackwardWeight)
             .count();
         assert_eq!(inputs, 2 * m * p.num_stages());
         assert_eq!(weights, 2 * m * p.num_stages());
@@ -1306,9 +1275,9 @@ mod tests {
         // a device never overlap.
         for (i, a) in r.task_spans.iter().enumerate() {
             for b in &r.task_spans[i + 1..] {
-                if vp.stages()[a.stage].device == vp.stages()[b.stage].device {
+                if vp.stages()[a.entity].device == vp.stages()[b.entity].device {
                     assert!(
-                        a.end <= b.start + 1e-12 || b.end <= a.start + 1e-12,
+                        a.t1 <= b.t0 + 1e-12 || b.t1 <= a.t0 + 1e-12,
                         "device-sharing spans overlap: {a:?} vs {b:?}"
                     );
                 }

@@ -6,12 +6,14 @@
 //! lowercase band (distinguished by style), idle time as dots. Useful
 //! for eyeballing SSB/DDB structure and for docs.
 //!
-//! The renderer consumes the obs layer's [`TraceView`] (compute spans of
-//! [`Domain::Pipeline`]); [`render_round`] keeps the original
-//! span-slice entry point by lifting the spans through
-//! [`spans_to_view`](crate::executor::spans_to_view).
+//! The one entry point, [`render_view`], consumes the obs layer's
+//! [`TraceView`] (compute spans of [`Domain::Pipeline`]): a live
+//! tracer's view, or
+//! [`ExecutionReport::trace_view`](crate::executor::ExecutionReport::trace_view)
+//! for a report run without one.
+//!
+//! [`Domain::Pipeline`]: ecofl_obs::Domain::Pipeline
 
-use crate::executor::{spans_to_view, TaskSpan};
 use ecofl_obs::{SpanKind, TraceView};
 
 /// Renders one sync-round of a pipeline trace as an ASCII Gantt chart.
@@ -22,25 +24,16 @@ use ecofl_obs::{SpanKind, TraceView};
 /// lowercase `a–j`; the deferred weight-gradient halves paint uppercase
 /// `A–J`; idle time is `·`.
 ///
-/// Returns one line per stage, prefixed with the stage index.
-///
-/// # Panics
-/// Panics if `width < 10`.
-#[must_use]
-pub fn render_view(view: &TraceView, round: usize, width: usize) -> Vec<String> {
-    render_view_virtual(view, round, width, 1)
-}
-
-/// [`render_view`] for interleaved schedules: `virtual_per_device` > 1
-/// labels each row with its physical device and chunk (`dev d.c`) so the
-/// `v` virtual stages a device hosts are visually grouped. With
-/// `virtual_per_device == 1` rows keep the plain `stage s` labels.
+/// Returns one line per stage. With `virtual_per_device == 1` rows are
+/// labeled `stage s`; above 1 (interleaved schedules) each row is labeled
+/// with its physical device and chunk (`dev d.c`) so the `v` virtual
+/// stages a device hosts are visually grouped.
 ///
 /// # Panics
 /// Panics if `width < 10`, or if the stage count is not divisible by
 /// `virtual_per_device`.
 #[must_use]
-pub fn render_view_virtual(
+pub fn render_view(
     view: &TraceView,
     round: usize,
     width: usize,
@@ -95,33 +88,7 @@ pub fn render_view_virtual(
         .collect()
 }
 
-/// [`render_view`] over a raw task-span slice (kept for callers holding
-/// an [`ExecutionReport`](crate::executor::ExecutionReport)).
-///
-/// # Panics
-/// Panics if `width < 10`.
-#[must_use]
-pub fn render_round(spans: &[TaskSpan], round: usize, width: usize) -> Vec<String> {
-    render_view(&spans_to_view(spans), round, width)
-}
-
-/// [`render_round`] with virtual-stage labels — see
-/// [`render_view_virtual`].
-///
-/// # Panics
-/// Panics if `width < 10` or the stage count is not divisible by
-/// `virtual_per_device`.
-#[must_use]
-pub fn render_round_virtual(
-    spans: &[TaskSpan],
-    round: usize,
-    width: usize,
-    virtual_per_device: usize,
-) -> Vec<String> {
-    render_view_virtual(&spans_to_view(spans), round, width, virtual_per_device)
-}
-
-/// Renders a compact legend for [`render_round`] output.
+/// Renders a compact legend for [`render_view`] output.
 #[must_use]
 pub fn legend() -> &'static str {
     "digits = forward pass of micro-batch n, letters a–j = backward pass \
@@ -161,7 +128,7 @@ mod tests {
     #[test]
     fn renders_one_row_per_stage() {
         let report = trace();
-        let rows = render_round(&report.task_spans, 0, 80);
+        let rows = render_view(&report.trace_view(), 0, 80, 1);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(row.starts_with("stage "));
@@ -170,9 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn render_from_live_tracer_matches_span_slice() {
+    fn render_from_live_tracer_matches_the_report() {
         // The TraceView produced by an actual traced run renders the
-        // same picture as the span-slice path (comm spans are ignored
+        // same picture as the report's own spans (comm spans are ignored
         // by the renderer).
         let model = efficientnet_at(0, 224);
         let devices = vec![Device::new(tx2_q()), Device::new(nano_h())];
@@ -185,27 +152,28 @@ mod tests {
         let tracer = Tracer::new();
         let report = exec.run_traced(6, 1, &tracer).expect("runs");
         assert_eq!(
-            render_view(&tracer.view(), 0, 90),
-            render_round(&report.task_spans, 0, 90)
+            render_view(&tracer.view(), 0, 90, 1),
+            render_view(&report.trace_view(), 0, 90, 1)
         );
     }
 
     #[test]
     fn every_micro_batch_appears_forward_and_backward() {
         let report = trace();
-        let spans: Vec<_> = report.task_spans.iter().filter(|s| s.round == 0).collect();
         for stage in 0..3 {
             for micro in 0..6 {
-                assert!(
-                    spans
+                let spans = || {
+                    report
+                        .task_spans
                         .iter()
-                        .any(|s| s.stage == stage && s.micro == micro && s.forward),
+                        .filter(|s| s.round == 0 && s.entity == stage && s.micro == micro)
+                };
+                assert!(
+                    spans().any(|s| s.kind == SpanKind::Forward),
                     "missing FP({micro}) at stage {stage}"
                 );
                 assert!(
-                    spans
-                        .iter()
-                        .any(|s| s.stage == stage && s.micro == micro && !s.forward),
+                    spans().any(|s| s.kind != SpanKind::Forward),
                     "missing BP({micro}) at stage {stage}"
                 );
             }
@@ -219,12 +187,12 @@ mod tests {
             let mut spans: Vec<_> = report
                 .task_spans
                 .iter()
-                .filter(|s| s.stage == stage)
+                .filter(|s| s.entity == stage)
                 .collect();
-            spans.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+            spans.sort_by(|a, b| a.t0.partial_cmp(&b.t0).unwrap());
             for w in spans.windows(2) {
                 assert!(
-                    w[1].start >= w[0].end - 1e-9,
+                    w[1].t0 >= w[0].t1 - 1e-9,
                     "device must execute one task at a time"
                 );
             }
@@ -234,19 +202,21 @@ mod tests {
     #[test]
     fn forward_precedes_backward_per_micro_batch() {
         let report = trace();
+        let find = |stage, micro, forward: bool| {
+            report
+                .task_spans
+                .iter()
+                .find(|s| {
+                    s.round == 0
+                        && s.entity == stage
+                        && s.micro == micro
+                        && (s.kind == SpanKind::Forward) == forward
+                })
+                .unwrap()
+        };
         for stage in 0..3 {
             for micro in 0..6 {
-                let fp = report
-                    .task_spans
-                    .iter()
-                    .find(|s| s.round == 0 && s.stage == stage && s.micro == micro && s.forward)
-                    .unwrap();
-                let bp = report
-                    .task_spans
-                    .iter()
-                    .find(|s| s.round == 0 && s.stage == stage && s.micro == micro && !s.forward)
-                    .unwrap();
-                assert!(bp.start >= fp.end - 1e-9);
+                assert!(find(stage, micro, false).t0 >= find(stage, micro, true).t1 - 1e-9);
             }
         }
     }
@@ -272,7 +242,7 @@ mod tests {
             .expect("valid")
             .run(4, 1)
             .expect("runs");
-        let rows = render_round_virtual(&report.task_spans, 0, 72, 2);
+        let rows = render_view(&report.trace_view(), 0, 72, 2);
         // '.' stands in for the idle dot U+00B7.
         let golden = [
             "dev 0.0 |1233.................................aaa.....bbb...............ccc....dd|",
@@ -303,7 +273,7 @@ mod tests {
             .expect("valid")
             .run(4, 1)
             .expect("runs");
-        let rows = render_round(&report.task_spans, 0, 80);
+        let rows = render_view(&report.trace_view(), 0, 80, 1);
         let flat: String = rows.concat();
         assert!(
             flat.chars().any(|c| c.is_ascii_uppercase()),
@@ -318,6 +288,6 @@ mod tests {
     #[test]
     fn empty_round_renders_nothing() {
         let report = trace();
-        assert!(render_round(&report.task_spans, 99, 40).is_empty());
+        assert!(render_view(&report.trace_view(), 99, 40, 1).is_empty());
     }
 }

@@ -20,7 +20,8 @@
 //!   per-stage task stream; [`ScheduleKind`] is its data-free tag,
 //! - [`executor`] — a discrete-event executor that runs any of the five
 //!   schedules over simulated devices and links, with per-stage memory
-//!   accounting (OOM detection), busy traces and bubble measurement,
+//!   accounting (OOM detection), one compute span per executed task, and
+//!   busy time and bubbles folded from those spans,
 //! - [`baselines`] — data-parallel and single-device training cost models
 //!   (the Fig. 10/11 comparison points),
 //! - [`adaptive`] — the §4.4 runtime: periodic stage-time reports, lagger
@@ -46,11 +47,10 @@ pub mod partition;
 pub mod profiler;
 pub mod runtime;
 pub mod schedule;
-pub mod validate;
 
 pub use adaptive::{AdaptiveScheduler, RescheduleEvent, SpikeError};
 pub use baselines::{data_parallel_epoch, single_device_epoch, DataParallelReport};
-pub use executor::{ExecutionReport, PipelineExecutor, SchedulePolicy, TaskSpan};
+pub use executor::{ExecutionReport, PipelineExecutor, SchedulePolicy};
 pub use orchestrator::{
     analytic_round_time, search_configuration, OrchestratorConfig, PipelinePlan,
 };
@@ -61,4 +61,3 @@ pub use runtime::{
     FaultPlan, KillPoint, PipelineTrainer, RuntimeOptions,
 };
 pub use schedule::{interleave_profile, ScheduleKind, StageTask, DEFAULT_INTERLEAVE};
-pub use validate::{validate_plan, PlanViolation};

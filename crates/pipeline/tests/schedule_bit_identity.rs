@@ -8,13 +8,15 @@
 //! through a trait object, now through inherent methods on the enum —
 //! and these tests prove each form reproduces the seed bit for bit:
 //! report scalars, task-span streams, tracer streams, and peak memory.
+//! A second set pins every schedule's per-stage busy, idle and DDB bits.
 
 use ecofl_models::{efficientnet, efficientnet_at};
-use ecofl_obs::Tracer;
+use ecofl_obs::{SpanKind, Tracer};
 use ecofl_pipeline::executor::{ExecutionReport, PipelineExecutor, SchedulePolicy};
 use ecofl_pipeline::orchestrator::k_bounds;
 use ecofl_pipeline::partition::partition_dp;
 use ecofl_pipeline::profiler::PipelineProfile;
+use ecofl_pipeline::schedule::ScheduleKind;
 use ecofl_simnet::{nano_h, tx2_n, tx2_q, Device, Link};
 
 struct Golden {
@@ -98,12 +100,12 @@ fn span_checksum(r: &ExecutionReport) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     };
     for s in &r.task_spans {
-        mix(s.stage as u64);
+        mix(s.entity as u64);
         mix(s.micro as u64);
         mix(s.round as u64);
-        mix(u64::from(s.forward));
-        mix(s.start.to_bits());
-        mix(s.end.to_bits());
+        mix(u64::from(s.kind == SpanKind::Forward));
+        mix(s.t0.to_bits());
+        mix(s.t1.to_bits());
     }
     h
 }
@@ -157,25 +159,32 @@ fn check(golden: &Golden, profile: &PipelineProfile, policy: SchedulePolicy) {
     );
 }
 
-#[test]
-fn legacy_schedules_are_bit_identical_through_the_trait() {
-    // Mix A: 2-stage TX2-N + Nano-H, EfficientNet-B0, even split, mbs 4.
+/// Mix A: 2-stage TX2-N + Nano-H, EfficientNet-B0, even split, mbs 4.
+fn mix_a() -> PipelineProfile {
     let model = efficientnet(0);
     let l = model.num_layers();
     let devices = vec![Device::new(tx2_n()), Device::new(nano_h())];
-    let p2 = PipelineProfile::new(&model, &[0, l / 2, l], &devices, &Link::mbps_100(), 4);
-    let k2 = k_bounds(&p2).expect("fits");
+    PipelineProfile::new(&model, &[0, l / 2, l], &devices, &Link::mbps_100(), 4)
+}
 
-    // Mix B: 3-stage TX2-Q + 2x Nano-H, EfficientNet-B2 @224, DP split, mbs 8.
-    let model3 = efficientnet_at(2, 224);
-    let devices3 = vec![
+/// Mix B: 3-stage TX2-Q + 2x Nano-H, EfficientNet-B2 @224, DP split, mbs 8.
+fn mix_b() -> PipelineProfile {
+    let model = efficientnet_at(2, 224);
+    let devices = vec![
         Device::new(tx2_q()),
         Device::new(nano_h()),
         Device::new(nano_h()),
     ];
     let link = Link::mbps_100();
-    let part = partition_dp(&model3, &devices3, &link, 8).expect("feasible");
-    let p3 = PipelineProfile::new(&model3, &part.boundaries, &devices3, &link, 8);
+    let part = partition_dp(&model, &devices, &link, 8).expect("feasible");
+    PipelineProfile::new(&model, &part.boundaries, &devices, &link, 8)
+}
+
+#[test]
+fn legacy_schedules_are_bit_identical_through_the_trait() {
+    let p2 = mix_a();
+    let k2 = k_bounds(&p2).expect("fits");
+    let p3 = mix_b();
     let k3 = k_bounds(&p3).expect("fits");
 
     for (i, (profile, k)) in [(&p2, &k2), (&p3, &k3)].into_iter().enumerate() {
@@ -190,5 +199,55 @@ fn legacy_schedules_are_bit_identical_through_the_trait() {
             profile,
             SchedulePolicy::OneFOneBAsync { k: k.clone() },
         );
+    }
+}
+
+/// FNV-1a checksums over the bits of `stage_busy_utilization`,
+/// `stage_idle_time` and `ddb_per_round`, per mix and schedule, captured
+/// from the executor that kept one busy-interval tracker per stage beside
+/// its span list.
+const BUSY_GOLDENS: [(&str, u64); 10] = [
+    ("mixA_1f1b", 0x5db4c3926be2a107),
+    ("mixA_gpipe", 0x7828cd0aa6659bfd),
+    ("mixA_async", 0x20c17fc4eafee4cf),
+    ("mixA_interleaved", 0xdc5cbe58442be3bd),
+    ("mixA_zb", 0xe947655146b271f5),
+    ("mixB_1f1b", 0x509b106e495ef211),
+    ("mixB_gpipe", 0x3e0dad9b3360cb30),
+    ("mixB_async", 0x225e871b386a2dd6),
+    ("mixB_interleaved", 0x0106b5e583652912),
+    ("mixB_zb", 0xb3c0b6e55d8fa114),
+];
+
+fn busy_checksum(r: &ExecutionReport) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for v in r
+        .stage_busy_utilization
+        .iter()
+        .chain(&r.stage_idle_time)
+        .chain(&r.ddb_per_round)
+    {
+        h ^= v.to_bits();
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+#[test]
+fn busy_idle_and_ddb_keep_their_bits_on_every_schedule() {
+    for (mix, profile) in [("mixA", mix_a()), ("mixB", mix_b())] {
+        for kind in ScheduleKind::all() {
+            let label = format!("{mix}_{}", kind.name());
+            let policy = kind.policy_for(&profile).expect("fits");
+            let r = PipelineExecutor::new(&profile, policy)
+                .expect("valid policy")
+                .run(6, 2)
+                .expect("no OOM");
+            let &(_, golden) = BUSY_GOLDENS
+                .iter()
+                .find(|(l, _)| *l == label)
+                .expect("a golden per mix and schedule");
+            assert_eq!(busy_checksum(&r), golden, "{label}: busy/idle/DDB bits");
+        }
     }
 }

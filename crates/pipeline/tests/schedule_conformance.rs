@@ -136,11 +136,11 @@ fn span_fingerprint(r: &ExecutionReport) -> Vec<u64> {
     ];
     for s in &r.task_spans {
         out.extend([
-            s.stage as u64,
+            s.entity as u64,
             s.micro as u64,
             s.round as u64,
-            s.start.to_bits(),
-            s.end.to_bits(),
+            s.t0.to_bits(),
+            s.t1.to_bits(),
         ]);
     }
     out.extend(r.stage_peak_memory.iter().copied());

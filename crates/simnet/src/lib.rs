@@ -14,22 +14,19 @@
 //!   two power modes, 100 Mbps networking),
 //! - [`link::Link`] — bandwidth/latency links for activation and gradient
 //!   transfers,
-//! - [`trace`] — busy-interval recording from which per-device utilization
-//!   (the paper's "GPU utilization") and throughput series are derived.
+//! - [`power`] — the Table 1 power modes' idle and load draws.
 
 pub mod catalog;
 pub mod device;
 pub mod event;
 pub mod link;
 pub mod power;
-pub mod trace;
 
 pub use catalog::{nano_h, nano_l, table1, tx2_n, tx2_q};
 pub use device::{Device, DeviceSpec};
 pub use event::EventQueue;
 pub use link::Link;
 pub use power::{power_of, PowerProfile};
-pub use trace::{BusyTracker, ThroughputTracker};
 
 /// Simulation time in seconds.
 pub type SimTime = f64;

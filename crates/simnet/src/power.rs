@@ -8,9 +8,10 @@
 //!
 //! The model is the standard two-state one: a device draws `idle_watts`
 //! always and `load_watts` while executing FP/BP work, so an interval
-//! with busy fraction `u` costs `idle + u · (load − idle)` watts.
+//! with busy fraction `u` costs `idle + u · (load − idle)` watts. The
+//! pipeline executor's report applies it to each stage's busy fraction
+//! (`ExecutionReport::stage_energy_joules`).
 
-use crate::trace::BusyTracker;
 use ecofl_compat::serde::{Deserialize, Serialize};
 
 /// Power draw of one device mode.
@@ -38,27 +39,6 @@ impl PowerProfile {
             load_watts,
         }
     }
-
-    /// Energy in joules consumed over `[from, to)` given the device's
-    /// busy intervals.
-    #[must_use]
-    pub fn energy(&self, busy: &BusyTracker, from: f64, to: f64) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        let window = to - from;
-        let busy_time = busy.busy_time(from, to);
-        self.idle_watts * window + (self.load_watts - self.idle_watts) * busy_time
-    }
-
-    /// Mean power over `[from, to)` in watts.
-    #[must_use]
-    pub fn mean_watts(&self, busy: &BusyTracker, from: f64, to: f64) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        self.energy(busy, from, to) / (to - from)
-    }
 }
 
 /// Power profile for a Table 1 device by name.
@@ -83,50 +63,12 @@ pub fn power_of(device_name: &str) -> Option<PowerProfile> {
 mod tests {
     use super::*;
 
-    fn half_busy() -> BusyTracker {
-        let mut b = BusyTracker::new();
-        b.record(0.0, 5.0);
-        b
-    }
-
-    #[test]
-    fn energy_two_state_model() {
-        let p = PowerProfile::new(2.0, 10.0);
-        let busy = half_busy();
-        // 10 s window, 5 s busy: 2·10 idle-base + 8·5 load-extra = 60 J.
-        assert!((p.energy(&busy, 0.0, 10.0) - 60.0).abs() < 1e-9);
-        assert!((p.mean_watts(&busy, 0.0, 10.0) - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn idle_device_draws_idle_power() {
-        let p = PowerProfile::new(2.0, 10.0);
-        let busy = BusyTracker::new();
-        assert!((p.energy(&busy, 0.0, 4.0) - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fully_busy_draws_load_power() {
-        let p = PowerProfile::new(2.0, 10.0);
-        let mut busy = BusyTracker::new();
-        busy.record(0.0, 3.0);
-        assert!((p.energy(&busy, 0.0, 3.0) - 30.0).abs() < 1e-9);
-    }
-
     #[test]
     fn catalog_power_modes() {
         assert_eq!(power_of("Nano-L").unwrap().load_watts, 5.0);
         assert_eq!(power_of("Nano-H").unwrap().load_watts, 10.0);
         assert_eq!(power_of("TX2-N").unwrap().load_watts, 15.0);
         assert!(power_of("gpu9000").is_none());
-    }
-
-    #[test]
-    fn degenerate_windows() {
-        let p = PowerProfile::new(1.0, 2.0);
-        let busy = half_busy();
-        assert_eq!(p.energy(&busy, 5.0, 5.0), 0.0);
-        assert_eq!(p.mean_watts(&busy, 5.0, 2.0), 0.0);
     }
 
     #[test]

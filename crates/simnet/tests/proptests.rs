@@ -1,7 +1,7 @@
 //! Property-based tests for the discrete-event core.
 
-use ecofl_compat::check::{f64_in, forall, pair, quad, u64_in, usize_in, vec_in};
-use ecofl_simnet::{BusyTracker, DeviceSpec, EventQueue, Link, ThroughputTracker};
+use ecofl_compat::check::{f64_in, forall, quad, u64_in, usize_in, vec_in};
+use ecofl_simnet::{DeviceSpec, EventQueue, Link};
 
 const CASES: usize = 256;
 
@@ -32,57 +32,6 @@ fn event_queue_ties_fifo() {
         assert_eq!(order, (0..n).collect::<Vec<_>>());
     });
 }
-
-#[test]
-fn busy_tracker_utilization_bounded() {
-    let intervals = vec_in(pair(f64_in(0.0, 100.0), f64_in(0.0, 5.0)), 0, 50);
-    forall(
-        "busy_tracker_utilization_bounded",
-        CASES,
-        &intervals,
-        |intervals| {
-            let mut b = BusyTracker::new();
-            let mut cursor = 0.0;
-            for &(gap, len) in intervals {
-                let start = cursor + gap;
-                b.record(start, start + len);
-                cursor = start + len;
-            }
-            let horizon = cursor + 1.0;
-            let u = b.utilization(0.0, horizon);
-            assert!((0.0..=1.0 + 1e-9).contains(&u));
-            assert!(b.busy_time(0.0, horizon) <= horizon + 1e-9);
-        },
-    );
-}
-
-#[test]
-fn busy_time_additive_over_windows() {
-    let input = pair(
-        vec_in(pair(f64_in(0.1, 10.0), f64_in(0.1, 5.0)), 1, 30),
-        f64_in(0.0, 200.0),
-    );
-    forall(
-        "busy_time_additive_over_windows",
-        CASES,
-        &input,
-        |(intervals, split)| {
-            let mut b = BusyTracker::new();
-            let mut cursor = 0.0;
-            for &(gap, len) in intervals {
-                let start = cursor + gap;
-                b.record(start, start + len);
-                cursor = start + len;
-            }
-            let total = b.busy_time(0.0, cursor + 1.0);
-            let split = split.min(cursor + 1.0);
-            let left = b.busy_time(0.0, split);
-            let right = b.busy_time(split, cursor + 1.0);
-            assert!((left + right - total).abs() < 1e-9);
-        },
-    );
-}
-
 #[test]
 fn link_transfer_monotone_in_bytes() {
     let input = quad(
@@ -125,34 +74,6 @@ fn device_memory_accounting_balances() {
                 d.free(bytes);
             }
             assert_eq!(d.allocated_bytes(), 0);
-        },
-    );
-}
-
-#[test]
-fn throughput_counts_partition_time() {
-    let input = pair(
-        vec_in(pair(f64_in(0.01, 5.0), u64_in(1, 10)), 1, 60),
-        f64_in(0.01, 0.99),
-    );
-    forall(
-        "throughput_counts_partition_time",
-        CASES,
-        &input,
-        |(events, split_frac)| {
-            let mut t = ThroughputTracker::new();
-            let mut cursor = 0.0;
-            for (gap, count) in events {
-                cursor += gap;
-                t.record(cursor, *count);
-            }
-            let split = cursor * split_frac;
-            let total = t.count_in(0.0, cursor + 1.0);
-            assert_eq!(
-                total,
-                t.count_in(0.0, split) + t.count_in(split, cursor + 1.0)
-            );
-            assert_eq!(total, t.total());
         },
     );
 }

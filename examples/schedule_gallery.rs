@@ -11,14 +11,14 @@
 
 use ecofl::prelude::*;
 use ecofl_pipeline::executor::ExecError;
-use ecofl_pipeline::gantt::{legend, render_round_virtual};
+use ecofl_pipeline::gantt::{legend, render_view};
 use ecofl_pipeline::orchestrator::p_bounds;
 
 fn show(title: &str, v: usize, result: Result<ExecutionReport, ExecError>) {
     println!("\n=== {title} ===");
     match result {
         Ok(report) => {
-            for line in render_round_virtual(&report.task_spans, 0, 100, v) {
+            for line in render_view(&report.trace_view(), 0, 100, v) {
                 println!("{line}");
             }
             println!(

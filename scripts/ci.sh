@@ -72,7 +72,10 @@ echo "    ok"
 # number in the same diff, where a reviewer sees it; one that shrinks it
 # lowers the number so the gain is kept), and a guard that the run /
 # run_traced / run_metered twins and the second event-queue backend
-# (folded into `Obs` and deleted by PR 16) stay gone.
+# (folded into `Obs` and deleted by PR 16) stay gone — as do the executor's
+# second and third task records (`TaskSpan`, the busy / throughput
+# trackers: a task is one `SpanRecord`, busy time a fold over them), the
+# span-slice Gantt entry points and the unused plan validator.
 echo "==> surface ledger"
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 prelude_exports=$(sed -e 's://.*::' crates/core/src/prelude.rs | tr -d '\n' |
@@ -95,8 +98,9 @@ ratchet() {
 ratchet rust_lines "$rust_lines"
 ratchet prelude_exports "$prelude_exports"
 twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
+twins="$twins|TaskSpan|TaskPhase|BusyTracker|ThroughputTracker|spans_to_view|render_round|validate_plan"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
-    echo "ERROR: a folded twin entry point is back — observation goes through ecofl_obs::Obs." >&2
+    echo "ERROR: a folded twin is back — observation goes through ecofl_obs::Obs, an executed task is one SpanRecord." >&2
     exit 1
 fi
 # One training path: tensors go through `Layer` by value (the compiler

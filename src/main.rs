@@ -22,7 +22,7 @@ use ecofl::obs::metrics::LogHistogram;
 use ecofl::obs::{trace_dir, Domain};
 use ecofl::prelude::*;
 use ecofl_pipeline::adaptive::{simulate_load_spike_with, SchedulerConfig};
-use ecofl_pipeline::gantt::{legend, render_round_virtual};
+use ecofl_pipeline::gantt::{legend, render_view};
 use ecofl_pipeline::orchestrator::MAX_DEVICE_ORDERS;
 use ecofl_pipeline::schedule::ScheduleKind;
 use std::collections::HashMap;
@@ -350,7 +350,7 @@ fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         p.model.name, p.schedule, mbs, p.m
     );
     println!("{}", legend());
-    for line in render_round_virtual(&report.task_spans, 0, width, v) {
+    for line in render_view(&report.trace_view(), 0, width, v) {
         println!("{line}");
     }
     println!(
@@ -745,11 +745,19 @@ fn cmd_trace(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     }
 }
 
-/// Parses a half-open round range `a..b`.
+/// Parses a half-open round range `a..b`; `b < a` is an error, not a
+/// query that silently matches nothing.
 fn parse_rounds(spec: &str) -> Result<std::ops::Range<u64>, EcoFlError> {
-    spec.split_once("..")
+    let range = spec
+        .split_once("..")
         .and_then(|(a, b)| Some(a.trim().parse::<u64>().ok()?..b.trim().parse::<u64>().ok()?))
-        .ok_or_else(|| EcoFlError::Parse(format!("bad --rounds '{spec}' (expected a..b)")))
+        .ok_or_else(|| EcoFlError::Parse(format!("bad --rounds '{spec}' (expected a..b)")))?;
+    if range.end < range.start {
+        return Err(EcoFlError::Config(format!(
+            "--rounds {spec}: the end is below the start"
+        )));
+    }
+    Ok(range)
 }
 
 /// Opens a run store read-only and answers a summary-pruned query:
@@ -770,8 +778,6 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         ]],
     )?;
     let dir = PathBuf::from(require(args, "store")?);
-    let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
-    let store = RunStore::open(dir.as_path()).map_err(io_err)?;
     let mut query = TraceQuery::new();
     if let Some(spec) = args.get("rounds") {
         query = query.rounds(parse_rounds(spec)?);
@@ -783,11 +789,19 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         query = query.kind(k.parse::<RecordKind>().map_err(EcoFlError::Parse)?);
     }
     if let Some(d) = args.get("min-duration") {
-        let d = d
+        let d: f64 = d
             .parse()
             .map_err(|_| EcoFlError::Parse(format!("bad value for --min-duration: {d}")))?;
+        // No span is shorter than NaN, so the query would match them all.
+        if d.is_nan() {
+            return Err(EcoFlError::Config(
+                "--min-duration must be a number of seconds, got NaN".into(),
+            ));
+        }
         query = query.min_duration(d);
     }
+    let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
+    let store = RunStore::open(dir.as_path()).map_err(io_err)?;
     println!("store: {}", dir.display());
     for seg in store.segments() {
         println!(
@@ -1365,6 +1379,8 @@ mod tests {
         assert!(parse_rounds("5").is_err());
         assert!(parse_rounds("a..b").is_err());
         assert!(parse_rounds("3..").is_err());
+        assert!(parse_rounds("4..4").unwrap().is_empty());
+        assert!(matches!(parse_rounds("5..2"), Err(EcoFlError::Config(_))));
     }
 
     /// The FL flag reader over `--key value` pairs, `fl`'s defaults.

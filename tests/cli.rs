@@ -216,6 +216,12 @@ fn trace_records_into_a_store_and_inspect_reads_it_back() {
         "expected pruning, decoded {decoded} of {total}:\n{stdout}"
     );
 
+    // A NaN duration bound would match every span and an inverted round
+    // range no record; both are errors that name the flag.
+    for (flag, value) in [("--min-duration", "NaN"), ("--rounds", "5..2")] {
+        assert_rejects(&["trace", "--store", store, flag, value], flag);
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -130,22 +130,48 @@ fn gpipe_memory_dominates_1f1b() {
     }
 }
 
-/// §4.3: Q bounds respect memory; K never exceeds either bound.
+/// §4.3: Q bounds respect memory; K never exceeds either bound — for the
+/// Eq. 3 bounds at each micro-batch size and for the plan the
+/// orchestrator's search picks.
 #[test]
 fn residency_bounds_consistency() {
     let model = efficientnet_at(4, 224);
     let link = Link::mbps_100();
     let devices = devices3();
+    let mut cases = Vec::new();
     for mbs in [4usize, 8, 16] {
         let Some(partition) = partition_dp(&model, &devices, &link, mbs) else {
             continue;
         };
         let profile = PipelineProfile::new(&model, &partition.boundaries, &devices, &link, mbs);
+        if let Some(k) = k_bounds(&profile) {
+            cases.push((mbs, profile, k));
+        }
+    }
+    let plan = search_configuration(
+        &model,
+        &devices,
+        &link,
+        &OrchestratorConfig {
+            global_batch: 32,
+            mbs_candidates: vec![8, 4],
+            eval_rounds: 1,
+            ..OrchestratorConfig::default()
+        },
+    )
+    .expect("a plan");
+    let ordered: Vec<Device> = plan.order.iter().map(|&i| devices[i].clone()).collect();
+    let profile = PipelineProfile::new(
+        &model,
+        &plan.partition.boundaries,
+        &ordered,
+        &link,
+        plan.micro_batch,
+    );
+    cases.push((plan.micro_batch, profile, plan.k));
+    for (mbs, profile, k) in cases {
         let p = p_bounds(&profile);
         let q = q_bounds(&profile);
-        let Some(k) = k_bounds(&profile) else {
-            continue;
-        };
         for s in 0..k.len() {
             assert!(k[s] <= p[s] && k[s] <= q[s], "K must be min(P, Q)");
             assert!(k[s] >= 1);

@@ -16,7 +16,8 @@
 //!
 //! [`stage_stream`]: ecofl::pipeline::SchedulePolicy::stage_stream
 
-use ecofl::pipeline::executor::{ExecutionReport, TaskPhase};
+use ecofl::obs::SpanKind;
+use ecofl::pipeline::executor::ExecutionReport;
 use ecofl::pipeline::schedule::StageTask;
 use ecofl::prelude::*;
 
@@ -133,14 +134,11 @@ fn check_execution(sched: &SchedulePolicy, report: &ExecutionReport, m: usize, r
     );
 
     for s in 0..stages {
-        let mut spans: Vec<_> = report.task_spans.iter().filter(|t| t.stage == s).collect();
-        spans.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+        let mut spans: Vec<_> = report.task_spans.iter().filter(|t| t.entity == s).collect();
+        spans.sort_by(|a, b| a.t0.partial_cmp(&b.t0).unwrap());
         // Serial execution per stage.
         for w in spans.windows(2) {
-            assert!(
-                w[1].start >= w[0].end - 1e-9,
-                "{name} s{s}: overlapping spans"
-            );
+            assert!(w[1].t0 >= w[0].t1 - 1e-9, "{name} s{s}: overlapping spans");
         }
         // Dependency order and residency, walked chronologically. A
         // forward admits a micro-batch; a full backward or the
@@ -150,8 +148,8 @@ fn check_execution(sched: &SchedulePolicy, report: &ExecutionReport, m: usize, r
         let mut state = vec![0u8; m * rounds]; // 0=untouched 1=fwd 2=bwd-in 3=done
         for t in &spans {
             let id = t.round * m + t.micro;
-            match t.phase {
-                TaskPhase::Forward => {
+            match t.kind {
+                SpanKind::Forward => {
                     assert_eq!(state[id], 0, "{name} s{s}: duplicate Fwd r{}", t.round);
                     state[id] = 1;
                     in_flight += 1;
@@ -159,20 +157,21 @@ fn check_execution(sched: &SchedulePolicy, report: &ExecutionReport, m: usize, r
                         assert!(in_flight <= k, "{name} s{s}: {in_flight} resident > K={k}");
                     }
                 }
-                TaskPhase::Backward => {
+                SpanKind::Backward => {
                     assert_eq!(state[id], 1, "{name} s{s}: Bwd out of order");
                     state[id] = 3;
                     in_flight -= 1;
                 }
-                TaskPhase::BackwardInput => {
+                SpanKind::BackwardInput => {
                     assert_eq!(state[id], 1, "{name} s{s}: BwdInput out of order");
                     state[id] = 2;
                 }
-                TaskPhase::BackwardWeight => {
+                SpanKind::BackwardWeight => {
                     assert_eq!(state[id], 2, "{name} s{s}: BwdWeight out of order");
                     state[id] = 3;
                     in_flight -= 1;
                 }
+                other => panic!("{name} s{s}: {other:?} is not a compute span"),
             }
         }
         assert!(
@@ -183,7 +182,7 @@ fn check_execution(sched: &SchedulePolicy, report: &ExecutionReport, m: usize, r
         // Idle accounting: makespan minus busy time re-derived from the
         // spans must equal the report's ledger to 1e-9, and the measured
         // DDB must be idle-beyond-SSB clamped at zero.
-        let busy: f64 = spans.iter().map(|t| t.end - t.start).sum();
+        let busy: f64 = spans.iter().map(|t| t.t1 - t.t0).sum();
         let idle = report.makespan - busy;
         assert!(
             (idle - report.stage_idle_time[s]).abs() < 1e-9,

@@ -6,7 +6,6 @@ use ecofl::prelude::*;
 use ecofl_compat::json;
 use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_pipeline::adaptive::SchedulerConfig;
-use ecofl_pipeline::executor::TaskSpan;
 use ecofl_pipeline::orchestrator::k_bounds;
 
 fn round_trip<T>(value: &T) -> T
@@ -108,7 +107,7 @@ fn execution_report_round_trips_with_spans() {
         .expect("runs");
     let back: ExecutionReport = round_trip(&report);
     assert_eq!(back.task_spans.len(), report.task_spans.len());
-    let span: TaskSpan = report.task_spans[0];
+    let span: ecofl::obs::SpanRecord = report.task_spans[0];
     assert_eq!(round_trip(&span), span);
     assert_eq!(back.stage_peak_memory, report.stage_peak_memory);
 }
