@@ -82,6 +82,41 @@ fn bad_local_solver_knobs_are_config_errors_not_worker_panics() {
 }
 
 #[test]
+fn bad_population_and_latency_knobs_are_config_errors_not_panics() {
+    type Spoil = fn(&mut FlConfig);
+    let cases: [(&str, Spoil); 7] = [
+        ("clients_per_round", |c| c.clients_per_round = 0),
+        ("num_clients", |c| c.num_clients = 0),
+        ("base_delay_mean", |c| c.base_delay_mean = f64::NAN),
+        ("dynamics.degrees", |c| {
+            c.dynamics.as_mut().expect("dynamics on").degrees.clear();
+        }),
+        ("dynamics.degrees", |c| {
+            c.dynamics.as_mut().expect("dynamics on").degrees[0] = 0.0;
+        }),
+        ("dynamics.change_prob", |c| {
+            c.dynamics.as_mut().expect("dynamics on").change_prob = 1.5;
+        }),
+        ("base_delay_override", |c| {
+            c.base_delay_override = Some(vec![5.0; 3]);
+        }),
+    ];
+    for (field, spoil) in cases {
+        let mut config = quick();
+        spoil(&mut config);
+        let err = EcoFlSystem::builder()
+            .homes(homes())
+            .fl_config(config)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, EcoFlError::Config(_)) && err.to_string().contains(field),
+            "{field}: expected a Config error naming it, got {err:?}"
+        );
+    }
+}
+
+#[test]
 fn dataset_and_partition_options_flow_through() {
     let report = EcoFlSystem::builder()
         .homes(homes())

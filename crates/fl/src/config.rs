@@ -177,9 +177,67 @@ impl FlConfig {
     /// legal: the run diverges, scores NaN rows as wrong and reports the
     /// accuracy it got.
     ///
+    /// The population and latency knobs are checked too. Zero clients
+    /// tripped the latency model's assert, zero `clients_per_round` ran
+    /// empty rounds (FedAvg) or none at all (FedAsync), a NaN delay
+    /// mean or std became a silent 1 s for every client through
+    /// `max(1.0)`, a wrong-length or non-positive `base_delay_override`
+    /// tripped an assert, an empty or non-positive `degrees` list
+    /// panicked or made latencies infinite at the first perturbation,
+    /// and a `change_prob` outside `[0, 1]` silently never or always
+    /// fired.
+    ///
     /// # Errors
     /// Returns `Err(message)` naming the offending field and value.
     pub fn validate(&self) -> Result<(), String> {
+        if self.num_clients == 0 {
+            return Err("num_clients must be at least 1, got 0".to_owned());
+        }
+        if self.clients_per_round == 0 {
+            return Err("clients_per_round must be at least 1, got 0".to_owned());
+        }
+        for (name, x) in [
+            ("base_delay_mean", self.base_delay_mean),
+            ("base_delay_std", self.base_delay_std),
+        ] {
+            if !x.is_finite() {
+                return Err(format!("{name} must be finite, got {x}"));
+            }
+        }
+        if let Some(delays) = &self.base_delay_override {
+            if delays.len() != self.num_clients {
+                return Err(format!(
+                    "base_delay_override must hold one delay per client ({}), got {}",
+                    self.num_clients,
+                    delays.len()
+                ));
+            }
+            if let Some(bad) = delays.iter().find(|&&d| !(d > 0.0 && d.is_finite())) {
+                return Err(format!(
+                    "base_delay_override delays must be positive and finite, got {bad}"
+                ));
+            }
+        }
+        if let Some(dynamics) = &self.dynamics {
+            if !(dynamics.change_prob >= 0.0 && dynamics.change_prob <= 1.0) {
+                return Err(format!(
+                    "dynamics.change_prob must be in [0, 1], got {}",
+                    dynamics.change_prob
+                ));
+            }
+            if dynamics.degrees.is_empty() {
+                return Err("dynamics.degrees must not be empty".to_owned());
+            }
+            if let Some(bad) = dynamics
+                .degrees
+                .iter()
+                .find(|&&d| !(d > 0.0 && d.is_finite()))
+            {
+                return Err(format!(
+                    "dynamics.degrees must be positive and finite, got {bad}"
+                ));
+            }
+        }
         if self.batch_size == 0 {
             return Err("batch_size must be at least 1, got 0".to_owned());
         }
@@ -384,6 +442,98 @@ mod tests {
         let mut c = FlConfig::tiny();
         c.rt_min = -1.0;
         assert!(c.validate().unwrap_err().contains("rt_min"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_clients() {
+        let mut c = FlConfig::tiny();
+        c.num_clients = 0;
+        assert!(c.validate().unwrap_err().contains("num_clients"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_clients_per_round() {
+        let mut c = FlConfig::tiny();
+        c.clients_per_round = 0;
+        assert!(c.validate().unwrap_err().contains("clients_per_round"));
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_base_delays() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = FlConfig::tiny();
+            c.base_delay_mean = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("base_delay_mean"), "got: {err}");
+            let mut c = FlConfig::tiny();
+            c.base_delay_std = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("base_delay_std"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_empty_degrees() {
+        let mut c = FlConfig::tiny();
+        c.dynamics = Some(DynamicsConfig {
+            degrees: Vec::new(),
+            ..DynamicsConfig::default()
+        });
+        assert!(c.validate().unwrap_err().contains("dynamics.degrees"));
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_degrees() {
+        for bad in [0.0, -0.4, f64::NAN, f64::INFINITY] {
+            let mut c = FlConfig::tiny();
+            c.dynamics = Some(DynamicsConfig {
+                degrees: vec![0.2, bad, 1.0],
+                ..DynamicsConfig::default()
+            });
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("dynamics.degrees"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_change_prob_outside_the_unit_interval() {
+        for bad in [-0.1, 1.5, f64::NAN] {
+            let mut c = FlConfig::tiny();
+            c.dynamics = Some(DynamicsConfig {
+                change_prob: bad,
+                ..DynamicsConfig::default()
+            });
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("dynamics.change_prob"), "got: {err}");
+        }
+        // Frozen dynamics have nothing to check; the bounds are legal.
+        for ok in [None, Some(0.0), Some(1.0)] {
+            let mut c = FlConfig::tiny();
+            c.dynamics = ok.map(|change_prob| DynamicsConfig {
+                change_prob,
+                ..DynamicsConfig::default()
+            });
+            assert!(c.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_base_delay_override() {
+        let n = FlConfig::tiny().num_clients;
+        let wrong_length = vec![10.0; n - 1];
+        let mut non_positive = vec![10.0; n];
+        non_positive[3] = 0.0;
+        let mut non_finite = vec![10.0; n];
+        non_finite[5] = f64::NAN;
+        for bad in [wrong_length, non_positive, non_finite] {
+            let mut c = FlConfig::tiny();
+            c.base_delay_override = Some(bad);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("base_delay_override"), "got: {err}");
+        }
+        let mut c = FlConfig::tiny();
+        c.base_delay_override = Some(vec![10.0; n]);
+        assert!(c.validate().is_ok());
     }
 
     #[test]

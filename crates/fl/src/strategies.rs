@@ -521,12 +521,23 @@ impl AggregationStrategy for Hierarchical {
                 }
             }
         }
-        // Give dropped clients a chance to rejoin.
+        // Give dropped clients a chance to rejoin, at the latency each
+        // was dropped with: a pooled client is in no in-flight cohort,
+        // so nothing has perturbed it since.
         if self.kind.dynamic() {
-            for c in self.grouper().dropped() {
-                if matches!(self.observe(sched, t, c), RegroupOutcome::Rejoined { .. }) {
-                    self.regroups += 1;
+            let grouper = self.grouper.as_mut().expect("grouper built in begin()");
+            debug_assert!(
+                grouper
+                    .dropped()
+                    .into_iter()
+                    .all(|c| grouper.latency_of(c).to_bits() == sched.response_latency(c).to_bits()),
+                "a pooled client's recorded latency left the latency model's"
+            );
+            for (client, to) in grouper.rejoin_pass() {
+                if let Some(tr) = sched.tracer() {
+                    RegroupOutcome::Rejoined { to }.trace(tr, t, client);
                 }
+                self.regroups += 1;
             }
         }
 

@@ -216,12 +216,12 @@ pub struct Grouper {
 
 /// The data term of Eq. 4, `λ·JS(π_n^g, π_iid)`, memoised for one batch
 /// of the batched association. Against group state frozen for the batch
-/// it depends on a client only through its histogram row, so it is
-/// evaluated the first time a (row, group) pair is asked for and read
-/// back after that: per batch at most `min(batch, distinct rows in the
-/// batch) × groups` divergences, and never one the per-client scoring
-/// would not have computed (a group no client of the row is within
-/// threshold of is never scored).
+/// it depends on a client only through its histogram row, so
+/// [`fill_terms`] evaluates it the first time an admissible group asks
+/// for a (row, group) pair and it is read back after that: per batch at
+/// most `min(batch, distinct rows in the batch) × groups` divergences,
+/// and never one the per-client scoring would not have computed (a group
+/// no client of the row is within threshold of is never scored).
 struct BatchTerms {
     groups: usize,
     /// Row → its slot in this batch (`u32::MAX` = not seen in it yet).
@@ -255,9 +255,10 @@ impl BatchTerms {
         self.terms.clear();
     }
 
-    /// The term of `(row, g)`, from `eval` the first time this batch
-    /// asks for it.
-    fn term(&mut self, row: u32, g: usize, eval: impl FnOnce() -> f64) -> f64 {
+    /// The terms of `row` against every group, NaN where this batch has
+    /// not evaluated one yet; the row gets its slot the first time the
+    /// batch meets it.
+    fn row(&mut self, row: u32) -> &mut [f64] {
         let slot = &mut self.slot_of_row[row as usize];
         if *slot == u32::MAX {
             *slot = self.present.len() as u32;
@@ -265,11 +266,7 @@ impl BatchTerms {
             self.terms
                 .extend(std::iter::repeat_n(f64::NAN, self.groups));
         }
-        let term = &mut self.terms[*slot as usize * self.groups + g];
-        if term.is_nan() {
-            *term = eval();
-        }
-        *term
+        &mut self.terms[*slot as usize * self.groups..][..self.groups]
     }
 }
 
@@ -387,44 +384,70 @@ impl Grouper {
             // client order, then move the center of each touched group
             // once. O(n·k) comparisons plus `BatchTerms`' divergences,
             // versus the exact sweep's O(n²·k·C).
-            let mut scored = BatchTerms::new(rows.len(), groups.len());
+            //
+            // The frozen state lives in flat arrays reused by every
+            // batch. A criterion without thresholds freezes `RT_g = ∞`:
+            // a finite `|L_g − L_n|` is always within it. Costs are
+            // `assignment_cost`'s two operands added in its order, and
+            // the cheapest admissible group wins, the first on a tie.
+            let k = groups.len();
+            let mut centers = vec![0.0; k];
+            let mut thresholds = vec![0.0; k];
+            let mut pooled = vec![0.0; k * num_classes];
+            let mut touched = vec![false; k];
+            let mut zero_terms = vec![0.0; k];
+            let mut scored = BatchTerms::new(rows.len(), k);
             for start in (0..latencies.len()).step_by(config.assign_batch) {
-                let frozen: Vec<(f64, f64, Vec<f64>)> = groups
-                    .iter()
-                    .map(|g| {
-                        let threshold = rt_threshold(&config, g.center());
-                        (g.center(), threshold, g.label_counts().to_vec())
-                    })
-                    .collect();
+                for (g, group) in groups.iter().enumerate() {
+                    centers[g] = group.center();
+                    thresholds[g] = if config.strategy.uses_threshold() {
+                        rt_threshold(&config, group.center())
+                    } else {
+                        f64::INFINITY
+                    };
+                    pooled[g * num_classes..][..num_classes].copy_from_slice(group.label_counts());
+                }
                 scored.next_batch();
-                let mut touched = vec![false; groups.len()];
+                touched.fill(false);
                 for client in start..(start + config.assign_batch).min(latencies.len()) {
-                    let mut best: Option<(f64, usize)> = None;
-                    for (g, (center, threshold, group_counts)) in frozen.iter().enumerate() {
-                        let within = !config.strategy.uses_threshold()
-                            || (center - latencies[client]).abs() <= *threshold;
-                        if !within {
-                            continue;
-                        }
-                        // `assignment_cost`'s two operands, added in
-                        // its order.
-                        let cost = lat_w * (center - latencies[client]).abs()
-                            + scored.term(row_of[client], g, || {
-                                lambda * union_js_from_iid_parts(group_counts, counts_of(client))
-                            });
-                        if best.is_none_or(|(b, _)| cost < b) {
-                            best = Some((cost, g));
-                        }
+                    let latency = latencies[client];
+                    let row = row_of[client];
+                    let counts = rows[row as usize].as_slice();
+                    // At λ = 0 (FedAT's criterion) the data term is
+                    // `0·JS`, exactly `+0.0`, and `x + 0.0` is `x` for
+                    // the non-negative latency term: read zeros instead
+                    // of scoring divergences.
+                    let terms = if lambda == 0.0 {
+                        &mut zero_terms[..]
+                    } else {
+                        scored.row(row)
+                    };
+                    let (mut best, missing) =
+                        cheapest(&centers, &thresholds, terms, latency, lat_w);
+                    if missing {
+                        // First ask of a (row, group) pair this batch.
+                        // Rare: a batch of 8192 clients on 64 rows
+                        // fills at most 64 × k terms.
+                        fill_terms(
+                            terms,
+                            &centers,
+                            &thresholds,
+                            &pooled,
+                            latency,
+                            counts,
+                            lambda,
+                        );
+                        best = cheapest(&centers, &thresholds, terms, latency, lat_w).0;
                     }
                     // Clients no group admits start in the drop-out
                     // pool, same as the exact path.
-                    if let Some((_, g)) = best {
-                        groups[g].admit_deferred(client, latencies[client], counts_of(client));
-                        membership[client] = g as u32;
-                        touched[g] = true;
+                    if best < k {
+                        groups[best].admit_deferred(client, latency, counts);
+                        membership[client] = best as u32;
+                        touched[best] = true;
                     }
                 }
-                for (group, hit) in groups.iter_mut().zip(touched) {
+                for (group, &hit) in groups.iter_mut().zip(&touched) {
                     if hit {
                         group.refresh_center();
                     }
@@ -617,6 +640,47 @@ impl Grouper {
         }
     }
 
+    /// Algorithm 1's rejoin sweep: every client in the drop-out pool, in
+    /// ascending order, is offered back at its recorded latency, and the
+    /// rejoins come back as `(client, group)` in the order they happened.
+    ///
+    /// The same sweep as `for c in dropped() { observe_latency(c,
+    /// latency_of(c)) }`, paying for the clients it moves rather than
+    /// the pool: at each client's turn it calls
+    /// [`Grouper::observe_latency`] only if some group's `RT_g` admits
+    /// the client against the centers as they stand then. For any other
+    /// client that call would re-record the same latency and return
+    /// [`RegroupOutcome::StillDropped`], changing nothing.
+    pub fn rejoin_pass(&mut self) -> Vec<(usize, usize)> {
+        let mut rejoined = Vec::new();
+        let mut from = 0;
+        loop {
+            // `(L_g, RT_g)` per group; an admission moves a center.
+            let bands: Vec<(f64, f64)> = self
+                .groups
+                .iter()
+                .map(|g| (g.center(), rt_threshold(&self.config, g.center())))
+                .collect();
+            let admitted = |&client: &u32| {
+                let latency = self.latencies[client as usize];
+                !self.config.strategy.uses_threshold()
+                    || bands
+                        .iter()
+                        .any(|&(center, threshold)| (center - latency).abs() <= threshold)
+            };
+            let Some(client) = self.pool.range(from..).copied().find(admitted) else {
+                return rejoined;
+            };
+            let client = client as usize;
+            let outcome = self.observe_latency(client, self.latencies[client]);
+            let RegroupOutcome::Rejoined { to } = outcome else {
+                unreachable!("client {client} is admitted by a group, yet {outcome:?}");
+            };
+            rejoined.push((client, to));
+            from = client as u32 + 1;
+        }
+    }
+
     /// The cheapest group whose `RT` threshold admits the client.
     fn best_admitting_group(&self, client: usize) -> Option<usize> {
         let lambda = self.config.strategy.lambda();
@@ -637,6 +701,63 @@ impl Grouper {
             }
         }
         best.map(|(_, g)| g)
+    }
+}
+
+/// The batched association's choice for a client at `latency`: the
+/// group of least `lat_w·|L_g − L_n| + terms[g]` among those whose
+/// `|L_g − L_n|` is within `RT_g`, the first on a tie (`k` if none
+/// admits it), and whether an admissible group's term is still NaN.
+/// Selects instead of branches: an inadmissible group costs ∞, which is
+/// never `<`.
+#[inline]
+fn cheapest(
+    centers: &[f64],
+    thresholds: &[f64],
+    terms: &[f64],
+    latency: f64,
+    lat_w: f64,
+) -> (usize, bool) {
+    let k = centers.len();
+    let (mut best_cost, mut best, mut missing) = (f64::INFINITY, k, false);
+    for (g, ((&center, &threshold), &term)) in centers
+        .iter()
+        .zip(&thresholds[..k])
+        .zip(&terms[..k])
+        .enumerate()
+    {
+        let gap = (center - latency).abs();
+        // Summed before the select, not inside it: a select with a load
+        // or arithmetic in one arm compiles to a branch, mispredicted
+        // on about every other group.
+        let sum = lat_w * gap + term;
+        let cost = if gap <= threshold { sum } else { f64::INFINITY };
+        missing |= cost.is_nan();
+        let better = cost < best_cost;
+        best_cost = if better { cost } else { best_cost };
+        best = if better { g } else { best };
+    }
+    (best, missing)
+}
+
+/// Evaluates `λ·JS(π_n^g, π_iid)` into each NaN term of a group that
+/// admits a client at `latency` with histogram `counts`, against the
+/// batch's frozen centers, thresholds and pooled counts.
+#[cold]
+fn fill_terms(
+    terms: &mut [f64],
+    centers: &[f64],
+    thresholds: &[f64],
+    pooled: &[f64],
+    latency: f64,
+    counts: &[f64],
+    lambda: f64,
+) {
+    let classes = counts.len();
+    for (g, term) in terms.iter_mut().enumerate() {
+        if term.is_nan() && (centers[g] - latency).abs() <= thresholds[g] {
+            *term = lambda * union_js_from_iid_parts(&pooled[g * classes..][..classes], counts);
+        }
     }
 }
 
@@ -752,42 +873,49 @@ mod tests {
 
     #[test]
     fn batch_terms_evaluate_each_asked_pair_once() {
-        // The divergence-evaluation bound, counted at the `eval`
-        // closure: one evaluation per (row seen in the batch, group
-        // asked for) — at most min(batch, distinct rows in batch) ×
-        // groups, whatever the population's row count.
+        // The divergence-evaluation bound: one evaluation per (row seen
+        // in the batch, admissible group) — at most min(batch, distinct
+        // rows in batch) × groups, whatever the population's row count.
+        // `fill_terms` writes only NaN terms, so the evaluations are the
+        // terms that are no longer NaN.
         let groups = 5;
-        let mut scored = BatchTerms::new(1000, groups);
-        let evals = std::cell::Cell::new(0usize);
-        let ask = |scored: &mut BatchTerms, row: u32, g: usize| {
-            scored.term(row, g, || {
-                evals.set(evals.get() + 1);
-                f64::from(row) * 10.0 + g as f64
-            })
+        let centers = [10.0, 20.0, 30.0, 40.0, 50.0];
+        let pooled = [3.0, 1.0].repeat(groups);
+        let rows: Vec<[f64; 2]> = (0..1000).map(|r| [f64::from(r), 1.0]).collect();
+        let mut scored = BatchTerms::new(rows.len(), groups);
+        let ask = |scored: &mut BatchTerms, thresholds: &[f64], row: u32, latency: f64| {
+            let terms = scored.row(row);
+            let counts = &rows[row as usize];
+            fill_terms(terms, &centers, thresholds, &pooled, latency, counts, 2.0);
+            terms.to_vec()
         };
+        let evaluated = |scored: &BatchTerms| scored.terms.iter().filter(|t| !t.is_nan()).count();
 
-        // rows ≪ batch: 512 clients over 3 rows, every group asked for.
+        // rows ≪ batch: 512 clients over 3 rows, every group admissible.
+        let everyone = [f64::INFINITY; 5];
         for client in 0..512 {
             let row = [7, 900, 7, 42][client % 4];
-            for g in 0..groups {
-                assert_eq!(ask(&mut scored, row, g), f64::from(row) * 10.0 + g as f64);
+            let terms = ask(&mut scored, &everyone, row, 25.0);
+            for (g, term) in terms.iter().enumerate() {
+                let want =
+                    2.0 * union_js_from_iid_parts(&pooled[2 * g..][..2], &rows[row as usize]);
+                assert_eq!(term.to_bits(), want.to_bits());
             }
         }
         assert_eq!(scored.present, vec![7, 900, 42]);
-        assert_eq!(evals.get(), 3 * groups);
+        assert_eq!(evaluated(&scored), 3 * groups);
 
         // rows = n: every client its own row, within threshold of two
-        // groups each — the per-client count, not rows × groups, and
-        // nothing carried over from (or cleared beyond) the last batch.
+        // groups each (zero thresholds admit no latency of 25) — the
+        // per-client count, not rows × groups, and nothing carried over
+        // from (or cleared beyond) the last batch.
         scored.next_batch();
-        evals.set(0);
+        let two = [0.0, 100.0, 0.0, 100.0, 0.0];
         for row in 100..116u32 {
-            for g in [1, 3] {
-                let _ = ask(&mut scored, row, g);
-                let _ = ask(&mut scored, row, g);
-            }
+            let terms = ask(&mut scored, &two, row, 25.0);
+            assert!(terms[0].is_nan() && !terms[1].is_nan() && !terms[3].is_nan());
         }
-        assert_eq!(evals.get(), 16 * 2);
+        assert_eq!(evaluated(&scored), 16 * 2);
         assert_eq!(scored.terms.len(), 16 * groups);
         assert_eq!(
             scored
@@ -797,12 +925,14 @@ mod tests {
                 .count(),
             16
         );
+        // Asked again, an evaluated term is read back, not re-evaluated.
+        scored.row(100)[1] = -1.0;
+        assert_eq!(ask(&mut scored, &two, 100, 25.0)[1], -1.0);
 
         // A new batch re-evaluates: group state has moved.
         scored.next_batch();
-        evals.set(0);
-        let _ = ask(&mut scored, 100, 1);
-        assert_eq!(evals.get(), 1);
+        let _ = ask(&mut scored, &two, 100, 25.0);
+        assert_eq!(evaluated(&scored), 2);
     }
 
     #[test]

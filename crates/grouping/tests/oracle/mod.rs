@@ -3,10 +3,28 @@
 //! every group with the three-`Vec` union-JS, each touched group's
 //! center re-summed over its members after every batch, and the
 //! drop-out pool found by scanning the membership. Slow and plain, kept
-//! as the reference the differential sweep holds the grouper to.
+//! as the reference the differential sweep holds the grouper to — as is
+//! the per-client rejoin loop `Grouper::rejoin_pass` replaced.
 
-use ecofl_grouping::{kmeans_1d_minibatch, GroupingConfig, GroupingStrategy};
+use ecofl_grouping::{
+    kmeans_1d_minibatch, Grouper, GroupingConfig, GroupingStrategy, RegroupOutcome,
+};
 use ecofl_util::{js_divergence, normalize_distribution, Rng};
+
+/// Algorithm 1's rejoin sweep as the Eco-FL strategy ran it: every
+/// pooled client, in ascending order, re-observed at its recorded
+/// latency. Returns the rejoins as `(client, group)`.
+pub fn rejoin_loop(grouper: &mut Grouper) -> Vec<(usize, usize)> {
+    let mut rejoined = Vec::new();
+    for client in grouper.dropped() {
+        match grouper.observe_latency(client, grouper.latency_of(client)) {
+            RegroupOutcome::Rejoined { to } => rejoined.push((client, to)),
+            RegroupOutcome::StillDropped => {}
+            other => panic!("pooled client {client} came back {other:?}"),
+        }
+    }
+    rejoined
+}
 
 /// One group of the reference association.
 pub struct OracleGroup {

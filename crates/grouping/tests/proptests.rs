@@ -398,3 +398,63 @@ fn batched_association_matches_the_per_client_oracle() {
     }
     assert!(started_dropped > 0 && pool_flips > 0);
 }
+
+#[test]
+fn rejoin_pass_matches_the_per_client_loop() {
+    let strategies = [
+        GroupingStrategy::EcoFl { lambda: 500.0 },
+        GroupingStrategy::LatencyOnly,
+        GroupingStrategy::DataOnly,
+    ];
+    let n = 6000;
+    for (seed, strategy) in (0..).zip(strategies) {
+        let (lat, rows, row_of) = shared_profiles(n, 64, seed ^ 0x5E70);
+        let cfg = GroupingConfig {
+            strategy,
+            rt_relative: 0.3,
+            rt_min: 2.0,
+            assign_batch: 1024,
+            ..config(0.0)
+        };
+        let mut g = Grouper::initial_shared(lat, rows, row_of, cfg, &mut Rng::new(seed));
+        let mut rng = Rng::new(seed ^ 0xA160);
+        let (mut peak_pool, mut rejoins) = (g.num_dropped(), 0);
+        for pass in 0..60 {
+            // Reports for grouped clients, as a finished cohort files
+            // them: some stay, some move, some are dropped, and the
+            // centers they shift decide who can rejoin.
+            for _ in 0..60 {
+                let client = rng.range_usize(0, n);
+                if g.group_of(client).is_some() {
+                    let _ = g.observe_latency(client, rng.range_f64(1.0, 400.0));
+                }
+            }
+            peak_pool = peak_pool.max(g.num_dropped());
+            let mut want = g.clone();
+            let want_rejoined = oracle::rejoin_loop(&mut want);
+            let got_rejoined = g.rejoin_pass();
+            let case = format!("{strategy:?} pass {pass}");
+            assert_eq!(got_rejoined, want_rejoined, "{case}");
+            assert_eq!(g.groups(), want.groups(), "{case}");
+            assert_eq!(g.dropped(), want.dropped(), "{case}");
+            for client in 0..n {
+                assert_eq!(g.group_of(client), want.group_of(client), "{case}");
+                assert_eq!(
+                    g.latency_of(client).to_bits(),
+                    want.latency_of(client).to_bits(),
+                    "{case}"
+                );
+            }
+            rejoins += got_rejoined.len();
+        }
+        println!("{strategy:?}: pool peaked at {peak_pool}, {rejoins} rejoins");
+        if strategy != GroupingStrategy::DataOnly {
+            // Not vacuous: a census-sized pool, and clients leaving it.
+            assert!(
+                peak_pool >= 1000,
+                "{strategy:?}: pool peaked at {peak_pool}"
+            );
+            assert!(rejoins > 0, "{strategy:?}: nobody rejoined");
+        }
+    }
+}

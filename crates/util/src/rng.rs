@@ -7,6 +7,9 @@
 //! BigCrush, and whose stream is trivially splittable for spawning
 //! independent per-client / per-device generators.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
+
 /// A deterministic, splittable pseudo-random number generator.
 ///
 /// Internally a SplitMix64 stream. Cheap to copy (16 bytes), `Send + Sync`
@@ -193,21 +196,35 @@ impl Rng {
 
     /// Samples `k` distinct indices from `0..n` (order randomized).
     ///
-    /// Uses a partial Fisher–Yates over an index vector; O(n) memory,
-    /// O(n + k) time, which is fine for the population sizes (≤ thousands)
-    /// used in the FL simulations.
+    /// A partial Fisher–Yates over the identity array `0..n` that is
+    /// never built: `displaced` holds only the slots a swap has moved
+    /// off their own index, and slot `i` leaves it once step `i` has
+    /// read it (no later draw can land below `i + 1`). The draws are
+    /// `range_usize(i, n)` for `i` in `0..k`, in order, and the result
+    /// is the array's first `k` slots, so a census-sized `n` costs O(k)
+    /// time and memory. The map never holds more than `min(k, n / 2)`
+    /// slots — fewer than the `n` of the array it stands for. Its hasher
+    /// has fixed keys, not `RandomState`'s per-process ones, so the
+    /// sampler reads no platform entropy and does the same work on
+    /// every run.
     ///
     /// # Panics
     /// Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "sample_indices: k={k} > n={n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = self.range_usize(i, n);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
+        let mut displaced: HashMap<usize, usize, BuildHasherDefault<DefaultHasher>> =
+            HashMap::with_capacity_and_hasher(k.min(n / 2), BuildHasherDefault::default());
+        (0..k)
+            .map(|i| {
+                let j = self.range_usize(i, n);
+                let at_i = displaced.remove(&i).unwrap_or(i);
+                if j == i {
+                    at_i
+                } else {
+                    displaced.insert(j, at_i).unwrap_or(j)
+                }
+            })
+            .collect()
     }
 
     /// Draws an index according to the (unnormalized, non-negative) weights.

@@ -162,6 +162,61 @@ fn sample_indices_distinct_and_in_range() {
     );
 }
 
+/// The partial Fisher–Yates `sample_indices` computes, over the whole
+/// index vector: the same draws in the same order, O(n) memory. The
+/// oracle the sparse sampler is held to.
+fn dense_sample_indices(rng: &mut Rng, n: usize, k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = rng.range_usize(i, n);
+        idx.swap(i, j);
+    }
+    idx.truncate(k);
+    idx
+}
+
+/// Same sample, and the stream left where the dense loop leaves it.
+fn assert_sampler_matches_dense(seed: u64, n: usize, k: usize) {
+    let (mut sparse, mut dense) = (Rng::new(seed), Rng::new(seed));
+    assert_eq!(
+        sparse.sample_indices(n, k),
+        dense_sample_indices(&mut dense, n, k),
+        "seed {seed} n {n} k {k}"
+    );
+    assert_eq!(
+        sparse.next_u64(),
+        dense.next_u64(),
+        "seed {seed} n {n} k {k}"
+    );
+}
+
+#[test]
+fn sample_indices_matches_the_dense_fisher_yates() {
+    // Every (n, k) of a small population, k = 0 and k = n included.
+    for n in 0..=48 {
+        for k in 0..=n {
+            for seed in 0..4 {
+                assert_sampler_matches_dense(seed, n, k);
+            }
+        }
+    }
+    // Census-sized populations: a few picks, or a sizeable share.
+    let input = triple(any_u64(), usize_in(1, 200_000), f64_in(0.0, 1.0));
+    forall(
+        "sample_indices_matches_the_dense_fisher_yates",
+        CASES / 8,
+        &input,
+        |&(seed, n, frac)| {
+            let k = if seed % 2 == 0 {
+                n.min(1 + seed as usize % 32)
+            } else {
+                (n as f64 * frac) as usize
+            };
+            assert_sampler_matches_dense(seed, n, k.min(n));
+        },
+    );
+}
+
 #[test]
 fn rng_split_streams_differ() {
     forall("rng_split_streams_differ", CASES, &any_u64(), |&seed| {

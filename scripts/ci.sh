@@ -301,14 +301,27 @@ done
 
 # Scale-smoke gate: the CLI must drive a 100k-virtual-client population
 # (64 data shards, event queue, streaming folds) to completion in
-# bounded time, and the grouped Eco-FL runs — whose mini-batch
-# association scores batches in parallel — must print bit-identical
-# output at every pool width, at 100k and at the benchmark's 1M. A regression to per-client event handling
-# or O(n²) grouping trips the watchdog; a thread-count-dependent
-# reduction order trips the diff.
-echo "==> scale-smoke gate: 100k and 1M virtual clients via the CLI (watchdog 300s / 60s, ECOFL_THREADS=1/2/8)"
+# bounded time, and the grouped runs must print, at every pool width, the
+# stdout committed under tests/golden/fl/ — the 100k Eco-FL run and the
+# benchmark's 1M census ops. The association is sequential (DESIGN.md
+# §11); local training fans out over the cohort `par_map`. A regression to
+# per-client event handling or O(n²) grouping trips the watchdog; a
+# thread-count-dependent reduction order, or any change to what sampling,
+# grouping or Algorithm 1 compute, trips the diff — even one that moves
+# every pool width alike. The goldens were captured before the O(k)
+# sampler, the flat-array association and the prefiltered rejoin sweep,
+# on x86-64 Linux (datasets and latencies go through the platform's
+# libm): recapture one only for a declared behaviour change, with
+# `./target/release/ecofl fl <the flags below> > tests/golden/fl/<name>.txt`.
+echo "==> scale-smoke gate: 100k and 1M virtual clients via the CLI vs tests/golden/fl (watchdog 300s / 60s, ECOFL_THREADS=1/2/8)"
 scale_dir=$(mktemp -d)
 trap 'rm -rf "$scale_dir"' EXIT
+fl_golden() { # <golden name> <output file>
+    if ! diff "tests/golden/fl/$1.txt" "$2" >&2; then
+        echo "ERROR: $(basename "$2" .txt) differs from tests/golden/fl/$1.txt" >&2
+        exit 1
+    fi
+}
 echo "    fedavg 100k"
 timeout 300 ./target/release/ecofl fl --strategy fedavg --clients 100000 --shards 64 \
     --clients-per-round 256 --horizon 200 --dataset mnist --seed 7 \
@@ -330,48 +343,38 @@ for threads in 1 2 8; do
         fi
         exit "$status"
     }
-done
-for threads in 2 8; do
-    if ! diff -q "$scale_dir/ecofl_t1.txt" "$scale_dir/ecofl_t$threads.txt" >/dev/null; then
-        echo "ERROR: 100k Eco-FL output differs between ECOFL_THREADS=1 and $threads:" >&2
-        diff "$scale_dir/ecofl_t1.txt" "$scale_dir/ecofl_t$threads.txt" >&2 || true
-        exit 1
-    fi
+    fl_golden ecofl_100k "$scale_dir/ecofl_t$threads.txt"
 done
 if ! grep -q "updates" "$scale_dir/fedavg.txt"; then
     echo "ERROR: 100k FedAvg run produced no summary line." >&2
     exit 1
 fi
-# The benchmark's own census op (fl_census_1m, benchmark/src/workloads.rs)
-# at every pool width: the benchmark times the 1M association at
-# ECOFL_THREADS=1 only, so its thread-count bit-identity is gated here.
-# Each run takes well under a second; the watchdog is for a hang or a
-# quadratic regression, not for a slowdown (the benchmark times it).
-echo "    ecofl 1M on 64 shards, ECOFL_THREADS=1/2/8 (watchdog 60s for the three runs)"
+# The benchmark's own census ops (fl_census_1m, benchmark/src/workloads.rs)
+# at every pool width: the benchmark times them at ECOFL_THREADS=1 only, so
+# their thread-count bit-identity is gated here. Each run takes well under
+# a second; the watchdog is for a hang or a quadratic regression, not for
+# a slowdown (the benchmark times it).
+echo "    ecofl / fedat / fedavg 1M on 64 shards, ECOFL_THREADS=1/2/8 (watchdog 60s for the nine runs)"
 SCALE_DIR=$scale_dir timeout 60 bash -c '
     for threads in 1 2 8; do
-        ECOFL_THREADS=$threads ./target/release/ecofl fl --strategy ecofl \
-            --clients 1000000 --shards 64 --horizon 800 --seed 7 \
-            >"$SCALE_DIR/census_t$threads.txt" || exit
+        for strategy in ecofl fedat fedavg; do
+            ECOFL_THREADS=$threads ./target/release/ecofl fl --strategy $strategy \
+                --clients 1000000 --shards 64 --horizon 800 --seed 7 \
+                >"$SCALE_DIR/census_${strategy}_t$threads.txt" || exit
+        done
     done' || {
     status=$?
     if [ "$status" -eq 124 ]; then
-        echo "ERROR: the 1M-client Eco-FL runs hit the watchdog — census-scale grouping no longer scales." >&2
+        echo "ERROR: the 1M-client runs hit the watchdog — census-scale grouping no longer scales." >&2
     fi
     exit "$status"
 }
-for threads in 2 8; do
-    if ! diff -q "$scale_dir/census_t1.txt" "$scale_dir/census_t$threads.txt" >/dev/null; then
-        echo "ERROR: 1M Eco-FL output differs between ECOFL_THREADS=1 and $threads:" >&2
-        diff "$scale_dir/census_t1.txt" "$scale_dir/census_t$threads.txt" >&2 || true
-        exit 1
-    fi
+for threads in 1 2 8; do
+    for strategy in ecofl fedat fedavg; do
+        fl_golden "census_1m_$strategy" "$scale_dir/census_${strategy}_t$threads.txt"
+    done
 done
-if ! grep -q "updates" "$scale_dir/census_t1.txt"; then
-    echo "ERROR: 1M Eco-FL run produced no summary line." >&2
-    exit 1
-fi
-echo "    ok (outputs bit-identical across pool widths)"
+echo "    ok (outputs match tests/golden/fl at every pool width)"
 
 # Bench-smoke gate: one-iteration pass through the benchmark trajectory
 # runner, asserting the BENCH_*.json plumbing and schema — never timings,
