@@ -58,6 +58,15 @@ pub use crate::schedule::SchedulePolicy;
 /// synchronization, scheduler hop).
 pub const DEFAULT_TASK_OVERHEAD: f64 = 0.002;
 
+/// Most micro-batches one [`PipelineExecutor::run`] simulates
+/// (`micro_batches × rounds`). Every micro-batch leaves a few compute
+/// spans per stage in the report, so this bounds a run's memory and time:
+/// at the cap, a traced zero-bubble run of EfficientNet-B4 over four
+/// devices peaks at ≈ 230 MiB and takes ≈ 0.5 s. Shipped uses stay far
+/// below it — the largest is the benchmark's 160 rounds × 32
+/// micro-batches, and `ecofl plan --batch 256` simulates 2 × 64.
+pub const MAX_SIMULATED_MICRO_BATCHES: usize = 1 << 16;
+
 /// Why a run aborted.
 ///
 /// The simulated executor produces [`ExecError::Oom`] and the
@@ -398,7 +407,9 @@ impl<'a> PipelineExecutor<'a> {
     /// # Errors
     /// Returns [`ExecError::Oom`] when a forward's activation allocation
     /// exceeds a stage device's memory, [`ExecError::Schedule`] when
-    /// either count is zero.
+    /// either count is zero or `micro_batches × rounds` exceeds
+    /// [`MAX_SIMULATED_MICRO_BATCHES`] (checked before anything is
+    /// allocated).
     pub fn run(&self, micro_batches: usize, rounds: usize) -> Result<ExecutionReport, ExecError> {
         self.run_traced(micro_batches, rounds, Obs::default())
     }
@@ -425,6 +436,17 @@ impl<'a> PipelineExecutor<'a> {
         if micro_batches == 0 || rounds == 0 {
             return Err(ExecError::Schedule {
                 detail: format!("zero count: {rounds} round(s) of {micro_batches} micro-batch(es)"),
+            });
+        }
+        if micro_batches
+            .checked_mul(rounds)
+            .is_none_or(|total| total > MAX_SIMULATED_MICRO_BATCHES)
+        {
+            return Err(ExecError::Schedule {
+                detail: format!(
+                    "{rounds} round(s) of {micro_batches} micro-batch(es) exceed the \
+                     {MAX_SIMULATED_MICRO_BATCHES} one run simulates"
+                ),
             });
         }
         let profile = self.exec_profile();
@@ -1037,6 +1059,15 @@ mod tests {
         let exec = PipelineExecutor::new(&p, SchedulePolicy::BafSync).unwrap();
         let rejected = |m, r| matches!(exec.run(m, r), Err(ExecError::Schedule { .. }));
         assert!(rejected(0, 1) && rejected(1, 0));
+    }
+
+    #[test]
+    fn runs_past_the_cap_are_a_schedule_error() {
+        let p = profile(4);
+        let exec = PipelineExecutor::new(&p, SchedulePolicy::BafSync).unwrap();
+        let rejected = |m, r| matches!(exec.run(m, r), Err(ExecError::Schedule { .. }));
+        let cap = MAX_SIMULATED_MICRO_BATCHES;
+        assert!(rejected(cap + 1, 1) && rejected(cap / 2, 3) && rejected(usize::MAX, 2));
     }
 
     #[test]

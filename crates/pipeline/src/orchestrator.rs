@@ -9,8 +9,8 @@
 //!   every stage, shrink the micro-batch until one does, and pick the
 //!   order with the best simulated throughput (Fig. 5's Config A vs B/C).
 
-use crate::executor::{ExecutionReport, PipelineExecutor};
-use crate::partition::{partition_dp, Partition};
+use crate::executor::{ExecutionReport, PipelineExecutor, DEFAULT_TASK_OVERHEAD};
+use crate::partition::{Partition, PrefixDp};
 use crate::profiler::PipelineProfile;
 use crate::schedule::ScheduleKind;
 use ecofl_compat::serde::{Deserialize, Serialize};
@@ -178,6 +178,13 @@ fn apply_permutation(perm: &[usize], slots: &mut [usize]) {
     slots.copy_from_slice(&moved);
 }
 
+/// `class[i]`: the first index holding a device equal to `devices[i]`.
+fn device_classes(devices: &[Device]) -> Vec<usize> {
+    (0..devices.len())
+        .map(|i| (0..i).find(|&j| devices[j] == devices[i]).unwrap_or(i))
+        .collect()
+}
+
 /// The distinct device orders of `devices` as index permutations, in the
 /// order Heap's algorithm first meets each device *sequence* (devices
 /// compare by `PartialEq`: spec, load, allocation). `None` once there are
@@ -224,10 +231,7 @@ fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
     }
 
     let n = devices.len();
-    // class[i]: the first index holding a device equal to devices[i].
-    let class: Vec<usize> = (0..n)
-        .map(|i| (0..i).find(|&j| devices[j] == devices[i]).unwrap_or(i))
-        .collect();
+    let class = device_classes(devices);
     let mut net: Vec<Vec<usize>> = vec![Vec::new(), vec![0]];
     for k in 2..=n {
         let mut slots: Vec<usize> = (0..k).collect();
@@ -242,6 +246,19 @@ fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
     walk(n, &mut slots, &class, &net, cap, &mut out).then_some(out)
 }
 
+/// A candidate that passed Eq. 1 and the memory bounds, ranked for the
+/// executor by what is known before its run.
+struct Ranked {
+    ddb_free: bool,
+    /// Guarded [`throughput_upper_bound`].
+    ceiling: f64,
+    /// `(mbs index, order index)`: the candidate's place in the
+    /// exhaustive walk, which breaks throughput ties.
+    key: (usize, usize),
+    /// Offset of its boundaries in the search's flat boundary list.
+    cuts: usize,
+}
+
 /// Runs the §4.3 configuration search.
 ///
 /// Tries micro-batch sizes largest-first; within one size, evaluates every
@@ -252,13 +269,20 @@ fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
 /// `K_s = min(P_s, Q_s)`.
 ///
 /// The result is the one the exhaustive walk over all `n!` index
-/// permutations would return. Orders that repeat an earlier device
-/// sequence are not re-evaluated: partition, profile and report are pure
-/// functions of the ordered devices and replacement is strict `>`, so the
-/// first occurrence already wins every tie, `order` included. A candidate
-/// whose [`throughput_upper_bound`] cannot beat the incumbent of its own
-/// class (DDB-free or fallback, known before the run) skips the executor,
-/// and fallback candidates stop running once a DDB-free plan exists.
+/// permutations would return: the first candidate, in walk order, of the
+/// highest throughput. Orders that repeat an earlier device sequence are
+/// not re-evaluated: partition, profile and report are pure functions of
+/// the ordered devices, so the first occurrence already wins every tie,
+/// `order` included. Eq. 1 runs once per size over the orders sorted by
+/// device sequence, reusing the DP rows of the shared prefix.
+///
+/// The executor then runs in best-first bound order: DDB-free candidates
+/// before fallbacks, each by [`throughput_upper_bound`] descending, ties
+/// by walk position. Every later candidate's bound is no higher, so the
+/// search stops at the first bound below the incumbent, skips one equal
+/// to it from later in the walk, and replaces the incumbent on a higher
+/// throughput or an equal one from earlier in the walk. Fallbacks run
+/// only when no DDB-free run succeeded.
 ///
 /// Returns `None` when no order/size combination is executable at all, or
 /// when the devices have more than [`MAX_DEVICE_ORDERS`] distinct orders.
@@ -269,70 +293,50 @@ pub fn search_configuration(
     link: &Link,
     config: &OrchestratorConfig,
 ) -> Option<PipelinePlan> {
-    let orders: Vec<(Vec<usize>, Vec<Device>)> = distinct_orders(devices, MAX_DEVICE_ORDERS)?
-        .into_iter()
-        .map(|order| {
-            let ordered = order.iter().map(|&i| devices[i].clone()).collect();
-            (order, ordered)
-        })
+    let orders = distinct_orders(devices, MAX_DEVICE_ORDERS)?;
+    let ordered: Vec<Vec<Device>> = orders
+        .iter()
+        .map(|order| order.iter().map(|&i| devices[i].clone()).collect())
         .collect();
-    let mut best_fallback: Option<PipelinePlan> = None;
-    let mut best_ddb_free: Option<PipelinePlan> = None;
+    // Eq. 1 visits the orders sorted by device sequence, so that
+    // neighbours share the longest prefix of DP rows.
+    let class = device_classes(devices);
+    let mut by_sequence: Vec<usize> = (0..orders.len()).collect();
+    by_sequence.sort_by(|&a, &b| {
+        let sequence = |o: usize| orders[o].iter().map(|&i| class[i]);
+        sequence(a).cmp(sequence(b))
+    });
+    let micro_batches_at = |mbs: usize| config.global_batch / mbs;
 
-    for &mbs in &config.mbs_candidates {
+    // Pass 1: Eq. 1, the profile and the bounds of every candidate; only
+    // the ranking and the boundaries are kept.
+    let mut ranked = Vec::new();
+    let mut cuts: Vec<usize> = Vec::new();
+    for (mi, &mbs) in config.mbs_candidates.iter().enumerate() {
         if mbs == 0 || mbs > config.global_batch {
             continue;
         }
-        let m = config.global_batch / mbs;
-        for (order, ordered) in &orders {
-            let Some(partition) = partition_dp(model, ordered, link, mbs) else {
+        let m = micro_batches_at(mbs);
+        let mut dp = PrefixDp::new(model, link, mbs);
+        for &oi in &by_sequence {
+            let Some(partition) = dp.partition(&ordered[oi]) else {
                 continue;
             };
-            let profile = PipelineProfile::new(model, &partition.boundaries, ordered, link, mbs);
+            let profile =
+                PipelineProfile::new(model, &partition.boundaries, &ordered[oi], link, mbs);
             let p = p_bounds(&profile);
             let Some(k) = k_bounds(&profile) else {
                 continue;
             };
-            let ddb_free = k == p && m >= *p.iter().max().unwrap_or(&1);
-            if !ddb_free && best_ddb_free.is_some() {
-                continue;
-            }
-            let Some(policy) = config.schedule.policy_for(&profile) else {
-                continue;
-            };
-            let Ok(exec) = PipelineExecutor::new(&profile, policy) else {
-                continue;
-            };
-            let incumbent = if ddb_free {
-                &mut best_ddb_free
-            } else {
-                &mut best_fallback
-            };
-            let ceiling =
-                throughput_upper_bound(&profile, exec.task_overhead) * (1.0 + BOUND_GUARD);
-            if incumbent
-                .as_ref()
-                .is_some_and(|b| ceiling <= b.report.throughput)
-            {
-                continue;
-            }
-            let Ok(report) = exec.run(m, config.eval_rounds) else {
-                continue;
-            };
-            if incumbent
-                .as_ref()
-                .is_none_or(|b| report.throughput > b.report.throughput)
-            {
-                *incumbent = Some(PipelinePlan {
-                    order: order.clone(),
-                    partition,
-                    micro_batch: mbs,
-                    micro_batches: m,
-                    k,
-                    ddb_free,
-                    report,
-                });
-            }
+            ranked.push(Ranked {
+                ddb_free: k == p && m >= *p.iter().max().unwrap_or(&1),
+                // `PipelineExecutor::new` dispatches at this overhead.
+                ceiling: throughput_upper_bound(&profile, DEFAULT_TASK_OVERHEAD)
+                    * (1.0 + BOUND_GUARD),
+                key: (mi, oi),
+                cuts: cuts.len(),
+            });
+            cuts.extend_from_slice(&partition.boundaries);
         }
     }
     // Prefer the best-throughput DDB-free plan across all admissible
@@ -340,17 +344,75 @@ pub fn search_configuration(
     // scoring by simulated sync-round time is strictly consistent with its
     // stated goal ("pick up a devices' order resulting in the least
     // sync-round time") and never worse.
-    best_ddb_free.or(best_fallback)
+    ranked.sort_by(|a, b| {
+        b.ddb_free
+            .cmp(&a.ddb_free)
+            .then(b.ceiling.total_cmp(&a.ceiling))
+            .then(a.key.cmp(&b.key))
+    });
+
+    // Pass 2: the executor, best bound first.
+    let mut best: Option<((usize, usize), PipelinePlan)> = None;
+    for c in &ranked {
+        if let Some((key, plan)) = &best {
+            let incumbent = plan.report.throughput;
+            // A DDB-free plan beats every fallback; no later bound can
+            // beat the incumbent, nor tie it from earlier in the walk.
+            if (plan.ddb_free && !c.ddb_free) || c.ceiling < incumbent {
+                break;
+            }
+            if c.ceiling == incumbent && c.key > *key {
+                continue;
+            }
+        }
+        let (mi, oi) = c.key;
+        let mbs = config.mbs_candidates[mi];
+        let m = micro_batches_at(mbs);
+        let partition = Partition {
+            boundaries: cuts[c.cuts..=c.cuts + devices.len()].to_vec(),
+        };
+        let profile = PipelineProfile::new(model, &partition.boundaries, &ordered[oi], link, mbs);
+        let Some(k) = k_bounds(&profile) else {
+            continue;
+        };
+        let Some(policy) = config.schedule.policy_for(&profile) else {
+            continue;
+        };
+        let Ok(exec) = PipelineExecutor::new(&profile, policy) else {
+            continue;
+        };
+        let Ok(report) = exec.run(m, config.eval_rounds) else {
+            continue;
+        };
+        let wins = best.as_ref().is_none_or(|(key, plan)| {
+            let incumbent = plan.report.throughput;
+            report.throughput > incumbent || (report.throughput == incumbent && c.key < *key)
+        });
+        if wins {
+            let plan = PipelinePlan {
+                order: orders[oi].clone(),
+                partition,
+                micro_batch: mbs,
+                micro_batches: m,
+                k,
+                ddb_free: c.ddb_free,
+                report,
+            };
+            best = Some((c.key, plan));
+        }
+    }
+    best.map(|(_, plan)| plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition::oracle::{home_gen, model_zoo, partition_dp_reference};
+    use crate::partition::partition_dp;
     use crate::schedule::SchedulePolicy;
     use ecofl_compat::check::{f64_in, forall, pair, quad, triple, usize_in, vec_in};
-    use ecofl_models::efficientnet;
-    use ecofl_simnet::{nano_h, tx2_q, Device};
+    use ecofl_models::{efficientnet, efficientnet_at, mobilenet_v2};
+    use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q, Device};
 
     fn profile3(mbs: usize) -> PipelineProfile {
         let model = efficientnet(0);
@@ -637,6 +699,112 @@ mod tests {
                 );
             },
         );
+    }
+
+    #[test]
+    fn search_breaks_exact_ties_as_the_exhaustive_walk() {
+        // Twins that differ only in `allocated_bytes` are distinct devices
+        // (their own classes, so their swaps are distinct orders) with the
+        // same compute and memory budget: every swap ties exactly, and only
+        // the walk position can pick the winner.
+        let twin = |spec, allocated| {
+            let mut d = Device::new(spec);
+            assert!(d.try_allocate(allocated));
+            d
+        };
+        let link = Link::mbps_100();
+        // (model, home, a twin pair)
+        let tied = [
+            (
+                efficientnet(2),
+                vec![twin(nano_h(), 0), twin(nano_h(), 1), twin(tx2_q(), 0)],
+                (0, 1),
+            ),
+            (
+                efficientnet_at(4, 224),
+                vec![
+                    twin(tx2_n(), 0),
+                    twin(nano_h(), 1),
+                    twin(tx2_n(), 1),
+                    twin(nano_h(), 0),
+                ],
+                (1, 3),
+            ),
+            (
+                mobilenet_v2(3.0),
+                vec![twin(nano_h(), 1), twin(nano_h(), 2), twin(nano_h(), 3)],
+                (0, 2),
+            ),
+        ];
+        // Fallback only: no order is DDB-free at any size.
+        let fallback = (
+            efficientnet_at(6, 380),
+            vec![
+                twin(nano_h(), 0),
+                twin(nano_h(), 0),
+                twin(nano_l(), 0),
+                twin(nano_l(), 0),
+            ],
+            (0, 0),
+        );
+        for (i, (model, home, (x, y))) in tied.iter().chain([&fallback]).enumerate() {
+            for schedule in ScheduleKind::all() {
+                let config = OrchestratorConfig {
+                    global_batch: 128,
+                    mbs_candidates: vec![32, 16, 8, 4],
+                    eval_rounds: 2,
+                    schedule,
+                };
+                let fast = search_configuration(model, home, &link, &config);
+                let exhaustive = search_exhaustive(model, home, &link, &config);
+                let what = format!("{} under {}", model.name, schedule.name());
+                assert_eq!(plan_json(&fast), plan_json(&exhaustive), "{what}");
+                let Some(plan) = fast else {
+                    // GPipe holds a whole round of activations.
+                    assert!(
+                        i == tied.len() || schedule == ScheduleKind::BafSync,
+                        "{what}: no plan"
+                    );
+                    continue;
+                };
+                if i == tied.len() {
+                    assert!(!plan.ddb_free, "{what}: the home must be fallback-only");
+                    continue;
+                }
+                // The winner with its twins swapped — a distinct order —
+                // ties it bit for bit.
+                let swapped: Vec<usize> = plan
+                    .order
+                    .iter()
+                    .map(|&d| match d {
+                        d if d == *x => *y,
+                        d if d == *y => *x,
+                        d => d,
+                    })
+                    .collect();
+                let ordered: Vec<Device> = swapped.iter().map(|&d| home[d].clone()).collect();
+                let partition =
+                    partition_dp(model, &ordered, &link, plan.micro_batch).expect("feasible");
+                let profile = PipelineProfile::new(
+                    model,
+                    &partition.boundaries,
+                    &ordered,
+                    &link,
+                    plan.micro_batch,
+                );
+                let report =
+                    PipelineExecutor::new(&profile, schedule.policy_for(&profile).unwrap())
+                        .expect("valid")
+                        .run(plan.micro_batches, 2)
+                        .expect("runs");
+                assert_eq!(
+                    report.throughput.to_bits(),
+                    plan.report.throughput.to_bits(),
+                    "{what}: the swapped order {swapped:?} must tie {:?}",
+                    plan.order
+                );
+            }
+        }
     }
 
     fn factorial(n: usize) -> usize {

@@ -69,9 +69,9 @@ fn comm_time(model: &ModelProfile, cut: usize, link: &Link, mbs: usize) -> f64 {
     link.transfer_time(bytes)
 }
 
-/// Per-call lookup tables that make every `(s, j, device)` query of the
-/// Eq. 1 recurrence O(1) while returning exactly what the naive
-/// [`fits`] / [`seg_time`] / [`comm_time`] return.
+/// Lookup tables, built once per `(model, link, mbs)`, that make every
+/// `(s, j, device)` query of the Eq. 1 recurrence O(1) while returning
+/// exactly what the naive [`fits`] / [`seg_time`] / [`comm_time`] return.
 struct DpTables {
     /// `param_prefix[i]` = parameter bytes of layers `0..i` (u64, exact).
     param_prefix: Vec<u64>,
@@ -135,6 +135,135 @@ impl DpTables {
     }
 }
 
+/// One complete Eq. 1 row `n`: `best[j]` is the optimal lagger of layers
+/// `0..j` on the first `n` devices, `choice[j]` the prefix length `s` it
+/// chose, and `device` the device of stage `n − 1` it was computed for.
+struct DpRow {
+    device: Device,
+    best: Vec<f64>,
+    choice: Vec<usize>,
+}
+
+/// The Eq. 1 dynamic program for many device orders of one
+/// `(model, link, mbs)`.
+///
+/// The tables are built once. Row `n` is a pure function of the first `n`
+/// devices (compared by `PartialEq`), so it is kept and reused by every
+/// later order that starts with the same `n` devices; an order recomputes
+/// only the rows after the prefix it shares with the rows held. The last
+/// row is evaluated at `j = L` alone, the only entry reconstruction reads.
+pub(crate) struct PrefixDp {
+    tables: DpTables,
+    layers: usize,
+    /// Complete rows `1..=rows.len()` (index `n − 1`) of the last order.
+    rows: Vec<DpRow>,
+}
+
+impl PrefixDp {
+    pub(crate) fn new(model: &ModelProfile, link: &Link, mbs: usize) -> Self {
+        Self {
+            tables: DpTables::new(model, link, mbs),
+            layers: model.num_layers(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// [`partition_dp`] for `devices`, reusing the rows of the previous
+    /// call that belong to the same leading devices.
+    pub(crate) fn partition(&mut self, devices: &[Device]) -> Option<Partition> {
+        let (l, d) = (self.layers, devices.len());
+        if d == 0 || l < d {
+            return None;
+        }
+        if d == 1 {
+            return self.tables.fits(0, l, &devices[0]).then(|| Partition {
+                boundaries: vec![0, l],
+            });
+        }
+        // Rows 1..d−1 are kept whole; the prefix they share with the
+        // previous call's rows is still valid.
+        let shared = self
+            .rows
+            .iter()
+            .zip(&devices[..d - 1])
+            .take_while(|(row, device)| row.device == **device)
+            .count();
+        self.rows.truncate(shared);
+        for n in shared + 1..d {
+            let row = self.row(n, &devices[n - 1]);
+            self.rows.push(row);
+        }
+
+        let prev = &self.rows[d - 2];
+        let (cost, s) = self.cell(d, l, &prev.best, &devices[d - 1]);
+        if !cost.is_finite() {
+            return None;
+        }
+        let mut boundaries = vec![0usize; d + 1];
+        boundaries[d] = l;
+        boundaries[d - 1] = s;
+        let mut j = s;
+        for n in (2..d).rev() {
+            let s = self.rows[n - 1].choice[j];
+            debug_assert_ne!(s, usize::MAX);
+            boundaries[n - 1] = s;
+            j = s;
+        }
+        Some(Partition { boundaries })
+    }
+
+    /// Row `n` (`1 ≤ n < D`) for `device` on stage `n − 1`, over
+    /// `self.rows[n − 2]`.
+    fn row(&self, n: usize, device: &Device) -> DpRow {
+        let l = self.layers;
+        let mut best = vec![f64::INFINITY; l + 1];
+        let mut choice = vec![usize::MAX; l + 1];
+        if n == 1 {
+            let rate = device.effective_flops();
+            for (j, cost) in best.iter_mut().enumerate().skip(1) {
+                if self.tables.fits(0, j, device) {
+                    *cost = self.tables.seg_time(0, j, rate);
+                }
+            }
+        } else {
+            let prev = &self.rows[n - 2].best;
+            // Need at least n layers for n non-empty stages.
+            for j in n..=l {
+                (best[j], choice[j]) = self.cell(n, j, prev, device);
+            }
+        }
+        DpRow {
+            device: device.clone(),
+            best,
+            choice,
+        }
+    }
+
+    /// Eq. 1 at `(n, j)` (`n ≥ 2`): the cheapest lagger of layers `0..j`
+    /// with `device` on stage `n − 1`, and the prefix length `s` that
+    /// first reaches it (`usize::MAX` when none is feasible).
+    fn cell(&self, n: usize, j: usize, prev: &[f64], device: &Device) -> (f64, usize) {
+        let rate = device.effective_flops();
+        let mut best_cost = f64::INFINITY;
+        let mut best_s = usize::MAX;
+        #[allow(clippy::needless_range_loop)]
+        for s in (n - 1)..j {
+            let prefix = prev[s];
+            if !prefix.is_finite() || !self.tables.fits(s, j, device) {
+                continue;
+            }
+            let cost = prefix
+                .max(self.tables.comm[s])
+                .max(self.tables.seg_time(s, j, rate));
+            if cost < best_cost {
+                best_cost = cost;
+                best_s = s;
+            }
+        }
+        (best_cost, best_s)
+    }
+}
+
 /// Runs the Eq. 1 dynamic program.
 ///
 /// `devices` is the pipeline order (stage `s` runs on `devices[s]`).
@@ -142,7 +271,8 @@ impl DpTables {
 /// devices, or no split satisfies every stage's memory constraint.
 ///
 /// `O(D · L²)`: the memory check, segment time and cut transfer time of
-/// the recurrence come from [`DpTables`], built per call in `O(L²)`.
+/// the recurrence come from tables built in `O(L²)`. A one-order call of
+/// the search's prefix-reusing DP.
 #[must_use]
 pub fn partition_dp(
     model: &ModelProfile,
@@ -150,74 +280,7 @@ pub fn partition_dp(
     link: &Link,
     mbs: usize,
 ) -> Option<Partition> {
-    let l = model.num_layers();
-    let d = devices.len();
-    if d == 0 || l < d {
-        return None;
-    }
-    if d == 1 {
-        if !fits(model, 0..l, &devices[0], mbs) {
-            return None;
-        }
-        return Some(Partition {
-            boundaries: vec![0, l],
-        });
-    }
-
-    const INF: f64 = f64::INFINITY;
-    let tables = DpTables::new(model, link, mbs);
-    // best[n][j]: optimal lagger using first n devices for layers 0..j.
-    let mut best = vec![vec![INF; l + 1]; d + 1];
-    // choice[n][j]: the prefix length s chosen at the optimum.
-    let mut choice = vec![vec![usize::MAX; l + 1]; d + 1];
-
-    let rate0 = devices[0].effective_flops();
-    #[allow(clippy::needless_range_loop)]
-    for j in 1..=l {
-        if tables.fits(0, j, &devices[0]) {
-            best[1][j] = tables.seg_time(0, j, rate0);
-        }
-    }
-
-    for n in 2..=d {
-        let device = &devices[n - 1];
-        let rate = device.effective_flops();
-        // Need at least n layers for n non-empty stages, and leave enough
-        // layers for the remaining devices.
-        for j in n..=l {
-            let mut best_cost = INF;
-            let mut best_s = usize::MAX;
-            #[allow(clippy::needless_range_loop)]
-            for s in (n - 1)..j {
-                let prefix = best[n - 1][s];
-                if !prefix.is_finite() || !tables.fits(s, j, device) {
-                    continue;
-                }
-                let cost = prefix.max(tables.comm[s]).max(tables.seg_time(s, j, rate));
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_s = s;
-                }
-            }
-            best[n][j] = best_cost;
-            choice[n][j] = best_s;
-        }
-    }
-
-    if !best[d][l].is_finite() {
-        return None;
-    }
-    // Reconstruct boundaries from the choice table.
-    let mut boundaries = vec![0usize; d + 1];
-    boundaries[d] = l;
-    let mut j = l;
-    for n in (2..=d).rev() {
-        let s = choice[n][j];
-        debug_assert_ne!(s, usize::MAX);
-        boundaries[n - 1] = s;
-        j = s;
-    }
-    Some(Partition { boundaries })
+    PrefixDp::new(model, link, mbs).partition(devices)
 }
 
 /// Test oracles shared by this module's and the orchestrator's
@@ -426,7 +489,7 @@ pub fn partition_even(model: &ModelProfile, num_stages: usize) -> Option<Partiti
 mod tests {
     use super::oracle::{home_gen, model_zoo, partition_dp_reference};
     use super::*;
-    use ecofl_compat::check::{forall, pair, usize_in};
+    use ecofl_compat::check::{any_u64, forall, pair, triple, usize_in, CheckRng};
     use ecofl_models::{efficientnet, mobilenet_v2, LayerProfile};
     use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q, DeviceSpec};
 
@@ -609,6 +672,104 @@ mod tests {
                         "{} at mbs {mbs}",
                         model.name
                     );
+                }
+            },
+        );
+    }
+
+    /// Every distinct device sequence of `home`, each spelled by the index
+    /// of its device's first occurrence, in lexicographic order — so
+    /// neighbours share the longest prefixes.
+    fn distinct_sequences(home: &[Device]) -> Vec<Vec<usize>> {
+        fn extend(prefix: &mut Vec<usize>, left: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if left.is_empty() {
+                out.push(prefix.clone());
+                return;
+            }
+            for i in 0..left.len() {
+                if i > 0 && left[i] == left[i - 1] {
+                    continue;
+                }
+                let c = left.remove(i);
+                prefix.push(c);
+                extend(prefix, left, out);
+                prefix.pop();
+                left.insert(i, c);
+            }
+        }
+        let mut left: Vec<usize> = (0..home.len())
+            .map(|i| (0..i).find(|&j| home[j] == home[i]).unwrap_or(i))
+            .collect();
+        left.sort_unstable();
+        let mut out = Vec::new();
+        extend(&mut Vec::new(), &mut left, &mut out);
+        out
+    }
+
+    #[test]
+    fn prefix_rows_never_go_stale() {
+        let zoo = model_zoo();
+        let link = Link::mbps_100();
+        // Nothing but the smallest segments fits here: its rows are
+        // infinite, and so is every row after it.
+        let cramped = Device::new(DeviceSpec::new("cramped", 1e9, 96 << 20, 1e8));
+        forall(
+            "prefix_rows_never_go_stale",
+            16,
+            &triple(home_gen(4), usize_in(0, zoo.len()), any_u64()),
+            |(home, model, seed)| {
+                let mut rng = CheckRng::new(*seed);
+                let mut home = home.clone();
+                if rng.below(2) == 0 {
+                    // A twin that differs by its load alone must not
+                    // inherit the other's rows.
+                    let mut twin = home[rng.below(home.len() as u64) as usize].clone();
+                    twin.set_external_load(0.5);
+                    home.insert(rng.below(home.len() as u64 + 1) as usize, twin);
+                }
+                if rng.below(3) == 0 {
+                    home.insert(rng.below(home.len() as u64 + 1) as usize, cramped.clone());
+                }
+                let mut model = zoo[*model].clone();
+                if rng.below(4) == 0 {
+                    // Fewer layers than the longer orders have devices.
+                    model.layers.truncate((home.len() - 1).max(1));
+                }
+                let sorted = distinct_sequences(&home);
+                let mut shuffled = sorted.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                for mbs in [32, 4] {
+                    let mut reference = std::collections::HashMap::new();
+                    let mut dp = PrefixDp::new(&model, &link, mbs);
+                    for sequence in sorted.iter().chain(&shuffled) {
+                        // Now and then the same order again, or the order
+                        // one device shorter (whose last row the longer
+                        // one keeps whole).
+                        let mut lens = vec![sequence.len()];
+                        if rng.below(2) == 0 {
+                            lens.push(sequence.len());
+                        }
+                        if sequence.len() > 1 && rng.below(2) == 0 {
+                            lens.push(sequence.len() - 1);
+                        }
+                        for len in lens {
+                            let prefix = &sequence[..len];
+                            let devices: Vec<Device> =
+                                prefix.iter().map(|&i| home[i].clone()).collect();
+                            let expected = reference.entry(prefix.to_vec()).or_insert_with(|| {
+                                partition_dp_reference(&model, &devices, &link, mbs)
+                            });
+                            assert_eq!(
+                                &dp.partition(&devices),
+                                expected,
+                                "{} over {:?} at mbs {mbs}",
+                                model.name,
+                                devices.iter().map(Device::name).collect::<Vec<_>>()
+                            );
+                        }
+                    }
                 }
             },
         );

@@ -542,20 +542,31 @@ impl CheckpointRecord {
 
     /// The parameter vector split back into per-stage slices.
     ///
-    /// # Panics
-    /// Panics if `stage_lens` does not sum to `params.len()` (a decoded
-    /// record is always consistent).
-    #[must_use]
-    pub fn stage_params(&self) -> Vec<Vec<f32>> {
-        let total: usize = self.stage_lens.iter().sum();
-        assert_eq!(total, self.params.len(), "inconsistent checkpoint record");
+    /// # Errors
+    /// [`ExecError::CheckpointStore`] if `stage_lens` does not sum to
+    /// `params.len()` (a decoded record is always consistent; a
+    /// hand-built one need not be).
+    pub fn stage_params(&self) -> Result<Vec<Vec<f32>>, ExecError> {
+        let total = self
+            .stage_lens
+            .iter()
+            .try_fold(0usize, |sum, &len| sum.checked_add(len));
+        if total != Some(self.params.len()) {
+            return Err(ExecError::CheckpointStore {
+                detail: format!(
+                    "inconsistent checkpoint record: {} stage lengths for {} parameters",
+                    self.stage_lens.len(),
+                    self.params.len()
+                ),
+            });
+        }
         let mut out = Vec::with_capacity(self.stage_lens.len());
         let mut offset = 0;
         for &len in &self.stage_lens {
             out.push(self.params[offset..offset + len].to_vec());
             offset += len;
         }
-        out
+        Ok(out)
     }
 }
 
@@ -1301,6 +1312,8 @@ impl PipelineTrainer {
     ///
     /// # Errors
     /// [`ExecError::RecoveryUnsupported`] without a segment factory;
+    /// [`ExecError::CheckpointStore`] if the checkpoint cannot be read or
+    /// does not split into its stage lengths;
     /// [`ExecError::StageDied`] / [`ExecError::ParamLenMismatch`] if the
     /// relaunched stages die or the factory returns a different
     /// architecture.
@@ -1321,6 +1334,7 @@ impl PipelineTrainer {
             })?;
             self.checkpoint = CheckpointRecord::decode(&payload)?;
         }
+        let restore = self.checkpoint.stage_params()?;
         self.teardown();
         let segments = self.factory.as_ref().expect("factory checked above")();
         assert_eq!(
@@ -1353,7 +1367,7 @@ impl PipelineTrainer {
         self.round = self.checkpoint.round;
         self.replaying = true;
         // Restore the checkpoint into the fresh stages.
-        for (s, params) in self.checkpoint.stage_params().into_iter().enumerate() {
+        for (s, params) in restore.into_iter().enumerate() {
             self.dispatch(s, Ctrl::SetParams(params), "checkpoint restore")?;
         }
         for s in 0..self.stages.len() {
@@ -1521,6 +1535,34 @@ mod tests {
                 (x, y)
             })
             .collect()
+    }
+
+    #[test]
+    fn inconsistent_checkpoint_records_are_a_store_error() {
+        let record = |stage_lens: Vec<usize>, params: usize| CheckpointRecord {
+            seq: 3,
+            round: 2,
+            stage_lens,
+            params: (0..params).map(|i| i as f32).collect(),
+        };
+        assert_eq!(
+            record(vec![2, 3], 5).stage_params(),
+            Ok(vec![vec![0.0, 1.0], vec![2.0, 3.0, 4.0]])
+        );
+        for (lens, params) in [
+            (vec![2, 3], 4),
+            (vec![2, 3], 6),
+            (vec![], 1),
+            (vec![usize::MAX, 2], 1),
+        ] {
+            assert!(
+                matches!(
+                    record(lens.clone(), params).stage_params(),
+                    Err(ExecError::CheckpointStore { .. })
+                ),
+                "{lens:?} over {params} parameters"
+            );
+        }
     }
 
     #[test]

@@ -94,7 +94,8 @@ fn probe(payload: &[u8], what: impl Fn() -> String) -> Option<CheckpointRecord> 
                 .iter()
                 .try_fold(0usize, |sum, &len| sum.checked_add(len));
             assert_eq!(total, Some(record.params.len()), "{}", what());
-            assert_eq!(record.stage_params().len(), record.stage_lens.len());
+            let stages = record.stage_params().expect("a decoded record splits");
+            assert_eq!(stages.len(), record.stage_lens.len());
             Some(record)
         }
         Err(ExecError::CheckpointStore { .. }) => None,

@@ -204,11 +204,15 @@ else
 fi
 
 # Plan-search gates: the §4.3 search skips repeated device orders, reads
-# Eq. 1 from per-call tables and prunes executor runs by an admissible
-# bound, and must still return the exhaustive search's plan bit for bit.
-# (1) The differential suites — fast search vs the exhaustive loop, table
-# DP vs the naive reference DP, bound soundness — rerun optimized with
-# the case count raised (the plain `cargo test` above runs a handful).
+# Eq. 1 from tables built once per micro-batch size, reuses the DP rows
+# of the device prefix an order shares with the previous one (the last
+# row only at j = L), and runs the executor best bound first with an
+# explicit walk-position tie rule (DESIGN.md §12, reductions 1–5). It
+# must still return the exhaustive search's plan bit for bit.
+# (1) The differential suites — fast search vs the exhaustive loop (exact
+# ties included), table DP and prefix-row reuse vs the naive reference
+# DP, bound soundness — rerun optimized with the case count raised (the
+# plain `cargo test` above runs a handful).
 # (2) The stdout of the benchmark's ten `pipeline_plan` invocations (the
 # flags of benchmark/src/workloads.rs, copied here) plus one run per
 # non-default --schedule is diffed against goldens captured from the

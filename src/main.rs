@@ -22,6 +22,7 @@ use ecofl::obs::metrics::LogHistogram;
 use ecofl::obs::{trace_dir, Domain};
 use ecofl::prelude::*;
 use ecofl_pipeline::adaptive::{simulate_load_spike_with, SchedulerConfig};
+use ecofl_pipeline::executor::MAX_SIMULATED_MICRO_BATCHES;
 use ecofl_pipeline::gantt::{legend, render_view};
 use ecofl_pipeline::orchestrator::MAX_DEVICE_ORDERS;
 use ecofl_pipeline::schedule::ScheduleKind;
@@ -234,6 +235,13 @@ fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
              of the smallest candidate size, {smallest}"
         )));
     }
+    // Each candidate simulates `eval_rounds` rounds of `batch / mbs`.
+    let eval_rounds = 2;
+    check_run_length(
+        &format!("--batch {batch} at micro-batch {smallest}"),
+        batch / smallest,
+        eval_rounds,
+    )?;
     let orders = distinct_device_orders(&devices);
     if orders > MAX_DEVICE_ORDERS as f64 {
         return Err(EcoFlError::Config(format!(
@@ -249,7 +257,7 @@ fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         &OrchestratorConfig {
             global_batch: batch,
             mbs_candidates,
-            eval_rounds: 2,
+            eval_rounds,
             schedule,
         },
     )
@@ -290,6 +298,18 @@ fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             .collect::<Vec<_>>()
             .join(" / ")
     );
+    Ok(())
+}
+
+/// Rejects a simulated pipeline run of `rounds` × `micro_batches` past
+/// what one executor run holds, naming the `flags` that set it.
+fn check_run_length(flags: &str, micro_batches: usize, rounds: usize) -> Result<(), EcoFlError> {
+    if micro_batches.saturating_mul(rounds) > MAX_SIMULATED_MICRO_BATCHES {
+        return Err(EcoFlError::Config(format!(
+            "{flags}: {rounds} round(s) of {micro_batches} micro-batch(es) exceed the \
+             {MAX_SIMULATED_MICRO_BATCHES} micro-batches one simulated run holds"
+        )));
+    }
     Ok(())
 }
 
@@ -339,6 +359,7 @@ fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         )));
     }
     let p = pipeline_args(args)?;
+    check_run_length("--micro-batches", p.m, 1)?;
     let mbs = p.profile.micro_batch();
     let v = match &p.policy {
         SchedulePolicy::Interleaved { v, .. } => *v,
@@ -860,6 +881,7 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
     let rounds = get_positive(args, "rounds", 2)?;
     let top = get(args, "top", 3usize)?;
     let p = pipeline_args(args)?;
+    check_run_length("--micro-batches × --rounds", p.m, rounds)?;
     let mbs = p.profile.micro_batch();
     let tracer = Tracer::new();
     let report = PipelineExecutor::new(&p.profile, p.policy)?.run_traced(p.m, rounds, &tracer)?;

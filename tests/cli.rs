@@ -460,6 +460,36 @@ fn zero_counts_are_rejected_by_flag_name_not_asserted() {
     assert_rejects(&["fl", "--clients", "0"], "--clients");
 }
 
+/// A simulated run sized by the flags used to allocate until the process
+/// died (`plan --batch 1000000000` ran 34 s to a 15.7 GiB peak); past the
+/// executor's cap it is rejected by flag name before anything runs.
+#[test]
+fn oversized_simulated_runs_are_rejected_by_flag_name_at_once() {
+    let pipeline = ["--model", "effnet-b0", "--devices", "tx2q,nanoh"];
+    for (command, extra, flag) in [
+        ("plan", &["--batch", "1000000000"][..], "--batch"),
+        (
+            "trace",
+            &["--micro-batches", "50000000", "--rounds", "1"],
+            "--micro-batches",
+        ),
+        (
+            "trace",
+            &["--micro-batches", "8", "--rounds", "50000000"],
+            "--rounds",
+        ),
+        ("gantt", &["--micro-batches", "50000000"], "--micro-batches"),
+    ] {
+        let started = std::time::Instant::now();
+        assert_rejects(&[&[command], &pipeline[..], extra].concat(), flag);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "{command} {extra:?} took {:?}",
+            started.elapsed()
+        );
+    }
+}
+
 #[test]
 fn spike_kill_micro_past_the_round_is_rejected_not_reported_as_success() {
     // A round of the kill demo has 4 micro-batches: micro-batch 9 is never
