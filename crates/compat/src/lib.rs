@@ -10,7 +10,6 @@
 //! | [`json`] | serde + serde_json | JSON value, parser, writer, `ToJson`/`FromJson` |
 //! | [`serde`] | serde derive front-end | `#[derive(Serialize, Deserialize)]` |
 //! | [`sync`] | parking_lot + crossbeam-channel | `Mutex`, MPMC channels |
-//! | [`par`] | rayon | scoped worker pool, `par_map` |
 //! | [`bytes`] | bytes | `Bytes` / `BytesMut` wire buffers |
 //! | [`check`] | proptest | seeded property harness with shrinking |
 //!
@@ -21,7 +20,6 @@
 pub mod bytes;
 pub mod check;
 pub mod json;
-pub mod par;
 pub mod sync;
 
 /// Serde-compatible front-end: `use ecofl_compat::serde::{Serialize,

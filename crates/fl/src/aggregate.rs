@@ -3,8 +3,8 @@
 //! - [`weighted_average`] — the FedAvg/intra-group synchronous rule:
 //!   `w ← Σ_c (|D_c|/|D^g|) · w_c`,
 //! - [`StreamingAverage`] — the same rule folded incrementally, so a
-//!   cohort's updates can be aggregated and dropped in chunks instead
-//!   of all being held live at once,
+//!   cohort's updates can be aggregated and dropped one at a time
+//!   instead of all being held live at once,
 //! - [`fedasync_mix`] — the FedAsync/inter-group asynchronous rule:
 //!   `w(k) = (1−α) w(k−1) + α w_new`,
 //! - [`staleness_alpha`] — polynomial staleness discounting
@@ -45,8 +45,8 @@ pub fn weighted_average(updates: &[(&[f32], f64)]) -> Vec<f32> {
 /// `num_samples` per client is fixed by the dataset before training
 /// runs). Folding updates **in the same order** with the same weights
 /// then performs the exact `acc += (w/total)·f64(p)` operation sequence
-/// of `weighted_average`, so the result is bit-identical, which the
-/// 1/2/8-thread determinism gate relies on.
+/// of `weighted_average`, so the result is bit-identical to the batch
+/// rule.
 #[derive(Debug, Clone)]
 pub struct StreamingAverage {
     acc: Vec<f64>,
@@ -178,8 +178,8 @@ mod tests {
     fn streaming_average_bit_identical_to_batch() {
         // Pseudo-random but fully deterministic inputs; the streaming
         // fold must reproduce weighted_average *bitwise*, not just
-        // approximately — the thread-count determinism gate depends on
-        // it.
+        // approximately — `train_cohort_folded` is held bit-identical
+        // to train-then-average by it.
         let mut state = 0x1234_5678_u64;
         let mut next = move || {
             state = state
@@ -197,13 +197,9 @@ mod tests {
         let batch = weighted_average(&refs);
 
         let total: f64 = updates.iter().map(|(_, w)| *w).sum();
-        // Fold in uneven chunks to mimic the chunked train-and-fold
-        // path.
         let mut stream = StreamingAverage::new(257, total);
-        for chunk in updates.chunks(5) {
-            for (v, w) in chunk {
-                stream.fold(v, *w);
-            }
+        for (v, w) in &updates {
+            stream.fold(v, *w);
         }
         assert_eq!(stream.folded_weight(), total);
         let streamed = stream.finish();

@@ -29,8 +29,8 @@ static LIVE_UPDATES: AtomicUsize = AtomicUsize::new(0);
 static PEAK_LIVE_UPDATES: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-wide count of [`LocalUpdate`]s currently alive. The
-/// streaming-aggregation contract — peak RSS scales with cohort chunk
-/// size, not the client population — is asserted against this and
+/// streaming-aggregation contract — one update alive at a time, whatever
+/// the cohort size and the client population — is asserted against this and
 /// [`peak_live_update_count`] by the `memory_bound` integration test.
 #[must_use]
 pub fn live_update_count() -> usize {

@@ -1,8 +1,8 @@
 //! The virtual-time FL engine façade: strategy selection and run results.
 //!
 //! All strategies train *real* models (genuine SGD on every client's
-//! shard, sharded across the compat worker pool with an ordered
-//! reduction) while the clock advances by simulated response latencies.
+//! shard, one client at a time, folded in member order) while the clock
+//! advances by simulated response latencies.
 //! Since the scheduler/strategy split, this module only holds the
 //! serializable [`Strategy`] selector, the [`FlSetup`]/[`RunResult`]
 //! types and the [`run`] entry point; the event-driven

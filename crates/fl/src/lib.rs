@@ -24,8 +24,8 @@
 //! - [`sched`] — the event-driven round scheduler: virtual clock
 //!   ([`ecofl_simnet::EventQueue`] of cohort completions), client
 //!   dispatch, dropout/[`sched::surviving`] handling, evaluation
-//!   cadence, tracer instrumentation, and thread-sharded parallel local
-//!   training with a deterministic ordered reduction,
+//!   cadence, tracer instrumentation, and local training folded into
+//!   the average client by client, in member order,
 //! - [`strategies`] — [`sched::AggregationStrategy`] objects deciding
 //!   what to aggregate and when: FedAvg, FedAsync, and the hierarchical
 //!   family (FedAT, Astraea, Eco-FL ± Algorithm 1 dynamic re-grouping),

@@ -9,18 +9,17 @@
 //! local updates into the global model, and keep whatever per-strategy
 //! state (tier models, grouper, staleness versions) they need.
 //!
-//! Local training inside a cohort is sharded across threads with
-//! [`ecofl_compat::par::par_map`]; results come back in member order and
-//! the aggregation reduces them sequentially, so a parallel run is
-//! bit-identical to a sequential one at any thread count (asserted by
-//! the `determinism` integration test at 1, 2 and 8 threads).
+//! Local training runs on the calling thread, one client at a time:
+//! each client draws from its own `(seed, client, tag)` RNG stream, and
+//! a cohort's updates are folded into the average in member order as
+//! soon as each is trained, so exactly one finished [`LocalUpdate`] is
+//! alive at a time (asserted by the `memory_bound` integration test).
 
 use crate::aggregate::StreamingAverage;
 use crate::client::{local_train, LocalTrainConfig, LocalUpdate};
 use crate::config::FlConfig;
 use crate::engine::{FlSetup, RunResult};
 use crate::latency::LatencyModel;
-use ecofl_compat::par::par_map;
 use ecofl_compat::sync::Shared;
 use ecofl_obs::{Domain, EventKind, MetricsHub, Obs, SpanKind, Tracer};
 use ecofl_simnet::EventQueue;
@@ -149,13 +148,6 @@ pub struct Scheduler<'a> {
     updates: u64,
     last_eval: f64,
 }
-
-/// Chunk size of the streaming train-and-fold path
-/// ([`Scheduler::train_cohort_folded`]): at most this many finished
-/// [`LocalUpdate`]s are live at once, independent of cohort size and of
-/// the total client count (asserted by the `memory_bound` integration
-/// test).
-pub const TRAIN_FOLD_CHUNK: usize = 64;
 
 impl<'a> Scheduler<'a> {
     /// Runs `strategy` over `setup` and returns the finished
@@ -341,20 +333,11 @@ impl<'a> Scheduler<'a> {
         alive
     }
 
-    /// Trains `members` in parallel from `start` parameters, sharded
-    /// across the compat worker pool. Results arrive in member order
-    /// regardless of thread count: each client draws from its own
-    /// deterministic `(seed, client, tag)` RNG stream and `par_map`
-    /// restores submission order, so the ordered reduction downstream is
-    /// bit-identical to a sequential pass.
+    /// Trains client `c` from `start` parameters on its deterministic
+    /// `(seed, client, tag)` RNG stream, so the update depends on
+    /// nothing but its arguments and the setup.
     #[must_use]
-    pub fn train_cohort(
-        &self,
-        members: &[usize],
-        start: &[f32],
-        mu: f32,
-        tag: u64,
-    ) -> Vec<LocalUpdate> {
+    pub fn train_client(&self, c: usize, start: &[f32], mu: f32, tag: u64) -> LocalUpdate {
         let cfg = &self.setup.config;
         let train_cfg = LocalTrainConfig {
             epochs: cfg.local_epochs,
@@ -362,31 +345,27 @@ impl<'a> Scheduler<'a> {
             lr: cfg.learning_rate,
             mu,
         };
-        par_map(members, |&c| {
-            let mut rng = client_rng(cfg.seed, c, tag);
-            local_train(
-                self.setup.arch,
-                start,
-                self.setup.data.client(c),
-                &train_cfg,
-                &mut rng,
-            )
-        })
+        let mut rng = client_rng(cfg.seed, c, tag);
+        local_train(
+            self.setup.arch,
+            start,
+            self.setup.data.client(c),
+            &train_cfg,
+            &mut rng,
+        )
     }
 
-    /// [`Scheduler::train_cohort`] fused with a streaming weighted
-    /// average: members train in chunks of [`TRAIN_FOLD_CHUNK`] and each
-    /// chunk's updates are folded into a [`StreamingAverage`] and
-    /// dropped before the next chunk trains. Peak live weight vectors
-    /// are therefore bounded by the chunk size, not the cohort (or
-    /// client-population) size.
+    /// Trains `members` in order with [`Scheduler::train_client`] and
+    /// folds each update into a [`StreamingAverage`] as soon as it is
+    /// trained, so one weight vector is live at a time whatever the
+    /// cohort (or client-population) size.
     ///
     /// Per-client sample counts are fixed by the dataset before
     /// training, so the total weight is known up front and the fold
     /// performs the exact operation sequence of
     /// [`crate::aggregate::weighted_average`] over the full member list
     /// — the returned average is bit-identical to the unfused
-    /// train-then-aggregate path at any thread count.
+    /// train-then-aggregate path.
     ///
     /// A cohort that is empty, or whose members hold no training
     /// samples, has nothing to average: `start` comes back unchanged.
@@ -406,10 +385,9 @@ impl<'a> Scheduler<'a> {
             return start.to_vec();
         }
         let mut acc = StreamingAverage::new(start.len(), total);
-        for chunk in members.chunks(TRAIN_FOLD_CHUNK) {
-            for update in self.train_cohort(chunk, start, mu, tag) {
-                acc.fold(&update.params, update.num_samples as f64);
-            }
+        for &c in members {
+            let update = self.train_client(c, start, mu, tag);
+            acc.fold(&update.params, update.num_samples as f64);
         }
         acc.finish()
     }
@@ -805,13 +783,14 @@ mod tests {
             self.snapshot_invalidated = !SharedParams::ptr_eq(&a, &c);
 
             // Streaming train-and-fold must be bit-identical to the
-            // unfused train-then-aggregate path, across a chunk
-            // boundary (cohort larger than TRAIN_FOLD_CHUNK).
+            // unfused train-then-aggregate path over the whole cohort.
             let members: Vec<usize> = (0..sched.config().num_clients).collect();
-            assert!(members.len() > TRAIN_FOLD_CHUNK);
             let start = sched.global().to_vec();
             let folded = sched.train_cohort_folded(&members, &start, 0.0, 3);
-            let updates = sched.train_cohort(&members, &start, 0.0, 3);
+            let updates: Vec<LocalUpdate> = members
+                .iter()
+                .map(|&c| sched.train_client(c, &start, 0.0, 3))
+                .collect();
             let refs: Vec<(&[f32], f64)> = updates
                 .iter()
                 .map(|u| (u.params.as_slice(), u.num_samples as f64))
@@ -831,7 +810,7 @@ mod tests {
     #[test]
     fn empty_cohort_uses_probe_backoff_and_fold_is_bit_identical() {
         let cfg = FlConfig {
-            num_clients: TRAIN_FOLD_CHUNK + 9,
+            num_clients: 73,
             clients_per_round: 8,
             local_epochs: 1,
             probe_backoff: 17.5,
@@ -853,7 +832,7 @@ mod tests {
         );
         assert!(
             strat.folded_matches_batch,
-            "train_cohort_folded diverged from train + weighted_average"
+            "train_cohort_folded diverged from train_client + weighted_average"
         );
         assert!(
             strat.empty_fold_is_start,

@@ -102,8 +102,8 @@ impl AggregationStrategy for FedAvg {
             // The cohort trains from the live global model: FedAvg has a
             // single outstanding round, so dispatch-time and
             // completion-time globals coincide. The streaming fold keeps
-            // at most TRAIN_FOLD_CHUNK finished updates live at once and
-            // is bit-identical to train-then-weighted_average.
+            // one finished update live at a time and is bit-identical to
+            // train-then-weighted_average.
             let start = sched.global_shared();
             let avg = sched.train_cohort_folded(&survivors, &start, 0.0, cohort.version);
             sched.set_global(avg);
@@ -195,9 +195,9 @@ impl AggregationStrategy for FedAsync {
         let client = cohort.members[0];
         if !sched.surviving(&cohort.members).is_empty() {
             sched.trace_local_train(client, cohort.version as usize, cohort.started, t);
-            let results = sched.train_cohort(&cohort.members, &cohort.start_params, 0.0, self.tag);
+            let update = sched.train_client(client, &cohort.start_params, 0.0, self.tag);
             let alpha = sched.config().alpha.clamp(1e-3, 1.0);
-            fedasync_mix(sched.global_mut(), &results[0].params, alpha);
+            fedasync_mix(sched.global_mut(), &update.params, alpha);
             self.version += 1;
             sched.trace_aggregation(client, t, alpha);
             sched.trace_gauge("staleness_alpha", t, alpha);
@@ -460,7 +460,7 @@ impl AggregationStrategy for Hierarchical {
             0.0
         };
         // Streaming fold: bit-identical to train-then-weighted_average,
-        // but at most TRAIN_FOLD_CHUNK updates are live at once.
+        // but one update is live at a time.
         let group_model = sched.train_cohort_folded(&survivors, &cohort.start_params, mu, self.tag);
 
         sched.trace_round_span(cohort.group, cohort.version as usize, cohort.started, t);

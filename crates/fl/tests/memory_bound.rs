@@ -1,7 +1,8 @@
 //! Peak-memory contract of the streaming-aggregation path: an N-client
-//! run keeps at most [`TRAIN_FOLD_CHUNK`] finished per-client weight
-//! vectors ([`LocalUpdate`]s) alive at any instant — bounded by the
-//! fold chunk, not by cohort size and not by the client population.
+//! run keeps exactly one finished per-client weight vector
+//! ([`LocalUpdate`]) alive at any instant — each is folded into the
+//! average before the next client trains, whatever the cohort size and
+//! the client population.
 //!
 //! Lives in its own integration binary so the process-wide live/peak
 //! counters see no traffic from unrelated tests.
@@ -9,7 +10,6 @@
 use ecofl_data::{federated::PartitionScheme, FederatedDataset, SyntheticSpec};
 use ecofl_fl::client::{live_update_count, peak_live_update_count, reset_peak_live_updates};
 use ecofl_fl::engine::{run, FlSetup, Strategy};
-use ecofl_fl::sched::TRAIN_FOLD_CHUNK;
 use ecofl_fl::FlConfig;
 use ecofl_models::ModelArch;
 
@@ -31,10 +31,9 @@ fn setup(cfg: FlConfig) -> FlSetup {
 }
 
 #[test]
-fn live_weight_vectors_bounded_by_fold_chunk_not_population() {
-    // Cohorts of 150 clients — well past the 64-update fold chunk — so
-    // the old materialize-everything path would peak at 150 live
-    // updates per round.
+fn one_live_weight_vector_whatever_the_cohort_size() {
+    // Cohorts of 150 clients, so a materialize-everything path would
+    // peak at 150 live updates per round.
     let cfg = FlConfig {
         num_clients: 200,
         clients_per_round: 150,
@@ -43,19 +42,16 @@ fn live_weight_vectors_bounded_by_fold_chunk_not_population() {
         eval_interval: 100.0,
         ..FlConfig::tiny()
     };
-    assert!(cfg.clients_per_round > TRAIN_FOLD_CHUNK);
     let s = setup(cfg);
 
     reset_peak_live_updates();
     let r = run(Strategy::FedAvg, &s, None);
     assert!(r.global_updates >= 2, "need full-size cohorts to exercise");
     assert_eq!(live_update_count(), 0, "updates must not outlive cohorts");
-    let peak = peak_live_update_count();
-    assert!(peak > 0, "counters should have seen training");
-    assert!(
-        peak <= TRAIN_FOLD_CHUNK,
-        "peak live weight vectors ({peak}) must be bounded by the fold \
-         chunk ({TRAIN_FOLD_CHUNK}), got a cohort-sized residency instead"
+    assert_eq!(
+        peak_live_update_count(),
+        1,
+        "each update must be folded before the next client trains"
     );
 
     // The hierarchical (Eco-FL) path must obey the same bound.
@@ -79,5 +75,5 @@ fn live_weight_vectors_bounded_by_fold_chunk_not_population() {
     );
     assert!(r.global_updates >= 2);
     assert_eq!(live_update_count(), 0);
-    assert!(peak_live_update_count() <= TRAIN_FOLD_CHUNK);
+    assert_eq!(peak_live_update_count(), 1);
 }

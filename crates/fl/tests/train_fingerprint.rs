@@ -29,7 +29,7 @@ use ecofl_models::ModelArch;
 use ecofl_util::Rng;
 
 /// Fingerprint of the sweep captured from commit 87dac46's binary.
-const FUSED_FINGERPRINT: u64 = 0xb5a1_3c7c_185f_03c4;
+const LOCAL_TRAIN_FINGERPRINT: u64 = 0xb5a1_3c7c_185f_03c4;
 const CALLS: usize = 486;
 
 struct Fingerprint {
@@ -184,8 +184,8 @@ fn local_train_fingerprint_matches_the_oracle_and_the_parent_binary() {
     println!("fingerprint {:016x}", got.hash);
     if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
         assert_eq!(
-            got.hash, FUSED_FINGERPRINT,
-            "weights no longer match the pre-rewrite binary: {:016x} vs {FUSED_FINGERPRINT:016x}",
+            got.hash, LOCAL_TRAIN_FINGERPRINT,
+            "weights no longer match the pre-rewrite binary: {:016x} vs {LOCAL_TRAIN_FINGERPRINT:016x}",
             got.hash
         );
     }

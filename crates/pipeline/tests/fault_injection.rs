@@ -4,9 +4,9 @@
 //! and checkpoint → crash → recover → replay must be bit-identical to
 //! an uninterrupted run.
 //!
-//! `scripts/ci.sh` runs this suite under a watchdog at
-//! `ECOFL_THREADS=1/2/8` so a reintroduced deadlock fails CI instead of
-//! wedging it.
+//! `scripts/ci.sh` runs this suite under a watchdog, and again pinned
+//! to one CPU, so a reintroduced deadlock fails CI instead of wedging
+//! it.
 
 use ecofl_compat::check::{forall, pair, quad, triple, usize_in, vec_in};
 use ecofl_obs::{EventKind, Tracer};
@@ -323,7 +323,6 @@ fn store_backed_recovery_is_bit_identical_to_in_memory() {
     // The same crash scenario twice — once with checkpoints only in
     // memory, once restored from the durable run store — must land on
     // identical parameters (and both on the uninterrupted twin).
-    // `scripts/ci.sh` runs this suite at ECOFL_THREADS=1/2/8.
     let seed = 67u64;
     let cuts = [2usize, 4];
     let k = vec![3usize, 2, 1];

@@ -2,8 +2,8 @@
 //! pass the PR-5 fault-injection/recovery contract and the determinism
 //! contract — on both engines.
 //!
-//! `scripts/ci.sh` runs this suite at `ECOFL_THREADS=1/2/8` under a
-//! watchdog, so a schedule whose step program deadlocks the threaded
+//! `scripts/ci.sh` runs this suite under a watchdog, and again pinned
+//! to one CPU, so a schedule whose step program deadlocks the threaded
 //! runtime (or drifts between runs) fails CI instead of wedging it.
 //!
 //! The threaded runtime is round-synchronous: every schedule collapses

@@ -2,9 +2,7 @@
 //!
 //! This module is the compute core behind [`crate::Tensor::matmul`] and the
 //! `Conv2d`/`Sgd` hot paths. Everything here runs on the calling thread:
-//! the workspace's parallelism is across FL clients (the scheduler's
-//! cohort fan-out), never inside a kernel, so a result cannot depend on
-//! `ECOFL_THREADS`.
+//! no kernel spawns a thread or splits a product across threads.
 //!
 //! Each GEMM entry point has **one** driver per SIMD tier, whatever the
 //! size of the product: operands are read where they lie. `b`'s rows are

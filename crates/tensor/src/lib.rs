@@ -18,8 +18,8 @@
 //! The compute core lives in [`kernel`]: register-tiled matmul/conv kernels
 //! with runtime AVX-512/AVX2+FMA dispatch — one pack-free driver per tier,
 //! sized for the L1-resident products of FL training, always on the
-//! calling thread (parallelism is across clients, one level up, so no
-//! result here can depend on `ECOFL_THREADS`). The naive triple loops they
+//! calling thread, as is everything else in the workspace but the
+//! threaded pipeline runtime's stage threads. The naive triple loops they
 //! replaced are retained in [`mod@reference`] next to the scalar chains
 //! the kernels are specified by; `tests/kernel_equivalence.rs` proves
 //! every GEMM bit-identical to its chain on every tier and within the documented

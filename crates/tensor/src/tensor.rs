@@ -198,7 +198,7 @@ impl Tensor {
     /// Matrix product of two 2-D tensors (`[m,k] × [k,n] → [m,n]`).
     ///
     /// Runs the register-tiled kernel in [`crate::kernel`]; results are
-    /// bit-identical across thread counts and hosts: every element is the
+    /// bit-identical across hosts: every element is the
     /// scalar chain [`crate::reference::chain_matmul`].
     ///
     /// # Panics

@@ -67,7 +67,7 @@ if [ "$covered_metrics" -ne 1 ]; then
 fi
 echo "    ok"
 
-# Surface ledger: the two numbers the ROADMAP tracks downward, ratcheted
+# Surface ledger: the three numbers the ROADMAP tracks downward, ratcheted
 # against scripts/ledger.txt (a PR that must grow one raises the committed
 # number in the same diff, where a reviewer sees it; one that shrinks it
 # lowers the number so the gain is kept), and a guard that the run /
@@ -81,8 +81,11 @@ rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat 
 prelude_exports=$(sed -e 's://.*::' crates/core/src/prelude.rs | tr -d '\n' |
     grep -oE 'pub use [^;]+;' | sed -E 's/^pub use ([A-Za-z0-9_:]*\{)?//; s/\}?;$//' |
     tr ',' '\n' | grep -cE '[A-Za-z0-9_]')
+pub_items=$(grep -rhE --include='*.rs' \
+    '^\s*pub (fn|struct|enum|trait|mod|const|type|use|static) ' crates/*/src | wc -l)
 echo "    $rust_lines Rust lines under crates/ src/ tests/ examples/"
 echo "    $prelude_exports names exported by ecofl_core::prelude"
+echo "    $pub_items pub items declared under crates/*/src"
 ratchet() {
     local committed
     committed=$(awk -v name="$1" '$1 == name { print $2 }' scripts/ledger.txt)
@@ -97,6 +100,7 @@ ratchet() {
 }
 ratchet rust_lines "$rust_lines"
 ratchet prelude_exports "$prelude_exports"
+ratchet pub_items "$pub_items"
 twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
 twins="$twins|TaskSpan|TaskPhase|BusyTracker|ThroughputTracker|spans_to_view|render_round|validate_plan"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
@@ -125,15 +129,15 @@ if grep -rnE --include='*.rs' '(struct|enum) +(Fused|Fast)[A-Za-z0-9]*(Mlp|Net|N
     echo "ERROR: a second trainer type is back — Network is the one trainer for every ModelArch." >&2
     exit 1
 fi
-# No threads inside a kernel: the cohort `par_map` is the one place the
-# workspace spawns compute threads (ROADMAP "Parked" says what would bring
-# a threaded GEMM driver back).
-if grep -rnE 'compat::par|max_threads' crates/tensor; then
-    echo "ERROR: crates/tensor reaches for the worker pool — kernels run on the calling thread." >&2
-    exit 1
-fi
-if grep -rn --include='*.rs' 'par_chunks_mut' crates src; then
-    echo "ERROR: par_chunks_mut is back — parallelism is across clients (par_map), not inside a kernel." >&2
+# No compute fan-out: kernels and FL local training run on the calling
+# thread, one client at a time, and each update is folded before the next
+# client trains. Two threads did not pay for the cohort worker pool
+# (DESIGN.md §6 item 9), so it, its thread-count knob and its fold chunk stay
+# gone. The threaded pipeline runtime's stage threads are not a fan-out.
+# (benchmark/ is frozen and still sets the knob, which nothing reads.)
+if grep -rnE 'par_map|par_chunks_mut|max_threads|ECOFL_THREADS|TRAIN_FOLD_CHUNK|train_cohort\b' \
+    crates src tests examples; then
+    echo "ERROR: a compute fan-out is back — FL clients train one at a time on the calling thread." >&2
     exit 1
 fi
 
@@ -143,18 +147,10 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
-# Determinism gate: sharded parallel local training must be bit-identical
-# to the sequential path. Run under --release too, where the optimized
-# float paths would expose any reduction-order dependence.
-echo "==> determinism gate: cargo test -q --release --offline -p ecofl-fl --test determinism"
-cargo test -q --release --offline -p ecofl-fl --test determinism
-
 # Fault-injection gate: killing any pipeline stage must surface a typed
 # error in bounded time, and recovery must replay bit-identically. A
 # reintroduced deadlock would hang the suite, so it sits under a watchdog
-# timeout. (The runtime spawns one thread per stage and never reads
-# ECOFL_THREADS — only the FL cohort `par_map` does — so there is no pool
-# width to sweep here.)
+# timeout.
 echo "==> fault-injection gate: ecofl-pipeline --test fault_injection (watchdog 300s)"
 timeout 300 cargo test -q --release --offline -p ecofl-pipeline --test fault_injection || {
     status=$?
@@ -216,8 +212,7 @@ fi
 # (2) The stdout of the benchmark's ten `pipeline_plan` invocations (the
 # flags of benchmark/src/workloads.rs, copied here) plus one run per
 # non-default --schedule is diffed against goldens captured from the
-# pre-optimization search (commit 658b7d3). `plan` never reaches the
-# cohort `par_map`, so one run each.
+# pre-optimization search (commit 658b7d3).
 echo "==> plan-search differential gate: ecofl-pipeline orchestrator/partition suites, release, ECOFL_CHECK_CASES=300"
 ECOFL_CHECK_CASES=300 cargo test -q --release --offline -p ecofl-pipeline --lib -- \
     orchestrator::tests partition::tests
@@ -270,54 +265,42 @@ cargo test -q --release --offline -p ecofl-fl \
 
 # Metrics-perturbation gate: attaching a MetricsHub must leave FL run
 # results, executor reports/traces and threaded-runtime parameters
-# bit-identical to a detached run. Swept across pool widths because the
-# guarantee must hold regardless of the cohort fan-out width; watchdogged
-# because the suite drives the threaded runtime.
-echo "==> metrics-perturbation gate: --test metrics_perturbation at ECOFL_THREADS=1/2/8 (watchdog 300s)"
-for threads in 1 2 8; do
-    echo "    ECOFL_THREADS=$threads"
-    ECOFL_THREADS=$threads timeout 300 \
-        cargo test -q --release --offline --test metrics_perturbation || {
-        status=$?
-        if [ "$status" -eq 124 ]; then
-            echo "ERROR: metrics-perturbation suite hit the watchdog — the instrumented runtime deadlocked." >&2
-        fi
-        exit "$status"
-    }
-done
+# bit-identical to a detached run. Optimized, and watchdogged because the
+# suite drives the threaded runtime.
+echo "==> metrics-perturbation gate: --test metrics_perturbation (watchdog 300s)"
+timeout 300 cargo test -q --release --offline --test metrics_perturbation || {
+    status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ERROR: metrics-perturbation suite hit the watchdog — the instrumented runtime deadlocked." >&2
+    fi
+    exit "$status"
+}
 
 # Metrics-overhead smoke gate: the hub-enabled 1F1B round must stay
 # within a fixed median ratio of the hub-disabled round (the test is
 # #[ignore]d because wall-clock ratios are meaningless under the
 # parallel test runner — it only runs here, serially, in release).
-echo "==> metrics-overhead gate: --test metrics_overhead -- --ignored at ECOFL_THREADS=1/2/8 (watchdog 300s)"
-for threads in 1 2 8; do
-    echo "    ECOFL_THREADS=$threads"
-    ECOFL_THREADS=$threads timeout 300 \
-        cargo test -q --release --offline --test metrics_overhead -- --ignored || {
-        status=$?
-        if [ "$status" -eq 124 ]; then
-            echo "ERROR: metrics-overhead gate hit the watchdog." >&2
-        fi
-        exit "$status"
-    }
-done
+echo "==> metrics-overhead gate: --test metrics_overhead -- --ignored (watchdog 300s)"
+timeout 300 cargo test -q --release --offline --test metrics_overhead -- --ignored || {
+    status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ERROR: metrics-overhead gate hit the watchdog." >&2
+    fi
+    exit "$status"
+}
 
 # Scale-smoke gate: the CLI must drive a 100k-virtual-client population
 # (64 data shards, event queue, streaming folds) to completion in
-# bounded time, and the grouped runs must print, at every pool width, the
-# stdout committed under tests/golden/fl/ — the 100k Eco-FL run and the
-# benchmark's 1M census ops. The association is sequential (DESIGN.md
-# §11); local training fans out over the cohort `par_map`. A regression to
-# per-client event handling or O(n²) grouping trips the watchdog; a
-# thread-count-dependent reduction order, or any change to what sampling,
-# grouping or Algorithm 1 compute, trips the diff — even one that moves
-# every pool width alike. The goldens were captured before the O(k)
+# bounded time, and the grouped runs must print the stdout committed
+# under tests/golden/fl/ — the 100k Eco-FL run and the benchmark's 1M
+# census ops. A regression to per-client event handling or O(n²)
+# grouping trips the watchdog; any change to what sampling, grouping,
+# training or Algorithm 1 compute trips the diff. The goldens were captured before the O(k)
 # sampler, the flat-array association and the prefiltered rejoin sweep,
 # on x86-64 Linux (datasets and latencies go through the platform's
 # libm): recapture one only for a declared behaviour change, with
 # `./target/release/ecofl fl <the flags below> > tests/golden/fl/<name>.txt`.
-echo "==> scale-smoke gate: 100k and 1M virtual clients via the CLI vs tests/golden/fl (watchdog 300s / 60s, ECOFL_THREADS=1/2/8)"
+echo "==> scale-smoke gate: 100k and 1M virtual clients via the CLI vs tests/golden/fl (watchdog 300s / 60s)"
 scale_dir=$(mktemp -d)
 trap 'rm -rf "$scale_dir"' EXIT
 fl_golden() { # <golden name> <output file>
@@ -336,36 +319,30 @@ timeout 300 ./target/release/ecofl fl --strategy fedavg --clients 100000 --shard
     fi
     exit "$status"
 }
-for threads in 1 2 8; do
-    echo "    ecofl 100k ECOFL_THREADS=$threads"
-    ECOFL_THREADS=$threads timeout 300 ./target/release/ecofl fl --strategy ecofl \
-        --clients 100000 --shards 64 --clients-per-round 256 --groups 4 \
-        --horizon 400 --dataset mnist --seed 7 >"$scale_dir/ecofl_t$threads.txt" || {
-        status=$?
-        if [ "$status" -eq 124 ]; then
-            echo "ERROR: 100k Eco-FL run hit the watchdog — the scheduler no longer scales." >&2
-        fi
-        exit "$status"
-    }
-    fl_golden ecofl_100k "$scale_dir/ecofl_t$threads.txt"
-done
+echo "    ecofl 100k"
+timeout 300 ./target/release/ecofl fl --strategy ecofl \
+    --clients 100000 --shards 64 --clients-per-round 256 --groups 4 \
+    --horizon 400 --dataset mnist --seed 7 >"$scale_dir/ecofl.txt" || {
+    status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ERROR: 100k Eco-FL run hit the watchdog — the scheduler no longer scales." >&2
+    fi
+    exit "$status"
+}
+fl_golden ecofl_100k "$scale_dir/ecofl.txt"
 if ! grep -q "updates" "$scale_dir/fedavg.txt"; then
     echo "ERROR: 100k FedAvg run produced no summary line." >&2
     exit 1
 fi
-# The benchmark's own census ops (fl_census_1m, benchmark/src/workloads.rs)
-# at every pool width: the benchmark times them at ECOFL_THREADS=1 only, so
-# their thread-count bit-identity is gated here. Each run takes well under
-# a second; the watchdog is for a hang or a quadratic regression, not for
-# a slowdown (the benchmark times it).
-echo "    ecofl / fedat / fedavg 1M on 64 shards, ECOFL_THREADS=1/2/8 (watchdog 60s for the nine runs)"
+# The benchmark's own census ops (fl_census_1m, benchmark/src/workloads.rs).
+# Each run takes well under a second; the watchdog is for a hang or a
+# quadratic regression, not for a slowdown (the benchmark times it).
+echo "    ecofl / fedat / fedavg 1M on 64 shards (watchdog 60s for the three runs)"
 SCALE_DIR=$scale_dir timeout 60 bash -c '
-    for threads in 1 2 8; do
-        for strategy in ecofl fedat fedavg; do
-            ECOFL_THREADS=$threads ./target/release/ecofl fl --strategy $strategy \
-                --clients 1000000 --shards 64 --horizon 800 --seed 7 \
-                >"$SCALE_DIR/census_${strategy}_t$threads.txt" || exit
-        done
+    for strategy in ecofl fedat fedavg; do
+        ./target/release/ecofl fl --strategy $strategy \
+            --clients 1000000 --shards 64 --horizon 800 --seed 7 \
+            >"$SCALE_DIR/census_$strategy.txt" || exit
     done' || {
     status=$?
     if [ "$status" -eq 124 ]; then
@@ -373,12 +350,10 @@ SCALE_DIR=$scale_dir timeout 60 bash -c '
     fi
     exit "$status"
 }
-for threads in 1 2 8; do
-    for strategy in ecofl fedat fedavg; do
-        fl_golden "census_1m_$strategy" "$scale_dir/census_${strategy}_t$threads.txt"
-    done
+for strategy in ecofl fedat fedavg; do
+    fl_golden "census_1m_$strategy" "$scale_dir/census_$strategy.txt"
 done
-echo "    ok (outputs match tests/golden/fl at every pool width)"
+echo "    ok (outputs match tests/golden/fl)"
 
 # Bench-smoke gate: one-iteration pass through the benchmark trajectory
 # runner, asserting the BENCH_*.json plumbing and schema — never timings,

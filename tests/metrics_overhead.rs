@@ -2,7 +2,7 @@
 //!
 //! Ignored by default — wall-clock ratios are meaningless under the
 //! normal parallel test runner. `scripts/ci.sh` runs it explicitly
-//! (release, watchdogged, at `ECOFL_THREADS=1/2/8`), mirroring the
+//! (release, watchdogged), mirroring the
 //! committed `pipeline_1f1b_round_b2_m16` /
 //! `pipeline_1f1b_round_b2_m16_metered` bench pair.
 

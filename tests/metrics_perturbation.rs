@@ -1,9 +1,8 @@
 //! The metrics hub only *observes*: attaching a [`MetricsHub`] to the
 //! FL engine, the virtual-time executor, or the threaded pipeline
 //! runtime must leave results and traces **bit-identical** to a
-//! detached run. `scripts/ci.sh` re-runs this suite at
-//! `ECOFL_THREADS=1/2/8`, so the guarantee holds across kernel
-//! parallelism levels too.
+//! detached run. `scripts/ci.sh` re-runs this suite optimized under a
+//! watchdog, since it drives the threaded runtime.
 
 use ecofl::prelude::*;
 use ecofl_compat::json;
