@@ -27,83 +27,92 @@ const WINDOW: usize = u16::MAX as usize;
 /// Size of the last-position hash table (power of two).
 const HASH_SLOTS: usize = 1 << 15;
 
+/// Table slot of the four bytes at `raw[at..]`.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let key = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+fn slot_at(raw: &[u8], at: usize) -> usize {
+    let key = u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
     (key.wrapping_mul(0x9E37_79B1) >> (32 - 15)) as usize & (HASH_SLOTS - 1)
+}
+
+#[inline]
+fn word_at(raw: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(raw[at..at + 8].try_into().unwrap())
+}
+
+/// Length of the common prefix of `raw[cand..]` and `raw[pos..]`
+/// (`cand < pos`), at most `limit` bytes: eight bytes per step while a
+/// whole word fits, the first differing byte found from the XOR's
+/// trailing zeros, then byte by byte.
+#[inline]
+fn match_len(raw: &[u8], cand: usize, pos: usize, limit: usize) -> usize {
+    let mut len = 0;
+    while len + 8 <= limit {
+        let diff = word_at(raw, cand + len) ^ word_at(raw, pos + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && raw[cand + len] == raw[pos + len] {
+        len += 1;
+    }
+    len
 }
 
 /// Compresses `raw` into an LZSS token stream. Deterministic: the same
 /// input always yields the same output.
+///
+/// Greedy: at every position the one candidate the hash table holds for
+/// the next four bytes is taken if it matches at least [`MIN_MATCH`]
+/// bytes; every position a match covers is entered in the table. Table
+/// entries are `u32`, so inputs must be under 4 GiB (the segment
+/// footer's `raw_len` refuses larger blocks before they get here).
 #[must_use]
 pub fn compress(raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(raw.len() / 2 + 16);
+    let n = raw.len();
+    // Worst case: every byte a literal, one control byte per eight.
+    let mut out = Vec::with_capacity(n + n.div_ceil(8));
     // Last position (+1, 0 = empty) of each 4-byte key.
     let mut table = vec![0u32; HASH_SLOTS];
+    // Positions with a whole key ahead of them; the rest are literals.
+    let keyed = n.saturating_sub(MIN_MATCH - 1);
     let mut pos = 0usize;
-    // Current control group: index into `out`, items filled so far.
-    let mut ctrl_at = usize::MAX;
-    let mut ctrl_bits = 0u8;
-    let mut ctrl_n = 0u8;
-
-    macro_rules! begin_item {
-        ($is_literal:expr) => {
-            if ctrl_n == 8 || ctrl_at == usize::MAX {
-                ctrl_at = out.len();
-                out.push(0);
-                ctrl_bits = 0;
-                ctrl_n = 0;
+    while pos < n {
+        // One control group: up to eight items, its byte written once.
+        let ctrl_at = out.len();
+        out.push(0);
+        let mut ctrl = 0u8;
+        for bit in 0..8 {
+            if pos == n {
+                break;
             }
-            if $is_literal {
-                ctrl_bits |= 1 << ctrl_n;
-            }
-            ctrl_n += 1;
-            out[ctrl_at] = ctrl_bits;
-        };
-    }
-
-    while pos < raw.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if pos + MIN_MATCH <= raw.len() {
-            let slot = hash4(&raw[pos..]);
-            let cand = table[slot] as usize;
-            table[slot] = (pos + 1) as u32;
-            if cand > 0 {
-                let cand = cand - 1;
-                let dist = pos - cand;
-                if (1..=WINDOW).contains(&dist) {
-                    let limit = (raw.len() - pos).min(MAX_MATCH);
-                    let mut len = 0usize;
-                    while len < limit && raw[cand + len] == raw[pos + len] {
-                        len += 1;
-                    }
+            if pos < keyed {
+                let slot = slot_at(raw, pos);
+                let cand = table[slot] as usize;
+                table[slot] = (pos + 1) as u32;
+                // `cand - 1 < pos`, so the distance is at least 1.
+                if cand > 0 && pos + 1 - cand <= WINDOW {
+                    let cand = cand - 1;
+                    let len = match_len(raw, cand, pos, (n - pos).min(MAX_MATCH));
                     if len >= MIN_MATCH {
-                        best_len = len;
-                        best_dist = dist;
+                        out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
+                        out.push((len - MIN_MATCH) as u8);
+                        // Seed the table across the matched span so later
+                        // repeats of its interior still find a candidate.
+                        let end = pos + len;
+                        for p in pos + 1..end.min(keyed) {
+                            table[slot_at(raw, p)] = (p + 1) as u32;
+                        }
+                        pos = end;
+                        continue;
                     }
                 }
             }
-        }
-        if best_len >= MIN_MATCH {
-            begin_item!(false);
-            out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-            out.push((best_len - MIN_MATCH) as u8);
-            // Seed the table across the matched span so later repeats of
-            // its interior still find a candidate.
-            let end = pos + best_len;
-            pos += 1;
-            while pos < end {
-                if pos + MIN_MATCH <= raw.len() {
-                    table[hash4(&raw[pos..])] = (pos + 1) as u32;
-                }
-                pos += 1;
-            }
-        } else {
-            begin_item!(true);
+            ctrl |= 1 << bit;
             out.push(raw[pos]);
             pos += 1;
         }
+        out[ctrl_at] = ctrl;
     }
     out
 }

@@ -249,10 +249,14 @@ impl Segment {
     /// Compresses `raw` and appends it as a new block with `summary`.
     /// The block becomes durable (and visible to fresh opens) only at
     /// the next [`Segment::seal`].
+    ///
+    /// A block whose length does not fit the footer's `u32` is refused
+    /// before it is compressed (the compressor's table positions are
+    /// `u32` too).
     pub fn append_block(&mut self, raw: &[u8], summary: BlockSummary) -> io::Result<()> {
-        let comp = lz::compress(raw);
         let raw_len =
             u32::try_from(raw.len()).map_err(|_| corrupt(&self.path, "block larger than 4 GiB"))?;
+        let comp = lz::compress(raw);
         let comp_len = u32::try_from(comp.len())
             .map_err(|_| corrupt(&self.path, "compressed block larger than 4 GiB"))?;
         let offset = self.data_end;

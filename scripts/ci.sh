@@ -140,6 +140,13 @@ if grep -rnE 'par_map|par_chunks_mut|max_threads|ECOFL_THREADS|TRAIN_FOLD_CHUNK|
     echo "ERROR: a compute fan-out is back — FL clients train one at a time on the calling thread." >&2
     exit 1
 fi
+# One compressor: the byte-at-a-time LZ matcher survives only as the
+# differential oracle in crates/store/tests/oracle/, which holds the
+# word-wide `lz::compress` to its bytes.
+if grep -rn 'bytewise_compress' crates/store/src; then
+    echo "ERROR: the oracle compressor is back in crates/store/src — lz::compress is the one compressor." >&2
+    exit 1
+fi
 
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
