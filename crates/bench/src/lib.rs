@@ -6,14 +6,14 @@
 //! series and writes a machine-readable JSON next to it under
 //! `target/ecofl-results/`.
 //!
-//! Shared helpers live here: result output, table formatting, and the
-//! common experimental fixtures (device clusters, datasets).
+//! Shared helpers live here: result output and table formatting. These
+//! targets check the figures' shapes; performance across commits is
+//! measured in one place, the benchmark under `benchmark/`
+//! (`benchmark/run.sh`, declared in `BENCHMARK.json`).
 
 use ecofl_compat::json;
-use ecofl_compat::serde::{Deserialize, Serialize};
+use ecofl_compat::serde::Serialize;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Directory where bench targets drop their JSON series.
 #[must_use]
@@ -32,182 +32,6 @@ pub fn write_json<T: Serialize>(id: &str, value: &T) {
     let json = json::to_string_pretty(value).expect("serialize result");
     std::fs::write(&path, json).expect("write result file");
     println!("\n[written] {}", path.display());
-}
-
-/// One measured benchmark case — the schema-stable record that makes up a
-/// `BENCH_<topic>.json` snapshot at the repo root. Adding fields is a
-/// schema change: update `validate_bench` and DESIGN.md alongside.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CaseStats {
-    /// Case name as printed by [`time_case`].
-    pub case: String,
-    /// Mean wall-clock time per iteration, nanoseconds.
-    pub mean_ns: f64,
-    /// Fastest iteration, nanoseconds.
-    pub min_ns: f64,
-    /// Median iteration, nanoseconds.
-    pub median_ns: f64,
-    /// Measured iterations (after warmup).
-    pub iters: u64,
-    /// Discarded warmup iterations.
-    pub warmup: u64,
-    /// Git revision the snapshot was taken at (`ECOFL_GIT_REV`, falling
-    /// back to `git rev-parse --short HEAD`, then `"unknown"`).
-    pub git_rev: String,
-}
-
-/// Cases recorded by [`time_case`] since the last
-/// [`write_bench_snapshot`], in execution order.
-fn recorded() -> &'static Mutex<Vec<CaseStats>> {
-    static RECORDED: OnceLock<Mutex<Vec<CaseStats>>> = OnceLock::new();
-    RECORDED.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn env_count(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be a non-negative integer, got {v:?}")),
-        Err(_) => default,
-    }
-}
-
-/// Measured iteration count: `ECOFL_BENCH_ITERS` when set (CI smoke runs
-/// use `1`), otherwise `default`. Clamped to at least 1.
-#[must_use]
-pub fn bench_iters(default: usize) -> usize {
-    env_count("ECOFL_BENCH_ITERS", default).max(1)
-}
-
-/// Warmup iteration count: `ECOFL_BENCH_WARMUP` when set, else `default`.
-#[must_use]
-pub fn bench_warmup(default: usize) -> usize {
-    env_count("ECOFL_BENCH_WARMUP", default)
-}
-
-/// Revision stamped into snapshot records: `ECOFL_GIT_REV` if set (how
-/// `scripts/bench.sh` pins it), else `git rev-parse --short HEAD`, else
-/// `"unknown"` (hermetic environments without a git binary).
-#[must_use]
-pub fn git_rev() -> String {
-    static REV: OnceLock<String> = OnceLock::new();
-    REV.get_or_init(|| {
-        if let Ok(rev) = std::env::var("ECOFL_GIT_REV") {
-            let rev = rev.trim().to_string();
-            if !rev.is_empty() {
-                return rev;
-            }
-        }
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string())
-    })
-    .clone()
-}
-
-/// Median of a non-empty sample set (mean of the middle pair when even).
-fn median_ns(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
-}
-
-/// Times `f` over `iters` runs after `warmup` discarded runs and prints
-/// a `name  mean ± spread  [min, max]` line — the criterion-free micro
-/// bench driver. Records the case (mean/min/median) for the next
-/// [`write_bench_snapshot`] and returns the mean in nanoseconds so
-/// callers can report derived figures.
-pub fn time_case<R>(name: &str, warmup: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    assert!(iters > 0, "time_case: need at least one iteration");
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut samples_ns = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        samples_ns.push(start.elapsed().as_nanos() as f64);
-    }
-    let mean = samples_ns.iter().sum::<f64>() / iters as f64;
-    let min = samples_ns.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = samples_ns.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let var = samples_ns.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / iters as f64;
-    let sd = var.sqrt();
-    let median = median_ns(&samples_ns);
-    let scale = |ns: f64| -> String {
-        if ns < 1e3 {
-            format!("{ns:8.1} ns")
-        } else if ns < 1e6 {
-            format!("{:8.2} µs", ns / 1e3)
-        } else if ns < 1e9 {
-            format!("{:8.2} ms", ns / 1e6)
-        } else {
-            format!("{:8.2} s ", ns / 1e9)
-        }
-    };
-    println!(
-        "  {name:<32} {} ± {}   [{}, {}]   med {}",
-        scale(mean),
-        scale(sd),
-        scale(min),
-        scale(max),
-        scale(median)
-    );
-    recorded().lock().expect("bench registry").push(CaseStats {
-        case: name.to_string(),
-        mean_ns: mean,
-        min_ns: min,
-        median_ns: median,
-        iters: iters as u64,
-        warmup: warmup as u64,
-        git_rev: git_rev(),
-    });
-    mean
-}
-
-/// Writes every case recorded since the previous snapshot to
-/// `BENCH_<topic>.json` (a flat array of [`CaseStats`]) and clears the
-/// registry. The destination directory is `ECOFL_BENCH_DIR` when set
-/// (CI smoke runs point it at a scratch dir), otherwise the repo root —
-/// where the trajectory snapshots are committed.
-///
-/// # Panics
-/// Panics if no cases were recorded or the write fails.
-pub fn write_bench_snapshot(topic: &str) -> PathBuf {
-    let cases = std::mem::take(&mut *recorded().lock().expect("bench registry"));
-    let dir = std::env::var("ECOFL_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
-    write_snapshot_in(&dir, topic, &cases)
-}
-
-/// [`write_bench_snapshot`] with an explicit destination directory.
-///
-/// # Panics
-/// Panics if no cases were recorded or the write fails.
-pub fn write_snapshot_in(dir: &std::path::Path, topic: &str, cases: &[CaseStats]) -> PathBuf {
-    assert!(
-        !cases.is_empty(),
-        "write_bench_snapshot({topic}): no cases recorded"
-    );
-    std::fs::create_dir_all(dir).expect("create bench snapshot dir");
-    let path = dir.join(format!("BENCH_{topic}.json"));
-    let json = json::to_string_pretty(&cases).expect("serialize bench snapshot");
-    std::fs::write(&path, json).expect("write bench snapshot");
-    println!("\n[bench-snapshot] {}", path.display());
-    path
 }
 
 /// Prints a section header in the bench output.
@@ -239,87 +63,5 @@ mod tests {
         let content = std::fs::read_to_string(results_dir().join("selftest.json")).unwrap();
         let back: Vec<i32> = json::from_str(&content).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn time_case_reports_positive_mean() {
-        let mean = time_case("selftest_spin", 1, 5, || {
-            (0..1000u64).fold(0u64, |a, b| a.wrapping_add(b * b))
-        });
-        assert!(mean > 0.0);
-    }
-
-    #[test]
-    fn median_handles_odd_and_even_sample_counts() {
-        assert_eq!(median_ns(&[5.0]), 5.0);
-        assert_eq!(median_ns(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median_ns(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-    }
-
-    #[test]
-    fn bench_counts_fall_back_to_defaults() {
-        // The CI smoke path sets these only around `scripts/bench.sh`;
-        // under `cargo test` they are unset and the defaults win.
-        if std::env::var("ECOFL_BENCH_ITERS").is_err() {
-            assert_eq!(bench_iters(20), 20);
-        }
-        if std::env::var("ECOFL_BENCH_WARMUP").is_err() {
-            assert_eq!(bench_warmup(3), 3);
-        }
-    }
-
-    #[test]
-    fn git_rev_is_never_empty() {
-        assert!(!git_rev().is_empty());
-    }
-
-    #[test]
-    fn case_stats_round_trip_preserves_schema() {
-        let stats = CaseStats {
-            case: "selftest_case".into(),
-            mean_ns: 1500.0,
-            min_ns: 1200.0,
-            median_ns: 1400.0,
-            iters: 20,
-            warmup: 3,
-            git_rev: "abc1234".into(),
-        };
-        let text = json::to_string_pretty(&vec![stats.clone()]).unwrap();
-        let back: Vec<CaseStats> = json::from_str(&text).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].case, stats.case);
-        assert_eq!(back[0].mean_ns, stats.mean_ns);
-        assert_eq!(back[0].min_ns, stats.min_ns);
-        assert_eq!(back[0].median_ns, stats.median_ns);
-        assert_eq!(back[0].iters, stats.iters);
-        assert_eq!(back[0].warmup, stats.warmup);
-        assert_eq!(back[0].git_rev, stats.git_rev);
-    }
-
-    #[test]
-    fn snapshot_writer_emits_readable_case_array() {
-        let dir = results_dir().join("snapshot-selftest");
-        let cases = vec![CaseStats {
-            case: "selftest_snapshot".into(),
-            mean_ns: 10.0,
-            min_ns: 8.0,
-            median_ns: 9.0,
-            iters: 5,
-            warmup: 1,
-            git_rev: git_rev(),
-        }];
-        let path = write_snapshot_in(&dir, "selftest", &cases);
-        assert_eq!(path.file_name().unwrap(), "BENCH_selftest.json");
-        let back: Vec<CaseStats> =
-            json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].case, "selftest_snapshot");
-    }
-
-    #[test]
-    #[should_panic(expected = "no cases recorded")]
-    fn snapshot_writer_rejects_empty_registry() {
-        let dir = results_dir().join("snapshot-selftest");
-        write_snapshot_in(&dir, "selftest_empty", &[]);
     }
 }

@@ -1254,33 +1254,63 @@ mod tests {
 
     #[test]
     fn zero_bubble_completes_and_splits_backward() {
-        let p = profile(4);
-        let k = p_bounds(&p);
-        let m = 8;
-        let zb = PipelineExecutor::new(&p, SchedulePolicy::ZeroBubble { k: k.clone() })
-            .unwrap()
-            .run(m, 2)
-            .unwrap();
-        // Per round and stage: m forwards + m input halves + m weight halves.
-        assert_eq!(zb.task_spans.len(), 2 * 3 * m * p.num_stages());
-        let inputs = zb
-            .task_spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::BackwardInput)
-            .count();
-        let weights = zb
-            .task_spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::BackwardWeight)
-            .count();
-        assert_eq!(inputs, 2 * m * p.num_stages());
-        assert_eq!(weights, 2 * m * p.num_stages());
-        // The analytic bubble must undercut Eq. 2.
-        let sync = PipelineExecutor::new(&p, SchedulePolicy::OneFOneBSync { k })
-            .unwrap()
-            .run(m, 2)
-            .unwrap();
-        assert!(zb.ssb_per_round < sync.ssb_per_round);
+        use crate::orchestrator::k_bounds;
+        use crate::partition::partition_dp;
+        use ecofl_models::efficientnet_at;
+        use ecofl_simnet::{tx2_q, DeviceSpec};
+
+        // The half-split B0 at P bounds, then two Eq. 1 partitions at K
+        // bounds: B2 over tx2q,nanoh,nanoh at M = 16 and B0 over tx2n,nanoh
+        // at M = 8, both at mbs min(M, 8).
+        let dp_case = |b: usize, specs: Vec<DeviceSpec>, m: usize| {
+            let model = efficientnet_at(b, 224);
+            let devices: Vec<Device> = specs.into_iter().map(Device::new).collect();
+            let link = Link::mbps_100();
+            let mbs = m.min(8);
+            let partition = partition_dp(&model, &devices, &link, mbs).expect("feasible");
+            let p = PipelineProfile::new(&model, &partition.boundaries, &devices, &link, mbs);
+            let k = k_bounds(&p).expect("residency");
+            (p, k, m)
+        };
+        let half_split = profile(4);
+        let half_k = p_bounds(&half_split);
+        let cases = [
+            (half_split, half_k, 8),
+            dp_case(2, vec![tx2_q(), nano_h(), nano_h()], 16),
+            dp_case(0, vec![tx2_n(), nano_h()], 8),
+        ];
+        for (p, k, m) in cases {
+            let zb = PipelineExecutor::new(&p, SchedulePolicy::ZeroBubble { k: k.clone() })
+                .unwrap()
+                .run(m, 2)
+                .unwrap();
+            // Per round and stage: m forwards + m input halves + m weight halves.
+            assert_eq!(zb.task_spans.len(), 2 * 3 * m * p.num_stages());
+            let inputs = zb
+                .task_spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::BackwardInput)
+                .count();
+            let weights = zb
+                .task_spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::BackwardWeight)
+                .count();
+            assert_eq!(inputs, 2 * m * p.num_stages());
+            assert_eq!(weights, 2 * m * p.num_stages());
+            // The analytic bubble must undercut Eq. 2.
+            let sync = PipelineExecutor::new(&p, SchedulePolicy::OneFOneBSync { k })
+                .unwrap()
+                .run(m, 2)
+                .unwrap();
+            assert!(
+                zb.ssb_per_round < sync.ssb_per_round,
+                "{} stages, M = {m}: zero-bubble {} vs Eq. 2 {}",
+                p.num_stages(),
+                zb.ssb_per_round,
+                sync.ssb_per_round
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!
 //! `tests/kernel_equivalence.rs` and the unit tests in `kernel.rs` assert
 //! the contract (see `DESIGN.md` §7, "Kernel tiling and the tolerance
-//! policy"). The micro benches also time the naive loops to anchor the
-//! committed `BENCH_micro.json` speedup trajectory.
+//! policy").
 
 /// `out[i,j] = acc_k` with `acc_0 = 0`, `acc_{p+1} = step(a[i·ra + p·pa],
 /// b[p·n + j], acc_p)`: the loop nest the `a·b` / `aᵀ·b` chains and naive

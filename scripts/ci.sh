@@ -140,6 +140,17 @@ if grep -rnE 'par_map|par_chunks_mut|max_threads|ECOFL_THREADS|TRAIN_FOLD_CHUNK|
     echo "ERROR: a compute fan-out is back — FL clients train one at a time on the calling thread." >&2
     exit 1
 fi
+# One timing authority: performance across commits is measured by the
+# benchmark under benchmark/ (BENCHMARK.json) and nowhere else. The
+# second, snapshot-writing harness — its case timer, its iteration /
+# output-dir / revision env vars, its schema validator and the root
+# BENCH_*.json files it committed — stays gone.
+if grep -rnE --exclude=ci.sh 'time_case|ECOFL_BENCH_|ECOFL_GIT_REV|validate_bench' \
+    crates src tests examples scripts .github ||
+    [ -n "$(find . -maxdepth 1 -name 'BENCH_*.json')" ]; then
+    echo "ERROR: the snapshot timing harness is back — time it with benchmark/run.sh." >&2
+    exit 1
+fi
 # One compressor: the byte-at-a-time LZ matcher survives only as the
 # differential oracle in crates/store/tests/oracle/, which holds the
 # word-wide `lz::compress` to its bytes.
@@ -361,13 +372,6 @@ for strategy in ecofl fedat fedavg; do
     fl_golden "census_1m_$strategy" "$scale_dir/census_$strategy.txt"
 done
 echo "    ok (outputs match tests/golden/fl)"
-
-# Bench-smoke gate: one-iteration pass through the benchmark trajectory
-# runner, asserting the BENCH_*.json plumbing and schema — never timings,
-# which are machine-dependent. The real snapshots are regenerated by
-# `scripts/bench.sh` (no --smoke) and committed with each PR.
-echo "==> bench-smoke gate: ECOFL_BENCH_ITERS=1 scripts/bench.sh --smoke"
-ECOFL_BENCH_ITERS=1 scripts/bench.sh --smoke
 
 # Benchmark-probe gate: benchmark/ and benchmark/layers/ are packages
 # outside this workspace, so nothing above compiles them; `layers` links

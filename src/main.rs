@@ -301,8 +301,10 @@ fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     Ok(())
 }
 
-/// Rejects a simulated pipeline run of `rounds` × `micro_batches` past
-/// what one executor run holds, naming the `flags` that set it.
+/// Rejects a pipeline run of `rounds` × `micro_batches` past what one
+/// executor run holds, naming the `flags` that set it. The threaded
+/// `spike --kill-stage` demo, which builds every round's batches up
+/// front, is held to the same cap.
 fn check_run_length(flags: &str, micro_batches: usize, rounds: usize) -> Result<(), EcoFlError> {
     if micro_batches.saturating_mul(rounds) > MAX_SIMULATED_MICRO_BATCHES {
         return Err(EcoFlError::Config(format!(
@@ -512,6 +514,7 @@ fn cmd_spike_kill(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         )));
     }
     let m = 4usize; // micro-batches per round of the demo run below
+    check_run_length("--rounds", m, usize::try_from(rounds).unwrap_or(usize::MAX))?;
     if kill_micro >= m {
         return Err(EcoFlError::Config(format!(
             "--kill-micro {kill_micro} out of range (a round has {m} micro-batches)"
@@ -1139,7 +1142,7 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             "unknown live scenario '{scenario}' (fl)"
         )));
     }
-    let refresh = get(args, "refresh-ms", 200u64)?;
+    let refresh = get_positive(args, "refresh-ms", 200)?;
     let (strategy, _, setup) = fl_args(args, (12, 120.0, "mnist"))?;
 
     let mut store = match args.get("store") {
@@ -1168,7 +1171,7 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let mut tick = 0u64;
     let io_err = |e: std::io::Error| EcoFlError::Io(format!("metrics store: {e}"));
     while !worker.is_finished() {
-        std::thread::sleep(std::time::Duration::from_millis(refresh));
+        std::thread::sleep(std::time::Duration::from_millis(refresh as u64));
         tick += 1;
         scrape_kernel_stats(&hub);
         let snap = hub.snapshot(tick);

@@ -516,6 +516,10 @@ fn zero_counts_are_rejected_by_flag_name_not_asserted() {
         "--width must be at least 10",
     );
     assert_rejects(&["fl", "--clients", "0"], "--clients");
+    assert_rejects(
+        &["metrics", "--live", "fl", "--refresh-ms", "0"],
+        "--refresh-ms",
+    );
 }
 
 /// A simulated run sized by the flags used to allocate until the process
@@ -537,6 +541,11 @@ fn oversized_simulated_runs_are_rejected_by_flag_name_at_once() {
             "--rounds",
         ),
         ("gantt", &["--micro-batches", "50000000"], "--micro-batches"),
+        (
+            "spike",
+            &["--kill-stage", "1", "--rounds", "100000000"],
+            "--rounds",
+        ),
     ] {
         let started = std::time::Instant::now();
         assert_rejects(&[&[command], &pipeline[..], extra].concat(), flag);
