@@ -23,31 +23,9 @@ impl BytesMut {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u32` in little-endian order.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `f32` in little-endian order.
     pub fn put_f32_le(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends raw bytes.
-    pub fn put_slice(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Freezes into an immutable, readable [`Bytes`].
@@ -68,12 +46,6 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Wraps an owned byte vector.
-    #[must_use]
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        Self { buf, pos: 0 }
-    }
-
     /// Bytes remaining to be read.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -107,26 +79,12 @@ impl Bytes {
         u64::from_le_bytes(self.take::<8>())
     }
 
-    /// Reads the next little-endian `u32`.
-    ///
-    /// # Panics
-    /// Panics if fewer than 4 bytes remain.
-    pub fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take::<4>())
-    }
-
     /// Reads the next little-endian `f32`.
     ///
     /// # Panics
     /// Panics if fewer than 4 bytes remain.
     pub fn get_f32_le(&mut self) -> f32 {
         f32::from_le_bytes(self.take::<4>())
-    }
-
-    /// The unread remainder as a slice (the cursor does not advance).
-    #[must_use]
-    pub fn chunk(&self) -> &[u8] {
-        &self.buf[self.pos..]
     }
 }
 
@@ -138,13 +96,10 @@ mod tests {
     fn codec_round_trip() {
         let mut w = BytesMut::with_capacity(16);
         w.put_u64_le(u64::MAX - 3);
-        w.put_u32_le(7);
         w.put_f32_le(-1.5);
-        assert_eq!(w.len(), 16);
         let mut r = w.freeze();
-        assert_eq!(r.len(), 16);
+        assert_eq!(r.len(), 12);
         assert_eq!(r.get_u64_le(), u64::MAX - 3);
-        assert_eq!(r.get_u32_le(), 7);
         assert_eq!(r.get_f32_le(), -1.5);
         assert!(r.is_empty());
     }
@@ -152,7 +107,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "read past end")]
     fn overread_panics() {
-        let mut r = Bytes::from_vec(vec![1, 2, 3]);
-        let _ = r.get_u64_le();
+        let mut w = BytesMut::with_capacity(4);
+        w.put_f32_le(1.0);
+        let _ = w.freeze().get_u64_le();
     }
 }

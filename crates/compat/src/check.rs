@@ -58,7 +58,7 @@ impl CheckRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
@@ -100,7 +100,7 @@ impl<T: 'static> Gen<T> {
     }
 
     /// Proposes shrunk candidates for a failing value.
-    pub fn shrink(&self, value: &T) -> Vec<T> {
+    pub(crate) fn shrink(&self, value: &T) -> Vec<T> {
         (self.shrink)(value)
     }
 

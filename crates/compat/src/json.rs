@@ -86,7 +86,7 @@ impl Value {
     /// Looks up a key in an object; `None` for missing keys or
     /// non-objects.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -101,7 +101,7 @@ impl Value {
 
     /// The boolean payload, if any.
     #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -120,18 +120,12 @@ impl Value {
 
     /// Integer payload (also accepts an integral `Float`).
     #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e18 => Some(*f as i64),
             _ => None,
         }
-    }
-
-    /// Non-negative integer payload.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|i| u64::try_from(i).ok())
     }
 
     /// String payload, if any.
@@ -154,7 +148,7 @@ impl Value {
 
     /// Object payload as ordered key/value pairs, if any.
     #[must_use]
-    pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
+    pub(crate) fn as_object(&self) -> Option<&Vec<(String, Value)>> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,

@@ -42,13 +42,6 @@ impl<T> Mutex<T> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 /// Multi-producer multi-consumer channels: a `VecDeque` under one lock
@@ -115,7 +108,7 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Receiver::recv_timeout`]: the wait is bounded
+    /// Error returned by [`Receiver::recv_timeout_timed`]: the wait is bounded
     /// both by sender disconnects and by wall-clock time, so a caller
     /// supervising worker threads can never hang on a dead peer.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,18 +297,9 @@ pub mod channel {
         /// disconnect-aware bounded wait that failure supervision is
         /// built on. Returns as soon as a message arrives, every sender
         /// disconnects, or the deadline passes — whichever is first.
-        ///
-        /// # Errors
-        /// [`RecvTimeoutError::Disconnected`] if the channel is empty
-        /// with all senders dropped, [`RecvTimeoutError::Timeout`] if
-        /// the deadline elapsed first.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.recv_timeout_timed(timeout).0
-        }
-
-        /// [`Receiver::recv_timeout`] plus a wall-clock measurement of
-        /// how long the call actually blocked — the timing hook the
-        /// runtime's channel-wait profiling is built on. The returned
+        /// Also returns a wall-clock measurement of how long the call
+        /// actually blocked — the timing hook the runtime's
+        /// channel-wait profiling is built on. The returned
         /// duration covers the whole call (back-off and parked wait to
         /// outcome), so an immediate pop reports a near-zero wait and a
         /// timeout reports approximately `timeout`. `Timeout` is never
@@ -324,7 +308,9 @@ pub mod channel {
         /// over by that window.
         ///
         /// # Errors
-        /// Exactly as [`Receiver::recv_timeout`].
+        /// [`RecvTimeoutError::Disconnected`] if the channel is empty
+        /// with all senders dropped, [`RecvTimeoutError::Timeout`] if
+        /// the deadline elapsed first.
         pub fn recv_timeout_timed(
             &self,
             timeout: Duration,
@@ -501,7 +487,7 @@ mod tests {
     fn recv_timeout_returns_a_queued_message_immediately() {
         let (tx, rx) = unbounded::<u32>();
         tx.send(7).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Ok(7));
+        assert_eq!(rx.recv_timeout_timed(Duration::from_millis(1)).0, Ok(7));
     }
 
     #[test]
@@ -513,7 +499,7 @@ mod tests {
         });
         let start = Instant::now();
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(60)),
+            rx.recv_timeout_timed(Duration::from_secs(60)).0,
             Err(RecvTimeoutError::Disconnected)
         );
         assert!(
@@ -530,7 +516,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             tx.send(9).unwrap();
         });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(60)), Ok(9));
+        assert_eq!(rx.recv_timeout_timed(Duration::from_secs(60)).0, Ok(9));
         sender.join().unwrap();
     }
 
@@ -671,7 +657,10 @@ mod tests {
                     let start = Arc::clone(&start);
                     std::thread::spawn(move || {
                         start.wait();
-                        (rx.recv(), rx.recv_timeout(Duration::from_secs(3600)))
+                        (
+                            rx.recv(),
+                            rx.recv_timeout_timed(Duration::from_secs(3600)).0,
+                        )
                     })
                 };
                 start.wait();

@@ -34,20 +34,12 @@
 //! The sub-crates remain available for fine-grained use and are re-exported
 //! under [`prelude`].
 
-pub mod error;
+pub(crate) mod error;
 pub mod prelude;
 pub mod system;
 
-pub use error::EcoFlError;
-pub use system::{EcoFlReport, EcoFlSystem, EcoFlSystemBuilder, SmartHome};
-
-// Re-export the component crates wholesale for downstream users.
-pub use ecofl_data as data;
-pub use ecofl_fl as fl;
-pub use ecofl_grouping as grouping;
-pub use ecofl_models as models;
+// The component crates downstream code reaches as `ecofl_core::<crate>`.
 pub use ecofl_obs as obs;
 pub use ecofl_pipeline as pipeline;
-pub use ecofl_simnet as simnet;
 pub use ecofl_tensor as tensor;
 pub use ecofl_util as util;

@@ -21,7 +21,7 @@ impl Dataset {
     /// # Panics
     /// Panics if lengths are inconsistent or a label is out of range.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         features: Vec<f32>,
         labels: Vec<usize>,
         feature_dim: usize,
@@ -47,12 +47,6 @@ impl Dataset {
             feature_dim,
             num_classes,
         }
-    }
-
-    /// Creates an empty dataset with the given dimensions.
-    #[must_use]
-    pub fn empty(feature_dim: usize, num_classes: usize) -> Self {
-        Self::new(Vec::new(), Vec::new(), feature_dim, num_classes)
     }
 
     /// Number of samples.
@@ -129,20 +123,6 @@ impl Dataset {
         Dataset::new(features, labels, self.feature_dim, self.num_classes)
     }
 
-    /// Appends all samples of another dataset.
-    ///
-    /// # Panics
-    /// Panics if dimensions disagree.
-    pub fn extend(&mut self, other: &Dataset) {
-        assert_eq!(self.feature_dim, other.feature_dim, "extend: dim mismatch");
-        assert_eq!(
-            self.num_classes, other.num_classes,
-            "extend: class-count mismatch"
-        );
-        self.features.extend_from_slice(&other.features);
-        self.labels.extend_from_slice(&other.labels);
-    }
-
     /// Normalized label histogram — the client's `π` in the grouping cost
     /// (Eq. 4). Uniform if the dataset is empty.
     #[must_use]
@@ -162,76 +142,6 @@ impl Dataset {
             counts[l] += 1;
         }
         counts
-    }
-
-    /// Per-feature mean and standard deviation over this dataset — the
-    /// statistics a client computes locally before training.
-    #[must_use]
-    pub fn feature_stats(&self) -> (Vec<f32>, Vec<f32>) {
-        let n = self.len().max(1) as f32;
-        let mut mean = vec![0.0f32; self.feature_dim];
-        for row in self.features.chunks(self.feature_dim) {
-            for (m, &x) in mean.iter_mut().zip(row) {
-                *m += x;
-            }
-        }
-        for m in &mut mean {
-            *m /= n;
-        }
-        let mut var = vec![0.0f32; self.feature_dim];
-        for row in self.features.chunks(self.feature_dim) {
-            for ((v, &m), &x) in var.iter_mut().zip(&mean).zip(row) {
-                *v += (x - m) * (x - m);
-            }
-        }
-        let std = var.into_iter().map(|v| (v / n).sqrt().max(1e-6)).collect();
-        (mean, std)
-    }
-
-    /// Returns a z-score-normalized copy using the given statistics
-    /// (typically [`Dataset::feature_stats`] of a reference set, so train
-    /// and test share one normalization).
-    ///
-    /// # Panics
-    /// Panics if the statistics' length differs from the feature dim.
-    #[must_use]
-    pub fn normalized(&self, mean: &[f32], std: &[f32]) -> Dataset {
-        assert_eq!(mean.len(), self.feature_dim, "normalized: mean length");
-        assert_eq!(std.len(), self.feature_dim, "normalized: std length");
-        let features = self
-            .features
-            .chunks(self.feature_dim)
-            .flat_map(|row| {
-                row.iter()
-                    .zip(mean.iter().zip(std))
-                    .map(|(&x, (&m, &s))| (x - m) / s)
-            })
-            .collect();
-        Dataset::new(
-            features,
-            self.labels.clone(),
-            self.feature_dim,
-            self.num_classes,
-        )
-    }
-
-    /// Splits the dataset into `(train, test)` with `test_fraction` of
-    /// the samples (randomized, deterministic under `rng`).
-    ///
-    /// # Panics
-    /// Panics unless `test_fraction` is in `(0, 1)`.
-    #[must_use]
-    pub fn train_test_split(&self, test_fraction: f64, rng: &mut Rng) -> (Dataset, Dataset) {
-        assert!(
-            test_fraction > 0.0 && test_fraction < 1.0,
-            "train_test_split: fraction must be in (0,1)"
-        );
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        rng.shuffle(&mut idx);
-        let n_test = ((self.len() as f64 * test_fraction).round() as usize)
-            .clamp(1, self.len().saturating_sub(1).max(1));
-        let (test_idx, train_idx) = idx.split_at(n_test);
-        (self.subset(train_idx), self.subset(test_idx))
     }
 
     /// Sample indices in randomized order, chunked into mini-batches.
@@ -293,70 +203,8 @@ mod tests {
         let dist = d.label_distribution();
         assert!((dist[0] - 2.0 / 3.0).abs() < 1e-12);
         assert!((dist[1] - 1.0 / 3.0).abs() < 1e-12);
-        let e = Dataset::empty(4, 10);
+        let e = Dataset::new(Vec::new(), Vec::new(), 4, 10);
         assert_eq!(e.label_distribution(), vec![0.1; 10]);
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut d = small();
-        let other = small();
-        d.extend(&other);
-        assert_eq!(d.len(), 6);
-        assert_eq!(d.label_counts(), vec![4, 2]);
-    }
-
-    #[test]
-    fn feature_stats_and_normalization() {
-        let d = Dataset::new(vec![0.0, 10.0, 2.0, 10.0, 4.0, 10.0], vec![0, 1, 0], 2, 2);
-        let (mean, std) = d.feature_stats();
-        assert!((mean[0] - 2.0).abs() < 1e-6);
-        assert!((mean[1] - 10.0).abs() < 1e-6);
-        // Second feature is constant: std floored, not zero.
-        assert!(std[1] >= 1e-6);
-        let norm = d.normalized(&mean, &std);
-        let (nm, _) = norm.feature_stats();
-        assert!(
-            nm.iter().all(|m| m.abs() < 1e-5),
-            "normalized mean ~0: {nm:?}"
-        );
-        assert_eq!(norm.labels(), d.labels());
-    }
-
-    #[test]
-    fn normalization_is_shared_across_sets() {
-        // Test data normalized with train statistics keeps relative scale.
-        let train = Dataset::new(vec![0.0, 2.0, 4.0, 6.0], vec![0, 1], 2, 2);
-        let test = Dataset::new(vec![8.0, 10.0], vec![0], 2, 2);
-        let (m, s) = train.feature_stats();
-        let nt = test.normalized(&m, &s);
-        // Test values sit above the train distribution → positive scores.
-        assert!(nt.feature_row(0).iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn split_partitions_samples() {
-        let d = Dataset::new((0..40).map(|i| i as f32).collect(), vec![0; 20], 2, 2);
-        let mut rng = Rng::new(3);
-        let (train, test) = d.train_test_split(0.25, &mut rng);
-        assert_eq!(train.len() + test.len(), d.len());
-        assert_eq!(test.len(), 5);
-        // No overlap: every original row appears exactly once.
-        let mut firsts: Vec<f32> = train
-            .labels()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| train.feature_row(i)[0])
-            .chain(
-                test.labels()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| test.feature_row(i)[0]),
-            )
-            .collect();
-        firsts.sort_by(f32::total_cmp);
-        let expected: Vec<f32> = (0..20).map(|i| (i * 2) as f32).collect();
-        assert_eq!(firsts, expected);
     }
 
     #[test]

@@ -20,13 +20,13 @@
 //!
 //! - [`partition::classes_per_client`] — every client holds samples from
 //!   `k` random classes (the paper uses `k = 2`),
-//! - [`partition::rlg_iid`] / [`partition::rlg_niid`] — label distributions
+//! - `partition::rlg_iid` / [`partition::rlg_niid`] — label distributions
 //!   assigned per response-latency group (10 classes vs 3 classes per RLG).
 
-pub mod dataset;
+pub(crate) mod dataset;
 pub mod federated;
 pub mod partition;
-pub mod synth;
+pub(crate) mod synth;
 
 pub use dataset::Dataset;
 pub use federated::FederatedDataset;

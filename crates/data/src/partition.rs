@@ -6,7 +6,7 @@
 //!
 //! - [`classes_per_client`]: "the samples in each client are only assigned
 //!   from two random classes" — client-level skew,
-//! - [`rlg_iid`]: each RLG gets all 10 classes (group-level IID),
+//! - `rlg_iid`: each RLG gets all 10 classes (group-level IID),
 //! - [`rlg_niid`]: each RLG gets only 3 classes (group-level non-IID, the
 //!   "businessmen of certain areas" scenario).
 
@@ -18,7 +18,7 @@ use ecofl_util::Rng;
 ///
 /// `samples_per_client` is rounded down to a multiple of the class count.
 #[must_use]
-pub fn iid(
+pub(crate) fn iid(
     protos: &Prototypes,
     n_clients: usize,
     samples_per_client: usize,
@@ -75,7 +75,7 @@ pub fn classes_per_client(
 /// `client_rlg[i]` is the RLG index of client `i`; it only matters for the
 /// NIID variant but is accepted here for interface symmetry.
 #[must_use]
-pub fn rlg_iid(
+pub(crate) fn rlg_iid(
     protos: &Prototypes,
     client_rlg: &[usize],
     samples_per_client: usize,
@@ -145,7 +145,7 @@ pub fn rlg_niid(
 /// # Panics
 /// Panics if `alpha` is not positive.
 #[must_use]
-pub fn dirichlet(
+pub(crate) fn dirichlet(
     protos: &Prototypes,
     n_clients: usize,
     alpha: f64,

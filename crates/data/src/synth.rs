@@ -123,7 +123,7 @@ pub struct Prototypes {
 impl Prototypes {
     /// The generating spec.
     #[must_use]
-    pub fn spec(&self) -> &SyntheticSpec {
+    pub(crate) fn spec(&self) -> &SyntheticSpec {
         &self.spec
     }
 
@@ -131,7 +131,7 @@ impl Prototypes {
     ///
     /// # Panics
     /// Panics if `class` is out of range.
-    pub fn sample_class_into(
+    pub(crate) fn sample_class_into(
         &self,
         class: usize,
         n: usize,

@@ -90,17 +90,10 @@ impl StreamingAverage {
         self.folded += weight;
     }
 
-    /// Weight folded so far (diagnostic; callers may assert it reached
-    /// the declared total).
-    #[must_use]
-    pub fn folded_weight(&self) -> f64 {
-        self.folded
-    }
-
     /// Finishes the average, rounding to `f32` exactly as
     /// [`weighted_average`] does.
     #[must_use]
-    pub fn finish(self) -> Vec<f32> {
+    pub(crate) fn finish(self) -> Vec<f32> {
         self.acc.into_iter().map(|x| x as f32).collect()
     }
 }
@@ -201,7 +194,6 @@ mod tests {
         for (v, w) in &updates {
             stream.fold(v, *w);
         }
-        assert_eq!(stream.folded_weight(), total);
         let streamed = stream.finish();
         assert_eq!(batch.len(), streamed.len());
         for (a, b) in batch.iter().zip(&streamed) {

@@ -143,14 +143,14 @@ impl FlConfig {
     /// Clients sampled per group round in hierarchical strategies
     /// (respects the global concurrency cap).
     #[must_use]
-    pub fn clients_per_group_round(&self) -> usize {
+    pub(crate) fn clients_per_group_round(&self) -> usize {
         (self.clients_per_round / self.num_groups).max(1)
     }
 
     /// The grouping knobs as the grouper takes them (a hierarchical
     /// strategy substitutes its own criterion for `strategy`).
     #[must_use]
-    pub fn grouping_config(&self) -> GroupingConfig {
+    pub(crate) fn grouping_config(&self) -> GroupingConfig {
         GroupingConfig {
             num_groups: self.num_groups,
             strategy: self.grouping,

@@ -7,7 +7,7 @@
 //! serializable [`Strategy`] selector, the [`FlSetup`]/[`RunResult`]
 //! types and the [`run`] entry point; the event-driven
 //! round scheduler lives in [`crate::sched`] and the per-strategy
-//! aggregation objects in [`crate::strategies`]:
+//! aggregation objects in `crate::strategies`:
 //!
 //! - [`Strategy::FedAvg`] — synchronous rounds over a random client
 //!   sample; the round lasts as long as its slowest participant,
@@ -62,23 +62,6 @@ impl Strategy {
             dynamic_grouping: true,
         },
     ];
-
-    /// Display name used in figures.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::FedAvg => "FedAvg",
-            Strategy::FedAsync => "FedAsync",
-            Strategy::FedAt => "FedAT",
-            Strategy::Astraea => "Astraea",
-            Strategy::EcoFl {
-                dynamic_grouping: true,
-            } => "Eco-FL",
-            Strategy::EcoFl {
-                dynamic_grouping: false,
-            } => "Eco-FL w/o DG",
-        }
-    }
 }
 
 /// Everything a run needs.
@@ -296,27 +279,6 @@ mod tests {
             (mean_recall - r.final_accuracy).abs() < 0.05,
             "mean recall {mean_recall} should track final accuracy {}",
             r.final_accuracy
-        );
-    }
-
-    #[test]
-    fn strategy_names() {
-        assert_eq!(Strategy::FedAvg.name(), "FedAvg");
-        assert_eq!(
-            Strategy::EcoFl {
-                dynamic_grouping: false
-            }
-            .name(),
-            "Eco-FL w/o DG"
-        );
-    }
-
-    #[test]
-    fn lineup_matches_display_names() {
-        let names: Vec<&str> = Strategy::LINEUP.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            ["FedAvg", "FedAsync", "FedAT", "Eco-FL w/o DG", "Eco-FL"]
         );
     }
 

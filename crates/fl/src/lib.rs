@@ -26,11 +26,11 @@
 //!   dispatch, dropout/[`sched::surviving`] handling, evaluation
 //!   cadence, tracer instrumentation, and local training folded into
 //!   the average client by client, in member order,
-//! - [`strategies`] — [`sched::AggregationStrategy`] objects deciding
+//! - `strategies` — [`sched::AggregationStrategy`] objects deciding
 //!   what to aggregate and when: FedAvg, FedAsync, and the hierarchical
 //!   family (FedAT, Astraea, Eco-FL ± Algorithm 1 dynamic re-grouping),
 //! - [`engine`] — the serializable [`Strategy`] selector, run setup and
-//!   result types, and the [`run`] entry point,
+//!   result types, and the [`engine::run`] entry point,
 //! - [`metrics`] — convergence summaries from results or traces,
 //! - [`mod@reference`] — centralized accuracy-per-epoch reference curves used
 //!   to compose the Fig. 10 time-to-accuracy plots.
@@ -43,13 +43,13 @@ pub mod latency;
 pub mod metrics;
 pub mod reference;
 pub mod sched;
-pub mod strategies;
+pub(crate) mod strategies;
 
-pub use aggregate::{fedasync_mix, staleness_alpha, weighted_average};
+pub use aggregate::{fedasync_mix, weighted_average};
 pub use client::{local_train, LocalTrainConfig};
 pub use config::{DynamicsConfig, FlConfig};
-pub use engine::{run, FlSetup, RunResult, Strategy};
+pub use engine::{FlSetup, Strategy};
 pub use latency::LatencyModel;
-pub use metrics::{summarize, summarize_store, summarize_view, ConvergenceSummary};
-pub use sched::{AggregationStrategy, Cohort, HorizonPolicy, Scheduler};
+pub use metrics::{summarize_store, summarize_view, ConvergenceSummary};
+pub use sched::{AggregationStrategy, Scheduler};
 pub use strategies::strategy_object;

@@ -5,6 +5,7 @@
 //! quantitative and reusable: time-to-threshold ladders, normalized
 //! area-under-curve, and post-peak stability.
 
+#[cfg(test)]
 use crate::engine::RunResult;
 use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_obs::{RecordKind, RunStore, TraceQuery, TraceView};
@@ -28,23 +29,25 @@ pub struct ConvergenceSummary {
     pub max_drawdown: f64,
 }
 
-/// Summarizes a run against a ladder of accuracy thresholds.
-#[must_use]
-pub fn summarize(result: &RunResult, thresholds: &[f64]) -> ConvergenceSummary {
+/// Summarizes a run against a ladder of accuracy thresholds straight from
+/// its [`RunResult`]: the oracle [`summarize_view`] is tested against.
+#[cfg(test)]
+fn summarize(result: &RunResult, thresholds: &[f64]) -> ConvergenceSummary {
     summarize_series(&result.strategy, &result.accuracy, thresholds)
 }
 
-/// [`summarize`] over a recorded trace instead of a [`RunResult`]:
-/// reconstructs the accuracy-vs-time trace from the `"accuracy"` gauge
-/// stream a traced run emits (one sample per evaluation), so a JSONL
-/// trace on disk is enough to recompute every convergence metric.
+/// Summarizes a run against a ladder of accuracy thresholds from a
+/// recorded trace: reconstructs the accuracy-vs-time trace from the
+/// `"accuracy"` gauge stream a traced run emits (one sample per
+/// evaluation), so a JSONL trace on disk is enough to recompute every
+/// convergence metric.
 #[must_use]
 pub fn summarize_view(view: &TraceView, strategy: &str, thresholds: &[f64]) -> ConvergenceSummary {
     let accuracy: TimeSeries = view.gauge_series("accuracy").into_iter().collect();
     summarize_series(strategy, &accuracy, thresholds)
 }
 
-/// The one fold behind [`summarize`] and [`summarize_view`]. The best
+/// The one fold behind [`summarize_view`] and its test oracle. The best
 /// accuracy is the curve's maximum, which is how a run sets
 /// `RunResult::best_accuracy`.
 fn summarize_series(
@@ -82,7 +85,7 @@ pub fn summarize_store(
 
 /// AUC divided by the observed time span (`0` for fewer than two points).
 #[must_use]
-pub fn mean_over_span(trace: &TimeSeries) -> f64 {
+pub(crate) fn mean_over_span(trace: &TimeSeries) -> f64 {
     let points = trace.points();
     if points.len() < 2 {
         return points.first().map_or(0.0, |&(_, v)| v);

@@ -74,15 +74,6 @@ impl ReferenceCurve {
             .map(|(e, &a)| ((e + 1) as f64 * epoch_seconds, a))
             .collect()
     }
-
-    /// First epoch index (1-based) reaching `threshold`, if any.
-    #[must_use]
-    pub fn epochs_to_reach(&self, threshold: f64) -> Option<usize> {
-        self.accuracy
-            .iter()
-            .position(|&a| a >= threshold)
-            .map(|e| e + 1)
-    }
 }
 
 #[cfg(test)]
@@ -115,15 +106,5 @@ mod tests {
         // Time-to-accuracy ordering follows epoch time.
         let target = curve.accuracy[3];
         assert!(fast.time_to_reach(target).unwrap() < slow.time_to_reach(target).unwrap());
-    }
-
-    #[test]
-    fn epochs_to_reach() {
-        let c = ReferenceCurve {
-            accuracy: vec![0.2, 0.5, 0.7, 0.9],
-        };
-        assert_eq!(c.epochs_to_reach(0.5), Some(2));
-        assert_eq!(c.epochs_to_reach(0.95), None);
-        assert_eq!(c.epochs_to_reach(0.0), Some(1));
     }
 }

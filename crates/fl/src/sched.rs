@@ -31,7 +31,7 @@ use ecofl_util::{Rng, TimeSeries};
 /// in-flight cohort costs O(1) memory for its start model no matter how
 /// many cohorts share the same snapshot. Deref coercion makes a
 /// `&SharedParams` usable anywhere a `&[f32]` is expected.
-pub type SharedParams = Shared<Vec<f32>>;
+pub(crate) type SharedParams = Shared<Vec<f32>>;
 
 /// A scheduled unit of client work: the cohort of clients that finishes
 /// local training together. FedAvg rounds are one cohort of the whole
@@ -214,44 +214,44 @@ impl<'a> Scheduler<'a> {
 
     /// The experiment setup this run drives.
     #[must_use]
-    pub fn setup(&self) -> &FlSetup {
+    pub(crate) fn setup(&self) -> &FlSetup {
         self.setup
     }
 
     /// The run configuration.
     #[must_use]
-    pub fn config(&self) -> &FlConfig {
+    pub(crate) fn config(&self) -> &FlConfig {
         &self.setup.config
     }
 
     /// Current virtual time (timestamp of the last completed cohort).
     #[must_use]
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.queue.now()
     }
 
     /// The strategy-stream RNG (latency sampling, cohort sampling,
     /// dropout and dynamics all draw from this one stream, in dispatch
     /// order).
-    pub fn rng(&mut self) -> &mut Rng {
+    pub(crate) fn rng(&mut self) -> &mut Rng {
         &mut self.rng
     }
 
     /// The tracer handle, when tracing.
     #[must_use]
-    pub fn tracer(&self) -> Option<&Tracer> {
+    pub(crate) fn tracer(&self) -> Option<&Tracer> {
         self.tracer
     }
 
     /// Current response latency of `client`, virtual seconds.
     #[must_use]
-    pub fn response_latency(&self, client: usize) -> f64 {
+    pub(crate) fn response_latency(&self, client: usize) -> f64 {
         self.latency.response_latency(client)
     }
 
     /// Response latencies of every client, indexed by client id.
     #[must_use]
-    pub fn all_latencies(&self) -> Vec<f64> {
+    pub(crate) fn all_latencies(&self) -> Vec<f64> {
         self.latency.all_latencies()
     }
 
@@ -265,7 +265,7 @@ impl<'a> Scheduler<'a> {
     /// unrelated knob — a default 1-second comm latency meant a probe
     /// storm against any temporarily-empty group.)
     #[must_use]
-    pub fn cohort_round_time(&self, members: &[usize]) -> f64 {
+    pub(crate) fn cohort_round_time(&self, members: &[usize]) -> f64 {
         if members.is_empty() {
             return self.setup.config.probe_backoff;
         }
@@ -278,14 +278,8 @@ impl<'a> Scheduler<'a> {
 
     /// Applies runtime dynamics to `client` (collaborative-degree
     /// resampling); returns whether its latency changed.
-    pub fn perturb(&mut self, client: usize) -> bool {
+    pub(crate) fn perturb(&mut self, client: usize) -> bool {
         self.latency.maybe_perturb(client, &mut self.rng)
-    }
-
-    /// The served global model.
-    #[must_use]
-    pub fn global(&self) -> &[f32] {
-        &self.w
     }
 
     /// A shared handle on the current global model. The snapshot is
@@ -293,7 +287,7 @@ impl<'a> Scheduler<'a> {
     /// served by reference-count bump to every cohort dispatched before
     /// the next update — so N in-flight cohorts reading the same global
     /// cost one vector, not N.
-    pub fn global_shared(&mut self) -> SharedParams {
+    pub(crate) fn global_shared(&mut self) -> SharedParams {
         if let Some(s) = &self.shared_snapshot {
             return s.clone();
         }
@@ -303,19 +297,19 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Mutable access to the global model (incremental async mixing).
-    pub fn global_mut(&mut self) -> &mut Vec<f32> {
+    pub(crate) fn global_mut(&mut self) -> &mut Vec<f32> {
         self.shared_snapshot = None;
         &mut self.w
     }
 
     /// Replaces the global model wholesale (synchronous averaging).
-    pub fn set_global(&mut self, w: Vec<f32>) {
+    pub(crate) fn set_global(&mut self, w: Vec<f32>) {
         self.shared_snapshot = None;
         self.w = w;
     }
 
     /// Schedules `cohort` to complete `delay` virtual seconds from now.
-    pub fn dispatch_after(&mut self, delay: f64, cohort: Cohort) {
+    pub(crate) fn dispatch_after(&mut self, delay: f64, cohort: Cohort) {
         if let Some(m) = &self.metrics {
             m.cohorts_dispatched.inc(1);
             m.clients_dispatched.inc(cohort.members.len() as u64);
@@ -325,7 +319,7 @@ impl<'a> Scheduler<'a> {
 
     /// Applies the failure model: the members that actually deliver
     /// their update this round.
-    pub fn surviving(&mut self, members: &[usize]) -> Vec<usize> {
+    pub(crate) fn surviving(&mut self, members: &[usize]) -> Vec<usize> {
         let alive = surviving(members, self.setup.config.failure_prob, &mut self.rng);
         if let Some(m) = &self.metrics {
             m.clients_dropped.inc((members.len() - alive.len()) as u64);
@@ -337,7 +331,7 @@ impl<'a> Scheduler<'a> {
     /// `(seed, client, tag)` RNG stream, so the update depends on
     /// nothing but its arguments and the setup.
     #[must_use]
-    pub fn train_client(&self, c: usize, start: &[f32], mu: f32, tag: u64) -> LocalUpdate {
+    pub(crate) fn train_client(&self, c: usize, start: &[f32], mu: f32, tag: u64) -> LocalUpdate {
         let cfg = &self.setup.config;
         let train_cfg = LocalTrainConfig {
             epochs: cfg.local_epochs,
@@ -370,7 +364,7 @@ impl<'a> Scheduler<'a> {
     /// A cohort that is empty, or whose members hold no training
     /// samples, has nothing to average: `start` comes back unchanged.
     #[must_use]
-    pub fn train_cohort_folded(
+    pub(crate) fn train_cohort_folded(
         &self,
         members: &[usize],
         start: &[f32],
@@ -393,7 +387,7 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Records one global model update (counter + tally).
-    pub fn note_update(&mut self, t: f64) {
+    pub(crate) fn note_update(&mut self, t: f64) {
         self.updates += 1;
         if let Some(tr) = self.tracer {
             tr.counter("global_updates", t, 1.0);
@@ -412,7 +406,7 @@ impl<'a> Scheduler<'a> {
     /// eval re-anchored the grid and the effective cadence drifted up
     /// to one interval late per eval — pinned by the
     /// `eval_watermark_advances_on_interval_grid` regression test.)
-    pub fn maybe_eval(&mut self, t: f64) {
+    pub(crate) fn maybe_eval(&mut self, t: f64) {
         let interval = self.setup.config.eval_interval;
         if t - self.last_eval >= interval {
             let acc = self.evaluator.accuracy(&self.w);
@@ -438,14 +432,14 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Traces one round span (`Domain::Fl`).
-    pub fn trace_round_span(&self, entity: usize, index: usize, start: f64, end: f64) {
+    pub(crate) fn trace_round_span(&self, entity: usize, index: usize, start: f64, end: f64) {
         if let Some(tr) = self.tracer {
             tr.span(Domain::Fl, SpanKind::Round, entity, index, 0, start, end);
         }
     }
 
     /// Traces one client's local-training window.
-    pub fn trace_local_train(&self, client: usize, index: usize, start: f64, end: f64) {
+    pub(crate) fn trace_local_train(&self, client: usize, index: usize, start: f64, end: f64) {
         if let Some(tr) = self.tracer {
             tr.span(
                 Domain::Fl,
@@ -460,14 +454,14 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Traces one aggregation event.
-    pub fn trace_aggregation(&self, entity: usize, t: f64, value: f64) {
+    pub(crate) fn trace_aggregation(&self, entity: usize, t: f64, value: f64) {
         if let Some(tr) = self.tracer {
             tr.event(Domain::Fl, EventKind::Aggregation, entity, t, value);
         }
     }
 
     /// Traces a named gauge sample.
-    pub fn trace_gauge(&self, name: &'static str, t: f64, value: f64) {
+    pub(crate) fn trace_gauge(&self, name: &'static str, t: f64, value: f64) {
         if let Some(tr) = self.tracer {
             tr.gauge(name, t, value);
         }
@@ -785,7 +779,7 @@ mod tests {
             // Streaming train-and-fold must be bit-identical to the
             // unfused train-then-aggregate path over the whole cohort.
             let members: Vec<usize> = (0..sched.config().num_clients).collect();
-            let start = sched.global().to_vec();
+            let start = sched.w.clone();
             let folded = sched.train_cohort_folded(&members, &start, 0.0, 3);
             let updates: Vec<LocalUpdate> = members
                 .iter()

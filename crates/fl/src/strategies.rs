@@ -30,14 +30,14 @@ pub fn strategy_object(strategy: Strategy) -> Box<dyn AggregationStrategy> {
 /// Synchronous FedAvg (McMahan et al. 2017): one global barrier per
 /// round over a random client sample; the round lasts as long as its
 /// slowest participant (the server waits out failures as timeouts).
-pub struct FedAvg {
+pub(crate) struct FedAvg {
     round: u64,
 }
 
 impl FedAvg {
     /// Creates the strategy at round zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { round: 0 }
     }
 
@@ -126,7 +126,7 @@ impl AggregationStrategy for FedAvg {
 /// staleness-adaptive weighting is an optional variant in Xie et al.;
 /// Eco-FL's own inter-group aggregator uses the staleness-aware form,
 /// §5.1).
-pub struct FedAsync {
+pub(crate) struct FedAsync {
     version: u64,
     tag: u64,
 }
@@ -134,7 +134,7 @@ pub struct FedAsync {
 impl FedAsync {
     /// Creates the strategy at version zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { version: 0, tag: 0 }
     }
 
@@ -212,7 +212,7 @@ impl AggregationStrategy for FedAsync {
 
 /// Which hierarchical flavour to run.
 #[derive(Debug, Clone, Copy)]
-pub enum HierKind {
+pub(crate) enum HierKind {
     /// FedAT latency tiers (Chai et al. 2021).
     FedAt,
     /// The hierarchical framework with Astraea's data-only grouping.
@@ -265,7 +265,7 @@ impl HierKind {
 /// intra-group rounds, asynchronous inter-group aggregation, one
 /// concurrent round per group. [`HierKind`] selects the grouping
 /// criterion and inter-group mixing rule.
-pub struct Hierarchical {
+pub(crate) struct Hierarchical {
     kind: HierKind,
     grouper: Option<Grouper>,
     // FedAT keeps the latest model of every tier and recomputes the
@@ -286,7 +286,7 @@ impl Hierarchical {
     ///
     /// [`begin`]: AggregationStrategy::begin
     #[must_use]
-    pub fn new(kind: HierKind) -> Self {
+    pub(crate) fn new(kind: HierKind) -> Self {
         Self {
             kind,
             grouper: None,

@@ -35,7 +35,7 @@ pub struct GroupState {
 impl GroupState {
     /// Creates an empty group seeded at a latency centroid.
     #[must_use]
-    pub fn new(id: usize, seed_center: f64, num_classes: usize) -> Self {
+    pub(crate) fn new(id: usize, seed_center: f64, num_classes: usize) -> Self {
         Self {
             id,
             members: Vec::new(),
@@ -66,13 +66,13 @@ impl GroupState {
 
     /// Normalized pooled label distribution `π^g`.
     #[must_use]
-    pub fn distribution(&self) -> Vec<f64> {
+    pub(crate) fn distribution(&self) -> Vec<f64> {
         normalize_distribution(&self.label_counts)
     }
 
     /// JS divergence of the pooled distribution from uniform.
     #[must_use]
-    pub fn js_from_iid(&self) -> f64 {
+    pub(crate) fn js_from_iid(&self) -> f64 {
         let n = self.label_counts.len();
         js_divergence(&self.distribution(), &vec![1.0 / n as f64; n])
     }
@@ -80,7 +80,7 @@ impl GroupState {
     /// JS-from-IID of the group *after* hypothetically absorbing a client
     /// with the given label counts — the `JS(π_n^g, π_iid)` term of Eq. 4.
     #[must_use]
-    pub fn union_js_from_iid(&self, client_counts: &[f64]) -> f64 {
+    pub(crate) fn union_js_from_iid(&self, client_counts: &[f64]) -> f64 {
         union_js_from_iid_parts(&self.label_counts, client_counts)
     }
 
@@ -91,7 +91,7 @@ impl GroupState {
     }
 
     /// Adds a member.
-    pub fn admit(&mut self, client: usize, latency: f64, client_counts: &[f64]) {
+    pub(crate) fn admit(&mut self, client: usize, latency: f64, client_counts: &[f64]) {
         debug_assert!(!self.members.contains(&client), "duplicate admit");
         self.admit_deferred(client, latency, client_counts);
         self.refresh_center();
@@ -127,7 +127,7 @@ impl GroupState {
     ///
     /// # Panics
     /// Panics if the client is not a member.
-    pub fn remove(&mut self, client: usize, client_counts: &[f64]) {
+    pub(crate) fn remove(&mut self, client: usize, client_counts: &[f64]) {
         let idx = self
             .members
             .iter()
@@ -145,7 +145,7 @@ impl GroupState {
     ///
     /// # Panics
     /// Panics if the client is not a member.
-    pub fn update_latency(&mut self, client: usize, latency: f64) {
+    pub(crate) fn update_latency(&mut self, client: usize, latency: f64) {
         let idx = self
             .members
             .iter()
@@ -178,7 +178,7 @@ impl GroupState {
 /// Panics on a class-count mismatch, zero classes, or a pooled count
 /// that is negative or not finite.
 #[must_use]
-pub fn union_js_from_iid_parts(group_counts: &[f64], client_counts: &[f64]) -> f64 {
+pub(crate) fn union_js_from_iid_parts(group_counts: &[f64], client_counts: &[f64]) -> f64 {
     assert_eq!(
         client_counts.len(),
         group_counts.len(),

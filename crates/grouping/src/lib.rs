@@ -17,18 +17,18 @@
 //! `λ = 0` degenerates to latency-only grouping (FedAT); `λ → ∞` to
 //! data-only grouping (Astraea) — both are implemented as baselines.
 //!
-//! - [`kmeans`] — 1-D k-means++ clustering of response latencies (the
+//! - `kmeans` — 1-D k-means++ clustering of response latencies (the
 //!   initial-grouping seed),
-//! - [`cost`] — Eq. 4 and the group-state bookkeeping,
-//! - [`grouper`] — initial greedy association, the latency thresholds
+//! - `cost` — Eq. 4 and the group-state bookkeeping,
+//! - `grouper` — initial greedy association, the latency thresholds
 //!   `RT_g`, the drop-out pool, and Algorithm 1's dynamic re-grouping.
 
-pub mod cost;
-pub mod grouper;
-pub mod kmeans;
-pub mod report;
+pub(crate) mod cost;
+pub(crate) mod grouper;
+pub(crate) mod kmeans;
+pub(crate) mod report;
 
-pub use cost::{assignment_cost, GroupState};
+pub use cost::assignment_cost;
 pub use grouper::{Grouper, GroupingConfig, GroupingStrategy, RegroupOutcome};
 pub use kmeans::{kmeans_1d, kmeans_1d_minibatch};
-pub use report::{GroupSnapshot, GroupingReport};
+pub use report::GroupingReport;

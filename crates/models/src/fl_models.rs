@@ -64,7 +64,7 @@ pub fn mlp_for(feature_dim: usize, num_classes: usize, rng: &mut Rng) -> Network
 /// # Panics
 /// Panics unless `feature_dim == 64`.
 #[must_use]
-pub fn cnn_for(feature_dim: usize, num_classes: usize, rng: &mut Rng) -> Network {
+pub(crate) fn cnn_for(feature_dim: usize, num_classes: usize, rng: &mut Rng) -> Network {
     assert_eq!(
         feature_dim, 64,
         "cnn_for: CNN expects 64 features (8×8 layout), got {feature_dim}"
@@ -85,7 +85,7 @@ pub fn cnn_for(feature_dim: usize, num_classes: usize, rng: &mut Rng) -> Network
 
 /// Parameter-free skeleton of [`mlp_for`] (zeroed weights).
 #[must_use]
-pub fn mlp_uninit(feature_dim: usize, num_classes: usize) -> Network {
+pub(crate) fn mlp_uninit(feature_dim: usize, num_classes: usize) -> Network {
     let layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Linear::zeroed(feature_dim, 64)),
         Box::new(ReLU::new()),
@@ -101,7 +101,7 @@ pub fn mlp_uninit(feature_dim: usize, num_classes: usize) -> Network {
 /// # Panics
 /// Panics unless `feature_dim == 64`.
 #[must_use]
-pub fn cnn_uninit(feature_dim: usize, num_classes: usize) -> Network {
+pub(crate) fn cnn_uninit(feature_dim: usize, num_classes: usize) -> Network {
     assert_eq!(
         feature_dim, 64,
         "cnn_uninit: CNN expects 64 features (8×8 layout), got {feature_dim}"

@@ -2,7 +2,7 @@
 //!
 //! Model definitions for both halves of the Eco-FL reproduction:
 //!
-//! - [`fl_models`] — small *trainable* networks (MLP, CNN) built on
+//! - `fl_models` — small *trainable* networks (MLP, CNN) built on
 //!   `ecofl-tensor`, used for genuine local training in the FL simulations
 //!   (the paper trains "the same DNN models as in FedAVG" on each client);
 //! - [`profiles`] — *analytic* per-layer profiles of the pipeline
@@ -13,11 +13,10 @@
 //!   records (`T_l^d`, `a_l`, `g_l`, `w_l` in §4.2) and the partitioning /
 //!   orchestration algorithms consume.
 
-pub mod fl_models;
+pub(crate) mod fl_models;
 pub mod profiles;
 
-pub use fl_models::{cnn_for, mlp_for, ModelArch};
+pub use fl_models::{mlp_for, ModelArch};
 pub use profiles::{
-    efficientnet, efficientnet_at, fl_mlp_profile, mlp_profile, mobilenet_v2, mobilenet_v2_at,
-    LayerProfile, ModelProfile,
+    efficientnet, efficientnet_at, mobilenet_v2, mobilenet_v2_at, LayerProfile, ModelProfile,
 };

@@ -72,12 +72,6 @@ impl ModelProfile {
         self.layers.iter().map(LayerProfile::total_flops).sum()
     }
 
-    /// Total forward FLOPs per sample.
-    #[must_use]
-    pub fn total_flops_fwd(&self) -> f64 {
-        self.layers.iter().map(|l| l.flops_fwd).sum()
-    }
-
     /// Total parameter bytes.
     #[must_use]
     pub fn total_param_bytes(&self) -> u64 {
@@ -429,7 +423,7 @@ mod tests {
         // multiply+add convention used here); our block-level model omits
         // SE blocks so accept a generous band.
         let p = efficientnet(0);
-        let gflops = p.total_flops_fwd() / 1e9;
+        let gflops = p.layers.iter().map(|l| l.flops_fwd).sum::<f64>() / 1e9;
         assert!(
             (0.4..1.2).contains(&gflops),
             "B0 forward {gflops} GFLOPs out of expected band"

@@ -15,11 +15,11 @@
 //!   byte-identical traces.
 //! - **Lock-cheap recording.** A [`Tracer`] is a cloneable handle; each
 //!   handle buffers records locally and merges into the shared store when
-//!   the buffer fills, on [`Tracer::flush`], or on drop. The hot path is
+//!   the buffer fills, on `Tracer::flush`, or on drop. The hot path is
 //!   a `Vec::push`.
 //! - **Typed records.** [`TraceRecord`] is a closed enum of spans,
 //!   events, counters, and gauges — no stringly-typed keys on the hot
-//!   path; see [`record`].
+//!   path; see `record`.
 //! - **Std-only.** No async runtime, no external deps; JSON encoding via
 //!   `ecofl-compat`'s serde layer.
 //!
@@ -52,22 +52,20 @@
 //! ```
 
 mod block;
-pub mod context;
+pub(crate) mod context;
 pub mod metrics;
-pub mod record;
-pub mod sink;
+pub(crate) mod record;
+pub(crate) mod sink;
 pub mod store;
-pub mod tracer;
-pub mod view;
+pub(crate) mod tracer;
+pub(crate) mod view;
 
 pub use context::Obs;
-pub use metrics::{
-    Counter, Gauge, Histogram, LogHistogram, MetricsHub, MetricsSnapshot, METRICS_SNAPSHOT_VERSION,
-};
+pub use metrics::{Counter, Gauge, Histogram, LogHistogram, MetricsHub, MetricsSnapshot};
 pub use record::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, SpanKind, SpanRecord, TraceRecord,
 };
 pub use sink::trace_dir;
-pub use store::{CheckpointMeta, QueryResult, RecordKind, RunStore, SegmentInfo, TraceQuery};
+pub use store::{RecordKind, RunStore, TraceQuery};
 pub use tracer::Tracer;
 pub use view::TraceView;

@@ -18,7 +18,7 @@
 //!   DDSketch family: values map to geometric buckets
 //!   `(γ^(i−1), γ^i]` with `γ = (1+α)/(1−α)`, so any quantile is
 //!   answered within **relative error α** (default 1%). Bucket count
-//!   is capped ([`Histogram::MAX_BUCKETS`]); on overflow the lowest
+//!   is capped (`Histogram::MAX_BUCKETS`); on overflow the lowest
 //!   buckets collapse into one, preserving upper-quantile accuracy.
 //!   Worst-case memory is `O(max_buckets)` — independent of both the
 //!   observation count and the value range.
@@ -52,10 +52,10 @@ use std::sync::Arc;
 
 /// Version tag carried by persisted snapshots (the `metrics.seg`
 /// record kind of [`RunStore`](crate::store::RunStore)).
-pub const METRICS_SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const METRICS_SNAPSHOT_VERSION: u32 = 1;
 
 /// Default histogram relative-error bound α.
-pub const DEFAULT_HISTOGRAM_ALPHA: f64 = 0.01;
+pub(crate) const DEFAULT_HISTOGRAM_ALPHA: f64 = 0.01;
 
 // ---------------------------------------------------------------------------
 // Counter
@@ -203,22 +203,10 @@ impl LogHistogram {
         }
     }
 
-    /// The relative-error bound α.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Total observations recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Exact sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Exact minimum (`0.0` when empty).
@@ -389,7 +377,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Default bucket cap of hub-registered histograms.
-    pub const MAX_BUCKETS: usize = LogHistogram::DEFAULT_MAX_BUCKETS;
+    pub(crate) const MAX_BUCKETS: usize = LogHistogram::DEFAULT_MAX_BUCKETS;
 
     /// Records one observation.
     pub fn record(&self, v: f64) {
@@ -400,12 +388,6 @@ impl Histogram {
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
         self.cell.sketch.lock().quantile(q)
-    }
-
-    /// Observations recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.cell.sketch.lock().count()
     }
 }
 
@@ -475,7 +457,7 @@ impl MetricsHub {
     }
 
     /// The histogram registered under `name` (created on first use with
-    /// α = [`DEFAULT_HISTOGRAM_ALPHA`]).
+    /// α = `DEFAULT_HISTOGRAM_ALPHA`).
     ///
     /// # Panics
     /// Panics on a name outside `[A-Za-z0-9_:]+`.
@@ -490,7 +472,7 @@ impl MetricsHub {
     /// # Panics
     /// Panics on a bad name or `alpha` outside `(0, 1)`.
     #[must_use]
-    pub fn histogram_with(&self, name: &str, alpha: f64) -> Histogram {
+    pub(crate) fn histogram_with(&self, name: &str, alpha: f64) -> Histogram {
         check_name(name);
         let mut map = self.inner.histograms.lock();
         let cell = map.entry(name.to_owned()).or_insert_with(|| {

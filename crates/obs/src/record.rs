@@ -207,7 +207,7 @@ pub enum TraceRecord {
 impl TraceRecord {
     /// The record's timestamp: a span's start, otherwise its time.
     #[must_use]
-    pub fn time(&self) -> f64 {
+    pub(crate) fn time(&self) -> f64 {
         match self {
             TraceRecord::Span(s) => s.t0,
             TraceRecord::Event(e) => e.time,
@@ -218,7 +218,7 @@ impl TraceRecord {
 
     /// The span inside, if this is a span record.
     #[must_use]
-    pub fn as_span(&self) -> Option<&SpanRecord> {
+    pub(crate) fn as_span(&self) -> Option<&SpanRecord> {
         match self {
             TraceRecord::Span(s) => Some(s),
             _ => None,
@@ -227,7 +227,7 @@ impl TraceRecord {
 
     /// The event inside, if this is an event record.
     #[must_use]
-    pub fn as_event(&self) -> Option<&EventRecord> {
+    pub(crate) fn as_event(&self) -> Option<&EventRecord> {
         match self {
             TraceRecord::Event(e) => Some(e),
             _ => None,
@@ -238,7 +238,7 @@ impl TraceRecord {
 impl SpanRecord {
     /// Span duration in virtual seconds.
     #[must_use]
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.t1 - self.t0
     }
 

@@ -3,7 +3,7 @@
 //! A [`RunStore`] is a directory holding two segment files —
 //! `trace.seg` for [`TraceRecord`] blocks and `checkpoints.seg` for
 //! versioned pipeline checkpoints. Trace records append in batches of
-//! [`RunStore::block_records`] per block. A block's payload is typed
+//! [`RunStore::with_block_records`] per block. A block's payload is typed
 //! columns — a shape byte per record, varint index columns, a name
 //! dictionary, `f64` bit patterns — written by the crate's private
 //! `block` codec, the one encoder [`RunStore::append`] has, and
@@ -53,15 +53,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Summary column: span round.
-pub const COL_ROUND: usize = 0;
+pub(crate) const COL_ROUND: usize = 0;
 /// Summary column: span/event entity index.
-pub const COL_ENTITY: usize = 1;
+pub(crate) const COL_ENTITY: usize = 1;
 /// Summary column: virtual time (span `t0..=t1`, otherwise `time`).
-pub const COL_TIME: usize = 2;
+pub(crate) const COL_TIME: usize = 2;
 /// Summary column: span duration.
-pub const COL_DURATION: usize = 3;
+pub(crate) const COL_DURATION: usize = 3;
 /// Number of summary columns on trace blocks.
-pub const NCOLS: usize = 4;
+pub(crate) const NCOLS: usize = 4;
 
 /// Mask bit marking a checkpoint block (no trace-record bits set).
 const CHECKPOINT_BIT: u32 = 1 << 16;
@@ -95,7 +95,7 @@ pub enum RecordKind {
 impl RecordKind {
     /// The kind of `record`.
     #[must_use]
-    pub fn of(record: &TraceRecord) -> RecordKind {
+    pub(crate) fn of(record: &TraceRecord) -> RecordKind {
         match record {
             TraceRecord::Span(_) => RecordKind::Span,
             TraceRecord::Event(_) => RecordKind::Event,
@@ -106,7 +106,7 @@ impl RecordKind {
 
     /// This kind's bit in a block summary `kind_mask`.
     #[must_use]
-    pub fn bit(self) -> u32 {
+    pub(crate) fn bit(self) -> u32 {
         match self {
             RecordKind::Span => 1 << 0,
             RecordKind::Event => 1 << 1,
@@ -150,7 +150,7 @@ impl std::str::FromStr for Domain {
 
 /// `domain`'s bit in a block summary `kind_mask` (above the kind bits).
 #[must_use]
-pub fn domain_bit(domain: Domain) -> u32 {
+pub(crate) fn domain_bit(domain: Domain) -> u32 {
     match domain {
         Domain::Pipeline => 1 << 8,
         Domain::Scheduler => 1 << 9,
@@ -442,7 +442,7 @@ pub fn jsonl_to_records(bytes: &[u8]) -> io::Result<Vec<TraceRecord>> {
 }
 
 /// Default records per trace block.
-pub const DEFAULT_BLOCK_RECORDS: usize = 512;
+pub(crate) const DEFAULT_BLOCK_RECORDS: usize = 512;
 
 /// The store's own metric handles, resolved once at
 /// [`RunStore::attach_metrics`] time.
@@ -460,7 +460,6 @@ struct StoreMetrics {
 /// the layout.
 #[derive(Debug)]
 pub struct RunStore {
-    dir: PathBuf,
     trace: Segment,
     checkpoints: Segment,
     metrics: Segment,
@@ -480,7 +479,6 @@ impl RunStore {
             trace: Segment::create(dir.join(TRACE_SEGMENT))?,
             checkpoints: Segment::create(dir.join(CHECKPOINT_SEGMENT))?,
             metrics: Segment::create(dir.join(METRICS_SEGMENT))?,
-            dir,
             block_records: DEFAULT_BLOCK_RECORDS,
             hub: None,
         })
@@ -499,7 +497,6 @@ impl RunStore {
             trace: Segment::open(dir.join(TRACE_SEGMENT))?,
             checkpoints: Segment::open(dir.join(CHECKPOINT_SEGMENT))?,
             metrics: Segment::open_or_create(dir.join(METRICS_SEGMENT))?,
-            dir,
             block_records: DEFAULT_BLOCK_RECORDS,
             hub: None,
         })
@@ -516,7 +513,6 @@ impl RunStore {
             trace: Segment::open_or_create(dir.join(TRACE_SEGMENT))?,
             checkpoints: Segment::open_or_create(dir.join(CHECKPOINT_SEGMENT))?,
             metrics: Segment::open_or_create(dir.join(METRICS_SEGMENT))?,
-            dir,
             block_records: DEFAULT_BLOCK_RECORDS,
             hub: None,
         })
@@ -546,20 +542,8 @@ impl RunStore {
         self
     }
 
-    /// The directory this store lives in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Records per appended block.
-    #[must_use]
-    pub fn block_records(&self) -> usize {
-        self.block_records
-    }
-
     /// Appends `records` to the trace segment, chunked into blocks of
-    /// [`RunStore::block_records`]. Blocks become durable at the next
+    /// [`RunStore::with_block_records`] records. Blocks become durable at the next
     /// [`RunStore::flush`] (or drop).
     ///
     /// # Errors

@@ -151,7 +151,7 @@ impl Tracer {
     }
 
     /// Merges this handle's staged records into the shared store.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         let mut local = self.local.borrow_mut();
         if !local.is_empty() {
             self.shared.merged.lock().append(&mut local);

@@ -106,15 +106,6 @@ impl TraceView {
         (t0 < t1).then_some((t0, t1))
     }
 
-    /// Total compute-busy time of `stage` within sync-round `round`.
-    #[must_use]
-    pub fn stage_busy(&self, round: usize, stage: usize) -> f64 {
-        self.compute_spans(round)
-            .filter(|s| s.entity == stage)
-            .map(SpanRecord::duration)
-            .sum()
-    }
-
     /// Bubble fraction of one sync-round: the fraction of the round's
     /// `stages × window` device-time that no compute span covers — the
     /// measured counterpart of the paper's Eq. 2/3 bubble analysis.
@@ -209,7 +200,9 @@ impl TraceView {
                 TraceRecord::Counter(c) if c.name == name => Some(c.delta),
                 _ => None,
             })
-            .sum()
+            // From +0.0: `sum` starts at −0.0, so a counter with no
+            // increments would print as `-0`.
+            .fold(0.0, |total, delta| total + delta)
     }
 
     /// The §4.4 re-scheduling timeline: lagger detections, migrations,
@@ -273,7 +266,6 @@ mod tests {
         let bubble = v.bubble_fraction(0).expect("round exists");
         assert!((bubble - (1.0 - 8.0 / 12.0)).abs() < 1e-12);
         assert!((v.total_idle_time() - 4.0).abs() < 1e-12);
-        assert!((v.stage_busy(0, 0) - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -334,6 +326,7 @@ mod tests {
         assert!((top[0].1 - 4.0).abs() < 1e-12);
         assert_eq!(v.gauge_series("accuracy"), vec![(6.0, 0.5)]);
         assert!((v.counter_total("global_updates") - 1.0).abs() < 1e-12);
+        assert_eq!(v.counter_total("no_such_counter").to_bits(), 0);
         assert_eq!(v.reschedule_timeline().len(), 1);
         assert_eq!(v.events_of(EventKind::LaggerDetected).len(), 1);
     }

@@ -38,7 +38,16 @@ pub enum SpikeError {
     /// After the spike landed, the (unmigrated) pipeline no longer
     /// admits an executable schedule.
     SpikedPipelineStalled,
+    /// The horizon spans more sync-rounds at the current round time than
+    /// one scenario simulates (2 M). Every round records one series point per
+    /// device plus one, so the run is refused before that outgrows memory.
+    TooManyRounds,
 }
+
+/// The most sync-rounds one spike scenario simulates: 2.5× the ≈ 0.8 M
+/// rounds of the smallest shipped pipeline (`effnet-b0@32`, 0.13 s rounds)
+/// over a 100 000 s horizon.
+const MAX_SPIKE_ROUNDS: usize = 2_000_000;
 
 impl std::fmt::Display for SpikeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -51,6 +60,9 @@ impl std::fmt::Display for SpikeError {
             }
             SpikeError::SpikedPipelineStalled => {
                 write!(f, "post-spike pipeline admits no executable schedule")
+            }
+            SpikeError::TooManyRounds => {
+                write!(f, "spans more than {MAX_SPIKE_ROUNDS} pipeline rounds")
             }
         }
     }
@@ -76,7 +88,7 @@ pub struct RescheduleEvent {
 /// Lagger detector: EMA-smoothed per-stage times with a relative
 /// deviation threshold.
 #[derive(Debug, Clone)]
-pub struct AdaptiveScheduler {
+pub(crate) struct AdaptiveScheduler {
     /// Relative deviation of a stage's time vs. history that triggers
     /// re-scheduling (paper: "a large deviation").
     pub deviation_threshold: f64,
@@ -88,7 +100,7 @@ pub struct AdaptiveScheduler {
 impl AdaptiveScheduler {
     /// Creates a detector for `num_stages` stages.
     #[must_use]
-    pub fn new(num_stages: usize, deviation_threshold: f64, restart_overhead: f64) -> Self {
+    pub(crate) fn new(num_stages: usize, deviation_threshold: f64, restart_overhead: f64) -> Self {
         assert!(deviation_threshold > 0.0);
         assert!(restart_overhead >= 0.0);
         Self {
@@ -101,7 +113,7 @@ impl AdaptiveScheduler {
     /// Feeds one round of per-stage execution-time reports; returns the
     /// index of a stage whose current report deviates from its EMA history
     /// beyond the threshold, if any.
-    pub fn observe(&mut self, stage_times: &[f64]) -> Option<usize> {
+    pub(crate) fn observe(&mut self, stage_times: &[f64]) -> Option<usize> {
         assert_eq!(stage_times.len(), self.history.len());
         let mut trigger = None;
         for (s, (&t, ema)) in stage_times.iter().zip(self.history.iter_mut()).enumerate() {
@@ -118,7 +130,7 @@ impl AdaptiveScheduler {
 
     /// Resets history after a migration (old per-stage times no longer
     /// apply to the new partition).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         let n = self.history.len();
         self.history = vec![Ema::new(0.3); n];
     }
@@ -127,7 +139,7 @@ impl AdaptiveScheduler {
 /// Parameter bytes that change devices between two partitions of the same
 /// model over the same device order.
 #[must_use]
-pub fn migration_bytes(model: &ModelProfile, old: &Partition, new: &Partition) -> u64 {
+pub(crate) fn migration_bytes(model: &ModelProfile, old: &Partition, new: &Partition) -> u64 {
     assert_eq!(old.num_stages(), new.num_stages());
     let mut moved = 0u64;
     for (l, layer) in model.layers.iter().enumerate() {
@@ -228,7 +240,8 @@ impl Default for SchedulerConfig {
 ///
 /// # Errors
 /// [`SpikeError`] if the scenario cannot be set up (infeasible initial
-/// partition, or a pipeline with no executable schedule). A repartition
+/// partition, a pipeline with no executable schedule, or a horizon of
+/// more rounds than one scenario simulates). A repartition
 /// that is infeasible *mid-run* is handled by falling back to the
 /// unmigrated pipeline, never by an error.
 #[allow(clippy::too_many_arguments)]
@@ -313,6 +326,7 @@ pub fn simulate_load_spike_with<'a>(
     let mut pre_time = 0.0;
     let mut post_samples = 0.0;
     let mut post_time = 0.0;
+    let mut rounds = 0usize;
 
     while t < horizon {
         // Apply the spike at its time (quantized to round starts).
@@ -321,8 +335,13 @@ pub fn simulate_load_spike_with<'a>(
             steady = steady_of(&partition, &devices).ok_or(SpikeError::SpikedPipelineStalled)?;
             spiked = true;
         }
-        // One sync-round at the current configuration.
+        // One sync-round at the current configuration, unless the rounds
+        // left at this pace would pass the cap.
         let round = steady.round_time;
+        if rounds as f64 + (horizon - t) / round > MAX_SPIKE_ROUNDS as f64 {
+            return Err(SpikeError::TooManyRounds);
+        }
+        rounds += 1;
         for (d, series) in util_series.iter_mut().enumerate() {
             series.push(t, steady.stage_util[d]);
         }

@@ -19,7 +19,7 @@
 //! - **1F1B-Async** (PipeDream): flush-free streaming with `K_s` stashed
 //!   weight versions per stage;
 //! - **interleaved 1F1B**: each device hosts `v` virtual stages of the
-//!   [interleaved profile](crate::schedule::interleave_profile); a device
+//!   interleaved profile (`schedule::interleave_profile`); a device
 //!   runs one compute task at a time across its chunks, backwards first;
 //! - **zero-bubble**: the backward splits into an activation-gradient
 //!   task (sends the upstream gradient at `t_b/2`) and a weight-gradient
@@ -56,7 +56,7 @@ pub use crate::schedule::SchedulePolicy;
 
 /// Default per-compute-task dispatch overhead in seconds (kernel launch,
 /// synchronization, scheduler hop).
-pub const DEFAULT_TASK_OVERHEAD: f64 = 0.002;
+pub(crate) const DEFAULT_TASK_OVERHEAD: f64 = 0.002;
 
 /// Most micro-batches one [`PipelineExecutor::run`] simulates
 /// (`micro_batches × rounds`). Every micro-batch leaves a few compute
@@ -384,14 +384,8 @@ impl<'a> PipelineExecutor<'a> {
     /// virtual-stage profile when one exists, the physical profile
     /// otherwise.
     #[must_use]
-    pub fn exec_profile(&self) -> &PipelineProfile {
+    pub(crate) fn exec_profile(&self) -> &PipelineProfile {
         self.virtual_profile.as_ref().unwrap_or(self.profile)
-    }
-
-    /// The schedule this executor runs.
-    #[must_use]
-    pub fn schedule(&self) -> &SchedulePolicy {
-        &self.schedule
     }
 
     /// Overrides the per-task dispatch overhead.

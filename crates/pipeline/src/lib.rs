@@ -48,16 +48,10 @@ pub mod profiler;
 pub mod runtime;
 pub mod schedule;
 
-pub use adaptive::{AdaptiveScheduler, RescheduleEvent, SpikeError};
-pub use baselines::{data_parallel_epoch, single_device_epoch, DataParallelReport};
+pub use adaptive::SpikeError;
+pub use baselines::{data_parallel_epoch, single_device_epoch};
 pub use executor::{ExecutionReport, PipelineExecutor, SchedulePolicy};
-pub use orchestrator::{
-    analytic_round_time, search_configuration, OrchestratorConfig, PipelinePlan,
-};
-pub use partition::{partition_dp, partition_even, Partition};
-pub use profiler::{PipelineProfile, StageProfile};
-pub use runtime::{
-    load_checkpoint_at_or_before, load_latest_checkpoint, stored_checkpoints, CheckpointRecord,
-    FaultPlan, KillPoint, PipelineTrainer, RuntimeOptions,
-};
-pub use schedule::{interleave_profile, ScheduleKind, StageTask, DEFAULT_INTERLEAVE};
+pub use orchestrator::{search_configuration, OrchestratorConfig};
+pub use partition::partition_dp;
+pub use profiler::PipelineProfile;
+pub use schedule::ScheduleKind;

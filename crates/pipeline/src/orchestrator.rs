@@ -79,8 +79,8 @@ pub fn k_bounds(profile: &PipelineProfile) -> Option<Vec<usize>> {
 /// (`K_s = P_s`); the executor should land close to this, which the tests
 /// verify — a strong cross-check between the formula the paper reasons
 /// with and the event-driven engine we measure with.
-#[must_use]
-pub fn analytic_round_time(profile: &PipelineProfile, micro_batches: usize) -> f64 {
+#[cfg(test)]
+fn analytic_round_time(profile: &PipelineProfile, micro_batches: usize) -> f64 {
     let stages = profile.stages();
     let bottleneck = stages
         .iter()
@@ -109,7 +109,7 @@ pub fn analytic_round_time(profile: &PipelineProfile, micro_batches: usize) -> f
 /// [`BOUND_GUARD`]` = 1e-9`, orders of magnitude above the rounding of a
 /// few thousand additions) rather than exactly.
 #[must_use]
-pub fn throughput_upper_bound(profile: &PipelineProfile, task_overhead: f64) -> f64 {
+pub(crate) fn throughput_upper_bound(profile: &PipelineProfile, task_overhead: f64) -> f64 {
     profile.micro_batch() as f64 / (profile.bottleneck_time() + 2.0 * task_overhead)
 }
 
@@ -277,7 +277,7 @@ struct Ranked {
 /// device sequence, reusing the DP rows of the shared prefix.
 ///
 /// The executor then runs in best-first bound order: DDB-free candidates
-/// before fallbacks, each by [`throughput_upper_bound`] descending, ties
+/// before fallbacks, each by `throughput_upper_bound` descending, ties
 /// by walk position. Every later candidate's bound is no higher, so the
 /// search stops at the first bound below the incumbent, skips one equal
 /// to it from later in the walk, and replaces the incumbent on a higher

@@ -14,18 +14,18 @@ use ecofl_simnet::{Device, Link};
 
 /// Bytes of optimizer + gradient state kept per parameter byte (params,
 /// gradients, SGD momentum).
-pub const PARAM_STATE_FACTOR: u64 = 3;
+pub(crate) const PARAM_STATE_FACTOR: u64 = 3;
 
 /// Half-saturation batch size of the GPU-efficiency curve: a kernel over
 /// `b` samples sustains `b / (b + MBS_HALF_SAT)` of peak throughput.
 /// Small micro-batches under-fill the GPU — the §4.3 observation that
 /// "too tiny micro-batch size will result in the under-utilization of
 /// computational resources".
-pub const MBS_HALF_SAT: f64 = 2.0;
+pub(crate) const MBS_HALF_SAT: f64 = 2.0;
 
 /// GPU efficiency factor at a given micro-batch size.
 #[must_use]
-pub fn batch_efficiency(micro_batch: usize) -> f64 {
+pub(crate) fn batch_efficiency(micro_batch: usize) -> f64 {
     micro_batch as f64 / (micro_batch as f64 + MBS_HALF_SAT)
 }
 
@@ -66,20 +66,20 @@ pub struct StageProfile {
 impl StageProfile {
     /// Combined compute time per micro-batch.
     #[must_use]
-    pub fn t_total(&self) -> f64 {
+    pub(crate) fn t_total(&self) -> f64 {
         self.t_fwd + self.t_bwd
     }
 
     /// Combined compute + communication per micro-batch — the "width" of
     /// the stage in the bubble analysis of §4.3.
     #[must_use]
-    pub fn full_width(&self) -> f64 {
+    pub(crate) fn full_width(&self) -> f64 {
         self.t_fwd + self.t_bwd + self.c_fwd + self.c_bwd
     }
 
     /// Static memory demand: parameters + gradients + optimizer state.
     #[must_use]
-    pub fn static_bytes(&self) -> u64 {
+    pub(crate) fn static_bytes(&self) -> u64 {
         self.param_bytes * PARAM_STATE_FACTOR
     }
 
@@ -92,7 +92,7 @@ impl StageProfile {
     /// Maximum number of in-flight micro-batches the device memory can
     /// hold (`Q_s` in §4.3). Zero means even one micro-batch overflows.
     #[must_use]
-    pub fn max_residency(&self, memory_bytes: u64) -> usize {
+    pub(crate) fn max_residency(&self, memory_bytes: u64) -> usize {
         if self.activation_bytes_per_mb == 0 {
             return usize::MAX;
         }
@@ -248,21 +248,6 @@ impl PipelineProfile {
             .map(StageProfile::t_total)
             .fold(0.0, f64::max)
     }
-
-    /// Index of the bottleneck stage.
-    #[must_use]
-    pub fn bottleneck_stage(&self) -> usize {
-        self.stages
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                a.1.t_total()
-                    .partial_cmp(&b.1.t_total())
-                    .expect("finite stage times")
-            })
-            .map(|(i, _)| i)
-            .expect("at least one stage")
-    }
 }
 
 #[cfg(test)]
@@ -308,16 +293,6 @@ mod tests {
         let expected = 2.0 * batch_efficiency(8) / batch_efficiency(16);
         assert!((r - expected).abs() < 1e-9, "ratio {r} vs {expected}");
         assert!(r > 1.0 && r < 2.0);
-    }
-
-    #[test]
-    fn bottleneck_detection() {
-        let p = two_stage();
-        let b = p.bottleneck_stage();
-        assert_eq!(p.stages()[b].t_total(), p.bottleneck_time());
-        // Even front split on a fast + slow pair: the slow Nano holding the
-        // same layer count should lag... unless front layers dominate
-        // flops. Just check consistency between index and time.
     }
 
     #[test]

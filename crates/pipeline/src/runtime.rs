@@ -12,7 +12,7 @@
 //! `K_s` forwards, then strictly alternates backward/forward, and the
 //! sync-round ends with a pipeline flush that applies the accumulated
 //! gradients. Each stage thread takes that order — for any
-//! [`RuntimeOptions::schedule`] — from [`ScheduleKind::stage_stream`], the
+//! [`RuntimeOptions::schedule`] — from `ScheduleKind::stage_stream`, the
 //! same generator the legality suite checks.
 //! Because gradient accumulation is order-preserving per layer, the
 //! resulting parameter updates are **bit-identical** to single-device
@@ -54,7 +54,7 @@
 //! from a dead neighbour — it posts a death note (stage index + what it
 //! was doing) to a shared board *before* its channels close, so the first
 //! note on the board is always the root cause. Portal-side waits all go
-//! through the disconnect-aware bounded [`recv_timeout`] of
+//! through the disconnect-aware bounded [`recv_timeout_timed`] of
 //! `ecofl-compat`, so a dead or wedged stage surfaces as
 //! [`ExecError::StageDied`] in bounded time instead of a hang.
 //!
@@ -100,11 +100,11 @@
 //! The FL layer models *client* churn statistically: `failure_prob` is
 //! the chance that a whole client (one collaborative pipeline) drops out
 //! of a round. [`FaultPlan`] is the same disturbance one level down —
-//! a deterministic, seed-driven death of one *stage* inside a pipeline —
+//! a deterministic death of one *stage* inside a pipeline —
 //! so the recovery loop tested here is what keeps a client from
 //! becoming an `failure_prob` casualty in the first place.
 //!
-//! [`recv_timeout`]: ecofl_compat::sync::channel::Receiver::recv_timeout
+//! [`recv_timeout_timed`]: ecofl_compat::sync::channel::Receiver::recv_timeout_timed
 //! [`train_round`]: PipelineTrainer::train_round
 //! [`params`]: PipelineTrainer::params
 //! [`set_params`]: PipelineTrainer::set_params
@@ -118,18 +118,16 @@ use ecofl_compat::sync::Mutex;
 use ecofl_obs::store::CheckpointMeta;
 use ecofl_obs::{Counter, Domain, EventKind, Histogram, MetricsHub, RunStore, Tracer};
 use ecofl_tensor::{backward_through, Layer, SoftmaxCrossEntropy, Tensor};
-use ecofl_util::Rng;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Serializes a tensor (shape + payload) into wire bytes.
 #[must_use]
-pub fn encode_tensor(t: &Tensor) -> Bytes {
+pub(crate) fn encode_tensor(t: &Tensor) -> Bytes {
     let mut buf = BytesMut::with_capacity(8 + t.shape().len() * 8 + t.len() * 4);
     buf.put_u64_le(t.shape().len() as u64);
     for &d in t.shape() {
@@ -146,7 +144,7 @@ pub fn encode_tensor(t: &Tensor) -> Bytes {
 /// # Panics
 /// Panics on a malformed buffer.
 #[must_use]
-pub fn decode_tensor(mut bytes: Bytes) -> Tensor {
+pub(crate) fn decode_tensor(mut bytes: Bytes) -> Tensor {
     let rank = bytes.get_u64_le() as usize;
     let shape: Vec<usize> = (0..rank).map(|_| bytes.get_u64_le() as usize).collect();
     let n: usize = shape.iter().product();
@@ -159,7 +157,7 @@ pub fn decode_tensor(mut bytes: Bytes) -> Tensor {
 
 /// Bytes moved across each stage boundary, shared with the portal.
 #[derive(Debug, Default)]
-pub struct CommStats {
+pub(crate) struct CommStats {
     /// Forward (activation) bytes per boundary.
     pub fwd_bytes: Vec<u64>,
     /// Backward (gradient) bytes per boundary.
@@ -208,23 +206,6 @@ impl FaultPlan {
         }
     }
 
-    /// A single seed-driven kill drawn uniformly over `stages × rounds ×
-    /// m` — the deterministic analogue of the FL layer's statistical
-    /// `failure_prob`.
-    #[must_use]
-    pub fn from_seed(seed: u64, stages: usize, rounds: u64, m: usize) -> Self {
-        assert!(
-            stages > 0 && rounds > 0 && m > 0,
-            "FaultPlan::from_seed: empty domain"
-        );
-        let mut rng = Rng::new(seed);
-        Self::kill_at(
-            rng.range_usize(0, stages),
-            rng.range_usize(0, rounds as usize) as u64,
-            rng.range_usize(0, m),
-        )
-    }
-
     /// Kill points scheduled for one stage, as `(round, micro)` pairs.
     fn for_stage(&self, stage: usize) -> Vec<(u64, usize)> {
         self.kills
@@ -255,7 +236,7 @@ pub struct RuntimeOptions {
     /// store continues its sequence numbering, enabling cross-run
     /// point-in-time recovery and diffing.
     pub store_path: Option<PathBuf>,
-    /// Pipeline schedule whose [`ScheduleKind::stage_stream`] the stage
+    /// Pipeline schedule whose `ScheduleKind::stage_stream` the stage
     /// threads walk each round. The runtime is round-synchronous with
     /// one segment per device, so the stream's `BwdWeight` and `Sync`
     /// tasks are no-ops here; which gradients accumulate is unchanged,
@@ -264,7 +245,7 @@ pub struct RuntimeOptions {
     /// Streaming metrics hub. When set, the runtime records *real
     /// wall-clock* observations into `rt_*` metrics: per-stage
     /// forward/backward compute nanoseconds, portal reply-wait
-    /// nanoseconds (via the timed `recv_timeout` hook), checkpoint /
+    /// nanoseconds (via the `recv_timeout_timed` hook), checkpoint /
     /// restore latency, and counters for stage deaths, checkpoints,
     /// restores and reply-wait timeouts. The hub only *observes* — the
     /// parameter stream and the trace are bit-identical with or
@@ -419,11 +400,6 @@ pub struct PipelineTrainer {
     target_tx: Sender<Vec<usize>>,
     k: Vec<usize>,
     comm: Arc<Mutex<CommStats>>,
-    /// Micro-batches whose backward completed at the last stage,
-    /// including work from rounds later aborted by a fault. Relaxed
-    /// ordering suffices: it is a monitoring counter, not a
-    /// synchronization point.
-    progress: Arc<AtomicU64>,
     deaths: DeathBoard,
     opts: RuntimeOptions,
     factory: Option<SegmentFactory>,
@@ -440,7 +416,7 @@ pub struct PipelineTrainer {
 }
 
 /// Wire-format version of [`CheckpointRecord::encode`].
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 /// A versioned §4.4 parameter snapshot: the full flat parameter vector
 /// with its per-stage split, tagged by a store-wide monotone sequence
@@ -464,7 +440,7 @@ pub struct CheckpointRecord {
 impl CheckpointRecord {
     /// Serializes the record, little-endian throughout: `u32` version,
     /// `u64` seq, round and stage count, one `u64` length per stage,
-    /// then the parameters as [`encode_tensor`] writes a rank-1 tensor
+    /// then the parameters as `encode_tensor` writes a rank-1 tensor
     /// (`u64` rank 1, `u64` count, the `f32`s).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -623,7 +599,6 @@ struct StageCtx {
     ctrl_rx: Receiver<Ctrl>,
     reply_tx: Sender<Reply>,
     comm: Arc<Mutex<CommStats>>,
-    progress: Arc<AtomicU64>,
     stage_idx: usize,
     /// `(round, micro)` kill points for this stage.
     kills: Vec<(u64, usize)>,
@@ -683,7 +658,6 @@ fn do_bwd(
             .map_err(StageFail::gone("target receive"))?;
         let (loss, grad) = head.loss_and_grad(logits, &targets);
         losses.push(loss);
-        ctx.progress.fetch_add(1, Ordering::Relaxed);
         grad
     } else {
         let bytes = ctx
@@ -883,7 +857,6 @@ fn spawn_stages(
     segments: Vec<Vec<Box<dyn Layer>>>,
     k: &[usize],
     comm: &Arc<Mutex<CommStats>>,
-    progress: &Arc<AtomicU64>,
     deaths: &DeathBoard,
     fault_plan: &FaultPlan,
     metrics: Option<&RtMetrics>,
@@ -923,7 +896,6 @@ fn spawn_stages(
             ctrl_rx,
             reply_tx,
             comm: Arc::clone(comm),
-            progress: Arc::clone(progress),
             stage_idx: s,
             kills: fault_plan.for_stage(s),
             deaths: Arc::clone(deaths),
@@ -1003,7 +975,6 @@ impl PipelineTrainer {
             fwd_bytes: vec![0; s_count.saturating_sub(1)],
             bwd_bytes: vec![0; s_count.saturating_sub(1)],
         }));
-        let progress = Arc::new(AtomicU64::new(0));
         let deaths: DeathBoard = Arc::new(Mutex::new(Vec::new()));
         // Open the run store before spawning anything: a bad path fails
         // the launch with a typed error instead of a mid-round surprise.
@@ -1018,7 +989,6 @@ impl PipelineTrainer {
             segments,
             &k,
             &comm,
-            &progress,
             &deaths,
             &opts.fault_plan,
             metrics.as_ref(),
@@ -1030,7 +1000,6 @@ impl PipelineTrainer {
             target_tx: wiring.target_tx,
             k,
             comm,
-            progress,
             deaths,
             opts,
             factory,
@@ -1047,35 +1016,6 @@ impl PipelineTrainer {
         let launch_params = trainer.collect_params("checkpoint collect")?;
         trainer.store_checkpoint(&launch_params)?;
         Ok(trainer)
-    }
-
-    /// Micro-batches whose loss has been computed so far — a lock-free
-    /// progress probe for monitoring threads. Monotone across recoveries
-    /// and includes work from rounds later aborted by a fault.
-    #[must_use]
-    pub fn micro_batches_processed(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
-
-    /// Number of stages.
-    #[must_use]
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Index of the next sync-round (also how many rounds completed).
-    #[must_use]
-    pub fn rounds_completed(&self) -> u64 {
-        self.round
-    }
-
-    /// Round of the last parameter checkpoint (the round [`recover`]
-    /// rewinds to).
-    ///
-    /// [`recover`]: Self::recover
-    #[must_use]
-    pub fn checkpoint_round(&self) -> u64 {
-        self.checkpoint.round
     }
 
     /// The last parameter checkpoint, as a typed record.
@@ -1355,7 +1295,6 @@ impl PipelineTrainer {
             segments,
             &self.k,
             &self.comm,
-            &self.progress,
             &self.deaths,
             &self.opts.fault_plan,
             self.metrics.as_ref(),
@@ -1648,20 +1587,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_counter_tracks_micro_batches() {
-        let (segments, _, _) = build(42);
-        let mut trainer = PipelineTrainer::launch(segments, vec![3, 2, 1]);
-        assert_eq!(trainer.micro_batches_processed(), 0);
-        let _ = trainer.train_round(&micro_batches(1, 5, 4), 0.1).unwrap();
-        assert_eq!(trainer.micro_batches_processed(), 5);
-        let _ = trainer.train_round(&micro_batches(2, 3, 4), 0.1).unwrap();
-        assert_eq!(trainer.micro_batches_processed(), 8);
-        assert_eq!(trainer.rounds_completed(), 2);
-        assert_eq!(trainer.checkpoint_round(), 2);
-        trainer.shutdown();
-    }
-
-    #[test]
     fn comm_stats_track_boundary_traffic() {
         let (segments, _, _) = build(99);
         let mut trainer = PipelineTrainer::launch(segments, vec![3, 2, 1]);
@@ -1750,17 +1675,6 @@ mod tests {
         let mut trainer = PipelineTrainer::launch(segments, vec![3, 2, 1]);
         assert_eq!(trainer.recover(), Err(ExecError::RecoveryUnsupported));
         trainer.shutdown();
-    }
-
-    #[test]
-    fn fault_plan_from_seed_is_deterministic_and_in_range() {
-        for seed in 0..32u64 {
-            let a = FaultPlan::from_seed(seed, 3, 4, 5);
-            let b = FaultPlan::from_seed(seed, 3, 4, 5);
-            assert_eq!(a, b);
-            let k = a.kills[0];
-            assert!(k.stage < 3 && k.round < 4 && k.micro < 5);
-        }
     }
 
     /// The step program the runtime used to generate for itself, with

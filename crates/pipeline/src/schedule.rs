@@ -11,7 +11,7 @@
 //!   (flush-free), and whether the backward pass splits into
 //!   activation-gradient and weight-gradient tasks (zero-bubble).
 //! - **A deterministic per-stage task stream**
-//!   ([`ScheduleKind::stage_stream`]) — the nominal order `Fwd(mb)` /
+//!   (`ScheduleKind::stage_stream`) — the nominal order `Fwd(mb)` /
 //!   `Bwd(mb)` (optionally `BwdInput(mb)`/`BwdWeight(mb)`) ending in
 //!   `Sync`. It is the program each stage thread of the threaded
 //!   [`crate::runtime`] walks, and the oracle of the schedule-legality
@@ -59,7 +59,7 @@ pub enum StageTask {
 
 /// Eq. 2: the synchronous static bubble — `Σ_{s<S-1} full_width(s)`.
 #[must_use]
-pub fn eq2_ssb(profile: &PipelineProfile) -> f64 {
+pub(crate) fn eq2_ssb(profile: &PipelineProfile) -> f64 {
     let stages = profile.stages();
     stages[..stages.len().saturating_sub(1)]
         .iter()
@@ -114,7 +114,7 @@ pub enum SchedulePolicy {
 impl SchedulePolicy {
     /// The selector variant of this policy.
     #[must_use]
-    pub fn kind(&self) -> ScheduleKind {
+    pub(crate) fn kind(&self) -> ScheduleKind {
         match self {
             SchedulePolicy::OneFOneBSync { .. } => ScheduleKind::OneFOneBSync,
             SchedulePolicy::BafSync => ScheduleKind::BafSync,
@@ -158,7 +158,7 @@ impl SchedulePolicy {
     /// Weight versions stashed per stage (1 unless weight-stashing
     /// async).
     #[must_use]
-    pub fn weight_versions(&self, stage: usize) -> u64 {
+    pub(crate) fn weight_versions(&self, stage: usize) -> u64 {
         match self {
             SchedulePolicy::OneFOneBAsync { k } => k[stage] as u64,
             _ => 1,
@@ -180,7 +180,7 @@ impl SchedulePolicy {
     /// Whether a ready backward wins over an admissible forward (the
     /// early-backward rule of 1F1B; BAF-Sync prefers forwards).
     #[must_use]
-    pub fn prefer_backward(&self) -> bool {
+    pub(crate) fn prefer_backward(&self) -> bool {
         !matches!(self, SchedulePolicy::BafSync)
     }
 
@@ -190,13 +190,19 @@ impl SchedulePolicy {
     /// upstream stages receive gradients late enough that the gate only
     /// matters there.
     #[must_use]
-    pub fn backward_allowed(&self, stage: usize, s_count: usize, fp_done: usize, m: usize) -> bool {
+    pub(crate) fn backward_allowed(
+        &self,
+        stage: usize,
+        s_count: usize,
+        fp_done: usize,
+        m: usize,
+    ) -> bool {
         !matches!(self, SchedulePolicy::BafSync) || stage != s_count - 1 || fp_done == m
     }
 
     /// Virtual stages per device (1 unless interleaved).
     #[must_use]
-    pub fn virtual_per_device(&self) -> usize {
+    pub(crate) fn virtual_per_device(&self) -> usize {
         match self {
             SchedulePolicy::Interleaved { v, .. } => (*v).max(1),
             _ => 1,
@@ -204,7 +210,7 @@ impl SchedulePolicy {
     }
 
     /// The nominal task stream of (virtual) stage `stage` for one
-    /// sync-round of `m` micro-batches: [`ScheduleKind::stage_stream`] at
+    /// sync-round of `m` micro-batches: `ScheduleKind::stage_stream` at
     /// this policy's residency.
     #[must_use]
     pub fn stage_stream(&self, stage: usize, m: usize) -> Vec<StageTask> {
@@ -215,7 +221,7 @@ impl SchedulePolicy {
     /// Analytic bubble per sync-round for `profile` *as executed* (the
     /// interleaved schedule receives the virtual-stage profile).
     #[must_use]
-    pub fn bubble_per_round(&self, profile: &PipelineProfile) -> f64 {
+    pub(crate) fn bubble_per_round(&self, profile: &PipelineProfile) -> f64 {
         let stages = profile.stages();
         match self {
             // Warmup only has to reach the last *device* once (its first
@@ -322,7 +328,7 @@ impl ScheduleKind {
     /// `k` (so interleaving's virtual stages do not appear there), and
     /// the legality suite checks it for every policy.
     #[must_use]
-    pub fn stage_stream(self, k: usize, m: usize) -> Vec<StageTask> {
+    pub(crate) fn stage_stream(self, k: usize, m: usize) -> Vec<StageTask> {
         let warmup = if self == ScheduleKind::BafSync {
             m
         } else {
@@ -379,7 +385,7 @@ impl std::str::FromStr for ScheduleKind {
 /// mean of the profiled inter-device transfers — an approximation, since
 /// the physical profiler never measured those cuts.
 #[must_use]
-pub fn interleave_profile(profile: &PipelineProfile, v: usize) -> PipelineProfile {
+pub(crate) fn interleave_profile(profile: &PipelineProfile, v: usize) -> PipelineProfile {
     assert!(v >= 1, "interleave_profile: v must be ≥ 1");
     if v == 1 {
         return profile.clone();

@@ -66,7 +66,7 @@ pub fn table1() -> Vec<DeviceSpec> {
 
 /// The 100 Mbps inter-device link bandwidth in bytes per second.
 #[must_use]
-pub fn network_bytes_per_sec() -> f64 {
+pub(crate) fn network_bytes_per_sec() -> f64 {
     mbps_to_bytes_per_sec(NETWORK_MBPS)
 }
 

@@ -38,12 +38,6 @@ impl DeviceSpec {
             network_bps,
         }
     }
-
-    /// Time in seconds to execute `flops` of work at full availability.
-    #[must_use]
-    pub fn compute_time(&self, flops: f64) -> f64 {
-        flops / self.compute_flops
-    }
 }
 
 /// A device instance with runtime state.
@@ -79,12 +73,6 @@ impl Device {
         &self.spec.name
     }
 
-    /// Current external-load fraction.
-    #[must_use]
-    pub fn external_load(&self) -> f64 {
-        self.external_load
-    }
-
     /// Sets the external-load fraction (the Fig. 13 "load spike" knob).
     ///
     /// # Panics
@@ -101,13 +89,6 @@ impl Device {
     #[must_use]
     pub fn effective_flops(&self) -> f64 {
         self.spec.compute_flops * (1.0 - self.external_load)
-    }
-
-    /// Time in seconds to execute `flops` of training work under the
-    /// current external load.
-    #[must_use]
-    pub fn compute_time(&self, flops: f64) -> f64 {
-        flops / self.effective_flops()
     }
 
     /// Attempts to allocate `bytes`; returns `false` (leaving state
@@ -141,12 +122,6 @@ impl Device {
     pub fn allocated_bytes(&self) -> u64 {
         self.allocated_bytes
     }
-
-    /// Bytes still available.
-    #[must_use]
-    pub fn free_bytes(&self) -> u64 {
-        self.spec.memory_bytes - self.allocated_bytes
-    }
 }
 
 #[cfg(test)]
@@ -158,17 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn compute_time_scales_with_rate() {
-        let d = Device::new(spec());
-        assert_eq!(d.compute_time(2e9), 2.0);
-    }
-
-    #[test]
     fn external_load_slows_compute() {
         let mut d = Device::new(spec());
         d.set_external_load(0.5);
         assert_eq!(d.effective_flops(), 5e8);
-        assert_eq!(d.compute_time(1e9), 2.0);
     }
 
     #[test]
@@ -183,7 +151,6 @@ mod tests {
         let mut d = Device::new(spec());
         assert!(d.try_allocate(600));
         assert!(d.try_allocate(400));
-        assert_eq!(d.free_bytes(), 0);
         assert!(!d.try_allocate(1), "over-capacity allocation must fail");
         assert_eq!(
             d.allocated_bytes(),

@@ -8,19 +8,19 @@
 //!
 //! - [`event::EventQueue`] — a deterministic time-ordered queue (ties break
 //!   by insertion sequence, so identical inputs yield identical traces),
-//! - [`device`] — edge device models with compute rate, memory capacity and
+//! - `device` — edge device models with compute rate, memory capacity and
 //!   a runtime external-load factor (the "load spike" knob of Fig. 13),
 //! - [`catalog`] — the Table 1 device catalog (Nano-L/H, TX2-Q/N at their
 //!   two power modes, 100 Mbps networking),
 //! - [`link::Link`] — bandwidth/latency links for activation and gradient
 //!   transfers,
-//! - [`power`] — the Table 1 power modes' idle and load draws.
+//! - `power` — the Table 1 power modes' idle and load draws.
 
 pub mod catalog;
-pub mod device;
-pub mod event;
-pub mod link;
-pub mod power;
+pub(crate) mod device;
+pub(crate) mod event;
+pub(crate) mod link;
+pub(crate) mod power;
 
 pub use catalog::{nano_h, nano_l, table1, tx2_n, tx2_q};
 pub use device::{Device, DeviceSpec};
@@ -29,4 +29,4 @@ pub use link::Link;
 pub use power::{power_of, PowerProfile};
 
 /// Simulation time in seconds.
-pub type SimTime = f64;
+pub(crate) type SimTime = f64;

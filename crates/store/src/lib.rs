@@ -33,4 +33,4 @@
 pub mod lz;
 mod segment;
 
-pub use segment::{BlockEntry, BlockSummary, ColRange, Segment, SEGMENT_VERSION};
+pub use segment::{BlockEntry, BlockSummary, ColRange, Segment};

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use crate::lz;
 
 /// On-disk format version, written in the header after the magic.
-pub const SEGMENT_VERSION: u32 = 1;
+pub(crate) const SEGMENT_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 8] = b"ECOFLSG1";
 const FOOT_MAGIC: &[u8; 8] = b"ECOFLFT1";

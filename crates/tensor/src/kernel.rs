@@ -214,12 +214,6 @@ pub fn set_kernel_stats_enabled(on: bool) {
     stats::set_enabled(on);
 }
 
-/// Whether kernel dispatch statistics are being collected.
-#[must_use]
-pub fn kernel_stats_enabled() -> bool {
-    stats::enabled()
-}
-
 /// Zeroes every (kernel, path) slot.
 pub fn reset_kernel_stats() {
     stats::reset();
@@ -1211,7 +1205,6 @@ mod tests {
         // Serialized against other uses of the process-global stats by
         // running everything inside this one test.
         reset_kernel_stats();
-        assert!(!kernel_stats_enabled());
         let a = [1.0f32; 16];
         let b = [2.0f32; 16];
         let mut out = [0.0f32; 16];

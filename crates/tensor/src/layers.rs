@@ -173,18 +173,6 @@ impl Linear {
         add_column_sums(self.grad_bias.data_mut(), grad_out.data());
         input
     }
-
-    /// Input dimensionality.
-    #[must_use]
-    pub fn in_dim(&self) -> usize {
-        self.weight.shape()[0]
-    }
-
-    /// Output dimensionality.
-    #[must_use]
-    pub fn out_dim(&self) -> usize {
-        self.weight.shape()[1]
-    }
 }
 
 impl Layer for Linear {
@@ -307,55 +295,6 @@ impl Layer for ReLU {
 
     fn name(&self) -> &'static str {
         "relu"
-    }
-}
-
-/// Hyperbolic-tangent activation, applied element-wise.
-#[derive(Default)]
-pub struct Tanh {
-    outputs: VecDeque<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, mut input: Tensor) -> Tensor {
-        for x in input.data_mut() {
-            *x = x.tanh();
-        }
-        // d tanh(x)/dx = 1 − tanh(x)², so caching the *output* suffices.
-        self.outputs.push_back(input.clone());
-        input
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let y = self
-            .outputs
-            .pop_front()
-            .expect("Tanh::backward called before forward");
-        assert_eq!(
-            grad_out.len(),
-            y.len(),
-            "Tanh::backward: gradient size mismatch with cached forward"
-        );
-        for (g, &t) in grad_out.data_mut().iter_mut().zip(y.data()) {
-            *g *= 1.0 - t * t;
-        }
-        grad_out
-    }
-
-    fn clear_cache(&mut self) {
-        self.outputs.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
     }
 }
 
@@ -740,33 +679,6 @@ mod tests {
         let g = Tensor::full(&[2, 2], 1.0);
         let gx = r.backward(g);
         assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn tanh_forward_and_gradient() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec(vec![-2.0, 0.0, 1.0], &[1, 3]);
-        let y = t.forward(x);
-        assert!((y.data()[0] - (-2.0f32).tanh()).abs() < 1e-6);
-        assert_eq!(y.data()[1], 0.0);
-        let g = Tensor::full(&[1, 3], 1.0);
-        let gx = t.backward(g);
-        // Derivative at 0 is 1; saturates toward the tails.
-        assert!((gx.data()[1] - 1.0).abs() < 1e-6);
-        assert!(gx.data()[0] < gx.data()[1]);
-    }
-
-    #[test]
-    fn tanh_gradient_matches_finite_difference() {
-        let eps = 1e-3f32;
-        for x0 in [-1.5f32, -0.2, 0.7] {
-            let mut t = Tanh::new();
-            let x = Tensor::from_vec(vec![x0], &[1, 1]);
-            let _ = t.forward(x);
-            let gx = t.backward(Tensor::full(&[1, 1], 1.0));
-            let numeric = ((x0 + eps).tanh() - (x0 - eps).tanh()) / (2.0 * eps);
-            assert!((gx.data()[0] - numeric).abs() < 1e-3);
-        }
     }
 
     #[test]

@@ -17,9 +17,10 @@ fn softmax_row(row: &mut [f32]) {
     }
 }
 
-/// Numerically stable row-wise softmax of a `[B, K]` logit matrix.
-#[must_use]
-pub fn softmax(logits: &Tensor) -> Tensor {
+/// Numerically stable row-wise softmax of a `[B, K]` logit matrix: the
+/// oracle the in-place head is tested against.
+#[cfg(test)]
+fn softmax(logits: &Tensor) -> Tensor {
     let k = logits.cols();
     let mut out = logits.clone();
     out.data_mut().chunks_mut(k.max(1)).for_each(softmax_row);
@@ -90,7 +91,7 @@ pub fn argmax(row: &[f32]) -> Option<usize> {
 /// # Panics
 /// Panics if `targets.len()` differs from the number of logit rows.
 #[must_use]
-pub fn accuracy(logits: &Tensor, targets: &[usize]) -> f64 {
+pub(crate) fn accuracy(logits: &Tensor, targets: &[usize]) -> f64 {
     let (b, k) = (logits.rows(), logits.cols());
     assert_eq!(targets.len(), b, "accuracy: batch size mismatch");
     if b == 0 {
@@ -193,7 +194,7 @@ mod tests {
         let (buffer, probs) = (logits.data().as_ptr(), softmax(&logits));
         let (_, grad) = head.loss_and_grad(logits, &[2, 0]);
         assert_eq!(grad.data().as_ptr(), buffer);
-        let mut want = probs.into_vec();
+        let mut want = probs.data().to_vec();
         want[2] -= 1.0;
         want[3] -= 1.0;
         let want: Vec<f32> = want.iter().map(|g| g * 0.5).collect();

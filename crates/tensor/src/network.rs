@@ -33,12 +33,6 @@ impl Network {
         }
     }
 
-    /// Number of layers (excluding the loss head).
-    #[must_use]
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of scalar parameters.
     #[must_use]
     pub fn param_len(&self) -> usize {
@@ -115,7 +109,7 @@ impl Network {
 
     /// Clears `out` and writes all parameters into it, reusing its
     /// allocation.
-    pub fn params_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn params_into(&self, out: &mut Vec<f32>) {
         out.clear();
         for layer in &self.layers {
             layer.write_params(out);
@@ -132,7 +126,7 @@ impl Network {
 
     /// Clears `out` and writes all gradients into it, reusing its
     /// allocation.
-    pub fn grads_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn grads_into(&self, out: &mut Vec<f32>) {
         out.clear();
         for layer in &self.layers {
             layer.write_grads(out);

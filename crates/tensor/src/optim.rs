@@ -57,18 +57,6 @@ impl Sgd {
         self
     }
 
-    /// Learning rate.
-    #[must_use]
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Proximal coefficient `µ`.
-    #[must_use]
-    pub fn mu(&self) -> f32 {
-        self.mu
-    }
-
     /// Applies one update step in place.
     ///
     /// `reference` is the anchor `w_group` for the proximal term; pass

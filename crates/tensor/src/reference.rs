@@ -1,5 +1,5 @@
 //! Retained reference kernels — the semantic ground truth for
-//! [`crate::kernel`].
+//! `crate::kernel`.
 //!
 //! Two kinds, both deliberately kept *simple* (no zero-skips, no blocking):
 //!

@@ -138,12 +138,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the buffer under a new shape of equal volume.
     ///
     /// # Panics
@@ -197,7 +191,7 @@ impl Tensor {
 
     /// Matrix product of two 2-D tensors (`[m,k] × [k,n] → [m,n]`).
     ///
-    /// Runs the register-tiled kernel in [`crate::kernel`]; results are
+    /// Runs the register-tiled kernel in `crate::kernel`; results are
     /// bit-identical across hosts: every element is the
     /// scalar chain [`crate::reference::chain_matmul`].
     ///
@@ -214,7 +208,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on non-2-D inputs or mismatched inner dimensions.
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul: inner dimensions {k} vs {k2}");
@@ -279,7 +273,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on non-2-D inputs or mismatched trailing dimensions.
-    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = (self.rows(), self.cols());
         let (n, k2) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_nt: trailing dimensions {k} vs {k2}");

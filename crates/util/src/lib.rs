@@ -11,12 +11,12 @@
 //! of these primitives.
 
 pub mod divergence;
-pub mod rng;
-pub mod series;
+pub(crate) mod rng;
+pub(crate) mod series;
 pub mod stats;
 pub mod units;
 
 pub use divergence::{entropy, js_divergence, kl_divergence, normalize_distribution};
 pub use rng::Rng;
 pub use series::TimeSeries;
-pub use stats::{mean, percentile, stddev, variance, Histogram, RunningStats};
+pub use stats::{mean, percentile, RunningStats};

@@ -84,12 +84,6 @@ impl Rng {
         mix64(self.state)
     }
 
-    /// Next 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -164,17 +158,6 @@ impl Rng {
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Exponential draw with the given rate parameter `lambda`.
-    ///
-    /// # Panics
-    /// Panics if `lambda <= 0`.
-    #[inline]
-    pub fn exponential(&mut self, lambda: f64) -> f64 {
-        assert!(lambda > 0.0, "exponential: rate must be positive");
-        // Inverse CDF; 1 - U avoids ln(0).
-        -(1.0 - self.next_f64()).ln() / lambda
     }
 
     /// In-place Fisher–Yates shuffle.
@@ -320,14 +303,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = Rng::new(13);
-        let n = 200_000;
-        let mean = (0..n).map(|_| rng.exponential(0.5)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

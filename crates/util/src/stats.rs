@@ -18,7 +18,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Population variance of a slice; `0.0` for fewer than two elements.
 #[must_use]
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -200,72 +200,6 @@ impl Ema {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with saturating outlier buckets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `lo >= hi`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "Histogram: need at least one bucket");
-        assert!(lo < hi, "Histogram: lo must be < hi");
-        Self {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Per-bucket counts.
-    #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of observations below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the range.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded observations, including outliers.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,20 +290,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ema_rejects_bad_alpha() {
         let _ = Ema::new(0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(10.0);
-        h.record(99.0);
-        assert_eq!(h.buckets(), &[1; 10]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 13);
     }
 }

@@ -5,11 +5,11 @@
 //! tables do.
 
 /// Bytes per mebibyte.
-pub const MIB: u64 = 1024 * 1024;
+pub(crate) const MIB: u64 = 1024 * 1024;
 /// Bytes per gibibyte.
 pub const GIB: u64 = 1024 * 1024 * 1024;
 /// Bits per megabit.
-pub const MBIT: u64 = 1_000_000;
+pub(crate) const MBIT: u64 = 1_000_000;
 
 /// Converts a link rate in megabits/second to bytes/second.
 #[must_use]
@@ -48,20 +48,6 @@ pub fn fmt_flops(flops: f64) -> String {
     }
 }
 
-/// Formats a duration in seconds compactly (`"1.50 ms"`, `"2.25 s"`, ...).
-#[must_use]
-pub fn fmt_secs(secs: f64) -> String {
-    if secs < 1e-3 {
-        format!("{:.2} µs", secs * 1e6)
-    } else if secs < 1.0 {
-        format!("{:.2} ms", secs * 1e3)
-    } else if secs < 120.0 {
-        format!("{secs:.2} s")
-    } else {
-        format!("{:.1} min", secs / 60.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,13 +71,5 @@ mod tests {
         assert_eq!(fmt_flops(500.0), "500 FLOPs");
         assert_eq!(fmt_flops(1.5e9), "1.50 GFLOPs");
         assert_eq!(fmt_flops(2.0e12), "2.00 TFLOPs");
-    }
-
-    #[test]
-    fn secs_formatting() {
-        assert_eq!(fmt_secs(0.000_5), "500.00 µs");
-        assert_eq!(fmt_secs(0.25), "250.00 ms");
-        assert_eq!(fmt_secs(42.0), "42.00 s");
-        assert_eq!(fmt_secs(600.0), "10.0 min");
     }
 }

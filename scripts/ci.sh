@@ -11,8 +11,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> hermeticity guard: no non-ecofl dependencies in any Cargo.toml"
+echo "==> hermeticity guard: no non-ecofl dependencies, and no unused ecofl-* ones, in any Cargo.toml"
 bad=0
+unused=0
 covered_obs=0
 covered_fl=0
 covered_tensor=0
@@ -50,9 +51,35 @@ while IFS= read -r manifest; do
                 ;;
         esac
     done
+    # No unused in-repo edge in a workspace package: every ecofl-* line of
+    # its own [*dependencies] sections is named, as ecofl_*, by a .rs file
+    # of the package (the root package's files are src/, tests/ and
+    # examples/; crates/ and benchmark/ hold other packages). The frozen
+    # benchmark/ packages are outside the workspace and not checked.
+    case "$manifest" in
+        ./Cargo.toml) pkg_rs=$(find src tests examples -name '*.rs') ;;
+        ./crates/*/Cargo.toml) pkg_rs=$(find "${manifest%Cargo.toml}" -name '*.rs') ;;
+        *) continue ;;
+    esac
+    pkg_deps=$(awk '
+        /^\[workspace/            { in_deps = 0; next }
+        /^\[.*dependencies.*\]/   { in_deps = 1; next }
+        /^\[/                     { in_deps = 0 }
+        in_deps && /^ecofl-[a-zA-Z0-9_-]+[ .]/ { split($0, a, /[ .=]/); print a[1] }
+    ' "$manifest")
+    for dep in $pkg_deps; do
+        if [ -z "$pkg_rs" ] || ! grep -qw "${dep//-/_}" $pkg_rs; then
+            echo "ERROR: $manifest lists '$dep' but no .rs file of its package names ${dep//-/_}" >&2
+            unused=1
+        fi
+    done
 done < <(find . -name Cargo.toml -not -path "./target/*")
 if [ "$bad" -ne 0 ]; then
     echo "Hermeticity guard failed: the workspace must only depend on in-repo ecofl-* crates." >&2
+    exit 1
+fi
+if [ "$unused" -ne 0 ]; then
+    echo "Dependency guard failed: drop the unused ecofl-* lines above." >&2
     exit 1
 fi
 if [ "$covered_obs" -ne 1 ] || [ "$covered_fl" -ne 1 ] ||

@@ -90,6 +90,8 @@ const FL_FLAGS: &[&str] = &[
 ];
 /// What `persist_trace` reads.
 const STORE_WRITE_FLAGS: &[&str] = &["store", "block-records", "out"];
+/// The widest `gantt --width` rendered: wider than any terminal.
+const MAX_GANTT_WIDTH: usize = 10_000;
 
 fn require<'a>(args: &'a HashMap<String, String>, key: &str) -> Result<&'a String, EcoFlError> {
     args.get(key)
@@ -353,11 +355,17 @@ fn pipeline_args(args: &HashMap<String, String>) -> Result<PipelineArgs<'_>, Eco
 
 fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     check_flags(args, "gantt", &[PIPELINE_FLAGS, &["width"]])?;
-    // `render_view` asserts on anything narrower.
+    // `render_view` asserts on anything narrower, and allocates a
+    // `stages × width` grid, so the upper bound is one no terminal reaches.
     let width = get(args, "width", 100usize)?;
     if width < 10 {
         return Err(EcoFlError::Config(format!(
             "--width must be at least 10 columns, got {width}"
+        )));
+    }
+    if width > MAX_GANTT_WIDTH {
+        return Err(EcoFlError::Config(format!(
+            "--width must be at most {MAX_GANTT_WIDTH} columns, got {width}"
         )));
     }
     let p = pipeline_args(args)?;
@@ -425,6 +433,15 @@ fn spike_args(
     Ok((model, devices, LoadSpike { device, at, load }, horizon))
 }
 
+/// A spike scenario's error, with a horizon of too many rounds named by
+/// its flag.
+fn spike_error(e: SpikeError) -> EcoFlError {
+    match e {
+        SpikeError::TooManyRounds => EcoFlError::Config(format!("--horizon {e}")),
+        e => e.into(),
+    }
+}
+
 /// The first stdout line of `spike` and `trace --scenario spike`.
 fn spike_header(model: &str, spike: LoadSpike) -> String {
     let LoadSpike { device, at, load } = spike;
@@ -441,8 +458,10 @@ fn cmd_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     check_flags(args, "spike", &[SPIKE_FLAGS])?;
     let (model, devices, spike, horizon) = spike_args(args)?;
     let link = Link::mbps_100();
-    let with = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, true)?;
-    let without = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, false)?;
+    let with = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, true)
+        .map_err(spike_error)?;
+    let without = simulate_load_spike(&model, &devices, &link, 8, 16, spike, horizon, false)
+        .map_err(spike_error)?;
     println!("{}", spike_header(&model.name, spike));
     println!(
         "  pre-spike            : {:6.2} samples/s",
@@ -940,7 +959,8 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         true,
         SchedulerConfig::default(),
         &tracer,
-    )?;
+    )
+    .map_err(spike_error)?;
     let view = tracer.view();
     let (store_dir, stored, blocks) = persist_trace(args, "spike", view.records())?;
     println!("{}", spike_header(&model.name, spike));

@@ -541,11 +541,13 @@ fn oversized_simulated_runs_are_rejected_by_flag_name_at_once() {
             "--rounds",
         ),
         ("gantt", &["--micro-batches", "50000000"], "--micro-batches"),
+        ("gantt", &["--width", "2000000000"], "--width"),
         (
             "spike",
             &["--kill-stage", "1", "--rounds", "100000000"],
             "--rounds",
         ),
+        ("spike", &["--horizon", "1e15", "--at", "1"], "--horizon"),
     ] {
         let started = std::time::Instant::now();
         assert_rejects(&[&[command], &pipeline[..], extra].concat(), flag);
