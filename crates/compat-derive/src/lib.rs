@@ -11,16 +11,14 @@
 //!
 //! - structs with named fields → JSON objects keyed by field name,
 //! - enums with unit variants → JSON strings (`"Variant"`),
-//! - enums with struct variants → externally tagged objects
-//!   (`{"Variant": {"field": ...}}`),
 //! - enums with single-field tuple (newtype) variants →
 //!   `{"Variant": value}`.
 //!
 //! This matches serde's default externally-tagged representation, so
-//! the JSON written under `target/ecofl-results/` keeps its shape.
-//! Generics, tuple structs, multi-field tuple variants, and `#[serde]`
-//! attributes are intentionally unsupported and fail with a clear
-//! compile error.
+//! the JSON written under `target/ecofl-results/` and into a run store
+//! keeps its shape. Generics, tuple structs, struct variants,
+//! multi-field tuple variants, and `#[serde]` attributes are
+//! intentionally unsupported and fail with a clear compile error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -45,8 +43,6 @@ struct Variant {
 
 enum VariantShape {
     Unit,
-    /// Named fields.
-    Struct(Vec<String>),
     /// Single unnamed field.
     Newtype,
 }
@@ -126,9 +122,7 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
         };
         let shape = match tokens.peek() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let g = g.stream();
-                tokens.next();
-                VariantShape::Struct(parse_named_fields(g))
+                panic!("compat-derive: struct variant `{name}` is unsupported")
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let inner = g.stream();
@@ -226,22 +220,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                          let mut obj = ::ecofl_compat::json::Value::empty_object();\n\
                          obj.insert(\"{vn}\", ::ecofl_compat::json::ToJson::to_json(x));\nobj\n}}\n"
                     )),
-                    VariantShape::Struct(fields) => {
-                        let bindings = fields.join(", ");
-                        let mut inserts = String::new();
-                        for f in fields {
-                            inserts.push_str(&format!(
-                                "inner.insert(\"{f}\", ::ecofl_compat::json::ToJson::to_json({f}));\n"
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {bindings} }} => {{\n\
-                             let mut inner = ::ecofl_compat::json::Value::empty_object();\n\
-                             {inserts}\
-                             let mut obj = ::ecofl_compat::json::Value::empty_object();\n\
-                             obj.insert(\"{vn}\", inner);\nobj\n}}\n"
-                        ));
-                    }
                 }
             }
             format!("match self {{\n{arms}}}")
@@ -283,17 +261,6 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                         "\"{vn}\" => return ::std::result::Result::Ok({name}::{vn}(\
                          ::ecofl_compat::json::FromJson::from_json(inner)?)),\n"
                     )),
-                    VariantShape::Struct(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{f}: ::ecofl_compat::json::field(inner, \"{f}\", \"{name}::{vn}\")?,\n"
-                            ));
-                        }
-                        tagged_arms.push_str(&format!(
-                            "\"{vn}\" => return ::std::result::Result::Ok({name}::{vn} {{\n{inits}}}),\n"
-                        ));
-                    }
                 }
             }
             format!(

@@ -1,20 +1,18 @@
 //! JSON value type, parser, writer, and the `ToJson`/`FromJson` traits
 //! that `#[derive(Serialize)]` / `#[derive(Deserialize)]` target.
 //!
-//! Replaces serde + serde_json for this workspace's needs: persisting
-//! bench result series under `target/ecofl-results/` and round-tripping
-//! the public config/report types. The JSON shapes match serde's
-//! defaults — structs as objects in field order, unit enum variants as
-//! strings, data-carrying variants externally tagged — so existing
-//! result files and any downstream tooling keep working.
+//! Replaces serde + serde_json for this workspace's needs: writing the
+//! bench result series under `target/ecofl-results/`, and writing and
+//! reading back the trace records and metrics snapshots of a run store.
+//! The JSON shapes match serde's defaults — structs as objects in field
+//! order, unit enum variants as strings, newtype variants externally
+//! tagged — so existing result files and stores keep working.
 //!
 //! Intentional divergences from serde_json (see DESIGN.md): no borrowed
-//! deserialization (`&'static str` fields are leaked on parse, a
-//! non-issue for the handful of long-lived config values that use
-//! them), no non-string map keys, and non-finite floats serialize as
-//! `null` instead of erroring.
+//! deserialization, no maps, non-finite floats serialize as `null`
+//! instead of erroring, and the parser refuses a document nested deeper
+//! than 128 arrays or objects instead of recursing without bound.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A parsed JSON document.
@@ -142,15 +140,6 @@ impl Value {
     pub fn as_array(&self) -> Option<&Vec<Value>> {
         match self {
             Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Object payload as ordered key/value pairs, if any.
-    #[must_use]
-    pub(crate) fn as_object(&self) -> Option<&Vec<(String, Value)>> {
-        match self {
-            Value::Object(o) => Some(o),
             _ => None,
         }
     }
@@ -365,9 +354,17 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, JsonErr
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array / object nesting the parser accepts. Each level is one
+/// recursive call, so without a cap a run of `[` read from disk
+/// overflows the stack; what the workspace writes nests at most four
+/// levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -414,55 +411,69 @@ impl<'a> Parser<'a> {
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("JSON nested too deeply"));
+                }
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(pairs));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    fn parse_array(&mut self) -> Result<Value, JsonError> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Value, JsonError> {
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            pairs.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(pairs));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
         }
     }
 
@@ -557,6 +568,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -664,12 +676,6 @@ impl ToJson for f32 {
     }
 }
 
-impl FromJson for f32 {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        f64::from_json(v).map(|f| f as f32)
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Value {
         Value::String(self.clone())
@@ -687,17 +693,6 @@ impl FromJson for String {
 impl ToJson for str {
     fn to_json(&self) -> Value {
         Value::String(self.to_string())
-    }
-}
-
-/// `&'static str` fields (e.g. `SyntheticSpec::name`) deserialize by
-/// leaking the parsed string. The workspace only deserializes a handful
-/// of long-lived config values, so the leak is bounded and deliberate;
-/// serde would instead require borrowed deserialization, which this
-/// layer does not replicate.
-impl FromJson for &'static str {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        String::from_json(v).map(|s| &*Box::leak(s.into_boxed_str()))
     }
 }
 
@@ -726,12 +721,6 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         v.as_array()
@@ -748,98 +737,9 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
-impl<T: ToJson + ?Sized> ToJson for Box<T> {
-    fn to_json(&self) -> Value {
-        (**self).to_json()
-    }
-}
-
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Value {
         Value::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let a = v
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| JsonError::new(format!("expected 2-element array, found {v:?}")))?;
-        Ok((A::from_json(&a[0])?, B::from_json(&a[1])?))
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let a = v
-            .as_array()
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| JsonError::new(format!("expected 3-element array, found {v:?}")))?;
-        Ok((
-            A::from_json(&a[0])?,
-            B::from_json(&a[1])?,
-            C::from_json(&a[2])?,
-        ))
-    }
-}
-
-/// Serde encodes `Range` as `{"start": .., "end": ..}`.
-impl<T: ToJson> ToJson for std::ops::Range<T> {
-    fn to_json(&self) -> Value {
-        let mut obj = Value::empty_object();
-        obj.insert("start", self.start.to_json());
-        obj.insert("end", self.end.to_json());
-        obj
-    }
-}
-
-impl<T: FromJson> FromJson for std::ops::Range<T> {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(field(v, "start", "Range")?..field(v, "end", "Range")?)
-    }
-}
-
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Value {
-        Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<V: FromJson> FromJson for BTreeMap<String, V> {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        v.as_object()
-            .ok_or_else(|| JsonError::new(format!("expected object, found {v:?}")))?
-            .iter()
-            .map(|(k, x)| Ok((k.clone(), V::from_json(x)?)))
-            .collect()
-    }
-}
-
-impl<V: ToJson> ToJson for HashMap<String, V> {
-    fn to_json(&self) -> Value {
-        // Deterministic output: sort keys like serde_json's BTreeMap-backed
-        // map does.
-        let mut pairs: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
-    }
-}
-
-impl<V: FromJson> FromJson for HashMap<String, V> {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        v.as_object()
-            .ok_or_else(|| JsonError::new(format!("expected object, found {v:?}")))?
-            .iter()
-            .map(|(k, x)| Ok((k.clone(), V::from_json(x)?)))
-            .collect()
     }
 }
 
@@ -876,9 +776,10 @@ mod tests {
         let v = vec![vec![1u32, 2], vec![3]];
         let back: Vec<Vec<u32>> = from_str(&to_string(&v).unwrap()).unwrap();
         assert_eq!(back, v);
+        // Bench rows write pairs and f32s; nothing reads them back.
         let pairs: Vec<(f64, f64)> = vec![(0.5, 1.5), (2.0, 3.0)];
-        let back: Vec<(f64, f64)> = from_str(&to_string(&pairs).unwrap()).unwrap();
-        assert_eq!(back, pairs);
+        assert_eq!(to_string(&pairs).unwrap(), "[[0.5,1.5],[2.0,3.0]]");
+        assert_eq!(to_string(&0.25f32).unwrap(), "0.25");
     }
 
     #[test]
@@ -916,5 +817,14 @@ mod tests {
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<u32>("-1").is_err(), "negative into unsigned");
         assert!(from_str::<bool>("1").is_err(), "type mismatch");
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Value>(&"[".repeat(1_000_000)).is_err());
     }
 }

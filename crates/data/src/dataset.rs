@@ -1,13 +1,12 @@
 //! In-memory labelled dataset.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::Rng;
 
 /// A dense, in-memory classification dataset.
 ///
 /// Features are stored row-major (`len × feature_dim`); labels are class
 /// indices in `0..num_classes`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     features: Vec<f32>,
     labels: Vec<usize>,

@@ -15,11 +15,10 @@
 //! the bench harness is replayable bit-for-bit.
 
 use crate::dataset::Dataset;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::Rng;
 
 /// Parameters of a synthetic classification task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Number of label classes.
     pub num_classes: usize,

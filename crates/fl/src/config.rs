@@ -1,11 +1,10 @@
 //! Experiment configuration mirroring §6.1 of the paper.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_grouping::{GroupingConfig, GroupingStrategy};
 
 /// Runtime dynamics: clients periodically resample their collaborative
 /// degree, changing their response latency mid-training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicsConfig {
     /// Probability that a client resamples its degree after participating
     /// in a round.
@@ -24,7 +23,7 @@ impl Default for DynamicsConfig {
 }
 
 /// Full FL experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlConfig {
     /// Total number of clients (paper: 300).
     pub num_clients: usize,

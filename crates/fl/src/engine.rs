@@ -4,7 +4,7 @@
 //! shard, one client at a time, folded in member order) while the clock
 //! advances by simulated response latencies.
 //! Since the scheduler/strategy split, this module only holds the
-//! serializable [`Strategy`] selector, the [`FlSetup`]/[`RunResult`]
+//! [`Strategy`] selector, the [`FlSetup`]/[`RunResult`]
 //! types and the [`run`] entry point; the event-driven
 //! round scheduler lives in [`crate::sched`] and the per-strategy
 //! aggregation objects in `crate::strategies`:
@@ -24,14 +24,13 @@
 use crate::config::FlConfig;
 use crate::sched::Scheduler;
 use crate::strategies::strategy_object;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_data::FederatedDataset;
 use ecofl_models::ModelArch;
 use ecofl_obs::Obs;
 use ecofl_util::TimeSeries;
 
 /// Which FL algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Synchronous FedAvg (McMahan et al. 2017).
     FedAvg,
@@ -75,7 +74,7 @@ pub struct FlSetup {
 }
 
 /// Outcome of one strategy run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Strategy display name.
     pub strategy: String,

@@ -12,11 +12,10 @@
 //! resulting stragglers.
 
 use crate::config::DynamicsConfig;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::Rng;
 
 /// The latency state of all clients.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyModel {
     base_delays: Vec<f64>,
     degrees: Vec<f64>,

@@ -29,7 +29,7 @@
 //! - `strategies` — [`sched::AggregationStrategy`] objects deciding
 //!   what to aggregate and when: FedAvg, FedAsync, and the hierarchical
 //!   family (FedAT, Astraea, Eco-FL ± Algorithm 1 dynamic re-grouping),
-//! - [`engine`] — the serializable [`Strategy`] selector, run setup and
+//! - [`engine`] — the [`Strategy`] selector, run setup and
 //!   result types, and the [`engine::run`] entry point,
 //! - [`metrics`] — convergence summaries from results or traces,
 //! - [`mod@reference`] — centralized accuracy-per-epoch reference curves used

@@ -7,12 +7,11 @@
 
 #[cfg(test)]
 use crate::engine::RunResult;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_obs::{RecordKind, RunStore, TraceQuery, TraceView};
 use ecofl_util::TimeSeries;
 
 /// Quantitative summary of one accuracy trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceSummary {
     /// Strategy name the summary describes.
     pub strategy: String,

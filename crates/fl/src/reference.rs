@@ -9,14 +9,13 @@
 //! with each method's simulated epoch time, exactly separating statistical
 //! efficiency from hardware throughput.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_data::Dataset;
 use ecofl_models::ModelArch;
 use ecofl_tensor::{Sgd, Tensor};
 use ecofl_util::Rng;
 
 /// A reference curve: test accuracy after each training epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceCurve {
     /// `accuracy[e]` = test accuracy after `e + 1` epochs.
     pub accuracy: Vec<f64>,

@@ -1,6 +1,5 @@
 //! Group state and the Eq. 4 assignment cost.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::{js_divergence, normalize_distribution};
 
 /// Left-to-right sum — the order every latency center is defined in.
@@ -12,7 +11,7 @@ fn sum_in_order(xs: &[f64]) -> f64 {
 ///
 /// Tracks member ids, their latencies (for the group center `L_g`), and
 /// the pooled label counts (for the group distribution `π^g`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupState {
     /// Group index.
     pub id: usize,

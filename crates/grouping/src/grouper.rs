@@ -2,13 +2,12 @@
 
 use crate::cost::{assignment_cost, union_js_from_iid_parts, GroupState};
 use crate::kmeans::{kmeans_1d, minibatch_centroids};
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::Rng;
 use std::collections::{BTreeSet, HashMap};
 
 /// Which grouping criterion to apply — Eco-FL's Eq. 4 or one of the two
 /// degenerate baselines the paper compares against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GroupingStrategy {
     /// Eq. 4 with the given λ.
     EcoFl {
@@ -49,7 +48,7 @@ impl GroupingStrategy {
 }
 
 /// Configuration of the grouping scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupingConfig {
     /// Number of groups.
     pub num_groups: usize,
@@ -125,7 +124,7 @@ impl Default for GroupingConfig {
 }
 
 /// What Algorithm 1 did with a client after a latency report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegroupOutcome {
     /// Latency still within its group's threshold.
     Stayed,

@@ -3,10 +3,9 @@
 //! actually produced.
 
 use crate::grouper::Grouper;
-use ecofl_compat::serde::{Deserialize, Serialize};
 
 /// Snapshot of one group's composition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupSnapshot {
     /// Group index.
     pub id: usize,
@@ -23,7 +22,7 @@ pub struct GroupSnapshot {
 }
 
 /// Snapshot of the whole grouping state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupingReport {
     /// One snapshot per non-empty group, in group-id order.
     pub groups: Vec<GroupSnapshot>,
@@ -128,21 +127,5 @@ mod tests {
         assert!(lines[0].contains("barrier"));
         assert_eq!(lines.len(), report.groups.len() + 2);
         assert!(lines.last().unwrap().contains("dropped"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let report = GroupingReport::capture(&grouper());
-        let json = ecofl_compat::json::to_string(&report).unwrap();
-        let back: GroupingReport = ecofl_compat::json::from_str(&json).unwrap();
-        assert_eq!(back.dropped, report.dropped);
-        assert_eq!(back.groups.len(), report.groups.len());
-        // Floats may differ by one ULP through the JSON text form.
-        for (a, b) in report.groups.iter().zip(&back.groups) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.size, b.size);
-            assert!((a.center - b.center).abs() < 1e-12);
-            assert!((a.js_from_iid - b.js_from_iid).abs() < 1e-12);
-        }
     }
 }

@@ -7,12 +7,11 @@
 //! is the synthetic-data analogue of the FedAVG "2NN"); a small CNN over
 //! 8×8 single-channel layouts exercises the convolution path.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_tensor::{AvgPool2d, Conv2d, Flatten, Layer, Linear, Network, ReLU, Tensor};
 use ecofl_util::Rng;
 
 /// Which client architecture to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelArch {
     /// Two-hidden-layer MLP (FedAVG's "2NN" analogue).
     Mlp,

@@ -15,10 +15,8 @@
 //! - the gradient flowing backward across a stage boundary has the shape
 //!   of that boundary's activation, so `g_l = a_l`.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
-
 /// Per-layer profile (per-sample quantities).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     /// Human-readable layer name.
     pub name: String,
@@ -49,7 +47,7 @@ impl LayerProfile {
 }
 
 /// A whole model as an ordered list of partitionable layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Model name, e.g. `"EfficientNet-B4"`.
     pub name: String,

@@ -16,7 +16,6 @@ use crate::executor::PipelineExecutor;
 use crate::partition::{partition_dp, Partition};
 use crate::profiler::PipelineProfile;
 use crate::schedule::ScheduleKind;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_models::ModelProfile;
 use ecofl_obs::{Domain, EventKind, Obs};
 use ecofl_simnet::{Device, Link};
@@ -27,7 +26,7 @@ use ecofl_util::TimeSeries;
 /// *setup* of the scenario; a repartition that turns out infeasible
 /// *mid-run* is not an error — the scheduler falls back to the
 /// unmigrated pipeline (§4.4: degrade, don't die).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpikeError {
     /// The Eq. 1 partitioner found no feasible initial partition (e.g.
     /// fewer layers than devices, or memory bounds violated everywhere).
@@ -71,7 +70,7 @@ impl std::fmt::Display for SpikeError {
 impl std::error::Error for SpikeError {}
 
 /// One re-scheduling action taken by the portal node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RescheduleEvent {
     /// Simulation time of the decision, seconds.
     pub time: f64,
@@ -157,7 +156,7 @@ pub(crate) fn migration_bytes(model: &ModelProfile, old: &Partition, new: &Parti
 }
 
 /// The external load spike of Fig. 13.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadSpike {
     /// Device index (in pipeline order) receiving the external workload.
     pub device: usize,
@@ -168,7 +167,7 @@ pub struct LoadSpike {
 }
 
 /// Output of [`simulate_load_spike`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpikeTrace {
     /// Per-device utilization over time (window-sampled).
     pub device_utilization: Vec<TimeSeries>,
@@ -216,7 +215,7 @@ fn steady_state(
 }
 
 /// Tunables of the §4.4 rescheduler used by [`simulate_load_spike_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Relative stage-time deviation that triggers re-scheduling.
     pub deviation_threshold: f64,

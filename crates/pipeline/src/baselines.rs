@@ -12,12 +12,11 @@
 
 use crate::executor::DEFAULT_TASK_OVERHEAD;
 use crate::profiler::PARAM_STATE_FACTOR;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_models::ModelProfile;
 use ecofl_simnet::{Device, Link};
 
 /// Result of a single-device epoch estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SingleDeviceReport {
     /// Device name.
     pub device: String,
@@ -68,7 +67,7 @@ pub fn single_device_epoch(
 }
 
 /// Result of a data-parallel epoch estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataParallelReport {
     /// Seconds per epoch.
     pub epoch_time: f64,

@@ -45,7 +45,6 @@
 
 use crate::profiler::PipelineProfile;
 use crate::schedule::interleave_profile;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_obs::{
     Counter, Domain, Histogram, Obs, SpanKind, SpanRecord, TraceRecord, TraceView, Tracer,
 };
@@ -76,7 +75,7 @@ pub const MAX_SIMULATED_MICRO_BATCHES: usize = 1 << 16;
 /// variants, which together form its never-panic contract: every
 /// runtime disturbance (stage death, shape mismatch, unrecoverable
 /// trainer) surfaces as one of these in bounded time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// Stage `stage` exceeded its device memory at micro-batch `micro`.
     Oom {
@@ -198,7 +197,7 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Measured results of a pipeline run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Total simulated makespan, seconds.
     pub makespan: f64,

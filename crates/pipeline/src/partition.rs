@@ -15,13 +15,12 @@
 //! devices, ignoring their actual speeds.
 
 use crate::profiler::PARAM_STATE_FACTOR;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_models::ModelProfile;
 use ecofl_simnet::{Device, Link};
 
 /// A pipeline partition: `boundaries[s]..boundaries[s+1]` is the layer
 /// range of stage `s`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// Stage boundaries; `len() == num_stages + 1`, first is 0, last is
     /// the model's layer count.

@@ -8,7 +8,6 @@
 //!
 //! `T_l^d = mbs · (flops_fwd + flops_bwd)_l / rate_d`.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_models::ModelProfile;
 use ecofl_simnet::{Device, Link};
 
@@ -31,7 +30,7 @@ pub(crate) fn batch_efficiency(micro_batch: usize) -> f64 {
 
 /// Profile of one pipeline stage (a contiguous layer segment bound to one
 /// device) at a given micro-batch size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageProfile {
     /// Index of the device executing this stage (into the pipeline's
     /// device order).

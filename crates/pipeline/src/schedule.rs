@@ -32,7 +32,6 @@
 //! | Zero-bubble | SSB − (S−1)·t_b/2 | `K_s` activations |
 
 use crate::profiler::{PipelineProfile, StageProfile};
-use ecofl_compat::serde::{Deserialize, Serialize};
 
 /// Virtual stages per device used when a schedule selector
 /// ([`ScheduleKind::policy_for`]) has to pick an interleaving depth
@@ -40,7 +39,7 @@ use ecofl_compat::serde::{Deserialize, Serialize};
 pub const DEFAULT_INTERLEAVE: usize = 2;
 
 /// One task in a schedule's nominal per-stage stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageTask {
     /// Forward pass of micro-batch `n`.
     Fwd(usize),
@@ -71,7 +70,7 @@ pub(crate) fn eq2_ssb(profile: &PipelineProfile) -> f64 {
 /// bounds it runs with. The executor asks it the admission questions
 /// below; the answers are pure functions of the value, which both
 /// engines rely on for bit-identical replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchedulePolicy {
     /// Eco-FL's memory-efficient synchronous 1F1B with per-stage
     /// residency limits `K_s`.
@@ -248,7 +247,7 @@ impl SchedulePolicy {
 }
 
 /// Data-free schedule selector for registries, configs, and CI sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleKind {
     /// Eco-FL 1F1B-Sync.
     OneFOneBSync,

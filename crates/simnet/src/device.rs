@@ -5,11 +5,12 @@
 //! manipulates and that the adaptive rescheduler reacts to, plus memory
 //! accounting.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
+use ecofl_compat::serde::Serialize;
 
 /// Static description of an edge device (one Table 1 row at one power
-/// mode).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// mode). Serializable because the `table1_devices` bench writes the
+/// rows to its JSON result.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceSpec {
     /// Display name, e.g. `"Nano-H"`.
     pub name: String,
@@ -41,7 +42,7 @@ impl DeviceSpec {
 }
 
 /// A device instance with runtime state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     spec: DeviceSpec,
     /// Fraction of compute consumed by external workloads, in `[0, 1)`.

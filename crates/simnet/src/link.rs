@@ -1,13 +1,11 @@
 //! Network links between pipeline stages and to the FL server.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
-
 /// A point-to-point link with fixed bandwidth and propagation latency.
 ///
 /// Transfer time is `latency + bytes / bandwidth` — the store-and-forward
 /// model the paper's partitioning formulation (Eq. 1) assumes with its
 /// `(a_s + g_s)/B_n` terms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     bandwidth_bytes_per_sec: f64,
     latency_secs: f64,

@@ -12,10 +12,8 @@
 //! pipeline executor's report applies it to each stage's busy fraction
 //! (`ExecutionReport::stage_energy_joules`).
 
-use ecofl_compat::serde::{Deserialize, Serialize};
-
 /// Power draw of one device mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Draw while idle, watts.
     pub idle_watts: f64,

@@ -7,8 +7,6 @@
 //! contribution is `µ · (w − w_ref)` and is applied here, at the optimizer,
 //! so models stay oblivious to the FL algorithm above them.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
-
 /// SGD over flat parameter vectors, with optional momentum and an optional
 /// FedProx proximal pull toward a reference parameter vector.
 ///
@@ -21,7 +19,7 @@ use ecofl_compat::serde::{Deserialize, Serialize};
 /// opt.step(&mut w, &[2.0], None); // w ← 1 − 0.1·2
 /// assert!((w[0] - 0.8).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,

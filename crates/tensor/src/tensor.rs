@@ -11,7 +11,6 @@
 //! run a training step without allocating.
 
 use crate::kernel;
-use ecofl_compat::serde::{Deserialize, Serialize};
 use ecofl_util::Rng;
 
 /// A dense, row-major `f32` tensor.
@@ -25,7 +24,7 @@ use ecofl_util::Rng;
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,

@@ -5,14 +5,12 @@
 //! query, and summarize such series (time-to-threshold, area-under-curve,
 //! resampling for plotting).
 
-use ecofl_compat::serde::{Deserialize, Serialize};
-
 /// A monotone-time series of `(t, value)` samples.
 ///
 /// Timestamps are virtual seconds. Samples must be appended in
 /// non-decreasing time order; this is asserted so that simulation bugs
 /// surface immediately instead of corrupting figures downstream.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
 }

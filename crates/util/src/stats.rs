@@ -4,8 +4,6 @@
 //! means of per-layer execution times, the FL server tracks response-latency
 //! statistics per group, and the bench harness summarizes figure series.
 
-use ecofl_compat::serde::{Deserialize, Serialize};
-
 /// Arithmetic mean of a slice; `0.0` for an empty slice.
 #[must_use]
 pub fn mean(xs: &[f64]) -> f64 {
@@ -68,7 +66,7 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
 /// assert_eq!(s.mean(), 2.5);
 /// assert_eq!(s.count(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -166,7 +164,7 @@ impl RunningStats {
 
 /// Exponential moving average used by the runtime profiler to smooth
 /// per-stage execution-time reports before lagger detection (§4.4).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Ema {
     alpha: f64,
     value: Option<f64>,

@@ -51,35 +51,44 @@ while IFS= read -r manifest; do
                 ;;
         esac
     done
-    # No unused in-repo edge in a workspace package: every ecofl-* line of
-    # its own [*dependencies] sections is named, as ecofl_*, by a .rs file
-    # of the package (the root package's files are src/, tests/ and
-    # examples/; crates/ and benchmark/ hold other packages). The frozen
+    # No unused in-repo edge in a workspace package, and each edge in the
+    # section its users need: an ecofl-* line under [dependencies] is
+    # named, as ecofl_*, by the package's own src/ (or build.rs); one under
+    # [dev-dependencies] by any .rs file of the package (the root
+    # package's files are src/, tests/ and examples/; crates/ and
+    # benchmark/ hold other packages). An edge only tests, benches or
+    # examples name belongs under [dev-dependencies]. The frozen
     # benchmark/ packages are outside the workspace and not checked.
+    dir=${manifest%Cargo.toml}
     case "$manifest" in
         ./Cargo.toml) pkg_rs=$(find src tests examples -name '*.rs') ;;
-        ./crates/*/Cargo.toml) pkg_rs=$(find "${manifest%Cargo.toml}" -name '*.rs') ;;
+        ./crates/*/Cargo.toml) pkg_rs=$(find "$dir" -name '*.rs') ;;
         *) continue ;;
     esac
-    pkg_deps=$(awk '
-        /^\[workspace/            { in_deps = 0; next }
-        /^\[.*dependencies.*\]/   { in_deps = 1; next }
-        /^\[/                     { in_deps = 0 }
-        in_deps && /^ecofl-[a-zA-Z0-9_-]+[ .]/ { split($0, a, /[ .=]/); print a[1] }
-    ' "$manifest")
-    for dep in $pkg_deps; do
-        if [ -z "$pkg_rs" ] || ! grep -qw "${dep//-/_}" $pkg_rs; then
-            echo "ERROR: $manifest lists '$dep' but no .rs file of its package names ${dep//-/_}" >&2
+    lib_rs=$(find "${dir}src" "${dir}build.rs" -name '*.rs' 2>/dev/null || true)
+    while read -r section dep; do
+        if [ "$section" = "[dependencies]" ]; then
+            users=$lib_rs where="src/ file"
+        else
+            users=$pkg_rs where=".rs file of its package"
+        fi
+        if [ -z "$users" ] || ! grep -qw "${dep//-/_}" $users; then
+            echo "ERROR: $manifest lists '$dep' under $section but no $where names ${dep//-/_}" >&2
             unused=1
         fi
-    done
+    done < <(awk '
+        /^\[workspace/            { in_deps = 0; next }
+        /^\[.*dependencies.*\]/   { in_deps = 1; section = $1; next }
+        /^\[/                     { in_deps = 0 }
+        in_deps && /^ecofl-[a-zA-Z0-9_-]+[ .]/ { split($0, a, /[ .=]/); print section, a[1] }
+    ' "$manifest")
 done < <(find . -name Cargo.toml -not -path "./target/*")
 if [ "$bad" -ne 0 ]; then
     echo "Hermeticity guard failed: the workspace must only depend on in-repo ecofl-* crates." >&2
     exit 1
 fi
 if [ "$unused" -ne 0 ]; then
-    echo "Dependency guard failed: drop the unused ecofl-* lines above." >&2
+    echo "Dependency guard failed: drop the unused ecofl-* lines above, or move a test-only one to [dev-dependencies]." >&2
     exit 1
 fi
 if [ "$covered_obs" -ne 1 ] || [ "$covered_fl" -ne 1 ] ||
@@ -94,7 +103,7 @@ if [ "$covered_metrics" -ne 1 ]; then
 fi
 echo "    ok"
 
-# Surface ledger: the three numbers the ROADMAP tracks downward, ratcheted
+# Surface ledger: the four numbers the ROADMAP tracks downward, ratcheted
 # against scripts/ledger.txt (a PR that must grow one raises the committed
 # number in the same diff, where a reviewer sees it; one that shrinks it
 # lowers the number so the gain is kept), and a guard that the run /
@@ -110,9 +119,17 @@ prelude_exports=$(sed -e 's://.*::' crates/core/src/prelude.rs | tr -d '\n' |
     tr ',' '\n' | grep -cE '[A-Za-z0-9_]')
 pub_items=$(grep -rhE --include='*.rs' \
     '^\s*pub (fn|struct|enum|trait|mod|const|type|use|static) ' crates/*/src | wc -l)
+# Serde derives outside the compat layer itself: a type derives
+# Serialize only if something writes it, Deserialize only if something
+# reads it back (bench rows, Table 1's DeviceSpec, obs records and
+# metrics snapshots). Newlines are dropped so a wrapped derive counts.
+serde_derives=$(find crates src tests examples -name '*.rs' -not -path 'crates/compat*' -print0 |
+    xargs -0 cat | tr -d '\n' | grep -oE '#\[derive\([^)]*\)\]' |
+    grep -oE '\b(Serialize|Deserialize)\b' | wc -l)
 echo "    $rust_lines Rust lines under crates/ src/ tests/ examples/"
 echo "    $prelude_exports names exported by ecofl_core::prelude"
 echo "    $pub_items pub items declared under crates/*/src"
+echo "    $serde_derives Serialize / Deserialize derives outside crates/compat*"
 ratchet() {
     local committed
     committed=$(awk -v name="$1" '$1 == name { print $2 }' scripts/ledger.txt)
@@ -128,6 +145,7 @@ ratchet() {
 ratchet rust_lines "$rust_lines"
 ratchet prelude_exports "$prelude_exports"
 ratchet pub_items "$pub_items"
+ratchet serde_derives "$serde_derives"
 twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
 twins="$twins|TaskSpan|TaskPhase|BusyTracker|ThroughputTracker|spans_to_view|render_round|validate_plan"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
