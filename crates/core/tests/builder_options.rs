@@ -84,7 +84,7 @@ fn bad_local_solver_knobs_are_config_errors_not_worker_panics() {
 #[test]
 fn bad_population_and_latency_knobs_are_config_errors_not_panics() {
     type Spoil = fn(&mut FlConfig);
-    let cases: [(&str, Spoil); 7] = [
+    let cases: [(&str, Spoil); 8] = [
         ("clients_per_round", |c| c.clients_per_round = 0),
         ("num_clients", |c| c.num_clients = 0),
         ("base_delay_mean", |c| c.base_delay_mean = f64::NAN),
@@ -93,6 +93,9 @@ fn bad_population_and_latency_knobs_are_config_errors_not_panics() {
         }),
         ("dynamics.degrees", |c| {
             c.dynamics.as_mut().expect("dynamics on").degrees[0] = 0.0;
+        }),
+        ("dynamics.degrees", |c| {
+            c.dynamics.as_mut().expect("dynamics on").degrees = vec![0.5; 300];
         }),
         ("dynamics.change_prob", |c| {
             c.dynamics.as_mut().expect("dynamics on").change_prob = 1.5;

@@ -1,5 +1,6 @@
 //! Experiment configuration mirroring §6.1 of the paper.
 
+use crate::latency::MAX_DYNAMIC_DEGREES;
 use ecofl_grouping::{GroupingConfig, GroupingStrategy};
 
 /// Runtime dynamics: clients periodically resample their collaborative
@@ -183,8 +184,9 @@ impl FlConfig {
     /// `max(1.0)`, a wrong-length or non-positive `base_delay_override`
     /// tripped an assert, an empty or non-positive `degrees` list
     /// panicked or made latencies infinite at the first perturbation,
-    /// and a `change_prob` outside `[0, 1]` silently never or always
-    /// fired.
+    /// a `degrees` list longer than the latency model's `u8` degree
+    /// index reaches tripped its assert, and a `change_prob` outside
+    /// `[0, 1]` silently never or always fired.
     ///
     /// # Errors
     /// Returns `Err(message)` naming the offending field and value.
@@ -226,6 +228,13 @@ impl FlConfig {
             }
             if dynamics.degrees.is_empty() {
                 return Err("dynamics.degrees must not be empty".to_owned());
+            }
+            if dynamics.degrees.len() > MAX_DYNAMIC_DEGREES {
+                return Err(format!(
+                    "dynamics.degrees must hold at most {MAX_DYNAMIC_DEGREES} choices \
+                     (a client's degree is a u8 table index), got {}",
+                    dynamics.degrees.len()
+                ));
             }
             if let Some(bad) = dynamics
                 .degrees
@@ -479,6 +488,26 @@ mod tests {
             ..DynamicsConfig::default()
         });
         assert!(c.validate().unwrap_err().contains("dynamics.degrees"));
+    }
+
+    #[test]
+    fn validate_rejects_more_degrees_than_a_u8_index_reaches() {
+        let mut c = FlConfig::tiny();
+        c.dynamics = Some(DynamicsConfig {
+            degrees: vec![0.5; MAX_DYNAMIC_DEGREES],
+            ..DynamicsConfig::default()
+        });
+        assert_eq!(c.validate(), Ok(()));
+        c.dynamics = Some(DynamicsConfig {
+            degrees: vec![0.5; MAX_DYNAMIC_DEGREES + 1],
+            ..DynamicsConfig::default()
+        });
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("dynamics.degrees"), "got: {err}");
+        assert!(
+            err.contains(&format!("got {}", MAX_DYNAMIC_DEGREES + 1)),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -14,17 +14,41 @@
 use crate::config::DynamicsConfig;
 use ecofl_util::Rng;
 
+/// The collaborative degrees a sampled client starts at (§6.1).
+pub(crate) const INITIAL_DEGREES: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
+
+/// Entries a model's degree table can hold: a client's degree is a `u8`
+/// index into it.
+const TABLE_CAPACITY: usize = u8::MAX as usize + 1;
+
+/// The longest `dynamics.degrees` list any model can index: the table
+/// holds the initial choices first, [`INITIAL_DEGREES`] at most.
+pub(crate) const MAX_DYNAMIC_DEGREES: usize = TABLE_CAPACITY - INITIAL_DEGREES.len();
+
 /// The latency state of all clients.
 #[derive(Debug, Clone)]
 pub struct LatencyModel {
     base_delays: Vec<f64>,
-    degrees: Vec<f64>,
-    dynamics: Option<DynamicsConfig>,
+    /// Client → index of its current degree in `degree_table`: one byte
+    /// per client instead of the `f64` it names.
+    degrees: Vec<u8>,
+    /// The initial degree choices, then `dynamics.degrees`.
+    degree_table: Vec<f64>,
+    /// Resampling probability under runtime dynamics.
+    change_prob: Option<f64>,
+    /// Where `dynamics.degrees` starts in `degree_table`.
+    dynamic_from: usize,
 }
 
 impl LatencyModel {
     /// Samples base delays (truncated normal, floor 1 s) and initial
     /// degrees for `n` clients.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero, `degrees` is empty, `dynamics` has no
+    /// degree choices, or `degrees` and `dynamics.degrees` together
+    /// hold more than 256 entries — the `u8` index's range
+    /// (`FlConfig::validate` refuses such a `dynamics`).
     #[must_use]
     pub fn sample(
         n: usize,
@@ -37,21 +61,20 @@ impl LatencyModel {
         assert!(n > 0, "LatencyModel: need at least one client");
         assert!(!degrees.is_empty(), "LatencyModel: need degree choices");
         let base_delays = (0..n).map(|_| rng.gaussian(mean, std).max(1.0)).collect();
+        // `Rng::choose`'s draw, kept as the index it picks.
         let degs = (0..n)
-            .map(|_| *rng.choose(degrees).expect("nonempty"))
+            .map(|_| rng.range_usize(0, degrees.len()) as u8)
             .collect();
-        Self {
-            base_delays,
-            degrees: degs,
-            dynamics,
-        }
+        Self::with_table(base_delays, degs, degrees, dynamics)
     }
 
     /// Builds a model from explicit base delays; all clients start at a
     /// collaborative degree of 1.0.
     ///
     /// # Panics
-    /// Panics on an empty delay vector or a non-positive delay.
+    /// Panics on an empty delay vector, a non-positive delay, a
+    /// `dynamics` without degree choices or with more than 255 of them
+    /// (the `u8` index's range after the initial 1.0).
     #[must_use]
     pub fn from_delays(delays: &[f64], dynamics: Option<DynamicsConfig>) -> Self {
         assert!(!delays.is_empty(), "LatencyModel: need at least one client");
@@ -59,10 +82,33 @@ impl LatencyModel {
             delays.iter().all(|&d| d > 0.0),
             "LatencyModel: delays must be positive"
         );
+        Self::with_table(delays.to_vec(), vec![0; delays.len()], &[1.0], dynamics)
+    }
+
+    /// Lays out the degree table as `initial` then the dynamics' choices.
+    fn with_table(
+        base_delays: Vec<f64>,
+        degrees: Vec<u8>,
+        initial: &[f64],
+        dynamics: Option<DynamicsConfig>,
+    ) -> Self {
+        let mut degree_table = initial.to_vec();
+        let change_prob = dynamics.map(|d| {
+            assert!(!d.degrees.is_empty(), "LatencyModel: nonempty degrees");
+            degree_table.extend(&d.degrees);
+            d.change_prob
+        });
+        assert!(
+            degree_table.len() <= TABLE_CAPACITY,
+            "LatencyModel: {} degree choices overflow the u8 index",
+            degree_table.len()
+        );
         Self {
-            base_delays: delays.to_vec(),
-            degrees: vec![1.0; delays.len()],
-            dynamics,
+            base_delays,
+            degrees,
+            degree_table,
+            change_prob,
+            dynamic_from: initial.len(),
         }
     }
 
@@ -81,7 +127,7 @@ impl LatencyModel {
     /// Current response latency of a client, seconds.
     #[must_use]
     pub fn response_latency(&self, client: usize) -> f64 {
-        self.base_delays[client] / self.degrees[client]
+        self.base_delays[client] / self.degree(client)
     }
 
     /// All current response latencies.
@@ -93,21 +139,23 @@ impl LatencyModel {
     /// Current collaborative degree of a client.
     #[must_use]
     pub fn degree(&self, client: usize) -> f64 {
-        self.degrees[client]
+        self.degree_table[usize::from(self.degrees[client])]
     }
 
     /// Applies the post-participation dynamics to a client. Returns `true`
     /// if its degree (and hence latency) changed.
     pub fn maybe_perturb(&mut self, client: usize, rng: &mut Rng) -> bool {
-        let Some(dyn_cfg) = &self.dynamics else {
+        let Some(change_prob) = self.change_prob else {
             return false;
         };
-        if !rng.bernoulli(dyn_cfg.change_prob) {
+        if !rng.bernoulli(change_prob) {
             return false;
         }
-        let new = *rng.choose(&dyn_cfg.degrees).expect("nonempty degrees");
-        let changed = (new - self.degrees[client]).abs() > 1e-12;
-        self.degrees[client] = new;
+        // `Rng::choose` over the dynamics' choices, as a table index.
+        let choices = self.degree_table.len() - self.dynamic_from;
+        let new = self.dynamic_from + rng.range_usize(0, choices);
+        let changed = (self.degree_table[new] - self.degree(client)).abs() > 1e-12;
+        self.degrees[client] = new as u8;
         changed
     }
 }
@@ -140,9 +188,11 @@ mod tests {
     #[test]
     fn lower_degree_means_higher_latency() {
         let mut m = model(None);
-        m.degrees[0] = 1.0;
+        m.degrees[0] = 4;
+        assert_eq!(m.degree(0), 1.0);
         let fast = m.response_latency(0);
-        m.degrees[0] = 0.2;
+        m.degrees[0] = 0;
+        assert_eq!(m.degree(0), 0.2);
         let slow = m.response_latency(0);
         assert!((slow - 5.0 * fast).abs() < 1e-9);
     }

@@ -19,7 +19,7 @@ use crate::aggregate::StreamingAverage;
 use crate::client::{local_train, LocalTrainConfig, LocalUpdate};
 use crate::config::FlConfig;
 use crate::engine::{FlSetup, RunResult};
-use crate::latency::LatencyModel;
+use crate::latency::{LatencyModel, INITIAL_DEGREES};
 use ecofl_compat::sync::Shared;
 use ecofl_obs::{Domain, EventKind, MetricsHub, Obs, SpanKind, Tracer};
 use ecofl_simnet::EventQueue;
@@ -580,7 +580,7 @@ fn make_latency(cfg: &FlConfig, rng: &mut Rng) -> LatencyModel {
             cfg.num_clients,
             cfg.base_delay_mean,
             cfg.base_delay_std,
-            &[0.2, 0.4, 0.6, 0.8, 1.0],
+            &INITIAL_DEGREES,
             cfg.dynamics.clone(),
             rng,
         ),

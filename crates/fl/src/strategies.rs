@@ -337,7 +337,10 @@ impl Hierarchical {
         let per_group = sched.config().clients_per_group_round();
         let take = per_group.min(members_all.len());
         let picked = sched.rng().sample_indices(members_all.len(), take);
-        let members: Vec<usize> = picked.into_iter().map(|i| members_all[i]).collect();
+        let members: Vec<usize> = picked
+            .into_iter()
+            .map(|i| members_all[i] as usize)
+            .collect();
         // Synchronous intra-group barrier: slowest sampled member.
         let round_time = sched.cohort_round_time(&members);
         // Local-train windows at the latencies the barrier was computed

@@ -2,29 +2,29 @@
 
 use ecofl_util::{js_divergence, normalize_distribution};
 
-/// Left-to-right sum — the order every latency center is defined in.
-fn sum_in_order(xs: &[f64]) -> f64 {
-    xs.iter().sum()
+/// Left-to-right sum of the members' latencies, read through `members`
+/// from the population's latency slice.
+fn member_sum(members: &[u32], latencies: &[f64]) -> f64 {
+    members.iter().map(|&m| latencies[m as usize]).sum()
 }
 
 /// Mutable state of one client group.
 ///
-/// Tracks member ids, their latencies (for the group center `L_g`), and
-/// the pooled label counts (for the group distribution `π^g`).
+/// Tracks member ids (their latencies, for the group center `L_g`, are
+/// read from the owner's per-client latency slice through them) and the
+/// pooled label counts (for the group distribution `π^g`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupState {
     /// Group index.
     pub id: usize,
     /// Member client ids.
-    pub members: Vec<usize>,
-    /// Member latencies, parallel to `members`.
-    member_latencies: Vec<f64>,
+    pub members: Vec<u32>,
     /// Pooled label counts over members.
     label_counts: Vec<f64>,
-    /// `sum_in_order(member_latencies)`, kept as a running sum: an
-    /// admit appends, so adding the new latency repeats the next step
-    /// of the left-to-right sum bit for bit; `remove` and
-    /// `update_latency` change an interior term and re-sum.
+    /// The members' latencies summed left to right in member order, kept
+    /// as a running sum: an admit appends, so adding the new latency
+    /// repeats the next step of the left-to-right sum bit for bit;
+    /// `remove` and `update_latency` change an interior term and re-sum.
     latency_sum: f64,
     /// Central response latency `L_g` (mean of member latencies; seeded
     /// from the k-means centroid while empty).
@@ -38,9 +38,8 @@ impl GroupState {
         Self {
             id,
             members: Vec::new(),
-            member_latencies: Vec::new(),
             label_counts: vec![0.0; num_classes],
-            latency_sum: sum_in_order(&[]),
+            latency_sum: member_sum(&[], &[]),
             center: seed_center,
         }
     }
@@ -89,11 +88,11 @@ impl GroupState {
         &self.label_counts
     }
 
-    /// Adds a member.
-    pub(crate) fn admit(&mut self, client: usize, latency: f64, client_counts: &[f64]) {
-        debug_assert!(!self.members.contains(&client), "duplicate admit");
-        self.admit_deferred(client, latency, client_counts);
-        self.refresh_center();
+    /// Adds a member whose latency is `latencies[client]`.
+    pub(crate) fn admit(&mut self, client: usize, latencies: &[f64], client_counts: &[f64]) {
+        debug_assert!(!self.members.contains(&(client as u32)), "duplicate admit");
+        self.admit_deferred(client, latencies[client], client_counts);
+        self.refresh_center(latencies);
     }
 
     /// [`GroupState::admit`] without moving the center: the batched
@@ -101,8 +100,7 @@ impl GroupState {
     /// admits, then calls [`GroupState::refresh_center`] once per
     /// touched group.
     pub(crate) fn admit_deferred(&mut self, client: usize, latency: f64, client_counts: &[f64]) {
-        self.members.push(client);
-        self.member_latencies.push(latency);
+        self.members.push(client as u32);
         self.latency_sum += latency;
         for (acc, &c) in self.label_counts.iter_mut().zip(client_counts) {
             *acc += c;
@@ -110,15 +108,16 @@ impl GroupState {
     }
 
     /// Moves the latency center onto the members admitted so far: O(1),
-    /// the running sum over the member count.
-    pub(crate) fn refresh_center(&mut self) {
+    /// the running sum over the member count. `latencies` is the
+    /// per-client slice the members' latencies were admitted from.
+    pub(crate) fn refresh_center(&mut self, latencies: &[f64]) {
         debug_assert_eq!(
             self.latency_sum.to_bits(),
-            sum_in_order(&self.member_latencies).to_bits(),
+            member_sum(&self.members, latencies).to_bits(),
             "running latency sum left the left-to-right sum"
         );
-        if !self.member_latencies.is_empty() {
-            self.center = self.latency_sum / self.member_latencies.len() as f64;
+        if !self.members.is_empty() {
+            self.center = self.latency_sum / self.members.len() as f64;
         }
     }
 
@@ -126,40 +125,39 @@ impl GroupState {
     ///
     /// # Panics
     /// Panics if the client is not a member.
-    pub(crate) fn remove(&mut self, client: usize, client_counts: &[f64]) {
-        let idx = self
-            .members
-            .iter()
-            .position(|&m| m == client)
-            .expect("remove: client not in group");
+    pub(crate) fn remove(&mut self, client: usize, latencies: &[f64], client_counts: &[f64]) {
+        let idx = self.position(client, "remove");
         self.members.swap_remove(idx);
-        self.member_latencies.swap_remove(idx);
         for (acc, &c) in self.label_counts.iter_mut().zip(client_counts) {
             *acc = (*acc - c).max(0.0);
         }
-        self.resum_center();
+        self.resum_center(latencies);
     }
 
-    /// Updates a member's recorded latency (runtime drift).
+    /// Re-centers after a member's latency changed in `latencies`
+    /// (runtime drift).
     ///
     /// # Panics
     /// Panics if the client is not a member.
-    pub(crate) fn update_latency(&mut self, client: usize, latency: f64) {
-        let idx = self
-            .members
+    pub(crate) fn update_latency(&mut self, client: usize, latencies: &[f64]) {
+        self.position(client, "update_latency");
+        self.resum_center(latencies);
+    }
+
+    /// Index of `client` in `members`.
+    fn position(&self, client: usize, op: &str) -> usize {
+        self.members
             .iter()
-            .position(|&m| m == client)
-            .expect("update_latency: client not in group");
-        self.member_latencies[idx] = latency;
-        self.resum_center();
+            .position(|&m| m as usize == client)
+            .unwrap_or_else(|| panic!("{op}: client not in group"))
     }
 
     /// Re-sums the member latencies in member order — O(members), the
     /// price of a center whose bits do not depend on the history of
     /// removals — and moves the center.
-    fn resum_center(&mut self) {
-        self.latency_sum = sum_in_order(&self.member_latencies);
-        self.refresh_center();
+    fn resum_center(&mut self, latencies: &[f64]) {
+        self.latency_sum = member_sum(&self.members, latencies);
+        self.refresh_center(latencies);
     }
 }
 
@@ -244,13 +242,16 @@ mod tests {
         assert_eq!(g.center(), 5.0);
         let c0 = counts(&[(0, 10.0)], 4);
         let c1 = counts(&[(1, 10.0)], 4);
-        g.admit(7, 4.0, &c0);
-        g.admit(9, 6.0, &c1);
+        let mut lat = vec![0.0; 10];
+        lat[7] = 4.0;
+        lat[9] = 6.0;
+        g.admit(7, &lat, &c0);
+        g.admit(9, &lat, &c1);
         assert_eq!(g.len(), 2);
         assert_eq!(g.center(), 5.0);
         assert_eq!(g.distribution(), vec![0.5, 0.5, 0.0, 0.0]);
-        g.remove(7, &c0);
-        assert_eq!(g.members, vec![9]);
+        g.remove(7, &lat, &c0);
+        assert_eq!(g.members, vec![9u32]);
         assert_eq!(g.center(), 6.0);
         assert_eq!(g.distribution(), vec![0.0, 1.0, 0.0, 0.0]);
     }
@@ -258,7 +259,7 @@ mod tests {
     #[test]
     fn union_js_improves_when_client_fills_gap() {
         let mut g = GroupState::new(0, 1.0, 2);
-        g.admit(0, 1.0, &counts(&[(0, 10.0)], 2));
+        g.admit(0, &[1.0], &counts(&[(0, 10.0)], 2));
         // Client with the missing class lowers divergence; same class
         // keeps it.
         let fills = g.union_js_from_iid(&counts(&[(1, 10.0)], 2));
@@ -270,7 +271,7 @@ mod tests {
     #[test]
     fn cost_tradeoff_matches_lambda() {
         let mut g = GroupState::new(0, 10.0, 2);
-        g.admit(0, 10.0, &counts(&[(0, 5.0)], 2));
+        g.admit(0, &[10.0], &counts(&[(0, 5.0)], 2));
         let near_skewed = assignment_cost(&g, 10.0, &counts(&[(0, 5.0)], 2), 0.0, 1.0);
         let far_balanced = assignment_cost(&g, 20.0, &counts(&[(1, 5.0)], 2), 0.0, 1.0);
         // λ = 0: latency decides.
@@ -284,10 +285,12 @@ mod tests {
     #[test]
     fn latency_update_moves_center() {
         let mut g = GroupState::new(0, 0.0, 2);
-        g.admit(1, 10.0, &counts(&[(0, 1.0)], 2));
-        g.admit(2, 20.0, &counts(&[(1, 1.0)], 2));
+        let mut lat = vec![0.0, 10.0, 20.0];
+        g.admit(1, &lat, &counts(&[(0, 1.0)], 2));
+        g.admit(2, &lat, &counts(&[(1, 1.0)], 2));
         assert_eq!(g.center(), 15.0);
-        g.update_latency(2, 40.0);
+        lat[2] = 40.0;
+        g.update_latency(2, &lat);
         assert_eq!(g.center(), 25.0);
     }
 
@@ -349,20 +352,25 @@ mod tests {
     #[test]
     fn appended_latency_sum_equals_the_resum() {
         // Admits only append, so the running sum must be the
-        // left-to-right sum to the bit; removals and updates re-sum.
+        // left-to-right sum to the bit; removals and updates re-sum. The
+        // latency slice is kept in step the way `Grouper` keeps its own.
         let mut rng = ecofl_util::Rng::new(5);
         let mut g = GroupState::new(0, 1.0, 2);
         let row = [1.0, 0.0];
+        let mut lat = vec![0.0; 400];
         for client in 0..400 {
-            g.admit(client, rng.range_f64(1e-3, 1e3), &row);
+            lat[client] = rng.range_f64(1e-3, 1e3);
+            g.admit(client, &lat, &row);
             if client % 7 == 3 {
-                g.remove(client / 2, &row);
-                g.admit(client / 2, rng.range_f64(1e-3, 1e3), &row);
+                g.remove(client / 2, &lat, &row);
+                lat[client / 2] = rng.range_f64(1e-3, 1e3);
+                g.admit(client / 2, &lat, &row);
             }
             if client % 11 == 5 {
-                g.update_latency(client, rng.range_f64(1e-3, 1e3));
+                lat[client] = rng.range_f64(1e-3, 1e3);
+                g.update_latency(client, &lat);
             }
-            let resum = sum_in_order(&g.member_latencies) / g.len() as f64;
+            let resum = g.members.iter().map(|&m| lat[m as usize]).sum::<f64>() / g.len() as f64;
             assert_eq!(
                 g.center().to_bits(),
                 resum.to_bits(),

@@ -448,7 +448,7 @@ impl Grouper {
                 }
                 for (group, &hit) in groups.iter_mut().zip(&touched) {
                     if hit {
-                        group.refresh_center();
+                        group.refresh_center(&latencies);
                     }
                 }
             }
@@ -481,7 +481,7 @@ impl Grouper {
                     }
                     if let Some((_, pi)) = best {
                         let client = pool.swap_remove(pi);
-                        group.admit(client, latencies[client], counts_of(client));
+                        group.admit(client, &latencies, counts_of(client));
                         membership[client] = g as u32;
                         placed_any = true;
                     }
@@ -581,7 +581,7 @@ impl Grouper {
             .map(|g| {
                 g.members
                     .iter()
-                    .map(|&c| self.latencies[c])
+                    .map(|&c| self.latencies[c as usize])
                     .fold(0.0, f64::max)
             })
             .collect();
@@ -599,7 +599,7 @@ impl Grouper {
         let row = self.row_of[client] as usize;
         match self.group_of(client) {
             Some(g) => {
-                self.groups[g].update_latency(client, latency);
+                self.groups[g].update_latency(client, &self.latencies);
                 if !self.config.strategy.uses_threshold() {
                     return RegroupOutcome::Stayed;
                 }
@@ -609,10 +609,10 @@ impl Grouper {
                 }
                 // Deviated: leave current group, find the cheapest
                 // admitting group.
-                self.groups[g].remove(client, &self.rows[row]);
+                self.groups[g].remove(client, &self.latencies, &self.rows[row]);
                 match self.best_admitting_group(client) {
                     Some(t) => {
-                        self.groups[t].admit(client, latency, &self.rows[row]);
+                        self.groups[t].admit(client, &self.latencies, &self.rows[row]);
                         self.membership[client] = t as u32;
                         if t == g {
                             RegroupOutcome::Stayed
@@ -629,7 +629,7 @@ impl Grouper {
             }
             None => match self.best_admitting_group(client) {
                 Some(t) => {
-                    self.groups[t].admit(client, latency, &self.rows[row]);
+                    self.groups[t].admit(client, &self.latencies, &self.rows[row]);
                     self.membership[client] = t as u32;
                     self.pool.remove(&(client as u32));
                     RegroupOutcome::Rejoined { to: t }

@@ -39,8 +39,11 @@ impl GroupingReport {
             .iter()
             .filter(|g| !g.is_empty())
             .map(|g| {
-                let latencies: Vec<f64> =
-                    g.members.iter().map(|&c| grouper.latency_of(c)).collect();
+                let latencies: Vec<f64> = g
+                    .members
+                    .iter()
+                    .map(|&c| grouper.latency_of(c as usize))
+                    .collect();
                 let max = latencies.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 let min = latencies.iter().copied().fold(f64::INFINITY, f64::min);
                 GroupSnapshot {

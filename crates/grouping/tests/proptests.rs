@@ -41,7 +41,7 @@ fn check_invariants(g: &Grouper, n: usize) {
     let mut seen = vec![0usize; n];
     for group in g.groups() {
         for &m in &group.members {
-            seen[m] += 1;
+            seen[m as usize] += 1;
         }
     }
     for c in g.dropped() {
@@ -56,8 +56,12 @@ fn check_invariants(g: &Grouper, n: usize) {
         if group.is_empty() {
             continue;
         }
-        let mean: f64 =
-            group.members.iter().map(|&c| g.latency_of(c)).sum::<f64>() / group.len() as f64;
+        let mean: f64 = group
+            .members
+            .iter()
+            .map(|&c| g.latency_of(c as usize))
+            .sum::<f64>()
+            / group.len() as f64;
         assert!(
             (group.center() - mean).abs() < 1e-9,
             "center {} != member mean {mean}",
@@ -177,8 +181,13 @@ fn lambda_zero_cost_is_pure_latency() {
                     continue;
                 }
                 // With λ = 0 the cost of a client at the center is 0.
-                let cost =
-                    assignment_cost(group, group.center(), &counts[group.members[0]], 0.0, 1.0);
+                let cost = assignment_cost(
+                    group,
+                    group.center(),
+                    &counts[group.members[0] as usize],
+                    0.0,
+                    1.0,
+                );
                 assert!(cost.abs() < 1e-9);
             }
         },
@@ -240,7 +249,7 @@ fn data_only_cost_is_latency_invariant() {
             let lat2: Vec<f64> = lat.iter().map(|&l| l * scale + shift).collect();
             let g2 = Grouper::initial(&lat2, &counts, cfg, &mut Rng::new(seed ^ 1));
             let canon = |g: &Grouper| {
-                let mut groups: Vec<Vec<usize>> = g
+                let mut groups: Vec<Vec<u32>> = g
                     .groups()
                     .iter()
                     .map(|gr| {
@@ -358,7 +367,9 @@ fn batched_association_matches_the_per_client_oracle() {
                     // and pooled-count bits, same drop-out pool.
                     assert_eq!(shared.groups().len(), want.groups.len(), "{case}");
                     for (got, want) in shared.groups().iter().zip(&want.groups) {
-                        assert_eq!(got.members, want.members, "{case}");
+                        let got_members: Vec<usize> =
+                            got.members.iter().map(|&m| m as usize).collect();
+                        assert_eq!(got_members, want.members, "{case}");
                         assert_eq!(got.center().to_bits(), want.center.to_bits(), "{case}");
                         assert_eq!(got.label_counts(), want.label_counts, "{case}");
                     }
@@ -386,7 +397,7 @@ fn batched_association_matches_the_per_client_oracle() {
                             let resum = group
                                 .members
                                 .iter()
-                                .map(|&c| shared.latency_of(c))
+                                .map(|&c| shared.latency_of(c as usize))
                                 .sum::<f64>()
                                 / group.len() as f64;
                             assert_eq!(group.center().to_bits(), resum.to_bits(), "{case}");

@@ -44,7 +44,11 @@ fn main() {
             .iter()
             .filter(|g| g.len() > 1)
             .map(|g| {
-                let ls: Vec<f64> = g.members.iter().map(|&c| grouper.latency_of(c)).collect();
+                let ls: Vec<f64> = g
+                    .members
+                    .iter()
+                    .map(|&c| grouper.latency_of(c as usize))
+                    .collect();
                 stddev(&ls)
             })
             .collect();

@@ -400,8 +400,18 @@ fi
 # The benchmark's own census ops (fl_census_1m, benchmark/src/workloads.rs).
 # Each run takes well under a second; the watchdog is for a hang or a
 # quadratic regression, not for a slowdown (the benchmark times it).
-echo "    ecofl / fedat / fedavg 1M on 64 shards (watchdog 60s for the three runs)"
-SCALE_DIR=$scale_dir timeout 60 bash -c '
+# They run under a 72 MiB address-space cap (`ulimit -v`): the smallest
+# cap the ecofl and fedat runs complete under is 35.6 MiB (fedavg
+# 14.3 MiB; x86-64 Linux, glibc malloc, one thread), so this is 2x
+# headroom. Per-client state that grows by more than ≈ 38 B (five `f64`
+# copies at 1M clients), or any per-client histogram, aborts a run here
+# instead of only raising the benchmark's peak_rss_mb. A single returning
+# copy stays under it: crates/grouping/tests/footprint.rs and
+# crates/fl/tests/latency_footprint.rs hold the byte-exact budgets.
+census_vm_kib=73728
+echo "    ecofl / fedat / fedavg 1M on 64 shards (watchdog 60s for the three runs, ulimit -v $census_vm_kib KiB)"
+SCALE_DIR=$scale_dir VM_KIB=$census_vm_kib timeout 60 bash -c '
+    ulimit -v "$VM_KIB"
     for strategy in ecofl fedat fedavg; do
         ./target/release/ecofl fl --strategy $strategy \
             --clients 1000000 --shards 64 --horizon 800 --seed 7 \
@@ -410,6 +420,8 @@ SCALE_DIR=$scale_dir timeout 60 bash -c '
     status=$?
     if [ "$status" -eq 124 ]; then
         echo "ERROR: the 1M-client runs hit the watchdog — census-scale grouping no longer scales." >&2
+    else
+        echo "ERROR: a 1M-client run failed (exit $status) under the $census_vm_kib KiB address-space cap — an allocation failure aborts it." >&2
     fi
     exit "$status"
 }
