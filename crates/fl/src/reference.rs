@@ -9,6 +9,7 @@
 //! with each method's simulated epoch time, exactly separating statistical
 //! efficiency from hardware throughput.
 
+use crate::sched::batch_accuracy;
 use ecofl_data::Dataset;
 use ecofl_models::ModelArch;
 use ecofl_tensor::{Sgd, Tensor};
@@ -50,8 +51,7 @@ impl ReferenceCurve {
                 let _ = model.train_step(&x, &labels);
                 model.sgd_step(&mut opt, None);
             }
-            let (_, acc) = model.evaluate(&tx, &tl);
-            accuracy.push(acc);
+            accuracy.push(batch_accuracy(&mut model, &tx, &tl));
         }
         Self { accuracy }
     }

@@ -500,7 +500,7 @@ impl Evaluator {
         let mut correct = 0.0;
         let mut total = 0.0;
         for (x, y) in &self.batches {
-            let (_, acc) = self.net.evaluate(x, y);
+            let acc = batch_accuracy(&mut self.net, x, y);
             correct += acc * y.len() as f64;
             total += y.len() as f64;
         }
@@ -530,6 +530,23 @@ impl Evaluator {
             .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
             .collect()
     }
+}
+
+/// Top-1 accuracy of `net` on one batch — what `Network::evaluate`
+/// returns beside the softmax-CE loss, without computing that loss.
+pub(crate) fn batch_accuracy(net: &mut Network, x: &Tensor, y: &[usize]) -> f64 {
+    let logits = net.forward(x);
+    net.clear_caches();
+    if y.is_empty() {
+        return 0.0;
+    }
+    let correct = logits
+        .data()
+        .chunks(logits.cols().max(1))
+        .zip(y)
+        .filter(|&(row, &t)| argmax(row) == Some(t))
+        .count();
+    correct as f64 / y.len() as f64
 }
 
 /// Deterministic per-(client, round) RNG stream.

@@ -11,8 +11,8 @@
 
 use crate::executor::{ExecutionReport, PipelineExecutor, DEFAULT_TASK_OVERHEAD};
 use crate::partition::{Partition, PrefixDp};
-use crate::profiler::PipelineProfile;
-use crate::schedule::ScheduleKind;
+use crate::profiler::{PipelineProfile, StageProfile};
+use crate::schedule::{interleave_profile, ScheduleKind, DEFAULT_INTERLEAVE};
 use ecofl_models::ModelProfile;
 use ecofl_simnet::{Device, Link};
 
@@ -92,29 +92,153 @@ fn analytic_round_time(profile: &PipelineProfile, micro_batches: usize) -> f64 {
     micro_batches as f64 * bottleneck + ssb
 }
 
-/// An upper bound on the throughput (samples/s) any of the five
-/// schedules can reach on `profile` with `task_overhead` seconds of
-/// dispatch cost per compute task.
+/// An upper bound on the throughput (samples/s) the executor reports for
+/// `rounds` sync-rounds of `micro_batches` on `profile` under `kind`,
+/// with `task_overhead` seconds of dispatch cost per compute task. `k`
+/// is `k_bounds(profile)`, the residency every non-interleaved policy of
+/// [`ScheduleKind::policy_for`] runs with.
 ///
-/// Every device runs one compute task at a time, and the device hosting
-/// the bottleneck stage must run that stage's `M` forwards and `M`
-/// backwards each sync-round, so a round lasts at least
-/// `M · max_s(t_fwd + t_bwd + 2 · task_overhead)` and delivers
-/// `M · mbs` samples. Interleaved chunks and zero-bubble backward halves
-/// add up to the same per-stage compute and only pay *more* dispatches;
-/// flush-free streaming removes bubbles, not work. The executor
-/// accumulates its clock by chained `now + duration` additions, so
-/// compare with a relative guard (the search uses
+/// A synchronous round starts when the previous one has drained, and
+/// the flush-free schedule streams all `rounds · micro_batches` through
+/// one window, so the makespan is at least the windows times
+/// [`window_floor`]. Interleaving runs the chunked profile, whose
+/// per-chunk residency `k` does not describe: its floor drops the
+/// residency terms, as BAF-Sync's (which has none) does. Allocates
+/// nothing except that chunked profile.
+///
+/// The executor accumulates its clock by chained `now + duration`
+/// additions, so compare with a relative guard (the search uses
 /// [`BOUND_GUARD`]` = 1e-9`, orders of magnitude above the rounding of a
 /// few thousand additions) rather than exactly.
 #[must_use]
-pub(crate) fn throughput_upper_bound(profile: &PipelineProfile, task_overhead: f64) -> f64 {
-    profile.micro_batch() as f64 / (profile.bottleneck_time() + 2.0 * task_overhead)
+pub(crate) fn throughput_ceiling(
+    profile: &PipelineProfile,
+    kind: ScheduleKind,
+    k: &[usize],
+    micro_batches: usize,
+    rounds: usize,
+    task_overhead: f64,
+) -> f64 {
+    let chunked;
+    let (stages, k) = match kind {
+        ScheduleKind::Interleaved1F1B => {
+            chunked = interleave_profile(profile, DEFAULT_INTERLEAVE);
+            (chunked.stages(), None)
+        }
+        ScheduleKind::BafSync => (profile.stages(), None),
+        _ => (profile.stages(), Some(k)),
+    };
+    let (window, windows) = if kind == ScheduleKind::OneFOneBAsync {
+        (micro_batches * rounds, 1)
+    } else {
+        (micro_batches, rounds)
+    };
+    let split = kind == ScheduleKind::ZeroBubble;
+    let floor = window_floor(stages, k, split, window, task_overhead);
+    (micro_batches * rounds * profile.micro_batch()) as f64 / (windows as f64 * floor)
 }
 
-/// Relative slack granted to [`throughput_upper_bound`] before the search
+/// A lower bound on the executor's time from a window's first dispatch
+/// to its last task's end, for `m` micro-batches over the executed
+/// `stages` (devices shared by several of them run one task at a time),
+/// under residency `k` (`None`: unbounded) and a `split` backward.
+///
+/// Per micro-batch, stage `s` runs a forward `f_s`, the task that sends
+/// the gradient upstream `g_s` (the backward, or its input half), and
+/// the weight half `w_s` that frees the activation after it (zero
+/// unsplit). With `A_s` the forward chain of micro-batch 0 down to `s`,
+/// `U_s` the gradient chain from `s` up to stage 0 and stage 0's weight
+/// half, and `D_s` one micro-batch's round trip from its forward start on
+/// `s` to its gradient task's end there, `L = A_s + D_s + U_s` (for any
+/// `s`) is one micro-batch alone. The window lasts at least the maximum
+/// of:
+///
+/// - **stage work**: `A_s`, then the device's `M` forwards and gradient
+///   tasks, then `U_s` — or, the weight halves included, no drain;
+/// - **residency**: the last forward on `s` starts after the `M − 1`
+///   before it and at least `M − K_s` released micro-batches, and after
+///   `⌊(M−1)/K_s⌋` round trips (forward `i + K_s` waits for micro-batch
+///   `i`'s release); it then needs `D_s + U_s`. And no gradient task
+///   starts before `A_s + D_s − g_s`, when at most `K_s` forwards have
+///   started, so `M − K_s` forwards and all `M` gradient tasks follow;
+/// - **links**: each link carries its `M` activations or gradients one
+///   at a time, `L + (M − 1) · c`.
+fn window_floor(
+    stages: &[StageProfile],
+    k: Option<&[usize]>,
+    split: bool,
+    m: usize,
+    overhead: f64,
+) -> f64 {
+    let tasks = |sp: &StageProfile| {
+        let f = sp.t_fwd + overhead;
+        if split {
+            let half = sp.t_bwd * 0.5 + overhead;
+            (f, half, half)
+        } else {
+            (f, sp.t_bwd + overhead, 0.0)
+        }
+    };
+    let last = stages.len() - 1;
+    let links = &stages[..last];
+    let mf = m as f64;
+    let w0 = tasks(&stages[0]).2;
+    let latency = stages
+        .iter()
+        .map(|sp| {
+            let (f, g, _) = tasks(sp);
+            f + g
+        })
+        .sum::<f64>()
+        + links.iter().map(|sp| sp.c_fwd + sp.c_bwd).sum::<f64>()
+        + w0;
+    let widest_link = links
+        .iter()
+        .map(|sp| sp.c_fwd.max(sp.c_bwd))
+        .fold(0.0, f64::max);
+    let mut floor = latency + (mf - 1.0) * widest_link;
+    let (mut fill, mut drain) = (0.0, w0);
+    for (s, sp) in stages.iter().enumerate() {
+        let (f, g, w) = tasks(sp);
+        let trip = latency - fill - drain;
+        let (last_forward, after_first_gradient) = match k.map(|k| k[s]) {
+            None => ((mf - 1.0) * f, (mf - 1.0) * g),
+            Some(ks) => {
+                let released = m.saturating_sub(ks) as f64;
+                let (waits, head) = ((m - 1) / ks, (m - 1) % ks);
+                let serial = (mf - 1.0) * f + released * (g + w);
+                let chained = head as f64 * f + waits as f64 * (trip + w);
+                (serial.max(chained), released * f + (mf - 1.0) * g)
+            }
+        };
+        floor = floor.max(latency + last_forward.max(after_first_gradient));
+        if !stages[..s].iter().any(|x| x.device == sp.device) {
+            let (mut sent, mut all) = (0.0, 0.0);
+            for x in stages[s..].iter().filter(|x| x.device == sp.device) {
+                let (f, g, w) = tasks(x);
+                sent += f + g;
+                all += f + g + w;
+            }
+            floor = floor.max(fill + (mf * sent + drain).max(mf * all));
+        }
+        if s < last {
+            fill += f + sp.c_fwd;
+            drain += sp.c_bwd + g;
+        }
+    }
+    floor
+}
+
+/// Relative slack granted to [`throughput_ceiling`] before the search
 /// trusts it to rule a candidate out.
 const BOUND_GUARD: f64 = 1e-9;
+
+#[cfg(test)]
+thread_local! {
+    /// Executor runs pass 2 of [`search_configuration`] has started on
+    /// this thread.
+    static EXECUTOR_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Most distinct device orders [`search_configuration`] will evaluate —
 /// `8!`, what eight all-different devices need. Lists whose distinct
@@ -249,7 +373,7 @@ fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
 /// executor by what is known before its run.
 struct Ranked {
     ddb_free: bool,
-    /// Guarded [`throughput_upper_bound`].
+    /// Guarded [`throughput_ceiling`].
     ceiling: f64,
     /// `(mbs index, order index)`: the candidate's place in the
     /// exhaustive walk, which breaks throughput ties.
@@ -276,7 +400,7 @@ struct Ranked {
 /// device sequence, reusing the DP rows of the shared prefix.
 ///
 /// The executor then runs in best-first bound order: DDB-free candidates
-/// before fallbacks, each by `throughput_upper_bound` descending, ties
+/// before fallbacks, each by `throughput_ceiling` descending, ties
 /// by walk position. Every later candidate's bound is no higher, so the
 /// search stops at the first bound below the incumbent, skips one equal
 /// to it from later in the walk, and replaces the incumbent on a higher
@@ -330,8 +454,14 @@ pub fn search_configuration(
             ranked.push(Ranked {
                 ddb_free: k == p && m >= *p.iter().max().unwrap_or(&1),
                 // `PipelineExecutor::new` dispatches at this overhead.
-                ceiling: throughput_upper_bound(&profile, DEFAULT_TASK_OVERHEAD)
-                    * (1.0 + BOUND_GUARD),
+                ceiling: throughput_ceiling(
+                    &profile,
+                    config.schedule,
+                    &k,
+                    m,
+                    config.eval_rounds,
+                    DEFAULT_TASK_OVERHEAD,
+                ) * (1.0 + BOUND_GUARD),
                 key: (mi, oi),
                 cuts: cuts.len(),
             });
@@ -380,6 +510,8 @@ pub fn search_configuration(
         let Ok(exec) = PipelineExecutor::new(&profile, policy) else {
             continue;
         };
+        #[cfg(test)]
+        EXECUTOR_RUNS.with(|runs| runs.set(runs.get() + 1));
         let Ok(report) = exec.run(m, config.eval_rounds) else {
             continue;
         };
@@ -409,7 +541,7 @@ mod tests {
     use crate::partition::oracle::{home_gen, model_zoo, partition_dp_reference};
     use crate::partition::partition_dp;
     use crate::schedule::SchedulePolicy;
-    use ecofl_compat::check::{f64_in, forall, pair, quad, triple, usize_in, vec_in};
+    use ecofl_compat::check::{f64_in, forall, pair, quad, usize_in, vec_in};
     use ecofl_models::{efficientnet, efficientnet_at, mobilenet_v2};
     use ecofl_simnet::{nano_h, nano_l, tx2_n, tx2_q, Device};
 
@@ -801,6 +933,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn benchmark_plans_run_the_executor_at_most_the_measured_times() {
+        use ecofl_models::mobilenet_v2_at;
+        // The ten `pipeline_plan` ops of the benchmark: `ecofl plan --batch
+        // 256` over its two homes and five models, at the CLI's defaults.
+        let homes = [
+            vec![tx2_q(), tx2_n(), nano_h(), nano_h(), nano_l()],
+            vec![tx2_q(), tx2_n(), tx2_n(), nano_h(), nano_h(), nano_l()],
+        ];
+        let models = [
+            efficientnet_at(4, 224),
+            efficientnet_at(6, 224),
+            efficientnet_at(6, 380),
+            mobilenet_v2_at(3.0, 224),
+            mobilenet_v2_at(3.0, 380),
+        ];
+        let config = OrchestratorConfig {
+            global_batch: 256,
+            mbs_candidates: vec![32, 16, 8, 4],
+            eval_rounds: 2,
+            schedule: ScheduleKind::OneFOneBSync,
+        };
+        let mut runs = Vec::new();
+        for home in &homes {
+            let devices: Vec<Device> = home.iter().cloned().map(Device::new).collect();
+            for model in &models {
+                let before = EXECUTOR_RUNS.with(std::cell::Cell::get);
+                let plan = search_configuration(model, &devices, &Link::mbps_100(), &config);
+                assert!(plan.is_some(), "{} has a plan", model.name);
+                runs.push(EXECUTOR_RUNS.with(std::cell::Cell::get) - before);
+            }
+        }
+        // Measured with the round-aware ceiling; the fill- and
+        // residency-blind `M · max_s(t_fwd + t_bwd + 2o)` ran 543.
+        let total: usize = runs.iter().sum();
+        assert!(
+            total <= 89,
+            "{total} executor runs over the ten ops {runs:?}"
+        );
+    }
+
     fn factorial(n: usize) -> usize {
         (1..=n).product()
     }
@@ -918,60 +1091,86 @@ mod tests {
         assert!(search_configuration(&model, &devices, &Link::mbps_100(), &cfg).is_none());
     }
 
+    /// Asserts the guarded [`throughput_ceiling`] of every schedule that
+    /// runs `rounds` rounds of `m` on `profile` at `overhead` against the
+    /// throughput it reports; a profile without residency, a schedule
+    /// without a policy and an OOM are skipped.
+    fn assert_ceilings_hold(profile: &PipelineProfile, m: usize, rounds: usize, overhead: f64) {
+        let Some(k) = k_bounds(profile) else {
+            return;
+        };
+        for kind in ScheduleKind::all() {
+            let Some(policy) = kind.policy_for(profile) else {
+                continue;
+            };
+            let exec = PipelineExecutor::new(profile, policy)
+                .expect("valid")
+                .with_task_overhead(overhead);
+            let Ok(report) = exec.run(m, rounds) else {
+                continue;
+            };
+            let ceiling = throughput_ceiling(profile, kind, &k, m, rounds, overhead);
+            assert!(
+                ceiling * (1.0 + BOUND_GUARD) >= report.throughput,
+                "{}: ceiling {ceiling} < measured {} at K {k:?}, M {m}, {rounds} round(s)",
+                kind.name(),
+                report.throughput
+            );
+        }
+    }
+
     #[test]
     fn throughput_upper_bound_holds_for_every_schedule() {
-        use crate::profiler::StageProfile;
         // Random stage times (with and without communication), random
-        // overhead including zero, every schedule kind — interleaved runs
-        // at v = 2, async streams flush-free across rounds.
-        let stage = triple(f64_in(1e-3, 0.5), f64_in(1e-3, 1.0), f64_in(0.0, 0.3));
+        // memory budgets holding 1 to 31 activations (so `K_s` reaches 1
+        // and, from 24 up, exceeds every `M`), random overhead including
+        // zero, rounds 1–4, every schedule kind — interleaved runs at
+        // v = 2, async streams flush-free across rounds.
+        let stage = quad(
+            f64_in(1e-3, 0.5),
+            f64_in(1e-3, 1.0),
+            f64_in(0.0, 0.3),
+            usize_in(1, 32),
+        );
         let input = quad(
             vec_in(stage, 1, 6),
             f64_in(0.0, 0.01),
             usize_in(1, 24),
-            usize_in(1, 4),
+            usize_in(1, 5),
         );
         forall(
             "throughput_upper_bound_holds_for_every_schedule",
             96,
             &input,
-            |(times, overhead, m, rounds)| {
-                let last = times.len() - 1;
-                let stages: Vec<StageProfile> = times
+            |(stages, overhead, m, rounds)| {
+                let last = stages.len() - 1;
+                let stages: Vec<StageProfile> = stages
                     .iter()
                     .enumerate()
-                    .map(|(s, &(t_fwd, t_bwd, c))| StageProfile {
-                        device: s,
-                        layers: 2 * s..2 * s + 2,
-                        t_fwd,
-                        t_bwd,
-                        c_fwd: if s < last { c } else { 0.0 },
-                        c_bwd: if s < last { c } else { 0.0 },
-                        param_bytes: 1000,
-                        activation_bytes_per_mb: 1000,
-                        boundary_bytes: 1000,
-                        memory_budget_bytes: 1 << 30,
-                        efficiency: 0.8,
+                    .map(|(s, &(t_fwd, t_bwd, c, resident))| {
+                        let mut sp = StageProfile {
+                            device: s,
+                            layers: 2 * s..2 * s + 2,
+                            t_fwd,
+                            t_bwd,
+                            c_fwd: if s < last { c } else { 0.0 },
+                            c_bwd: if s < last { c } else { 0.0 },
+                            // One parameter byte: async's `K_s` weight
+                            // copies still fit beside `K_s` activations.
+                            param_bytes: 1,
+                            activation_bytes_per_mb: 1000,
+                            boundary_bytes: 1000,
+                            memory_budget_bytes: 0,
+                            efficiency: 0.8,
+                        };
+                        sp.memory_budget_bytes = sp.memory_with_residency(resident) + 100;
+                        sp
                     })
                     .collect();
                 let profile = PipelineProfile::from_stages(stages, 8);
                 // Zero overhead on every other case.
                 let overhead = if m % 2 == 0 { 0.0 } else { *overhead };
-                let ceiling = throughput_upper_bound(&profile, overhead) * (1.0 + BOUND_GUARD);
-                for kind in ScheduleKind::all() {
-                    let policy = kind.policy_for(&profile).expect("memory is ample");
-                    let report = PipelineExecutor::new(&profile, policy)
-                        .expect("valid")
-                        .with_task_overhead(overhead)
-                        .run(*m, *rounds)
-                        .expect("runs");
-                    assert!(
-                        ceiling >= report.throughput,
-                        "{}: bound {ceiling} < measured {}",
-                        kind.name(),
-                        report.throughput
-                    );
-                }
+                assert_ceilings_hold(&profile, *m, *rounds, overhead);
             },
         );
     }
@@ -980,28 +1179,40 @@ mod tests {
     fn throughput_upper_bound_holds_on_partitioned_models() {
         let zoo = model_zoo();
         let link = Link::mbps_100();
+        // Eq. 1 partitions of random homes; each stage's budget cut to hold
+        // 1 to 23 activations, or left at the device's memory from 24 up.
+        let input = quad(
+            home_gen(5),
+            usize_in(0, zoo.len()),
+            pair(usize_in(0, 4), usize_in(1, 5)),
+            vec_in(usize_in(1, 40), 5, 6),
+        );
         forall(
             "throughput_upper_bound_holds_on_partitioned_models",
             24,
-            &triple(home_gen(5), usize_in(0, zoo.len()), usize_in(0, 4)),
-            |(home, model, mbs)| {
+            &input,
+            |(home, model, (mbs, rounds), resident)| {
                 let mbs = [16usize, 8, 4, 2][*mbs];
                 let Some(partition) = partition_dp(&zoo[*model], home, &link, mbs) else {
                     return;
                 };
                 let profile =
                     PipelineProfile::new(&zoo[*model], &partition.boundaries, home, &link, mbs);
-                for kind in ScheduleKind::all() {
-                    let Some(policy) = kind.policy_for(&profile) else {
-                        continue;
-                    };
-                    let exec = PipelineExecutor::new(&profile, policy).expect("valid");
-                    let ceiling =
-                        throughput_upper_bound(&profile, exec.task_overhead) * (1.0 + BOUND_GUARD);
-                    if let Ok(report) = exec.run(64 / mbs, 2) {
-                        assert!(ceiling >= report.throughput, "{}", kind.name());
-                    }
-                }
+                let stages: Vec<StageProfile> = profile
+                    .stages()
+                    .iter()
+                    .zip(resident)
+                    .map(|(sp, &resident)| {
+                        let mut sp = sp.clone();
+                        if resident < 24 {
+                            let cut = sp.memory_with_residency(resident);
+                            sp.memory_budget_bytes = sp.memory_budget_bytes.min(cut);
+                        }
+                        sp
+                    })
+                    .collect();
+                let profile = PipelineProfile::from_stages(stages, mbs);
+                assert_ceilings_hold(&profile, 64 / mbs, *rounds, DEFAULT_TASK_OVERHEAD);
             },
         );
     }

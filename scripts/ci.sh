@@ -307,7 +307,16 @@ for schedule in gpipe async interleaved zb; do
     plan_golden "5dev_effnet-b2_$schedule" --model effnet-b2 --batch 256 \
         --devices tx2q,tx2n,nanoh,nanoh,nanol --schedule "$schedule"
 done
-echo "    ok (14 plans byte-identical)"
+# Fallback-only (DDB) homes, where the ceiling's residency terms prune.
+plan_golden 5dev_effnet-b6@380_b64 --model effnet-b6@380 --batch 64 \
+    --devices tx2q,tx2n,nanoh,nanoh,nanol
+plan_golden 6dev_mobilenet-w3@380_b64 --model mobilenet-w3@380 --batch 64 \
+    --devices tx2q,tx2n,tx2n,nanoh,nanoh,nanol
+plan_golden 6dev_mobilenet-w3@380_gpipe_b32 --model mobilenet-w3@380 --batch 32 \
+    --devices tx2q,tx2n,tx2n,nanoh,nanoh,nanol --schedule gpipe
+plan_golden 6dev_mobilenet-w3@380_async --model mobilenet-w3@380 --batch 256 \
+    --devices tx2q,tx2n,tx2n,nanoh,nanoh,nanol --schedule async
+echo "    ok (18 plans byte-identical)"
 
 # Kernel-equivalence gate: every GEMM must be bit-identical to the one
 # scalar chain on every tier (DESIGN.md §7), and the training step built

@@ -221,10 +221,25 @@ fn distinct_device_orders(devices: &[Device]) -> f64 {
     orders
 }
 
+/// Rejects a device list longer than the model's layer list: every
+/// stage holds at least one layer, so no partition exists.
+fn check_stage_count(model: &ModelProfile, devices: &[Device]) -> Result<(), EcoFlError> {
+    if devices.len() > model.num_layers() {
+        return Err(EcoFlError::Config(format!(
+            "--devices: {} devices but {} has {} layers; every stage needs at least one",
+            devices.len(),
+            model.name,
+            model.num_layers()
+        )));
+    }
+    Ok(())
+}
+
 fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     check_flags(args, "plan", &[&["model", "devices", "batch", "schedule"]])?;
     let model = parse_model(require(args, "model")?)?;
     let devices = parse_devices(require(args, "devices")?)?;
+    check_stage_count(&model, &devices)?;
     let batch = get(args, "batch", 128usize)?;
     let schedule = parse_schedule(args.get("schedule").map_or("1f1b", String::as_str))?;
     let mbs_candidates = vec![32, 16, 8, 4];
@@ -333,6 +348,7 @@ struct PipelineArgs<'a> {
 fn pipeline_args(args: &HashMap<String, String>) -> Result<PipelineArgs<'_>, EcoFlError> {
     let model = parse_model(require(args, "model")?)?;
     let devices = parse_devices(require(args, "devices")?)?;
+    check_stage_count(&model, &devices)?;
     let mbs = get_positive(args, "mbs", 8)?;
     let m = get_positive(args, "micro-batches", 6)?;
     let link = Link::mbps_100();

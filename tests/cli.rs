@@ -418,6 +418,29 @@ fn plan_bounds_the_search_by_distinct_device_orders() {
 }
 
 #[test]
+fn more_devices_than_layers_is_a_devices_error() {
+    // EfficientNet-B0 has 18 layers: 18 devices can split it, 19 cannot.
+    let devices = |n: usize| ["tx2q"; 19][..n].join(",");
+    let (ok, stdout, stderr) = ecofl(&[
+        "plan",
+        "--model",
+        "effnet-b0",
+        "--devices",
+        &devices(18),
+        "--batch",
+        "32",
+    ]);
+    assert!(ok, "18 devices failed:\n{stderr}");
+    assert!(stdout.contains("stage 17"), "stdout:\n{stdout}");
+    for command in ["plan", "gantt"] {
+        assert_rejects(
+            &[command, "--model", "effnet-b0", "--devices", &devices(19)],
+            "--devices: 19 devices but EfficientNet-B0@224 has 18 layers",
+        );
+    }
+}
+
+#[test]
 fn plan_batch_errors_name_the_flag_and_odd_batches_truncate() {
     let plan = ["plan", "--model", "effnet-b0", "--devices", "tx2q,nanoh"];
     for batch in ["0", "3"] {
