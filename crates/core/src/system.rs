@@ -18,7 +18,6 @@ use ecofl_fl::FlConfig;
 use ecofl_models::{efficientnet, ModelArch, ModelProfile};
 use ecofl_obs::{Obs, RunStore, Tracer};
 use ecofl_pipeline::orchestrator::{search_configuration, OrchestratorConfig, PipelinePlan};
-use ecofl_pipeline::schedule::ScheduleKind;
 use ecofl_simnet::{Device, DeviceSpec, Link};
 use std::path::PathBuf;
 
@@ -114,14 +113,6 @@ impl EcoFlSystemBuilder {
         self
     }
 
-    /// Sets the client↔server communication latency the FL scheduler
-    /// adds to every pipeline-derived response delay, seconds.
-    #[must_use]
-    pub fn comm_latency(mut self, seconds: f64) -> Self {
-        self.fl_config.comm_latency = seconds;
-        self
-    }
-
     /// Selects the synthetic dataset family.
     #[must_use]
     pub fn dataset(mut self, spec: SyntheticSpec) -> Self {
@@ -151,7 +142,8 @@ impl EcoFlSystemBuilder {
     }
 
     /// Overrides the pipeline orchestrator configuration (global batch,
-    /// micro-batch candidates, evaluation rounds).
+    /// micro-batch candidates, evaluation rounds, and the schedule every
+    /// home's plan is searched and evaluated under).
     #[must_use]
     pub fn orchestrator(mut self, cfg: OrchestratorConfig) -> Self {
         self.orchestrator = cfg;
@@ -169,15 +161,6 @@ impl EcoFlSystemBuilder {
     #[must_use]
     pub fn pipeline_model(mut self, model: ModelProfile) -> Self {
         self.pipeline_model = model;
-        self
-    }
-
-    /// Selects the pipeline schedule every home's plan is searched and
-    /// evaluated under (default: 1F1B-Sync). The schedule changes each
-    /// home's simulated throughput and therefore its FL response delay.
-    #[must_use]
-    pub fn pipeline_schedule(mut self, schedule: ScheduleKind) -> Self {
-        self.orchestrator.schedule = schedule;
         self
     }
 
@@ -379,6 +362,7 @@ impl EcoFlSystem {
 mod tests {
     use super::*;
     use ecofl_obs::MetricsHub;
+    use ecofl_pipeline::schedule::ScheduleKind;
     use ecofl_simnet::{nano_h, nano_l, tx2_q};
 
     fn homes() -> Vec<SmartHome> {
@@ -432,7 +416,12 @@ mod tests {
                 .homes(homes())
                 .replicate_homes(4)
                 .fl_config(quick_cfg())
-                .pipeline_schedule(kind)
+                .orchestrator(OrchestratorConfig {
+                    global_batch: 64,
+                    mbs_candidates: vec![16, 8, 4],
+                    eval_rounds: 1,
+                    schedule: kind,
+                })
                 .seed(3)
                 .build()
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
@@ -536,8 +525,10 @@ mod tests {
             EcoFlSystem::builder()
                 .homes(homes())
                 .replicate_homes(6)
-                .fl_config(quick_cfg())
-                .comm_latency(comm)
+                .fl_config(FlConfig {
+                    comm_latency: comm,
+                    ..quick_cfg()
+                })
                 .seed(5)
                 .build()
                 .unwrap()

@@ -84,7 +84,7 @@ fn reference(
         ModelArch::Cnn => oracle::OracleNet::cnn(data.num_classes()),
     };
     model.set_params(start);
-    let mut trainer = oracle::FlatSgd::new(cfg.lr, 0.0, cfg.mu, start);
+    let mut trainer = oracle::FlatSgd::new(cfg.lr, cfg.mu, start);
     let mut final_loss = 0.0f32;
     for _epoch in 0..cfg.epochs {
         let mut epoch_loss = 0.0f32;

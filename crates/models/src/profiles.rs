@@ -404,13 +404,6 @@ pub fn mlp_profile(dims: &[usize]) -> ModelProfile {
     }
 }
 
-/// Profile of the FL client architectures in `fl_models` (the MLP used by
-/// the FL simulations, layer-for-layer).
-#[must_use]
-pub fn fl_mlp_profile(feature_dim: usize, num_classes: usize) -> ModelProfile {
-    mlp_profile(&[feature_dim, 64, 32, num_classes])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,22 +519,6 @@ mod tests {
         assert_eq!(round_channels(4.0), 8);
         // Never drop below 90%.
         assert!(round_channels(100.0) as f64 >= 90.0);
-    }
-
-    #[test]
-    fn mlp_profile_matches_fl_model_params() {
-        // The analytic param bytes must equal the trainable model's actual
-        // parameter count × 4 bytes.
-        let profile = fl_mlp_profile(32, 10);
-        let mut rng = ecofl_util::Rng::new(1);
-        let net = crate::fl_models::mlp_for(32, 10, &mut rng);
-        assert_eq!(
-            profile.total_param_bytes(),
-            net.param_len() as u64 * 4,
-            "analytic profile disagrees with the real model"
-        );
-        assert_eq!(profile.num_layers(), 3);
-        assert!(profile.total_flops() > 0.0);
     }
 
     #[test]

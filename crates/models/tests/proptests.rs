@@ -1,7 +1,7 @@
 //! Property-based tests for the analytic profile zoo.
 
 use ecofl_compat::check::{f64_in, forall, pair, triple, u32_in, usize_in, vec_in};
-use ecofl_models::profiles::{efficientnet_at, fl_mlp_profile, mlp_profile, mobilenet_v2_at};
+use ecofl_models::profiles::{efficientnet_at, mlp_profile, mobilenet_v2_at};
 
 const CASES: usize = 32;
 
@@ -108,20 +108,4 @@ fn mlp_profile_dimensions() {
             .sum();
         assert_eq!(p.total_param_bytes(), expected);
     });
-}
-
-#[test]
-fn fl_mlp_profile_tracks_real_model() {
-    let input = pair(usize_in(2, 64), usize_in(2, 12));
-    forall(
-        "fl_mlp_profile_tracks_real_model",
-        CASES,
-        &input,
-        |&(dim, classes)| {
-            let p = fl_mlp_profile(dim, classes);
-            let mut rng = ecofl_util::Rng::new(1);
-            let net = ecofl_models::mlp_for(dim, classes, &mut rng);
-            assert_eq!(p.total_param_bytes(), net.param_len() as u64 * 4);
-        },
-    );
 }

@@ -13,10 +13,10 @@
 //!   simulation clocks (`ecofl_simnet::EventQueue` / executor virtual
 //!   time), never wall time. Two runs with the same seed produce
 //!   byte-identical traces.
-//! - **Lock-cheap recording.** A [`Tracer`] is a cloneable handle; each
-//!   handle buffers records locally and merges into the shared store when
-//!   the buffer fills, on `Tracer::flush`, or on drop. The hot path is
-//!   a `Vec::push`.
+//! - **One store, in recording order.** A [`Tracer`] is a cloneable
+//!   handle; every clone pushes onto one shared `Vec`, so each handle
+//!   sees every record the moment it is made. Engines record on the
+//!   thread that runs them, so the store's lock is never contended.
 //! - **Typed records.** [`TraceRecord`] is a closed enum of spans,
 //!   events, counters, and gauges — no stringly-typed keys on the hot
 //!   path; see `record`.

@@ -1,10 +1,9 @@
 //! Typed trace records.
 //!
 //! All records carry **virtual** timestamps in seconds, read from the
-//! simulation clock of whatever subsystem produced them. `seq` is a
-//! process-wide monotone sequence number assigned at record time; it
-//! makes the merge of per-handle buffers a stable total order even when
-//! two records share a timestamp.
+//! simulation clock of whatever subsystem produced them. A trace keeps
+//! them in recording order, which stays a total order even when two
+//! records share a timestamp.
 
 use ecofl_compat::serde::{Deserialize, Serialize};
 

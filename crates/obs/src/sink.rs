@@ -17,16 +17,15 @@ use std::path::PathBuf;
 /// their outputs instead of colliding in the shared default under
 /// parallel `cargo test`.
 ///
-/// # Panics
-/// Panics if the directory cannot be created.
+/// Only the path is returned; the directory is created by whoever writes
+/// into it (`RunStore::open_or_create` does), so a path that cannot be
+/// created surfaces as that writer's I/O error.
 #[must_use]
 pub fn trace_dir() -> PathBuf {
-    let dir = match std::env::var_os("ECOFL_TRACE_DIR") {
+    match std::env::var_os("ECOFL_TRACE_DIR") {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),
         _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/ecofl-results/trace"),
-    };
-    std::fs::create_dir_all(&dir).expect("create trace dir");
-    dir
+    }
 }
 
 #[cfg(test)]

@@ -1,81 +1,36 @@
 //! The recording handle.
 //!
-//! A [`Tracer`] is cheap to clone: every clone shares one record store
-//! but owns a private staging buffer, so the hot recording path is a
-//! plain `Vec::push` with no lock. Buffers merge into the shared store
-//! when they fill, on [`Tracer::flush`], and on drop. Records carry a
-//! process-wide sequence number assigned at record time, so the merged
-//! trace has one deterministic total order regardless of which handle
-//! recorded what.
+//! A [`Tracer`] is cheap to clone: every clone shares one record store,
+//! a `Vec` in recording order behind a lock, so a record is visible to
+//! every handle the moment it is pushed. Every engine records on the
+//! thread that runs it, so the lock is never contended.
 
 use crate::record::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, SpanKind, SpanRecord, TraceRecord,
 };
 use crate::view::TraceView;
 use ecofl_compat::sync::Mutex;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Records staged per handle before merging into the shared store.
-const FLUSH_THRESHOLD: usize = 4096;
-
-#[derive(Debug, Default)]
-struct Shared {
-    merged: Mutex<Vec<(u64, TraceRecord)>>,
-    seq: AtomicU64,
-}
 
 /// A virtual-time trace recorder.
 ///
 /// See the [crate docs](crate) for the recording model. All timestamps
 /// are virtual seconds supplied by the caller — a `Tracer` never reads a
 /// clock itself.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    shared: Arc<Shared>,
-    local: RefCell<Vec<(u64, TraceRecord)>>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for Tracer {
-    /// A clone shares the store but starts with an empty staging buffer.
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-            local: RefCell::new(Vec::new()),
-        }
-    }
-}
-
-impl Drop for Tracer {
-    fn drop(&mut self) {
-        self.flush();
-    }
+    records: Arc<Mutex<Vec<TraceRecord>>>,
 }
 
 impl Tracer {
     /// Creates a tracer with an empty store.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            shared: Arc::new(Shared::default()),
-            local: RefCell::new(Vec::new()),
-        }
+        Self::default()
     }
 
     fn push(&self, record: TraceRecord) {
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let mut local = self.local.borrow_mut();
-        local.push((seq, record));
-        if local.len() >= FLUSH_THRESHOLD {
-            self.shared.merged.lock().append(&mut local);
-        }
+        self.records.lock().push(record);
     }
 
     /// Records a span: `kind` ran on `entity` from `t0` to `t1` (virtual
@@ -150,27 +105,11 @@ impl Tracer {
         }));
     }
 
-    /// Merges this handle's staged records into the shared store.
-    pub(crate) fn flush(&self) {
-        let mut local = self.local.borrow_mut();
-        if !local.is_empty() {
-            self.shared.merged.lock().append(&mut local);
-        }
-    }
-
-    /// Snapshot of every record merged so far (including this handle's
-    /// staged ones), in recording order. Records staged in *other* live
-    /// handles are invisible until those handles flush or drop.
-    ///
-    /// Each record is cloned once: references are sorted by `seq`, which
-    /// puts interleaved flushes from several handles back in order.
+    /// Snapshot of every record so far, from every clone, in recording
+    /// order.
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.flush();
-        let merged = self.shared.merged.lock();
-        let mut order: Vec<&(u64, TraceRecord)> = merged.iter().collect();
-        order.sort_unstable_by_key(|&&(seq, _)| seq);
-        order.into_iter().map(|(_, r)| r.clone()).collect()
+        self.records.lock().clone()
     }
 
     /// Builds a queryable [`TraceView`] over a snapshot of the trace.
@@ -202,93 +141,19 @@ mod tests {
         let b = a.clone();
         a.counter("x", 0.0, 1.0);
         b.counter("x", 1.0, 2.0);
-        b.flush();
-        assert_eq!(a.records().len(), 2);
-    }
-
-    #[test]
-    fn records_keep_recording_order() {
-        // One handle, flushing past the threshold twice: the merged
-        // buffer stays in `seq` order.
-        let n = super::FLUSH_THRESHOLD as u32 * 2 + 5;
-        let t = Tracer::new();
-        for i in 0..n {
-            t.gauge("g", f64::from(i), f64::from(i));
-        }
-        let recs = t.records();
-        assert!(merged_in_seq_order(&t));
-        assert_eq!(recs, sorted_by_seq(&t));
-        let times: Vec<f64> = recs.iter().map(super::TraceRecord::time).collect();
-        assert_eq!(times, (0..n).map(f64::from).collect::<Vec<_>>());
-    }
-
-    /// Oracle: every merged record, its `(seq, record)` tuples cloned and
-    /// sorted by `seq`.
-    fn sorted_by_seq(t: &Tracer) -> Vec<TraceRecord> {
-        let mut tagged = t.shared.merged.lock().clone();
-        tagged.sort_by_key(|&(seq, _)| seq);
-        tagged.into_iter().map(|(_, r)| r).collect()
-    }
-
-    fn merged_in_seq_order(t: &Tracer) -> bool {
-        t.shared.merged.lock().windows(2).all(|w| w[0].0 < w[1].0)
-    }
-
-    #[test]
-    fn interleaved_clones_come_back_in_recording_order() {
-        let a = Tracer::new();
-        let b = a.clone();
-        for i in 0..200u32 {
-            let (this, other) = if i % 2 == 0 { (&a, &b) } else { (&b, &a) };
-            let name = if i % 2 == 0 { "a" } else { "b" };
-            if i % 3 == 0 {
-                this.counter(name, f64::from(i), 1.0);
-            } else {
-                this.span(
-                    Domain::Pipeline,
-                    SpanKind::Forward,
-                    0,
-                    0,
-                    0,
-                    f64::from(i),
-                    f64::from(i),
-                );
-            }
-            // Uneven flushes: each handle's runs land out of `seq` order.
-            if i % 7 == 3 {
-                this.flush();
-            }
-            if i % 11 == 5 {
-                other.flush();
-            }
-        }
-        b.flush();
-        a.flush();
-        assert!(!merged_in_seq_order(&a), "the case must exercise the sort");
-        let recs = a.records();
-        assert_eq!(recs, sorted_by_seq(&a));
-        let times: Vec<f64> = recs.iter().map(TraceRecord::time).collect();
-        assert_eq!(times, (0..200).map(f64::from).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn drop_merges_staged_records() {
-        let a = Tracer::new();
-        {
-            let b = a.clone();
-            b.counter("dropped", 0.0, 1.0);
-        }
-        assert_eq!(a.records().len(), 1);
-    }
-
-    #[test]
-    fn auto_flush_past_threshold() {
-        let t = Tracer::new();
-        for i in 0..(super::FLUSH_THRESHOLD + 10) {
-            t.counter("c", i as f64, 1.0);
-        }
-        assert!(t.local.borrow().len() < super::FLUSH_THRESHOLD);
-        assert_eq!(t.records().len(), super::FLUSH_THRESHOLD + 10);
+        a.counter("x", 2.0, 3.0);
+        let times = |t: &Tracer| {
+            t.records()
+                .iter()
+                .map(TraceRecord::time)
+                .collect::<Vec<_>>()
+        };
+        // Each handle sees the other's records at once, in recording order.
+        assert_eq!(times(&a), [0.0, 1.0, 2.0]);
+        assert_eq!(times(&b), times(&a));
+        b.counter("x", 3.0, 4.0);
+        drop(b);
+        assert_eq!(times(&a), [0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

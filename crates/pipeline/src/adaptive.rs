@@ -41,6 +41,14 @@ pub enum SpikeError {
     /// one scenario simulates (2 M). Every round records one series point per
     /// device plus one, so the run is refused before that outgrows memory.
     TooManyRounds,
+    /// A field of the [`LoadSpike`] is out of range: `device` must index
+    /// one of the devices, `load` must lie in `[0, 1)`.
+    BadSpike {
+        /// The offending field.
+        field: &'static str,
+        /// What the field must be.
+        expected: &'static str,
+    },
 }
 
 /// The most sync-rounds one spike scenario simulates: 2.5× the ≈ 0.8 M
@@ -62,6 +70,9 @@ impl std::fmt::Display for SpikeError {
             }
             SpikeError::TooManyRounds => {
                 write!(f, "spans more than {MAX_SPIKE_ROUNDS} pipeline rounds")
+            }
+            SpikeError::BadSpike { field, expected } => {
+                write!(f, "load spike `{field}` must be {expected}")
             }
         }
     }
@@ -238,9 +249,10 @@ impl Default for SchedulerConfig {
 /// Runs the Fig. 13 scenario with the default scheduler tuning.
 ///
 /// # Errors
-/// [`SpikeError`] if the scenario cannot be set up (infeasible initial
-/// partition, a pipeline with no executable schedule, or a horizon of
-/// more rounds than one scenario simulates). A repartition
+/// [`SpikeError`] if the scenario cannot be set up (a spike naming no
+/// device or a load outside `[0, 1)`, infeasible initial partition, a
+/// pipeline with no executable schedule, or a horizon of more rounds
+/// than one scenario simulates). A repartition
 /// that is infeasible *mid-run* is handled by falling back to the
 /// unmigrated pipeline, never by an error.
 #[allow(clippy::too_many_arguments)]
@@ -292,6 +304,18 @@ pub fn simulate_load_spike_with<'a>(
     scheduler_cfg: SchedulerConfig,
     obs: impl Into<Obs<'a>>,
 ) -> Result<SpikeTrace, SpikeError> {
+    if spike.device >= devices.len() {
+        return Err(SpikeError::BadSpike {
+            field: "device",
+            expected: "the index of one of the devices",
+        });
+    }
+    if !(0.0..1.0).contains(&spike.load) {
+        return Err(SpikeError::BadSpike {
+            field: "load",
+            expected: "in [0, 1)",
+        });
+    }
     let tracer = obs.into().tracer;
     let mut devices: Vec<Device> = devices.to_vec();
     let mut partition =
@@ -605,6 +629,47 @@ mod tests {
         };
         let result = simulate_load_spike(&tiny, &devices, &link, 8, 8, spike, 50.0, true);
         assert_eq!(result.unwrap_err(), SpikeError::InfeasibleInitialPartition);
+    }
+
+    #[test]
+    fn a_spike_on_no_device_is_a_typed_error() {
+        let (model, devices, link) = setup();
+        let spike = LoadSpike {
+            device: devices.len(),
+            at: 10.0,
+            load: 0.5,
+        };
+        let err =
+            simulate_load_spike(&model, &devices, &link, 8, 8, spike, 50.0, true).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpikeError::BadSpike {
+                    field: "device",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("`device`"), "{err}");
+    }
+
+    #[test]
+    fn a_spike_load_outside_the_unit_interval_is_a_typed_error() {
+        let (model, devices, link) = setup();
+        for load in [1.0, -0.1, f64::NAN] {
+            let spike = LoadSpike {
+                device: 0,
+                at: 10.0,
+                load,
+            };
+            let err =
+                simulate_load_spike(&model, &devices, &link, 8, 8, spike, 50.0, true).unwrap_err();
+            assert!(
+                matches!(err, SpikeError::BadSpike { field: "load", .. }),
+                "{load}: {err:?}"
+            );
+        }
     }
 
     /// `SchedulerConfig::schedule` picks the schedule, so a stall message

@@ -11,8 +11,10 @@
 use ecofl_models::ModelProfile;
 use ecofl_simnet::{Device, Link};
 
-/// Bytes of optimizer + gradient state kept per parameter byte (params,
-/// gradients, SGD momentum).
+/// Bytes kept per parameter byte by the memory model of a pipeline stage
+/// on an edge device: the parameters, their gradients and one slot of
+/// optimizer state. It models the device's training state, not this
+/// workspace's `Sgd` (which keeps none), and the plan goldens pin it.
 pub(crate) const PARAM_STATE_FACTOR: u64 = 3;
 
 /// Half-saturation batch size of the GPU-efficiency curve: a kernel over

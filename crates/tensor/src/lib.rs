@@ -12,8 +12,8 @@
 //! - [`network::Network`]: a sequential container exposing flat parameter
 //!   vectors (what the FL aggregators exchange),
 //! - `loss`: stable softmax cross-entropy and accuracy,
-//! - [`optim::Sgd`]: SGD with optional momentum and the FedProx proximal
-//!   term `µ/2·‖w − w_global‖²` used by Eco-FL's intra-group solver (§5.1).
+//! - [`optim::Sgd`]: plain SGD plus the FedProx proximal term
+//!   `µ/2·‖w − w_global‖²` — Eco-FL's intra-group solver (§5.1).
 //!
 //! The compute core lives in `kernel`: register-tiled matmul/conv kernels
 //! with runtime AVX-512/AVX2+FMA dispatch — one pack-free driver per tier,

@@ -248,7 +248,7 @@ mod tests {
         let mut flat = tiny_net(&mut Rng::new(6));
         let anchor = in_place.params();
         let (x, y) = toy_batch();
-        let mut opt_a = Sgd::new(0.1).with_momentum(0.9).with_proximal(0.05);
+        let mut opt_a = Sgd::new(0.1).with_proximal(0.05);
         let mut opt_b = opt_a.clone();
         for _ in 0..4 {
             in_place.zero_grads();

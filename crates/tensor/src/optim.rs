@@ -7,8 +7,8 @@
 //! contribution is `µ · (w − w_ref)` and is applied here, at the optimizer,
 //! so models stay oblivious to the FL algorithm above them.
 
-/// SGD over flat parameter vectors, with optional momentum and an optional
-/// FedProx proximal pull toward a reference parameter vector.
+/// SGD over flat parameter vectors, with an optional FedProx proximal pull
+/// toward a reference parameter vector.
 ///
 /// # Examples
 ///
@@ -22,29 +22,14 @@
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
     mu: f32,
-    velocity: Vec<f32>,
 }
 
 impl Sgd {
     /// Plain SGD with the given learning rate.
     #[must_use]
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            mu: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds classical momentum.
-    #[must_use]
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        self.momentum = momentum;
-        self
+        Self { lr, mu: 0.0 }
     }
 
     /// Sets the FedProx proximal coefficient `µ` (0 disables the term).
@@ -71,12 +56,12 @@ impl Sgd {
     /// [`Sgd::step`] on one piece of a model whose `total` parameters live
     /// in several tensors: `params` / `grads` are the piece starting at
     /// flat index `offset`, while `reference` anchors the **whole** model
-    /// and the momentum buffer is one flat `total`-long vector, both read
-    /// from `offset`. Stepping every piece is therefore bit-identical to
-    /// one `step` over the concatenation — and needs no copy of it.
+    /// and is read from `offset`. Stepping every piece is therefore
+    /// bit-identical to one `step` over the concatenation — and needs no
+    /// copy of it.
     ///
-    /// The mode branches (`µ > 0`? momentum?) are resolved once, outside
-    /// the element loop, so each specialization below is a straight-line
+    /// The mode branch (`µ > 0`?) is resolved once, outside the element
+    /// loop, so each specialization below is a straight-line
     /// fused-multiply-add stream the compiler vectorizes. The per-element
     /// arithmetic is unchanged from the original branch-in-loop form, so
     /// results stay **bit-identical** to
@@ -103,45 +88,22 @@ impl Sgd {
         let anchor = if self.mu > 0.0 {
             let anchor = reference.expect("step: proximal term requires a reference vector");
             assert_eq!(total, anchor.len(), "step: reference length mismatch");
-            Some(&anchor[piece.clone()])
+            Some(&anchor[piece])
         } else {
             None
         };
-        if self.momentum > 0.0 && self.velocity.len() != total {
-            self.velocity = vec![0.0; total];
-        }
-        let velocity: &mut [f32] = if self.momentum > 0.0 {
-            &mut self.velocity[piece]
-        } else {
-            &mut []
-        };
-        let (lr, mom, mu) = (self.lr, self.momentum, self.mu);
-        match (anchor, mom > 0.0) {
-            (None, false) => {
+        let (lr, mu) = (self.lr, self.mu);
+        match anchor {
+            None => {
                 for (p, &g) in params.iter_mut().zip(grads) {
                     *p -= lr * g;
                 }
             }
-            (None, true) => {
-                for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity) {
-                    let vnew = mom * *v + g;
-                    *v = vnew;
-                    *p -= lr * vnew;
-                }
-            }
-            (Some(anchor), false) => {
+            Some(anchor) => {
                 for ((p, &g), &a) in params.iter_mut().zip(grads).zip(anchor) {
                     // ∇[µ/2‖w − w_ref‖²] = µ(w − w_ref)
                     let gp = g + mu * (*p - a);
                     *p -= lr * gp;
-                }
-            }
-            (Some(anchor), true) => {
-                for (((p, &g), &a), v) in params.iter_mut().zip(grads).zip(anchor).zip(velocity) {
-                    let gp = g + mu * (*p - a);
-                    let vnew = mom * *v + gp;
-                    *v = vnew;
-                    *p -= lr * vnew;
                 }
             }
         }
@@ -192,24 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accelerates_constant_gradient() {
-        let mut plain = Sgd::new(0.1);
-        let mut momentum = Sgd::new(0.1).with_momentum(0.9);
-        let mut wp = vec![0.0f32];
-        let mut wm = vec![0.0f32];
-        for _ in 0..10 {
-            plain.step(&mut wp, &[1.0], None);
-            momentum.step(&mut wm, &[1.0], None);
-        }
-        assert!(
-            wm[0] < wp[0],
-            "momentum should move farther: {} vs {}",
-            wm[0],
-            wp[0]
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "reference")]
     fn proximal_requires_reference() {
         let mut opt = Sgd::new(0.1).with_proximal(0.5);
@@ -221,7 +165,7 @@ mod tests {
     fn stepping_the_pieces_equals_stepping_the_whole() {
         let reference: Vec<f32> = (0..7).map(|i| i as f32 * 0.1).collect();
         let grads: Vec<f32> = (0..7).map(|i| (i as f32 - 3.0) * 0.3).collect();
-        let mut whole_opt = Sgd::new(0.1).with_momentum(0.9).with_proximal(0.05);
+        let mut whole_opt = Sgd::new(0.1).with_proximal(0.05);
         let mut piece_opt = whole_opt.clone();
         let mut whole = vec![1.0f32; 7];
         let mut pieces = whole.clone();
@@ -252,7 +196,7 @@ mod tests {
     #[test]
     fn minimizes_quadratic() {
         // f(w) = (w-3)², ∇f = 2(w-3)
-        let mut opt = Sgd::new(0.1).with_momentum(0.5);
+        let mut opt = Sgd::new(0.1);
         let mut w = vec![0.0f32];
         for _ in 0..100 {
             let g = 2.0 * (w[0] - 3.0);

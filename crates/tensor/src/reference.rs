@@ -211,7 +211,7 @@ pub fn naive_conv2d_backward(
     (gx, gw, gb)
 }
 
-/// Naive SGD/momentum/FedProx step — one element at a time, every branch
+/// Naive SGD/FedProx step — one element at a time, every branch
 /// evaluated inside the loop, exactly as `Sgd::step` was originally
 /// written. The rewritten optimizer must match this **bit-identically**
 /// (the update expression per element is unchanged; only the branching
@@ -220,28 +220,15 @@ pub fn naive_sgd_step(
     params: &mut [f32],
     grads: &[f32],
     reference: Option<&[f32]>,
-    velocity: Option<&mut [f32]>,
     lr: f32,
-    momentum: f32,
     mu: f32,
 ) {
-    let mut velocity = velocity;
     for i in 0..params.len() {
         let mut g = grads[i];
         if mu > 0.0 {
             g += mu * (params[i] - reference.expect("naive_sgd_step: missing reference")[i]);
         }
-        let update = if momentum > 0.0 {
-            let vel = velocity
-                .as_deref_mut()
-                .expect("naive_sgd_step: missing velocity");
-            let v = momentum * vel[i] + g;
-            vel[i] = v;
-            v
-        } else {
-            g
-        };
-        params[i] -= lr * update;
+        params[i] -= lr * g;
     }
 }
 
@@ -286,7 +273,7 @@ mod tests {
     #[test]
     fn naive_sgd_matches_hand_computation() {
         let mut w = vec![1.0f32, -2.0];
-        naive_sgd_step(&mut w, &[0.5, -0.5], None, None, 0.1, 0.0, 0.0);
+        naive_sgd_step(&mut w, &[0.5, -0.5], None, 0.1, 0.0);
         assert_eq!(w, vec![1.0 - 0.1 * 0.5, -2.0 + 0.1 * 0.5]);
     }
 }

@@ -325,24 +325,20 @@ impl OracleNet {
     }
 }
 
-/// SGD + momentum + FedProx on flat copies: `params()` / `grads()` out,
+/// SGD + FedProx on flat copies: `params()` / `grads()` out,
 /// [`reference::naive_sgd_step`] on the vectors, `set_params` back.
 pub struct FlatSgd {
     lr: f32,
-    momentum: f32,
     mu: f32,
     anchor: Vec<f32>,
-    velocity: Vec<f32>,
 }
 
 impl FlatSgd {
-    pub fn new(lr: f32, momentum: f32, mu: f32, anchor: &[f32]) -> Self {
+    pub fn new(lr: f32, mu: f32, anchor: &[f32]) -> Self {
         Self {
             lr,
-            momentum,
             mu,
             anchor: anchor.to_vec(),
-            velocity: vec![0.0; anchor.len()],
         }
     }
 
@@ -352,9 +348,7 @@ impl FlatSgd {
             &mut params,
             &net.grads(),
             (self.mu > 0.0).then_some(self.anchor.as_slice()),
-            (self.momentum > 0.0).then_some(self.velocity.as_mut_slice()),
             self.lr,
-            self.momentum,
             self.mu,
         );
         net.set_params(&params);

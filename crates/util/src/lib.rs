@@ -1,7 +1,7 @@
 //! # ecofl-util
 //!
 //! Shared foundations for the Eco-FL reproduction: a small deterministic
-//! random-number generator, streaming statistics, probability-distribution
+//! random-number generator, batch statistics, probability-distribution
 //! divergences (KL / Jensen-Shannon, used by the grouping cost of the paper's
 //! Eq. 4), time-series utilities for accuracy-vs-time traces, and unit
 //! formatting helpers.
@@ -19,4 +19,4 @@ pub mod units;
 pub use divergence::{entropy, js_divergence, kl_divergence, normalize_distribution};
 pub use rng::Rng;
 pub use series::TimeSeries;
-pub use stats::{mean, percentile, RunningStats};
+pub use stats::mean;

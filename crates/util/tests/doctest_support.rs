@@ -2,7 +2,7 @@
 //! RNG, statistics, and series types that single-module unit tests miss.
 
 use ecofl_util::{
-    divergence::uniform_distribution, js_divergence, normalize_distribution, Rng, RunningStats,
+    divergence::uniform_distribution, js_divergence, normalize_distribution, stats::stddev, Rng,
     TimeSeries,
 };
 
@@ -10,11 +10,8 @@ use ecofl_util::{
 fn rng_streams_feed_stats_reproducibly() {
     let collect = |seed: u64| {
         let mut rng = Rng::new(seed);
-        let mut stats = RunningStats::new();
-        for _ in 0..500 {
-            stats.push(rng.gaussian(10.0, 3.0));
-        }
-        (stats.mean(), stats.stddev())
+        let xs: Vec<f64> = (0..500).map(|_| rng.gaussian(10.0, 3.0)).collect();
+        (ecofl_util::mean(&xs), stddev(&xs))
     };
     let (m1, s1) = collect(77);
     let (m2, s2) = collect(77);

@@ -3,10 +3,9 @@
 use ecofl_compat::check::{
     any_u64, f64_in, forall, pair, triple, u64_in, usize_in, vec_exact, vec_in, Gen,
 };
-use ecofl_util::stats::RunningStats;
 use ecofl_util::{
-    divergence::uniform_distribution, js_divergence, kl_divergence, mean, normalize_distribution,
-    percentile, Rng, TimeSeries,
+    divergence::uniform_distribution, js_divergence, kl_divergence, normalize_distribution, Rng,
+    TimeSeries,
 };
 
 const CASES: usize = 256;
@@ -65,63 +64,6 @@ fn normalize_sums_to_one() {
         let total: f64 = d.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!(d.iter().all(|&x| x >= 0.0));
-    });
-}
-
-#[test]
-fn running_stats_matches_batch() {
-    let xs = vec_in(f64_in(-1e3, 1e3), 1, 200);
-    forall("running_stats_matches_batch", CASES, &xs, |xs| {
-        let mut s = RunningStats::new();
-        for &x in xs {
-            s.push(x);
-        }
-        assert!((s.mean() - mean(xs)).abs() < 1e-6);
-        assert_eq!(s.count(), xs.len() as u64);
-        assert!(s.min() <= s.mean() + 1e-9);
-        assert!(s.max() >= s.mean() - 1e-9);
-    });
-}
-
-#[test]
-fn running_stats_merge_associative() {
-    let input = pair(
-        vec_in(f64_in(-100.0, 100.0), 0, 50),
-        vec_in(f64_in(-100.0, 100.0), 0, 50),
-    );
-    forall(
-        "running_stats_merge_associative",
-        CASES,
-        &input,
-        |(a, b)| {
-            let mut whole = RunningStats::new();
-            for &x in a.iter().chain(b) {
-                whole.push(x);
-            }
-            let mut left = RunningStats::new();
-            for &x in a {
-                left.push(x);
-            }
-            let mut right = RunningStats::new();
-            for &x in b {
-                right.push(x);
-            }
-            left.merge(&right);
-            assert_eq!(left.count(), whole.count());
-            assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            assert!((left.variance() - whole.variance()).abs() < 1e-6);
-        },
-    );
-}
-
-#[test]
-fn percentile_within_minmax() {
-    let input = pair(vec_in(f64_in(-1e4, 1e4), 1, 100), f64_in(0.0, 100.0));
-    forall("percentile_within_minmax", CASES, &input, |(xs, p)| {
-        let v = percentile(xs, *p).unwrap();
-        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
     });
 }
 

@@ -111,7 +111,9 @@ echo "    ok"
 # (folded into `Obs` and deleted by PR 16) stay gone — as do the executor's
 # second and third task records (`TaskSpan`, the busy / throughput
 # trackers: a task is one `SpanRecord`, busy time a fold over them), the
-# span-slice Gantt entry points and the unused plan validator.
+# span-slice Gantt entry points and the unused plan validator, and the
+# test-only machinery deleted later: SGD momentum, the Tracer's staging
+# buffers and the running-statistics accumulator.
 echo "==> surface ledger"
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 prelude_exports=$(sed -e 's://.*::' crates/core/src/prelude.rs | tr -d '\n' |
@@ -148,6 +150,7 @@ ratchet pub_items "$pub_items"
 ratchet serde_derives "$serde_derives"
 twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
 twins="$twins|TaskSpan|TaskPhase|BusyTracker|ThroughputTracker|spans_to_view|render_round|validate_plan"
+twins="$twins|with_momentum|FLUSH_THRESHOLD|RunningStats"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
     echo "ERROR: a folded twin is back — observation goes through ecofl_obs::Obs, an executed task is one SpanRecord." >&2
     exit 1

@@ -225,6 +225,25 @@ fn trace_records_into_a_store_and_inspect_reads_it_back() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn an_uncreatable_trace_dir_is_an_error_not_a_panic() {
+    // A regular file where the default store's parent directory should be.
+    let file = std::env::temp_dir().join(format!("ecofl-cli-notadir-{}", std::process::id()));
+    std::fs::write(&file, b"").expect("write temp file");
+    let out = Command::new(env!("CARGO_BIN_EXE_ecofl"))
+        .args(["trace", "--model", "effnet-b0", "--devices", "tx2q,nanoh"])
+        .env("ECOFL_TRACE_DIR", file.join("trace"))
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&file).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "stderr:\n{stderr}");
+    assert!(lines[0].starts_with("error:"), "stderr:\n{stderr}");
+}
+
 fn fnv1a(bytes: &[u8]) -> String {
     let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

@@ -79,14 +79,16 @@ fn trace_jsonl_files_round_trip() {
 
     // The store's JSONL export is the (only) flat-file path since the
     // deprecated write_jsonl/read_jsonl shims were removed.
-    let dir = trace_dir().join(format!("serde-roundtrip-store-{}", std::process::id()));
+    let out = trace_dir();
+    std::fs::create_dir_all(&out).expect("create trace dir");
+    let dir = out.join(format!("serde-roundtrip-store-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut store = RunStore::create(&dir).expect("create store");
     store.append(&records).expect("append");
     store.flush().expect("flush");
     assert_eq!(store.records().expect("records"), records);
 
-    let path = trace_dir().join("serde-roundtrip-test.jsonl");
+    let path = out.join("serde-roundtrip-test.jsonl");
     store.export_jsonl(&path).expect("export");
     let reopened = RunStore::open(&dir).expect("open");
     let text = std::fs::read_to_string(&path).expect("read export");
