@@ -22,10 +22,7 @@ pub use ecofl_grouping::{Grouper, GroupingConfig, GroupingStrategy};
 pub use ecofl_models::{
     efficientnet, efficientnet_at, mobilenet_v2, mobilenet_v2_at, ModelArch, ModelProfile,
 };
-pub use ecofl_obs::{
-    MetricsHub, MetricsSnapshot, Obs, RecordKind, RunStore, TraceQuery, TraceRecord, TraceView,
-    Tracer,
-};
+pub use ecofl_obs::{RecordKind, RunStore, TraceQuery, TraceRecord, TraceView, Tracer};
 pub use ecofl_pipeline::adaptive::{simulate_load_spike, LoadSpike, SpikeError};
 pub use ecofl_pipeline::orchestrator::{search_configuration, OrchestratorConfig, PipelinePlan};
 pub use ecofl_pipeline::partition::{partition_dp, partition_even, Partition};

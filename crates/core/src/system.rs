@@ -16,7 +16,7 @@ use ecofl_data::{FederatedDataset, SyntheticSpec};
 use ecofl_fl::engine::{run as run_fl, FlSetup, RunResult, Strategy};
 use ecofl_fl::FlConfig;
 use ecofl_models::{efficientnet, ModelArch, ModelProfile};
-use ecofl_obs::{Obs, RunStore, Tracer};
+use ecofl_obs::{RunStore, Tracer};
 use ecofl_pipeline::orchestrator::{search_configuration, OrchestratorConfig, PipelinePlan};
 use ecofl_simnet::{Device, DeviceSpec, Link};
 use std::path::PathBuf;
@@ -288,25 +288,24 @@ impl EcoFlSystem {
 
     /// Runs the full system: pipeline-derived latencies → hierarchical FL.
     ///
-    /// `obs` observes the whole FL phase (`None` for nothing): a tracer
+    /// `tracer` observes the whole FL phase (`None` for nothing): it
     /// records rounds, local-train windows, aggregations, staleness
-    /// weights and re-grouping events at virtual timestamps, a hub is fed
-    /// the scheduler's `fl_*` series. The report is identical whatever is
-    /// attached.
+    /// weights and re-grouping events at virtual timestamps. The report
+    /// is identical with or without it.
     ///
     /// # Errors
     /// [`EcoFlError::Io`] when the configured run store cannot be opened
     /// or written after the run.
-    pub fn run<'a>(&self, obs: impl Into<Obs<'a>>) -> Result<EcoFlReport, EcoFlError> {
-        let obs: Obs<'a> = obs.into();
+    pub fn run<'a>(
+        &self,
+        tracer: impl Into<Option<&'a Tracer>>,
+    ) -> Result<EcoFlReport, EcoFlError> {
+        let tracer: Option<&Tracer> = tracer.into();
         let b = &self.builder;
         // With a run store configured but no caller tracer, record on an
         // internal one so the store still captures the full trace.
-        let internal = (obs.tracer.is_none() && b.run_store.is_some()).then(Tracer::new);
-        let obs = Obs {
-            tracer: obs.tracer.or(internal.as_ref()),
-            ..obs
-        };
+        let internal = (tracer.is_none() && b.run_store.is_some()).then(Tracer::new);
+        let tracer = tracer.or(internal.as_ref());
         let n_clients = b.replicate_to.unwrap_or(b.homes.len()).max(b.homes.len());
 
         // One FL round ≈ e local epochs over the client's shard, executed
@@ -344,8 +343,8 @@ impl EcoFlSystem {
             arch: b.arch,
             config: fl_config,
         };
-        let fl = run_fl(b.strategy, &setup, obs);
-        if let (Some(dir), Some(tr)) = (&b.run_store, obs.tracer) {
+        let fl = run_fl(b.strategy, &setup, tracer);
+        if let (Some(dir), Some(tr)) = (&b.run_store, tracer) {
             let store_err =
                 |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
             let mut store = RunStore::open_or_create(dir).map_err(store_err)?;
@@ -361,7 +360,6 @@ impl EcoFlSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecofl_obs::MetricsHub;
     use ecofl_pipeline::schedule::ScheduleKind;
     use ecofl_simnet::{nano_h, nano_l, tx2_q};
 
@@ -507,16 +505,6 @@ mod tests {
         let view = tracer.view();
         assert!(view.counter_total("global_updates") > 0.0);
         assert!(!view.gauge_series("accuracy").is_empty());
-
-        // Tracer and hub in one `Obs` record what each alone records,
-        // and all three runs report the same.
-        let (tracer2, hub, hub2) = (Tracer::new(), MetricsHub::new(), MetricsHub::new());
-        let both = system.run(Obs::from(&tracer2).with_hub(&hub2));
-        let hub_only = system.run(&hub).expect("runs");
-        assert_eq!(tracer2.records(), tracer.records());
-        assert_eq!(hub2.snapshot(0), hub.snapshot(0));
-        assert_eq!(both.expect("runs").fl.accuracy, plain.fl.accuracy);
-        assert_eq!(hub_only.fl.accuracy, plain.fl.accuracy);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Experiment configuration mirroring §6.1 of the paper.
 
-use crate::latency::MAX_DYNAMIC_DEGREES;
+use crate::latency::{INITIAL_DEGREES, MAX_DYNAMIC_DEGREES};
 use ecofl_grouping::{GroupingConfig, GroupingStrategy};
 
 /// Runtime dynamics: clients periodically resample their collaborative
@@ -22,6 +22,12 @@ impl Default for DynamicsConfig {
         }
     }
 }
+
+/// The most cohort completions one run may simulate. A run costs time
+/// linear in its completions, so a horizon that allows more is refused
+/// before anything runs. The paper's set-up (300 clients, 20 per round,
+/// 3000 s) allows about 30 000; the 1M-client census (800 s) about 8 000.
+pub(crate) const MAX_COHORT_COMPLETIONS: u64 = 1_000_000;
 
 /// Full FL experiment configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,6 +146,32 @@ impl FlConfig {
         }
     }
 
+    /// An upper bound on the cohort completions of a run, from the
+    /// config alone. At most `clients_per_round` cohorts are in flight
+    /// at once (FedAsync's workers; FedAvg has one) or one per group
+    /// (the hierarchical strategies), and none completes sooner than
+    /// the shortest cohort: the 1 s floor of `LatencyModel::sample` (or
+    /// the smallest `base_delay_override`) divided by the largest
+    /// collaborative degree, plus `comm_latency` — or an empty-cohort
+    /// probe's `probe_backoff`. Each in-flight chain completes at most
+    /// `horizon / shortest + 1` times.
+    fn cohort_completion_bound(&self) -> f64 {
+        let floor = self
+            .base_delay_override
+            .as_ref()
+            .map_or(1.0, |d| d.iter().copied().fold(f64::INFINITY, f64::min));
+        let max_degree = INITIAL_DEGREES
+            .iter()
+            .chain(self.dynamics.iter().flat_map(|d| &d.degrees))
+            .fold(1.0, |a: f64, &b| a.max(b));
+        let shortest = (floor / max_degree + self.comm_latency).min(self.probe_backoff);
+        let in_flight = self
+            .clients_per_round
+            .min(self.num_clients)
+            .max(self.num_groups);
+        in_flight as f64 * (self.horizon / shortest + 1.0)
+    }
+
     /// Clients sampled per group round in hierarchical strategies
     /// (respects the global concurrency cap).
     #[must_use]
@@ -187,6 +219,10 @@ impl FlConfig {
     /// a `degrees` list longer than the latency model's `u8` degree
     /// index reaches tripped its assert, and a `change_prob` outside
     /// `[0, 1]` silently never or always fired.
+    ///
+    /// A horizon that allows more than `MAX_COHORT_COMPLETIONS`
+    /// cohort completions (NaN and infinity included) is refused: the
+    /// run time is linear in the horizon, so `1e300` never returned.
     ///
     /// # Errors
     /// Returns `Err(message)` naming the offending field and value.
@@ -298,6 +334,15 @@ impl FlConfig {
                 self.probe_backoff
             ));
         }
+        // After the latency knobs: the bound divides by what they give.
+        let completions = self.cohort_completion_bound();
+        if completions.is_nan() || completions > MAX_COHORT_COMPLETIONS as f64 {
+            return Err(format!(
+                "horizon {:e} s allows up to {completions:.3e} cohort completions, \
+                 more than the {MAX_COHORT_COMPLETIONS} one run simulates",
+                self.horizon
+            ));
+        }
         // Zero groups would divide by zero in
         // `clients_per_group_round`; the rest reaches Eq. 4.
         self.grouping_config().validate(self.num_clients)
@@ -371,6 +416,54 @@ mod tests {
             let err = c.validate().unwrap_err();
             assert!(err.contains("probe_backoff"), "got: {err}");
         }
+    }
+
+    #[test]
+    fn validate_bounds_the_cohort_completions_a_horizon_allows() {
+        // The paper's run and the 1M-client census pass.
+        let paper = FlConfig::default();
+        assert!(paper.validate().is_ok());
+        let census = FlConfig {
+            num_clients: 1_000_000,
+            horizon: 800.0,
+            ..FlConfig::default()
+        };
+        assert!(census.validate().is_ok());
+        // 20 in flight, cohorts of at least 1 s + 1 s comm latency.
+        let at = |horizon: f64| {
+            FlConfig {
+                horizon,
+                ..paper.clone()
+            }
+            .validate()
+        };
+        assert!(at(99_990.0).is_ok());
+        for bad in [100_000.0, 1e300, f64::INFINITY, f64::NAN] {
+            let err = at(bad).unwrap_err();
+            assert!(err.starts_with("horizon "), "got: {err}");
+        }
+        // Faster cohorts lower the horizon that fits: a 0.01 s override
+        // delay at degree 1.0 and no comm latency.
+        let fast = FlConfig {
+            num_clients: 2,
+            clients_per_round: 2,
+            num_groups: 1,
+            dynamics: None,
+            comm_latency: 0.0,
+            base_delay_override: Some(vec![0.01, 5.0]),
+            horizon: 10_000.0,
+            ..FlConfig::default()
+        };
+        assert!(fast.validate().unwrap_err().contains("cohort completions"));
+        // ... and so do frequent probes of empty groups.
+        let probing = FlConfig {
+            probe_backoff: 0.001,
+            ..paper.clone()
+        };
+        assert!(probing
+            .validate()
+            .unwrap_err()
+            .contains("cohort completions"));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::sched::Scheduler;
 use crate::strategies::strategy_object;
 use ecofl_data::FederatedDataset;
 use ecofl_models::ModelArch;
-use ecofl_obs::Obs;
+use ecofl_obs::Tracer;
 use ecofl_util::TimeSeries;
 
 /// Which FL algorithm to run.
@@ -98,20 +98,22 @@ pub struct RunResult {
 
 /// Runs `strategy` on `setup` and returns its accuracy trace.
 ///
-/// `obs` is what the run reports to (`None` for nothing): a tracer
-/// records every round, local-train window, aggregation, staleness
-/// weight and re-grouping decision (domain
-/// [`Domain::Fl`](ecofl_obs::Domain::Fl) /
+/// `tracer` (`None` for nothing) records every round, local-train
+/// window, aggregation, staleness weight and re-grouping decision
+/// (domain [`Domain::Fl`](ecofl_obs::Domain::Fl) /
 /// [`Domain::Grouping`](ecofl_obs::Domain::Grouping), all timestamps
-/// virtual); a hub is fed the scheduler's `fl_*` series as the run
-/// progresses, so a live dashboard can snapshot it from another thread.
-/// Training outcomes are bit-identical whatever is attached.
+/// virtual) as the run progresses, so another thread holding a clone can
+/// fold it live. Training outcomes are bit-identical with or without it.
 ///
 /// # Panics
 /// Panics on inconsistent setup (e.g. zero clients).
 #[must_use]
-pub fn run<'a>(strategy: Strategy, setup: &'a FlSetup, obs: impl Into<Obs<'a>>) -> RunResult {
-    Scheduler::drive(setup, obs, strategy_object(strategy).as_mut())
+pub fn run<'a>(
+    strategy: Strategy,
+    setup: &'a FlSetup,
+    tracer: impl Into<Option<&'a Tracer>>,
+) -> RunResult {
+    Scheduler::drive(setup, tracer, strategy_object(strategy).as_mut())
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::config::FlConfig;
 use crate::engine::{FlSetup, RunResult};
 use crate::latency::{LatencyModel, INITIAL_DEGREES};
 use ecofl_compat::sync::Shared;
-use ecofl_obs::{Domain, EventKind, MetricsHub, Obs, SpanKind, Tracer};
+use ecofl_obs::{Domain, EventKind, SpanKind, Tracer};
 use ecofl_simnet::EventQueue;
 use ecofl_tensor::{argmax, Network, Tensor};
 use ecofl_util::{Rng, TimeSeries};
@@ -103,38 +103,11 @@ pub trait AggregationStrategy {
     }
 }
 
-/// The scheduler's metric handles, resolved once at `drive` time so the
-/// per-cohort path records lock-cheap.
-struct SchedMetrics {
-    cohorts_dispatched: ecofl_obs::Counter,
-    clients_dispatched: ecofl_obs::Counter,
-    clients_dropped: ecofl_obs::Counter,
-    global_updates: ecofl_obs::Counter,
-    round_latency: ecofl_obs::Histogram,
-    staleness: ecofl_obs::Gauge,
-    accuracy: ecofl_obs::Gauge,
-}
-
-impl SchedMetrics {
-    fn new(hub: &MetricsHub) -> SchedMetrics {
-        SchedMetrics {
-            cohorts_dispatched: hub.counter("fl_cohorts_dispatched"),
-            clients_dispatched: hub.counter("fl_clients_dispatched"),
-            clients_dropped: hub.counter("fl_clients_dropped"),
-            global_updates: hub.counter("fl_global_updates"),
-            round_latency: hub.histogram("fl_round_latency_s"),
-            staleness: hub.gauge("fl_staleness"),
-            accuracy: hub.gauge("fl_accuracy"),
-        }
-    }
-}
-
 /// The event-driven round scheduler: one virtual clock, one global
 /// model, one dropout model and one tracer feed for every strategy.
 pub struct Scheduler<'a> {
     setup: &'a FlSetup,
     tracer: Option<&'a Tracer>,
-    metrics: Option<SchedMetrics>,
     rng: Rng,
     latency: LatencyModel,
     evaluator: Evaluator,
@@ -151,19 +124,14 @@ pub struct Scheduler<'a> {
 
 impl<'a> Scheduler<'a> {
     /// Runs `strategy` over `setup` and returns the finished
-    /// [`RunResult`], reporting to `obs` (`None` for nothing): a tracer
-    /// gets every scheduler record; a hub is fed the `fl_*` counters
-    /// (cohorts/clients dispatched, clients dropped, global updates),
-    /// the per-cohort `fl_round_latency_s` histogram and the
-    /// `fl_staleness` / `fl_accuracy` gauges. Both only observe —
-    /// results and traces are bit-identical with or without them
-    /// (enforced by `tests/metrics_perturbation.rs`).
+    /// [`RunResult`], recording every scheduler record into `tracer`
+    /// (`None` for nothing). The tracer only observes: results are
+    /// bit-identical with or without it.
     pub fn drive(
         setup: &'a FlSetup,
-        obs: impl Into<Obs<'a>>,
+        tracer: impl Into<Option<&'a Tracer>>,
         strategy: &mut dyn AggregationStrategy,
     ) -> RunResult {
-        let obs: Obs<'a> = obs.into();
         let cfg = &setup.config;
         if let Err(msg) = cfg.validate() {
             panic!("invalid FlConfig: {msg}");
@@ -172,8 +140,7 @@ impl<'a> Scheduler<'a> {
         let latency = make_latency(cfg, &mut rng);
         let mut sched = Scheduler {
             setup,
-            tracer: obs.tracer,
-            metrics: obs.hub.map(SchedMetrics::new),
+            tracer: tracer.into(),
             rng,
             latency,
             evaluator: Evaluator::new(setup),
@@ -191,13 +158,6 @@ impl<'a> Scheduler<'a> {
         while let Some((t, cohort)) = sched.queue.pop() {
             if discard_late && t >= cfg.horizon {
                 break;
-            }
-            if let Some(m) = &sched.metrics {
-                // Latency and staleness must be read before the
-                // strategy consumes the cohort (and bumps `updates`).
-                m.round_latency.record(t - cohort.started);
-                m.staleness
-                    .set(sched.updates.saturating_sub(cohort.version) as f64);
             }
             strategy.on_cohort(&mut sched, t, cohort);
         }
@@ -310,21 +270,13 @@ impl<'a> Scheduler<'a> {
 
     /// Schedules `cohort` to complete `delay` virtual seconds from now.
     pub(crate) fn dispatch_after(&mut self, delay: f64, cohort: Cohort) {
-        if let Some(m) = &self.metrics {
-            m.cohorts_dispatched.inc(1);
-            m.clients_dispatched.inc(cohort.members.len() as u64);
-        }
         self.queue.schedule_after(delay, cohort);
     }
 
     /// Applies the failure model: the members that actually deliver
     /// their update this round.
     pub(crate) fn surviving(&mut self, members: &[usize]) -> Vec<usize> {
-        let alive = surviving(members, self.setup.config.failure_prob, &mut self.rng);
-        if let Some(m) = &self.metrics {
-            m.clients_dropped.inc((members.len() - alive.len()) as u64);
-        }
-        alive
+        surviving(members, self.setup.config.failure_prob, &mut self.rng)
     }
 
     /// Trains client `c` from `start` parameters on its deterministic
@@ -392,9 +344,6 @@ impl<'a> Scheduler<'a> {
         if let Some(tr) = self.tracer {
             tr.counter("global_updates", t, 1.0);
         }
-        if let Some(m) = &self.metrics {
-            m.global_updates.inc(1);
-        }
     }
 
     /// Evaluates the global model if the cadence interval elapsed.
@@ -422,13 +371,10 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Adds one accuracy sample to the result series and to `obs`.
+    /// Adds one accuracy sample to the result series and the trace.
     fn record_accuracy(&mut self, t: f64, acc: f64) {
         self.accuracy.push(t, acc);
         self.trace_gauge("accuracy", t, acc);
-        if let Some(m) = &self.metrics {
-            m.accuracy.set(acc);
-        }
     }
 
     /// Traces one round span (`Domain::Fl`).

@@ -23,23 +23,23 @@
 //! - **Std-only.** No async runtime, no external deps; JSON encoding via
 //!   `ecofl-compat`'s serde layer.
 //!
-//! ## Streaming metrics
+//! ## One recorder
 //!
-//! The trace substrate is exact and replayable but O(events) in
-//! memory. Its streaming complement is [`metrics`]: a [`MetricsHub`]
-//! of bounded-memory aggregators (counters, gauges, quantile
-//! sketches) that *is* allowed to observe wall-clock time — it feeds
-//! live dashboards and per-round [`MetricsSnapshot`] rollups, and by
-//! construction never influences virtual-time results (see the
-//! perturbation gate in `tests/metrics_perturbation.rs`).
+//! The tracer is the only recorder of virtual time: a metric over a
+//! run — a counter total, a gauge's extremes, a span-duration
+//! percentile — is a fold over its records. What a trace cannot hold
+//! is wall-clock time, so [`metrics`] keeps a [`MetricsHub`] of
+//! counters and exact count/sum/min/max histograms for the threaded
+//! pipeline runtime alone, reached through its `RuntimeOptions`; it
+//! never influences results (see `tests/metrics_perturbation.rs`).
 //!
 //! ## Non-goals
 //!
 //! For the *trace* layer: no wall-clock timestamps, no
 //! sampling/overflow dropping (traces are complete or the run
 //! aborts), and no cross-process collection — consumers read a
-//! finished [`TraceView`] or the JSONL file a run exported. Live
-//! observation belongs to the metrics layer, not the tracer.
+//! finished [`TraceView`], the run store, or the JSONL file a run
+//! exported.
 //!
 //! ```
 //! use ecofl_obs::{Domain, SpanKind, Tracer};
@@ -52,7 +52,6 @@
 //! ```
 
 mod block;
-pub(crate) mod context;
 pub mod metrics;
 pub(crate) mod record;
 pub(crate) mod sink;
@@ -60,8 +59,7 @@ pub mod store;
 pub(crate) mod tracer;
 pub(crate) mod view;
 
-pub use context::Obs;
-pub use metrics::{Counter, Gauge, Histogram, LogHistogram, MetricsHub, MetricsSnapshot};
+pub use metrics::{Counter, Histogram, MetricsHub, MetricsSnapshot};
 pub use record::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, SpanKind, SpanRecord, TraceRecord,
 };

@@ -36,15 +36,11 @@
 //! and every checkpoint append seals the segment — a checkpoint is
 //! durable the moment `append_checkpoint` returns.
 //!
-//! A third segment, `metrics.seg`, holds versioned
-//! [`MetricsSnapshot`] rollups (one JSON payload per block, columns
-//! `[round, version]`, sealed per append so a live dashboard in
-//! another process can read them mid-run). Stores written before the
-//! metrics layer existed open fine — the segment is created on
-//! demand.
+//! Stores written while the metrics hub also persisted snapshots hold a
+//! third file, `metrics.seg`; it is ignored, and the store opens and
+//! reads as before.
 
 use crate::block;
-use crate::metrics::{MetricsHub, MetricsSnapshot, METRICS_SNAPSHOT_VERSION};
 use crate::record::{Domain, TraceRecord};
 use crate::view::TraceView;
 use ecofl_compat::json;
@@ -65,15 +61,11 @@ pub(crate) const NCOLS: usize = 4;
 
 /// Mask bit marking a checkpoint block (no trace-record bits set).
 const CHECKPOINT_BIT: u32 = 1 << 16;
-/// Mask bit marking a metrics-snapshot block.
-const METRICS_BIT: u32 = 1 << 17;
 
 /// Trace segment file name inside a store directory.
 pub const TRACE_SEGMENT: &str = "trace.seg";
 /// Checkpoint segment file name inside a store directory.
 pub const CHECKPOINT_SEGMENT: &str = "checkpoints.seg";
-/// Metrics-snapshot segment file name inside a store directory.
-pub const METRICS_SEGMENT: &str = "metrics.seg";
 
 fn invalid(detail: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail)
@@ -444,27 +436,13 @@ pub fn jsonl_to_records(bytes: &[u8]) -> io::Result<Vec<TraceRecord>> {
 /// Default records per trace block.
 pub(crate) const DEFAULT_BLOCK_RECORDS: usize = 512;
 
-/// The store's own metric handles, resolved once at
-/// [`RunStore::attach_metrics`] time.
-#[derive(Debug)]
-struct StoreMetrics {
-    blocks_written: crate::metrics::Counter,
-    bytes_written: crate::metrics::Counter,
-    query_blocks_total: crate::metrics::Counter,
-    query_blocks_decoded: crate::metrics::Counter,
-    query_prune_ratio: crate::metrics::Gauge,
-}
-
-/// A run's persistent storage: trace blocks, versioned checkpoints,
-/// and metrics snapshots in one directory. See the module docs for
-/// the layout.
+/// A run's persistent storage: trace blocks and versioned checkpoints
+/// in one directory. See the module docs for the layout.
 #[derive(Debug)]
 pub struct RunStore {
     trace: Segment,
     checkpoints: Segment,
-    metrics: Segment,
     block_records: usize,
-    hub: Option<StoreMetrics>,
 }
 
 impl RunStore {
@@ -478,15 +456,11 @@ impl RunStore {
         Ok(RunStore {
             trace: Segment::create(dir.join(TRACE_SEGMENT))?,
             checkpoints: Segment::create(dir.join(CHECKPOINT_SEGMENT))?,
-            metrics: Segment::create(dir.join(METRICS_SEGMENT))?,
             block_records: DEFAULT_BLOCK_RECORDS,
-            hub: None,
         })
     }
 
     /// Opens the store at `dir`, which must contain sealed segments.
-    /// The metrics segment is created empty when absent, so stores
-    /// from before the metrics layer open unchanged.
     ///
     /// # Errors
     /// Returns `NotFound` for a missing store and `InvalidData` for
@@ -496,9 +470,7 @@ impl RunStore {
         Ok(RunStore {
             trace: Segment::open(dir.join(TRACE_SEGMENT))?,
             checkpoints: Segment::open(dir.join(CHECKPOINT_SEGMENT))?,
-            metrics: Segment::open_or_create(dir.join(METRICS_SEGMENT))?,
             block_records: DEFAULT_BLOCK_RECORDS,
-            hub: None,
         })
     }
 
@@ -512,25 +484,8 @@ impl RunStore {
         Ok(RunStore {
             trace: Segment::open_or_create(dir.join(TRACE_SEGMENT))?,
             checkpoints: Segment::open_or_create(dir.join(CHECKPOINT_SEGMENT))?,
-            metrics: Segment::open_or_create(dir.join(METRICS_SEGMENT))?,
             block_records: DEFAULT_BLOCK_RECORDS,
-            hub: None,
         })
-    }
-
-    /// Registers the store's own counters and gauges on `hub`:
-    /// `store_blocks_written` / `store_bytes_written` grow on append,
-    /// `store_query_blocks_total` / `store_query_blocks_decoded` and
-    /// the `store_query_prune_ratio` gauge update on every pruned
-    /// query.
-    pub fn attach_metrics(&mut self, hub: &MetricsHub) {
-        self.hub = Some(StoreMetrics {
-            blocks_written: hub.counter("store_blocks_written"),
-            bytes_written: hub.counter("store_bytes_written"),
-            query_blocks_total: hub.counter("store_query_blocks_total"),
-            query_blocks_decoded: hub.counter("store_query_blocks_decoded"),
-            query_prune_ratio: hub.gauge("store_query_prune_ratio"),
-        });
     }
 
     /// Sets the records-per-block chunking for subsequent appends.
@@ -552,16 +507,8 @@ impl RunStore {
         for chunk in records.chunks(self.block_records) {
             let payload = block::encode(chunk);
             self.trace.append_block(&payload, summarize(chunk))?;
-            self.note_write(payload.len());
         }
         Ok(())
-    }
-
-    fn note_write(&self, payload_bytes: usize) {
-        if let Some(m) = &self.hub {
-            m.blocks_written.inc(1);
-            m.bytes_written.inc(payload_bytes as u64);
-        }
     }
 
     /// Seals every segment: everything appended so far survives a
@@ -571,8 +518,7 @@ impl RunStore {
     /// Returns any I/O error from sealing.
     pub fn flush(&mut self) -> io::Result<()> {
         self.trace.seal()?;
-        self.checkpoints.seal()?;
-        self.metrics.seal()
+        self.checkpoints.seal()
     }
 
     /// Runs `query`, decoding only blocks whose summaries admit it.
@@ -590,14 +536,6 @@ impl RunStore {
             blocks_decoded += 1;
             let decoded = jsonl_to_records(&self.trace.read_block(i)?)?;
             records.extend(decoded.into_iter().filter(|r| query.matches(r)));
-        }
-        if let Some(m) = &self.hub {
-            m.query_blocks_total.inc(blocks_total as u64);
-            m.query_blocks_decoded.inc(blocks_decoded as u64);
-            if blocks_total > 0 {
-                m.query_prune_ratio
-                    .set(1.0 - blocks_decoded as f64 / blocks_total as f64);
-            }
         }
         Ok(QueryResult {
             records,
@@ -655,13 +593,12 @@ impl RunStore {
         std::fs::write(path, bytes)
     }
 
-    /// Rollup listings for every segment file.
+    /// Rollup listings for every segment file, `trace.seg` first.
     #[must_use]
     pub fn segments(&self) -> Vec<SegmentInfo> {
         [
             (TRACE_SEGMENT, &self.trace),
             (CHECKPOINT_SEGMENT, &self.checkpoints),
-            (METRICS_SEGMENT, &self.metrics),
         ]
         .into_iter()
         .map(|(name, seg)| SegmentInfo {
@@ -697,82 +634,7 @@ impl RunStore {
         summary.cols[0].include(seq as f64);
         summary.cols[1].include(round as f64);
         self.checkpoints.append_block(payload, summary)?;
-        self.note_write(payload.len());
         self.checkpoints.seal()
-    }
-
-    /// Appends a [`MetricsSnapshot`] as one versioned block of the
-    /// metrics segment and seals it immediately, so a concurrent
-    /// `ecofl metrics` dashboard (or a post-hoc inspection) sees the
-    /// rollup as soon as this returns.
-    ///
-    /// # Errors
-    /// Returns any serialization or I/O error.
-    pub fn append_snapshot(&mut self, snapshot: &MetricsSnapshot) -> io::Result<()> {
-        let payload = json::to_string(snapshot).map_err(|e| invalid(e.to_string()))?;
-        let mut summary = BlockSummary::new(2);
-        summary.count = 1;
-        summary.kind_mask = METRICS_BIT;
-        summary.cols[0].include(snapshot.round as f64);
-        summary.cols[1].include(f64::from(METRICS_SNAPSHOT_VERSION));
-        self.metrics.append_block(payload.as_bytes(), summary)?;
-        self.note_write(payload.len());
-        self.metrics.seal()
-    }
-
-    /// Every stored metrics snapshot, in append order.
-    ///
-    /// # Errors
-    /// Returns `InvalidData` for an unsupported snapshot version or a
-    /// payload that fails to decode, plus any I/O error.
-    pub fn snapshots(&self) -> io::Result<Vec<MetricsSnapshot>> {
-        let mut out = Vec::with_capacity(self.metrics.block_count());
-        for (i, b) in self.metrics.blocks().iter().enumerate() {
-            let version = b.summary.cols[1].min as u32;
-            if version != METRICS_SNAPSHOT_VERSION {
-                return Err(invalid(format!(
-                    "metrics block {i} has unsupported snapshot version {version} \
-                     (this build reads v{METRICS_SNAPSHOT_VERSION})"
-                )));
-            }
-            let payload = self.metrics.read_block(i)?;
-            let text = std::str::from_utf8(&payload).map_err(|e| invalid(e.to_string()))?;
-            out.push(json::from_str(text).map_err(|e| invalid(e.to_string()))?);
-        }
-        Ok(out)
-    }
-
-    /// Number of stored metrics snapshots (no decoding).
-    #[must_use]
-    pub fn snapshot_count(&self) -> usize {
-        self.metrics.block_count()
-    }
-
-    /// The last stored metrics snapshot, if any.
-    ///
-    /// # Errors
-    /// Returns any decode or I/O error.
-    pub fn latest_snapshot(&self) -> io::Result<Option<MetricsSnapshot>> {
-        Ok(self.snapshots()?.pop())
-    }
-
-    /// The last stored snapshot tagged exactly `round`, pruned via the
-    /// round column without decoding non-matching blocks.
-    ///
-    /// # Errors
-    /// Returns any decode or I/O error.
-    pub fn snapshot_at_round(&self, round: u64) -> io::Result<Option<MetricsSnapshot>> {
-        for (i, b) in self.metrics.blocks().iter().enumerate().rev() {
-            if b.summary.cols[0].min as u64 != round {
-                continue;
-            }
-            let payload = self.metrics.read_block(i)?;
-            let text = std::str::from_utf8(&payload).map_err(|e| invalid(e.to_string()))?;
-            return Ok(Some(
-                json::from_str(text).map_err(|e| invalid(e.to_string()))?,
-            ));
-        }
-        Ok(None)
     }
 
     /// Metadata of every stored checkpoint, in sequence order.

@@ -15,10 +15,10 @@ mod common;
 
 use common::{gen_record, gen_record_with_extremes, temp_dir};
 use ecofl_compat::check;
-use ecofl_obs::store::{jsonl_to_records, records_to_jsonl, METRICS_SEGMENT};
+use ecofl_obs::store::{jsonl_to_records, records_to_jsonl};
 use ecofl_obs::{
-    CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, MetricsSnapshot, RecordKind,
-    RunStore, SpanKind, SpanRecord, TraceQuery, TraceRecord,
+    CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, RecordKind, RunStore, SpanKind,
+    SpanRecord, TraceQuery, TraceRecord,
 };
 use ecofl_store::{BlockSummary, Segment};
 
@@ -400,37 +400,40 @@ fn prop_checkpoints_restore_latest_at_or_before() {
 }
 
 #[test]
-fn deeply_nested_metrics_block_is_invalid_data_not_a_stack_overflow() {
-    // Regression: the JSON parser recursed once per `[`, so a metrics
-    // block of a million brackets — a damaged or hostile store — aborted
-    // `ecofl metrics --store` with a stack overflow.
-    let dir = temp_dir("deep-metrics");
-    let mut store = RunStore::create(&dir).unwrap();
-    store
-        .append_snapshot(&MetricsSnapshot {
-            round: 1,
-            ..MetricsSnapshot::default()
+fn a_leftover_metrics_segment_is_ignored() {
+    // Older builds also persisted metrics snapshots into `metrics.seg`.
+    // A store holding one opens, lists its two segments trace first, and
+    // reads its trace as before; a new store writes no such file.
+    let dir = temp_dir("leftover-metrics");
+    let spans: Vec<TraceRecord> = (0..3)
+        .map(|i| {
+            TraceRecord::Span(SpanRecord {
+                domain: Domain::Pipeline,
+                kind: SpanKind::Forward,
+                entity: 0,
+                round: i,
+                micro: 0,
+                t0: i as f64,
+                t1: i as f64 + 0.5,
+            })
         })
-        .unwrap();
+        .collect();
+    let mut store = RunStore::create(&dir).unwrap();
+    store.append(&spans).unwrap();
+    store.flush().unwrap();
     drop(store);
+    assert!(!dir.join("metrics.seg").exists());
 
-    // A raw block beside it, summarised like a v1 snapshot of round 7.
-    let mut segment = Segment::open(dir.join(METRICS_SEGMENT)).unwrap();
-    let mut summary = BlockSummary::new(2);
-    summary.count = 1;
-    summary.cols[0].include(7.0);
-    summary.cols[1].include(1.0);
-    segment
-        .append_block("[".repeat(1_000_000).as_bytes(), summary)
+    let mut leftover = Segment::create(dir.join("metrics.seg")).unwrap();
+    leftover
+        .append_block(b"{\"round\":1}", BlockSummary::new(2))
         .unwrap();
-    segment.seal().unwrap();
-    drop(segment);
+    leftover.seal().unwrap();
+    drop(leftover);
 
     let store = RunStore::open(&dir).unwrap();
-    let err = store.snapshots().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    let err = store.snapshot_at_round(7).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    assert_eq!(store.snapshot_at_round(1).unwrap().unwrap().round, 1);
+    let names: Vec<String> = store.segments().into_iter().map(|s| s.name).collect();
+    assert_eq!(names, ["trace.seg", "checkpoints.seg"]);
+    assert_eq!(store.records().unwrap(), spans);
     std::fs::remove_dir_all(&dir).ok();
 }

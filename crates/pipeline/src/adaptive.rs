@@ -17,7 +17,7 @@ use crate::partition::{partition_dp, Partition};
 use crate::profiler::PipelineProfile;
 use crate::schedule::ScheduleKind;
 use ecofl_models::ModelProfile;
-use ecofl_obs::{Domain, EventKind, Obs};
+use ecofl_obs::{Domain, EventKind, Tracer};
 use ecofl_simnet::{Device, Link};
 use ecofl_util::stats::Ema;
 use ecofl_util::TimeSeries;
@@ -281,12 +281,11 @@ pub fn simulate_load_spike(
 }
 
 /// Runs the Fig. 13 scenario with explicit scheduler tuning, recording
-/// the §4.4 re-scheduling timeline into `obs`' tracer when there is one
-/// (`None` for nothing): [`EventKind::LaggerDetected`] per detector
-/// trigger, [`EventKind::Migration`] (value = bytes moved) and
+/// the §4.4 re-scheduling timeline into `tracer` (`None` for nothing):
+/// [`EventKind::LaggerDetected`] per detector trigger,
+/// [`EventKind::Migration`] (value = bytes moved) and
 /// [`EventKind::Restart`] (value = stall seconds) per committed
-/// migration, all under [`Domain::Scheduler`] at virtual timestamps. The
-/// scenario has no streaming series, so a hub in `obs` is not fed.
+/// migration, all under [`Domain::Scheduler`] at virtual timestamps.
 ///
 /// # Errors
 /// [`SpikeError`] if the scenario cannot be set up; see
@@ -302,7 +301,7 @@ pub fn simulate_load_spike_with<'a>(
     horizon: f64,
     with_scheduler: bool,
     scheduler_cfg: SchedulerConfig,
-    obs: impl Into<Obs<'a>>,
+    tracer: impl Into<Option<&'a Tracer>>,
 ) -> Result<SpikeTrace, SpikeError> {
     if spike.device >= devices.len() {
         return Err(SpikeError::BadSpike {
@@ -316,7 +315,7 @@ pub fn simulate_load_spike_with<'a>(
             expected: "in [0, 1)",
         });
     }
-    let tracer = obs.into().tracer;
+    let tracer = tracer.into();
     let mut devices: Vec<Device> = devices.to_vec();
     let mut partition =
         partition_dp(model, &devices, link, mbs).ok_or(SpikeError::InfeasibleInitialPartition)?;
@@ -465,7 +464,6 @@ pub fn simulate_load_spike_with<'a>(
 mod tests {
     use super::*;
     use ecofl_models::efficientnet;
-    use ecofl_obs::{MetricsHub, Tracer};
     use ecofl_simnet::{nano_h, tx2_q};
 
     fn setup() -> (ecofl_models::ModelProfile, Vec<Device>, Link) {
@@ -550,7 +548,7 @@ mod tests {
             at: 100.0,
             load: 0.6,
         };
-        let run = |obs: Obs<'_>| {
+        let run = |tracer: Option<&Tracer>| {
             simulate_load_spike_with(
                 &model,
                 &devices,
@@ -561,12 +559,12 @@ mod tests {
                 250.0,
                 true,
                 SchedulerConfig::default(),
-                obs,
+                tracer,
             )
             .expect("feasible scenario")
         };
         let tracer = Tracer::new();
-        let trace = run((&tracer).into());
+        let trace = run(Some(&tracer));
         assert!(!trace.events.is_empty(), "scheduler should migrate");
         let view = tracer.view();
         let migrations = view.events_of(EventKind::Migration);
@@ -583,14 +581,8 @@ mod tests {
             assert!((rec.value - ev.pause).abs() < 1e-12);
         }
 
-        // Tracer and hub in one `Obs`: the same records as the tracer
-        // alone, the same result as either alone.
-        let (both_tracer, hub) = (Tracer::new(), MetricsHub::new());
-        let both = run(Obs::from(&both_tracer).with_hub(&hub));
-        let hub_only = run((&hub).into());
-        assert_eq!(both_tracer.records(), tracer.records());
-        assert_eq!(format!("{both:?}"), format!("{trace:?}"));
-        assert_eq!(format!("{both:?}"), format!("{hub_only:?}"));
+        // The tracer only observes: an untraced run reports the same.
+        assert_eq!(format!("{:?}", run(None)), format!("{trace:?}"));
     }
 
     #[test]

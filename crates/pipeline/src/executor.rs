@@ -45,9 +45,7 @@
 
 use crate::profiler::PipelineProfile;
 use crate::schedule::interleave_profile;
-use ecofl_obs::{
-    Counter, Domain, Histogram, Obs, SpanKind, SpanRecord, TraceRecord, TraceView, Tracer,
-};
+use ecofl_obs::{Domain, SpanKind, SpanRecord, TraceRecord, TraceView, Tracer};
 use ecofl_simnet::{Device, EventQueue};
 use std::collections::VecDeque;
 
@@ -321,17 +319,6 @@ struct StageState {
     bwd_link_free: f64,
 }
 
-/// `exec_*` metric handles, resolved once per run so the event loop's
-/// hot path never touches the hub's registry maps.
-struct ExecMetrics {
-    /// Compute tasks dispatched (forwards, backwards and split halves).
-    tasks: Counter,
-    /// Virtual duration of each dispatched compute task, seconds.
-    task_s: Histogram,
-    /// Virtual duration of each sync-round, seconds.
-    round_s: Histogram,
-}
-
 /// Event-driven pipeline executor.
 pub struct PipelineExecutor<'a> {
     profile: &'a PipelineProfile,
@@ -404,17 +391,14 @@ impl<'a> PipelineExecutor<'a> {
     /// [`MAX_SIMULATED_MICRO_BATCHES`] (checked before anything is
     /// allocated).
     pub fn run(&self, micro_batches: usize, rounds: usize) -> Result<ExecutionReport, ExecError> {
-        self.run_traced(micro_batches, rounds, Obs::default())
+        self.run_traced(micro_batches, rounds, None)
     }
 
-    /// [`run`](Self::run), reporting to `obs`: a tracer records
+    /// [`run`](Self::run), recording into `tracer` (`None` for nothing)
     /// forward/backward compute spans and activation/gradient transfer
     /// spans per micro-batch (domain [`Domain::Pipeline`]) at virtual
-    /// timestamps; a hub records `exec_tasks` (compute tasks
-    /// dispatched), `exec_task_s` (virtual task durations) and
-    /// `exec_round_s` (virtual round durations). Both only *observe* —
-    /// reports and virtual timestamps are bit-identical with or without
-    /// them (asserted by `tests/metrics_perturbation.rs`).
+    /// timestamps. The tracer only *observes* — reports and virtual
+    /// timestamps are bit-identical with or without it.
     ///
     /// # Errors
     /// Exactly as [`run`](Self::run); the spans recorded up to a failing
@@ -423,9 +407,8 @@ impl<'a> PipelineExecutor<'a> {
         &self,
         micro_batches: usize,
         rounds: usize,
-        obs: impl Into<Obs<'o>>,
+        tracer: impl Into<Option<&'o Tracer>>,
     ) -> Result<ExecutionReport, ExecError> {
-        let obs: Obs<'o> = obs.into();
         if micro_batches == 0 || rounds == 0 {
             return Err(ExecError::Schedule {
                 detail: format!("zero count: {rounds} round(s) of {micro_batches} micro-batch(es)"),
@@ -500,12 +483,7 @@ impl<'a> PipelineExecutor<'a> {
             device_busy: vec![false; dev_count],
             dev_stages,
             task_spans: Vec::new(),
-            tracer: obs.tracer,
-            metrics: obs.hub.map(|hub| ExecMetrics {
-                tasks: hub.counter("exec_tasks"),
-                task_s: hub.histogram("exec_task_s"),
-                round_s: hub.histogram("exec_round_s"),
-            }),
+            tracer: tracer.into(),
         };
         let mut round_ends = Vec::with_capacity(rounds);
 
@@ -560,9 +538,6 @@ impl<'a> PipelineExecutor<'a> {
                 "round ended with incomplete backwards"
             );
             debug_assert!(round_end > round_start);
-            if let Some(m) = &engine.metrics {
-                m.round_s.record(round_end - round_start);
-            }
             round_ends.push(round_end);
         }
 
@@ -650,7 +625,6 @@ struct Engine<'e> {
     dev_stages: Vec<Vec<usize>>,
     task_spans: Vec<SpanRecord>,
     tracer: Option<&'e Tracer>,
-    metrics: Option<ExecMetrics>,
 }
 
 impl Engine<'_> {
@@ -894,10 +868,6 @@ impl Engine<'_> {
             t1: now + duration,
         };
         self.task_spans.push(span);
-        if let Some(m) = &self.metrics {
-            m.tasks.inc(1);
-            m.task_s.record(duration);
-        }
         if let Some(tr) = self.tracer {
             tr.span(
                 span.domain,
@@ -934,7 +904,6 @@ mod tests {
     use crate::profiler::PipelineProfile;
     use crate::schedule::DEFAULT_INTERLEAVE;
     use ecofl_models::efficientnet;
-    use ecofl_obs::MetricsHub;
     use ecofl_simnet::{nano_h, tx2_n, Device, Link};
 
     fn profile(mbs: usize) -> PipelineProfile {
@@ -1034,16 +1003,6 @@ mod tests {
         let bridged = traced.trace_view();
         assert_eq!(bridged.stage_count(), view.stage_count());
         assert!((bridged.total_idle_time() - view.total_idle_time()).abs() < 1e-9);
-
-        // Tracer and hub in one `Obs` record what each alone records,
-        // and all three runs report the same.
-        let (tracer2, hub, hub2) = (Tracer::new(), MetricsHub::new(), MetricsHub::new());
-        let both = exec.run_traced(8, 2, Obs::from(&tracer2).with_hub(&hub2));
-        let hub_only = exec.run_traced(8, 2, &hub).expect("no OOM");
-        assert_eq!(tracer2.records(), tracer.records());
-        assert_eq!(hub2.snapshot(0), hub.snapshot(0));
-        assert_eq!(both.expect("no OOM").task_spans, plain.task_spans);
-        assert_eq!(hub_only.task_spans, plain.task_spans);
     }
 
     #[test]

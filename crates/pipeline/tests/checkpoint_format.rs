@@ -18,7 +18,7 @@
 //! Beside them, the decoder's length arithmetic: a bit-flipped header may
 //! claim any count, and the answer is a typed error, not a panic.
 
-use ecofl_obs::store::{CHECKPOINT_SEGMENT, METRICS_SEGMENT, TRACE_SEGMENT};
+use ecofl_obs::store::{CHECKPOINT_SEGMENT, TRACE_SEGMENT};
 use ecofl_obs::RunStore;
 use ecofl_pipeline::executor::ExecError;
 use ecofl_pipeline::runtime::{
@@ -180,7 +180,7 @@ fn a_store_written_by_the_parent_reads_back_recovers_and_is_what_this_build_writ
     // Opening a segment re-seals it, so work on a copy.
     let parent = temp_dir("parent");
     std::fs::create_dir_all(&parent).unwrap();
-    for seg in [TRACE_SEGMENT, CHECKPOINT_SEGMENT, METRICS_SEGMENT] {
+    for seg in [TRACE_SEGMENT, CHECKPOINT_SEGMENT, "metrics.seg"] {
         std::fs::copy(fixture("parent_store").join(seg), parent.join(seg)).unwrap();
     }
     let theirs = checkpoint_sequence(&parent);

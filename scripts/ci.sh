@@ -22,7 +22,7 @@ covered_store=0
 covered_metrics=0
 while IFS= read -r manifest; do
     case "$manifest" in
-        # The streaming-metrics module ships inside crates/obs; the
+        # The runtime's wall-clock metrics hub ships inside crates/obs; the
         # sentinel pins it to the manifest the walk covers so a future
         # move into its own crate must move the coverage check too.
         */crates/obs/Cargo.toml)
@@ -98,7 +98,7 @@ if [ "$covered_obs" -ne 1 ] || [ "$covered_fl" -ne 1 ] ||
     exit 1
 fi
 if [ "$covered_metrics" -ne 1 ]; then
-    echo "ERROR: hermeticity guard did not find crates/obs/src/metrics.rs — the streaming-metrics module moved without updating its sentinel." >&2
+    echo "ERROR: hermeticity guard did not find crates/obs/src/metrics.rs — the metrics-hub module moved without updating its sentinel." >&2
     exit 1
 fi
 echo "    ok"
@@ -107,8 +107,13 @@ echo "    ok"
 # against scripts/ledger.txt (a PR that must grow one raises the committed
 # number in the same diff, where a reviewer sees it; one that shrinks it
 # lowers the number so the gain is kept), and a guard that the run /
-# run_traced / run_metered twins and the second event-queue backend
-# (folded into `Obs` and deleted by PR 16) stay gone — as do the executor's
+# run_traced / run_metered twins and the second event-queue backend stay
+# gone — every engine takes one `impl Into<Option<&Tracer>>` argument —
+# as does the second recorder of virtual time: the metrics hub's feeds
+# into the FL scheduler, the executor and the run store, its snapshot
+# segment, Prometheus codec and quantile sketch (a metric over a run is a
+# fold over trace records; the hub keeps only the threaded runtime's
+# wall clock). So do the executor's
 # second and third task records (`TaskSpan`, the busy / throughput
 # trackers: a task is one `SpanRecord`, busy time a fold over them), the
 # span-slice Gantt entry points and the unused plan validator, and the
@@ -123,8 +128,8 @@ pub_items=$(grep -rhE --include='*.rs' \
     '^\s*pub (fn|struct|enum|trait|mod|const|type|use|static) ' crates/*/src | wc -l)
 # Serde derives outside the compat layer itself: a type derives
 # Serialize only if something writes it, Deserialize only if something
-# reads it back (bench rows, Table 1's DeviceSpec, obs records and
-# metrics snapshots). Newlines are dropped so a wrapped derive counts.
+# reads it back (bench rows, Table 1's DeviceSpec and obs records).
+# Newlines are dropped so a wrapped derive counts.
 serde_derives=$(find crates src tests examples -name '*.rs' -not -path 'crates/compat*' -print0 |
     xargs -0 cat | tr -d '\n' | grep -oE '#\[derive\([^)]*\)\]' |
     grep -oE '\b(Serialize|Deserialize)\b' | wc -l)
@@ -151,8 +156,9 @@ ratchet serde_derives "$serde_derives"
 twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
 twins="$twins|TaskSpan|TaskPhase|BusyTracker|ThroughputTracker|spans_to_view|render_round|validate_plan"
 twins="$twins|with_momentum|FLUSH_THRESHOLD|RunningStats"
+twins="$twins|with_hub\(|attach_metrics|append_snapshot|to_prometheus|from_prometheus|LogHistogram|METRICS_SEGMENT"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
-    echo "ERROR: a folded twin is back — observation goes through ecofl_obs::Obs, an executed task is one SpanRecord." >&2
+    echo "ERROR: a folded twin is back — an engine records virtual time into one optional Tracer (the metrics hub observes only the threaded runtime's wall clock), an executed task is one SpanRecord." >&2
     exit 1
 fi
 # One training path: tensors go through `Layer` by value (the compiler
@@ -338,10 +344,10 @@ cargo test -q --release --offline -p ecofl-tensor \
 cargo test -q --release --offline -p ecofl-fl \
     --test train_fingerprint --test alloc_bound
 
-# Metrics-perturbation gate: attaching a MetricsHub must leave FL run
-# results, executor reports/traces and threaded-runtime parameters
-# bit-identical to a detached run. Optimized, and watchdogged because the
-# suite drives the threaded runtime.
+# Metrics-perturbation gate: attaching a MetricsHub to the threaded
+# runtime — the one engine that feeds a hub, with wall-clock timings —
+# must leave its parameters bit-identical to a detached run. Optimized,
+# and watchdogged because the suite drives the threaded runtime.
 echo "==> metrics-perturbation gate: --test metrics_perturbation (watchdog 300s)"
 timeout 300 cargo test -q --release --offline --test metrics_perturbation || {
     status=$?
@@ -351,15 +357,15 @@ timeout 300 cargo test -q --release --offline --test metrics_perturbation || {
     exit "$status"
 }
 
-# Metrics-overhead smoke gate: the hub-enabled 1F1B round must stay
-# within a fixed median ratio of the hub-disabled round (the test is
+# Tracer-overhead smoke gate: the traced executor 1F1B round must stay
+# within a fixed median ratio of the untraced round (the test is
 # #[ignore]d because wall-clock ratios are meaningless under the
 # parallel test runner — it only runs here, serially, in release).
-echo "==> metrics-overhead gate: --test metrics_overhead -- --ignored (watchdog 300s)"
+echo "==> tracer-overhead gate: --test metrics_overhead -- --ignored (watchdog 300s)"
 timeout 300 cargo test -q --release --offline --test metrics_overhead -- --ignored || {
     status=$?
     if [ "$status" -eq 124 ]; then
-        echo "ERROR: metrics-overhead gate hit the watchdog." >&2
+        echo "ERROR: tracer-overhead gate hit the watchdog." >&2
     fi
     exit "$status"
 }
@@ -375,7 +381,7 @@ timeout 300 cargo test -q --release --offline --test metrics_overhead -- --ignor
 # on x86-64 Linux (datasets and latencies go through the platform's
 # libm): recapture one only for a declared behaviour change, with
 # `./target/release/ecofl fl <the flags below> > tests/golden/fl/<name>.txt`.
-echo "==> scale-smoke gate: 100k and 1M virtual clients via the CLI vs tests/golden/fl (watchdog 300s / 60s)"
+echo "==> scale-smoke gate: 100k and 1M virtual clients and the 300-client paper runs via the CLI vs tests/golden/fl (watchdog 300s / 60s)"
 scale_dir=$(mktemp -d)
 trap 'rm -rf "$scale_dir"' EXIT
 fl_golden() { # <golden name> <output file>
@@ -439,6 +445,20 @@ SCALE_DIR=$scale_dir VM_KIB=$census_vm_kib timeout 60 bash -c '
 }
 for strategy in ecofl fedat fedavg; do
     fl_golden "census_1m_$strategy" "$scale_dir/census_$strategy.txt"
+done
+# The benchmark's paper-scale ops (fl_paper_300: §6.1's 300 clients, 20
+# per round, 5 groups, 3000 s) at one seed, captured from the binary
+# before the metrics hub left the FL scheduler. Unlike the runs above they
+# train real models for most of their time, so any change to Eq. 4's
+# lambda, RT_g, local training or aggregation moves these lines.
+echo "    the 12 fl_paper_300 ops at --seed 7"
+for dataset in cifar fashion; do
+    for strategy in ecofl fedavg fedasync fedat astraea ecofl-static; do
+        ./target/release/ecofl fl --strategy "$strategy" --clients 300 \
+            --clients-per-round 20 --groups 5 --horizon 3000 --dataset "$dataset" \
+            --seed 7 >"$scale_dir/paper_${dataset}_$strategy.txt"
+        fl_golden "paper_300_${dataset}_$strategy" "$scale_dir/paper_${dataset}_$strategy.txt"
+    done
 done
 echo "    ok (outputs match tests/golden/fl)"
 

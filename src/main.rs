@@ -9,8 +9,7 @@
 //! ecofl trace   --model effnet-b0 --devices tx2q,nanoh,nanoh
 //! ecofl trace   --store target/ecofl-results/trace/pipeline --rounds 0..2
 //! ecofl metrics --live fl --clients 12 --horizon 120 --store DIR
-//! ecofl metrics --store DIR [--round N] [--export FILE]
-//! ecofl metrics --import FILE
+//! ecofl metrics --store DIR
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free: `--key value` pairs
@@ -18,7 +17,6 @@
 //! reads. Every failure path is a typed [`EcoFlError`]; `main` prints its
 //! `Display` form, which carries the exact message.
 
-use ecofl::obs::metrics::LogHistogram;
 use ecofl::obs::{trace_dir, Domain};
 use ecofl::prelude::*;
 use ecofl_pipeline::adaptive::{simulate_load_spike_with, SchedulerConfig};
@@ -26,7 +24,7 @@ use ecofl_pipeline::executor::MAX_SIMULATED_MICRO_BATCHES;
 use ecofl_pipeline::gantt::{legend, render_view};
 use ecofl_pipeline::orchestrator::MAX_DEVICE_ORDERS;
 use ecofl_pipeline::schedule::ScheduleKind;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -734,7 +732,13 @@ fn fl_args(
         seed,
         ..defaults
     };
-    config.validate().map_err(EcoFlError::Config)?;
+    config.validate().map_err(|e| {
+        // The horizon is the one refused knob a flag sets directly.
+        EcoFlError::Config(match e.strip_prefix("horizon ") {
+            Some(rest) => format!("--horizon {rest}"),
+            None => e,
+        })
+    })?;
     let data = FederatedDataset::generate(
         &dataset,
         shards,
@@ -1037,133 +1041,132 @@ fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     Ok(())
 }
 
-/// Renders one metrics snapshot as an aligned ASCII dashboard.
-fn render_snapshot(snap: &MetricsSnapshot) -> Vec<String> {
-    let mut out = Vec::new();
-    out.push(format!(
-        "metrics snapshot — round {} ({} counter(s), {} gauge(s), {} histogram(s))",
-        snap.round,
-        snap.counters.len(),
-        snap.gauges.len(),
-        snap.histograms.len()
-    ));
-    if !snap.counters.is_empty() {
-        out.push("  counters:".into());
-        for c in &snap.counters {
-            out.push(format!("    {:<30} {:>14}", c.name, c.value));
+/// Rolls `records` up into the `metrics` report, one line per metric:
+/// counter totals, gauge last / min / max / samples, and per (domain,
+/// kind) the span count with its exact p50 / p95 / p99 / max duration
+/// and the event count. A percentile is the nearest-rank sample
+/// (`max(1, ⌈q·n⌉)` of the sorted durations). Totals are summed in
+/// record order, so a slice and the store it was appended to roll up
+/// to the same lines.
+fn rollup(records: &[TraceRecord]) -> Vec<String> {
+    let mut counters: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut gauges: BTreeMap<&str, (f64, f64, f64, u64)> = BTreeMap::new();
+    let mut spans: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    let mut events: BTreeMap<String, u64> = BTreeMap::new();
+    for record in records {
+        match record {
+            TraceRecord::Counter(c) => *counters.entry(&c.name).or_insert(0.0) += c.delta,
+            TraceRecord::Gauge(g) => {
+                let (last, min, max, samples) = gauges
+                    .entry(&g.name)
+                    .or_insert((g.value, g.value, g.value, 0));
+                (*last, *min, *max) = (g.value, min.min(g.value), max.max(g.value));
+                *samples += 1;
+            }
+            TraceRecord::Span(sp) => spans
+                .entry(format!("{:?}.{:?}", sp.domain, sp.kind))
+                .or_default()
+                .push(sp.t1 - sp.t0),
+            TraceRecord::Event(ev) => {
+                *events
+                    .entry(format!("{:?}.{:?}", ev.domain, ev.kind))
+                    .or_default() += 1;
+            }
         }
     }
-    if !snap.gauges.is_empty() {
+    let mut out = vec![format!("rollup of {} record(s)", records.len())];
+    if !counters.is_empty() {
+        out.push("  counters (total):".into());
+        for (name, total) in counters {
+            out.push(format!("    {name:<30} {total:>14}"));
+        }
+    }
+    if !gauges.is_empty() {
         out.push("  gauges (last / min / max / samples):".into());
-        for g in &snap.gauges {
+        for (name, (last, min, max, samples)) in gauges {
             out.push(format!(
-                "    {:<30} {:>12.4} {:>12.4} {:>12.4} {:>8}",
-                g.name, g.last, g.min, g.max, g.samples
+                "    {name:<30} {last:>12.4} {min:>12.4} {max:>12.4} {samples:>8}"
             ));
         }
     }
-    if !snap.histograms.is_empty() {
-        out.push("  histograms (p50 / p95 / p99 / max / count):".into());
-        for h in &snap.histograms {
-            let sketch = LogHistogram::from_snapshot(h);
-            let q = |p: f64| sketch.quantile(p).unwrap_or(0.0);
+    if !spans.is_empty() {
+        out.push("  spans (count / p50 / p95 / p99 / max duration, s):".into());
+        for (key, mut durations) in spans {
+            durations.sort_by(f64::total_cmp);
+            let n = durations.len();
+            let rank = |q: f64| durations[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
             out.push(format!(
-                "    {:<30} {:>12.4e} {:>12.4e} {:>12.4e} {:>12.4e} {:>8}",
-                h.name,
-                q(0.5),
-                q(0.95),
-                q(0.99),
-                h.max,
-                h.count
+                "    {key:<30} {n:>8} {:>12.4e} {:>12.4e} {:>12.4e} {:>12.4e}",
+                rank(0.5),
+                rank(0.95),
+                rank(0.99),
+                durations[n - 1]
             ));
+        }
+    }
+    if !events.is_empty() {
+        out.push("  events (count):".into());
+        for (key, count) in events {
+            out.push(format!("    {key:<30} {count:>8}"));
         }
     }
     out
 }
 
-/// Folds the tensor crate's process-global kernel statistics into the
-/// hub as `kernel_<name>_<path>_{calls,ns}` counters. The counters are
-/// written only here, so increment-by-delta keeps them equal to the
-/// monotone totals.
-fn scrape_kernel_stats(hub: &MetricsHub) {
+/// The tensor crate's process-global kernel statistics: wall-clock
+/// facts, so printed beside the rollup rather than folded into it.
+fn kernel_lines() -> Vec<String> {
+    let mut out = vec!["  kernels (calls / wall-clock ms):".to_string()];
     for stat in ecofl_tensor::kernel_stats() {
-        let calls = hub.counter(&format!("kernel_{}_{}_calls", stat.kernel, stat.path));
-        calls.inc(stat.calls.saturating_sub(calls.get()));
-        let nanos = hub.counter(&format!("kernel_{}_{}_ns", stat.kernel, stat.path));
-        nanos.inc(stat.nanos.saturating_sub(nanos.get()));
+        out.push(format!(
+            "    {:<30} {:>14} {:>12.3}",
+            format!("{}.{}", stat.kernel, stat.path),
+            stat.calls,
+            stat.nanos as f64 / 1e6
+        ));
     }
+    out
 }
 
 fn cmd_metrics(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     if args.contains_key("live") {
         return cmd_metrics_live(args);
     }
-    if let Some(file) = args.get("import") {
-        return cmd_metrics_import(args, file);
-    }
-    cmd_metrics_inspect(args)
-}
-
-/// Opens a run store and renders its persisted metrics snapshots: the
-/// latest by default, a specific round with `--round`, exported as
-/// Prometheus text with `--export`.
-fn cmd_metrics_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
-    check_flags(args, "metrics --store", &[&["store", "round", "export"]])?;
+    check_flags(args, "metrics --store", &[&["store"]])?;
     let dir = PathBuf::from(require(args, "store")?);
     let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
     let store = RunStore::open(dir.as_path()).map_err(io_err)?;
-    let count = store.snapshot_count();
-    println!("store: {} ({count} metrics snapshot(s))", dir.display());
-    let snap = match args.get("round") {
-        Some(r) => {
-            let round: u64 = r
-                .parse()
-                .map_err(|_| EcoFlError::Parse(format!("bad value for --round: {r}")))?;
-            store.snapshot_at_round(round).map_err(io_err)?
-        }
-        None => store.latest_snapshot().map_err(io_err)?,
-    };
-    let Some(snap) = snap else {
-        return Err(EcoFlError::Config(
-            "store holds no matching metrics snapshot".into(),
-        ));
-    };
-    if let Some(out) = args.get("export") {
-        std::fs::write(out, snap.to_prometheus())
-            .map_err(|e| EcoFlError::Io(format!("cannot write {out}: {e}")))?;
-        println!("exported Prometheus text to {out}");
-    }
-    for line in render_snapshot(&snap) {
+    println!("store: {}", dir.display());
+    for line in rollup(&store.records().map_err(io_err)?) {
         println!("{line}");
     }
     Ok(())
 }
 
-/// Parses a Prometheus-text export back into a snapshot and renders it
-/// (the read half of the export round-trip); `--export` re-exports it.
-fn cmd_metrics_import(args: &HashMap<String, String>, file: &str) -> Result<(), EcoFlError> {
-    check_flags(args, "metrics --import", &[&["import", "export"]])?;
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| EcoFlError::Io(format!("cannot read {file}: {e}")))?;
-    let snap = MetricsSnapshot::from_prometheus(&text)
-        .map_err(|e| EcoFlError::Parse(format!("{file}: {e}")))?;
-    println!("imported {file}");
-    if let Some(out) = args.get("export") {
-        std::fs::write(out, snap.to_prometheus())
-            .map_err(|e| EcoFlError::Io(format!("cannot write {out}: {e}")))?;
-        println!("re-exported Prometheus text to {out}");
+/// Appends the records `tracer` made since the last call to `store` and
+/// seals it, so another process can read the store mid-run; returns
+/// every record so far.
+fn persist_new(
+    tracer: &Tracer,
+    store: Option<&mut RunStore>,
+    persisted: &mut usize,
+) -> Result<Vec<TraceRecord>, EcoFlError> {
+    let records = tracer.records();
+    if let Some(store) = store {
+        store
+            .append(&records[*persisted..])
+            .and_then(|()| store.flush())
+            .map_err(|e| EcoFlError::Io(format!("metrics store: {e}")))?;
     }
-    for line in render_snapshot(&snap) {
-        println!("{line}");
-    }
-    Ok(())
+    *persisted = records.len();
+    Ok(records)
 }
 
-/// Runs an FL scenario with a [`MetricsHub`] attached and renders a
-/// refreshing dashboard while it trains. Every refresh tick rolls the
-/// hub into a snapshot; with `--store` each tick is durably appended
-/// (snapshot blocks seal per append), so a second terminal can inspect
-/// the same store mid-run with `ecofl metrics --store DIR`.
+/// Runs an FL scenario on a worker thread and, every refresh tick, prints
+/// the rollup of the trace it has recorded so far plus the kernel
+/// statistics. With `--store` each tick appends the new records to the
+/// store and seals it, so a second terminal can run `ecofl metrics
+/// --store DIR` mid-run; the final rollup equals what that prints.
 fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     use std::io::IsTerminal as _;
 
@@ -1191,33 +1194,23 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         None => None,
     };
 
-    let hub = MetricsHub::new();
-    if let Some((_, st)) = &mut store {
-        st.attach_metrics(&hub);
-    }
     ecofl_tensor::reset_kernel_stats();
     ecofl_tensor::set_kernel_stats_enabled(true);
-
+    let tracer = Tracer::new();
     let worker = {
-        let hub = hub.clone();
-        std::thread::spawn(move || run_strategy(strategy, &setup, &hub))
+        let tracer = tracer.clone();
+        std::thread::spawn(move || run_strategy(strategy, &setup, &tracer))
     };
 
     let live_tty = std::io::stdout().is_terminal();
-    let mut tick = 0u64;
-    let io_err = |e: std::io::Error| EcoFlError::Io(format!("metrics store: {e}"));
+    let mut persisted = 0;
     while !worker.is_finished() {
         std::thread::sleep(std::time::Duration::from_millis(refresh as u64));
-        tick += 1;
-        scrape_kernel_stats(&hub);
-        let snap = hub.snapshot(tick);
-        if let Some((_, st)) = &mut store {
-            st.append_snapshot(&snap).map_err(io_err)?;
-        }
+        let records = persist_new(&tracer, store.as_mut().map(|(_, st)| st), &mut persisted)?;
         if live_tty {
             print!("\x1b[2J\x1b[H");
         }
-        for line in render_snapshot(&snap) {
+        for line in rollup(&records).into_iter().chain(kernel_lines()) {
             println!("{line}");
         }
         println!();
@@ -1225,22 +1218,18 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     ecofl_tensor::set_kernel_stats_enabled(false);
     let result = worker
         .join()
-        .map_err(|_| EcoFlError::Config("metered FL run panicked".into()))?;
+        .map_err(|_| EcoFlError::Config("live FL run panicked".into()))?;
 
-    // Final rollup: everything the run recorded, tagged one past the
-    // last live tick.
-    tick += 1;
-    scrape_kernel_stats(&hub);
-    let snap = hub.snapshot(tick);
-    if let Some((dir, st)) = &mut store {
-        st.append_snapshot(&snap).map_err(io_err)?;
+    // Final rollup: everything the run recorded.
+    let records = persist_new(&tracer, store.as_mut().map(|(_, st)| st), &mut persisted)?;
+    if let Some((dir, st)) = &store {
         println!(
-            "persisted {} metrics snapshot(s) to {}",
-            st.snapshot_count(),
+            "persisted {} trace record(s) to {}",
+            st.record_count(),
             dir.display()
         );
     }
-    for line in render_snapshot(&snap) {
+    for line in rollup(&records).into_iter().chain(kernel_lines()) {
         println!("{line}");
     }
     println!(
@@ -1283,13 +1272,12 @@ fn usage() -> &'static str {
               [--rounds A..B] [--domain pipeline|scheduler|fl|grouping]\n\
               [--kind span|event|counter|gauge] [--min-duration T]\n\
               [--limit N]            segments, pruned query, checkpoints\n\
-       metrics --live fl             run FL with a metrics hub attached and\n\
+       metrics --live fl             run FL and print a live-refreshing\n\
               [fl's flags] [--refresh-ms N] [--store DIR]\n\
-                                     render a live-refreshing dashboard,\n\
-                                     appending each tick's snapshot to DIR\n\
-       metrics --store DIR           inspect persisted metrics snapshots\n\
-              [--round N] [--export FILE (Prometheus text)]\n\
-       metrics --import FILE         parse a Prometheus export and render it\n\
+                                     rollup of its trace plus kernel stats,\n\
+                                     appending each tick's records to DIR\n\
+       metrics --store DIR           roll a stored trace up: counter totals,\n\
+                                     gauges, span percentiles, event counts\n\
      models : effnet-b0..b6, mobilenet-w1..w3 (optionally model@resolution)\n\
      devices: comma list of nanol, nanoh, tx2q, tx2n"
 }

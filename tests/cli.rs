@@ -302,67 +302,72 @@ fn trace_write_ops_print_and_store_the_golden_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The lines of the trace rollup that starts at the last `rollup of`
+/// header of `stdout`, up to the wall-clock kernel section.
+fn last_rollup(stdout: &str) -> Vec<&str> {
+    let lines: Vec<&str> = stdout.lines().collect();
+    let start = lines
+        .iter()
+        .rposition(|l| l.starts_with("rollup of "))
+        .unwrap_or_else(|| panic!("no rollup in:\n{stdout}"));
+    lines[start..]
+        .iter()
+        .take_while(|l| !l.starts_with("  kernels "))
+        .copied()
+        .collect()
+}
+
 #[test]
-fn metrics_live_run_persists_snapshots_and_round_trips_prometheus() {
+fn metrics_live_rollup_matches_the_stored_trace_fold() {
     let dir = std::env::temp_dir().join(format!("ecofl-cli-metrics-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = dir.to_str().expect("utf-8 temp path");
 
-    // Live metered FL run: dashboard ticks while training, every tick's
-    // snapshot lands in the store.
-    let (ok, stdout, stderr) = ecofl(&[
+    // Live FL run: each tick appends the new records to the store and
+    // prints the rollup of the trace so far plus the kernel statistics.
+    let (ok, live, stderr) = ecofl(&[
         "metrics",
         "--live",
         "fl",
         "--clients",
-        "8",
+        "12",
         "--horizon",
-        "60",
+        "120",
         "--refresh-ms",
-        "50",
+        "20",
         "--store",
         store,
     ]);
-    assert!(ok, "metrics --live failed:\n{stdout}\n{stderr}");
-    assert!(stdout.contains("metrics snapshot"), "stdout:\n{stdout}");
-    for metric in [
-        "fl_global_updates",
-        "fl_round_latency_s",
-        "fl_accuracy",
-        "store_blocks_written",
-    ] {
-        assert!(stdout.contains(metric), "missing {metric} in:\n{stdout}");
+    assert!(ok, "metrics --live failed:\n{live}\n{stderr}");
+    assert!(live.contains("  kernels (calls"), "stdout:\n{live}");
+    assert!(live.contains("persisted"), "stdout:\n{live}");
+    assert!(!dir.join("metrics.seg").exists());
+
+    // The final rollup is the fold of the stored trace, line for line.
+    let (ok, stored, stderr) = ecofl(&["metrics", "--store", store]);
+    assert!(ok, "metrics --store failed:\n{stored}\n{stderr}");
+    let rollup = last_rollup(&live);
+    assert_eq!(rollup, last_rollup(&stored));
+    for section in ["  counters", "  gauges", "  spans", "  events"] {
+        assert!(
+            rollup.iter().any(|l| l.starts_with(section)),
+            "no {section} in:\n{stored}"
+        );
     }
-    assert!(
-        stdout.contains("persisted") && stdout.contains("snapshot(s)"),
-        "stdout:\n{stdout}"
-    );
-    assert!(dir.join("metrics.seg").exists());
 
-    // Inspect the persisted snapshots and export Prometheus text.
-    let prom = dir.join("export.prom");
-    let prom_path = prom.to_str().expect("utf-8 temp path");
-    let (ok, stdout, stderr) = ecofl(&["metrics", "--store", store, "--export", prom_path]);
-    assert!(ok, "metrics inspect failed:\n{stdout}\n{stderr}");
-    assert!(stdout.contains("metrics snapshot(s))"), "stdout:\n{stdout}");
-    assert!(stdout.contains("fl_global_updates"), "stdout:\n{stdout}");
-    let text = std::fs::read_to_string(&prom).expect("export written");
-    assert!(text.starts_with("# ecofl-metrics v1 round="), "{text}");
-    assert!(text.contains("# TYPE fl_round_latency_s histogram"));
-
-    // Import the export, re-export, and demand a byte-identical file:
-    // the CLI-level Prometheus round trip.
-    let prom2 = dir.join("export2.prom");
-    let prom2_path = prom2.to_str().expect("utf-8 temp path");
-    let (ok, stdout, stderr) = ecofl(&["metrics", "--import", prom_path, "--export", prom2_path]);
-    assert!(ok, "metrics import failed:\n{stdout}\n{stderr}");
-    let text2 = std::fs::read_to_string(&prom2).expect("re-export written");
-    assert_eq!(text, text2, "Prometheus round trip must be byte-identical");
-
-    // --round selects a specific stored snapshot.
-    let (ok, stdout, stderr) = ecofl(&["metrics", "--store", store, "--round", "1"]);
-    assert!(ok, "metrics --round failed:\n{stdout}\n{stderr}");
-    assert!(stdout.contains("round 1 ("), "stdout:\n{stdout}");
+    // Its `global_updates` total is the run's printed update count.
+    let updates = live
+        .lines()
+        .last()
+        .and_then(|l| l.split(" | ").last())
+        .and_then(|w| w.strip_suffix(" updates"))
+        .unwrap_or_else(|| panic!("no update count in:\n{live}"));
+    let total = rollup
+        .iter()
+        .find_map(|l| l.trim().strip_prefix("global_updates"))
+        .map(str::trim)
+        .unwrap_or_else(|| panic!("no global_updates total in:\n{stored}"));
+    assert_eq!(total, updates);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -616,6 +621,57 @@ fn spike_kill_micro_past_the_round_is_rejected_not_reported_as_success() {
     assert!(stdout.contains("bit-identical"), "stdout:\n{stdout}");
 }
 
+/// A horizon whose cohort completions pass the bound the config allows
+/// is refused at once by every command that runs FL; it used to run for
+/// a time linear in the horizon, so `1e300` never returned.
+#[test]
+fn an_unbounded_fl_horizon_is_rejected_at_once() {
+    use std::time::{Duration, Instant};
+    for args in [
+        &["fl", "--clients", "10", "--horizon", "1e300"][..],
+        &[
+            "trace",
+            "--scenario",
+            "fl",
+            "--clients",
+            "10",
+            "--horizon",
+            "1e300",
+        ],
+        &[
+            "metrics",
+            "--live",
+            "fl",
+            "--clients",
+            "10",
+            "--horizon",
+            "1e300",
+        ],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ecofl"))
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while child.try_wait().expect("waits").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                panic!("{args:?} still running after 30 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("exited");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} exited 0");
+        assert!(
+            stderr.starts_with("error: --horizon 1e300 s allows"),
+            "{args:?} stderr:\n{stderr}"
+        );
+    }
+}
+
 #[test]
 fn fl_horizon_zero_names_the_horizon_flag() {
     assert_rejects(&["fl", "--clients", "10", "--horizon", "0"], "--horizon");
@@ -703,9 +759,10 @@ fn misspelt_and_dangling_flags_are_rejected_not_ignored() {
         &["metrics", "--live", "fl", "--refresh", "50"],
         "--refresh for metrics --live",
     );
+    // The Prometheus import is gone; its flag is refused by name.
     assert_rejects(
-        &["metrics", "--import", "nowhere.prom", "--exprt", "x"],
-        "--exprt for metrics --import",
+        &["metrics", "--import", "nowhere.prom"],
+        "--import for metrics --store",
     );
 }
 
