@@ -5,6 +5,15 @@
 //! returning a guard directly (no poison `Result`), and
 //! bounded/unbounded channels whose `Sender` *and* `Receiver` are
 //! cloneable, with disconnect-aware blocking `send`/`recv`.
+//!
+//! **Why not `std::sync::mpsc`:** every activation, gradient and reply of
+//! the threaded runtime waits in these channels, and std's `Receiver`
+//! cannot be cloned nor its wait tuned (see [`channel`]). Swapped in for
+//! the runtime's channels, it took `ecofl spike --devices tx2q,nanoh
+//! --rounds 2000 --kill-round 1000 --kill-micro 1 --kill-stage 0|1
+//! --seed 5` 0.335 s [0.331, 0.350] against 0.184 s [0.179, 0.188] here
+//! (median [q1, q3], 10 alternating pairs, 2-vCPU x86-64 Linux VM; std
+//! faster in 0/10).
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -348,7 +348,7 @@ impl EcoFlSystem {
             let store_err =
                 |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
             let mut store = RunStore::open_or_create(dir).map_err(store_err)?;
-            tr.persist(&mut store).map_err(store_err)?;
+            tr.persist(&mut store, 0).map_err(store_err)?;
         }
         Ok(EcoFlReport {
             pipeline_plans: self.plans.clone(),

@@ -84,7 +84,8 @@ fn bad_local_solver_knobs_are_config_errors_not_worker_panics() {
 #[test]
 fn bad_population_and_latency_knobs_are_config_errors_not_panics() {
     type Spoil = fn(&mut FlConfig);
-    let cases: [(&str, Spoil); 8] = [
+    let cases: [(&str, Spoil); 9] = [
+        ("horizon", |c| c.horizon = 0.0),
         ("clients_per_round", |c| c.clients_per_round = 0),
         ("num_clients", |c| c.num_clients = 0),
         ("base_delay_mean", |c| c.base_delay_mean = f64::NAN),

@@ -220,9 +220,10 @@ impl FlConfig {
     /// index reaches tripped its assert, and a `change_prob` outside
     /// `[0, 1]` silently never or always fired.
     ///
-    /// A horizon that allows more than `MAX_COHORT_COMPLETIONS`
-    /// cohort completions (NaN and infinity included) is refused: the
-    /// run time is linear in the horizon, so `1e300` never returned.
+    /// A horizon that is not positive and finite is refused (zero ran an
+    /// empty simulation and reported zeros), and so is one that allows
+    /// more than `MAX_COHORT_COMPLETIONS` cohort completions: the run
+    /// time is linear in the horizon, so `1e300` never returned.
     ///
     /// # Errors
     /// Returns `Err(message)` naming the offending field and value.
@@ -314,6 +315,13 @@ impl FlConfig {
             return Err(format!(
                 "failure_prob must be in [0, 1], got {}",
                 self.failure_prob
+            ));
+        }
+        // Before `eval_interval`, which callers derive from it.
+        if !(self.horizon > 0.0 && self.horizon.is_finite()) {
+            return Err(format!(
+                "horizon must be positive and finite, got {}",
+                self.horizon
             ));
         }
         if !(self.eval_interval > 0.0 && self.eval_interval.is_finite()) {
@@ -438,7 +446,7 @@ mod tests {
             .validate()
         };
         assert!(at(99_990.0).is_ok());
-        for bad in [100_000.0, 1e300, f64::INFINITY, f64::NAN] {
+        for bad in [100_000.0, 1e300, f64::INFINITY, f64::NAN, 0.0, -1.0] {
             let err = at(bad).unwrap_err();
             assert!(err.starts_with("horizon "), "got: {err}");
         }

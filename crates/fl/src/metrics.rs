@@ -40,10 +40,25 @@ fn summarize(result: &RunResult, thresholds: &[f64]) -> ConvergenceSummary {
 /// `"accuracy"` gauge stream a traced run emits (one sample per
 /// evaluation), so a JSONL trace on disk is enough to recompute every
 /// convergence metric.
-#[must_use]
-pub fn summarize_view(view: &TraceView, strategy: &str, thresholds: &[f64]) -> ConvergenceSummary {
-    let accuracy: TimeSeries = view.gauge_series("accuracy").into_iter().collect();
-    summarize_series(strategy, &accuracy, thresholds)
+///
+/// # Errors
+/// [`std::io::ErrorKind::InvalidData`] if the gauge goes back in time, as
+/// in a store two runs appended to.
+pub fn summarize_view(
+    view: &TraceView,
+    strategy: &str,
+    thresholds: &[f64],
+) -> std::io::Result<ConvergenceSummary> {
+    let points = view.gauge_series("accuracy");
+    let ordered = points.windows(2).all(|w| w[0].0 <= w[1].0);
+    if !(ordered && points.iter().all(|p| p.0.is_finite())) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "the accuracy gauge goes back in time: a summary reads the trace of one run",
+        ));
+    }
+    let accuracy: TimeSeries = points.into_iter().collect();
+    Ok(summarize_series(strategy, &accuracy, thresholds))
 }
 
 /// The one fold behind [`summarize_view`] and its test oracle. The best
@@ -72,14 +87,14 @@ fn summarize_series(
 /// only the blocks that carry accuracy samples.
 ///
 /// # Errors
-/// Returns any store read/decode error.
+/// Returns any store read/decode error, and [`summarize_view`]'s.
 pub fn summarize_store(
     store: &RunStore,
     strategy: &str,
     thresholds: &[f64],
 ) -> std::io::Result<ConvergenceSummary> {
     let view = store.view(&TraceQuery::new().kind(RecordKind::Gauge))?;
-    Ok(summarize_view(&view, strategy, thresholds))
+    summarize_view(&view, strategy, thresholds)
 }
 
 /// AUC divided by the observed time span (`0` for fewer than two points).
@@ -150,7 +165,7 @@ mod tests {
         for (t, v) in points {
             tracer.gauge("accuracy", t, v);
         }
-        let from_view = summarize_view(&tracer.view(), "test", &[0.3, 0.6, 0.95]);
+        let from_view = summarize_view(&tracer.view(), "test", &[0.3, 0.6, 0.95]).unwrap();
         let result = RunResult {
             strategy: "test".into(),
             accuracy: trace(&points),
@@ -162,6 +177,10 @@ mod tests {
             final_recall: vec![0.6; 10],
         };
         assert_eq!(from_view, summarize(&result, &[0.3, 0.6, 0.95]));
+        // A second run's samples go back in time: an error, not a panic.
+        tracer.gauge("accuracy", 0.0, 0.2);
+        let err = summarize_view(&tracer.view(), "test", &[0.3]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -308,10 +308,28 @@ fn device_classes(devices: &[Device]) -> Vec<usize> {
         .collect()
 }
 
+/// How many distinct device sequences the orders of `devices` spell —
+/// `n! / Π multiplicity!`, devices compared by `PartialEq` (spec, load,
+/// allocation) — saturating at `usize::MAX`. [`search_configuration`]
+/// walks them only up to [`MAX_DEVICE_ORDERS`].
+#[must_use]
+pub fn distinct_order_count(devices: &[Device]) -> usize {
+    // The multinomial of each prefix: the last one times `i + 1` over the
+    // new device's multiplicity, an exact division. It never falls, so
+    // the first overflow saturates for good.
+    let class = device_classes(devices);
+    (0..class.len())
+        .try_fold(1usize, |count, i| {
+            let multiplicity = class[..=i].iter().filter(|&&c| c == class[i]).count();
+            usize::try_from(count as u128 * (i as u128 + 1) / multiplicity as u128).ok()
+        })
+        .unwrap_or(usize::MAX)
+}
+
 /// The distinct device orders of `devices` as index permutations, in the
 /// order Heap's algorithm first meets each device *sequence* (devices
-/// compare by `PartialEq`: spec, load, allocation). `None` once there are
-/// more than `cap` of them.
+/// compare by `PartialEq`: spec, load, allocation); there are
+/// [`distinct_order_count`] of them.
 ///
 /// Heap's recursion at level `k` tries each of its `k` elements in slot
 /// `k − 1` and permutes the rest below it. When the device now in that
@@ -321,21 +339,17 @@ fn device_classes(devices: &[Device]) -> Vec<usize> {
 /// subtree's net slot permutation (`net[k − 1]`, a function of `k` alone).
 /// What remains is exactly the first occurrences, visited in the full
 /// walk's order, at `O(n²)` per order instead of `n!` in total.
-fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
+fn distinct_orders(devices: &[Device]) -> Vec<Vec<usize>> {
     fn walk(
         k: usize,
         slots: &mut [usize],
         class: &[usize],
         net: &[Vec<usize>],
-        cap: usize,
         out: &mut Vec<Vec<usize>>,
-    ) -> bool {
+    ) {
         if k <= 1 {
-            if out.len() == cap {
-                return false;
-            }
             out.push(slots.to_vec());
-            return true;
+            return;
         }
         let mut tried = Vec::with_capacity(k);
         for i in 0..k {
@@ -344,13 +358,10 @@ fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
                 apply_permutation(&net[k - 1], &mut slots[..k - 1]);
             } else {
                 tried.push(c);
-                if !walk(k - 1, slots, class, net, cap, out) {
-                    return false;
-                }
+                walk(k - 1, slots, class, net, out);
             }
             slots.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
         }
-        true
     }
 
     let n = devices.len();
@@ -366,7 +377,8 @@ fn distinct_orders(devices: &[Device], cap: usize) -> Option<Vec<Vec<usize>>> {
     }
     let mut out = Vec::new();
     let mut slots: Vec<usize> = (0..n).collect();
-    walk(n, &mut slots, &class, &net, cap, &mut out).then_some(out)
+    walk(n, &mut slots, &class, &net, &mut out);
+    out
 }
 
 /// A candidate that passed Eq. 1 and the memory bounds, ranked for the
@@ -416,7 +428,10 @@ pub fn search_configuration(
     link: &Link,
     config: &OrchestratorConfig,
 ) -> Option<PipelinePlan> {
-    let orders = distinct_orders(devices, MAX_DEVICE_ORDERS)?;
+    if distinct_order_count(devices) > MAX_DEVICE_ORDERS {
+        return None;
+    }
+    let orders = distinct_orders(devices);
     let ordered: Vec<Vec<Device>> = orders
         .iter()
         .map(|order| order.iter().map(|&i| devices[i].clone()).collect())
@@ -974,10 +989,6 @@ mod tests {
         );
     }
 
-    fn factorial(n: usize) -> usize {
-        (1..=n).product()
-    }
-
     #[test]
     fn distinct_orders_are_heaps_first_occurrences() {
         forall(
@@ -996,20 +1007,10 @@ mod tests {
                         first_occurrences.push(order);
                     }
                 }
-                let orders = distinct_orders(home, usize::MAX).expect("uncapped");
+                let orders = distinct_orders(home);
                 assert_eq!(orders, first_occurrences);
-
-                // n! / Π multiplicity!
-                let mut multiset = factorial(home.len());
-                let mut counted = vec![false; home.len()];
-                for i in 0..home.len() {
-                    if !counted[i] {
-                        let same = (i..home.len()).filter(|&j| home[j] == home[i]);
-                        multiset /= factorial(same.clone().count());
-                        same.for_each(|j| counted[j] = true);
-                    }
-                }
-                assert_eq!(orders.len(), multiset);
+                // n! / Π multiplicity!, held to the brute-force walk.
+                assert_eq!(distinct_order_count(home), orders.len());
             },
         );
     }
@@ -1027,17 +1028,23 @@ mod tests {
             devices.push(d);
         }
         for n in 1..=devices.len() {
-            let orders = distinct_orders(&devices[..n], usize::MAX).expect("uncapped");
+            let orders = distinct_orders(&devices[..n]);
             assert_eq!(orders, permutations(n));
         }
         let twins = vec![Device::new(nano_h()); 9];
         assert_eq!(
-            distinct_orders(&twins, MAX_DEVICE_ORDERS),
-            Some(vec![(0..9).collect::<Vec<usize>>()]),
+            distinct_orders(&twins),
+            vec![(0..9).collect::<Vec<usize>>()],
             "nine identical devices are one order"
         );
-        assert_eq!(distinct_orders(&devices[..4], 23), None, "4! = 24 > 23");
-        assert!(distinct_orders(&devices[..4], 24).is_some());
+        assert_eq!(distinct_order_count(&twins), 1);
+        assert_eq!(distinct_order_count(&devices[..4]), 24, "4!");
+        // Three each of Table 1's four devices: 12! / (3!)⁴, past the cap.
+        let twelve: Vec<Device> = devices[..4].iter().cycle().take(12).cloned().collect();
+        assert_eq!(distinct_order_count(&twelve), 369_600);
+        // Ten each of the six, 60! / (10!)⁶ ≈ 3e43, saturates.
+        let sixty: Vec<Device> = devices.iter().cycle().take(60).cloned().collect();
+        assert_eq!(distinct_order_count(&sixty), usize::MAX);
     }
 
     #[test]

@@ -462,6 +462,14 @@ for dataset in cifar fashion; do
 done
 echo "    ok (outputs match tests/golden/fl)"
 
+# Flag-sweep gate (ROADMAP item 16): every numeric flag of every command
+# that runs something, at 0, -1, NaN, 1e300 and 2^63 on small base flags,
+# each run under `ulimit -v` and `timeout 10` with a fresh store. A panic,
+# a signal, a timeout or an error line that names no --flag fails it: the
+# library refuses what it cannot run, and the CLI names the flag.
+echo "==> flag-sweep gate: scripts/flag_sweep.sh over the release binary"
+scripts/flag_sweep.sh ./target/release/ecofl
+
 # Benchmark-probe gate: benchmark/ and benchmark/layers/ are packages
 # outside this workspace, so nothing above compiles them; `layers` links
 # the pipeline/FL crates' public API, and run.sh tolerates it failing to

@@ -22,7 +22,7 @@ use ecofl::prelude::*;
 use ecofl_pipeline::adaptive::{simulate_load_spike_with, SchedulerConfig};
 use ecofl_pipeline::executor::MAX_SIMULATED_MICRO_BATCHES;
 use ecofl_pipeline::gantt::{legend, render_view};
-use ecofl_pipeline::orchestrator::MAX_DEVICE_ORDERS;
+use ecofl_pipeline::orchestrator::{distinct_order_count, MAX_DEVICE_ORDERS};
 use ecofl_pipeline::schedule::ScheduleKind;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -205,20 +205,6 @@ fn cmd_devices() -> Result<(), EcoFlError> {
     Ok(())
 }
 
-/// How many different device sequences the orders of `devices` spell:
-/// `n! / Π multiplicity!` (in `f64`: only compared against the cap and
-/// printed).
-fn distinct_device_orders(devices: &[Device]) -> f64 {
-    let factorial = |n: usize| (1..=n).map(|x| x as f64).product::<f64>();
-    let mut orders = factorial(devices.len());
-    for (i, device) in devices.iter().enumerate() {
-        if !devices[..i].contains(device) {
-            orders /= factorial(devices.iter().filter(|d| *d == device).count());
-        }
-    }
-    orders
-}
-
 /// Rejects a device list longer than the model's layer list: every
 /// stage holds at least one layer, so no partition exists.
 fn check_stage_count(model: &ModelProfile, devices: &[Device]) -> Result<(), EcoFlError> {
@@ -257,10 +243,10 @@ fn cmd_plan(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         batch / smallest,
         eval_rounds,
     )?;
-    let orders = distinct_device_orders(&devices);
-    if orders > MAX_DEVICE_ORDERS as f64 {
+    let orders = distinct_order_count(&devices);
+    if orders > MAX_DEVICE_ORDERS {
         return Err(EcoFlError::Config(format!(
-            "--devices: {} devices form {orders:.0} distinct orders, more than the \
+            "--devices: {} devices form {orders} distinct orders, more than the \
              {MAX_DEVICE_ORDERS} the search walks; use fewer devices or repeat models",
             devices.len()
         )));
@@ -405,21 +391,9 @@ fn cmd_gantt(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     Ok(())
 }
 
-/// A strictly positive, finite `--horizon` (virtual seconds). Zero or
-/// NaN would otherwise run an empty simulation and print zeros.
-fn check_horizon(horizon: f64) -> Result<f64, EcoFlError> {
-    if horizon.is_finite() && horizon > 0.0 {
-        Ok(horizon)
-    } else {
-        Err(EcoFlError::Config(format!(
-            "--horizon must be a positive number of seconds, got {horizon}"
-        )))
-    }
-}
-
 /// The flags shared by `spike` and `trace --scenario spike`: the
 /// pipeline (`--model`, `--devices`) and the load spike that disturbs it
-/// (`--load`, `--at`, `--device`, `--horizon`), validated against it.
+/// (`--load`, `--at`, `--device`, `--horizon`). The scenario checks them.
 fn spike_args(
     args: &HashMap<String, String>,
 ) -> Result<(ModelProfile, Vec<Device>, LoadSpike, f64), EcoFlError> {
@@ -428,29 +402,18 @@ fn spike_args(
     let load = get(args, "load", 0.6f64)?;
     let at = get(args, "at", 100.0f64)?;
     let device = get(args, "device", 1usize)?;
-    let horizon = check_horizon(get(args, "horizon", 250.0f64)?)?;
-    if !(0.0..1.0).contains(&load) {
-        return Err(EcoFlError::Config(format!(
-            "--load must be in [0, 1), got {load}"
-        )));
-    }
-    if !(0.0..horizon).contains(&at) {
-        return Err(EcoFlError::Config(format!(
-            "--at must be in [0, --horizon {horizon}), got {at}"
-        )));
-    }
-    if device >= devices.len() {
-        return Err(EcoFlError::Config(format!(
-            "--device {device} out of range"
-        )));
-    }
+    let horizon = get(args, "horizon", 250.0f64)?;
     Ok((model, devices, LoadSpike { device, at, load }, horizon))
 }
 
-/// A spike scenario's error, with a horizon of too many rounds named by
-/// its flag.
+/// A spike scenario's error, with an input it refuses named by its flag:
+/// each `BadSpike` field is spelt like the flag that sets it, and a
+/// horizon of too many rounds is `--horizon`'s.
 fn spike_error(e: SpikeError) -> EcoFlError {
     match e {
+        SpikeError::BadSpike { field, expected } => {
+            EcoFlError::Config(format!("--{field} must be {expected}"))
+        }
         SpikeError::TooManyRounds => EcoFlError::Config(format!("--horizon {e}")),
         e => e.into(),
     }
@@ -677,6 +640,16 @@ fn parse_dataset(name: &str) -> Result<SyntheticSpec, EcoFlError> {
     }
 }
 
+/// The `FlConfig` fields `fl_args` sets straight from a flag, by flag:
+/// `FlConfig::validate` names the field it refuses, the CLI the flag.
+const FL_FIELD_FLAGS: &[(&str, &str)] = &[
+    ("num_clients", "--clients"),
+    ("clients_per_round", "--clients-per-round"),
+    ("num_groups", "--groups"),
+    ("horizon", "--horizon"),
+    ("comm_latency", "--comm-latency"),
+];
+
 /// Population threshold past which grouping auto-switches to mini-batch
 /// association (overridable with `--grouping-batch`).
 const AUTO_BATCH_THRESHOLD: usize = 10_000;
@@ -695,7 +668,7 @@ fn fl_args(
 ) -> Result<(Strategy, SyntheticSpec, FlSetup), EcoFlError> {
     let or_auto = |n: usize, auto: usize| if n == 0 { auto } else { n };
     let strategy = parse_strategy(args.get("strategy").map_or("ecofl", String::as_str))?;
-    let clients = get_positive(args, "clients", clients)?;
+    let clients = get(args, "clients", clients)?;
     let horizon = get(args, "horizon", horizon)?;
     let seed = get(args, "seed", 42u64)?;
     let comm_latency = get(args, "comm-latency", FlConfig::default().comm_latency)?;
@@ -709,12 +682,6 @@ fn fl_args(
         0
     };
     let grouping_batch = get(args, "grouping-batch", auto_batch)?;
-    let horizon = check_horizon(horizon)?;
-    if !comm_latency.is_finite() || comm_latency < 0.0 {
-        return Err(EcoFlError::Config(format!(
-            "--comm-latency must be a non-negative number of seconds, got {comm_latency}"
-        )));
-    }
     if shards > clients {
         return Err(EcoFlError::Config(format!(
             "--shards {shards} exceeds --clients {clients}"
@@ -733,11 +700,12 @@ fn fl_args(
         ..defaults
     };
     config.validate().map_err(|e| {
-        // The horizon is the one refused knob a flag sets directly.
-        EcoFlError::Config(match e.strip_prefix("horizon ") {
-            Some(rest) => format!("--horizon {rest}"),
-            None => e,
-        })
+        // The message starts with the field it refuses; name the flag.
+        let named = FL_FIELD_FLAGS.iter().find_map(|(field, flag)| {
+            let rest = e.strip_prefix(field)?;
+            rest.starts_with(' ').then(|| format!("{flag}{rest}"))
+        });
+        EcoFlError::Config(named.unwrap_or(e))
     })?;
     let data = FederatedDataset::generate(
         &dataset,
@@ -761,32 +729,42 @@ fn fl_args(
     Ok((strategy, dataset, setup))
 }
 
-/// Persists `records` into a segmented run store — at `--store DIR`, or a
-/// per-scenario directory under the shared trace dir — chunked into blocks
-/// of `--block-records` records (default 512). `--out FILE` additionally
-/// exports the stored trace as JSONL, the interchange format. Returns
-/// the store directory plus its total record and block counts.
+/// Maps an I/O error of the run store at `dir` to a typed error naming it.
+fn store_err(dir: &Path) -> impl Fn(std::io::Error) -> EcoFlError + '_ {
+    move |e| EcoFlError::Io(format!("run store {}: {e}", dir.display()))
+}
+
+/// Persists `tracer`'s trace into a segmented run store — at `--store DIR`,
+/// or a per-scenario directory under the shared trace dir — chunked into
+/// blocks of `--block-records` records (default 512). `--out FILE`
+/// additionally exports the stored trace as JSONL, the interchange
+/// format. Returns the store directory and the `trace:` line reporting
+/// its record and block counts.
 fn persist_trace(
     args: &HashMap<String, String>,
     name: &str,
-    records: &[TraceRecord],
-) -> Result<(PathBuf, u64, usize), EcoFlError> {
+    tracer: &Tracer,
+) -> Result<(PathBuf, String), EcoFlError> {
     let dir = args
         .get("store")
         .map_or_else(|| trace_dir().join(name), PathBuf::from);
     let block_records = get_positive(args, "block-records", 512)?;
-    let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
     let mut store = RunStore::open_or_create(dir.as_path())
-        .map_err(io_err)?
+        .map_err(store_err(&dir))?
         .with_block_records(block_records);
-    store.append(records).map_err(io_err)?;
-    store.flush().map_err(io_err)?;
+    tracer.persist(&mut store, 0).map_err(store_err(&dir))?;
     if let Some(out) = args.get("out") {
         store
             .export_jsonl(Path::new(out))
             .map_err(|e| EcoFlError::Io(format!("cannot write {out}: {e}")))?;
     }
-    Ok((dir, store.record_count(), store.trace_blocks().len()))
+    let line = format!(
+        "trace: {} ({} stored record(s), {} block(s))",
+        dir.display(),
+        store.record_count(),
+        store.trace_blocks().len()
+    );
+    Ok((dir, line))
 }
 
 fn cmd_trace(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
@@ -863,8 +841,7 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         }
         query = query.min_duration(d);
     }
-    let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
-    let store = RunStore::open(dir.as_path()).map_err(io_err)?;
+    let store = RunStore::open(dir.as_path()).map_err(store_err(&dir))?;
     println!("store: {}", dir.display());
     for seg in store.segments() {
         println!(
@@ -876,7 +853,7 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             ecofl_util::units::fmt_bytes(seg.raw_bytes),
         );
     }
-    let result = store.query(&query).map_err(io_err)?;
+    let result = store.query(&query).map_err(store_err(&dir))?;
     println!(
         "query decoded {} of {} block(s), {} matching record(s)",
         result.blocks_decoded,
@@ -929,15 +906,12 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
     let report = PipelineExecutor::new(&p.profile, p.policy)?.run_traced(p.m, rounds, &tracer)?;
     let view = tracer.view();
 
-    let (store_dir, stored, blocks) = persist_trace(args, "pipeline", view.records())?;
+    let (_, stored) = persist_trace(args, "pipeline", &tracer)?;
     println!(
         "{} — {} schedule, mbs {}, M = {}, {rounds} round(s)",
         p.model.name, p.schedule, mbs, p.m
     );
-    println!(
-        "trace: {} ({stored} stored record(s), {blocks} block(s))",
-        store_dir.display()
-    );
+    println!("{stored}");
     for (r, row) in view.round_table().into_iter().enumerate() {
         let (t0, t1, bubble) = row.unwrap_or((0.0, 0.0, 0.0));
         println!(
@@ -982,12 +956,9 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     )
     .map_err(spike_error)?;
     let view = tracer.view();
-    let (store_dir, stored, blocks) = persist_trace(args, "spike", view.records())?;
+    let (_, stored) = persist_trace(args, "spike", &tracer)?;
     println!("{}", spike_header(&model.name, spike));
-    println!(
-        "trace: {} ({stored} stored record(s), {blocks} block(s))",
-        store_dir.display()
-    );
+    println!("{stored}");
     println!(
         "  throughput: {:.2} -> {:.2} samples/s",
         trace.pre_spike_throughput, trace.post_spike_throughput
@@ -1013,21 +984,17 @@ fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let tracer = Tracer::new();
     let r = run_strategy(strategy, &setup, &tracer);
     let view = tracer.view();
-    let (store_dir, stored, blocks) = persist_trace(args, "fl", view.records())?;
+    let (dir, stored) = persist_trace(args, "fl", &tracer)?;
     // Recompute convergence metrics by reading the store back: the
     // gauge-kind query prunes every block without accuracy samples.
-    let store = RunStore::open(store_dir.as_path())
-        .map_err(|e| EcoFlError::Io(format!("run store {}: {e}", store_dir.display())))?;
-    let summary = summarize_store(&store, &r.strategy, &[0.3, 0.5, 0.7, 0.9])
-        .map_err(|e| EcoFlError::Io(format!("run store {}: {e}", store_dir.display())))?;
+    let store = RunStore::open(dir.as_path()).map_err(store_err(&dir))?;
+    let summary =
+        summarize_store(&store, &r.strategy, &[0.3, 0.5, 0.7, 0.9]).map_err(store_err(&dir))?;
     println!(
         "{} on {} ({} clients, horizon {}s):",
         r.strategy, dataset.name, setup.config.num_clients, setup.config.horizon
     );
-    println!(
-        "trace: {} ({stored} stored record(s), {blocks} block(s))",
-        store_dir.display()
-    );
+    println!("{stored}");
     println!(
         "  updates {} | mean accuracy {:.1}% | best {:.1}% | max drawdown {:.1}%",
         view.counter_total("global_updates"),
@@ -1134,39 +1101,21 @@ fn cmd_metrics(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     }
     check_flags(args, "metrics --store", &[&["store"]])?;
     let dir = PathBuf::from(require(args, "store")?);
-    let io_err = |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
-    let store = RunStore::open(dir.as_path()).map_err(io_err)?;
+    let store = RunStore::open(dir.as_path()).map_err(store_err(&dir))?;
     println!("store: {}", dir.display());
-    for line in rollup(&store.records().map_err(io_err)?) {
+    for line in rollup(&store.records().map_err(store_err(&dir))?) {
         println!("{line}");
     }
     Ok(())
 }
 
-/// Appends the records `tracer` made since the last call to `store` and
-/// seals it, so another process can read the store mid-run; returns
-/// every record so far.
-fn persist_new(
-    tracer: &Tracer,
-    store: Option<&mut RunStore>,
-    persisted: &mut usize,
-) -> Result<Vec<TraceRecord>, EcoFlError> {
-    let records = tracer.records();
-    if let Some(store) = store {
-        store
-            .append(&records[*persisted..])
-            .and_then(|()| store.flush())
-            .map_err(|e| EcoFlError::Io(format!("metrics store: {e}")))?;
-    }
-    *persisted = records.len();
-    Ok(records)
-}
-
 /// Runs an FL scenario on a worker thread and, every refresh tick, prints
 /// the rollup of the trace it has recorded so far plus the kernel
-/// statistics. With `--store` each tick appends the new records to the
-/// store and seals it, so a second terminal can run `ecofl metrics
-/// --store DIR` mid-run; the final rollup equals what that prints.
+/// statistics. A tick waits on the worker, so the run ends when the
+/// worker does, however long `--refresh-ms` is. With `--store` each tick
+/// appends the new records to the store and seals it, so a second
+/// terminal can run `ecofl metrics --store DIR` mid-run; the final rollup
+/// equals what that prints.
 fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     use std::io::IsTerminal as _;
 
@@ -1184,29 +1133,39 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let refresh = get_positive(args, "refresh-ms", 200)?;
     let (strategy, _, setup) = fl_args(args, (12, 120.0, "mnist"))?;
 
-    let mut store = match args.get("store") {
-        Some(dir) => {
-            let dir = PathBuf::from(dir);
-            let st = RunStore::open_or_create(dir.as_path())
-                .map_err(|e| EcoFlError::Io(format!("run store {}: {e}", dir.display())))?;
-            Some((dir, st))
-        }
+    let dir = args.get("store").map(PathBuf::from);
+    let mut store = match &dir {
+        Some(dir) => Some(RunStore::open_or_create(dir.as_path()).map_err(store_err(dir))?),
         None => None,
     };
 
     ecofl_tensor::reset_kernel_stats();
     ecofl_tensor::set_kernel_stats_enabled(true);
     let tracer = Tracer::new();
+    // The worker holds the only sender: its drop, when the run returns or
+    // panics, ends the current tick's wait.
+    let (running, done) = std::sync::mpsc::channel::<()>();
     let worker = {
         let tracer = tracer.clone();
-        std::thread::spawn(move || run_strategy(strategy, &setup, &tracer))
+        std::thread::spawn(move || {
+            let _running = running;
+            run_strategy(strategy, &setup, &tracer)
+        })
     };
 
     let live_tty = std::io::stdout().is_terminal();
     let mut persisted = 0;
-    while !worker.is_finished() {
-        std::thread::sleep(std::time::Duration::from_millis(refresh as u64));
-        let records = persist_new(&tracer, store.as_mut().map(|(_, st)| st), &mut persisted)?;
+    // Appends the records since the last call to the store; returns
+    // every record so far.
+    let mut persist_new = || -> Result<Vec<TraceRecord>, EcoFlError> {
+        if let (Some(dir), Some(st)) = (&dir, &mut store) {
+            persisted = tracer.persist(st, persisted).map_err(store_err(dir))?;
+        }
+        Ok(tracer.records())
+    };
+    let refresh = std::time::Duration::from_millis(refresh as u64);
+    while done.recv_timeout(refresh) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+        let records = persist_new()?;
         if live_tty {
             print!("\x1b[2J\x1b[H");
         }
@@ -1221,8 +1180,8 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         .map_err(|_| EcoFlError::Config("live FL run panicked".into()))?;
 
     // Final rollup: everything the run recorded.
-    let records = persist_new(&tracer, store.as_mut().map(|(_, st)| st), &mut persisted)?;
-    if let Some((dir, st)) = &store {
+    let records = persist_new()?;
+    if let (Some(dir), Some(st)) = (&dir, &store) {
         println!(
             "persisted {} trace record(s) to {}",
             st.record_count(),
