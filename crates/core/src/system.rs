@@ -348,7 +348,8 @@ impl EcoFlSystem {
             let store_err =
                 |e: std::io::Error| EcoFlError::Io(format!("run store {}: {e}", dir.display()));
             let mut store = RunStore::open_or_create(dir).map_err(store_err)?;
-            tr.persist(&mut store, 0).map_err(store_err)?;
+            let (_, appended) = tr.read_tail(0, |records| store.append(records));
+            appended.and_then(|()| store.flush()).map_err(store_err)?;
         }
         Ok(EcoFlReport {
             pipeline_plans: self.plans.clone(),

@@ -8,7 +8,7 @@
 use ecofl_compat::serde::{Deserialize, Serialize};
 
 /// Which subsystem produced a record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Domain {
     /// The edge collaborative pipeline executor (§4).
     Pipeline,
@@ -21,7 +21,7 @@ pub enum Domain {
 }
 
 /// What a span measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SpanKind {
     /// Forward pass of one micro-batch on one stage.
     Forward,
@@ -44,7 +44,7 @@ pub enum SpanKind {
 }
 
 /// Instantaneous happenings (no duration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EventKind {
     /// The portal's EMA detector flagged a lagger stage.
     LaggerDetected,

@@ -45,7 +45,7 @@ use crate::record::{Domain, TraceRecord};
 use crate::view::TraceView;
 use ecofl_compat::json;
 use ecofl_store::{BlockEntry, BlockSummary, Segment};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Summary column: span round.
@@ -521,22 +521,50 @@ impl RunStore {
         self.checkpoints.seal()
     }
 
-    /// Runs `query`, decoding only blocks whose summaries admit it.
+    /// *The* loop over trace blocks: hands every record matching `query`
+    /// to `visit`, in append order, decoding only blocks whose summaries
+    /// admit it. One block is decoded, visited and dropped at a time, so
+    /// the scan holds one block however large the store. Returns how many
+    /// blocks it decoded and how many the trace segment has.
     ///
     /// # Errors
-    /// Returns any decode or I/O error.
-    pub fn query(&self, query: &TraceQuery) -> io::Result<QueryResult> {
-        let blocks_total = self.trace.block_count();
-        let mut records = Vec::new();
-        let mut blocks_decoded = 0usize;
+    /// Returns any decode or I/O error; `visit` has then seen the
+    /// matching records of the blocks before the bad one.
+    pub fn scan(
+        &self,
+        query: &TraceQuery,
+        mut visit: impl FnMut(TraceRecord),
+    ) -> io::Result<(usize, usize)> {
+        let mut decoded = 0usize;
         for (i, entry) in self.trace.blocks().iter().enumerate() {
             if !query.admits(&entry.summary) {
                 continue;
             }
-            blocks_decoded += 1;
-            let decoded = jsonl_to_records(&self.trace.read_block(i)?)?;
-            records.extend(decoded.into_iter().filter(|r| query.matches(r)));
+            decoded += 1;
+            let records = jsonl_to_records(&self.trace.read_block(i)?)?;
+            if records.len() as u64 != entry.summary.count {
+                return Err(invalid(format!(
+                    "trace block {i} holds {} record(s), its footer says {}",
+                    records.len(),
+                    entry.summary.count
+                )));
+            }
+            for record in records {
+                if query.matches(&record) {
+                    visit(record);
+                }
+            }
         }
+        Ok((decoded, self.trace.block_count()))
+    }
+
+    /// Runs `query`, collecting what [`RunStore::scan`] visits.
+    ///
+    /// # Errors
+    /// Returns any decode or I/O error.
+    pub fn query(&self, query: &TraceQuery) -> io::Result<QueryResult> {
+        let mut records = Vec::new();
+        let (blocks_decoded, blocks_total) = self.scan(query, |r| records.push(r))?;
         Ok(QueryResult {
             records,
             blocks_total,
@@ -581,16 +609,31 @@ impl RunStore {
         jsonl_to_records(&self.trace.read_block(index)?)
     }
 
-    /// Exports the full trace as flat JSONL at `path` — byte-
-    /// identical to what the removed `write_jsonl` shim produced. A
-    /// non-finite event value, counter delta or gauge value is written
-    /// as `null` (see [`records_to_jsonl`]).
+    /// Exports the full trace as flat JSONL at `path`, one line per
+    /// record as [`RunStore::scan`] visits it, so the export holds one
+    /// block — byte-identical to [`records_to_jsonl`] over
+    /// [`RunStore::records`]. A non-finite event value, counter delta or
+    /// gauge value is written as `null` (see [`records_to_jsonl`]).
     ///
     /// # Errors
-    /// Returns any decode or I/O error.
+    /// Returns any decode, serialization or I/O error, and then leaves
+    /// no file at `path`.
     pub fn export_jsonl(&self, path: &Path) -> io::Result<()> {
-        let bytes = records_to_jsonl(&self.records()?)?;
-        std::fs::write(path, bytes)
+        let mut out = io::BufWriter::new(std::fs::File::create(path)?);
+        let mut written = Ok(());
+        let scanned = self.scan(&TraceQuery::new(), |record| {
+            if written.is_ok() {
+                written = json::to_string(&record)
+                    .map_err(|e| invalid(e.to_string()))
+                    .and_then(|line| writeln!(out, "{line}"));
+            }
+        });
+        let done = scanned.and(written).and_then(|()| out.flush());
+        if done.is_err() {
+            // A partial export must not pass for the trace.
+            let _ = std::fs::remove_file(path);
+        }
+        done
     }
 
     /// Rollup listings for every segment file, `trace.seg` first.

@@ -8,7 +8,6 @@
 use crate::record::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, SpanKind, SpanRecord, TraceRecord,
 };
-use crate::store::RunStore;
 use crate::view::TraceView;
 use ecofl_compat::sync::Mutex;
 use std::sync::Arc;
@@ -113,25 +112,35 @@ impl Tracer {
         self.records.lock().clone()
     }
 
-    /// Builds a queryable [`TraceView`] over a snapshot of the trace.
+    /// Builds a queryable [`TraceView`] over a copy of the trace so far:
+    /// the view of a live trace, which other handles may still extend.
     #[must_use]
     pub fn view(&self) -> TraceView {
         TraceView::from_records(self.records())
     }
 
-    /// Appends the records from offset `from` on (`0` for the whole
-    /// trace) to `store` and flushes it, so another process can read the
-    /// store mid-run. Returns the offset to resume from: the number of
-    /// records so far. The records are written from where they lie, not
-    /// copied, so a thread that records meanwhile waits for the write.
-    ///
-    /// # Errors
-    /// Returns any serialization or I/O error from the store.
-    pub fn persist(&self, store: &mut RunStore, from: usize) -> std::io::Result<usize> {
+    /// Takes the finished trace as a [`TraceView`] without copying it.
+    /// Only if another handle is still alive is the trace copied, as
+    /// [`Tracer::view`] would.
+    #[must_use]
+    pub fn into_view(self) -> TraceView {
+        let records = match Arc::try_unwrap(self.records) {
+            Ok(only) => std::mem::take(&mut *only.lock()),
+            Err(shared) => shared.lock().clone(),
+        };
+        TraceView::from_records(records)
+    }
+
+    /// Hands the records from offset `from` on (`0` for the whole trace)
+    /// to `read` where they lie, not copied, and returns the offset to
+    /// resume from — the number of records so far — with `read`'s
+    /// result. A thread that records meanwhile waits for `read`, so a
+    /// caller that appends the tail to a [`RunStore`](crate::RunStore)
+    /// and folds it gets the same records in both.
+    pub fn read_tail<R>(&self, from: usize, read: impl FnOnce(&[TraceRecord]) -> R) -> (usize, R) {
         let records = self.records.lock();
-        store.append(records.get(from..).unwrap_or_default())?;
-        store.flush()?;
-        Ok(records.len())
+        let out = read(records.get(from..).unwrap_or_default());
+        (records.len(), out)
     }
 }
 
@@ -158,6 +167,22 @@ mod tests {
         b.counter("x", 3.0, 4.0);
         drop(b);
         assert_eq!(times(&a), [0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn into_view_takes_the_trace_and_copies_only_a_shared_one() {
+        let a = Tracer::new();
+        a.counter("x", 0.0, 1.0);
+        let b = a.clone();
+        b.counter("x", 1.0, 2.0);
+        // `b` is still alive: `a`'s view is a copy and `b` keeps recording.
+        assert_eq!(a.into_view().records().len(), 2);
+        b.counter("x", 2.0, 3.0);
+        let (len, tail) = b.read_tail(1, <[TraceRecord]>::to_vec);
+        assert_eq!((len, tail.len()), (3, 2));
+        assert_eq!(b.read_tail(len, <[TraceRecord]>::len), (3, 0));
+        assert_eq!(b.read_tail(99, <[TraceRecord]>::len), (3, 0));
+        assert_eq!(b.into_view().records().len(), 3);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use ecofl_compat::check;
 use ecofl_obs::{
-    CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, RecordKind, SpanKind, SpanRecord,
-    TraceRecord,
+    CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, RecordKind, RunStore, SpanKind,
+    SpanRecord, TraceQuery, TraceRecord,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,4 +134,69 @@ pub fn gen_record_with_extremes() -> check::Gen<TraceRecord> {
         }
         record
     })
+}
+
+/// Generates a query: each of the five clauses present or not, with
+/// bounds over the ranges [`gen_record`] draws from (and past them, so
+/// some queries match nothing).
+pub fn gen_query() -> check::Gen<TraceQuery> {
+    check::pair(check::any_u64(), check::any_u64()).map(|(sel, bounds)| {
+        let on = |bit: u32| sel >> bit & 1 == 1;
+        let pick = |byte: u32, of: u64| (bounds >> (8 * byte)) % of;
+        let mut q = TraceQuery::new();
+        if on(0) {
+            let lo = pick(0, 45);
+            q = q.rounds(lo..lo + pick(1, 20));
+        }
+        if on(1) {
+            let lo = pick(2, 110) as f64;
+            q = q.time(lo..lo + pick(3, 60) as f64);
+        }
+        if on(2) {
+            q = q.domain(DOMAINS[pick(4, 4) as usize]);
+        }
+        if on(3) {
+            let kinds = [
+                RecordKind::Span,
+                RecordKind::Event,
+                RecordKind::Counter,
+                RecordKind::Gauge,
+            ];
+            q = q.kind(kinds[pick(5, 4) as usize]);
+        }
+        if on(4) {
+            q = q.min_duration(pick(6, 12) as f64 * 0.1);
+        }
+        q
+    })
+}
+
+/// The one-loop law: the records [`RunStore::scan`] visits equal what
+/// `query` returns and what decoding every block by index and filtering
+/// by [`TraceQuery::matches`] finds, in order; the match-all scan equals
+/// `records()`; and the scan decodes exactly the admitted blocks.
+pub fn assert_scan_is_the_one_loop(store: &RunStore, query: &TraceQuery) {
+    let mut visited = Vec::new();
+    let (decoded, total) = store.scan(query, |r| visited.push(r)).unwrap();
+    let result = store.query(query).unwrap();
+    assert_eq!(visited, result.records, "scan vs query for {query:?}");
+    assert_eq!(
+        (decoded, total),
+        (result.blocks_decoded, result.blocks_total)
+    );
+    let blocks = store.trace_blocks();
+    assert_eq!(total, blocks.len());
+    let admitted = blocks.iter().filter(|b| query.admits(&b.summary)).count();
+    assert_eq!(decoded, admitted, "blocks decoded for {query:?}");
+    let by_block: Vec<TraceRecord> = (0..blocks.len())
+        .flat_map(|i| store.read_block_records(i).unwrap())
+        .filter(|r| query.matches(r))
+        .collect();
+    assert_eq!(
+        visited, by_block,
+        "scan vs block-by-block decode for {query:?}"
+    );
+    let mut all = Vec::new();
+    store.scan(&TraceQuery::new(), |r| all.push(r)).unwrap();
+    assert_eq!(all, store.records().unwrap());
 }

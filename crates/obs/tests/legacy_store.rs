@@ -19,6 +19,7 @@
 
 mod common;
 
+use ecofl_compat::check;
 use ecofl_obs::{RecordKind, RunStore, TraceQuery};
 use ecofl_store::Segment;
 use std::path::{Path, PathBuf};
@@ -78,6 +79,20 @@ fn legacy_store_opens_exports_and_answers_queries() {
         let of_kind = store.query(&TraceQuery::new().kind(kind)).unwrap();
         assert!(!of_kind.records.is_empty(), "no {kind:?} in the fixture");
     }
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn scan_over_jsonl_blocks_visits_what_every_reader_returns() {
+    let dir = copy_of_fixture("one-loop");
+    let store = RunStore::open(&dir).unwrap();
+    let gen = check::vec_in(common::gen_query(), 1, 8);
+    check::forall("legacy scan == query == records", 20, &gen, |queries| {
+        for query in queries {
+            common::assert_scan_is_the_one_loop(&store, query);
+        }
+    });
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }

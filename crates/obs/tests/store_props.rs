@@ -9,11 +9,15 @@
 //!    predicate returns over a full JSONL scan (the legacy path),
 //! 3. block summaries are *sound*: a block whose summary rejects a query
 //!    contains no record matching it,
-//! 4. checkpoint sequence numbers restore the latest-at-or-before state.
+//! 4. checkpoint sequence numbers restore the latest-at-or-before state,
+//! 5. `RunStore::scan` is the one loop over blocks: what it visits is
+//!    what `query`, `records` and a block-by-block decode return.
 
 mod common;
 
-use common::{gen_record, gen_record_with_extremes, temp_dir};
+use common::{
+    assert_scan_is_the_one_loop, gen_query, gen_record, gen_record_with_extremes, temp_dir,
+};
 use ecofl_compat::check;
 use ecofl_obs::store::{jsonl_to_records, records_to_jsonl};
 use ecofl_obs::{
@@ -89,6 +93,32 @@ fn prop_every_query_equals_a_full_jsonl_scan() {
         }
         std::fs::remove_dir_all(&dir).ok();
     });
+}
+
+#[test]
+fn prop_scan_visits_what_every_reader_returns() {
+    let gen = check::pair(
+        check::vec_in(gen_record_with_extremes(), 0, 120),
+        check::vec_in(gen_query(), 1, 8),
+    );
+    check::forall(
+        "scan == query == records",
+        20,
+        &gen,
+        |(records, queries)| {
+            let dir = temp_dir("one-loop");
+            let mut store = RunStore::create(&dir).unwrap().with_block_records(13);
+            store.append(records).unwrap();
+            store.flush().unwrap();
+            for query in queries {
+                assert_scan_is_the_one_loop(&store, query);
+            }
+            let mut visited = Vec::new();
+            store.scan(&TraceQuery::new(), |r| visited.push(r)).unwrap();
+            assert_eq!(&visited, records);
+            std::fs::remove_dir_all(&dir).ok();
+        },
+    );
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! reads. Every failure path is a typed [`EcoFlError`]; `main` prints its
 //! `Display` form, which carries the exact message.
 
-use ecofl::obs::{trace_dir, Domain};
+use ecofl::obs::{trace_dir, Domain, EventKind, SpanKind};
 use ecofl::prelude::*;
 use ecofl_pipeline::adaptive::{simulate_load_spike_with, SchedulerConfig};
 use ecofl_pipeline::executor::MAX_SIMULATED_MICRO_BATCHES;
@@ -734,7 +734,7 @@ fn store_err(dir: &Path) -> impl Fn(std::io::Error) -> EcoFlError + '_ {
     move |e| EcoFlError::Io(format!("run store {}: {e}", dir.display()))
 }
 
-/// Persists `tracer`'s trace into a segmented run store — at `--store DIR`,
+/// Persists a finished trace into a segmented run store — at `--store DIR`,
 /// or a per-scenario directory under the shared trace dir — chunked into
 /// blocks of `--block-records` records (default 512). `--out FILE`
 /// additionally exports the stored trace as JSONL, the interchange
@@ -743,7 +743,7 @@ fn store_err(dir: &Path) -> impl Fn(std::io::Error) -> EcoFlError + '_ {
 fn persist_trace(
     args: &HashMap<String, String>,
     name: &str,
-    tracer: &Tracer,
+    records: &[TraceRecord],
 ) -> Result<(PathBuf, String), EcoFlError> {
     let dir = args
         .get("store")
@@ -752,7 +752,10 @@ fn persist_trace(
     let mut store = RunStore::open_or_create(dir.as_path())
         .map_err(store_err(&dir))?
         .with_block_records(block_records);
-    tracer.persist(&mut store, 0).map_err(store_err(&dir))?;
+    store
+        .append(records)
+        .and_then(|()| store.flush())
+        .map_err(store_err(&dir))?;
     if let Some(out) = args.get("out") {
         store
             .export_jsonl(Path::new(out))
@@ -841,6 +844,7 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         }
         query = query.min_duration(d);
     }
+    let limit = get(args, "limit", 10usize)?;
     let store = RunStore::open(dir.as_path()).map_err(store_err(&dir))?;
     println!("store: {}", dir.display());
     for seg in store.segments() {
@@ -853,22 +857,22 @@ fn cmd_trace_inspect(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             ecofl_util::units::fmt_bytes(seg.raw_bytes),
         );
     }
-    let result = store.query(&query).map_err(store_err(&dir))?;
-    println!(
-        "query decoded {} of {} block(s), {} matching record(s)",
-        result.blocks_decoded,
-        result.blocks_total,
-        result.records.len()
-    );
-    let limit = get(args, "limit", 10usize)?;
-    for record in result.records.iter().take(limit) {
+    // Only the count and the first `--limit` matches are kept.
+    let (mut matched, mut shown) = (0usize, Vec::new());
+    let (decoded, total) = store
+        .scan(&query, |record| {
+            matched += 1;
+            if shown.len() < limit {
+                shown.push(record);
+            }
+        })
+        .map_err(store_err(&dir))?;
+    println!("query decoded {decoded} of {total} block(s), {matched} matching record(s)");
+    for record in &shown {
         println!("  {record:?}");
     }
-    if result.records.len() > limit {
-        println!(
-            "  ... {} more (raise --limit)",
-            result.records.len() - limit
-        );
+    if matched > limit {
+        println!("  ... {} more (raise --limit)", matched - limit);
     }
     let metas = store.checkpoint_metas();
     if !metas.is_empty() {
@@ -904,9 +908,8 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
     let mbs = p.profile.micro_batch();
     let tracer = Tracer::new();
     let report = PipelineExecutor::new(&p.profile, p.policy)?.run_traced(p.m, rounds, &tracer)?;
-    let view = tracer.view();
-
-    let (_, stored) = persist_trace(args, "pipeline", &tracer)?;
+    let view = tracer.into_view();
+    let (_, stored) = persist_trace(args, "pipeline", view.records())?;
     println!(
         "{} — {} schedule, mbs {}, M = {}, {rounds} round(s)",
         p.model.name, p.schedule, mbs, p.m
@@ -955,8 +958,8 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         &tracer,
     )
     .map_err(spike_error)?;
-    let view = tracer.view();
-    let (_, stored) = persist_trace(args, "spike", &tracer)?;
+    let view = tracer.into_view();
+    let (_, stored) = persist_trace(args, "spike", view.records())?;
     println!("{}", spike_header(&model.name, spike));
     println!("{stored}");
     println!(
@@ -983,8 +986,8 @@ fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let (strategy, dataset, setup) = fl_args(args, (24, 300.0, "mnist"))?;
     let tracer = Tracer::new();
     let r = run_strategy(strategy, &setup, &tracer);
-    let view = tracer.view();
-    let (dir, stored) = persist_trace(args, "fl", &tracer)?;
+    let view = tracer.into_view();
+    let (dir, stored) = persist_trace(args, "fl", view.records())?;
     // Recompute convergence metrics by reading the store back: the
     // gauge-kind query prunes every block without accuracy samples.
     let store = RunStore::open(dir.as_path()).map_err(store_err(&dir))?;
@@ -1008,76 +1011,99 @@ fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     Ok(())
 }
 
-/// Rolls `records` up into the `metrics` report, one line per metric:
-/// counter totals, gauge last / min / max / samples, and per (domain,
-/// kind) the span count with its exact p50 / p95 / p99 / max duration
-/// and the event count. A percentile is the nearest-rank sample
-/// (`max(1, ⌈q·n⌉)` of the sorted durations). Totals are summed in
-/// record order, so a slice and the store it was appended to roll up
-/// to the same lines.
-fn rollup(records: &[TraceRecord]) -> Vec<String> {
-    let mut counters: BTreeMap<&str, f64> = BTreeMap::new();
-    let mut gauges: BTreeMap<&str, (f64, f64, f64, u64)> = BTreeMap::new();
-    let mut spans: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    let mut events: BTreeMap<String, u64> = BTreeMap::new();
-    for record in records {
+/// The `metrics` report, folded one record at a time: counter totals,
+/// gauge last / min / max / samples, and per (domain, kind) the span
+/// durations — one `f64` per span, for exact percentiles — and the event
+/// count. Totals are summed in record order, so a store and the slices it
+/// was appended from roll up to the same lines.
+#[derive(Default)]
+struct Rollup {
+    records: usize,
+    counters: BTreeMap<String, f64>,
+    gauges: BTreeMap<String, (f64, f64, f64, u64)>,
+    spans: HashMap<(Domain, SpanKind), Vec<f64>>,
+    events: HashMap<(Domain, EventKind), u64>,
+}
+
+impl Rollup {
+    fn add(&mut self, record: &TraceRecord) {
+        self.records += 1;
         match record {
-            TraceRecord::Counter(c) => *counters.entry(&c.name).or_insert(0.0) += c.delta,
-            TraceRecord::Gauge(g) => {
-                let (last, min, max, samples) = gauges
-                    .entry(&g.name)
-                    .or_insert((g.value, g.value, g.value, 0));
-                (*last, *min, *max) = (g.value, min.min(g.value), max.max(g.value));
-                *samples += 1;
-            }
-            TraceRecord::Span(sp) => spans
-                .entry(format!("{:?}.{:?}", sp.domain, sp.kind))
+            TraceRecord::Counter(c) => match self.counters.get_mut(&c.name) {
+                Some(total) => *total += c.delta,
+                // `0.0 +` as a total starts: a first delta of -0 sums to 0.
+                None => {
+                    self.counters.insert(c.name.clone(), 0.0 + c.delta);
+                }
+            },
+            TraceRecord::Gauge(g) => match self.gauges.get_mut(&g.name) {
+                Some((last, min, max, samples)) => {
+                    (*last, *min, *max) = (g.value, min.min(g.value), max.max(g.value));
+                    *samples += 1;
+                }
+                None => {
+                    let v = g.value;
+                    self.gauges.insert(g.name.clone(), (v, v, v, 1));
+                }
+            },
+            TraceRecord::Span(sp) => self
+                .spans
+                .entry((sp.domain, sp.kind))
                 .or_default()
                 .push(sp.t1 - sp.t0),
-            TraceRecord::Event(ev) => {
-                *events
-                    .entry(format!("{:?}.{:?}", ev.domain, ev.kind))
-                    .or_default() += 1;
+            TraceRecord::Event(ev) => *self.events.entry((ev.domain, ev.kind)).or_default() += 1,
+        }
+    }
+
+    /// The report, one line per metric, (domain, kind) keys in the order
+    /// of their names. A percentile is the nearest-rank sample
+    /// (`max(1, ⌈q·n⌉)` of the sorted durations); sorting in place leaves
+    /// the fold free to go on.
+    fn lines(&mut self) -> Vec<String> {
+        let mut out = vec![format!("rollup of {} record(s)", self.records)];
+        if !self.counters.is_empty() {
+            out.push("  counters (total):".into());
+            for (name, total) in &self.counters {
+                out.push(format!("    {name:<30} {total:>14}"));
             }
         }
-    }
-    let mut out = vec![format!("rollup of {} record(s)", records.len())];
-    if !counters.is_empty() {
-        out.push("  counters (total):".into());
-        for (name, total) in counters {
-            out.push(format!("    {name:<30} {total:>14}"));
+        if !self.gauges.is_empty() {
+            out.push("  gauges (last / min / max / samples):".into());
+            for (name, (last, min, max, samples)) in &self.gauges {
+                out.push(format!(
+                    "    {name:<30} {last:>12.4} {min:>12.4} {max:>12.4} {samples:>8}"
+                ));
+            }
         }
-    }
-    if !gauges.is_empty() {
-        out.push("  gauges (last / min / max / samples):".into());
-        for (name, (last, min, max, samples)) in gauges {
-            out.push(format!(
-                "    {name:<30} {last:>12.4} {min:>12.4} {max:>12.4} {samples:>8}"
-            ));
+        let spans: BTreeMap<String, &mut Vec<f64>> = (self.spans.iter_mut())
+            .map(|((domain, kind), durations)| (format!("{domain:?}.{kind:?}"), durations))
+            .collect();
+        if !spans.is_empty() {
+            out.push("  spans (count / p50 / p95 / p99 / max duration, s):".into());
+            for (key, durations) in spans {
+                durations.sort_by(f64::total_cmp);
+                let n = durations.len();
+                let rank = |q: f64| durations[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+                out.push(format!(
+                    "    {key:<30} {n:>8} {:>12.4e} {:>12.4e} {:>12.4e} {:>12.4e}",
+                    rank(0.5),
+                    rank(0.95),
+                    rank(0.99),
+                    durations[n - 1]
+                ));
+            }
         }
-    }
-    if !spans.is_empty() {
-        out.push("  spans (count / p50 / p95 / p99 / max duration, s):".into());
-        for (key, mut durations) in spans {
-            durations.sort_by(f64::total_cmp);
-            let n = durations.len();
-            let rank = |q: f64| durations[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
-            out.push(format!(
-                "    {key:<30} {n:>8} {:>12.4e} {:>12.4e} {:>12.4e} {:>12.4e}",
-                rank(0.5),
-                rank(0.95),
-                rank(0.99),
-                durations[n - 1]
-            ));
+        let events: BTreeMap<String, u64> = (self.events.iter())
+            .map(|((domain, kind), count)| (format!("{domain:?}.{kind:?}"), *count))
+            .collect();
+        if !events.is_empty() {
+            out.push("  events (count):".into());
+            for (key, count) in events {
+                out.push(format!("    {key:<30} {count:>8}"));
+            }
         }
+        out
     }
-    if !events.is_empty() {
-        out.push("  events (count):".into());
-        for (key, count) in events {
-            out.push(format!("    {key:<30} {count:>8}"));
-        }
-    }
-    out
 }
 
 /// The tensor crate's process-global kernel statistics: wall-clock
@@ -1103,7 +1129,11 @@ fn cmd_metrics(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     let dir = PathBuf::from(require(args, "store")?);
     let store = RunStore::open(dir.as_path()).map_err(store_err(&dir))?;
     println!("store: {}", dir.display());
-    for line in rollup(&store.records().map_err(store_err(&dir))?) {
+    let mut rollup = Rollup::default();
+    store
+        .scan(&TraceQuery::new(), |record| rollup.add(&record))
+        .map_err(store_err(&dir))?;
+    for line in rollup.lines() {
         println!("{line}");
     }
     Ok(())
@@ -1154,22 +1184,30 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     };
 
     let live_tty = std::io::stdout().is_terminal();
-    let mut persisted = 0;
-    // Appends the records since the last call to the store; returns
-    // every record so far.
-    let mut persist_new = || -> Result<Vec<TraceRecord>, EcoFlError> {
-        if let (Some(dir), Some(st)) = (&dir, &mut store) {
-            persisted = tracer.persist(st, persisted).map_err(store_err(dir))?;
+    // Each tick folds, and appends to the store, only the records since
+    // the last one.
+    let (mut rollup, mut offset) = (Rollup::default(), 0);
+    let mut fold_new = |rollup: &mut Rollup| -> Result<(), EcoFlError> {
+        let (next, stored) = tracer.read_tail(offset, |tail| {
+            tail.iter().for_each(|record| rollup.add(record));
+            match &mut store {
+                Some(st) => st.append(tail).and_then(|()| st.flush()),
+                None => Ok(()),
+            }
+        });
+        offset = next;
+        match &dir {
+            Some(dir) => stored.map_err(store_err(dir)),
+            None => Ok(()),
         }
-        Ok(tracer.records())
     };
     let refresh = std::time::Duration::from_millis(refresh as u64);
     while done.recv_timeout(refresh) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
-        let records = persist_new()?;
+        fold_new(&mut rollup)?;
         if live_tty {
             print!("\x1b[2J\x1b[H");
         }
-        for line in rollup(&records).into_iter().chain(kernel_lines()) {
+        for line in rollup.lines().into_iter().chain(kernel_lines()) {
             println!("{line}");
         }
         println!();
@@ -1180,7 +1218,7 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         .map_err(|_| EcoFlError::Config("live FL run panicked".into()))?;
 
     // Final rollup: everything the run recorded.
-    let records = persist_new()?;
+    fold_new(&mut rollup)?;
     if let (Some(dir), Some(st)) = (&dir, &store) {
         println!(
             "persisted {} trace record(s) to {}",
@@ -1188,7 +1226,7 @@ fn cmd_metrics_live(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
             dir.display()
         );
     }
-    for line in rollup(&records).into_iter().chain(kernel_lines()) {
+    for line in rollup.lines().into_iter().chain(kernel_lines()) {
         println!("{line}");
     }
     println!(

@@ -225,6 +225,138 @@ fn trace_records_into_a_store_and_inspect_reads_it_back() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Records a small multi-block pipeline store at a fresh temp path.
+fn small_store(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ecofl-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (ok, stdout, stderr) = ecofl(&[
+        "trace",
+        "--model",
+        "effnet-b0",
+        "--devices",
+        "tx2q,nanoh",
+        "--rounds",
+        "2",
+        "--store",
+        dir.to_str().expect("utf-8 temp path"),
+        "--block-records",
+        "24",
+    ]);
+    assert!(ok, "trace failed:\n{stdout}\n{stderr}");
+    assert!(
+        stdout.contains("(72 stored record(s), 3 block(s))"),
+        "stdout:\n{stdout}"
+    );
+    dir
+}
+
+/// The record lines of an inspecting `trace --store` run.
+fn record_lines(stdout: &str) -> Vec<&str> {
+    let shapes = ["  Span(", "  Event(", "  Counter(", "  Gauge("];
+    (stdout.lines())
+        .filter(|l| shapes.iter().any(|s| l.starts_with(s)))
+        .collect()
+}
+
+#[test]
+fn trace_store_limit_keeps_the_first_records_and_counts_the_rest() {
+    let dir = small_store("limit");
+    let store = dir.to_str().unwrap();
+    let (ok, all, stderr) = ecofl(&["trace", "--store", store, "--limit", "100000"]);
+    assert!(ok, "inspect failed:\n{all}\n{stderr}");
+    let every = record_lines(&all);
+    let matched = every.len();
+    assert_eq!(matched, 72);
+    assert!(
+        all.contains("query decoded 3 of 3 block(s), 72 matching record(s)"),
+        "stdout:\n{all}"
+    );
+    assert!(!all.contains("more (raise --limit)"), "stdout:\n{all}");
+    for limit in [0, 3] {
+        let (ok, stdout, _) = ecofl(&["trace", "--store", store, "--limit", &limit.to_string()]);
+        assert!(ok);
+        assert_eq!(record_lines(&stdout), every[..limit], "--limit {limit}");
+        let more = format!("  ... {} more (raise --limit)", matched - limit);
+        assert_eq!(
+            stdout.lines().last(),
+            Some(more.as_str()),
+            "--limit {limit}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `trace --store` over a hostile `trace.seg`: the run ends within 30 s
+/// with records (exit 0), or with one `error:` line and no record (exit
+/// 1) — never a panic or a signal.
+fn inspect_hostile(dir: &std::path::Path, seg: &[u8], what: &str) {
+    use std::time::{Duration, Instant};
+    std::fs::write(dir.join("trace.seg"), seg).expect("write segment");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ecofl"))
+        .args(["trace", "--store", dir.to_str().unwrap(), "--limit", "3"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("waits").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("{what}: still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let out = child.wait_with_output().expect("exited");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    match out.status.code() {
+        Some(0) => {}
+        Some(1) => {
+            assert_eq!(stderr.lines().count(), 1, "{what}: stderr\n{stderr}");
+            assert!(stderr.starts_with("error: "), "{what}: stderr\n{stderr}");
+            assert!(record_lines(&stdout).is_empty(), "{what}: stdout\n{stdout}");
+        }
+        _ => panic!("{what}: {}\nstderr:\n{stderr}", out.status),
+    }
+}
+
+#[test]
+fn a_hostile_trace_segment_is_one_error_line_and_no_records() {
+    let dir = small_store("hostile");
+    let blocks: Vec<(usize, usize)> = (ecofl::obs::RunStore::open(&dir).expect("opens"))
+        .trace_blocks()
+        .iter()
+        .map(|b| (b.offset as usize, b.comp_len as usize))
+        .collect();
+    let bytes = std::fs::read(dir.join("trace.seg")).expect("read segment");
+    let len = bytes.len();
+    let (last, last_len) = blocks[blocks.len() - 1];
+    let footer_start = last + last_len;
+    // Cut short: every offset through the footer and trailer, every 16th
+    // before them.
+    for cut in (0..footer_start).step_by(16).chain(footer_start..len) {
+        inspect_hostile(&dir, &bytes[..cut], &format!("cut at {cut}"));
+    }
+    // Every footer and trailer byte flipped.
+    for at in footer_start..len {
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0xFF;
+        inspect_hostile(&dir, &flipped, &format!("byte {at} flipped"));
+    }
+    // Every block's bytes over every other's, cut to the shorter length.
+    for &(to, n) in &blocks {
+        for &(from, m) in &blocks {
+            if to != from {
+                let mut spliced = bytes.clone();
+                let k = n.min(m);
+                spliced[to..to + k].copy_from_slice(&bytes[from..from + k]);
+                inspect_hostile(&dir, &spliced, &format!("block at {from} over {to}"));
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn an_uncreatable_trace_dir_is_an_error_not_a_panic() {
     // A regular file where the default store's parent directory should be.
