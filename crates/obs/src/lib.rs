@@ -14,9 +14,14 @@
 //!   time), never wall time. Two runs with the same seed produce
 //!   byte-identical traces.
 //! - **One store, in recording order.** A [`Tracer`] is a cloneable
-//!   handle; every clone pushes onto one shared `Vec`, so each handle
+//!   handle; every clone pushes onto one shared buffer, so each handle
 //!   sees every record the moment it is made. Engines record on the
-//!   thread that runs them, so the store's lock is never contended.
+//!   thread that runs them, so the buffer's lock is never contended.
+//!   `Tracer::new` keeps the whole trace in memory; a tracer made from a
+//!   [`RunStore`] (`Tracer::from(store)`) writes each block into it as
+//!   the block fills, so it holds less than one block, and
+//!   [`Tracer::into_store`] seals the trace. Either way the store's
+//!   bytes are the same.
 //! - **Typed records.** [`TraceRecord`] is a closed enum of spans,
 //!   events, counters, and gauges — no stringly-typed keys on the hot
 //!   path; see `record`.
@@ -66,4 +71,4 @@ pub use record::{
 pub use sink::trace_dir;
 pub use store::{RecordKind, RunStore, TraceQuery};
 pub use tracer::Tracer;
-pub use view::TraceView;
+pub use view::{ComputeSummary, TraceView};

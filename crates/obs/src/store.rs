@@ -511,6 +511,17 @@ impl RunStore {
         Ok(())
     }
 
+    /// Records per trace block, as [`RunStore::with_block_records`] set.
+    pub(crate) fn block_records(&self) -> usize {
+        self.block_records
+    }
+
+    /// Cuts the trace segment back to its first `blocks` blocks and
+    /// seals it, undoing the appends made since it held that many.
+    pub(crate) fn truncate_trace(&mut self, blocks: usize) -> io::Result<()> {
+        self.trace.truncate(blocks)
+    }
+
     /// Seals every segment: everything appended so far survives a
     /// crash and is visible to fresh opens.
     ///

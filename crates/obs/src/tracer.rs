@@ -1,15 +1,27 @@
 //! The recording handle.
 //!
-//! A [`Tracer`] is cheap to clone: every clone shares one record store,
-//! a `Vec` in recording order behind a lock, so a record is visible to
+//! A [`Tracer`] is cheap to clone: every clone shares one buffer, a
+//! `Vec` in recording order behind a lock, so a record is visible to
 //! every handle the moment it is pushed. Every engine records on the
 //! thread that runs it, so the lock is never contended.
+//!
+//! A tracer made from a [`RunStore`] (`Tracer::from(store)`) writes
+//! into it while it records: its buffer holds less than one block, and
+//! when the buffer reaches the store's records-per-block it is encoded,
+//! appended and cleared under the same lock. The blocks are then the
+//! ones [`RunStore::append`] cuts from the whole trace, so the store's
+//! bytes do not depend on which of the two wrote them.
+//! [`Tracer::into_store`] writes the tail and seals the store; a
+//! store-backed tracer dropped without it, or one whose writes failed,
+//! cuts the store's trace back to what it held before.
 
 use crate::record::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, SpanKind, SpanRecord, TraceRecord,
 };
+use crate::store::RunStore;
 use crate::view::TraceView;
 use ecofl_compat::sync::Mutex;
+use std::io;
 use std::sync::Arc;
 
 /// A virtual-time trace recorder.
@@ -19,18 +31,90 @@ use std::sync::Arc;
 /// clock itself.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    records: Arc<Mutex<Vec<TraceRecord>>>,
+    shared: Arc<Mutex<Shared>>,
+}
+
+/// What every clone of a [`Tracer`] shares.
+#[derive(Debug, Default)]
+struct Shared {
+    /// The records not written to a store: the whole trace of an
+    /// in-memory tracer, less than one block of a store-backed one.
+    records: Vec<TraceRecord>,
+    /// Where a store-backed tracer writes its blocks.
+    sink: Option<Sink>,
+}
+
+/// A store-backed tracer's store, and how far its writes got.
+#[derive(Debug)]
+struct Sink {
+    store: RunStore,
+    /// Trace blocks the store held before this tracer wrote any.
+    blocks_before: usize,
+    /// The first append error; nothing is written after it.
+    written: io::Result<()>,
+}
+
+impl Sink {
+    fn write(&mut self, records: &[TraceRecord]) {
+        if self.written.is_ok() {
+            self.written = self.store.append(records);
+        }
+    }
+
+    /// Undoes this tracer's appends; the store's trace is what it was.
+    fn roll_back(&mut self) {
+        // Best effort, like `Segment`'s seal on drop: there is no caller
+        // left to report to.
+        let _ = self.store.truncate_trace(self.blocks_before);
+    }
+}
+
+impl Drop for Shared {
+    fn drop(&mut self) {
+        // The last handle is gone and `into_store` never took the store:
+        // the trace was abandoned, so its blocks are not kept.
+        if let Some(sink) = &mut self.sink {
+            sink.roll_back();
+        }
+    }
+}
+
+impl From<RunStore> for Tracer {
+    /// A tracer that writes into `store` as it records, one block of
+    /// [`RunStore::with_block_records`] records at a time; see
+    /// [`Tracer::into_store`].
+    fn from(store: RunStore) -> Tracer {
+        let sink = Sink {
+            blocks_before: store.trace_blocks().len(),
+            store,
+            written: Ok(()),
+        };
+        Tracer {
+            shared: Arc::new(Mutex::new(Shared {
+                records: Vec::new(),
+                sink: Some(sink),
+            })),
+        }
+    }
 }
 
 impl Tracer {
-    /// Creates a tracer with an empty store.
+    /// Creates a tracer that keeps its trace in memory.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
     fn push(&self, record: TraceRecord) {
-        self.records.lock().push(record);
+        let mut shared = self.shared.lock();
+        let Shared { records, sink } = &mut *shared;
+        records.push(record);
+        if let Some(sink) = sink {
+            if records.len() >= sink.store.block_records() {
+                sink.write(records);
+                records.clear();
+            }
+        }
     }
 
     /// Records a span: `kind` ran on `entity` from `t0` to `t1` (virtual
@@ -106,41 +190,64 @@ impl Tracer {
     }
 
     /// Snapshot of every record so far, from every clone, in recording
-    /// order.
+    /// order. A store-backed tracer holds only the records of the block
+    /// it has not yet written, so that is all it returns.
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.lock().clone()
+        self.shared.lock().records.clone()
     }
 
     /// Builds a queryable [`TraceView`] over a copy of the trace so far:
     /// the view of a live trace, which other handles may still extend.
+    /// Of a store-backed tracer it views what [`Tracer::records`]
+    /// returns, the unwritten tail.
     #[must_use]
     pub fn view(&self) -> TraceView {
         TraceView::from_records(self.records())
     }
 
-    /// Takes the finished trace as a [`TraceView`] without copying it.
-    /// Only if another handle is still alive is the trace copied, as
-    /// [`Tracer::view`] would.
-    #[must_use]
-    pub fn into_view(self) -> TraceView {
-        let records = match Arc::try_unwrap(self.records) {
-            Ok(only) => std::mem::take(&mut *only.lock()),
-            Err(shared) => shared.lock().clone(),
+    /// Writes the records not yet in the store as its last block, seals
+    /// the store and hands it back. Clones that outlive this call keep
+    /// recording, into memory.
+    ///
+    /// # Errors
+    /// Returns the first error of any block write or of the seal, and
+    /// then leaves the store's trace as it was before this tracer wrote
+    /// to it; `InvalidInput` if the tracer writes into no store.
+    pub fn into_store(self) -> io::Result<RunStore> {
+        let (sink, tail) = {
+            let mut shared = self.shared.lock();
+            (shared.sink.take(), std::mem::take(&mut shared.records))
         };
-        TraceView::from_records(records)
+        let Some(mut sink) = sink else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "Tracer::into_store: this tracer writes into no store",
+            ));
+        };
+        sink.write(&tail);
+        let sealed = std::mem::replace(&mut sink.written, Ok(())).and_then(|()| sink.store.flush());
+        match sealed {
+            Ok(()) => Ok(sink.store),
+            Err(e) => {
+                sink.roll_back();
+                Err(e)
+            }
+        }
     }
 
     /// Hands the records from offset `from` on (`0` for the whole trace)
     /// to `read` where they lie, not copied, and returns the offset to
     /// resume from — the number of records so far — with `read`'s
     /// result. A thread that records meanwhile waits for `read`, so a
-    /// caller that appends the tail to a [`RunStore`](crate::RunStore)
-    /// and folds it gets the same records in both.
+    /// caller that appends the tail to a [`RunStore`] and folds it gets
+    /// the same records in both. On a store-backed tracer the offsets
+    /// count the unwritten tail only, which restarts at `0` whenever a
+    /// block is written.
     pub fn read_tail<R>(&self, from: usize, read: impl FnOnce(&[TraceRecord]) -> R) -> (usize, R) {
-        let records = self.records.lock();
-        let out = read(records.get(from..).unwrap_or_default());
-        (records.len(), out)
+        let shared = self.shared.lock();
+        let out = read(shared.records.get(from..).unwrap_or_default());
+        (shared.records.len(), out)
     }
 }
 
@@ -170,19 +277,21 @@ mod tests {
     }
 
     #[test]
-    fn into_view_takes_the_trace_and_copies_only_a_shared_one() {
+    fn read_tail_hands_over_the_records_from_an_offset() {
         let a = Tracer::new();
         a.counter("x", 0.0, 1.0);
         let b = a.clone();
         b.counter("x", 1.0, 2.0);
-        // `b` is still alive: `a`'s view is a copy and `b` keeps recording.
-        assert_eq!(a.into_view().records().len(), 2);
+        drop(a);
         b.counter("x", 2.0, 3.0);
         let (len, tail) = b.read_tail(1, <[TraceRecord]>::to_vec);
         assert_eq!((len, tail.len()), (3, 2));
         assert_eq!(b.read_tail(len, <[TraceRecord]>::len), (3, 0));
         assert_eq!(b.read_tail(99, <[TraceRecord]>::len), (3, 0));
-        assert_eq!(b.into_view().records().len(), 3);
+        let err = b
+            .into_store()
+            .expect_err("an in-memory tracer has no store");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -119,62 +119,19 @@ impl TraceView {
         Some(1.0 - busy / (stages as f64 * window))
     }
 
-    /// [`TraceView::round_window`] and [`TraceView::bubble_fraction`] of
-    /// every sync-round `0..pipeline_rounds()`, in one pass over the
-    /// records instead of four per round. Entry `r` is `(t0, t1, bubble
-    /// fraction)`, or `None` where `round_window(r)` is; each number has
-    /// the bits the per-round calls return, because each is the same
-    /// fold over the same spans in the same (recording) order.
-    #[must_use]
-    pub fn round_table(&self) -> Vec<Option<(f64, f64, f64)>> {
-        // Per round: (min t0, max t1, Σ duration) of its compute spans.
-        let mut rounds = vec![(f64::INFINITY, f64::NEG_INFINITY, 0.0f64); self.pipeline_rounds()];
-        let mut stages = 0usize;
-        for s in self.spans().filter(|s| s.is_compute()) {
-            let (t0, t1, busy) = &mut rounds[s.round];
-            *t0 = t0.min(s.t0);
-            *t1 = t1.max(s.t1);
-            *busy += s.duration();
-            stages = stages.max(s.entity + 1);
-        }
-        rounds
-            .into_iter()
-            .map(|(t0, t1, busy)| {
-                (t0 < t1).then(|| (t0, t1, 1.0 - busy / (stages as f64 * (t1 - t0))))
-            })
-            .collect()
-    }
-
     /// Total idle device-time across the whole pipeline trace:
     /// `stages × (max end − min start) − Σ busy`. Matches the sum of
     /// `ExecutionReport::stage_idle_time` for a trace recorded by
     /// `PipelineExecutor::run_traced`.
     #[must_use]
     pub fn total_idle_time(&self) -> f64 {
-        let mut t0 = f64::INFINITY;
-        let mut t1 = f64::NEG_INFINITY;
-        let mut busy = 0.0;
-        for s in self.spans().filter(|s| s.is_compute()) {
-            t0 = t0.min(s.t0);
-            t1 = t1.max(s.t1);
-            busy += s.duration();
-        }
-        if t0 >= t1 {
-            return 0.0;
-        }
-        self.stage_count() as f64 * (t1 - t0) - busy
+        self.spans().collect::<ComputeSummary>().idle_time
     }
 
     /// Stages ranked by total compute time, slowest first, capped at `k`.
     #[must_use]
     pub fn top_slowest_stages(&self, k: usize) -> Vec<(usize, f64)> {
-        let stages = self.stage_count();
-        let mut totals = vec![0.0f64; stages];
-        for s in self.spans().filter(|s| s.is_compute()) {
-            totals[s.entity] += s.duration();
-        }
-        let mut ranked: Vec<(usize, f64)> = totals.into_iter().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite totals"));
+        let mut ranked = self.spans().collect::<ComputeSummary>().slowest_stages;
         ranked.truncate(k);
         ranked
     }
@@ -218,6 +175,72 @@ impl TraceView {
             })
             .collect()
     }
+}
+
+/// The compute spans of a pipeline trace folded in one pass: each
+/// sync-round's window and bubble fraction, the total idle device-time
+/// and the stages ranked by compute time. Collect it from any
+/// `&SpanRecord`s — a [`TraceView`]'s spans, or a pipeline report's own
+/// compute spans, which are not copied; spans that are not pipeline
+/// compute ([`SpanRecord::is_compute`]) are skipped. Each number has the
+/// bits of the per-round and per-trace [`TraceView`] queries, since it
+/// is the same fold over the same spans in the same order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ComputeSummary {
+    /// Entry `r` is sync-round `r`'s `(t0, t1, bubble fraction)` — what
+    /// [`TraceView::round_window`] and [`TraceView::bubble_fraction`]
+    /// return — or `None` where those do, for every round up to the last
+    /// one with a compute span.
+    pub rounds: Vec<Option<(f64, f64, f64)>>,
+    /// [`TraceView::total_idle_time`].
+    pub idle_time: f64,
+    /// Every stage with its total compute time, slowest first: the
+    /// uncapped [`TraceView::top_slowest_stages`].
+    pub slowest_stages: Vec<(usize, f64)>,
+}
+
+impl<'a> FromIterator<&'a SpanRecord> for ComputeSummary {
+    fn from_iter<I: IntoIterator<Item = &'a SpanRecord>>(spans: I) -> Self {
+        // (min t0, max t1, Σ duration) per round and over the whole
+        // trace, and Σ duration per stage.
+        let empty = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+        let (mut rounds, mut whole) = (Vec::new(), empty);
+        let mut stage_busy: Vec<f64> = Vec::new();
+        for s in spans.into_iter().filter(|s| s.is_compute()) {
+            for acc in [&mut whole, grown(&mut rounds, s.round, empty)] {
+                acc.0 = acc.0.min(s.t0);
+                acc.1 = acc.1.max(s.t1);
+                acc.2 += s.duration();
+            }
+            *grown(&mut stage_busy, s.entity, 0.0) += s.duration();
+        }
+        let stages = stage_busy.len() as f64;
+        let rounds = rounds
+            .into_iter()
+            .map(|(t0, t1, busy)| (t0 < t1).then(|| (t0, t1, 1.0 - busy / (stages * (t1 - t0)))))
+            .collect();
+        let (t0, t1, busy) = whole;
+        let idle_time = if t0 >= t1 {
+            0.0
+        } else {
+            stages * (t1 - t0) - busy
+        };
+        let mut slowest_stages: Vec<(usize, f64)> = stage_busy.into_iter().enumerate().collect();
+        slowest_stages.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite totals"));
+        ComputeSummary {
+            rounds,
+            idle_time,
+            slowest_stages,
+        }
+    }
+}
+
+/// Entry `i` of `v`, which first grows with `fill` to hold it.
+fn grown<T: Clone>(v: &mut Vec<T>, i: usize, fill: T) -> &mut T {
+    if v.len() <= i {
+        v.resize(i + 1, fill);
+    }
+    &mut v[i]
 }
 
 #[cfg(test)]
@@ -269,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn round_table_has_the_bits_of_the_per_round_calls() {
+    fn compute_summary_has_the_bits_of_the_per_round_calls() {
         // Three rounds of awkward floats on three stages; round 1 is
         // left without compute spans and round 3 has a single instant.
         let t = Tracer::new();
@@ -301,7 +324,7 @@ mod tests {
         t.span(Domain::Pipeline, SpanKind::Backward, 0, 3, 0, at, at);
         t.span(Domain::Fl, SpanKind::Round, 9, 1, 0, 0.0, 50.0);
         let v = t.view();
-        let table = v.round_table();
+        let table = v.spans().collect::<ComputeSummary>().rounds;
         assert_eq!(table.len(), v.pipeline_rounds());
         assert_eq!(table.len(), 4);
         for (r, row) in table.iter().enumerate() {
@@ -314,8 +337,9 @@ mod tests {
         }
         assert!(table[0].is_some() && table[2].is_some());
         assert!(table[1].is_none() && table[3].is_none());
-        assert!(tiny_trace().round_table()[0].is_some());
-        assert!(TraceView::default().round_table().is_empty());
+        let summary = |v: &TraceView| v.spans().collect::<ComputeSummary>();
+        assert!(summary(&tiny_trace()).rounds[0].is_some());
+        assert_eq!(summary(&TraceView::default()), ComputeSummary::default());
     }
 
     #[test]

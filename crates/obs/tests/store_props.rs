@@ -11,7 +11,10 @@
 //!    contains no record matching it,
 //! 4. checkpoint sequence numbers restore the latest-at-or-before state,
 //! 5. `RunStore::scan` is the one loop over blocks: what it visits is
-//!    what `query`, `records` and a block-by-block decode return.
+//!    what `query`, `records` and a block-by-block decode return,
+//! 6. a tracer that writes into a store as it records leaves the bytes
+//!    `RunStore::append` of the whole trace leaves, and a store-backed
+//!    trace that is abandoned leaves the store as it was.
 
 mod common;
 
@@ -22,7 +25,7 @@ use ecofl_compat::check;
 use ecofl_obs::store::{jsonl_to_records, records_to_jsonl};
 use ecofl_obs::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, RecordKind, RunStore, SpanKind,
-    SpanRecord, TraceQuery, TraceRecord,
+    SpanRecord, TraceQuery, TraceRecord, Tracer,
 };
 use ecofl_store::{BlockSummary, Segment};
 
@@ -465,5 +468,133 @@ fn a_leftover_metrics_segment_is_ignored() {
     let names: Vec<String> = store.segments().into_iter().map(|s| s.name).collect();
     assert_eq!(names, ["trace.seg", "checkpoints.seg"]);
     assert_eq!(store.records().unwrap(), spans);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Records `record` through the tracer's public calls.
+fn replay(tracer: &Tracer, record: &TraceRecord) {
+    match record {
+        TraceRecord::Span(s) => {
+            tracer.span(s.domain, s.kind, s.entity, s.round, s.micro, s.t0, s.t1);
+        }
+        TraceRecord::Event(e) => tracer.event(e.domain, e.kind, e.entity, e.time, e.value),
+        TraceRecord::Counter(c) => tracer.counter(&c.name, c.time, c.delta),
+        TraceRecord::Gauge(g) => tracer.gauge(&g.name, g.time, g.value),
+    }
+}
+
+fn trace_seg(dir: &std::path::Path) -> Vec<u8> {
+    std::fs::read(dir.join("trace.seg")).unwrap()
+}
+
+/// Writes `records` through a store-backed tracer and through
+/// `RunStore::append` + `flush` of an in-memory tracer's records, with `n`
+/// records a block, and holds the two stores to the same bytes.
+fn assert_streamed_equals_appended(records: &[TraceRecord], n: usize) {
+    let (streamed, appended) = (temp_dir("streamed"), temp_dir("appended"));
+    let tracer = Tracer::from(RunStore::create(&streamed).unwrap().with_block_records(n));
+    records.iter().for_each(|r| replay(&tracer, r));
+    let store = tracer.into_store().unwrap();
+
+    let memory = Tracer::new();
+    records.iter().for_each(|r| replay(&memory, r));
+    let mut oracle = RunStore::create(&appended).unwrap().with_block_records(n);
+    oracle.append(&memory.records()).unwrap();
+    oracle.flush().unwrap();
+
+    let len = records.len();
+    assert_eq!(store.record_count(), len as u64, "n = {n}");
+    assert_eq!(store.record_count(), oracle.record_count(), "n = {n}");
+    assert!(
+        trace_seg(&streamed) == trace_seg(&appended),
+        "n = {n}, {len} records: trace.seg bytes differ"
+    );
+    std::fs::remove_dir_all(&streamed).ok();
+    std::fs::remove_dir_all(&appended).ok();
+}
+
+#[test]
+fn prop_a_store_backed_tracer_writes_the_blocks_append_cuts() {
+    // k full blocks, one record short of them, or one past them.
+    let gen = check::triple(
+        check::usize_in(1, 4),
+        check::usize_in(0, 3),
+        check::vec_in(gen_record(), 1, 40),
+    );
+    check::forall("streamed == appended", 12, &gen, |(k, delta, pool)| {
+        for n in [1, 7, 512] {
+            let len = k * n + delta - 1;
+            let records: Vec<TraceRecord> = pool.iter().cycle().take(len).cloned().collect();
+            assert_streamed_equals_appended(&records, n);
+        }
+    });
+}
+
+fn counter(name: &str, time: u32) -> TraceRecord {
+    TraceRecord::Counter(CounterRecord {
+        name: name.into(),
+        time: f64::from(time),
+        delta: 1.0,
+    })
+}
+
+#[test]
+fn a_store_backed_tracer_shows_only_its_unwritten_tail() {
+    let dir = temp_dir("tail");
+    let tracer = Tracer::from(RunStore::create(&dir).unwrap().with_block_records(3));
+    for i in 0..7 {
+        tracer.counter("c", f64::from(i), 1.0);
+    }
+    // Two blocks are written; `records`, `view` and `read_tail` see the
+    // seventh record only, and offsets count from it.
+    let tail = tracer.records();
+    assert_eq!(tail, [counter("c", 6)]);
+    assert_eq!(tracer.view().records(), &tail[..]);
+    assert_eq!(tracer.read_tail(0, <[TraceRecord]>::len), (1, 1));
+    assert_eq!(tracer.read_tail(1, <[TraceRecord]>::len), (1, 0));
+    tracer.counter("c", 7.0, 1.0);
+    tracer.counter("c", 8.0, 1.0);
+    // The third block is written: nothing is left unwritten.
+    assert!(tracer.records().is_empty());
+    let store = tracer.into_store().unwrap();
+    assert_eq!((store.record_count(), store.trace_blocks().len()), (9, 3));
+    let all: Vec<TraceRecord> = (0..9).map(|i| counter("c", i)).collect();
+    assert_eq!(store.records().unwrap(), all);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_abandoned_store_backed_trace_leaves_the_store_as_it_was() {
+    let dir = temp_dir("abandoned");
+    let mut store = RunStore::create(&dir).unwrap();
+    let earlier: Vec<TraceRecord> = (0..5).map(|i| counter("earlier", i)).collect();
+    store.append(&earlier).unwrap();
+    store.flush().unwrap();
+    drop(store);
+    let before = trace_seg(&dir);
+
+    // Dropped without `into_store`, after three blocks were written.
+    let tracer = Tracer::from(RunStore::open(&dir).unwrap().with_block_records(2));
+    for i in 0..7 {
+        tracer.gauge("g", f64::from(i), 0.5);
+    }
+    let clone = tracer.clone();
+    drop(tracer);
+    clone.gauge("g", 7.0, 0.5);
+    drop(clone);
+    assert_eq!(trace_seg(&dir), before);
+    let store = RunStore::open(&dir).unwrap();
+    assert_eq!(store.records().unwrap(), earlier);
+    drop(store);
+
+    // Handed over: the earlier block and the new ones, behind it.
+    let tracer = Tracer::from(RunStore::open(&dir).unwrap().with_block_records(2));
+    let clone = tracer.clone();
+    for i in 0..3 {
+        clone.gauge("g", f64::from(i), 0.5);
+    }
+    drop(clone);
+    let store = tracer.into_store().unwrap();
+    assert_eq!((store.record_count(), store.trace_blocks().len()), (8, 3));
     std::fs::remove_dir_all(&dir).ok();
 }

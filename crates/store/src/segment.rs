@@ -307,6 +307,18 @@ impl Segment {
         Ok(())
     }
 
+    /// Drops every block from index `blocks` on and re-seals: the file
+    /// is again byte for byte what a seal with `blocks` blocks wrote, so
+    /// appends made since then are undone. Keeping at least as many
+    /// blocks as there are only seals.
+    pub fn truncate(&mut self, blocks: usize) -> io::Result<()> {
+        if let Some(first_dropped) = self.blocks.get(blocks) {
+            self.data_end = first_dropped.offset;
+            self.blocks.truncate(blocks);
+        }
+        self.seal()
+    }
+
     /// Footer entries for every block, in append order.
     #[must_use]
     pub fn blocks(&self) -> &[BlockEntry] {
@@ -489,6 +501,33 @@ mod tests {
         assert_eq!(seg.block_count(), 2);
         assert_eq!(seg.read_block(0).expect("read"), b"first block payload");
         assert_eq!(seg.read_block(1).expect("read"), b"second block payload");
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncate_restores_the_bytes_of_the_earlier_seal() {
+        let path = temp_path("truncate");
+        let mut seg = Segment::create(&path).expect("create");
+        seg.append_block(b"kept block", summary_for(0.0, 1))
+            .expect("append");
+        seg.seal().expect("seal");
+        let sealed = fs::read(&path).expect("read sealed");
+        for round in 1..4 {
+            seg.append_block(b"a block to undo", summary_for(f64::from(round), 2))
+                .expect("append");
+        }
+        seg.seal().expect("seal");
+        seg.truncate(1).expect("truncate");
+        assert_eq!(fs::read(&path).expect("read truncated"), sealed);
+        assert_eq!((seg.block_count(), seg.record_count()), (1, 1));
+        // Keeping every block only seals.
+        seg.append_block(b"later block", summary_for(5.0, 1))
+            .expect("append");
+        seg.truncate(9).expect("truncate past the end");
+        drop(seg);
+        let seg = Segment::open(&path).expect("reopen");
+        assert_eq!(seg.block_count(), 2);
+        assert_eq!(seg.read_block(1).expect("read"), b"later block");
         fs::remove_file(&path).ok();
     }
 

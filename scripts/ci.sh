@@ -467,42 +467,45 @@ done
 echo "    ok (outputs match tests/golden/fl)"
 
 # Bounded-memory store gate (ROADMAP aims 1 and 4): a store reader holds
-# one block, not the trace. A 1.92M-record store (≈ 0.8 s, 22 MB on disk)
-# is read by a full scan, a wide round-range query, a kind query matching
-# nearly every record and `metrics --store`, each under an address-space
-# cap (`ulimit -v`) and a watchdog. The smallest caps they complete under
-# are 6 MiB for the three `trace --store` reads and 26 MiB for `metrics`
-# (one `f64` per span; x86-64 Linux, glibc malloc, one thread); the caps
-# below are 2x those. A reader that materialises the trace (56 B a
-# record) needs 54-122 MiB here and aborts instead.
-echo "==> bounded-memory store gate: 1.92M-record store read under ulimit -v (watchdog 60s each)"
+# one block, not the trace, and so does the tracer that writes it. A
+# 1.92M-record store (≈ 0.8 s, 22 MB on disk) is recorded, then read by a
+# full scan, a wide round-range query, a kind query matching nearly every
+# record and `metrics --store`, each under an address-space cap
+# (`ulimit -v`) and a watchdog. The smallest caps they complete under are
+# 54 MiB for the recording run (one block, plus the pipeline report's
+# compute spans at 48 B a task), 6 MiB for the three `trace --store`
+# reads and 26 MiB for `metrics` (one `f64` per span; x86-64 Linux, glibc
+# malloc, one thread); the caps below are 2x those. A reader that
+# materialises the trace (56 B a record) needs 54-122 MiB here, and a
+# tracer that holds it until the run ends 150 MiB; each aborts instead.
+echo "==> bounded-memory store gate: 1.92M-record store written and read under ulimit -v (watchdog 60s each)"
 big_store="$scale_dir/big_store"
-timeout 60 ./target/release/ecofl trace --model effnet-b4 --devices tx2q,tx2n,nanoh,nanoh \
-    --mbs 4 --micro-batches 32 --rounds 2000 --schedule interleaved \
-    --store "$big_store" >/dev/null
-store_read() { # <cap MiB> <ecofl args...>
+store_run() { # <cap MiB> <ecofl args...>
     local cap_kib=$(($1 * 1024))
     shift
     echo "    ecofl $* (ulimit -v $cap_kib KiB)"
     VM_KIB=$cap_kib timeout 60 bash -c 'ulimit -v "$VM_KIB"; exec "$@"' _ \
-        ./target/release/ecofl "$@" >"$scale_dir/store_read.txt" || {
+        ./target/release/ecofl "$@" >"$scale_dir/store_run.txt" || {
         status=$?
         if [ "$status" -eq 124 ]; then
             echo "ERROR: ecofl $* hit the watchdog." >&2
         else
-            echo "ERROR: ecofl $* failed (exit $status) under the $cap_kib KiB address-space cap — a store reader holds more than a block." >&2
+            echo "ERROR: ecofl $* failed (exit $status) under the $cap_kib KiB address-space cap — a store writer or reader holds more than a block." >&2
         fi
         exit "$status"
     }
 }
-store_read 12 trace --store "$big_store" --limit 1
-grep -q "1920000 matching record(s)" "$scale_dir/store_read.txt" || {
+store_run 108 trace --model effnet-b4 --devices tx2q,tx2n,nanoh,nanoh \
+    --mbs 4 --micro-batches 32 --rounds 2000 --schedule interleaved \
+    --store "$big_store"
+store_run 12 trace --store "$big_store" --limit 1
+grep -q "1920000 matching record(s)" "$scale_dir/store_run.txt" || {
     echo "ERROR: the full scan of the 1.92M-record store did not count every record." >&2
     exit 1
 }
-store_read 12 trace --store "$big_store" --rounds 500..1500 --limit 1
-store_read 12 trace --store "$big_store" --kind span --limit 1
-store_read 52 metrics --store "$big_store"
+store_run 12 trace --store "$big_store" --rounds 500..1500 --limit 1
+store_run 12 trace --store "$big_store" --kind span --limit 1
+store_run 52 metrics --store "$big_store"
 echo "    ok"
 
 # Flag-sweep gate (ROADMAP item 16): every numeric flag of every command

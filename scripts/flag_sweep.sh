@@ -11,6 +11,13 @@
 # gets a fresh store directory and a 1 GiB address-space cap (`ulimit -v`),
 # so an allocation blow-up aborts it instead of swapping the host. No run
 # lengthens `--devices`: each pipeline stage of the kill demo is a thread.
+#
+# Each trace scenario also runs with `--store` at three paths no store can
+# open: a regular file, a path under a regular file, and a directory whose
+# `trace.seg` is garbage. The store opens before the run, so such a run
+# passes only when it exits 1 and its stderr is one `error:` line that
+# names the `--store` path, under the same cap and timeout; a panic, a
+# signal, a timeout, a success or any other stderr fails the sweep.
 set -u
 
 bin=${1:-./target/release/ecofl}
@@ -25,16 +32,29 @@ vm_kib=1048576
 runs=0
 failed=0
 seed_store=""
+# Set to file, under-file or garbage: STORE is then a path no store opens.
+bad_store=""
 
 run() { # <ecofl args...>; STORE in an argument becomes the run's store dir
     runs=$((runs + 1))
-    local dir="$work/$runs" args=() status=0 why=""
+    local dir="$work/$runs" store="$work/$runs/store" args=() status=0 why=""
     mkdir -p "$dir"
     if [ -n "$seed_store" ]; then
-        cp -r "$seed_store" "$dir/store"
+        cp -r "$seed_store" "$store"
     fi
+    case $bad_store in
+        file) printf 'not a store\n' >"$store" ;;
+        under-file)
+            printf 'not a store\n' >"$dir/file"
+            store="$dir/file/store"
+            ;;
+        garbage)
+            mkdir -p "$store"
+            printf 'not a segment, and long enough to hold a trailer\n' >"$store/trace.seg"
+            ;;
+    esac
     for arg in "$@"; do
-        args+=("${arg//STORE/$dir/store}")
+        args+=("${arg//STORE/$store}")
     done
     (
         ulimit -v "$vm_kib"
@@ -46,6 +66,14 @@ run() { # <ecofl args...>; STORE in an argument becomes the run's store dir
         why="timed out after 10 s"
     elif [ "$status" -gt 124 ] || [ "$status" -eq 101 ]; then
         why="died with exit status $status"
+    elif [ -n "$bad_store" ]; then
+        if [ "$status" -ne 1 ]; then
+            why="exit status $status at a $bad_store --store"
+        elif [ "$(wc -l <"$dir/stderr")" -ne 1 ] || ! grep -q '^error:' "$dir/stderr"; then
+            why="not one error line at a $bad_store --store"
+        elif ! grep -qF -- "$store" "$dir/stderr"; then
+            why="the error names no --store path"
+        fi
     elif grep '^error:' "$dir/stderr" | grep -qv -- '--[a-z]'; then
         why="an error names no --flag"
     fi
@@ -86,6 +114,12 @@ sweep trace --scenario spike "${pipeline[@]}" --store STORE : \
     load at device horizon block-records
 sweep trace --scenario fl "${small_fl[@]}" --store STORE : "${fl[@]}" block-records
 sweep metrics --live fl "${small_fl[@]}" --refresh-ms 50 --store STORE : "${fl[@]}" refresh-ms
+for bad_store in file under-file garbage; do
+    run trace "${pipeline[@]}" --store STORE
+    run trace --scenario spike "${pipeline[@]}" --store STORE
+    run trace --scenario fl "${small_fl[@]}" --store STORE
+done
+bad_store=""
 
 # The query side reads a store one small pipeline trace wrote.
 seed_store="$work/seed"

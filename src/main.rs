@@ -17,7 +17,7 @@
 //! reads. Every failure path is a typed [`EcoFlError`]; `main` prints its
 //! `Display` form, which carries the exact message.
 
-use ecofl::obs::{trace_dir, Domain, EventKind, SpanKind};
+use ecofl::obs::{trace_dir, ComputeSummary, Domain, EventKind, SpanKind};
 use ecofl::prelude::*;
 use ecofl_pipeline::adaptive::{simulate_load_spike_with, SchedulerConfig};
 use ecofl_pipeline::executor::MAX_SIMULATED_MICRO_BATCHES;
@@ -86,7 +86,7 @@ const FL_FLAGS: &[&str] = &[
     "groups",
     "grouping-batch",
 ];
-/// What `persist_trace` reads.
+/// What `record_trace` reads.
 const STORE_WRITE_FLAGS: &[&str] = &["store", "block-records", "out"];
 /// The widest `gantt --width` rendered: wider than any terminal.
 const MAX_GANTT_WIDTH: usize = 10_000;
@@ -734,40 +734,79 @@ fn store_err(dir: &Path) -> impl Fn(std::io::Error) -> EcoFlError + '_ {
     move |e| EcoFlError::Io(format!("run store {}: {e}", dir.display()))
 }
 
-/// Persists a finished trace into a segmented run store — at `--store DIR`,
-/// or a per-scenario directory under the shared trace dir — chunked into
-/// blocks of `--block-records` records (default 512). `--out FILE`
-/// additionally exports the stored trace as JSONL, the interchange
-/// format. Returns the store directory and the `trace:` line reporting
-/// its record and block counts.
-fn persist_trace(
+/// A trace a scenario recorded into its run store.
+struct Stored<T> {
+    /// What the scenario's run returned.
+    run: T,
+    dir: PathBuf,
+    /// The sealed store.
+    store: RunStore,
+    /// Trace blocks the store held before this run's.
+    first_block: usize,
+}
+
+impl<T> Stored<T> {
+    /// The `trace:` line: the store and its record and block counts.
+    fn line(&self) -> String {
+        format!(
+            "trace: {} ({} stored record(s), {} block(s))",
+            self.dir.display(),
+            self.store.record_count(),
+            self.store.trace_blocks().len()
+        )
+    }
+}
+
+/// Runs `run` with a tracer that writes into a segmented run store as
+/// it records — at `--store DIR`, or a per-scenario directory under the
+/// shared trace dir — in blocks of `--block-records` records (default
+/// 512), so the trace is never held whole. `--out FILE` then exports the
+/// store as JSONL, the interchange format. A scenario validates its
+/// other flags and builds its run before calling this, so a refused run
+/// opens no store; a run that fails here leaves the store as it found
+/// it: the tracer cuts off the blocks it wrote, and a directory this
+/// call created is removed.
+fn record_trace<T>(
     args: &HashMap<String, String>,
     name: &str,
-    records: &[TraceRecord],
-) -> Result<(PathBuf, String), EcoFlError> {
+    run: impl FnOnce(&Tracer) -> Result<T, EcoFlError>,
+) -> Result<Stored<T>, EcoFlError> {
     let dir = args
         .get("store")
         .map_or_else(|| trace_dir().join(name), PathBuf::from);
     let block_records = get_positive(args, "block-records", 512)?;
-    let mut store = RunStore::open_or_create(dir.as_path())
-        .map_err(store_err(&dir))?
-        .with_block_records(block_records);
-    store
-        .append(records)
-        .and_then(|()| store.flush())
-        .map_err(store_err(&dir))?;
+    // The outermost directory this call creates, if any.
+    let created = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+        .last()
+        .map(Path::to_path_buf);
+    let recorded = RunStore::open_or_create(dir.as_path())
+        .map_err(store_err(&dir))
+        .and_then(|store| {
+            let store = store.with_block_records(block_records);
+            let first_block = store.trace_blocks().len();
+            let tracer = Tracer::from(store);
+            let out = run(&tracer)?;
+            let store = tracer.into_store().map_err(store_err(&dir))?;
+            Ok((out, store, first_block))
+        });
+    let (run, store, first_block) = recorded.inspect_err(|_| {
+        if let Some(created) = &created {
+            let _ = std::fs::remove_dir_all(created);
+        }
+    })?;
     if let Some(out) = args.get("out") {
         store
             .export_jsonl(Path::new(out))
             .map_err(|e| EcoFlError::Io(format!("cannot write {out}: {e}")))?;
     }
-    let line = format!(
-        "trace: {} ({} stored record(s), {} block(s))",
-        dir.display(),
-        store.record_count(),
-        store.trace_blocks().len()
-    );
-    Ok((dir, line))
+    Ok(Stored {
+        run,
+        dir,
+        store,
+        first_block,
+    })
 }
 
 fn cmd_trace(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
@@ -906,30 +945,34 @@ fn cmd_trace_pipeline(args: &HashMap<String, String>) -> Result<(), EcoFlError> 
     let p = pipeline_args(args)?;
     check_run_length("--micro-batches × --rounds", p.m, rounds)?;
     let mbs = p.profile.micro_batch();
-    let tracer = Tracer::new();
-    let report = PipelineExecutor::new(&p.profile, p.policy)?.run_traced(p.m, rounds, &tracer)?;
-    let view = tracer.into_view();
-    let (_, stored) = persist_trace(args, "pipeline", view.records())?;
+    let executor = PipelineExecutor::new(&p.profile, p.policy)?;
+    let stored = record_trace(args, "pipeline", |tracer| {
+        Ok(executor.run_traced(p.m, rounds, tracer)?)
+    })?;
     println!(
         "{} — {} schedule, mbs {}, M = {}, {rounds} round(s)",
         p.model.name, p.schedule, mbs, p.m
     );
-    println!("{stored}");
-    for (r, row) in view.round_table().into_iter().enumerate() {
+    println!("{}", stored.line());
+    // The report's compute spans are the ones the tracer received, in
+    // the same order, so the summary needs no read of the store.
+    let report = &stored.run;
+    let summary: ComputeSummary = report.task_spans.iter().collect();
+    for (r, row) in summary.rounds.into_iter().enumerate() {
         let (t0, t1, bubble) = row.unwrap_or((0.0, 0.0, 0.0));
         println!(
             "  round {r}: window {:.2}s..{:.2}s, bubble fraction {bubble:.4}",
             t0, t1
         );
     }
-    let trace_idle = view.total_idle_time();
+    let trace_idle = summary.idle_time;
     let report_idle: f64 = report.stage_idle_time.iter().sum();
     println!(
         "  idle: {trace_idle:.6}s from trace, {report_idle:.6}s from executor (|Δ| = {:.1e})",
         (trace_idle - report_idle).abs()
     );
     println!("  top {top} slowest stage(s) by compute time:");
-    for (stage, busy) in view.top_slowest_stages(top) {
+    for (stage, busy) in summary.slowest_stages.into_iter().take(top) {
         println!("    stage {stage}: {busy:.2}s");
     }
     Ok(())
@@ -944,30 +987,44 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         &[&["scenario"], SPIKE_FLAGS, STORE_WRITE_FLAGS],
     )?;
     let (model, devices, spike, horizon) = spike_args(args)?;
-    let tracer = Tracer::new();
-    let trace = simulate_load_spike_with(
-        &model,
-        &devices,
-        &Link::mbps_100(),
-        8,
-        16,
-        spike,
-        horizon,
-        true,
-        SchedulerConfig::default(),
-        &tracer,
-    )
-    .map_err(spike_error)?;
-    let view = tracer.into_view();
-    let (_, stored) = persist_trace(args, "spike", view.records())?;
+    let stored = record_trace(args, "spike", |tracer| {
+        simulate_load_spike_with(
+            &model,
+            &devices,
+            &Link::mbps_100(),
+            8,
+            16,
+            spike,
+            horizon,
+            true,
+            SchedulerConfig::default(),
+            tracer,
+        )
+        .map_err(spike_error)
+    })?;
+    // The timeline is read back from this run's blocks; the event-kind
+    // query prunes every block without events.
+    let events = TraceQuery::new().kind(RecordKind::Event);
+    let mut timeline = Vec::new();
+    for (i, block) in stored.store.trace_blocks().iter().enumerate() {
+        if i >= stored.first_block && events.admits(&block.summary) {
+            let records = stored
+                .store
+                .read_block_records(i)
+                .map_err(store_err(&stored.dir))?;
+            let block = TraceView::from_records(records);
+            timeline.extend(block.reschedule_timeline().into_iter().copied());
+        }
+    }
+    let trace = &stored.run;
     println!("{}", spike_header(&model.name, spike));
-    println!("{stored}");
+    println!("{}", stored.line());
     println!(
         "  throughput: {:.2} -> {:.2} samples/s",
         trace.pre_spike_throughput, trace.post_spike_throughput
     );
     println!("  re-scheduling timeline:");
-    for ev in view.reschedule_timeline() {
+    for ev in timeline {
         println!(
             "    {:7.2}s  {:?} (entity {}, value {:.2})",
             ev.time, ev.kind, ev.entity, ev.value
@@ -984,23 +1041,24 @@ fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         &[&["scenario"], FL_FLAGS, STORE_WRITE_FLAGS],
     )?;
     let (strategy, dataset, setup) = fl_args(args, (24, 300.0, "mnist"))?;
-    let tracer = Tracer::new();
-    let r = run_strategy(strategy, &setup, &tracer);
-    let view = tracer.into_view();
-    let (dir, stored) = persist_trace(args, "fl", view.records())?;
+    let stored = record_trace(args, "fl", |tracer| {
+        Ok(run_strategy(strategy, &setup, tracer))
+    })?;
+    let r = &stored.run;
     // Recompute convergence metrics by reading the store back: the
     // gauge-kind query prunes every block without accuracy samples.
-    let store = RunStore::open(dir.as_path()).map_err(store_err(&dir))?;
-    let summary =
-        summarize_store(&store, &r.strategy, &[0.3, 0.5, 0.7, 0.9]).map_err(store_err(&dir))?;
+    let summary = summarize_store(&stored.store, &r.strategy, &[0.3, 0.5, 0.7, 0.9])
+        .map_err(store_err(&stored.dir))?;
     println!(
         "{} on {} ({} clients, horizon {}s):",
         r.strategy, dataset.name, setup.config.num_clients, setup.config.horizon
     );
-    println!("{stored}");
+    println!("{}", stored.line());
+    // The run records one `global_updates` increment of 1 per update, so
+    // its tally is the counter's total.
     println!(
         "  updates {} | mean accuracy {:.1}% | best {:.1}% | max drawdown {:.1}%",
-        view.counter_total("global_updates"),
+        r.global_updates,
         summary.mean_accuracy * 100.0,
         summary.best_accuracy * 100.0,
         summary.max_drawdown * 100.0

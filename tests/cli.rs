@@ -250,6 +250,62 @@ fn small_store(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A refused trace run leaves its store as it found it: no directory at a
+/// new path, and an existing store's `trace.seg` byte for byte. The
+/// partition is refused before the store opens; the gpipe run runs out of
+/// memory at micro-batch 39, after it wrote blocks of one record each.
+#[test]
+fn a_refused_trace_run_leaves_the_store_as_it_found_it() {
+    let infeasible = [
+        "trace",
+        "--model",
+        "effnet-b6",
+        "--devices",
+        "nanol,nanol",
+        "--mbs",
+        "64",
+    ];
+    let out_of_memory = [
+        "trace",
+        "--model",
+        "effnet-b0",
+        "--devices",
+        "tx2q,nanoh",
+        "--schedule",
+        "gpipe",
+        "--micro-batches",
+        "2000",
+        "--block-records",
+        "1",
+    ];
+    let existing = small_store("refused");
+    let before = std::fs::read(existing.join("trace.seg")).expect("trace.seg");
+    let fresh_root =
+        std::env::temp_dir().join(format!("ecofl-cli-refused-new-{}", std::process::id()));
+    std::fs::remove_dir_all(&fresh_root).ok();
+    let fresh = fresh_root.join("store");
+    for (refused, error) in [
+        (&infeasible[..], "no feasible partition"),
+        (&out_of_memory[..], "OOMs"),
+    ] {
+        for store in [&fresh, &existing] {
+            let mut args = refused.to_vec();
+            args.extend(["--store", store.to_str().expect("utf-8 temp path")]);
+            let (ok, stdout, stderr) = ecofl(&args);
+            assert!(!ok, "{args:?} ran:\n{stdout}");
+            assert!(stderr.contains(error), "{args:?}:\n{stderr}");
+        }
+        assert!(
+            !fresh_root.exists(),
+            "{error}: {} was left",
+            fresh_root.display()
+        );
+        let after = std::fs::read(existing.join("trace.seg")).expect("trace.seg");
+        assert!(after == before, "{error}: the existing trace.seg changed");
+    }
+    std::fs::remove_dir_all(&existing).ok();
+}
+
 /// The record lines of an inspecting `trace --store` run.
 fn record_lines(stdout: &str) -> Vec<&str> {
     let shapes = ["  Span(", "  Event(", "  Counter(", "  Gauge("];
