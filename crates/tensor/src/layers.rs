@@ -16,7 +16,7 @@
 //! bit) is that of the allocating step kept as the test oracle in
 //! `tests/oracle`.
 
-use crate::kernel::{self, ConvShape};
+use crate::kernel::{self, kernel_path, on_tier, ConvShape, KernelPath};
 use crate::tensor::Tensor;
 use ecofl_util::Rng;
 use std::collections::VecDeque;
@@ -108,6 +108,22 @@ pub fn backward_through(
 /// `+0.0` in ascending row order *before* it is added: the bits of a
 /// separate row-sum vector added onto `acc`, without the vector.
 fn add_column_sums(acc: &mut [f32], g: &[f32]) {
+    // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+    // features.
+    unsafe { add_column_sums_on(kernel_path(), acc, g) };
+}
+
+/// [`add_column_sums`] on an explicit tier ([`on_tier`]).
+///
+/// # Safety
+/// The CPU must support `path`'s instruction set.
+unsafe fn add_column_sums_on(path: KernelPath, acc: &mut [f32], g: &[f32]) {
+    // SAFETY: the caller vouches for `path`.
+    unsafe { on_tier(path, move || column_sums_body(acc, g)) }
+}
+
+#[inline(always)]
+fn column_sums_body(acc: &mut [f32], g: &[f32]) {
     const STRIP: usize = 16;
     let n = acc.len();
     for (s, strip) in acc.chunks_mut(STRIP).enumerate() {
@@ -257,17 +273,51 @@ impl ReLU {
     }
 }
 
+/// ReLU's forward in place on an explicit tier ([`on_tier`]): clamps `x`
+/// and records in `mask` which elements passed.
+///
+/// # Safety
+/// The CPU must support `path`'s instruction set.
+unsafe fn relu_forward_on(path: KernelPath, x: &mut [f32], mask: &mut Vec<bool>) {
+    // SAFETY: the caller vouches for `path`.
+    unsafe { on_tier(path, move || relu_forward_body(x, mask)) }
+}
+
+#[inline(always)]
+fn relu_forward_body(x: &mut [f32], mask: &mut Vec<bool>) {
+    mask.clear();
+    // Unconditional stores of a selected value: a branch on the sign of
+    // an activation mispredicts every other element.
+    mask.extend(x.iter_mut().map(|x| {
+        let keep = *x > 0.0;
+        *x = if keep { *x } else { 0.0 };
+        keep
+    }));
+}
+
+/// ReLU's backward in place on an explicit tier ([`on_tier`]): zeroes the
+/// gradient where the forward's `mask` is unset.
+///
+/// # Safety
+/// The CPU must support `path`'s instruction set.
+unsafe fn relu_backward_on(path: KernelPath, g: &mut [f32], mask: &[bool]) {
+    // SAFETY: the caller vouches for `path`.
+    unsafe { on_tier(path, move || relu_backward_body(g, mask)) }
+}
+
+#[inline(always)]
+fn relu_backward_body(g: &mut [f32], mask: &[bool]) {
+    for (g, &keep) in g.iter_mut().zip(mask) {
+        *g = if keep { *g } else { 0.0 };
+    }
+}
+
 impl Layer for ReLU {
     fn forward(&mut self, mut input: Tensor) -> Tensor {
         let mut mask = std::mem::take(&mut self.spare);
-        mask.clear();
-        // Unconditional stores of a selected value: a branch on the sign of
-        // an activation mispredicts every other element.
-        mask.extend(input.data_mut().iter_mut().map(|x| {
-            let keep = *x > 0.0;
-            *x = if keep { *x } else { 0.0 };
-            keep
-        }));
+        // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+        // features.
+        unsafe { relu_forward_on(kernel_path(), input.data_mut(), &mut mask) };
         self.masks.push_back(mask);
         input
     }
@@ -282,9 +332,9 @@ impl Layer for ReLU {
             mask.len(),
             "ReLU::backward: gradient size mismatch with cached forward"
         );
-        for (g, &keep) in grad_out.data_mut().iter_mut().zip(&mask) {
-            *g = if keep { *g } else { 0.0 };
-        }
+        // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+        // features.
+        unsafe { relu_backward_on(kernel_path(), grad_out.data_mut(), &mask) };
         self.spare = mask;
         grad_out
     }
@@ -594,7 +644,57 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{assert_bits, awkward_values, host_paths};
     use crate::loss::SoftmaxCrossEntropy;
+
+    #[test]
+    fn every_tier_runs_relu_with_the_bits_of_the_portable_loops() {
+        let mut rng = Rng::new(0x4E_1D);
+        for len in 0..=67 {
+            let x = awkward_values(len, &mut rng);
+            let g = awkward_values(len, &mut rng);
+            let (mut want_x, mut want_mask) = (x.clone(), Vec::new());
+            let mut want_g = g.clone();
+            // SAFETY: the portable tier runs on any CPU.
+            unsafe {
+                relu_forward_on(KernelPath::Portable, &mut want_x, &mut want_mask);
+                relu_backward_on(KernelPath::Portable, &mut want_g, &want_mask);
+            }
+            for path in host_paths() {
+                // A stale, longer mask buffer is cleared, not appended to.
+                let (mut got_x, mut got_mask) = (x.clone(), vec![true; 70]);
+                let mut got_g = g.clone();
+                // SAFETY: `host_paths` lists detected tiers only.
+                unsafe {
+                    relu_forward_on(path, &mut got_x, &mut got_mask);
+                    relu_backward_on(path, &mut got_g, &got_mask);
+                }
+                assert_bits(&got_x, &want_x, &format!("{path:?} forward, len {len}"));
+                assert_eq!(got_mask, want_mask, "{path:?} mask, len {len}");
+                assert_bits(&got_g, &want_g, &format!("{path:?} backward, len {len}"));
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_adds_the_column_sums_of_the_portable_loop() {
+        let mut rng = Rng::new(0xC0_15);
+        for n in 0..=67 {
+            for rows in [1, 3, 10] {
+                let g = awkward_values(rows * n, &mut rng);
+                let acc = awkward_values(n, &mut rng);
+                let mut want = acc.clone();
+                // SAFETY: the portable tier runs on any CPU.
+                unsafe { add_column_sums_on(KernelPath::Portable, &mut want, &g) };
+                for path in host_paths() {
+                    let mut got = acc.clone();
+                    // SAFETY: `host_paths` lists detected tiers only.
+                    unsafe { add_column_sums_on(path, &mut got, &g) };
+                    assert_bits(&got, &want, &format!("{path:?} {rows}x{n}"));
+                }
+            }
+        }
+    }
 
     /// Central finite-difference check of d loss / d params for one layer
     /// followed by a cross-entropy head.

@@ -1,8 +1,10 @@
 //! Softmax cross-entropy loss and classification accuracy.
 
+use crate::kernel::{kernel_path, on_tier, KernelPath};
 use crate::tensor::Tensor;
 
 /// Numerically stable softmax of one logit row, in place.
+#[inline(always)]
 fn softmax_row(row: &mut [f32]) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
@@ -52,20 +54,39 @@ impl SoftmaxCrossEntropy {
     pub fn loss_and_grad(&mut self, mut logits: Tensor, targets: &[usize]) -> (f32, Tensor) {
         let (b, k) = (logits.rows(), logits.cols());
         assert_eq!(targets.len(), b, "loss: batch size mismatch");
-        let mut loss = 0.0f32;
-        let inv_b = 1.0 / b as f32;
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(t < k, "loss: target {t} out of range for {k} classes");
-            let row = &mut logits.data_mut()[i * k..(i + 1) * k];
-            softmax_row(row);
-            loss -= row[t].max(1e-12).ln();
-            row[t] -= 1.0;
-            for g in row.iter_mut() {
-                *g *= inv_b;
-            }
-        }
-        (loss * inv_b, logits)
+        // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+        // features.
+        let loss = unsafe { head_on(kernel_path(), logits.data_mut(), k, targets) };
+        (loss, logits)
     }
+}
+
+/// The head's row loop on an explicit tier ([`on_tier`]): `logits` holds
+/// `targets.len()` rows of `k` logits, overwritten with the gradient; returns
+/// the mean loss. `exp` / `ln` are libm calls on every tier.
+///
+/// # Safety
+/// The CPU must support `path`'s instruction set.
+unsafe fn head_on(path: KernelPath, logits: &mut [f32], k: usize, targets: &[usize]) -> f32 {
+    // SAFETY: the caller vouches for `path`.
+    unsafe { on_tier(path, move || head_body(logits, k, targets)) }
+}
+
+#[inline(always)]
+fn head_body(logits: &mut [f32], k: usize, targets: &[usize]) -> f32 {
+    let mut loss = 0.0f32;
+    let inv_b = 1.0 / targets.len() as f32;
+    for (i, &t) in targets.iter().enumerate() {
+        assert!(t < k, "loss: target {t} out of range for {k} classes");
+        let row = &mut logits[i * k..(i + 1) * k];
+        softmax_row(row);
+        loss -= row[t].max(1e-12).ln();
+        row[t] -= 1.0;
+        for g in row.iter_mut() {
+            *g *= inv_b;
+        }
+    }
+    loss * inv_b
 }
 
 /// Index of the largest logit of a row — the last one among equals, as
@@ -109,6 +130,30 @@ pub(crate) fn accuracy(logits: &Tensor, targets: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{assert_bits, awkward_values, host_paths};
+    use ecofl_util::Rng;
+
+    #[test]
+    fn every_tier_runs_the_head_with_the_bits_of_the_portable_loop() {
+        let mut rng = Rng::new(0x4EAD);
+        for k in 1..=67 {
+            for rows in [1, 3, 10] {
+                let logits = awkward_values(rows * k, &mut rng);
+                let targets: Vec<usize> = (0..rows).map(|_| rng.range_usize(0, k)).collect();
+                let mut want = logits.clone();
+                // SAFETY: the portable tier runs on any CPU.
+                let want_loss = unsafe { head_on(KernelPath::Portable, &mut want, k, &targets) };
+                for path in host_paths() {
+                    let mut got = logits.clone();
+                    // SAFETY: `host_paths` lists detected tiers only.
+                    let loss = unsafe { head_on(path, &mut got, k, &targets) };
+                    let what = format!("{path:?} {rows}x{k}");
+                    assert_bits(&[loss], &[want_loss], &format!("{what} loss"));
+                    assert_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {

@@ -7,6 +7,8 @@
 //! contribution is `µ · (w − w_ref)` and is applied here, at the optimizer,
 //! so models stay oblivious to the FL algorithm above them.
 
+use crate::kernel::{kernel_path, on_tier, KernelPath};
+
 /// SGD over flat parameter vectors, with an optional FedProx proximal pull
 /// toward a reference parameter vector.
 ///
@@ -61,11 +63,12 @@ impl Sgd {
     /// copy of it.
     ///
     /// The mode branch (`µ > 0`?) is resolved once, outside the element
-    /// loop, so each specialization below is a straight-line
-    /// fused-multiply-add stream the compiler vectorizes. The per-element
-    /// arithmetic is unchanged from the original branch-in-loop form, so
-    /// results stay **bit-identical** to
-    /// [`crate::reference::naive_sgd_step`] on every configuration.
+    /// loop, so each specialization is a straight-line `mul`/`sub` stream
+    /// the compiler vectorizes at the host's width (`step_on`). The
+    /// per-element arithmetic is unchanged from the original
+    /// branch-in-loop form, so results stay **bit-identical** to
+    /// [`crate::reference::naive_sgd_step`] on every configuration and
+    /// every tier.
     ///
     /// # Panics
     /// Panics if the piece does not fit `total`, if lengths disagree, or
@@ -92,19 +95,42 @@ impl Sgd {
         } else {
             None
         };
-        let (lr, mu) = (self.lr, self.mu);
-        match anchor {
-            None => {
-                for (p, &g) in params.iter_mut().zip(grads) {
-                    *p -= lr * g;
-                }
+        // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+        // features.
+        unsafe { step_on(kernel_path(), self.lr, self.mu, params, grads, anchor) };
+    }
+}
+
+/// The element loop of [`Sgd::step_at`] on an explicit tier ([`on_tier`]);
+/// the unit tests call it with every tier the host supports.
+///
+/// # Safety
+/// The CPU must support `path`'s instruction set.
+unsafe fn step_on(
+    path: KernelPath,
+    lr: f32,
+    mu: f32,
+    params: &mut [f32],
+    grads: &[f32],
+    anchor: Option<&[f32]>,
+) {
+    // SAFETY: the caller vouches for `path`.
+    unsafe { on_tier(path, move || step_body(lr, mu, params, grads, anchor)) }
+}
+
+#[inline(always)]
+fn step_body(lr: f32, mu: f32, params: &mut [f32], grads: &[f32], anchor: Option<&[f32]>) {
+    match anchor {
+        None => {
+            for (p, &g) in params.iter_mut().zip(grads) {
+                *p -= lr * g;
             }
-            Some(anchor) => {
-                for ((p, &g), &a) in params.iter_mut().zip(grads).zip(anchor) {
-                    // ∇[µ/2‖w − w_ref‖²] = µ(w − w_ref)
-                    let gp = g + mu * (*p - a);
-                    *p -= lr * gp;
-                }
+        }
+        Some(anchor) => {
+            for ((p, &g), &a) in params.iter_mut().zip(grads).zip(anchor) {
+                // ∇[µ/2‖w − w_ref‖²] = µ(w − w_ref)
+                let gp = g + mu * (*p - a);
+                *p -= lr * gp;
             }
         }
     }
@@ -113,6 +139,30 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{assert_bits, awkward_values, host_paths};
+    use ecofl_util::Rng;
+
+    #[test]
+    fn every_tier_steps_the_bits_of_the_portable_loop() {
+        let mut rng = Rng::new(0x5_6D57E9);
+        for len in 0..=67 {
+            let init = awkward_values(len, &mut rng);
+            let grads = awkward_values(len, &mut rng);
+            let anchor = awkward_values(len, &mut rng);
+            for mu in [0.0, 0.05] {
+                let anchor = (mu > 0.0).then_some(anchor.as_slice());
+                let mut want = init.clone();
+                // SAFETY: the portable tier runs on any CPU.
+                unsafe { step_on(KernelPath::Portable, 0.1, mu, &mut want, &grads, anchor) };
+                for path in host_paths() {
+                    let mut got = init.clone();
+                    // SAFETY: `host_paths` lists detected tiers only.
+                    unsafe { step_on(path, 0.1, mu, &mut got, &grads, anchor) };
+                    assert_bits(&got, &want, &format!("{path:?} µ={mu} len {len}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn plain_sgd_step() {

@@ -342,11 +342,9 @@ impl Tensor {
     pub fn add_row_bias(&mut self, bias: &Tensor) {
         let n = self.cols();
         assert_eq!(bias.len(), n, "add_row_bias: bias length mismatch");
-        for row in self.data.chunks_mut(n) {
-            for (x, b) in row.iter_mut().zip(bias.data()) {
-                *x += b;
-            }
-        }
+        // SAFETY: `kernel_path` returns a tier only after detecting its CPU
+        // features.
+        unsafe { add_row_bias_on(kernel::kernel_path(), &mut self.data, bias.data()) };
     }
 
     /// Sum over rows of a 2-D tensor → `[n]` vector (bias gradient).
@@ -374,9 +372,50 @@ impl Tensor {
     }
 }
 
+/// [`Tensor::add_row_bias`]'s loop on an explicit tier
+/// ([`kernel::on_tier`]): `bias` added onto every `bias.len()`-wide row of
+/// `x`.
+///
+/// # Safety
+/// The CPU must support `path`'s instruction set.
+unsafe fn add_row_bias_on(path: kernel::KernelPath, x: &mut [f32], bias: &[f32]) {
+    // SAFETY: the caller vouches for `path`.
+    unsafe { kernel::on_tier(path, move || add_row_bias_body(x, bias)) }
+}
+
+#[inline(always)]
+fn add_row_bias_body(x: &mut [f32], bias: &[f32]) {
+    for row in x.chunks_mut(bias.len()) {
+        for (x, b) in row.iter_mut().zip(bias) {
+            *x += b;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{assert_bits, awkward_values, host_paths, KernelPath};
+
+    #[test]
+    fn every_tier_adds_the_row_bias_with_the_bits_of_the_portable_loop() {
+        let mut rng = Rng::new(0xB1_A5);
+        for n in 1..=67 {
+            for rows in [1, 3, 10] {
+                let x = awkward_values(rows * n, &mut rng);
+                let bias = awkward_values(n, &mut rng);
+                let mut want = x.clone();
+                // SAFETY: the portable tier runs on any CPU.
+                unsafe { add_row_bias_on(KernelPath::Portable, &mut want, &bias) };
+                for path in host_paths() {
+                    let mut got = x.clone();
+                    // SAFETY: `host_paths` lists detected tiers only.
+                    unsafe { add_row_bias_on(path, &mut got, &bias) };
+                    assert_bits(&got, &want, &format!("{path:?} {rows}x{n}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn construction_and_shape() {

@@ -338,11 +338,14 @@ echo "    ok (18 plans byte-identical)"
 # sequential, so there is no tier and no thread count to sweep. Optimized:
 # the kernel unit tests (every tier the host supports, portable included,
 # against the same chain; the operand-length `should_panic`s, which must
-# hold without debug assertions), the public-API sweep, the `train_step`
-# differential against tests/oracle, the 486-call `local_train`
-# fingerprint, and the allocations-per-step bound.
-echo "==> kernel-equivalence gate: kernel tests, train_step oracle, fingerprint, allocation bound"
-cargo test -q --release --offline -p ecofl-tensor --lib kernel::tests
+# hold without debug assertions), the `every_tier_*` unit tests (each
+# tier's instantiation of the step's elementwise loops — SGD, ReLU, bias,
+# column sums, loss head — bit for bit against the portable one), the
+# public-API sweep, the `train_step` differential against tests/oracle,
+# the 486-call `local_train` fingerprint, and the allocations-per-step
+# bound.
+echo "==> kernel-equivalence gate: kernel and tier tests, train_step oracle, fingerprint, allocation bound"
+cargo test -q --release --offline -p ecofl-tensor --lib -- kernel::tests every_tier_
 cargo test -q --release --offline -p ecofl-tensor \
     --test kernel_equivalence --test train_step_oracle
 cargo test -q --release --offline -p ecofl-fl \

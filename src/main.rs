@@ -746,6 +746,27 @@ struct Stored<T> {
 }
 
 impl<T> Stored<T> {
+    /// Reads back this run's trace blocks whose summary `query` admits —
+    /// a store an earlier run recorded into holds that run's blocks
+    /// first — handing each block's records to `visit`, in order.
+    fn read_own_blocks(
+        &self,
+        query: &TraceQuery,
+        mut visit: impl FnMut(Vec<TraceRecord>),
+    ) -> Result<(), EcoFlError> {
+        let blocks = self.store.trace_blocks().iter().enumerate();
+        for (i, block) in blocks.skip(self.first_block) {
+            if query.admits(&block.summary) {
+                visit(
+                    self.store
+                        .read_block_records(i)
+                        .map_err(store_err(&self.dir))?,
+                );
+            }
+        }
+        Ok(())
+    }
+
     /// The `trace:` line: the store and its record and block counts.
     fn line(&self) -> String {
         format!(
@@ -1004,18 +1025,11 @@ fn cmd_trace_spike(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
     })?;
     // The timeline is read back from this run's blocks; the event-kind
     // query prunes every block without events.
-    let events = TraceQuery::new().kind(RecordKind::Event);
     let mut timeline = Vec::new();
-    for (i, block) in stored.store.trace_blocks().iter().enumerate() {
-        if i >= stored.first_block && events.admits(&block.summary) {
-            let records = stored
-                .store
-                .read_block_records(i)
-                .map_err(store_err(&stored.dir))?;
-            let block = TraceView::from_records(records);
-            timeline.extend(block.reschedule_timeline().into_iter().copied());
-        }
-    }
+    stored.read_own_blocks(&TraceQuery::new().kind(RecordKind::Event), |records| {
+        let block = TraceView::from_records(records);
+        timeline.extend(block.reschedule_timeline().into_iter().copied());
+    })?;
     let trace = &stored.run;
     println!("{}", spike_header(&model.name, spike));
     println!("{}", stored.line());
@@ -1045,9 +1059,15 @@ fn cmd_trace_fl(args: &HashMap<String, String>) -> Result<(), EcoFlError> {
         Ok(run_strategy(strategy, &setup, tracer))
     })?;
     let r = &stored.run;
-    // Recompute convergence metrics by reading the store back: the
-    // gauge-kind query prunes every block without accuracy samples.
-    let summary = summarize_store(&stored.store, &r.strategy, &[0.3, 0.5, 0.7, 0.9])
+    // Recompute convergence metrics by reading this run's blocks back:
+    // the gauge-kind query prunes every block without accuracy samples.
+    let gauges = TraceQuery::new().kind(RecordKind::Gauge);
+    let mut samples = Vec::new();
+    stored.read_own_blocks(&gauges, |records| {
+        samples.extend(records.into_iter().filter(|r| gauges.matches(r)));
+    })?;
+    let samples = TraceView::from_records(samples);
+    let summary = summarize_view(&samples, &r.strategy, &[0.3, 0.5, 0.7, 0.9])
         .map_err(store_err(&stored.dir))?;
     println!(
         "{} on {} ({} clients, horizon {}s):",

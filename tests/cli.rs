@@ -851,17 +851,56 @@ fn fl_horizon_zero_names_the_horizon_flag() {
     assert_rejects(&["fl", "--clients", "10", "--horizon", "0"], "--horizon");
 }
 
-/// A second FL trace into one store panicked reading the two runs'
-/// accuracy gauges back as one series; it is one error line now.
+/// A second FL trace into one store first panicked reading the two runs'
+/// accuracy gauges back as one series, then was refused after its
+/// records were already committed. It summarizes its own blocks now, as
+/// the spike timeline does: the same run prints the same summary, and
+/// the segment grows by exactly that run's blocks.
 #[test]
-fn a_second_fl_trace_into_one_store_is_an_error_not_a_panic() {
+fn a_second_fl_trace_into_one_store_summarizes_only_its_own_run() {
     let dir = std::env::temp_dir().join(format!("ecofl-cli-twice-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = dir.to_str().expect("utf-8 temp path");
     let run = ["trace", "--scenario", "fl", "--store", store];
-    assert!(ecofl(&run).0, "the first run failed");
-    assert_rejects(&run, "error: run store");
+    let segment = dir.join("trace.seg");
+    let (ok, first, stderr) = ecofl(&run);
+    assert!(ok, "the first run failed:\n{stderr}");
+    let one_run = std::fs::metadata(&segment).expect("trace.seg").len();
+    let (ok, second, stderr) = ecofl(&run);
+    assert!(ok, "the second run failed:\n{stderr}");
+    // Only the `trace:` line, which counts the whole store, differs.
+    let summary = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| !l.starts_with("trace: "))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(summary(&second), summary(&first));
+    assert!(summary(&first).iter().any(|l| l.contains("mean accuracy")));
+    let lines = |out: &str| {
+        out.lines()
+            .find(|l| l.starts_with("trace: "))
+            .map(str::to_owned)
+    };
+    let (blocks_once, blocks_twice) = (block_count(&lines(&first)), block_count(&lines(&second)));
+    assert_eq!(blocks_twice, 2 * blocks_once, "{first}\n{second}");
+    // The run writes no checkpoints: `checkpoints.seg` is an empty
+    // segment, the part of `trace.seg` that is not the run's blocks.
+    let empty = std::fs::metadata(dir.join("checkpoints.seg")).expect("checkpoints.seg");
+    let two_runs = std::fs::metadata(&segment).expect("trace.seg").len();
+    assert_eq!(two_runs - one_run, one_run - empty.len());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The block count of a `trace: DIR (R stored record(s), B block(s))` line.
+fn block_count(line: &Option<String>) -> usize {
+    let line = line.as_deref().expect("a trace: line");
+    let blocks = line.rsplit_once(", ").expect("a block count").1;
+    blocks
+        .split(' ')
+        .next()
+        .and_then(|b| b.parse().ok())
+        .unwrap_or_else(|| panic!("no block count in {line}"))
 }
 
 /// `metrics --live` slept one refresh before it looked at the worker, so
