@@ -284,7 +284,9 @@ fi
 # (2) The stdout of the benchmark's ten `pipeline_plan` invocations (the
 # flags of benchmark/src/workloads.rs, copied here) plus one run per
 # non-default --schedule is diffed against goldens captured from the
-# pre-optimization search (commit 658b7d3).
+# pre-optimization search (commit 658b7d3); the fallback-only homes and
+# the eight-device home were captured later, each from the binary before
+# the change it guards.
 echo "==> plan-search differential gate: ecofl-pipeline orchestrator/partition suites, release, ECOFL_CHECK_CASES=300"
 ECOFL_CHECK_CASES=300 cargo test -q --release --offline -p ecofl-pipeline --lib -- \
     orchestrator::tests partition::tests
@@ -329,7 +331,10 @@ plan_golden 6dev_mobilenet-w3@380_gpipe_b32 --model mobilenet-w3@380 --batch 32 
     --devices tx2q,tx2n,tx2n,nanoh,nanoh,nanol --schedule gpipe
 plan_golden 6dev_mobilenet-w3@380_async --model mobilenet-w3@380 --batch 256 \
     --devices tx2q,tx2n,tx2n,nanoh,nanoh,nanol --schedule async
-echo "    ok (18 plans byte-identical)"
+# The heaviest Eq. 1 load the CLI admits: 2,520 distinct orders x 4 sizes.
+plan_golden 8dev_effnet-b6 --model effnet-b6 --batch 256 \
+    --devices tx2q,tx2n,nanoh,nanol,tx2q,tx2n,nanoh,nanol
+echo "    ok (19 plans byte-identical)"
 
 # Kernel-equivalence gate: every GEMM must be bit-identical to the one
 # scalar chain on every tier (DESIGN.md §7), and the training step built
