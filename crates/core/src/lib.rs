@@ -36,6 +36,8 @@
 
 pub(crate) mod error;
 pub mod prelude;
+mod record;
+pub mod scenario;
 pub mod system;
 
 // The component crates downstream code reaches as `ecofl_core::<crate>`.

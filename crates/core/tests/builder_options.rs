@@ -221,3 +221,35 @@ fn replicate_homes_never_shrinks_below_templates() {
     let report = system.run(None).expect("runs");
     assert!(report.client_delays.len() >= 2);
 }
+
+#[test]
+fn a_run_store_holds_each_run_once_and_refuses_a_second_tracer() {
+    let dir = std::env::temp_dir().join(format!("ecofl-builder-store-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let system = EcoFlSystem::builder()
+        .homes(homes())
+        .replicate_homes(6)
+        .fl_config(quick())
+        .run_store(&dir)
+        .seed(13)
+        .build()
+        .expect("builds");
+    let stored = || RunStore::open(&dir).expect("store opens").record_count();
+    // The store records through its own tracer; a caller's as well is
+    // refused before anything runs.
+    match system.run(&Tracer::new()) {
+        Err(EcoFlError::Config(msg)) => {
+            assert!(msg.contains("run_store") && msg.contains("tracer"), "{msg}");
+        }
+        other => panic!("expected a Config error, got {other:?}"),
+    }
+    assert_eq!(stored(), 0);
+    // Each run appends its own records once: the second run stores as
+    // many again, not the first run's over.
+    system.run(None).expect("runs");
+    let once = stored();
+    assert!(once > 0);
+    system.run(None).expect("runs");
+    assert_eq!(stored(), 2 * once);
+    std::fs::remove_dir_all(&dir).ok();
+}

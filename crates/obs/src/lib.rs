@@ -71,4 +71,4 @@ pub use record::{
 pub use sink::trace_dir;
 pub use store::{RecordKind, RunStore, TraceQuery};
 pub use tracer::Tracer;
-pub use view::{ComputeSummary, TraceView};
+pub use view::{ComputeSummary, Rollup, TraceView};

@@ -9,6 +9,7 @@
 //! records an attached tracer receives.
 
 use crate::record::{Domain, EventKind, EventRecord, SpanKind, SpanRecord, TraceRecord};
+use std::collections::{BTreeMap, HashMap};
 
 /// A queryable snapshot of a trace.
 ///
@@ -232,6 +233,102 @@ impl<'a> FromIterator<&'a SpanRecord> for ComputeSummary {
             idle_time,
             slowest_stages,
         }
+    }
+}
+
+/// The `metrics` report, folded one record at a time: counter totals,
+/// gauge last / min / max / samples, and per (domain, kind) the span
+/// durations — one `f64` per span, for exact percentiles — and the event
+/// count. Totals are summed in record order, so a store and the slices it
+/// was appended from roll up to the same lines.
+#[derive(Debug, Default)]
+pub struct Rollup {
+    records: usize,
+    counters: BTreeMap<String, f64>,
+    gauges: BTreeMap<String, (f64, f64, f64, u64)>,
+    spans: HashMap<(Domain, SpanKind), Vec<f64>>,
+    events: HashMap<(Domain, EventKind), u64>,
+}
+
+impl Rollup {
+    /// Folds one more record in.
+    pub fn add(&mut self, record: &TraceRecord) {
+        self.records += 1;
+        match record {
+            TraceRecord::Counter(c) => match self.counters.get_mut(&c.name) {
+                Some(total) => *total += c.delta,
+                // `0.0 +` as a total starts: a first delta of -0 sums to 0.
+                None => {
+                    self.counters.insert(c.name.clone(), 0.0 + c.delta);
+                }
+            },
+            TraceRecord::Gauge(g) => match self.gauges.get_mut(&g.name) {
+                Some((last, min, max, samples)) => {
+                    (*last, *min, *max) = (g.value, min.min(g.value), max.max(g.value));
+                    *samples += 1;
+                }
+                None => {
+                    let v = g.value;
+                    self.gauges.insert(g.name.clone(), (v, v, v, 1));
+                }
+            },
+            TraceRecord::Span(sp) => self
+                .spans
+                .entry((sp.domain, sp.kind))
+                .or_default()
+                .push(sp.t1 - sp.t0),
+            TraceRecord::Event(ev) => *self.events.entry((ev.domain, ev.kind)).or_default() += 1,
+        }
+    }
+
+    /// The report, one line per metric, (domain, kind) keys in the order
+    /// of their names. A percentile is the nearest-rank sample
+    /// (`max(1, ⌈q·n⌉)` of the sorted durations); sorting in place leaves
+    /// the fold free to go on.
+    pub fn lines(&mut self) -> Vec<String> {
+        let mut out = vec![format!("rollup of {} record(s)", self.records)];
+        if !self.counters.is_empty() {
+            out.push("  counters (total):".into());
+            for (name, total) in &self.counters {
+                out.push(format!("    {name:<30} {total:>14}"));
+            }
+        }
+        if !self.gauges.is_empty() {
+            out.push("  gauges (last / min / max / samples):".into());
+            for (name, (last, min, max, samples)) in &self.gauges {
+                out.push(format!(
+                    "    {name:<30} {last:>12.4} {min:>12.4} {max:>12.4} {samples:>8}"
+                ));
+            }
+        }
+        let spans: BTreeMap<String, &mut Vec<f64>> = (self.spans.iter_mut())
+            .map(|((domain, kind), durations)| (format!("{domain:?}.{kind:?}"), durations))
+            .collect();
+        if !spans.is_empty() {
+            out.push("  spans (count / p50 / p95 / p99 / max duration, s):".into());
+            for (key, durations) in spans {
+                durations.sort_by(f64::total_cmp);
+                let n = durations.len();
+                let rank = |q: f64| durations[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+                out.push(format!(
+                    "    {key:<30} {n:>8} {:>12.4e} {:>12.4e} {:>12.4e} {:>12.4e}",
+                    rank(0.5),
+                    rank(0.95),
+                    rank(0.99),
+                    durations[n - 1]
+                ));
+            }
+        }
+        let events: BTreeMap<String, u64> = (self.events.iter())
+            .map(|((domain, kind), count)| (format!("{domain:?}.{kind:?}"), *count))
+            .collect();
+        if !events.is_empty() {
+            out.push("  events (count):".into());
+            for (key, count) in events {
+                out.push(format!("    {key:<30} {count:>8}"));
+            }
+        }
+        out
     }
 }
 
