@@ -3,8 +3,8 @@
 //!
 //! All methods run the same synchronous SGD, so the accuracy-per-epoch
 //! curve is shared; methods differ in seconds-per-epoch. A genuine
-//! reference curve is trained once (our CNN on the hard synthetic task,
-//! standing in for CIFAR-10 — see DESIGN.md), and each method's curve is
+//! reference curve is trained once (the client MLP on the hard synthetic
+//! task, standing in for CIFAR-10 — see DESIGN.md), and each method's curve is
 //! that reference stretched by its simulated epoch time from the Fig. 11
 //! harness. Shape: pipeline reaches the target accuracy first; DP last
 //! (slower than a single device for MobileNet-W3).

@@ -56,7 +56,6 @@ pub struct EcoFlSystemBuilder {
     scheme: PartitionScheme,
     samples_per_client: usize,
     test_per_class: usize,
-    arch: ModelArch,
     pipeline_model: ModelProfile,
     orchestrator: OrchestratorConfig,
     strategy: Strategy,
@@ -74,7 +73,6 @@ impl Default for EcoFlSystemBuilder {
             scheme: PartitionScheme::ClassesPerClient(2),
             samples_per_client: 60,
             test_per_class: 50,
-            arch: ModelArch::Mlp,
             pipeline_model: efficientnet(0),
             orchestrator: OrchestratorConfig {
                 global_batch: 64,
@@ -148,13 +146,6 @@ impl EcoFlSystemBuilder {
     #[must_use]
     pub fn orchestrator(mut self, cfg: OrchestratorConfig) -> Self {
         self.orchestrator = cfg;
-        self
-    }
-
-    /// Selects the client model architecture.
-    #[must_use]
-    pub fn arch(mut self, arch: ModelArch) -> Self {
-        self.arch = arch;
         self
     }
 
@@ -346,7 +337,7 @@ impl EcoFlSystem {
 
         let setup = FlSetup {
             data,
-            arch: b.arch,
+            arch: ModelArch::Mlp,
             config: fl_config,
         };
         let fl = match &b.run_store {
@@ -475,7 +466,6 @@ mod tests {
             (|c| c.failure_prob = f64::NAN, "failure_prob"),
             (|c| c.eval_interval = 0.0, "eval_interval"),
             (|c| c.comm_latency = -1.0, "comm_latency"),
-            (|c| c.probe_backoff = 0.0, "probe_backoff"),
         ];
         for (break_field, field) in cases {
             let mut cfg = quick_cfg();

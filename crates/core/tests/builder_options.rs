@@ -186,30 +186,6 @@ fn pipeline_model_option_changes_plans() {
 }
 
 #[test]
-fn cnn_arch_option_runs() {
-    let report = EcoFlSystem::builder()
-        .homes(homes())
-        .replicate_homes(8)
-        .dataset(SyntheticSpec::image_like())
-        .arch(ModelArch::Cnn)
-        .samples_per_client(20)
-        .fl_config(FlConfig {
-            num_clients: 8,
-            clients_per_round: 4,
-            num_groups: 2,
-            horizon: 150.0,
-            eval_interval: 70.0,
-            ..FlConfig::tiny()
-        })
-        .seed(8)
-        .build()
-        .expect("builds")
-        .run(None)
-        .expect("runs");
-    assert!(report.fl.global_updates > 0);
-}
-
-#[test]
 fn replicate_homes_never_shrinks_below_templates() {
     let system = EcoFlSystem::builder()
         .homes(homes())

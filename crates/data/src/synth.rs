@@ -75,21 +75,6 @@ impl SyntheticSpec {
         }
     }
 
-    /// Image-shaped task: 64 features laid out as an 8×8 single-channel
-    /// "image" for the CNN client architecture. Difficulty between the
-    /// mnist-like and cifar-like presets.
-    #[must_use]
-    pub fn image_like() -> Self {
-        Self {
-            num_classes: 10,
-            feature_dim: 64,
-            separation: 2.2,
-            noise: 1.0,
-            modes_per_class: 2,
-            name: "image-like",
-        }
-    }
-
     /// Generates the class prototypes for this spec under the given seed.
     #[must_use]
     pub fn prototypes(&self, seed: u64) -> Prototypes {

@@ -284,48 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn cnn_clients_train_end_to_end() {
-        // The convolutional client path through the same engine.
-        let cfg = FlConfig {
-            num_clients: 8,
-            clients_per_round: 4,
-            num_groups: 2,
-            horizon: 250.0,
-            eval_interval: 60.0,
-            learning_rate: 0.1,
-            seed: 21,
-            ..FlConfig::tiny()
-        };
-        let data = FederatedDataset::generate(
-            &SyntheticSpec::image_like(),
-            cfg.num_clients,
-            30,
-            10,
-            PartitionScheme::ClassesPerClient(2),
-            None,
-            21,
-        );
-        let setup = FlSetup {
-            data,
-            arch: ModelArch::Cnn,
-            config: cfg,
-        };
-        let r = run(
-            Strategy::EcoFl {
-                dynamic_grouping: true,
-            },
-            &setup,
-            None,
-        );
-        assert!(r.global_updates > 0);
-        assert!(
-            r.best_accuracy > 0.15,
-            "CNN should beat chance, got {}",
-            r.best_accuracy
-        );
-    }
-
-    #[test]
     fn a_diverged_run_reports_its_accuracy_instead_of_panicking() {
         // A valid but absurd step size drives every weight to NaN within a
         // round; NaN rows score as wrong, so the run ends with a number.

@@ -17,7 +17,7 @@
 
 use crate::aggregate::StreamingAverage;
 use crate::client::{local_train, LocalTrainConfig, LocalUpdate};
-use crate::config::FlConfig;
+use crate::config::{FlConfig, PROBE_BACKOFF};
 use crate::engine::{FlSetup, RunResult};
 use crate::latency::{LatencyModel, INITIAL_DEGREES};
 use ecofl_compat::sync::Shared;
@@ -219,15 +219,15 @@ impl<'a> Scheduler<'a> {
     /// response latency plus the client↔server communication latency.
     ///
     /// An **empty** cohort is a retry probe for a group with no
-    /// dispatchable members; it completes after the configured
-    /// `probe_backoff` delay. (It used to fold from `0.0` and return
+    /// dispatchable members; it completes after the fixed
+    /// [`PROBE_BACKOFF`] delay. (It used to fold from `0.0` and return
     /// bare `comm_latency`, silently pinning probe cadence to an
     /// unrelated knob — a default 1-second comm latency meant a probe
     /// storm against any temporarily-empty group.)
     #[must_use]
     pub(crate) fn cohort_round_time(&self, members: &[usize]) -> f64 {
         if members.is_empty() {
-            return self.setup.config.probe_backoff;
+            return PROBE_BACKOFF;
         }
         members
             .iter()
@@ -770,7 +770,6 @@ mod tests {
             num_clients: 73,
             clients_per_round: 8,
             local_epochs: 1,
-            probe_backoff: 17.5,
             comm_latency: 1.0,
             horizon: 10.0,
             ..FlConfig::tiny()
@@ -780,7 +779,7 @@ mod tests {
         let _ = Scheduler::drive(&setup, None, &mut strat);
         // Empty members = retry probe: explicit backoff, decoupled
         // from comm_latency.
-        assert_eq!(strat.empty_round_time, 17.5);
+        assert_eq!(strat.empty_round_time, PROBE_BACKOFF);
         assert_eq!(strat.single_round_time, strat.latency0 + 1.0);
         assert!(strat.snapshots_shared, "snapshot should be served shared");
         assert!(

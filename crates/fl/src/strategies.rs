@@ -9,6 +9,7 @@
 //! scheduler.
 
 use crate::aggregate::{fedasync_mix, staleness_alpha, weighted_average};
+use crate::config::STALENESS_EXPONENT;
 use crate::engine::Strategy;
 use crate::sched::{AggregationStrategy, Cohort, HorizonPolicy, Scheduler, SharedParams};
 use ecofl_grouping::{Grouper, GroupingConfig, GroupingStrategy, RegroupOutcome};
@@ -497,11 +498,10 @@ impl AggregationStrategy for Hierarchical {
                 sched.trace_aggregation(cohort.group, t, 1.0);
             }
             _ => {
-                let cfg = sched.config();
                 let alpha = staleness_alpha(
-                    cfg.alpha,
+                    sched.config().alpha,
                     self.version - cohort.version,
-                    cfg.staleness_exponent,
+                    STALENESS_EXPONENT,
                 )
                 .clamp(1e-3, 1.0);
                 fedasync_mix(sched.global_mut(), &group_model, alpha);

@@ -4,10 +4,9 @@
 //! hundreds of clients over hundreds of virtual rounds, yet expressive
 //! enough that non-IID label skew genuinely hurts convergence. A two-hidden-
 //! layer MLP on the 32-dimensional synthetic features fills that role (it
-//! is the synthetic-data analogue of the FedAVG "2NN"); a small CNN over
-//! 8×8 single-channel layouts exercises the convolution path.
+//! is the synthetic-data analogue of the FedAVG "2NN").
 
-use ecofl_tensor::{AvgPool2d, Conv2d, Flatten, Layer, Linear, Network, ReLU, Tensor};
+use ecofl_tensor::{Layer, Linear, Network, ReLU};
 use ecofl_util::Rng;
 
 /// Which client architecture to instantiate.
@@ -15,9 +14,6 @@ use ecofl_util::Rng;
 pub enum ModelArch {
     /// Two-hidden-layer MLP (FedAVG's "2NN" analogue).
     Mlp,
-    /// Small convolutional network over an 8×8 single-channel layout;
-    /// requires `feature_dim == 64`.
-    Cnn,
 }
 
 impl ModelArch {
@@ -26,7 +22,6 @@ impl ModelArch {
     pub fn build(self, feature_dim: usize, num_classes: usize, rng: &mut Rng) -> Network {
         match self {
             ModelArch::Mlp => mlp_for(feature_dim, num_classes, rng),
-            ModelArch::Cnn => cnn_for(feature_dim, num_classes, rng),
         }
     }
 
@@ -39,7 +34,6 @@ impl ModelArch {
     pub fn build_uninit(self, feature_dim: usize, num_classes: usize) -> Network {
         match self {
             ModelArch::Mlp => mlp_uninit(feature_dim, num_classes),
-            ModelArch::Cnn => cnn_uninit(feature_dim, num_classes),
         }
     }
 }
@@ -57,31 +51,6 @@ pub fn mlp_for(feature_dim: usize, num_classes: usize, rng: &mut Rng) -> Network
     Network::new(layers)
 }
 
-/// Small CNN: two conv+pool stages then a linear head. Input features are
-/// interpreted as a `[B, 1, 8, 8]` image.
-///
-/// # Panics
-/// Panics unless `feature_dim == 64`.
-#[must_use]
-pub(crate) fn cnn_for(feature_dim: usize, num_classes: usize, rng: &mut Rng) -> Network {
-    assert_eq!(
-        feature_dim, 64,
-        "cnn_for: CNN expects 64 features (8×8 layout), got {feature_dim}"
-    );
-    let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Reshape8x8),
-        Box::new(Conv2d::new(1, 8, 3, 1, rng)),
-        Box::new(ReLU::new()),
-        Box::new(AvgPool2d::new(2)),
-        Box::new(Conv2d::new(8, 16, 3, 1, rng)),
-        Box::new(ReLU::new()),
-        Box::new(AvgPool2d::new(2)),
-        Box::new(Flatten::new()),
-        Box::new(Linear::new(16 * 2 * 2, num_classes, rng)),
-    ];
-    Network::new(layers)
-}
-
 /// Parameter-free skeleton of [`mlp_for`] (zeroed weights).
 #[must_use]
 pub(crate) fn mlp_uninit(feature_dim: usize, num_classes: usize) -> Network {
@@ -95,56 +64,11 @@ pub(crate) fn mlp_uninit(feature_dim: usize, num_classes: usize) -> Network {
     Network::new(layers)
 }
 
-/// Parameter-free skeleton of [`cnn_for`] (zeroed weights).
-///
-/// # Panics
-/// Panics unless `feature_dim == 64`.
-#[must_use]
-pub(crate) fn cnn_uninit(feature_dim: usize, num_classes: usize) -> Network {
-    assert_eq!(
-        feature_dim, 64,
-        "cnn_uninit: CNN expects 64 features (8×8 layout), got {feature_dim}"
-    );
-    let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Reshape8x8),
-        Box::new(Conv2d::zeroed(1, 8, 3, 1)),
-        Box::new(ReLU::new()),
-        Box::new(AvgPool2d::new(2)),
-        Box::new(Conv2d::zeroed(8, 16, 3, 1)),
-        Box::new(ReLU::new()),
-        Box::new(AvgPool2d::new(2)),
-        Box::new(Flatten::new()),
-        Box::new(Linear::zeroed(16 * 2 * 2, num_classes)),
-    ];
-    Network::new(layers)
-}
-
-/// Adapter layer: `[B, 64] → [B, 1, 8, 8]` and back for gradients.
-struct Reshape8x8;
-
-impl Layer for Reshape8x8 {
-    fn forward(&mut self, mut input: Tensor) -> Tensor {
-        let b = input.shape()[0];
-        input.set_shape(&[b, 1, 8, 8]);
-        input
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let b = grad_out.shape()[0];
-        grad_out.set_shape(&[b, 64]);
-        grad_out
-    }
-
-    fn name(&self) -> &'static str {
-        "reshape8x8"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecofl_data::SyntheticSpec;
-    use ecofl_tensor::Sgd;
+    use ecofl_tensor::{Sgd, Tensor};
 
     #[test]
     fn mlp_shapes() {
@@ -154,22 +78,6 @@ mod tests {
         let x = Tensor::zeros(&[4, 32]);
         let y = net.forward(&x);
         assert_eq!(y.shape(), &[4, 10]);
-    }
-
-    #[test]
-    fn cnn_shapes() {
-        let mut rng = Rng::new(2);
-        let mut net = cnn_for(64, 10, &mut rng);
-        let x = Tensor::zeros(&[2, 64]);
-        let y = net.forward(&x);
-        assert_eq!(y.shape(), &[2, 10]);
-    }
-
-    #[test]
-    #[should_panic(expected = "64 features")]
-    fn cnn_requires_matching_dim() {
-        let mut rng = Rng::new(3);
-        let _ = cnn_for(32, 10, &mut rng);
     }
 
     #[test]
@@ -205,15 +113,13 @@ mod tests {
 
     #[test]
     fn uninit_skeletons_match_layout_with_zeroed_params() {
-        for arch in [ModelArch::Mlp, ModelArch::Cnn] {
-            let built = arch.build(64, 10, &mut Rng::new(6));
-            let mut skeleton = arch.build_uninit(64, 10);
-            assert_eq!(skeleton.param_len(), built.param_len());
-            assert!(skeleton.params().iter().all(|&p| p == 0.0));
-            // The layouts must agree: round-tripping the real params
-            // through the skeleton is the identity.
-            skeleton.set_params(&built.params());
-            assert_eq!(skeleton.params(), built.params());
-        }
+        let built = ModelArch::Mlp.build(64, 10, &mut Rng::new(6));
+        let mut skeleton = ModelArch::Mlp.build_uninit(64, 10);
+        assert_eq!(skeleton.param_len(), built.param_len());
+        assert!(skeleton.params().iter().all(|&p| p == 0.0));
+        // The layouts must agree: round-tripping the real params through
+        // the skeleton is the identity.
+        skeleton.set_params(&built.params());
+        assert_eq!(skeleton.params(), built.params());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Model definitions for both halves of the Eco-FL reproduction:
 //!
-//! - `fl_models` — small *trainable* networks (MLP, CNN) built on
+//! - `fl_models` — the small *trainable* MLP built on
 //!   `ecofl-tensor`, used for genuine local training in the FL simulations
 //!   (the paper trains "the same DNN models as in FedAVG" on each client);
 //! - [`profiles`] — *analytic* per-layer profiles of the pipeline

@@ -33,8 +33,11 @@
 //! Checkpoint blocks store an opaque payload (the pipeline's
 //! `CheckpointRecord` encoding) under two columns `[seq, round]` and a
 //! dedicated mask bit; sequence numbers must increase monotonically,
-//! and every checkpoint append seals the segment — a checkpoint is
-//! durable the moment `append_checkpoint` returns.
+//! and every checkpoint append seals the segment — when
+//! `append_checkpoint` returns, the checkpoint is visible to fresh opens
+//! and outlives a kill of the writing process, though not an OS crash or
+//! power loss (nothing is fsynced), and not a kill during the next
+//! append (see `ecofl_store::Segment`).
 //!
 //! Stores written while the metrics hub also persisted snapshots hold a
 //! third file, `metrics.seg`; it is ignored, and the store opens and
@@ -498,8 +501,8 @@ impl RunStore {
     }
 
     /// Appends `records` to the trace segment, chunked into blocks of
-    /// [`RunStore::with_block_records`] records. Blocks become durable at the next
-    /// [`RunStore::flush`] (or drop).
+    /// [`RunStore::with_block_records`] records. Blocks become visible to
+    /// fresh opens at the next [`RunStore::flush`] (or drop).
     ///
     /// # Errors
     /// Returns any I/O error.
@@ -522,8 +525,9 @@ impl RunStore {
         self.trace.truncate(blocks)
     }
 
-    /// Seals every segment: everything appended so far survives a
-    /// crash and is visible to fresh opens.
+    /// Seals every segment: everything appended so far is visible to
+    /// fresh opens and outlives a kill of this process until the next
+    /// append, but not an OS crash or power loss (nothing is fsynced).
     ///
     /// # Errors
     /// Returns any I/O error from sealing.
@@ -667,8 +671,8 @@ impl RunStore {
     }
 
     /// Appends a checkpoint payload under `seq`/`round` and seals the
-    /// checkpoint segment immediately: when this returns, the
-    /// checkpoint is durable.
+    /// checkpoint segment immediately: when this returns, the checkpoint
+    /// is visible to fresh opens, as [`RunStore::flush`] describes.
     ///
     /// # Errors
     /// Returns `InvalidData` if `seq` does not exceed the last stored

@@ -70,10 +70,12 @@
 //! The portal holds the full parameter vector as of launch and of every
 //! sync-round flush, as a typed [`CheckpointRecord`] carrying a monotone
 //! sequence number. With [`RuntimeOptions::store_path`] set, every
-//! snapshot is also durably appended to the run store's checkpoint
-//! segment, and [`recover`] restores from the store's newest checkpoint
-//! instead of the in-memory copy — bit-identical by construction (the
-//! store holds the record's own encoding), which
+//! snapshot is also appended to the run store's checkpoint segment and
+//! sealed (visible to fresh opens, outliving a kill of the process but
+//! not an OS crash: nothing is fsynced), and [`recover`] restores from
+//! the store's newest checkpoint instead of the in-memory copy —
+//! bit-identical by construction (the store holds the record's own
+//! encoding), which
 //! `tests/fault_injection.rs` asserts. [`stored_checkpoints`] and
 //! [`load_checkpoint_at_or_before`] read the same segment offline for
 //! point-in-time recovery and cross-run diffing. Recovery tears the
@@ -228,7 +230,7 @@ pub struct RuntimeOptions {
     /// Failure/recovery event sink (`StageDied`, `CheckpointTaken`,
     /// `RoundReplayed` under `Domain::Pipeline`, timestamped by round).
     pub tracer: Option<Tracer>,
-    /// Run-store directory for durable checkpoints. When set, every
+    /// Run-store directory for stored checkpoints. When set, every
     /// checkpoint is also appended to the store's checkpoint segment
     /// under a monotone sequence number, and [`PipelineTrainer::recover`]
     /// restores from the store instead of the in-memory snapshot. The
@@ -422,7 +424,7 @@ pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 /// with its per-stage split, tagged by a store-wide monotone sequence
 /// number and the sync-round it captured. Taken at launch and after
 /// every sync-round flush; with [`RuntimeOptions::store_path`] set,
-/// each one is durably appended to the run store, where
+/// each one is appended to the run store and sealed, where
 /// [`stored_checkpoints`] / [`load_checkpoint_at_or_before`] give
 /// point-in-time recovery and cross-run diffing.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -1124,7 +1126,7 @@ impl PipelineTrainer {
     }
 
     /// Makes the stages' parameters as of `self.round` the current
-    /// checkpoint and, with a store configured, durably appends it.
+    /// checkpoint and, with a store configured, appends and seals it.
     fn store_checkpoint(&mut self, stage_params: &[Vec<f32>]) -> Result<(), ExecError> {
         let t0 = Instant::now();
         // Overwritten in place: a round's snapshot reuses the last one's
@@ -1139,8 +1141,9 @@ impl PipelineTrainer {
         }
         self.next_ckpt_seq += 1;
         if let Some(store) = &mut self.store {
-            // Durability point: append_checkpoint seals the segment, so
-            // the snapshot survives a portal crash from here on.
+            // append_checkpoint seals the segment, so from here on the
+            // snapshot outlives a kill of this process (not an OS crash,
+            // and not a kill inside the next append).
             let payload = self.checkpoint.encode();
             if let Err(e) = store.append_checkpoint(self.checkpoint.seq, self.round, &payload) {
                 return Err(self.fail(store_err(e)));
@@ -1262,7 +1265,7 @@ impl PipelineTrainer {
             return Err(ExecError::RecoveryUnsupported);
         }
         let t0 = Instant::now();
-        // With a store configured, restore from its newest durable
+        // With a store configured, restore from its newest stored
         // checkpoint (the same snapshot store_checkpoint persisted, so
         // replay stays bit-identical to the in-memory path); this is
         // what makes recovery survive portal restarts, not just stage

@@ -321,7 +321,7 @@ fn recovery_emits_the_full_event_timeline() {
 #[test]
 fn store_backed_recovery_is_bit_identical_to_in_memory() {
     // The same crash scenario twice — once with checkpoints only in
-    // memory, once restored from the durable run store — must land on
+    // memory, once restored from the run store — must land on
     // identical parameters (and both on the uninterrupted twin).
     let seed = 67u64;
     let cuts = [2usize, 4];

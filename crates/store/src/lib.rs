@@ -25,10 +25,11 @@
 //! footer_len u32 | "ECOFLFT1"                           -- trailer (12 B)
 //! ```
 //!
-//! A segment is always readable after [`Segment::seal`]: reopening
-//! parses the trailer, truncates any bytes past the footer start, and
-//! appends from there — so a crash between seals loses at most the
-//! unsealed tail, never the sealed prefix.
+//! A segment is readable after [`Segment::seal`]: reopening parses the
+//! trailer, truncates any bytes past the footer start, and appends from
+//! there. An append writes over the footer, so the file is readable only
+//! while sealed; nothing is fsynced (see [`Segment`] for what a seal
+//! guarantees).
 
 pub mod lz;
 mod segment;

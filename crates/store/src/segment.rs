@@ -134,8 +134,15 @@ pub struct BlockEntry {
 /// The file is usable by readers only after [`Segment::seal`] (or
 /// `Drop`, which seals best-effort): appends land in the data region,
 /// but the footer that makes them discoverable is rewritten on seal.
-/// Reopening a sealed file truncates anything past the footer start,
-/// so a crash mid-append loses at most the unsealed tail.
+/// Reopening a sealed file truncates anything past the footer start.
+///
+/// What a seal guarantees: fresh opens see every block sealed so far, and
+/// the file outlives a kill of the writing process. It does not outlive
+/// an OS crash or power loss: nothing calls `sync_data`, and
+/// `File::flush` does nothing. Nor does a sealed prefix outlive a kill
+/// during the next append: the block is written over the footer in place,
+/// so a process killed between `append_block` and `seal` leaves a file
+/// that no open accepts.
 #[derive(Debug)]
 pub struct Segment {
     path: PathBuf,
@@ -247,8 +254,8 @@ impl Segment {
     }
 
     /// Compresses `raw` and appends it as a new block with `summary`.
-    /// The block becomes durable (and visible to fresh opens) only at
-    /// the next [`Segment::seal`].
+    /// The block becomes visible to fresh opens only at the next
+    /// [`Segment::seal`]; until then the file has no valid footer.
     ///
     /// A block whose length does not fit the footer's `u32` is refused
     /// before it is compressed (the compressor's table positions are

@@ -1,7 +1,7 @@
-//! Register-tiled matrix and convolution kernels.
+//! Register-tiled matrix kernels.
 //!
 //! This module is the compute core behind [`crate::Tensor::matmul`] and the
-//! `Conv2d`/`Sgd` hot paths. Everything here runs on the calling thread:
+//! `Linear`/`Sgd` hot paths. Everything here runs on the calling thread:
 //! no kernel spawns a thread or splits a product across threads.
 //!
 //! Each GEMM entry point has **one** driver per SIMD tier, whatever the
@@ -208,8 +208,7 @@ mod stats {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Instant;
 
-    pub(super) const KERNEL_NAMES: [&str; 5] =
-        ["gemm", "gemm_tn", "gemm_nt", "conv2d_fwd", "conv2d_bwd"];
+    pub(super) const KERNEL_NAMES: [&str; 3] = ["gemm", "gemm_tn", "gemm_nt"];
     const N_KERNELS: usize = KERNEL_NAMES.len();
     const N_PATHS: usize = 3;
 
@@ -286,15 +285,12 @@ mod stats {
 pub(crate) const K_GEMM: usize = 0;
 pub(crate) const K_GEMM_TN: usize = 1;
 pub(crate) const K_GEMM_NT: usize = 2;
-pub(crate) const K_CONV_FWD: usize = 3;
-pub(crate) const K_CONV_BWD: usize = 4;
 
 /// One row of [`kernel_stats`]: cumulative calls and wall-clock
 /// nanoseconds one dispatch entry point spent on one ISA path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStat {
-    /// Dispatch entry point (`gemm`, `gemm_tn`, `gemm_nt`,
-    /// `conv2d_fwd`, `conv2d_bwd`).
+    /// Dispatch entry point (`gemm`, `gemm_tn`, `gemm_nt`).
     pub kernel: &'static str,
     /// ISA path runtime dispatch selected (`portable`, `fma`,
     /// `avx512`).
@@ -1145,180 +1141,6 @@ pub(crate) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     // SAFETY: `kernel_path` returns a tier only after detecting its CPU
     // features.
     unsafe { gemm_nt_on(kernel_path(), a, b, out, m, k, n) };
-}
-
-/// Geometry of one `Conv2d` application (stride 1, symmetric zero padding).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ConvShape {
-    pub batch: usize,
-    pub in_c: usize,
-    pub h: usize,
-    pub w: usize,
-    pub out_c: usize,
-    pub k: usize,
-    pub pad: usize,
-    pub oh: usize,
-    pub ow: usize,
-}
-
-impl ConvShape {
-    /// Valid output-row range for kernel row `ky`: `oy` such that
-    /// `iy = oy + ky - pad ∈ [0, h)`.
-    fn oy_range(&self, ky: usize) -> (usize, usize) {
-        let lo = self.pad.saturating_sub(ky);
-        let hi = (self.h + self.pad - ky).min(self.oh);
-        (lo.min(hi), hi)
-    }
-
-    /// Valid output-column range for kernel column `kx`.
-    fn ox_range(&self, kx: usize) -> (usize, usize) {
-        let lo = self.pad.saturating_sub(kx);
-        let hi = (self.w + self.pad - kx).min(self.ow);
-        (lo.min(hi), hi)
-    }
-}
-
-/// Blocked Conv2d forward: `out[bi,oc] = bias[oc] + Σ_{ic,ky,kx} w·x`.
-///
-/// The loops are restructured so the innermost loop streams a contiguous
-/// output row against a contiguous input row (no per-pixel padding
-/// branches); per output element the taps still arrive in the naive
-/// `(ic, ky, kx)` order with the bias added first, so results are
-/// bit-identical to [`crate::reference::naive_conv2d_forward`].
-pub(crate) fn conv2d_forward(x: &[f32], wgt: &[f32], bias: &[f32], s: &ConvShape, out: &mut [f32]) {
-    let _t = stats::time_kernel(K_CONV_FWD);
-    for (plane_idx, oplane) in out.chunks_mut(s.oh * s.ow).enumerate() {
-        let (bi, oc) = (plane_idx / s.out_c, plane_idx % s.out_c);
-        oplane.fill(bias[oc]);
-        for ic in 0..s.in_c {
-            let xplane = &x[((bi * s.in_c + ic) * s.h) * s.w..][..s.h * s.w];
-            for ky in 0..s.k {
-                let (ylo, yhi) = s.oy_range(ky);
-                for kx in 0..s.k {
-                    let (xlo, xhi) = s.ox_range(kx);
-                    if xlo >= xhi {
-                        continue;
-                    }
-                    let wv = wgt[((oc * s.in_c + ic) * s.k + ky) * s.k + kx];
-                    for oy in ylo..yhi {
-                        let iy = oy + ky - s.pad;
-                        let ix0 = xlo + kx - s.pad;
-                        let xrow = &xplane[iy * s.w + ix0..][..xhi - xlo];
-                        let orow = &mut oplane[oy * s.ow + xlo..oy * s.ow + xhi];
-                        for (o, &xv) in orow.iter_mut().zip(xrow) {
-                            *o += wv * xv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Blocked Conv2d backward.
-///
-/// Three passes, each with its own equivalence contract against
-/// [`crate::reference::naive_conv2d_backward`]:
-///
-/// - `gb`: contributions arrive in the naive `(bi, oy, ox)` order per
-///   channel — **bit-identical**.
-/// - `gw` (one `oc` weight slice at a time): the per-row dot products use
-///   8-lane partial sums, reassociating the naive scalar chain —
-///   **documented tolerance**.
-/// - `gx` (one batch element's input planes at a time): contiguous axpy
-///   rows; tap order per input element differs from the naive loop nest —
-///   **documented tolerance**.
-pub(crate) fn conv2d_backward(
-    x: &[f32],
-    wgt: &[f32],
-    g: &[f32],
-    s: &ConvShape,
-    gx: &mut [f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
-) {
-    let _t = stats::time_kernel(K_CONV_BWD);
-    let oplane = s.oh * s.ow;
-
-    // Pass 1: bias gradient, naive accumulation order per channel.
-    for bi in 0..s.batch {
-        for (oc, gbo) in gb.iter_mut().enumerate() {
-            let gplane = &g[(bi * s.out_c + oc) * oplane..][..oplane];
-            for &gv in gplane {
-                *gbo += gv;
-            }
-        }
-    }
-
-    // Pass 2: weight gradient — each `oc` owns a disjoint `gw` slice.
-    for (oc, gwo) in gw.chunks_mut(s.in_c * s.k * s.k).enumerate() {
-        for bi in 0..s.batch {
-            let gplane = &g[(bi * s.out_c + oc) * oplane..][..oplane];
-            for ic in 0..s.in_c {
-                let xplane = &x[((bi * s.in_c + ic) * s.h) * s.w..][..s.h * s.w];
-                for ky in 0..s.k {
-                    let (ylo, yhi) = s.oy_range(ky);
-                    for kx in 0..s.k {
-                        let (xlo, xhi) = s.ox_range(kx);
-                        if xlo >= xhi {
-                            continue;
-                        }
-                        let mut lanes = [0.0f32; 8];
-                        for oy in ylo..yhi {
-                            let iy = oy + ky - s.pad;
-                            let ix0 = xlo + kx - s.pad;
-                            let grow = &gplane[oy * s.ow + xlo..oy * s.ow + xhi];
-                            let xrow = &xplane[iy * s.w + ix0..][..xhi - xlo];
-                            let mut ga = grow.chunks_exact(8);
-                            let mut xa = xrow.chunks_exact(8);
-                            for (gc, xc) in (&mut ga).zip(&mut xa) {
-                                for l in 0..8 {
-                                    lanes[l] += gc[l] * xc[l];
-                                }
-                            }
-                            for (l, (&gv, &xv)) in
-                                ga.remainder().iter().zip(xa.remainder()).enumerate()
-                            {
-                                lanes[l] += gv * xv;
-                            }
-                        }
-                        gwo[(ic * s.k + ky) * s.k + kx] += ((lanes[0] + lanes[1])
-                            + (lanes[2] + lanes[3]))
-                            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-                    }
-                }
-            }
-        }
-    }
-
-    // Pass 3: input gradient — each batch element owns a disjoint plane.
-    for (bi, gxb) in gx.chunks_mut(s.in_c * s.h * s.w).enumerate() {
-        for oc in 0..s.out_c {
-            let gplane = &g[(bi * s.out_c + oc) * oplane..][..oplane];
-            for ic in 0..s.in_c {
-                let gxplane = &mut gxb[ic * s.h * s.w..(ic + 1) * s.h * s.w];
-                for ky in 0..s.k {
-                    let (ylo, yhi) = s.oy_range(ky);
-                    for kx in 0..s.k {
-                        let (xlo, xhi) = s.ox_range(kx);
-                        if xlo >= xhi {
-                            continue;
-                        }
-                        let wv = wgt[((oc * s.in_c + ic) * s.k + ky) * s.k + kx];
-                        for oy in ylo..yhi {
-                            let iy = oy + ky - s.pad;
-                            let ix0 = xlo + kx - s.pad;
-                            let grow = &gplane[oy * s.ow + xlo..oy * s.ow + xhi];
-                            let gxrow = &mut gxplane[iy * s.w + ix0..iy * s.w + ix0 + xhi - xlo];
-                            for (gxv, &gv) in gxrow.iter_mut().zip(grow) {
-                                *gxv += wv * gv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! bit) is that of the allocating step kept as the test oracle in
 //! `tests/oracle`.
 
-use crate::kernel::{self, kernel_path, on_tier, ConvShape, KernelPath};
+use crate::kernel::{kernel_path, on_tier, KernelPath};
 use crate::tensor::Tensor;
 use ecofl_util::Rng;
 use std::collections::VecDeque;
@@ -348,299 +348,6 @@ impl Layer for ReLU {
     }
 }
 
-/// 2-D convolution over `[B, C, H, W]` inputs, stride 1, symmetric zero
-/// padding. Kernel shape `[OC, C, K, K]`.
-pub struct Conv2d {
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    padding: usize,
-    cached_input: VecDeque<Tensor>,
-}
-
-impl Conv2d {
-    /// He-initialized convolution.
-    #[must_use]
-    pub fn new(
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        padding: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        let fan_in = in_channels * kernel * kernel;
-        let std = (2.0 / fan_in as f64).sqrt() as f32;
-        Self {
-            weight: Tensor::randn(&[out_channels, in_channels, kernel, kernel], std, rng),
-            ..Self::zeroed(in_channels, out_channels, kernel, padding)
-        }
-    }
-
-    /// Zero-initialized convolution — for receivers that immediately
-    /// overwrite the parameters (`set_params`), skipping the Gaussian
-    /// draws of [`Conv2d::new`].
-    #[must_use]
-    pub fn zeroed(in_channels: usize, out_channels: usize, kernel: usize, padding: usize) -> Self {
-        Self {
-            weight: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
-            bias: Tensor::zeros(&[out_channels]),
-            grad_weight: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
-            grad_bias: Tensor::zeros(&[out_channels]),
-            in_channels,
-            out_channels,
-            kernel,
-            padding,
-            cached_input: VecDeque::new(),
-        }
-    }
-
-    fn conv_shape(&self, b: usize, h: usize, w: usize) -> ConvShape {
-        ConvShape {
-            batch: b,
-            in_c: self.in_channels,
-            h,
-            w,
-            out_c: self.out_channels,
-            k: self.kernel,
-            pad: self.padding,
-            oh: h + 2 * self.padding + 1 - self.kernel,
-            ow: w + 2 * self.padding + 1 - self.kernel,
-        }
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: Tensor) -> Tensor {
-        let [b, c, h, w] = *input.shape() else {
-            panic!("Conv2d: expected 4-D input, got {:?}", input.shape());
-        };
-        assert_eq!(c, self.in_channels, "Conv2d: channel mismatch");
-        let s = self.conv_shape(b, h, w);
-        let mut out = vec![0.0f32; b * s.out_c * s.oh * s.ow];
-        kernel::conv2d_forward(
-            input.data(),
-            self.weight.data(),
-            self.bias.data(),
-            &s,
-            &mut out,
-        );
-        self.cached_input.push_back(input);
-        Tensor::from_vec(out, &[b, s.out_c, s.oh, s.ow])
-    }
-
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .pop_front()
-            .expect("Conv2d::backward called before forward");
-        let [b, _, h, w] = *input.shape() else {
-            unreachable!()
-        };
-        let s = self.conv_shape(b, h, w);
-        assert_eq!(
-            grad_out.shape(),
-            &[b, s.out_c, s.oh, s.ow],
-            "Conv2d::backward: gradient shape mismatch"
-        );
-        let mut gx = vec![0.0f32; input.len()];
-        kernel::conv2d_backward(
-            input.data(),
-            self.weight.data(),
-            grad_out.data(),
-            &s,
-            &mut gx,
-            self.grad_weight.data_mut(),
-            self.grad_bias.data_mut(),
-        );
-        Tensor::from_vec(gx, input.shape())
-    }
-
-    fn param_len(&self) -> usize {
-        self.weight.len() + self.bias.len()
-    }
-
-    fn write_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.weight.data());
-        out.extend_from_slice(self.bias.data());
-    }
-
-    fn read_params(&mut self, src: &[f32]) -> usize {
-        let w = self.weight.len();
-        let b = self.bias.len();
-        self.weight.data_mut().copy_from_slice(&src[..w]);
-        self.bias.data_mut().copy_from_slice(&src[w..w + b]);
-        w + b
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.grad_weight.data());
-        out.extend_from_slice(self.grad_bias.data());
-    }
-
-    fn visit_params(&mut self, visit: &mut dyn FnMut(&mut [f32], &[f32])) {
-        visit(self.weight.data_mut(), self.grad_weight.data());
-        visit(self.bias.data_mut(), self.grad_bias.data());
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.zero();
-        self.grad_bias.zero();
-    }
-
-    fn clear_cache(&mut self) {
-        self.cached_input.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-}
-
-/// Non-overlapping average pooling with square window `k × k` over
-/// `[B, C, H, W]`. Requires `H` and `W` divisible by `k`.
-pub struct AvgPool2d {
-    k: usize,
-    cached_shapes: VecDeque<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates a pooling layer with window and stride `k`.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "AvgPool2d: window must be positive");
-        Self {
-            k,
-            cached_shapes: VecDeque::new(),
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: Tensor) -> Tensor {
-        let [b, c, h, w] = *input.shape() else {
-            panic!("AvgPool2d: expected 4-D input, got {:?}", input.shape());
-        };
-        assert!(
-            h % self.k == 0 && w % self.k == 0,
-            "AvgPool2d: H={h}, W={w} not divisible by k={}",
-            self.k
-        );
-        let (oh, ow) = (h / self.k, w / self.k);
-        let inv = 1.0 / (self.k * self.k) as f32;
-        let x = input.data();
-        let mut out = vec![0.0f32; b * c * oh * ow];
-        for bc in 0..b * c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..self.k {
-                        for kx in 0..self.k {
-                            acc += x[(bc * h + oy * self.k + ky) * w + ox * self.k + kx];
-                        }
-                    }
-                    out[(bc * oh + oy) * ow + ox] = acc * inv;
-                }
-            }
-        }
-        self.cached_shapes.push_back(input.shape().to_vec());
-        Tensor::from_vec(out, &[b, c, oh, ow])
-    }
-
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let shape = self
-            .cached_shapes
-            .pop_front()
-            .expect("AvgPool2d::backward called before forward");
-        let shape = &shape;
-        let [b, c, h, w] = *shape.as_slice() else {
-            unreachable!()
-        };
-        let (oh, ow) = (h / self.k, w / self.k);
-        let inv = 1.0 / (self.k * self.k) as f32;
-        let g = grad_out.data();
-        let mut gx = vec![0.0f32; b * c * h * w];
-        for bc in 0..b * c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let go = g[(bc * oh + oy) * ow + ox] * inv;
-                    for ky in 0..self.k {
-                        for kx in 0..self.k {
-                            gx[(bc * h + oy * self.k + ky) * w + ox * self.k + kx] = go;
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(gx, shape)
-    }
-
-    fn clear_cache(&mut self) {
-        self.cached_shapes.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "avgpool2d"
-    }
-}
-
-/// Flattens `[B, ...]` to `[B, prod(...)]`.
-#[derive(Default)]
-pub struct Flatten {
-    cached_shapes: VecDeque<Vec<usize>>,
-    /// The last shape consumed, refilled by the next forward.
-    spare: Vec<usize>,
-}
-
-impl Flatten {
-    /// Creates a flatten layer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Flatten {
-    fn forward(&mut self, mut input: Tensor) -> Tensor {
-        let mut shape = std::mem::take(&mut self.spare);
-        shape.clear();
-        shape.extend_from_slice(input.shape());
-        assert!(
-            !shape.is_empty(),
-            "Flatten: input must have a batch dimension"
-        );
-        let b = shape[0];
-        let rest: usize = shape[1..].iter().product();
-        self.cached_shapes.push_back(shape);
-        input.set_shape(&[b, rest]);
-        input
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let shape = self
-            .cached_shapes
-            .pop_front()
-            .expect("Flatten::backward called before forward");
-        grad_out.set_shape(&shape);
-        self.spare = shape;
-        grad_out
-    }
-
-    fn clear_cache(&mut self) {
-        self.cached_shapes.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "flatten"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,26 +404,19 @@ mod tests {
     }
 
     /// Central finite-difference check of d loss / d params for one layer
-    /// followed by a cross-entropy head.
+    /// whose `[B, K]` output feeds a cross-entropy head.
     fn finite_diff_check<L: Layer>(mut layer: L, input: Tensor, targets: &[usize], tol: f32) {
         let mut head = SoftmaxCrossEntropy::new();
-
-        // The layer output as the head's `[B, K]` logits.
         let logits = |layer: &mut L| {
             let out = layer.forward(input.clone());
             layer.clear_cache();
-            let b = out.shape()[0];
-            let k = out.len() / b;
-            out.reshape(&[b, k])
+            out
         };
 
         // Analytic gradient.
         layer.zero_grads();
-        let out = layer.forward(input.clone());
-        let shape = out.shape().to_vec();
-        let out = out.reshape(&[shape[0], shape[1..].iter().product()]);
-        let (_, grad) = head.loss_and_grad(out, targets);
-        let _ = layer.backward(grad.reshape(&shape));
+        let (_, grad) = head.loss_and_grad(layer.forward(input.clone()), targets);
+        let _ = layer.backward(grad);
         let mut analytic = Vec::new();
         layer.write_grads(&mut analytic);
 
@@ -762,15 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn conv_gradients_match_finite_difference() {
-        let mut rng = Rng::new(3);
-        let layer = Conv2d::new(2, 3, 3, 1, &mut rng);
-        let input = Tensor::randn(&[2, 2, 4, 4], 1.0, &mut rng);
-        // Conv output [2,3,4,4] -> treated as [2, 48] logits by the head.
-        finite_diff_check(layer, input, &[5, 11], 5e-2);
-    }
-
-    #[test]
     fn relu_masks_gradient() {
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[2, 2]);
@@ -779,37 +470,6 @@ mod tests {
         let g = Tensor::full(&[2, 2], 1.0);
         let gx = r.backward(g);
         assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn avgpool_forward_backward() {
-        let mut p = AvgPool2d::new(2);
-        let x = Tensor::from_vec((1..=16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
-        let y = p.forward(x);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
-        let g = Tensor::full(&[1, 1, 2, 2], 4.0);
-        let gx = p.backward(g);
-        assert!(gx.data().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn flatten_round_trip() {
-        let mut f = Flatten::new();
-        let x = Tensor::zeros(&[2, 3, 4, 5]);
-        let y = f.forward(x);
-        assert_eq!(y.shape(), &[2, 60]);
-        let gx = f.backward(y);
-        assert_eq!(gx.shape(), &[2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn conv_output_shape_with_padding() {
-        let mut rng = Rng::new(4);
-        let mut c = Conv2d::new(1, 2, 3, 1, &mut rng);
-        let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let y = c.forward(x);
-        assert_eq!(y.shape(), &[1, 2, 8, 8], "same-padding keeps H, W");
     }
 
     #[test]

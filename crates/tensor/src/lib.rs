@@ -7,15 +7,15 @@
 //! on each client; we reproduce that with a small hand-rolled framework:
 //!
 //! - [`Tensor`]: row-major `f32` dense tensors with shape checking,
-//! - `layers`: `Linear`, `ReLU`, `Conv2d`, pooling, flatten — each with
-//!   manual backprop verified against finite differences in the tests,
+//! - `layers`: `Linear` and `ReLU`, with manual backprop verified
+//!   against finite differences in the tests,
 //! - [`network::Network`]: a sequential container exposing flat parameter
 //!   vectors (what the FL aggregators exchange),
 //! - `loss`: stable softmax cross-entropy and accuracy,
 //! - [`optim::Sgd`]: plain SGD plus the FedProx proximal term
 //!   `µ/2·‖w − w_global‖²` — Eco-FL's intra-group solver (§5.1).
 //!
-//! The compute core lives in `kernel`: register-tiled matmul/conv kernels
+//! The compute core lives in `kernel`: register-tiled matmul kernels
 //! with runtime AVX-512/AVX2+FMA dispatch — one pack-free driver per tier,
 //! sized for the L1-resident products of FL training, always on the
 //! calling thread, as is everything else in the workspace but the
@@ -37,7 +37,7 @@ pub mod reference;
 pub(crate) mod tensor;
 
 pub use kernel::{kernel_stats, reset_kernel_stats, set_kernel_stats_enabled};
-pub use layers::{backward_through, AvgPool2d, Conv2d, Flatten, Layer, Linear, ReLU};
+pub use layers::{backward_through, Layer, Linear, ReLU};
 pub use loss::{argmax, SoftmaxCrossEntropy};
 pub use network::Network;
 pub use optim::Sgd;

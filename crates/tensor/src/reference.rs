@@ -11,7 +11,6 @@
 //!   host;
 //! - the **naive loops** (`naive_*`): the textbook `mul` + `add` products
 //!   the chains stay within the documented rounding bound of, plus the
-//!   naive convolution (bias first, `(ic, ky, kx)` taps ascending) and the
 //!   branch-in-loop SGD step.
 //!
 //! `tests/kernel_equivalence.rs` and the unit tests in `kernel.rs` assert
@@ -111,106 +110,6 @@ pub fn naive_matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Ve
     out
 }
 
-/// Naive stride-1 zero-padded Conv2d forward.
-///
-/// `x: [batch, in_c, h, w]`, `wgt: [out_c, in_c, k, k]`, `bias: [out_c]` →
-/// `[batch, out_c, oh, ow]` with `oh = h + 2·pad + 1 − k`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn naive_conv2d_forward(
-    x: &[f32],
-    wgt: &[f32],
-    bias: &[f32],
-    batch: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    out_c: usize,
-    k: usize,
-    pad: usize,
-) -> Vec<f32> {
-    let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
-    let mut out = vec![0.0f32; batch * out_c * oh * ow];
-    for bi in 0..batch {
-        for oc in 0..out_c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bias[oc];
-                    for ic in 0..in_c {
-                        for ky in 0..k {
-                            let iy = (oy + ky) as isize - pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = (ox + kx) as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let xi = ((bi * in_c + ic) * h + iy as usize) * w + ix as usize;
-                                let wi = ((oc * in_c + ic) * k + ky) * k + kx;
-                                acc += x[xi] * wgt[wi];
-                            }
-                        }
-                    }
-                    out[((bi * out_c + oc) * oh + oy) * ow + ox] = acc;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Naive Conv2d backward → `(gx, gw, gb)`, all freshly allocated.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn naive_conv2d_backward(
-    x: &[f32],
-    wgt: &[f32],
-    g: &[f32],
-    batch: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    out_c: usize,
-    k: usize,
-    pad: usize,
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
-    let mut gx = vec![0.0f32; batch * in_c * h * w];
-    let mut gw = vec![0.0f32; out_c * in_c * k * k];
-    let mut gb = vec![0.0f32; out_c];
-    for bi in 0..batch {
-        for oc in 0..out_c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let go = g[((bi * out_c + oc) * oh + oy) * ow + ox];
-                    gb[oc] += go;
-                    for ic in 0..in_c {
-                        for ky in 0..k {
-                            let iy = (oy + ky) as isize - pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = (ox + kx) as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let xi = ((bi * in_c + ic) * h + iy as usize) * w + ix as usize;
-                                let wi = ((oc * in_c + ic) * k + ky) * k + kx;
-                                gw[wi] += go * x[xi];
-                                gx[xi] += go * wgt[wi];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (gx, gw, gb)
-}
-
 /// Naive SGD/FedProx step — one element at a time, every branch
 /// evaluated inside the loop, exactly as `Sgd::step` was originally
 /// written. The rewritten optimizer must match this **bit-identically**
@@ -259,15 +158,6 @@ mod tests {
             naive_matmul_nt(&a, &a, 2, 3, 2),
             naive_matmul(&a, &at, 2, 3, 2)
         );
-    }
-
-    #[test]
-    fn conv_identity_kernel_passes_input_through() {
-        // 1×1 kernel of weight 1, no padding: conv is the identity.
-        let x: Vec<f32> = (0..2 * 3 * 3).map(|i| i as f32).collect();
-        let out = naive_conv2d_forward(&x, &[1.0, 0.0, 0.0, 1.0], &[0.0, 0.0], 1, 2, 3, 3, 2, 1, 0);
-        // out channel 0 sees input channel 0, channel 1 sees channel 1.
-        assert_eq!(out, x);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! | `matmul`, `matmul_tn`   | bit-identical to `chain_matmul{,_tn}`        |
 //! | `matmul_tn_acc`         | bit-identical to `prior + chain_matmul_tn`   |
 //! | `matmul_nt`             | bit-identical to `chain_matmul_nt` (8 lanes) |
-//! | `Conv2d` forward, `gb`  | bit-identical to the naive convolution       |
-//! | `Conv2d` `gw`, `gx`     | lane tolerance vs the naive convolution      |
 //! | `Sgd::step`             | bit-identical to `naive_sgd_step`            |
 //!
 //! The chains are fused (`f32::mul_add`, one rounding per step) on every
@@ -26,8 +24,8 @@
 //! ≥ 2²² multiply-accumulates. The unit tests in `kernel.rs` run *every*
 //! tier the host supports over the same sizes against the same chains.
 
-use ecofl_compat::check::{any_u64, forall, pair, quad, triple, usize_in};
-use ecofl_tensor::{reference, Conv2d, Layer, Sgd, Tensor};
+use ecofl_compat::check::{any_u64, forall, quad, triple, usize_in};
+use ecofl_tensor::{reference, Sgd, Tensor};
 use ecofl_util::Rng;
 
 const CASES: usize = 48;
@@ -180,110 +178,6 @@ fn large_products_match_their_chains_bitwise() {
         assert!(m * k * n >= 1 << 22, "{m}x{k}x{n} must be a large product");
         check_products((m * k + n) as u64, m, k, n);
     }
-}
-
-#[test]
-fn conv2d_forward_is_bit_identical_to_naive() {
-    let gen = quad(
-        any_u64(),
-        pair(usize_in(1, 3), usize_in(1, 4)),   // batch, in_c
-        pair(usize_in(1, 4), usize_in(0, 2)),   // out_c, kernel selector
-        pair(usize_in(1, 12), usize_in(1, 12)), // h, w
-    );
-    forall(
-        "conv2d_forward_is_bit_identical_to_naive",
-        CASES,
-        &gen,
-        |&(seed, (batch, in_c), (out_c, ksel), (h0, w0))| {
-            let k = [1, 3, 5][ksel];
-            let pad = k / 2;
-            let (h, w) = (h0.max(k), w0.max(k));
-            let mut rng = Rng::new(seed);
-            let x = Tensor::from_vec(randv(batch * in_c * h * w, &mut rng), &[batch, in_c, h, w]);
-            let wgt = randv(out_c * in_c * k * k, &mut rng);
-            let bias = randv(out_c, &mut rng);
-            let mut conv = Conv2d::zeroed(in_c, out_c, k, pad);
-            let params: Vec<f32> = wgt.iter().chain(&bias).copied().collect();
-            conv.read_params(&params);
-            let out = conv.forward(x.clone());
-            let naive = reference::naive_conv2d_forward(
-                x.data(),
-                &wgt,
-                &bias,
-                batch,
-                in_c,
-                h,
-                w,
-                out_c,
-                k,
-                pad,
-            );
-            assert_bits(out.data(), &naive, "conv2d forward");
-        },
-    );
-}
-
-#[test]
-fn conv2d_backward_matches_naive_per_contract() {
-    let gen = quad(
-        any_u64(),
-        pair(usize_in(1, 3), usize_in(1, 4)),   // batch, in_c
-        pair(usize_in(1, 4), usize_in(0, 2)),   // out_c, kernel selector
-        pair(usize_in(1, 10), usize_in(1, 10)), // h, w
-    );
-    forall(
-        "conv2d_backward_matches_naive_per_contract",
-        CASES,
-        &gen,
-        |&(seed, (batch, in_c), (out_c, ksel), (h0, w0))| {
-            let k = [1, 3, 5][ksel];
-            let pad = k / 2;
-            let (h, w) = (h0.max(k), w0.max(k));
-            let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
-            let mut rng = Rng::new(seed);
-            let x = Tensor::from_vec(randv(batch * in_c * h * w, &mut rng), &[batch, in_c, h, w]);
-            let wgt = randv(out_c * in_c * k * k, &mut rng);
-            let bias = randv(out_c, &mut rng);
-            let g = Tensor::from_vec(
-                randv(batch * out_c * oh * ow, &mut rng),
-                &[batch, out_c, oh, ow],
-            );
-            let mut conv = Conv2d::zeroed(in_c, out_c, k, pad);
-            let params: Vec<f32> = wgt.iter().chain(&bias).copied().collect();
-            conv.read_params(&params);
-            let _ = conv.forward(x.clone());
-            let gx = conv.backward(g.clone());
-            let mut grads = Vec::new();
-            conv.write_grads(&mut grads);
-            let (gw, gb) = grads.split_at(out_c * in_c * k * k);
-
-            let (ngx, ngw, ngb) = reference::naive_conv2d_backward(
-                x.data(),
-                &wgt,
-                g.data(),
-                batch,
-                in_c,
-                h,
-                w,
-                out_c,
-                k,
-                pad,
-            );
-            // gb accumulates in the naive order on every path.
-            assert_bits(gb, &ngb, "conv2d gb");
-
-            // gw (8-lane sums) and gx (reordered taps): tolerance, bounded
-            // by the same reduction over absolute values.
-            let xabs: Vec<f32> = x.data().iter().map(|v| v.abs()).collect();
-            let wabs: Vec<f32> = wgt.iter().map(|v| v.abs()).collect();
-            let gabs: Vec<f32> = g.data().iter().map(|v| v.abs()).collect();
-            let (agx, agw, _) = reference::naive_conv2d_backward(
-                &xabs, &wabs, &gabs, batch, in_c, h, w, out_c, k, pad,
-            );
-            assert_tol(gw, &ngw, &agw, batch * oh * ow, "conv2d gw");
-            assert_tol(gx.data(), &ngx, &agx, out_c * k * k, "conv2d gx");
-        },
-    );
 }
 
 #[test]

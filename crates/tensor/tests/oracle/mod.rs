@@ -7,12 +7,10 @@
 //! the production step recycles buffers, skips the first layer's input
 //! gradient and steps parameters where they live, and must still produce
 //! these bits. It runs on the same kernels (`Tensor::matmul*`), which
-//! `tests/kernel_equivalence.rs` pins to the scalar chains separately, and
-//! wraps the production `Conv2d` / `AvgPool2d`, whose arithmetic the
-//! rewrite did not touch.
+//! `tests/kernel_equivalence.rs` pins to the scalar chains separately.
 #![allow(dead_code)]
 
-use ecofl_tensor::{reference, AvgPool2d, Conv2d, Layer, Tensor};
+use ecofl_tensor::{reference, Tensor};
 use std::collections::VecDeque;
 
 pub enum OracleLayer {
@@ -26,14 +24,6 @@ pub enum OracleLayer {
     ReLU {
         masks: VecDeque<Vec<bool>>,
     },
-    /// `[B, ...] → [B, prod(...)]`.
-    Flatten {
-        cached_shapes: VecDeque<Vec<usize>>,
-    },
-    /// `[B, 64] → [B, 1, 8, 8]`.
-    Reshape8x8,
-    /// A production layer behind the old by-reference calls.
-    Wrapped(Box<dyn Layer>),
 }
 
 impl OracleLayer {
@@ -50,12 +40,6 @@ impl OracleLayer {
     pub fn relu() -> Self {
         OracleLayer::ReLU {
             masks: VecDeque::new(),
-        }
-    }
-
-    pub fn flatten() -> Self {
-        OracleLayer::Flatten {
-            cached_shapes: VecDeque::new(),
         }
     }
 
@@ -90,14 +74,6 @@ impl OracleLayer {
                 masks.push_back(mask);
                 Tensor::from_vec(data, input.shape())
             }
-            OracleLayer::Flatten { cached_shapes } => {
-                let shape = input.shape().to_vec();
-                let (b, rest) = (shape[0], shape[1..].iter().product());
-                cached_shapes.push_back(shape);
-                input.clone().reshape(&[b, rest])
-            }
-            OracleLayer::Reshape8x8 => input.clone().reshape(&[input.shape()[0], 1, 8, 8]),
-            OracleLayer::Wrapped(layer) => layer.forward(input.clone()),
         }
     }
 
@@ -127,12 +103,6 @@ impl OracleLayer {
                     .collect();
                 Tensor::from_vec(data, grad_out.shape())
             }
-            OracleLayer::Flatten { cached_shapes } => {
-                let shape = cached_shapes.pop_front().expect("backward before forward");
-                grad_out.clone().reshape(&shape)
-            }
-            OracleLayer::Reshape8x8 => grad_out.clone().reshape(&[grad_out.shape()[0], 64]),
-            OracleLayer::Wrapped(layer) => layer.backward(grad_out.clone()),
         }
     }
 
@@ -142,8 +112,7 @@ impl OracleLayer {
                 out.extend_from_slice(weight.data());
                 out.extend_from_slice(bias.data());
             }
-            OracleLayer::Wrapped(layer) => layer.write_params(out),
-            _ => {}
+            OracleLayer::ReLU { .. } => {}
         }
     }
 
@@ -155,8 +124,7 @@ impl OracleLayer {
                 bias.data_mut().copy_from_slice(&src[w..w + b]);
                 w + b
             }
-            OracleLayer::Wrapped(layer) => layer.read_params(src),
-            _ => 0,
+            OracleLayer::ReLU { .. } => 0,
         }
     }
 
@@ -170,8 +138,7 @@ impl OracleLayer {
                 out.extend_from_slice(grad_weight.data());
                 out.extend_from_slice(grad_bias.data());
             }
-            OracleLayer::Wrapped(layer) => layer.write_grads(out),
-            _ => {}
+            OracleLayer::ReLU { .. } => {}
         }
     }
 
@@ -185,8 +152,7 @@ impl OracleLayer {
                 grad_weight.zero();
                 grad_bias.zero();
             }
-            OracleLayer::Wrapped(layer) => layer.zero_grads(),
-            _ => {}
+            OracleLayer::ReLU { .. } => {}
         }
     }
 }
@@ -246,23 +212,6 @@ impl OracleNet {
                 OracleLayer::linear(64, 32),
                 OracleLayer::relu(),
                 OracleLayer::linear(32, num_classes),
-            ],
-        }
-    }
-
-    /// `ecofl_models::cnn_uninit`'s layout over `[B, 64]` features.
-    pub fn cnn(num_classes: usize) -> Self {
-        Self {
-            layers: vec![
-                OracleLayer::Reshape8x8,
-                OracleLayer::Wrapped(Box::new(Conv2d::zeroed(1, 8, 3, 1))),
-                OracleLayer::relu(),
-                OracleLayer::Wrapped(Box::new(AvgPool2d::new(2))),
-                OracleLayer::Wrapped(Box::new(Conv2d::zeroed(8, 16, 3, 1))),
-                OracleLayer::relu(),
-                OracleLayer::Wrapped(Box::new(AvgPool2d::new(2))),
-                OracleLayer::flatten(),
-                OracleLayer::linear(16 * 2 * 2, num_classes),
             ],
         }
     }

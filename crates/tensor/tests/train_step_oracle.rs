@@ -4,16 +4,16 @@
 //! `Network::train_step` + `Network::sgd_step` recycle every buffer, skip
 //! the first layer's input-gradient product and step the parameters where
 //! they live; the oracle clones, allocates, computes every product and
-//! runs `naive_sgd_step` on flat copies. Over an MLP and a CNN, batch 1 /
-//! 7 / 10 / 16 / 33 with ragged tails, µ 0 / 0.05 and three epochs, every loss, every gradient and every parameter must agree
-//! **bit for bit** — and so must a third stack of production layers that
-//! does *not* skip the first layer, whose input gradient is checked too.
+//! runs `naive_sgd_step` on flat copies. Over the MLP, batch 1 / 7 / 10 /
+//! 16 / 33 with ragged tails, µ 0 / 0.05 and three epochs, every loss,
+//! every gradient and every parameter must agree **bit for bit** — and so
+//! must a third stack of production layers that does *not* skip the first
+//! layer, whose input gradient is checked too.
 
 mod oracle;
 
 use ecofl_tensor::{
-    backward_through, AvgPool2d, Conv2d, Flatten, Layer, Linear, Network, ReLU, Sgd,
-    SoftmaxCrossEntropy, Tensor,
+    backward_through, Layer, Linear, Network, ReLU, Sgd, SoftmaxCrossEntropy, Tensor,
 };
 use ecofl_util::Rng;
 use oracle::{FlatSgd, OracleNet};
@@ -21,71 +21,18 @@ use oracle::{FlatSgd, OracleNet};
 const SAMPLES: usize = 43;
 const CLASSES: usize = 10;
 const EPOCHS: usize = 3;
+const FEATURES: usize = 32;
 
-/// `ecofl_models`' CNN input adapter (that crate sits above this one).
-struct Reshape8x8;
-
-impl Layer for Reshape8x8 {
-    fn forward(&mut self, mut input: Tensor) -> Tensor {
-        let b = input.shape()[0];
-        input.set_shape(&[b, 1, 8, 8]);
-        input
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let b = grad_out.shape()[0];
-        grad_out.set_shape(&[b, 64]);
-        grad_out
-    }
-
-    fn name(&self) -> &'static str {
-        "reshape8x8"
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Arch {
-    Mlp,
-    Cnn,
-}
-
-impl Arch {
-    fn feature_dim(self) -> usize {
-        match self {
-            Arch::Mlp => 32,
-            Arch::Cnn => 64,
-        }
-    }
-
-    fn layers(self, rng: &mut Rng) -> Vec<Box<dyn Layer>> {
-        match self {
-            Arch::Mlp => vec![
-                Box::new(Linear::new(32, 64, rng)),
-                Box::new(ReLU::new()),
-                Box::new(Linear::new(64, 32, rng)),
-                Box::new(ReLU::new()),
-                Box::new(Linear::new(32, CLASSES, rng)),
-            ],
-            Arch::Cnn => vec![
-                Box::new(Reshape8x8),
-                Box::new(Conv2d::new(1, 8, 3, 1, rng)),
-                Box::new(ReLU::new()),
-                Box::new(AvgPool2d::new(2)),
-                Box::new(Conv2d::new(8, 16, 3, 1, rng)),
-                Box::new(ReLU::new()),
-                Box::new(AvgPool2d::new(2)),
-                Box::new(Flatten::new()),
-                Box::new(Linear::new(16 * 2 * 2, CLASSES, rng)),
-            ],
-        }
-    }
-
-    fn oracle(self) -> OracleNet {
-        match self {
-            Arch::Mlp => OracleNet::mlp(32, CLASSES),
-            Arch::Cnn => OracleNet::cnn(CLASSES),
-        }
-    }
+/// `ecofl_models`' MLP over `FEATURES` inputs (that crate sits above this
+/// one).
+fn mlp(rng: &mut Rng) -> Vec<Box<dyn Layer>> {
+    vec![
+        Box::new(Linear::new(FEATURES, 64, rng)),
+        Box::new(ReLU::new()),
+        Box::new(Linear::new(64, 32, rng)),
+        Box::new(ReLU::new()),
+        Box::new(Linear::new(32, CLASSES, rng)),
+    ]
 }
 
 fn assert_bits(got: &[f32], want: &[f32], what: &str) {
@@ -103,21 +50,20 @@ fn flat(layers: &[Box<dyn Layer>], write: fn(&dyn Layer, &mut Vec<f32>)) -> Vec<
     out
 }
 
-fn check(arch: Arch, batch_size: usize, mu: f32) {
-    let what = format!("{arch:?} batch {batch_size} mu {mu}");
+fn check(batch_size: usize, mu: f32) {
+    let what = format!("batch {batch_size} mu {mu}");
     let seed = batch_size as u64 * 31 + u64::from(mu > 0.0) * 7;
-    let mut net = Network::new(arch.layers(&mut Rng::new(seed)));
+    let mut net = Network::new(mlp(&mut Rng::new(seed)));
     // The same weights in a stack stepped without the first-layer skip,
     // and in the oracle.
-    let mut unskipped = arch.layers(&mut Rng::new(seed));
+    let mut unskipped = mlp(&mut Rng::new(seed));
     let mut head = SoftmaxCrossEntropy::new();
     let start = net.params();
-    let mut reference = arch.oracle();
+    let mut reference = OracleNet::mlp(FEATURES, CLASSES);
     reference.set_params(&start);
 
     let mut rng = Rng::new(seed ^ 0xDA7A);
-    let dim = arch.feature_dim();
-    let features: Vec<f32> = (0..SAMPLES * dim)
+    let features: Vec<f32> = (0..SAMPLES * FEATURES)
         .map(|_| rng.next_gaussian() as f32)
         .collect();
     let labels: Vec<usize> = (0..SAMPLES).map(|_| rng.range_usize(0, CLASSES)).collect();
@@ -129,12 +75,12 @@ fn check(arch: Arch, batch_size: usize, mu: f32) {
 
     for epoch in 0..EPOCHS {
         for (step, (rows, y)) in features
-            .chunks(batch_size * dim)
+            .chunks(batch_size * FEATURES)
             .zip(labels.chunks(batch_size))
             .enumerate()
         {
             let what = format!("{what}, epoch {epoch} step {step}");
-            let x = Tensor::from_vec(rows.to_vec(), &[y.len(), dim]);
+            let x = Tensor::from_vec(rows.to_vec(), &[y.len(), FEATURES]);
 
             net.zero_grads();
             let loss = net.train_step(&x, y);
@@ -189,16 +135,7 @@ fn check(arch: Arch, batch_size: usize, mu: f32) {
 fn mlp_train_step_matches_the_allocating_oracle_bitwise() {
     for batch_size in [1, 7, 10, 16, 33] {
         for mu in [0.0, 0.05] {
-            check(Arch::Mlp, batch_size, mu);
-        }
-    }
-}
-
-#[test]
-fn cnn_train_step_matches_the_allocating_oracle_bitwise() {
-    for batch_size in [1, 7, 10, 16, 33] {
-        for mu in [0.0, 0.05] {
-            check(Arch::Cnn, batch_size, mu);
+            check(batch_size, mu);
         }
     }
 }
@@ -209,8 +146,8 @@ fn cnn_train_step_matches_the_allocating_oracle_bitwise() {
 #[test]
 fn interleaved_micro_batches_keep_fifo_semantics() {
     let mut rng = Rng::new(77);
-    let mut layers = Arch::Mlp.layers(&mut rng);
-    let mut reference = Arch::Mlp.oracle();
+    let mut layers = mlp(&mut rng);
+    let mut reference = OracleNet::mlp(FEATURES, CLASSES);
     reference.set_params(&flat(&layers, |l, out| l.write_params(out)));
     let mut head = SoftmaxCrossEntropy::new();
 
@@ -218,7 +155,7 @@ fn interleaved_micro_batches_keep_fifo_semantics() {
         .iter()
         .map(|&b| {
             let y = (0..b).map(|_| rng.range_usize(0, CLASSES)).collect();
-            (Tensor::randn(&[b, 32], 1.0, &mut rng), y)
+            (Tensor::randn(&[b, FEATURES], 1.0, &mut rng), y)
         })
         .collect();
 

@@ -118,7 +118,10 @@ echo "    ok"
 # trackers: a task is one `SpanRecord`, busy time a fold over them), the
 # span-slice Gantt entry points and the unused plan validator, and the
 # test-only machinery deleted later: SGD momentum, the Tracer's staging
-# buffers and the running-statistics accumulator.
+# buffers and the running-statistics accumulator. The CNN went the same
+# way (its layers, conv kernels, naive conv oracles and 8x8 dataset had
+# only tests for callers): a CNN comes back only with a caller that
+# trains it, in a diff that edits this guard.
 echo "==> surface ledger"
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 # The CLI is a shell over ecofl-core's scenarios: argv pairs, printing,
@@ -161,6 +164,7 @@ ratchet serde_derives "$serde_derives"
 twins='run_metered|run_strategy_metered|run_strategy_traced|drive_metered|with_metrics\(|simulate_load_spike_traced|with_reference_backend'
 twins="$twins|TaskSpan|TaskPhase|BusyTracker|ThroughputTracker|spans_to_view|render_round|validate_plan"
 twins="$twins|with_momentum|FLUSH_THRESHOLD|RunningStats"
+twins="$twins|Conv2d|AvgPool2d|naive_conv2d|image_like"
 twins="$twins|with_hub\(|attach_metrics|append_snapshot|to_prometheus|from_prometheus|LogHistogram|METRICS_SEGMENT"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
     echo "ERROR: a folded twin is back — an engine records virtual time into one optional Tracer (the metrics hub observes only the threaded runtime's wall clock), an executed task is one SpanRecord." >&2
@@ -352,7 +356,7 @@ echo "    ok (19 plans byte-identical)"
 # tier's instantiation of the step's elementwise loops — SGD, ReLU, bias,
 # column sums, loss head — bit for bit against the portable one), the
 # public-API sweep, the `train_step` differential against tests/oracle,
-# the 486-call `local_train` fingerprint, and the allocations-per-step
+# the 450-call `local_train` fingerprint, and the allocations-per-step
 # bound.
 echo "==> kernel-equivalence gate: kernel and tier tests, train_step oracle, fingerprint, allocation bound"
 cargo test -q --release --offline -p ecofl-tensor --lib -- kernel::tests every_tier_
