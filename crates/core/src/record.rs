@@ -3,9 +3,7 @@
 //! [`record_trace`] hands a run a tracer that writes into the store as it
 //! records, one block at a time, so the trace is never held whole; the
 //! `ecofl trace` scenarios and [`EcoFlSystem::run`] both record through
-//! it. Only `metrics --live` writes a store otherwise: it appends and
-//! seals each tick's records, so another process can read the store
-//! mid-run.
+//! it, and nothing else writes a store.
 //!
 //! [`EcoFlSystem::run`]: crate::system::EcoFlSystem::run
 

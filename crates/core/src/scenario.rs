@@ -16,7 +16,7 @@ use ecofl_data::{FederatedDataset, SyntheticSpec};
 use ecofl_fl::engine::{run as run_fl, FlSetup, RunResult, Strategy};
 use ecofl_fl::{summarize_view, ConvergenceSummary, FlConfig};
 use ecofl_models::{efficientnet_at, mobilenet_v2_at, ModelArch, ModelProfile};
-use ecofl_obs::{trace_dir, Domain, EventRecord, RecordKind, Rollup, RunStore};
+use ecofl_obs::{trace_dir, Domain, EventRecord, RecordKind, RunStore};
 use ecofl_obs::{TraceQuery, TraceRecord, TraceView, Tracer};
 use ecofl_pipeline::adaptive::{simulate_load_spike_with, LoadSpike, SchedulerConfig, SpikeTrace};
 use ecofl_pipeline::executor::{ExecError, MAX_SIMULATED_MICRO_BATCHES};
@@ -29,10 +29,8 @@ use ecofl_tensor::{Layer, Linear, ReLU, Tensor};
 use ecofl_util::Rng;
 use std::collections::HashMap;
 use std::fmt::Display;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::mpsc;
-use std::time::Duration;
 
 /// A value's fields, each with the flag that sets it (its `--key`).
 type Table = &'static [(&'static str, &'static str)];
@@ -60,7 +58,7 @@ const FL: Table = &[("strategy", "strategy"), ("num_clients", "clients"), ("hori
     ("grouping_batch", "grouping-batch")];
 #[rustfmt::skip]
 const RECORDER: Table = &[("scenario", "scenario"), ("dir", "store"),
-    ("block_records", "block-records"), ("out", "out")];
+    ("block_records", "block-records")];
 #[rustfmt::skip]
 const INSPECT: Table = &[("scenario", "scenario"), ("dir", "store"), ("rounds", "rounds"),
     ("domain", "domain"), ("kind", "kind"), ("min_duration", "min-duration"), ("limit", "limit")];
@@ -266,8 +264,6 @@ pub enum Scenario {
     Inspect(Inspect),
     /// `metrics --store DIR`.
     Metrics(Inspect),
-    /// `metrics --live fl`.
-    Live(Live),
 }
 
 impl Scenario {
@@ -310,11 +306,6 @@ impl Scenario {
             "spike" => Scenario::Spike(Spike::from_flags(&flags("spike", &[SPIKE])?)?),
             "fl" => Scenario::Fl(Fl::from_flags(&flags("fl", &[FL])?, (60, 800.0, "cifar"))?),
             "trace" => Self::trace(args)?,
-            "metrics" if args.contains_key("live") => {
-                #[rustfmt::skip]
-                const LIVE: Table = &[("live", "live"), ("refresh", "refresh-ms"), ("dir", "store")];
-                Scenario::Live(Live::from_flags(&flags("metrics --live", &[LIVE, FL])?)?)
-            }
             "metrics" => {
                 let f = flags("metrics --store", &[&[("dir", "store")]])?;
                 let dir = PathBuf::from(f.require("dir")?);
@@ -741,8 +732,8 @@ impl Kill {
     }
 }
 
-/// The FL run of `fl`, `trace --scenario fl` and `metrics --live fl`,
-/// which differ only in their `(clients, horizon, dataset)` defaults.
+/// The FL run of `fl` and `trace --scenario fl`, which differ only in
+/// their `(clients, horizon, dataset)` defaults.
 pub struct Fl {
     pub strategy: Strategy,
     pub dataset: SyntheticSpec,
@@ -874,12 +865,10 @@ impl Fl {
 
 /// Where a `trace` scenario records: `--store DIR`, or a directory named
 /// after the scenario under the shared trace dir, in blocks of
-/// `--block-records` records; `--out FILE` exports the store as JSONL,
-/// the interchange format, after.
+/// `--block-records` records.
 pub struct Recorder {
     dir: PathBuf,
     block_records: usize,
-    out: Option<String>,
 }
 
 impl Recorder {
@@ -888,23 +877,14 @@ impl Recorder {
             .value("dir")
             .map_or_else(|| trace_dir().join(name), PathBuf::from);
         let block_records = f.positive("block_records", BLOCK_RECORDS)?;
-        Ok(Recorder {
-            dir,
-            block_records,
-            out: f.value("out").map(str::to_owned),
-        })
+        Ok(Recorder { dir, block_records })
     }
 
     fn record<T>(
         &self,
         run: impl FnOnce(&Tracer) -> Result<T, EcoFlError>,
     ) -> Result<Stored<T>, EcoFlError> {
-        let stored = record_trace(&self.dir, self.block_records, run)?;
-        if let Some(out) = &self.out {
-            (stored.store.export_jsonl(Path::new(out)))
-                .map_err(|e| EcoFlError::Io(format!("cannot write {out}: {e}")))?;
-        }
-        Ok(stored)
+        record_trace(&self.dir, self.block_records, run)
     }
 }
 
@@ -971,100 +951,5 @@ impl Inspect {
         visit: impl FnMut(TraceRecord),
     ) -> Result<(usize, usize), EcoFlError> {
         store.scan(&self.query, visit).map_err(store_err(&self.dir))
-    }
-}
-
-/// `ecofl metrics --live fl`: an FL run on a worker thread, its trace
-/// rolled up every refresh tick.
-pub struct Live {
-    fl: Fl,
-    refresh: Duration,
-    /// With `--store`, each tick appends the new records to the store and
-    /// seals it, so a second terminal can run `ecofl metrics --store DIR`
-    /// mid-run.
-    store: Option<PathBuf>,
-}
-
-impl Live {
-    fn from_flags(f: &Flags) -> Result<Live, EcoFlError> {
-        let scenario = f.require("live")?;
-        if scenario != "fl" {
-            return Err(EcoFlError::Parse(format!(
-                "unknown live scenario '{scenario}' (fl)"
-            )));
-        }
-        let refresh = Duration::from_millis(f.positive("refresh", 200)? as u64);
-        let fl = Fl::from_flags(f, (12, 120.0, "mnist"))?;
-        Ok(Live {
-            fl,
-            refresh,
-            store: f.value("dir").map(PathBuf::from),
-        })
-    }
-
-    /// Runs with the tensor kernels' statistics on, handing the rollup of
-    /// the records so far to `on_tick` every tick. A tick waits on the
-    /// worker, so the run ends when the worker does, however long the
-    /// refresh is. Returns the run's result, the final rollup of
-    /// everything it recorded — what `metrics --store` prints for the
-    /// store — and, with a store, its directory and record count.
-    ///
-    /// # Errors
-    /// [`EcoFlError::Io`] naming the store; [`EcoFlError::Config`] when
-    /// the run panicked.
-    #[allow(clippy::type_complexity)]
-    pub fn run(
-        self,
-        mut on_tick: impl FnMut(&mut Rollup),
-    ) -> Result<(RunResult, Rollup, Option<(PathBuf, u64)>), EcoFlError> {
-        let Live { fl, refresh, store } = self;
-        let mut store = match store {
-            Some(dir) => Some((
-                RunStore::open_or_create(&dir).map_err(store_err(&dir))?,
-                dir,
-            )),
-            None => None,
-        };
-        ecofl_tensor::reset_kernel_stats();
-        ecofl_tensor::set_kernel_stats_enabled(true);
-        let tracer = Tracer::new();
-        // The worker holds the only sender: its drop, when the run
-        // returns or panics, ends the current tick's wait.
-        let (running, done) = mpsc::channel::<()>();
-        let worker = {
-            let tracer = tracer.clone();
-            std::thread::spawn(move || {
-                let _running = running;
-                fl.run(&tracer)
-            })
-        };
-        // Each tick folds, and appends to the store, only the records
-        // since the last one.
-        let (mut rollup, mut offset) = (Rollup::default(), 0);
-        let mut fold_new = |rollup: &mut Rollup| -> Result<(), EcoFlError> {
-            let (next, stored) = tracer.read_tail(offset, |tail| {
-                tail.iter().for_each(|record| rollup.add(record));
-                let Some((st, dir)) = &mut store else {
-                    return Ok(());
-                };
-                (st.append(tail).and_then(|()| st.flush())).map_err(store_err(dir))
-            });
-            offset = next;
-            stored
-        };
-        while done.recv_timeout(refresh) == Err(mpsc::RecvTimeoutError::Timeout) {
-            fold_new(&mut rollup)?;
-            on_tick(&mut rollup);
-        }
-        ecofl_tensor::set_kernel_stats_enabled(false);
-        let panicked = |_| EcoFlError::Config("live FL run panicked".into());
-        let result = worker.join().map_err(panicked)?;
-        // Final rollup: everything the run recorded.
-        fold_new(&mut rollup)?;
-        Ok((
-            result,
-            rollup,
-            store.map(|(st, dir)| (dir, st.record_count())),
-        ))
     }
 }

@@ -59,7 +59,6 @@
 mod block;
 pub mod metrics;
 pub(crate) mod record;
-pub(crate) mod sink;
 pub mod store;
 pub(crate) mod tracer;
 pub(crate) mod view;
@@ -68,7 +67,6 @@ pub use metrics::{Counter, Histogram, MetricsHub, MetricsSnapshot};
 pub use record::{
     CounterRecord, Domain, EventKind, EventRecord, GaugeRecord, SpanKind, SpanRecord, TraceRecord,
 };
-pub use sink::trace_dir;
-pub use store::{RecordKind, RunStore, TraceQuery};
+pub use store::{trace_dir, RecordKind, RunStore, TraceQuery};
 pub use tracer::Tracer;
 pub use view::{ComputeSummary, Rollup, TraceView};

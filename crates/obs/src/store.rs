@@ -12,8 +12,7 @@
 //! columnar block by its tag byte and anything else as the JSONL text
 //! (one externally-tagged record per line) that older stores hold, so
 //! those stay readable and take new blocks behind their old ones. JSONL
-//! itself stays the interchange format ([`RunStore::export_jsonl`],
-//! [`records_to_jsonl`]) and the oracle the codec is tested against.
+//! ([`records_to_jsonl`]) stays the oracle the codec is tested against.
 //! Each block carries a [`BlockSummary`] of four min/max columns:
 //!
 //! | column | meaning | populated by |
@@ -48,8 +47,8 @@ use crate::record::{Domain, TraceRecord};
 use crate::view::TraceView;
 use ecofl_compat::json;
 use ecofl_store::{BlockEntry, BlockSummary, Segment};
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 
 /// Summary column: span round.
 pub(crate) const COL_ROUND: usize = 0;
@@ -385,11 +384,10 @@ pub struct CheckpointMeta {
     pub bytes: u64,
 }
 
-/// Encodes records as JSONL, the interchange format: one externally-
-/// tagged JSON object per `\n`-terminated line, exactly what the legacy
-/// sink wrote. [`RunStore::export_jsonl`] writes this; stores written
-/// before the columnar codec hold it as their block payload; and it is
-/// the differential oracle the codec is tested against (`records →
+/// Encodes records as JSONL: one externally-tagged JSON object per
+/// `\n`-terminated line, exactly what the legacy sink wrote. Stores
+/// written before the columnar codec hold it as their block payload, and
+/// it is the differential oracle the codec is tested against (`records →
 /// block → records → JSONL` is byte-identical to `records → JSONL`).
 /// JSON has no spelling for NaN or ±∞: a non-finite `value` / `delta`
 /// is written as `null`, which [`jsonl_to_records`] does not read back
@@ -419,8 +417,8 @@ pub fn records_to_jsonl(records: &[TraceRecord]) -> io::Result<Vec<u8>> {
 /// blocks behind its old ones.
 ///
 /// The name is historical: the frozen `benchmark/layers` probe imports
-/// it. The rename to what it now does is owed by ROADMAP item 1's
-/// benchmark PR.
+/// it, so the rename to what it now does waits for a change that may
+/// edit the benchmark.
 ///
 /// # Errors
 /// Returns `InvalidData` for a malformed columnar block, non-UTF-8
@@ -438,6 +436,25 @@ pub fn jsonl_to_records(bytes: &[u8]) -> io::Result<Vec<TraceRecord>> {
 
 /// Default records per trace block.
 pub(crate) const DEFAULT_BLOCK_RECORDS: usize = 512;
+
+/// Directory where traces are written.
+///
+/// Defaults to `target/ecofl-results/trace/` next to the bench
+/// harness's JSON series; the `ECOFL_TRACE_DIR` environment variable
+/// overrides it (read on every call), so tests and CI can isolate
+/// their outputs instead of colliding in the shared default under
+/// parallel `cargo test`.
+///
+/// Only the path is returned; the directory is created by whoever writes
+/// into it ([`RunStore::open_or_create`] does), so a path that cannot be
+/// created surfaces as that writer's I/O error.
+#[must_use]
+pub fn trace_dir() -> PathBuf {
+    match std::env::var_os("ECOFL_TRACE_DIR") {
+        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
+        _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/ecofl-results/trace"),
+    }
+}
 
 /// A run's persistent storage: trace blocks and versioned checkpoints
 /// in one directory. See the module docs for the layout.
@@ -624,33 +641,6 @@ impl RunStore {
         jsonl_to_records(&self.trace.read_block(index)?)
     }
 
-    /// Exports the full trace as flat JSONL at `path`, one line per
-    /// record as [`RunStore::scan`] visits it, so the export holds one
-    /// block — byte-identical to [`records_to_jsonl`] over
-    /// [`RunStore::records`]. A non-finite event value, counter delta or
-    /// gauge value is written as `null` (see [`records_to_jsonl`]).
-    ///
-    /// # Errors
-    /// Returns any decode, serialization or I/O error, and then leaves
-    /// no file at `path`.
-    pub fn export_jsonl(&self, path: &Path) -> io::Result<()> {
-        let mut out = io::BufWriter::new(std::fs::File::create(path)?);
-        let mut written = Ok(());
-        let scanned = self.scan(&TraceQuery::new(), |record| {
-            if written.is_ok() {
-                written = json::to_string(&record)
-                    .map_err(|e| invalid(e.to_string()))
-                    .and_then(|line| writeln!(out, "{line}"));
-            }
-        });
-        let done = scanned.and(written).and_then(|()| out.flush());
-        if done.is_err() {
-            // A partial export must not pass for the trace.
-            let _ = std::fs::remove_file(path);
-        }
-        done
-    }
-
     /// Rollup listings for every segment file, `trace.seg` first.
     #[must_use]
     pub fn segments(&self) -> Vec<SegmentInfo> {
@@ -749,5 +739,26 @@ impl RunStore {
     /// Returns any decode or I/O error.
     pub fn latest_checkpoint(&self) -> io::Result<Option<(CheckpointMeta, Vec<u8>)>> {
         self.latest_checkpoint_at_or_before(u64::MAX)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trace_dir_honors_env_override() {
+        // This is the only test in the workspace that touches
+        // ECOFL_TRACE_DIR, so the process-global env var is safe here.
+        let dir = std::env::temp_dir().join(format!("ecofl-trace-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        std::env::set_var("ECOFL_TRACE_DIR", &dir);
+        let got = trace_dir();
+        std::env::remove_var("ECOFL_TRACE_DIR");
+        assert_eq!(got, dir);
+        assert!(got.is_dir());
+        let default = trace_dir();
+        assert!(default.ends_with("ecofl-results/trace"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

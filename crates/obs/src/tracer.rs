@@ -235,20 +235,6 @@ impl Tracer {
             }
         }
     }
-
-    /// Hands the records from offset `from` on (`0` for the whole trace)
-    /// to `read` where they lie, not copied, and returns the offset to
-    /// resume from — the number of records so far — with `read`'s
-    /// result. A thread that records meanwhile waits for `read`, so a
-    /// caller that appends the tail to a [`RunStore`] and folds it gets
-    /// the same records in both. On a store-backed tracer the offsets
-    /// count the unwritten tail only, which restarts at `0` whenever a
-    /// block is written.
-    pub fn read_tail<R>(&self, from: usize, read: impl FnOnce(&[TraceRecord]) -> R) -> (usize, R) {
-        let shared = self.shared.lock();
-        let out = read(shared.records.get(from..).unwrap_or_default());
-        (shared.records.len(), out)
-    }
 }
 
 #[cfg(test)]
@@ -274,21 +260,7 @@ mod tests {
         b.counter("x", 3.0, 4.0);
         drop(b);
         assert_eq!(times(&a), [0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn read_tail_hands_over_the_records_from_an_offset() {
-        let a = Tracer::new();
-        a.counter("x", 0.0, 1.0);
-        let b = a.clone();
-        b.counter("x", 1.0, 2.0);
-        drop(a);
-        b.counter("x", 2.0, 3.0);
-        let (len, tail) = b.read_tail(1, <[TraceRecord]>::to_vec);
-        assert_eq!((len, tail.len()), (3, 2));
-        assert_eq!(b.read_tail(len, <[TraceRecord]>::len), (3, 0));
-        assert_eq!(b.read_tail(99, <[TraceRecord]>::len), (3, 0));
-        let err = b
+        let err = a
             .into_store()
             .expect_err("an in-memory tracer has no store");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);

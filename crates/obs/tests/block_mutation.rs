@@ -1,4 +1,4 @@
-//! Mutation harness for the trace block decoder (ROADMAP item 8).
+//! Mutation harness for the trace block decoder, as hostile-input hardening.
 //!
 //! A block payload comes from a disk. Whatever a disk can do to one —
 //! cut it short, flip a bit, glue two together, make a length field

@@ -14,12 +14,13 @@
 //!
 //! 108 records of all four shapes in 8 blocks, and beside it the JSONL
 //! that binary exported from it. The format is chosen per block payload,
-//! so this build must read it, export it byte-identically, prune it, and
-//! append columnar blocks behind the JSONL ones.
+//! so this build must read it, encode its records as that JSONL byte for
+//! byte, prune it, and append columnar blocks behind the JSONL ones.
 
 mod common;
 
 use ecofl_compat::check;
+use ecofl_obs::store::records_to_jsonl;
 use ecofl_obs::{RecordKind, RunStore, TraceQuery};
 use ecofl_store::Segment;
 use std::path::{Path, PathBuf};
@@ -58,12 +59,10 @@ fn legacy_store_opens_exports_and_answers_queries() {
     let store = RunStore::open(&dir).unwrap();
     assert_eq!(store.record_count(), 108);
 
-    let out = dir.join("export.jsonl");
-    store.export_jsonl(&out).unwrap();
     assert_eq!(
-        std::fs::read(&out).unwrap(),
+        records_to_jsonl(&store.records().unwrap()).unwrap(),
         std::fs::read(fixture("legacy_store.jsonl")).unwrap(),
-        "export differs from what the writing binary exported"
+        "JSONL differs from what the writing binary exported"
     );
 
     // What that binary printed for `trace --store S --rounds 1..2`.

@@ -1,4 +1,4 @@
-//! Mutation harness for whole run stores (ROADMAP item 16).
+//! Mutation harness for whole run stores, as hostile-input hardening.
 //!
 //! `block_mutation.rs` holds the block decoder to its contract; this
 //! suite does the same one level up, for the bytes of a `trace.seg` file

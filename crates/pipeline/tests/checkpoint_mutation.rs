@@ -1,5 +1,5 @@
-//! Mutation harness for the checkpoint decoder (ROADMAP item 8), after
-//! `crates/obs/tests/block_mutation.rs`.
+//! Mutation harness for the checkpoint decoder, as hostile-input hardening,
+//! after `crates/obs/tests/block_mutation.rs`.
 //!
 //! A checkpoint payload comes from a disk. Cut short at any offset, with
 //! any header bit or a seeded sample of body bits flipped, with the stage

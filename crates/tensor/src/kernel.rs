@@ -197,12 +197,13 @@ fn path_name(path: KernelPath) -> &'static str {
 }
 
 /// Dispatch-entry statistics: per-(kernel, ISA path) call counts and
-/// cumulative wall-clock nanoseconds, scraped by the metrics layer.
+/// cumulative wall-clock nanoseconds.
 ///
 /// Collection is off by default and the disabled check is one relaxed
 /// atomic load per kernel call — the hot path pays nothing until
-/// [`set_kernel_stats_enabled`] turns it on (done by metered CLI runs
-/// and benches, never by library code).
+/// [`set_kernel_stats_enabled`] turns it on (done only by the
+/// `benchmark/layers` probe and tests, never by library code or the
+/// CLI).
 mod stats {
     use super::{kernel_path, path_name, KernelPath};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

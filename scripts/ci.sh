@@ -166,6 +166,8 @@ twins="$twins|TaskSpan|TaskPhase|BusyTracker|ThroughputTracker|spans_to_view|ren
 twins="$twins|with_momentum|FLUSH_THRESHOLD|RunningStats"
 twins="$twins|Conv2d|AvgPool2d|naive_conv2d|image_like"
 twins="$twins|with_hub\(|attach_metrics|append_snapshot|to_prometheus|from_prometheus|LogHistogram|METRICS_SEGMENT"
+# A store has one writer and is read back one way: no live dashboard, no JSONL export.
+twins="$twins|export_jsonl|read_tail|kernel_lines"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
     echo "ERROR: a folded twin is back — an engine records virtual time into one optional Tracer (the metrics hub observes only the threaded runtime's wall clock), an executed task is one SpanRecord." >&2
     exit 1
@@ -525,11 +527,11 @@ store_run 12 trace --store "$big_store" --kind span --limit 1
 store_run 52 metrics --store "$big_store"
 echo "    ok"
 
-# Flag-sweep gate (ROADMAP item 16): every numeric flag of every command
-# that runs something, at 0, -1, NaN, 1e300 and 2^63 on small base flags,
-# each run under `ulimit -v` and `timeout 10` with a fresh store. A panic,
-# a signal, a timeout or an error line that names no --flag fails it: the
-# library refuses what it cannot run, and the CLI names the flag.
+# Flag-sweep gate, as hostile-input hardening: every numeric flag of every
+# command that runs something, at 0, -1, NaN, 1e300 and 2^63 on small base
+# flags, each run under `ulimit -v` and `timeout 10` with a fresh store. A
+# panic, a signal, a timeout or an error line that names no --flag fails it:
+# the library refuses what it cannot run, and the CLI names the flag.
 echo "==> flag-sweep gate: scripts/flag_sweep.sh over the release binary"
 scripts/flag_sweep.sh ./target/release/ecofl
 

@@ -113,7 +113,6 @@ sweep trace "${pipeline[@]}" --store STORE : rounds top mbs micro-batches block-
 sweep trace --scenario spike "${pipeline[@]}" --store STORE : \
     load at device horizon block-records
 sweep trace --scenario fl "${small_fl[@]}" --store STORE : "${fl[@]}" block-records
-sweep metrics --live fl "${small_fl[@]}" --refresh-ms 50 --store STORE : "${fl[@]}" refresh-ms
 for bad_store in file under-file garbage; do
     run trace "${pipeline[@]}" --store STORE
     run trace --scenario spike "${pipeline[@]}" --store STORE

@@ -8,7 +8,7 @@
 //! ecofl fl      --strategy ecofl --clients 60 --horizon 800
 //! ecofl trace   --model effnet-b0 --devices tx2q,nanoh,nanoh
 //! ecofl trace   --store target/ecofl-results/trace/pipeline --rounds 0..2
-//! ecofl metrics --live fl --clients 12 --horizon 120 --store DIR
+//! ecofl trace   --scenario fl --clients 12 --horizon 120 --store DIR
 //! ecofl metrics --store DIR
 //! ```
 //!
@@ -241,24 +241,6 @@ fn run(scenario: Scenario) -> Result<(), EcoFlError> {
             q.scan(&store, |record| rollup.add(&record))?;
             print_lines(rollup.lines());
         }
-        Scenario::Live(live) => {
-            use std::io::IsTerminal as _;
-            let live_tty = std::io::stdout().is_terminal();
-            let (result, mut rollup, persisted) = live.run(|rollup| {
-                if live_tty {
-                    print!("\x1b[2J\x1b[H");
-                }
-                print_lines(rollup.lines().into_iter().chain(kernel_lines()));
-                println!();
-            })?;
-            if let Some((dir, records)) = persisted {
-                println!("persisted {records} trace record(s) to {}", dir.display());
-            }
-            print_lines(rollup.lines().into_iter().chain(kernel_lines()));
-            let (best, last) = (result.best_accuracy * 100.0, result.final_accuracy * 100.0);
-            let (strategy, updates) = (&result.strategy, result.global_updates);
-            println!("{strategy}: best {best:.1}% | final {last:.1}% | {updates} updates");
-        }
     }
     Ok(())
 }
@@ -296,21 +278,6 @@ fn print_lines(lines: impl IntoIterator<Item = String>) {
     }
 }
 
-/// The tensor crate's process-global kernel statistics: wall-clock
-/// facts, so printed beside the rollup rather than folded into it.
-fn kernel_lines() -> Vec<String> {
-    let mut out = vec!["  kernels (calls / wall-clock ms):".to_string()];
-    for stat in ecofl_tensor::kernel_stats() {
-        let (name, calls, ms) = (
-            format!("{}.{}", stat.kernel, stat.path),
-            stat.calls,
-            stat.nanos as f64 / 1e6,
-        );
-        out.push(format!("    {name:<30} {calls:>14} {ms:>12.3}"));
-    }
-    out
-}
-
 fn usage() -> &'static str {
     "usage: ecofl <command> [--key value ...]\n\
      commands:\n\
@@ -336,15 +303,11 @@ fn usage() -> &'static str {
               [--scenario pipeline|spike|fl] plus that scenario's flags:\n\
               pipeline = gantt's (no --width) [--rounds N] [--top N],\n\
               spike = spike's, fl = fl's\n\
-              [--store DIR] [--block-records N] [--out FILE (JSONL export)]\n\
+              [--store DIR] [--block-records N]\n\
        trace  --store DIR            inspect an existing run store:\n\
               [--rounds A..B] [--domain pipeline|scheduler|fl|grouping]\n\
               [--kind span|event|counter|gauge] [--min-duration T]\n\
               [--limit N]            segments, pruned query, checkpoints\n\
-       metrics --live fl             run FL and print a live-refreshing\n\
-              [fl's flags] [--refresh-ms N] [--store DIR]\n\
-                                     rollup of its trace plus kernel stats,\n\
-                                     appending each tick's records to DIR\n\
        metrics --store DIR           roll a stored trace up: counter totals,\n\
                                      gauges, span percentiles, event counts\n\
      models : effnet-b0..b6, mobilenet-w1..w3 (optionally model@resolution)\n\

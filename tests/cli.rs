@@ -490,52 +490,33 @@ fn trace_write_ops_print_and_store_the_golden_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The lines of the trace rollup that starts at the last `rollup of`
-/// header of `stdout`, up to the wall-clock kernel section.
-fn last_rollup(stdout: &str) -> Vec<&str> {
-    let lines: Vec<&str> = stdout.lines().collect();
-    let start = lines
-        .iter()
-        .rposition(|l| l.starts_with("rollup of "))
-        .unwrap_or_else(|| panic!("no rollup in:\n{stdout}"));
-    lines[start..]
-        .iter()
-        .take_while(|l| !l.starts_with("  kernels "))
-        .copied()
-        .collect()
-}
-
+/// `metrics --store` over the store an FL trace wrote: its rollup has
+/// every section, and the `global_updates` total is the update count the
+/// run printed.
 #[test]
-fn metrics_live_rollup_matches_the_stored_trace_fold() {
+fn metrics_store_rolls_up_a_traced_fl_run() {
     let dir = std::env::temp_dir().join(format!("ecofl-cli-metrics-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = dir.to_str().expect("utf-8 temp path");
 
-    // Live FL run: each tick appends the new records to the store and
-    // prints the rollup of the trace so far plus the kernel statistics.
-    let (ok, live, stderr) = ecofl(&[
-        "metrics",
-        "--live",
+    let run = [
+        "trace",
+        "--scenario",
         "fl",
         "--clients",
         "12",
         "--horizon",
         "120",
-        "--refresh-ms",
-        "20",
-        "--store",
-        store,
-    ]);
-    assert!(ok, "metrics --live failed:\n{live}\n{stderr}");
-    assert!(live.contains("  kernels (calls"), "stdout:\n{live}");
-    assert!(live.contains("persisted"), "stdout:\n{live}");
+    ];
+    let (ok, traced, stderr) = ecofl(&[&run[..], &["--store", store]].concat());
+    assert!(ok, "trace --scenario fl failed:\n{traced}\n{stderr}");
     assert!(!dir.join("metrics.seg").exists());
 
-    // The final rollup is the fold of the stored trace, line for line.
     let (ok, stored, stderr) = ecofl(&["metrics", "--store", store]);
     assert!(ok, "metrics --store failed:\n{stored}\n{stderr}");
-    let rollup = last_rollup(&live);
-    assert_eq!(rollup, last_rollup(&stored));
+    let rollup: Vec<&str> = (stored.lines())
+        .skip_while(|l| !l.starts_with("rollup of "))
+        .collect();
     for section in ["  counters", "  gauges", "  spans", "  events"] {
         assert!(
             rollup.iter().any(|l| l.starts_with(section)),
@@ -543,13 +524,10 @@ fn metrics_live_rollup_matches_the_stored_trace_fold() {
         );
     }
 
-    // Its `global_updates` total is the run's printed update count.
-    let updates = live
-        .lines()
-        .last()
-        .and_then(|l| l.split(" | ").last())
-        .and_then(|w| w.strip_suffix(" updates"))
-        .unwrap_or_else(|| panic!("no update count in:\n{live}"));
+    let updates = (traced.lines())
+        .find_map(|l| l.trim().strip_prefix("updates "))
+        .and_then(|rest| rest.split(" | ").next())
+        .unwrap_or_else(|| panic!("no update count in:\n{traced}"));
     let total = rollup
         .iter()
         .find_map(|l| l.trim().strip_prefix("global_updates"))
@@ -743,10 +721,6 @@ fn zero_counts_are_rejected_by_flag_name_not_asserted() {
         "--width must be at least 10",
     );
     assert_rejects(&["fl", "--clients", "0"], "--clients");
-    assert_rejects(
-        &["metrics", "--live", "fl", "--refresh-ms", "0"],
-        "--refresh-ms",
-    );
 }
 
 /// A simulated run sized by the flags used to allocate until the process
@@ -835,7 +809,6 @@ fn an_unbounded_fl_horizon_is_rejected_at_once() {
     for cmd in [
         "fl --clients 10 --horizon 1e300",
         "trace --scenario fl --clients 10 --horizon 1e300",
-        "metrics --live fl --clients 10 --horizon 1e300",
     ] {
         let (ok, stderr) = ecofl_within(cmd, 30);
         assert!(!ok, "{cmd} exited 0");
@@ -901,14 +874,6 @@ fn block_count(line: &Option<String>) -> usize {
         .next()
         .and_then(|b| b.parse().ok())
         .unwrap_or_else(|| panic!("no block count in {line}"))
-}
-
-/// `metrics --live` slept one refresh before it looked at the worker, so
-/// `--refresh-ms 2^63` never returned; a tick now ends with the run.
-#[test]
-fn metrics_live_ends_with_the_run_whatever_the_refresh() {
-    let (ok, stderr) = ecofl_within("metrics --live fl --refresh-ms 9223372036854775808", 30);
-    assert!(ok, "stderr:\n{stderr}");
 }
 
 #[test]
@@ -989,14 +954,16 @@ fn misspelt_and_dangling_flags_are_rejected_not_ignored() {
         &["metrics", "--store", "nowhere", "--rond", "1"],
         "--rond for metrics --store",
     );
-    assert_rejects(
-        &["metrics", "--live", "fl", "--refresh", "50"],
-        "--refresh for metrics --live",
-    );
-    // The Prometheus import is gone; its flag is refused by name.
+    // The Prometheus import, the live dashboard and the JSONL export
+    // are gone; their flags are refused by name.
     assert_rejects(
         &["metrics", "--import", "nowhere.prom"],
         "--import for metrics --store",
+    );
+    assert_rejects(&["metrics", "--live", "fl"], "--live for metrics --store");
+    assert_rejects(
+        &["trace", "--scenario", "fl", "--out", "x"],
+        "--out for trace --scenario fl",
     );
 }
 

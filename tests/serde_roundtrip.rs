@@ -1,6 +1,6 @@
 //! JSON round-trips of the trace records `ecofl_obs` persists: every
 //! record variant through `ecofl_compat::json`, and a run store's
-//! records through append, reopen and the JSONL export. Only the obs
+//! records through append, reopen and the JSONL encoding. Only the obs
 //! record and metrics types derive `Deserialize`; the rest of the
 //! workspace serializes nothing it reads back.
 
@@ -68,6 +68,7 @@ fn trace_record_variants_round_trip() {
 
 #[test]
 fn trace_jsonl_files_round_trip() {
+    use ecofl::obs::store::records_to_jsonl;
     use ecofl::obs::{trace_dir, Domain, EventKind, RunStore, SpanKind};
 
     let tracer = Tracer::new();
@@ -77,8 +78,6 @@ fn trace_jsonl_files_round_trip() {
     tracer.gauge("accuracy", 15.0, 0.625);
     let records = tracer.records();
 
-    // The store's JSONL export is the (only) flat-file path since the
-    // deprecated write_jsonl/read_jsonl shims were removed.
     let out = trace_dir();
     std::fs::create_dir_all(&out).expect("create trace dir");
     let dir = out.join(format!("serde-roundtrip-store-{}", std::process::id()));
@@ -88,12 +87,10 @@ fn trace_jsonl_files_round_trip() {
     store.flush().expect("flush");
     assert_eq!(store.records().expect("records"), records);
 
-    let path = out.join("serde-roundtrip-test.jsonl");
-    store.export_jsonl(&path).expect("export");
     let reopened = RunStore::open(&dir).expect("open");
-    let text = std::fs::read_to_string(&path).expect("read export");
+    let back = reopened.records().expect("records");
+    let text = String::from_utf8(records_to_jsonl(&back).expect("encode")).expect("utf-8");
     assert_eq!(text.lines().count(), records.len());
-    assert_eq!(reopened.records().expect("records"), records);
-    std::fs::remove_file(&path).ok();
+    assert_eq!(back, records);
     std::fs::remove_dir_all(&dir).ok();
 }
