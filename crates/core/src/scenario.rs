@@ -45,10 +45,10 @@ const PIPELINE: Table = &[("model", "model"), ("devices", "devices"), ("mbs", "m
 #[rustfmt::skip]
 const SPIKE: Table = &[("model", "model"), ("devices", "devices"), ("load", "load"),
     ("at", "at"), ("device", "device"), ("horizon", "horizon")];
-/// `--model` is accepted and unused: the demo pipeline is a fixed MLP.
+/// No `--model`: the demo pipeline is a fixed MLP.
 #[rustfmt::skip]
-const KILL: Table = &[("model", "model"), ("devices", "devices"), ("stage", "kill-stage"),
-    ("round", "kill-round"), ("micro", "kill-micro"), ("rounds", "rounds"), ("seed", "seed")];
+const KILL: Table = &[("devices", "devices"), ("stage", "kill-stage"), ("round", "kill-round"),
+    ("micro", "kill-micro"), ("rounds", "rounds"), ("seed", "seed")];
 /// The fields are `FlConfig`'s where one is set, so a refusal of
 /// `FlConfig::validate`, which names the field, names the flag.
 #[rustfmt::skip]

@@ -193,10 +193,9 @@ impl EcoFlSystemBuilder {
     /// [`EcoFlError::Config`] when no homes are configured, a home has
     /// no devices (its `devices` field is public, so a literal can skip
     /// [`SmartHome::new`]'s check) or the FL config fails
-    /// [`FlConfig::validate`] (out-of-range failure
-    /// probability, non-positive eval interval, negative communication
-    /// latency, …); [`EcoFlError::Plan`] when some home admits no
-    /// feasible pipeline plan.
+    /// [`FlConfig::validate`] (non-positive eval interval, negative
+    /// communication latency, …); [`EcoFlError::Plan`] when some home
+    /// admits no feasible pipeline plan.
     pub fn build(self) -> Result<EcoFlSystem, EcoFlError> {
         if self.homes.is_empty() {
             return Err(EcoFlError::Config(
@@ -462,8 +461,6 @@ mod tests {
         // time, before any pipeline planning runs.
         type BreakField = fn(&mut FlConfig);
         let cases: &[(BreakField, &str)] = &[
-            (|c| c.failure_prob = 1.5, "failure_prob"),
-            (|c| c.failure_prob = f64::NAN, "failure_prob"),
             (|c| c.eval_interval = 0.0, "eval_interval"),
             (|c| c.comm_latency = -1.0, "comm_latency"),
         ];

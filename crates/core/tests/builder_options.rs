@@ -126,7 +126,7 @@ fn dataset_and_partition_options_flow_through() {
         .homes(homes())
         .replicate_homes(10)
         .dataset(SyntheticSpec::fashion_like())
-        .partition(PartitionScheme::Dirichlet(0.5))
+        .partition(PartitionScheme::Iid)
         .samples_per_client(24)
         .fl_config(quick())
         .seed(5)

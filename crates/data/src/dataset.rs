@@ -115,13 +115,6 @@ impl Dataset {
         }
     }
 
-    /// A new dataset holding copies of the selected samples.
-    #[must_use]
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let (features, labels) = self.gather(indices);
-        Dataset::new(features, labels, self.feature_dim, self.num_classes)
-    }
-
     /// Normalized label histogram — the client's `π` in the grouping cost
     /// (Eq. 4). Uniform if the dataset is empty.
     #[must_use]
@@ -186,14 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_subset() {
+    fn gather_copies_rows_in_index_order() {
         let d = small();
         let (f, l) = d.gather(&[2, 0]);
         assert_eq!(f, vec![5.0, 6.0, 1.0, 2.0]);
         assert_eq!(l, vec![0, 0]);
-        let s = d.subset(&[1]);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.labels(), &[1]);
     }
 
     #[test]

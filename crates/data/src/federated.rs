@@ -6,17 +6,13 @@ use crate::partition;
 use crate::synth::{Prototypes, SyntheticSpec};
 use ecofl_util::Rng;
 
-/// Which non-IID regime to generate (matching §6.1, plus the standard
-/// Dirichlet generalization).
+/// Which non-IID regime to generate (matching §6.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PartitionScheme {
     /// Balanced classes on every client.
     Iid,
     /// Each client holds `k` random classes (paper default: 2).
     ClassesPerClient(usize),
-    /// Label proportions drawn from `Dir(alpha·1)` per client; sweeps
-    /// heterogeneity continuously (α→0 extreme skew, α→∞ IID).
-    Dirichlet(f64),
     /// Group-level IID: all classes in every response-latency group.
     RlgIid,
     /// Group-level non-IID: `k` classes per response-latency group
@@ -70,9 +66,6 @@ impl FederatedDataset {
             }
             PartitionScheme::ClassesPerClient(k) => {
                 partition::classes_per_client(&protos, n_clients, k, samples_per_client, &mut rng)
-            }
-            PartitionScheme::Dirichlet(alpha) => {
-                partition::dirichlet(&protos, n_clients, alpha, samples_per_client, &mut rng)
             }
             PartitionScheme::RlgIid => {
                 let rlg = client_rlg.expect("RlgIid requires client_rlg");

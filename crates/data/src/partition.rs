@@ -133,77 +133,6 @@ pub fn rlg_niid(
         .collect()
 }
 
-/// Dirichlet non-IID partition: each client's label proportions are drawn
-/// from `Dir(alpha·1)`. This is the standard generalization of the
-/// fixed-k-classes scheme — `alpha → 0` approaches one-class clients,
-/// `alpha → ∞` approaches IID — and lets experiments sweep heterogeneity
-/// continuously (an extension beyond the paper's two fixed settings).
-///
-/// Gamma draws use the Marsaglia–Tsang method (with the `alpha < 1`
-/// boost), so any positive `alpha` is valid.
-///
-/// # Panics
-/// Panics if `alpha` is not positive.
-#[must_use]
-pub(crate) fn dirichlet(
-    protos: &Prototypes,
-    n_clients: usize,
-    alpha: f64,
-    samples_per_client: usize,
-    rng: &mut Rng,
-) -> Vec<Dataset> {
-    assert!(alpha > 0.0, "dirichlet: alpha must be positive");
-    let k = protos.spec().num_classes;
-    (0..n_clients)
-        .map(|_| {
-            // Draw proportions ~ Dir(alpha) via normalized Gamma(alpha, 1).
-            let gammas: Vec<f64> = (0..k).map(|_| sample_gamma(alpha, rng)).collect();
-            let total: f64 = gammas.iter().sum();
-            let mut counts = vec![0usize; k];
-            let mut assigned = 0usize;
-            for (c, g) in gammas.iter().enumerate() {
-                let share = (g / total * samples_per_client as f64).floor() as usize;
-                counts[c] = share;
-                assigned += share;
-            }
-            // Distribute the rounding remainder to the largest shares.
-            let mut order: Vec<usize> = (0..k).collect();
-            order.sort_by(|&a, &b| gammas[b].partial_cmp(&gammas[a]).expect("finite"));
-            let mut i = 0;
-            while assigned < samples_per_client {
-                counts[order[i % k]] += 1;
-                assigned += 1;
-                i += 1;
-            }
-            let mut crng = rng.split();
-            protos.sample_with_counts(&counts, &mut crng)
-        })
-        .collect()
-}
-
-/// Marsaglia–Tsang Gamma(shape, 1) sampler.
-fn sample_gamma(shape: f64, rng: &mut Rng) -> f64 {
-    if shape < 1.0 {
-        // Boost: Gamma(a) = Gamma(a+1) · U^(1/a).
-        let u = rng.next_f64().max(1e-300);
-        return sample_gamma(shape + 1.0, rng) * u.powf(1.0 / shape);
-    }
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x = rng.next_gaussian();
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u = rng.next_f64();
-        if u < 1.0 - 0.0331 * x.powi(4) || u.max(1e-300).ln() < 0.5 * x * x + d * (1.0 - v + v.ln())
-        {
-            return d * v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,35 +223,6 @@ mod tests {
             let dist = ecofl_util::normalize_distribution(&counts);
             assert!(js_divergence(&dist, &uniform) < 0.01);
         }
-    }
-
-    #[test]
-    fn dirichlet_counts_sum_and_concentration() {
-        let p = protos();
-        let mut rng = Rng::new(8);
-        let clients = dirichlet(&p, 30, 0.3, 60, &mut rng);
-        for c in &clients {
-            assert_eq!(c.len(), 60);
-        }
-        // Low alpha → concentrated; high alpha → near uniform.
-        let avg_entropy = |clients: &[Dataset]| {
-            let e: f64 = clients
-                .iter()
-                .map(|c| ecofl_util::entropy(&c.label_distribution()))
-                .sum();
-            e / clients.len() as f64
-        };
-        let concentrated = avg_entropy(&clients);
-        let mut rng = Rng::new(8);
-        let spread = avg_entropy(&dirichlet(&p, 30, 100.0, 60, &mut rng));
-        assert!(
-            concentrated < spread,
-            "alpha 0.3 entropy {concentrated} should be below alpha 100 entropy {spread}"
-        );
-        assert!(
-            spread > 3.0,
-            "alpha 100 should be near-uniform over 10 classes"
-        );
     }
 
     #[test]

@@ -139,26 +139,3 @@ fn generation_is_deterministic() {
         assert_eq!(a.test(), b.test());
     });
 }
-
-#[test]
-fn subset_preserves_rows() {
-    let input = pair(any_u64(), usize_in(2, 40));
-    forall(
-        "subset_preserves_rows",
-        CASES,
-        &input,
-        |&(seed, samples)| {
-            let s = spec();
-            let protos = s.prototypes(seed);
-            let mut rng = Rng::new(seed ^ 13);
-            let d = protos.sample_balanced(samples, &mut rng);
-            let idx: Vec<usize> = (0..d.len()).step_by(3).collect();
-            let sub = d.subset(&idx);
-            assert_eq!(sub.len(), idx.len());
-            for (si, &di) in idx.iter().enumerate() {
-                assert_eq!(sub.feature_row(si), d.feature_row(di));
-                assert_eq!(sub.labels()[si], d.labels()[di]);
-            }
-        },
-    );
-}

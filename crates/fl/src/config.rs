@@ -82,18 +82,6 @@ pub struct FlConfig {
     /// normal-distribution sampling — used by the top-level system to feed
     /// pipeline-derived response latencies into the FL engine.
     pub base_delay_override: Option<Vec<f64>>,
-    /// Probability that a selected client fails to return its update
-    /// (crash, disconnect, battery). Synchronous aggregations proceed over
-    /// the survivors; a round whose every participant failed is skipped.
-    ///
-    /// This is the *statistical* view of the same disturbance that
-    /// `ecofl_pipeline::runtime::FaultPlan` injects *deterministically*
-    /// one level down: a stage dying inside a client's collaborative
-    /// pipeline. A client whose runtime checkpoints, recovers and
-    /// replays (§4.4) returns its update late instead of becoming a
-    /// `failure_prob` casualty, so the two knobs model the
-    /// without-recovery and with-recovery ends of the same failure.
-    pub failure_prob: f64,
     /// Mini-batch size for the Eq. 4 group-association sweep. `0`
     /// keeps the exact O(n²) greedy assignment (the paper-scale
     /// default); a positive value switches to batched association and
@@ -125,7 +113,6 @@ impl Default for FlConfig {
             base_delay_std: 10.0,
             dynamics: Some(DynamicsConfig::default()),
             base_delay_override: None,
-            failure_prob: 0.0,
             grouping_batch: 0,
             seed: 42,
         }
@@ -196,10 +183,8 @@ impl FlConfig {
     /// Validates the scheduler-facing and local-solver knobs, returning a
     /// description of the first violation.
     ///
-    /// Out-of-range values used to flow silently into the run: a NaN or
-    /// `>1` `failure_prob` reached `rng.bernoulli` unchecked (making
-    /// the failure model ill-defined or a no-op), a non-positive
-    /// `eval_interval` made the eval watermark spin, a negative
+    /// Out-of-range values used to flow silently into the run: a
+    /// non-positive `eval_interval` made the eval watermark spin, a negative
     /// `comm_latency` scheduled events in the past, and the solver knobs
     /// reached asserts deep inside a worker (`batch_size: 0` in the
     /// batcher, a negative or NaN `mu` in the optimizer, `local_epochs: 0`
@@ -306,12 +291,6 @@ impl FlConfig {
         if !(self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(format!("alpha must be in (0, 1], got {}", self.alpha));
         }
-        if !(self.failure_prob >= 0.0 && self.failure_prob <= 1.0) {
-            return Err(format!(
-                "failure_prob must be in [0, 1], got {}",
-                self.failure_prob
-            ));
-        }
         // Before `eval_interval`, which callers derive from it.
         if !(self.horizon > 0.0 && self.horizon.is_finite()) {
             return Err(format!(
@@ -370,19 +349,8 @@ mod tests {
         assert!(FlConfig::tiny().validate().is_ok());
         // Boundary values are legal.
         let mut c = FlConfig::tiny();
-        c.failure_prob = 1.0;
         c.comm_latency = 0.0;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_failure_prob() {
-        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
-            let mut c = FlConfig::tiny();
-            c.failure_prob = bad;
-            let err = c.validate().unwrap_err();
-            assert!(err.contains("failure_prob"), "got: {err}");
-        }
     }
 
     #[test]

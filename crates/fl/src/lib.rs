@@ -23,9 +23,8 @@
 //!   collaborative degree) and the runtime degree-resampling dynamics,
 //! - [`sched`] — the event-driven round scheduler: virtual clock
 //!   ([`ecofl_simnet::EventQueue`] of cohort completions), client
-//!   dispatch, dropout/[`sched::surviving`] handling, evaluation
-//!   cadence, tracer instrumentation, and local training folded into
-//!   the average client by client, in member order,
+//!   dispatch, evaluation cadence, tracer instrumentation, and local
+//!   training folded into the average client by client, in member order,
 //! - `strategies` — [`sched::AggregationStrategy`] objects deciding
 //!   what to aggregate and when: FedAvg, FedAsync, and the hierarchical
 //!   family (FedAT, Astraea, Eco-FL ± Algorithm 1 dynamic re-grouping),

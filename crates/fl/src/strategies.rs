@@ -30,7 +30,7 @@ pub fn strategy_object(strategy: Strategy) -> Box<dyn AggregationStrategy> {
 
 /// Synchronous FedAvg (McMahan et al. 2017): one global barrier per
 /// round over a random client sample; the round lasts as long as its
-/// slowest participant (the server waits out failures as timeouts).
+/// slowest participant.
 pub(crate) struct FedAvg {
     round: u64,
 }
@@ -98,19 +98,15 @@ impl AggregationStrategy for FedAvg {
     }
 
     fn on_cohort(&mut self, sched: &mut Scheduler<'_>, t: f64, cohort: Cohort) {
-        let survivors = sched.surviving(&cohort.members);
-        if !survivors.is_empty() {
-            // The cohort trains from the live global model: FedAvg has a
-            // single outstanding round, so dispatch-time and
-            // completion-time globals coincide. The streaming fold keeps
-            // one finished update live at a time and is bit-identical to
-            // train-then-weighted_average.
-            let start = sched.global_shared();
-            let avg = sched.train_cohort_folded(&survivors, &start, 0.0, cohort.version);
-            sched.set_global(avg);
-            sched.trace_aggregation(0, t, survivors.len() as f64);
-            sched.note_update(t);
-        }
+        // The cohort trains from the live global model: FedAvg has a
+        // single outstanding round, so dispatch-time and completion-time
+        // globals coincide. The streaming fold keeps one finished update
+        // live at a time and is bit-identical to train-then-weighted_average.
+        let start = sched.global_shared();
+        let avg = sched.train_cohort_folded(&cohort.members, &start, 0.0, cohort.version);
+        sched.set_global(avg);
+        sched.trace_aggregation(0, t, cohort.members.len() as f64);
+        sched.note_update(t);
         self.round += 1;
         for &c in &cohort.members {
             let _ = sched.perturb(c);
@@ -194,16 +190,14 @@ impl AggregationStrategy for FedAsync {
     fn on_cohort(&mut self, sched: &mut Scheduler<'_>, t: f64, cohort: Cohort) {
         self.tag += 1;
         let client = cohort.members[0];
-        if !sched.surviving(&cohort.members).is_empty() {
-            sched.trace_local_train(client, cohort.version as usize, cohort.started, t);
-            let update = sched.train_client(client, &cohort.start_params, 0.0, self.tag);
-            let alpha = sched.config().alpha.clamp(1e-3, 1.0);
-            fedasync_mix(sched.global_mut(), &update.params, alpha);
-            self.version += 1;
-            sched.trace_aggregation(client, t, alpha);
-            sched.trace_gauge("staleness_alpha", t, alpha);
-            sched.note_update(t);
-        }
+        sched.trace_local_train(client, cohort.version as usize, cohort.started, t);
+        let update = sched.train_client(client, &cohort.start_params, 0.0, self.tag);
+        let alpha = sched.config().alpha.clamp(1e-3, 1.0);
+        fedasync_mix(sched.global_mut(), &update.params, alpha);
+        self.version += 1;
+        sched.trace_aggregation(client, t, alpha);
+        sched.trace_gauge("staleness_alpha", t, alpha);
+        sched.note_update(t);
         let _ = sched.perturb(client);
         // Immediately dispatch a replacement worker.
         self.dispatch_one(sched);
@@ -446,18 +440,7 @@ impl AggregationStrategy for Hierarchical {
         }
         self.tag += 1;
         // Intra-group synchronous round (FedProx local solver for Eco-FL
-        // and Astraea; plain SGD for FedAT). Failed members time out and
-        // contribute nothing; the sync aggregator proceeds over
-        // survivors.
-        let survivors = sched.surviving(&cohort.members);
-        if survivors.is_empty() {
-            // Whole cohort lost: skip the update, keep the group looping.
-            for &c in &cohort.members {
-                let _ = sched.perturb(c);
-            }
-            self.dispatch(sched, cohort.group);
-            return;
-        }
+        // and Astraea; plain SGD for FedAT).
         let mu = if self.kind.proximal() {
             sched.config().mu
         } else {
@@ -465,7 +448,8 @@ impl AggregationStrategy for Hierarchical {
         };
         // Streaming fold: bit-identical to train-then-weighted_average,
         // but one update is live at a time.
-        let group_model = sched.train_cohort_folded(&survivors, &cohort.start_params, mu, self.tag);
+        let group_model =
+            sched.train_cohort_folded(&cohort.members, &cohort.start_params, mu, self.tag);
 
         sched.trace_round_span(cohort.group, cohort.version as usize, cohort.started, t);
         // Inter-group aggregation.

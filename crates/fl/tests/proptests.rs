@@ -1,5 +1,4 @@
-//! Property-based tests for aggregation math, the latency model, and
-//! the scheduler's dropout path.
+//! Property-based tests for aggregation math and the latency model.
 
 use ecofl_compat::check::{
     any_u64, f32_in, f64_in, forall, pair, triple, u64_in, usize_in, vec_exact, vec_in,
@@ -7,7 +6,6 @@ use ecofl_compat::check::{
 use ecofl_fl::aggregate::{fedasync_mix, staleness_alpha, weighted_average};
 use ecofl_fl::config::DynamicsConfig;
 use ecofl_fl::latency::LatencyModel;
-use ecofl_fl::sched::surviving;
 use ecofl_util::Rng;
 
 const CASES: usize = 256;
@@ -177,58 +175,6 @@ fn perturbation_only_moves_within_degree_set() {
                     let _ = m.maybe_perturb(c, &mut rng);
                     assert!(degrees.iter().any(|&d| (m.degree(c) - d).abs() < 1e-12));
                 }
-            }
-        },
-    );
-}
-
-#[test]
-fn surviving_extremes_keep_all_or_drop_all() {
-    let input = pair(any_u64(), vec_in(usize_in(0, 300), 0, 40));
-    forall(
-        "surviving_extremes_keep_all_or_drop_all",
-        CASES,
-        &input,
-        |(seed, members)| {
-            let mut rng = Rng::new(*seed);
-            let before = rng;
-            assert_eq!(
-                surviving(members, 0.0, &mut rng),
-                *members,
-                "failure_prob = 0 must keep every member"
-            );
-            // The zero-probability path must not consume randomness.
-            assert_eq!(rng, before);
-            assert!(
-                surviving(members, 1.0, &mut rng).is_empty(),
-                "failure_prob = 1 must empty the cohort"
-            );
-        },
-    );
-}
-
-#[test]
-fn surviving_intermediate_is_deterministic_per_seed_and_ordered() {
-    let input = triple(
-        any_u64(),
-        f64_in(0.05, 0.95),
-        vec_in(usize_in(0, 300), 0, 40),
-    );
-    forall(
-        "surviving_intermediate_is_deterministic_per_seed_and_ordered",
-        CASES,
-        &input,
-        |(seed, prob, members)| {
-            let a = surviving(members, *prob, &mut Rng::new(*seed));
-            let b = surviving(members, *prob, &mut Rng::new(*seed));
-            assert_eq!(a, b, "same seed must yield the same survivors");
-            // Survivors are an order-preserving subsequence of members.
-            let mut cursor = members.iter();
-            for s in &a {
-                assert!(
-                    cursor.any(|m| m == s),
-                    "survivor {s} out of member order {members:?} -> {a:?}"
-                );
             }
         },
     );

@@ -94,17 +94,6 @@ impl ModelProfile {
     pub fn activation_bytes_after(&self, l: usize) -> u64 {
         self.layers[l].activation_bytes
     }
-
-    /// Largest per-sample activation across all layers — a quick gauge of
-    /// how communication-heavy the model is.
-    #[must_use]
-    pub fn peak_activation_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.activation_bytes)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 const F32: u64 = 4;

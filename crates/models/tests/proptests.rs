@@ -16,7 +16,6 @@ fn effnet_flops_monotone_in_resolution() {
             let small = efficientnet_at(b, lo);
             let large = efficientnet_at(b, lo + delta);
             assert!(large.total_flops() > small.total_flops());
-            assert!(large.peak_activation_bytes() >= small.peak_activation_bytes());
             // Parameters are resolution-independent for conv nets.
             assert_eq!(large.total_param_bytes(), small.total_param_bytes());
         },

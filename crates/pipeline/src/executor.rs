@@ -241,41 +241,6 @@ impl ExecutionReport {
                 .collect(),
         )
     }
-
-    /// Energy consumed per stage in joules, given each stage device's
-    /// power profile (two-state model: idle draw plus load draw while
-    /// executing FP/BP work).
-    ///
-    /// # Panics
-    /// Panics if `power.len()` differs from the stage count.
-    #[must_use]
-    pub fn stage_energy_joules(&self, power: &[ecofl_simnet::PowerProfile]) -> Vec<f64> {
-        assert_eq!(
-            power.len(),
-            self.stage_busy_utilization.len(),
-            "stage_energy_joules: power profile count mismatch"
-        );
-        self.stage_busy_utilization
-            .iter()
-            .zip(power)
-            .map(|(&busy_frac, p)| {
-                let busy_time = busy_frac * self.makespan;
-                p.idle_watts * self.makespan + (p.load_watts - p.idle_watts) * busy_time
-            })
-            .collect()
-    }
-
-    /// Samples trained per joule across the whole pipeline — the energy
-    /// efficiency a battery-conscious deployment optimizes.
-    ///
-    /// # Panics
-    /// Panics if `power.len()` differs from the stage count.
-    #[must_use]
-    pub fn samples_per_joule(&self, power: &[ecofl_simnet::PowerProfile]) -> f64 {
-        let total: f64 = self.stage_energy_joules(power).iter().sum();
-        let samples = self.throughput * self.makespan;
-        samples / total.max(1e-12)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,7 +292,7 @@ pub struct PipelineExecutor<'a> {
     virtual_profile: Option<PipelineProfile>,
     schedule: SchedulePolicy,
     /// Per-compute-task dispatch overhead, seconds.
-    pub task_overhead: f64,
+    task_overhead: f64,
 }
 
 impl<'a> PipelineExecutor<'a> {
@@ -1086,25 +1051,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&b));
             assert!(g <= b, "useful fraction cannot exceed busy fraction");
         }
-    }
-
-    #[test]
-    fn energy_accounting_two_state() {
-        use ecofl_simnet::PowerProfile;
-        let p = profile(4);
-        let k = p_bounds(&p);
-        let r = PipelineExecutor::new(&p, SchedulePolicy::OneFOneBSync { k })
-            .unwrap()
-            .run(8, 1)
-            .unwrap();
-        let power = vec![PowerProfile::new(2.0, 10.0); 2];
-        let energy = r.stage_energy_joules(&power);
-        assert_eq!(energy.len(), 2);
-        for (e, &u) in energy.iter().zip(&r.stage_busy_utilization) {
-            let expected = 2.0 * r.makespan + 8.0 * u * r.makespan;
-            assert!((e - expected).abs() < 1e-9);
-        }
-        assert!(r.samples_per_joule(&power) > 0.0);
     }
 
     #[test]

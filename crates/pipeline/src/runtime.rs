@@ -97,15 +97,6 @@
 //! `Domain::Pipeline`. The runtime executes in real time, so these
 //! events carry the sync-round index as their (virtual) timestamp.
 //!
-//! # Relation to `fl::FlConfig::failure_prob`
-//!
-//! The FL layer models *client* churn statistically: `failure_prob` is
-//! the chance that a whole client (one collaborative pipeline) drops out
-//! of a round. [`FaultPlan`] is the same disturbance one level down —
-//! a deterministic death of one *stage* inside a pipeline —
-//! so the recovery loop tested here is what keeps a client from
-//! becoming an `failure_prob` casualty in the first place.
-//!
 //! [`recv_timeout_timed`]: ecofl_compat::sync::channel::Receiver::recv_timeout_timed
 //! [`train_round`]: PipelineTrainer::train_round
 //! [`params`]: PipelineTrainer::params

@@ -13,20 +13,17 @@
 //! - [`catalog`] — the Table 1 device catalog (Nano-L/H, TX2-Q/N at their
 //!   two power modes, 100 Mbps networking),
 //! - [`link::Link`] — bandwidth/latency links for activation and gradient
-//!   transfers,
-//! - `power` — the Table 1 power modes' idle and load draws.
+//!   transfers.
 
 pub mod catalog;
 pub(crate) mod device;
 pub(crate) mod event;
 pub(crate) mod link;
-pub(crate) mod power;
 
 pub use catalog::{nano_h, nano_l, table1, tx2_n, tx2_q};
 pub use device::{Device, DeviceSpec};
 pub use event::EventQueue;
 pub use link::Link;
-pub use power::{power_of, PowerProfile};
 
 /// Simulation time in seconds.
 pub(crate) type SimTime = f64;

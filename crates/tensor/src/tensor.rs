@@ -137,27 +137,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Reinterprets the buffer under a new shape of equal volume.
-    ///
-    /// # Panics
-    /// Panics if the volumes differ.
-    #[must_use]
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
-        self.set_shape(shape);
-        self
-    }
-
-    /// [`Tensor::reshape`] in place, reusing the shape's allocation.
-    ///
-    /// # Panics
-    /// Panics if the volumes differ.
-    pub fn set_shape(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        assert_eq!(self.data.len(), n, "reshape: volume mismatch");
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
-    }
-
     /// Gives the tensor a new shape of any volume, keeping its allocations
     /// when they are large enough — how a recycled buffer follows a ragged
     /// last batch. Elements kept keep their values, new ones are zero;
@@ -481,10 +460,8 @@ mod tests {
     }
 
     #[test]
-    fn resize_and_set_shape_work_in_place() {
+    fn resize_works_in_place() {
         let mut t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        t.set_shape(&[3, 2]);
-        assert_eq!(t.shape(), &[3, 2]);
         t.resize(&[1, 2]);
         assert_eq!((t.shape(), t.data()), (&[1, 2][..], &[1.0, 2.0][..]));
         t.resize(&[2, 2]);
@@ -492,12 +469,6 @@ mod tests {
         let mut copy = Tensor::zeros(&[9]);
         copy.clone_from(&t);
         assert_eq!(copy, t);
-    }
-
-    #[test]
-    #[should_panic(expected = "volume")]
-    fn set_shape_checks_volume() {
-        Tensor::zeros(&[2, 3]).set_shape(&[4, 2]);
     }
 
     #[test]
@@ -574,9 +545,8 @@ mod tests {
     }
 
     #[test]
-    fn reshape_and_norm() {
-        let t = Tensor::from_vec(vec![3.0, 4.0], &[2]).reshape(&[1, 2]);
-        assert_eq!(t.shape(), &[1, 2]);
+    fn norm_sq_sums_squares() {
+        let t = Tensor::from_vec(vec![3.0, 4.0], &[1, 2]);
         assert_eq!(t.norm_sq(), 25.0);
     }
 

@@ -31,14 +31,6 @@ pub fn normalize_distribution(weights: &[f64]) -> Vec<f64> {
     weights.iter().map(|w| w / total).collect()
 }
 
-/// Shannon entropy in bits of a probability distribution.
-///
-/// Zero-probability entries contribute zero (the `p log p → 0` limit).
-#[must_use]
-pub fn entropy(p: &[f64]) -> f64 {
-    p.iter().filter(|&&x| x > 0.0).map(|&x| -x * x.log2()).sum()
-}
-
 /// Kullback–Leibler divergence `KL(p ‖ q)` in bits.
 ///
 /// Returns `f64::INFINITY` when `p` has mass where `q` has none (absolute
@@ -124,13 +116,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn normalize_rejects_negative() {
         let _ = normalize_distribution(&[1.0, -0.5]);
-    }
-
-    #[test]
-    fn entropy_uniform_is_log_n() {
-        let e = entropy(&uniform_distribution(8));
-        assert!((e - 3.0).abs() < 1e-12);
-        assert_eq!(entropy(&[1.0, 0.0]), 0.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub(crate) mod series;
 pub mod stats;
 pub mod units;
 
-pub use divergence::{entropy, js_divergence, kl_divergence, normalize_distribution};
+pub use divergence::{js_divergence, kl_divergence, normalize_distribution};
 pub use rng::Rng;
 pub use series::TimeSeries;
 pub use stats::mean;

@@ -8,7 +8,7 @@
 # paths of equal length). Then, for each workload named — a comma list,
 # or `all`, run in the order BENCHMARK.json lists them — it runs the
 # unmodified `benchmark/run.sh --workload W --seconds 12 --trace 0` of
-# each side N times (default 5) on the seeds below, alternating which
+# each side N times (default 10) on the seeds below, alternating which
 # side goes first in a pair. Per workload it prints, for every
 # end-to-end metric of BENCHMARK.json, each side's median [q1, q3] over
 # the pairs and in how many pairs the change read lower; then
@@ -40,7 +40,7 @@ parent_rev=$(git rev-parse --verify "$1^{commit}")
 change_rev=$(git rev-parse --verify "$2^{commit}")
 shift 2
 requested=pipeline_plan
-pairs=5
+pairs=10
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) requested="${2:?--workload needs a name}"; shift 2 ;;

@@ -168,6 +168,8 @@ twins="$twins|Conv2d|AvgPool2d|naive_conv2d|image_like"
 twins="$twins|with_hub\(|attach_metrics|append_snapshot|to_prometheus|from_prometheus|LogHistogram|METRICS_SEGMENT"
 # A store has one writer and is read back one way: no live dashboard, no JSONL export.
 twins="$twins|export_jsonl|read_tail|kernel_lines"
+# The paper runs no energy model, Dirichlet split or random client crash; they come back only with a caller.
+twins="$twins|PowerProfile|stage_energy_joules|samples_per_joule|sample_gamma|PartitionScheme::Dirichlet|fn surviving|\.failure_prob|failure_prob:"
 if grep -rnE --include='*.rs' "$twins" crates src tests examples benchmark/src benchmark/layers/src; then
     echo "ERROR: a folded twin is back — an engine records virtual time into one optional Tracer (the metrics hub observes only the threaded runtime's wall clock), an executed task is one SpanRecord." >&2
     exit 1

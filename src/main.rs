@@ -279,39 +279,39 @@ fn print_lines(lines: impl IntoIterator<Item = String>) {
 }
 
 fn usage() -> &'static str {
-    "usage: ecofl <command> [--key value ...]\n\
-     commands:\n\
-       devices                       print the Table 1 device catalog\n\
-       plan   --model M --devices D  partition + orchestrate a pipeline\n\
-              [--batch N] [--schedule 1f1b|gpipe|async|interleaved|zb]\n\
-       gantt  --model M --devices D  render a schedule Gantt chart\n\
-              [--schedule 1f1b|gpipe|async|interleaved|zb]\n\
-              [--mbs N] [--micro-batches N] [--width COLS]\n\
-       spike  --model M --devices D  run the Fig. 13 load-spike scenario\n\
-              [--load F] [--at T] [--device I] [--horizon T]\n\
-              [--kill-stage I]       instead: kill a real runtime stage,\n\
-              [--kill-round N] [--kill-micro N] [--rounds N] [--seed N]\n\
-                                     recover + replay, verify bit-identity\n\
-       fl     [--strategy S]         run a federated-learning simulation\n\
-              [--clients N] [--horizon T] [--dataset mnist|fashion|cifar]\n\
-              [--comm-latency T] [--seed N]\n\
-              [--shards N]           back N virtual clients per data shard\n\
-                                     (million-client runs; 0 = no sharing)\n\
-              [--clients-per-round N] [--groups N] [--grouping-batch N]\n\
-       trace  --model M --devices D  record a virtual-time trace into a\n\
-              segmented run store (summary-pruned compressed blocks)\n\
-              [--scenario pipeline|spike|fl] plus that scenario's flags:\n\
-              pipeline = gantt's (no --width) [--rounds N] [--top N],\n\
-              spike = spike's, fl = fl's\n\
-              [--store DIR] [--block-records N]\n\
-       trace  --store DIR            inspect an existing run store:\n\
-              [--rounds A..B] [--domain pipeline|scheduler|fl|grouping]\n\
-              [--kind span|event|counter|gauge] [--min-duration T]\n\
-              [--limit N]            segments, pruned query, checkpoints\n\
-       metrics --store DIR           roll a stored trace up: counter totals,\n\
-                                     gauges, span percentiles, event counts\n\
-     models : effnet-b0..b6, mobilenet-w1..w3 (optionally model@resolution)\n\
-     devices: comma list of nanol, nanoh, tx2q, tx2n"
+    r"usage: ecofl <command> [--key value ...]
+commands:
+  devices                       print the Table 1 device catalog
+  plan   --model M --devices D  partition + orchestrate a pipeline
+         [--batch N] [--schedule 1f1b|gpipe|async|interleaved|zb]
+  gantt  --model M --devices D  render a schedule Gantt chart
+         [--schedule 1f1b|gpipe|async|interleaved|zb]
+         [--mbs N] [--micro-batches N] [--width COLS]
+  spike  --model M --devices D  run the Fig. 13 load-spike scenario
+         [--load F] [--at T] [--device I] [--horizon T]
+         [--kill-stage I]       instead (no --model): kill a stage of a
+         [--kill-round N] [--kill-micro N] [--rounds N] [--seed N]
+                                real MLP runtime, recover, replay, verify
+  fl     [--strategy S]         run a federated-learning simulation
+         [--clients N] [--horizon T] [--dataset mnist|fashion|cifar]
+         [--comm-latency T] [--seed N]
+         [--shards N]           back N virtual clients per data shard
+                                (million-client runs; 0 = no sharing)
+         [--clients-per-round N] [--groups N] [--grouping-batch N]
+  trace  --model M --devices D  record a virtual-time trace into a
+         segmented run store (summary-pruned compressed blocks)
+         [--scenario pipeline|spike|fl] plus that scenario's flags:
+         pipeline = gantt's (no --width) [--rounds N] [--top N],
+         spike = spike's, fl = fl's
+         [--store DIR] [--block-records N]
+  trace  --store DIR            inspect an existing run store:
+         [--rounds A..B] [--domain pipeline|scheduler|fl|grouping]
+         [--kind span|event|counter|gauge] [--min-duration T]
+         [--limit N]            segments, pruned query, checkpoints
+  metrics --store DIR           roll a stored trace up: counter totals,
+                                gauges, span percentiles, event counts
+models : effnet-b0..b6, mobilenet-w1..w3 (optionally model@resolution)
+devices: comma list of nanol, nanoh, tx2q, tx2n"
 }
 
 /// Puts `SIGPIPE` back to its default disposition. The Rust runtime starts

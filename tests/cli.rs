@@ -750,8 +750,14 @@ fn oversized_simulated_runs_are_rejected_by_flag_name_at_once() {
         ),
         ("spike", &["--horizon", "1e15", "--at", "1"], "--horizon"),
     ] {
+        // The kill demo runs a fixed MLP: it takes no `--model`.
+        let head = if extra.contains(&"--kill-stage") {
+            &pipeline[2..]
+        } else {
+            &pipeline[..]
+        };
         let started = std::time::Instant::now();
-        assert_rejects(&[&[command], &pipeline[..], extra].concat(), flag);
+        assert_rejects(&[&[command], head, extra].concat(), flag);
         assert!(
             started.elapsed() < std::time::Duration::from_secs(1),
             "{command} {extra:?} took {:?}",
@@ -890,6 +896,8 @@ fn help_prints_all_commands() {
     for cmd in ["devices", "plan", "gantt", "spike", "fl", "metrics"] {
         assert!(stdout.contains(cmd));
     }
+    // A flag line is indented under its command, not flush left.
+    assert!(stdout.contains("\n         [--batch N] "), "{stdout}");
 }
 
 /// A token the command does not read used to be skipped: `--strateg
@@ -937,6 +945,19 @@ fn misspelt_and_dangling_flags_are_rejected_not_ignored() {
             "0.5",
         ],
         "--load for spike --kill-stage",
+    );
+    // Nor does a model: its pipeline is a fixed MLP.
+    assert_rejects(
+        &[
+            "spike",
+            "--devices",
+            "tx2q,nanoh",
+            "--kill-stage",
+            "1",
+            "--model",
+            "effnet-b0",
+        ],
+        "--model for spike --kill-stage",
     );
     assert_rejects(
         &[&["trace"], &pipeline[..], &["--round", "2"]].concat(),
